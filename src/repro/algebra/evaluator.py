@@ -1,10 +1,12 @@
 """Relational algebra interpreter.
 
 Evaluates operator trees produced by the translator or the reenactor.
-The evaluator is deliberately a straightforward pull-based interpreter —
-it is the reproduction's stand-in for the backend DBMS executor — with
-one performance concession: equi-join conditions are detected and
-executed as hash joins, which the scaling experiment (E5) needs.
+The evaluator is deliberately a straightforward materializing
+interpreter — it is the reproduction's stand-in for the backend DBMS
+executor — with two performance concessions: plan nodes and their
+expressions are compiled to closures once and then run over plain
+tuples, and equi-join conditions are detected and executed as hash
+joins, which the scaling experiment (E5) needs.
 
 Evaluation contexts decide what a :class:`~repro.algebra.operators.
 TableScan` sees:
@@ -18,12 +20,15 @@ TableScan` sees:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra import operators as op
-from repro.algebra.expressions import (BinaryOp, EvalState, Expr, RowEnv,
-                                       SubqueryExpr, columns_used,
-                                       eval_expr, walk)
+from repro.algebra.expressions import (BinaryOp, Compiled, EvalState, Expr,
+                                       Layout, RowEnv, SubqueryExpr,
+                                       column_position, columns_used,
+                                       compile_expr, conjunction, conjuncts,
+                                       row_layout, walk)
 from repro.errors import ExecutionError, TimeTravelError
 
 
@@ -156,25 +161,46 @@ class StaticContext(EvalContext):
         self.tables = tables
 
     def scan_table(self, table, as_of_ts):
-        relation = self.overrides.get(table) or self.tables.get(table)
-        if relation is None:
-            raise ExecutionError(f"unknown table {table!r}")
-        return [(i + 1, row, 0) for i, row in enumerate(relation.rows)]
+        return [(i + 1, row, 0)
+                for i, row in enumerate(self._relation(table).rows)]
 
     def table_columns(self, table):
-        relation = self.overrides.get(table) or self.tables.get(table)
+        return [a.rsplit(".", 1)[-1] for a in self._relation(table).attrs]
+
+    def _relation(self, table: str) -> Relation:
+        # an empty override is still an override (Relation is falsy
+        # when it has no rows)
+        relation = self.overrides.get(table)
+        if relation is None:
+            relation = self.tables.get(table)
         if relation is None:
             raise ExecutionError(f"unknown table {table!r}")
-        return [a.rsplit(".", 1)[-1] for a in relation.attrs]
+        return relation
+
+
+#: A compiled plan node: ``run(outer) -> rows``.
+Runner = Callable[[Optional[RowEnv]], List[tuple]]
 
 
 class Evaluator:
-    """Interprets a plan against an :class:`EvalContext`."""
+    """Interprets a plan against an :class:`EvalContext`.
+
+    Compile, then run: each plan node becomes, on first use, a closure
+    ``run(outer) -> rows`` that holds its expressions compiled
+    (:func:`~repro.algebra.expressions.compile_expr`) against its
+    children's row layouts, its child runners, and every decision that
+    does not depend on the data (join strategy and kind, aggregate
+    functions).  Runners are memoized per evaluator, not on the plan,
+    so a correlated subplan run once per outer row compiles once and a
+    cached plan retains no closures.
+    """
 
     def __init__(self, ctx: EvalContext):
         self.ctx = ctx
         self.state = EvalState(params=ctx.params,
-                               execute_subquery=self._execute_subquery)
+                               subquery_runner=self._subquery_runner)
+        #: id(node) → (node, runner); holding the node keeps its id its own
+        self._runners: Dict[int, Tuple[op.Operator, Runner]] = {}
         self._subquery_cache: Dict[int, List[tuple]] = {}
 
     # -- public ------------------------------------------------------------
@@ -183,149 +209,205 @@ class Evaluator:
         rows = self._eval(plan, None)
         return Relation(plan.attrs, rows)
 
+    def compile(self, expr: Expr, attrs: Sequence[str]) -> Compiled:
+        """Compile ``expr`` for rows with schema ``attrs``."""
+        return compile_expr(expr, row_layout(attrs), self.state)
+
     # -- subqueries ---------------------------------------------------------
 
-    def _execute_subquery(self, plan: op.Operator,
-                          env: Optional[RowEnv]) -> List[tuple]:
+    def _subquery_runner(self, plan: op.Operator, layout: Layout):
+        """``rows_of(row, outer)`` for a subquery nested in an expression
+        over rows of ``layout``.  An uncorrelated plan runs once; a
+        correlated one runs per row with that row as its outer frame."""
         correlated = getattr(plan, "_correlated", None)
         if correlated is None:
             from repro.algebra.translator import plan_free_columns
             correlated = bool(plan_free_columns(plan))
             plan._correlated = correlated
         if not correlated:
-            cached = self._subquery_cache.get(id(plan))
-            if cached is None:
-                cached = self._eval(plan, None)
-                self._subquery_cache[id(plan)] = cached
-            return cached
-        return self._eval(plan, env)
+            def run_once(row, outer):
+                cached = self._subquery_cache.get(id(plan))
+                if cached is None:
+                    cached = self._eval(plan, None)
+                    self._subquery_cache[id(plan)] = cached
+                return cached
+            return run_once
+        columns = tuple(layout.items())
+
+        def run(row, outer):
+            frame = RowEnv({key: row[i] for key, i in columns}, outer)
+            return self._eval(plan, frame)
+        return run
 
     # -- dispatcher -----------------------------------------------------------
 
+    def _runner(self, plan: op.Operator) -> Runner:
+        entry = self._runners.get(id(plan))
+        if entry is None:
+            build = _BUILDERS.get(type(plan))
+            if build is None:
+                raise ExecutionError(f"cannot evaluate operator {plan!r}")
+            entry = self._runners[id(plan)] = (plan, build(self, plan))
+        return entry[1]
+
     def _eval(self, plan: op.Operator,
               outer: Optional[RowEnv]) -> List[tuple]:
-        if isinstance(plan, op.TableScan):
-            return self._eval_scan(plan, outer)
-        if isinstance(plan, op.ConstRel):
-            return [tuple(self._scalar(e, outer) for e in row)
-                    for row in plan.rows]
-        if isinstance(plan, op.Selection):
-            return self._eval_selection(plan, outer)
-        if isinstance(plan, op.Projection):
-            return self._eval_projection(plan, outer)
-        if isinstance(plan, op.Join):
-            return self._eval_join(plan, outer)
-        if isinstance(plan, op.Aggregation):
-            return self._eval_aggregation(plan, outer)
-        if isinstance(plan, op.Distinct):
-            return _distinct(self._eval(plan.child, outer))
-        if isinstance(plan, op.SetOp):
-            return self._eval_setop(plan, outer)
-        if isinstance(plan, op.OrderBy):
-            return self._eval_orderby(plan, outer)
-        if isinstance(plan, op.Limit):
-            count = self._scalar(plan.count, outer)
-            if count is None or int(count) < 0:
-                raise ExecutionError(f"invalid LIMIT {count!r}")
-            return self._eval(plan.child, outer)[:int(count)]
-        if isinstance(plan, op.AnnotateRowId):
-            rows = self._eval(plan.child, outer)
-            base = plan.seed * 1_000_000
-            return [row + (-(base + i + 1),)
-                    for i, row in enumerate(rows)]
-        raise ExecutionError(f"cannot evaluate operator {plan!r}")
+        return self._runner(plan)(outer)
 
     # -- helpers ---------------------------------------------------------------
 
-    def _scalar(self, expr: Expr, outer: Optional[RowEnv]) -> Any:
-        return eval_expr(expr, outer, self.state)
-
-    def _env(self, attrs: List[str], row: tuple,
-             outer: Optional[RowEnv]) -> RowEnv:
-        return RowEnv(dict(zip(attrs, row)), outer)
+    def _compile_tuple(self, exprs: Sequence[Expr], layout: Layout
+                       ) -> Callable[[tuple, Optional[RowEnv]], tuple]:
+        """``make(row, outer)`` → tuple of the expressions' values."""
+        positions = [column_position(e, layout) for e in exprs]
+        if None not in positions:
+            pick = _picker(positions)
+            return lambda row, outer: pick(row)
+        fns = [compile_expr(e, layout, self.state) for e in exprs]
+        return lambda row, outer: tuple([f(row, outer) for f in fns])
 
     # -- operators ----------------------------------------------------------------
 
-    def _eval_scan(self, scan: op.TableScan,
-                   outer: Optional[RowEnv]) -> List[tuple]:
-        as_of_ts: Optional[int] = None
-        if scan.as_of is not None:
-            value = self._scalar(scan.as_of, outer)
-            if value is None:
-                raise TimeTravelError(
-                    f"AS OF timestamp for {scan.table!r} is NULL")
-            as_of_ts = int(value)
-        triples = self.ctx.scan_table(scan.table, as_of_ts)
+    def _build_scan(self, scan: op.TableScan) -> Runner:
+        ctx = self.ctx
+        table, columns = scan.table, scan.columns
+        as_of = None if scan.as_of is None \
+            else compile_expr(scan.as_of, {}, self.state)
         want_rowid = op.ANNOT_ROWID in scan.annotations
         want_xid = op.ANNOT_XID in scan.annotations
-        full = self.ctx.table_columns(scan.table)
-        # pruned scans read a subset of the stored columns
-        if scan.columns == full:
-            positions: Optional[List[int]] = None
-        else:
-            try:
-                positions = [full.index(c) for c in scan.columns]
-            except ValueError as exc:
-                raise ExecutionError(
-                    f"scan of {scan.table!r} asks for columns "
-                    f"{scan.columns} but storage has {full}") from exc
-        rows: List[tuple] = []
-        for rowid, values, xid in triples:
-            if positions is None:
-                row = tuple(values)
-            else:
-                row = tuple(values[i] for i in positions)
+
+        def run(outer):
+            as_of_ts: Optional[int] = None
+            if as_of is not None:
+                value = as_of((), outer)
+                if value is None:
+                    raise TimeTravelError(
+                        f"AS OF timestamp for {table!r} is NULL")
+                as_of_ts = int(value)
+            triples = ctx.scan_table(table, as_of_ts)
+            full = ctx.table_columns(table)
+            if columns == full:
+                pick = tuple
+            else:  # pruned scans read a subset of the stored columns
+                try:
+                    pick = _picker([full.index(c) for c in columns])
+                except ValueError as exc:
+                    raise ExecutionError(
+                        f"scan of {table!r} asks for columns "
+                        f"{columns} but storage has {full}") from exc
+            if want_rowid and want_xid:
+                return [pick(values) + (rowid, xid)
+                        for rowid, values, xid in triples]
             if want_rowid:
-                row = row + (rowid,)
+                return [pick(values) + (rowid,)
+                        for rowid, values, _ in triples]
             if want_xid:
-                row = row + (xid,)
-            rows.append(row)
-        return rows
+                return [pick(values) + (xid,) for _, values, xid in triples]
+            return [pick(values) for _, values, _ in triples]
+        return run
 
-    def _eval_selection(self, node: op.Selection,
-                        outer: Optional[RowEnv]) -> List[tuple]:
-        attrs = node.child.attrs
-        out = []
-        for row in self._eval(node.child, outer):
-            env = self._env(attrs, row, outer)
-            if eval_expr(node.condition, env, self.state) is True:
-                out.append(row)
-        return out
+    def _build_const(self, node: op.ConstRel) -> Runner:
+        rows = [[compile_expr(e, {}, self.state) for e in row]
+                for row in node.rows]
+        return lambda outer: [tuple([f((), outer) for f in row])
+                              for row in rows]
 
-    def _eval_projection(self, node: op.Projection,
-                         outer: Optional[RowEnv]) -> List[tuple]:
-        attrs = node.child.attrs
-        exprs = node.exprs
-        out = []
-        for row in self._eval(node.child, outer):
-            env = self._env(attrs, row, outer)
-            out.append(tuple(eval_expr(e, env, self.state)
-                             for e in exprs))
-        return out
+    def _build_selection(self, node: op.Selection) -> Runner:
+        child = self._runner(node.child)
+        keep = self.compile(node.condition, node.child.attrs)
+        return lambda outer: [row for row in child(outer)
+                              if keep(row, outer) is True]
+
+    def _build_projection(self, node: op.Projection) -> Runner:
+        child = self._runner(node.child)
+        layout = row_layout(node.child.attrs)
+        positions = [column_position(e, layout) for e in node.exprs]
+        if None not in positions:
+            pick = _picker(positions)
+            return lambda outer: list(map(pick, child(outer)))
+        fns = [compile_expr(e, layout, self.state) for e in node.exprs]
+        if all(p is None for p in positions):
+            return lambda outer: [tuple([f(row, outer) for f in fns])
+                                  for row in child(outer)]
+        # the reenactment shape: most columns pass through, a few are
+        # CASE stacks.  Pick the whole row in one go (computed slots
+        # read position 0 as a placeholder), then overwrite those.
+        pick = _picker([p or 0 for p in positions])
+        computed = [(slot, f) for slot, (f, p)
+                    in enumerate(zip(fns, positions)) if p is None]
+
+        def run(outer):
+            out = []
+            for row in child(outer):
+                values = list(pick(row))
+                for slot, value_of in computed:
+                    values[slot] = value_of(row, outer)
+                out.append(tuple(values))
+            return out
+        return run
 
     # .. joins ....................................................................
 
-    def _eval_join(self, node: op.Join,
-                   outer: Optional[RowEnv]) -> List[tuple]:
-        left_rows = self._eval(node.left, outer)
-        right_rows = self._eval(node.right, outer)
-        left_attrs = node.left.attrs
-        right_attrs = node.right.attrs
-
+    def _build_join(self, node: op.Join) -> Runner:
+        left = self._runner(node.left)
+        right = self._runner(node.right)
+        left_attrs, right_attrs = node.left.attrs, node.right.attrs
         if node.kind == "cross":
-            return [l + r for l in left_rows for r in right_rows]
+            def run_cross(outer):
+                left_rows, right_rows = left(outer), right(outer)
+                return [l + r for l in left_rows for r in right_rows]
+            return run_cross
 
+        emit = _JOIN_EMITTERS[node.kind]
+        pad = (None,) * len(right_attrs)
+        combined = row_layout(left_attrs + right_attrs)
         equi, residual = self._split_equi(node.condition, left_attrs,
                                           right_attrs)
-        if equi:
-            return self._hash_join(node, left_rows, right_rows, equi,
-                                   residual, outer)
-        return self._nested_loop_join(node, left_rows, right_rows, outer)
+        if not equi:  # nested loop
+            matches_condition = None if node.condition is None \
+                else compile_expr(node.condition, combined, self.state)
 
-    def _split_equi(self, condition: Optional[Expr],
+            def run_nested(outer):
+                left_rows, right_rows = left(outer), right(outer)
+                out: List[tuple] = []
+                for lrow in left_rows:
+                    matches = right_rows if matches_condition is None \
+                        else [rrow for rrow in right_rows
+                              if matches_condition(lrow + rrow, outer)
+                              is True]
+                    emit(out, lrow, matches, pad)
+                return out
+            return run_nested
+
+        left_key = self._compile_tuple([l for l, _ in equi],
+                                       row_layout(left_attrs))
+        right_key = self._compile_tuple([r for _, r in equi],
+                                        row_layout(right_attrs))
+        passes_residual = None if residual is None \
+            else compile_expr(residual, combined, self.state)
+
+        def run_hash(outer):
+            left_rows, right_rows = left(outer), right(outer)
+            index: Dict[tuple, List[tuple]] = {}
+            for rrow in right_rows:
+                key = right_key(rrow, outer)
+                if None not in key:  # NULL never equi-joins
+                    index.setdefault(key, []).append(rrow)
+            out: List[tuple] = []
+            for lrow in left_rows:
+                matches = index.get(left_key(lrow, outer), ())
+                if passes_residual is not None and matches:
+                    matches = [rrow for rrow in matches
+                               if passes_residual(lrow + rrow, outer)
+                               is True]
+                emit(out, lrow, matches, pad)
+            return out
+        return run_hash
+
+    @staticmethod
+    def _split_equi(condition: Optional[Expr],
                     left_attrs: List[str], right_attrs: List[str]):
         """Split a join condition into equi-join pairs and a residual."""
-        from repro.algebra.expressions import conjuncts, conjunction
         if condition is None:
             return [], None
         left_set = set(left_attrs)
@@ -348,195 +430,215 @@ class Evaluator:
             residual.append(part)
         return pairs, conjunction(residual)
 
-    def _hash_join(self, node: op.Join, left_rows, right_rows, equi,
-                   residual, outer) -> List[tuple]:
-        left_attrs = node.left.attrs
-        right_attrs = node.right.attrs
-        left_keys = [l for l, _ in equi]
-        right_keys = [r for _, r in equi]
-
-        index: Dict[tuple, List[tuple]] = {}
-        for row in right_rows:
-            env = self._env(right_attrs, row, outer)
-            key = tuple(eval_expr(k, env, self.state) for k in right_keys)
-            if any(v is None for v in key):
-                continue  # NULL never equi-joins
-            index.setdefault(key, []).append(row)
-
-        out: List[tuple] = []
-        for lrow in left_rows:
-            lenv = self._env(left_attrs, lrow, outer)
-            key = tuple(eval_expr(k, lenv, self.state) for k in left_keys)
-            matches: List[tuple] = []
-            if not any(v is None for v in key):
-                for rrow in index.get(key, ()):
-                    if residual is not None:
-                        env = self._env(left_attrs + right_attrs,
-                                        lrow + rrow, outer)
-                        if eval_expr(residual, env, self.state) is not True:
-                            continue
-                    matches.append(rrow)
-            self._emit_join_rows(node, lrow, matches, right_attrs, out)
-        return out
-
-    def _nested_loop_join(self, node: op.Join, left_rows, right_rows,
-                          outer) -> List[tuple]:
-        left_attrs = node.left.attrs
-        right_attrs = node.right.attrs
-        combined = left_attrs + right_attrs
-        out: List[tuple] = []
-        for lrow in left_rows:
-            matches = []
-            for rrow in right_rows:
-                if node.condition is None:
-                    matches.append(rrow)
-                    continue
-                env = self._env(combined, lrow + rrow, outer)
-                if eval_expr(node.condition, env, self.state) is True:
-                    matches.append(rrow)
-            self._emit_join_rows(node, lrow, matches, right_attrs, out)
-        return out
-
-    @staticmethod
-    def _emit_join_rows(node: op.Join, lrow: tuple, matches: List[tuple],
-                        right_attrs: List[str], out: List[tuple]) -> None:
-        if node.kind == "inner":
-            out.extend(lrow + r for r in matches)
-        elif node.kind == "left":
-            if matches:
-                out.extend(lrow + r for r in matches)
-            else:
-                out.append(lrow + (None,) * len(right_attrs))
-        elif node.kind == "semi":
-            if matches:
-                out.append(lrow)
-        elif node.kind == "anti":
-            if not matches:
-                out.append(lrow)
-        else:  # pragma: no cover - guarded in operator ctor
-            raise ExecutionError(f"unknown join kind {node.kind!r}")
-
     # .. aggregation ...............................................................
 
-    def _eval_aggregation(self, node: op.Aggregation,
-                          outer: Optional[RowEnv]) -> List[tuple]:
-        child_attrs = node.child.attrs
-        rows = self._eval(node.child, outer)
-        groups: Dict[tuple, List[RowEnv]] = {}
-        order: List[tuple] = []
-        for row in rows:
-            env = self._env(child_attrs, row, outer)
-            key = tuple(eval_expr(g, env, self.state)
-                        for g in node.group_exprs)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(env)
+    def _build_aggregation(self, node: op.Aggregation) -> Runner:
+        child = self._runner(node.child)
+        layout = row_layout(node.child.attrs)
+        group_key = self._compile_tuple(node.group_exprs, layout) \
+            if node.group_exprs else None
+        aggregates = [self._compile_aggregate(spec, layout)
+                      for spec in node.aggregates]
 
-        if not node.group_exprs and not groups:
-            # global aggregation over an empty input: one row
-            groups[()] = []
-            order.append(())
+        def run(outer):
+            rows = child(outer)
+            if group_key is None:
+                # global aggregation: one row, also over an empty input
+                groups: Dict[tuple, List[tuple]] = {(): rows}
+            else:
+                groups = {}
+                for row in rows:
+                    groups.setdefault(group_key(row, outer), []).append(row)
+            return [key + tuple([agg(members, outer) for agg in aggregates])
+                    for key, members in groups.items()]
+        return run
 
-        out: List[tuple] = []
-        for key in order:
-            envs = groups[key]
-            aggs = tuple(self._eval_agg(spec, envs)
-                         for spec in node.aggregates)
-            out.append(key + aggs)
-        return out
-
-    def _eval_agg(self, spec: op.AggSpec, envs: List[RowEnv]) -> Any:
+    def _compile_aggregate(self, spec: op.AggSpec, layout: Layout
+                           ) -> Callable[[List[tuple], Optional[RowEnv]],
+                                         Any]:
         if spec.expr is None:  # COUNT(*)
-            return len(envs)
-        values = [eval_expr(spec.expr, env, self.state) for env in envs]
-        values = [v for v in values if v is not None]
-        if spec.distinct:
-            values = list(dict.fromkeys(values))
-        if spec.func == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if spec.func == "SUM":
-            return sum(values)
-        if spec.func == "AVG":
-            return sum(values) / len(values)
-        if spec.func == "MIN":
-            return min(values)
-        if spec.func == "MAX":
-            return max(values)
-        raise ExecutionError(f"unknown aggregate {spec.func!r}")
+            return lambda rows, outer: len(rows)
+        argument = compile_expr(spec.expr, layout, self.state)
+        func, distinct = spec.func, spec.distinct
+        fold = _AGGREGATES.get(func)
+
+        def run(rows, outer):
+            values = [v for v in [argument(row, outer) for row in rows]
+                      if v is not None]
+            if distinct:
+                values = list(dict.fromkeys(values))
+            if fold is None:
+                raise ExecutionError(f"unknown aggregate {func!r}")
+            if not values and fold is not len:
+                return None
+            try:
+                return fold(values)
+            except TypeError as exc:
+                raise ExecutionError(
+                    f"cannot compute {func} over mixed types") from exc
+        return run
 
     # .. set operations ...............................................................
 
-    def _eval_setop(self, node: op.SetOp,
-                    outer: Optional[RowEnv]) -> List[tuple]:
-        left = self._eval(node.left, outer)
-        right = self._eval(node.right, outer)
-        if node.kind == "union":
-            combined = left + right
-            return combined if node.all else _distinct(combined)
-        if node.kind == "intersect":
-            rcount = Counter(right)
-            if node.all:
-                out = []
-                for row in left:
-                    if rcount[row] > 0:
-                        rcount[row] -= 1
-                        out.append(row)
-                return out
-            rset = set(right)
-            return _distinct([row for row in left if row in rset])
-        if node.kind == "except":
-            if node.all:
-                rcount = Counter(right)
-                out = []
-                for row in left:
-                    if rcount[row] > 0:
-                        rcount[row] -= 1
-                    else:
-                        out.append(row)
-                return out
-            rset = set(right)
-            return _distinct([row for row in left if row not in rset])
-        raise ExecutionError(f"unknown set op {node.kind!r}")
+    def _build_distinct(self, node: op.Distinct) -> Runner:
+        child = self._runner(node.child)
+        return lambda outer: _distinct(child(outer))
+
+    def _build_setop(self, node: op.SetOp) -> Runner:
+        left = self._runner(node.left)
+        right = self._runner(node.right)
+        combine = _SETOPS[node.kind, bool(node.all)]
+        return lambda outer: combine(left(outer), right(outer))
 
     # .. ordering ...................................................................
 
-    def _eval_orderby(self, node: op.OrderBy,
-                      outer: Optional[RowEnv]) -> List[tuple]:
-        attrs = node.child.attrs
-        rows = self._eval(node.child, outer)
-        keyed = []
-        for row in rows:
-            env = self._env(attrs, row, outer)
-            keys = tuple(eval_expr(e, env, self.state)
-                         for e, _ in node.items)
-            keyed.append((keys, row))
-        # stable multi-key sort: apply keys right-to-left
-        for index in range(len(node.items) - 1, -1, -1):
-            _, ascending = node.items[index]
-            keyed.sort(key=lambda pair, i=index: _sort_key(pair[0][i]),
-                       reverse=not ascending)
-        return [row for _, row in keyed]
+    def _build_orderby(self, node: op.OrderBy) -> Runner:
+        child = self._runner(node.child)
+        sort_keys = self._compile_tuple([e for e, _ in node.items],
+                                        row_layout(node.child.attrs))
+        directions = [ascending for _, ascending in node.items]
+
+        def run(outer):
+            keyed = [(sort_keys(row, outer), row) for row in child(outer)]
+            try:
+                # stable multi-key sort: apply keys right-to-left
+                for index in range(len(directions) - 1, -1, -1):
+                    keyed.sort(
+                        key=lambda pair, i=index: _sort_key(pair[0][i]),
+                        reverse=not directions[index])
+            except TypeError as exc:
+                raise ExecutionError(
+                    f"cannot ORDER BY values of mixed types: {exc}"
+                ) from exc
+            return [row for _, row in keyed]
+        return run
+
+    def _build_limit(self, node: op.Limit) -> Runner:
+        child = self._runner(node.child)
+        count_of = compile_expr(node.count, {}, self.state)
+
+        def run(outer):
+            count = count_of((), outer)
+            try:
+                limit = int(count)
+            except (TypeError, ValueError):
+                limit = -1
+            if limit < 0:
+                raise ExecutionError(f"invalid LIMIT {count!r}")
+            return child(outer)[:limit]
+        return run
+
+    def _build_annotate_rowid(self, node: op.AnnotateRowId) -> Runner:
+        child = self._runner(node.child)
+        base = node.seed * 1_000_000
+        return lambda outer: [row + (-(base + i + 1),)
+                              for i, row in enumerate(child(outer))]
+
+
+_BUILDERS: Dict[type, Callable[[Evaluator, Any], Runner]] = {
+    op.TableScan: Evaluator._build_scan,
+    op.ConstRel: Evaluator._build_const,
+    op.Selection: Evaluator._build_selection,
+    op.Projection: Evaluator._build_projection,
+    op.Join: Evaluator._build_join,
+    op.Aggregation: Evaluator._build_aggregation,
+    op.Distinct: Evaluator._build_distinct,
+    op.SetOp: Evaluator._build_setop,
+    op.OrderBy: Evaluator._build_orderby,
+    op.Limit: Evaluator._build_limit,
+    op.AnnotateRowId: Evaluator._build_annotate_rowid,
+}
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
+    """``pick(row)`` → tuple of the values at ``positions``."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+def _emit_inner(out, lrow, matches, pad) -> None:
+    out.extend([lrow + rrow for rrow in matches])
+
+
+def _emit_left(out, lrow, matches, pad) -> None:
+    if matches:
+        out.extend([lrow + rrow for rrow in matches])
+    else:
+        out.append(lrow + pad)
+
+
+def _emit_semi(out, lrow, matches, pad) -> None:
+    if matches:
+        out.append(lrow)
+
+
+def _emit_anti(out, lrow, matches, pad) -> None:
+    if not matches:
+        out.append(lrow)
+
+
+#: join kind → what one left row and its matching right rows produce
+_JOIN_EMITTERS = {"inner": _emit_inner, "left": _emit_left,
+                  "semi": _emit_semi, "anti": _emit_anti}
+
+#: aggregate function → fold over the non-NULL argument values
+_AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
+    "COUNT": len, "SUM": sum, "MIN": min, "MAX": max,
+    "AVG": lambda values: sum(values) / len(values),
+}
 
 
 def _sort_key(value: Any):
     # NULLs sort last under ASC (first under DESC via reverse)
-    if value is None:
-        return (1, 0)
-    if isinstance(value, bool):
-        return (0, int(value))
-    if isinstance(value, (int, float)):
-        return (0, value)
-    return (0, value)
+    return (1, 0) if value is None else (0, value)
 
 
 def _distinct(rows: List[tuple]) -> List[tuple]:
-    seen = set()
+    return list(dict.fromkeys(rows))
+
+
+def _intersect_all(left: List[tuple], right: List[tuple]) -> List[tuple]:
+    budget = Counter(right)
     out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
+    for row in left:
+        if budget[row] > 0:
+            budget[row] -= 1
             out.append(row)
     return out
+
+
+def _except_all(left: List[tuple], right: List[tuple]) -> List[tuple]:
+    budget = Counter(right)
+    out = []
+    for row in left:
+        if budget[row] > 0:
+            budget[row] -= 1
+        else:
+            out.append(row)
+    return out
+
+
+def _intersect(left: List[tuple], right: List[tuple]) -> List[tuple]:
+    members = set(right)
+    return _distinct([row for row in left if row in members])
+
+
+def _except(left: List[tuple], right: List[tuple]) -> List[tuple]:
+    members = set(right)
+    return _distinct([row for row in left if row not in members])
+
+
+#: (kind, ALL?) → combine(left rows, right rows)
+_SETOPS: Dict[Tuple[str, bool],
+              Callable[[List[tuple], List[tuple]], List[tuple]]] = {
+    ("union", True): lambda left, right: left + right,
+    ("union", False): lambda left, right: _distinct(left + right),
+    ("intersect", True): _intersect_all,
+    ("intersect", False): _intersect,
+    ("except", True): _except_all,
+    ("except", False): _except,
+}

@@ -11,21 +11,26 @@ Design notes
   yield NULL; ``AND``/``OR`` follow Kleene logic; ``WHERE`` keeps only
   rows whose condition is exactly ``True``.
 * After translation every :class:`Column` carries the exact attribute key
-  of the operator input schema (e.g. ``"a1.bal"``); evaluation is a plain
-  environment lookup.  Environments chain to outer scopes so correlated
-  subqueries resolve free columns against enclosing rows.
-* Aggregate function calls never reach :func:`eval_expr`; the translator
-  extracts them into :class:`~repro.algebra.operators.Aggregation`.
+  of the operator input schema (e.g. ``"a1.bal"``).  :func:`compile_expr`
+  turns an expression into a closure once per operator; a column of the
+  operator's input becomes a positional ``row[i]``, and only correlated
+  references search the chain of outer scopes (:class:`RowEnv`).
+* Aggregate function calls never reach :func:`compile_expr`; the
+  translator extracts them into
+  :class:`~repro.algebra.operators.Aggregation`.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from repro.db.types import format_value
-from repro.errors import AnalysisError, ExecutionError
+from repro.db.types import coerce_value, lookup_type
+from repro.errors import ExecutionError
 
 #: Function names treated as aggregates (extracted by the translator).
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
@@ -380,13 +385,15 @@ def negate(expr: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: compile once, call per row
 # ---------------------------------------------------------------------------
 
 class RowEnv:
-    """Chained evaluation environment: attribute key → value.
+    """Outer scope of a correlated subquery: attribute key → value of
+    the enclosing rows, innermost first.
 
-    ``outer`` links to the enclosing scope for correlated subqueries.
+    Built only when a correlated subquery needs an outer frame; an
+    operator's own columns are read positionally from its input row.
     """
 
     __slots__ = ("values", "outer")
@@ -405,93 +412,264 @@ class RowEnv:
         raise ExecutionError(f"unknown column {key!r} at evaluation time")
 
 
-#: Callback type used to evaluate subquery plans: (plan, env) -> rows.
-SubqueryExecutor = Callable[[Any, Optional[RowEnv]], List[tuple]]
+#: A compiled expression, called as ``f(row, outer)``.
+Compiled = Callable[[tuple, Optional[RowEnv]], Any]
+
+#: Attribute key → position in the rows a compiled expression is fed.
+Layout = Mapping[str, int]
+
+#: Provided by the algebra evaluator: (subquery plan, layout of the
+#: enclosing rows) → ``rows_of(row, outer)``.
+SubqueryRunner = Callable[[Any, Layout],
+                          Callable[[tuple, Optional[RowEnv]], List[tuple]]]
+
+
+def row_layout(attrs: Sequence[str]) -> Dict[str, int]:
+    """Layout of rows with schema ``attrs``; a duplicated name resolves
+    to its last position."""
+    return {attr: index for index, attr in enumerate(attrs)}
 
 
 class EvalState:
-    """Evaluation-time context: bind parameters and the subquery
-    executor provided by the algebra evaluator."""
+    """Compile-time context: bind parameters and the subquery runner
+    provided by the algebra evaluator."""
 
-    __slots__ = ("params", "execute_subquery")
+    __slots__ = ("params", "subquery_runner")
 
     def __init__(self, params: Optional[Dict[str, Any]] = None,
-                 execute_subquery: Optional[SubqueryExecutor] = None):
+                 subquery_runner: Optional[SubqueryRunner] = None):
         self.params = params or {}
-        self.execute_subquery = execute_subquery
+        self.subquery_runner = subquery_runner
 
 
-_LIKE_CACHE: Dict[str, "re.Pattern[str]"] = {}
+def compile_expr(expr: Expr, layout: Layout, state: EvalState) -> Compiled:
+    """Compile a (fully resolved, aggregate-free) expression into a
+    closure ``f(row, outer)``.
+
+    Everything that does not depend on the row is decided here: a column
+    whose key is in ``layout`` becomes ``row[i]``; operators, negation
+    flags, scalar functions, cast targets and bind parameters are looked
+    up once.  Only columns missing from ``layout`` (correlated
+    references) search the ``outer`` chain at run time.  What cannot be
+    evaluated compiles to a closure that raises when called, so a branch
+    that never runs never fails.
+    """
+    build = _COMPILERS.get(type(expr))
+    if build is None:
+        return _raises(f"cannot evaluate expression {expr!r}")
+    return build(expr, layout, state)
 
 
-def _like_regex(pattern: str) -> "re.Pattern[str]":
-    compiled = _LIKE_CACHE.get(pattern)
-    if compiled is None:
-        regex = []
-        for ch in pattern:
-            if ch == "%":
-                regex.append(".*")
-            elif ch == "_":
-                regex.append(".")
-            else:
-                regex.append(re.escape(ch))
-        compiled = re.compile("^" + "".join(regex) + "$", re.DOTALL)
-        _LIKE_CACHE[pattern] = compiled
-    return compiled
+def eval_expr(expr: Expr, env: Optional[RowEnv], state: EvalState) -> Any:
+    """One-shot evaluation: compiled against an empty layout, so every
+    column resolves through ``env``."""
+    return compile_expr(expr, {}, state)((), env)
 
 
-def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
+def column_position(expr: Expr, layout: Layout) -> Optional[int]:
+    """Row position of a plain column reference that is in ``layout``."""
+    if type(expr) is Column:
+        return layout.get(expr.key or expr.display)
+    return None
+
+
+def _raises(message: str) -> Compiled:
+    def run(row, outer):
+        raise ExecutionError(message)
+    return run
+
+
+def _constant(value: Any) -> Compiled:
+    return lambda row, outer: value
+
+
+_NOT_CONSTANT = object()
+
+
+def _constant_of(expr: Expr, state: EvalState) -> Any:
+    """Value of a literal or bound parameter, else ``_NOT_CONSTANT``."""
+    if type(expr) is Literal:
+        return expr.value
+    if type(expr) is Param:
+        return state.params.get(expr.name, _NOT_CONSTANT)
+    return _NOT_CONSTANT
+
+
+def _compile_literal(expr: Literal, layout, state) -> Compiled:
+    return _constant(expr.value)
+
+
+def _compile_column(expr: Column, layout, state) -> Compiled:
+    key = expr.key or expr.display
+    index = layout.get(key)
+    if index is not None:
+        return lambda row, outer: row[index]
+
+    def run(row, outer):
+        if outer is None:
+            raise ExecutionError(
+                f"unknown column {key!r} at evaluation time")
+        return outer.lookup(key)
+    return run
+
+
+def _compile_param(expr: Param, layout, state) -> Compiled:
+    if expr.name not in state.params:
+        return _raises(f"missing bind parameter :{expr.name}")
+    return _constant(state.params[expr.name])
+
+
+# .. three-valued logic .......................................................
+
+def _as_bool(value: Any) -> Optional[bool]:
+    if value is None or value is True or value is False:
+        return value
+    raise ExecutionError(
+        f"expected a boolean condition value, got {value!r}")
+
+
+def _kleene_and(left: Optional[bool], right: Optional[bool]
+                ) -> Optional[bool]:
+    if left is False or right is False:
+        return False
+    if left is None or right is None:
+        return None
+    return True
+
+
+def _kleene_or(left: Optional[bool], right: Optional[bool]
+               ) -> Optional[bool]:
+    if left is True or right is True:
+        return True
+    if left is None or right is None:
+        return None
+    return False
+
+
+def _kleene_not(value: Optional[bool]) -> Optional[bool]:
+    return None if value is None else not value
+
+
+# .. NULL-strict binary operators .............................................
+
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise ExecutionError("division by zero")
+    # SQL-style: INT / INT stays integral when exact.  divmod, not a
+    # float quotient: floats lose integers above 2**53.
+    if isinstance(left, int) and isinstance(right, int) \
+            and not isinstance(left, bool):
+        quotient, remainder = divmod(left, right)
+        if remainder == 0:
+            return quotient
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise ExecutionError("division by zero")
+    return left % right
+
+
+def _concat(left: Any, right: Any) -> str:
+    return str(left) + str(right)
+
+
+_CANNOT_COMPARE = "cannot compare {!r} and {!r}"
+
+_COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _modulo, "||": _concat,
+}
+
+
+def _apply_strict(fn: Callable[[Any, Any], Any], complaint: str,
+                  left: Any, right: Any) -> Any:
+    """``fn(left, right)``; NULL if either side is NULL."""
     if left is None or right is None:
         return None
     try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError as exc:
-        raise ExecutionError(
-            f"cannot compare {left!r} and {right!r}") from exc
-    raise ExecutionError(f"unknown comparison operator {op!r}")
+        return fn(left, right)
+    except (TypeError, OverflowError) as exc:
+        raise ExecutionError(complaint.format(left, right)) from exc
 
 
-def _arith(op: str, left: Any, right: Any) -> Any:
-    if left is None or right is None:
-        return None
-    try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            result = left / right
-            # SQL-style: INT / INT stays integral when exact.
-            if isinstance(left, int) and isinstance(right, int) \
-                    and not isinstance(left, bool) and result == int(result):
-                return int(result)
-            return result
-        if op == "%":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left % right
-        if op == "||":
-            return str(left) + str(right)
-    except TypeError as exc:
-        raise ExecutionError(
-            f"bad operands for {op!r}: {left!r}, {right!r}") from exc
-    raise ExecutionError(f"unknown arithmetic operator {op!r}")
+def _compile_strict(fn: Callable[[Any, Any], Any], complaint: str,
+                    expr: BinaryOp, layout, state) -> Compiled:
+    """:func:`_apply_strict` over two compiled operands.  The shape
+    ``column <op> constant`` — the conditions and increments of
+    reenacted updates — skips the calls for its leaves."""
+    position = column_position(expr.left, layout)
+    constant = _constant_of(expr.right, state)
+    if position is None or constant is _NOT_CONSTANT or constant is None:
+        left = compile_expr(expr.left, layout, state)
+        right = compile_expr(expr.right, layout, state)
+        return lambda row, outer: _apply_strict(
+            fn, complaint, left(row, outer), right(row, outer))
 
+    def run_column(row, outer):
+        value = row[position]
+        if value is None:
+            return None
+        try:
+            return fn(value, constant)
+        except (TypeError, OverflowError) as exc:
+            raise ExecutionError(
+                complaint.format(value, constant)) from exc
+    return run_column
+
+
+def _compile_binary(expr: BinaryOp, layout, state) -> Compiled:
+    op = expr.op
+    if op in _COMPARISONS:
+        return _compile_strict(_COMPARISONS[op], _CANNOT_COMPARE,
+                               expr, layout, state)
+    if op in _ARITHMETIC:
+        return _compile_strict(_ARITHMETIC[op],
+                               f"bad operands for {op!r}: {{!r}}, {{!r}}",
+                               expr, layout, state)
+    left = compile_expr(expr.left, layout, state)
+    right = compile_expr(expr.right, layout, state)
+    if op == "AND":
+        def run_and(row, outer):
+            lhs = left(row, outer)
+            if lhs is False:
+                return False
+            return _kleene_and(_as_bool(lhs), _as_bool(right(row, outer)))
+        return run_and
+    if op == "OR":
+        def run_or(row, outer):
+            lhs = left(row, outer)
+            if lhs is True:
+                return True
+            return _kleene_or(_as_bool(lhs), _as_bool(right(row, outer)))
+        return run_or
+    return _raises(f"unknown binary operator {op!r}")
+
+
+def _compile_unary(expr: UnaryOp, layout, state) -> Compiled:
+    operand = compile_expr(expr.operand, layout, state)
+    if expr.op == "NOT":
+        return lambda row, outer: _kleene_not(
+            _as_bool(operand(row, outer)))
+    if expr.op == "-":
+        def run_minus(row, outer):
+            value = operand(row, outer)
+            try:
+                return None if value is None else -value
+            except TypeError as exc:
+                raise ExecutionError(
+                    f"bad operand for '-': {value!r}") from exc
+        return run_minus
+    return _raises(f"unknown unary operator {expr.op!r}")
+
+
+# .. scalar functions ........................................................
 
 _SCALAR_FUNCTIONS: Dict[str, Callable[..., Any]] = {}
 
@@ -568,196 +746,184 @@ def _fn_least(*args):
     return min(args)
 
 
-def eval_expr(expr: Expr, env: Optional[RowEnv],
-              state: EvalState) -> Any:
-    """Evaluate a (fully resolved, aggregate-free) expression."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Column):
-        if env is None:
+# .. CASE, functions, predicates ..............................................
+
+def _compile_case(expr: Case, layout, state) -> Compiled:
+    whens = [(compile_expr(cond, layout, state),
+              compile_expr(result, layout, state))
+             for cond, result in expr.whens]
+    default = _constant(None) if expr.default is None \
+        else compile_expr(expr.default, layout, state)
+    if len(whens) == 1:
+        # the shape every reenacted UPDATE produces
+        (cond, result), = whens
+
+        def run_single(row, outer):
+            if cond(row, outer) is True:
+                return result(row, outer)
+            return default(row, outer)
+        return run_single
+
+    def run(row, outer):
+        for cond, result in whens:
+            if cond(row, outer) is True:
+                return result(row, outer)
+        return default(row, outer)
+    return run
+
+
+def _compile_func(expr: FuncCall, layout, state) -> Compiled:
+    name = expr.name
+    if expr.is_aggregate:
+        return _raises(f"aggregate {name} evaluated outside an "
+                       f"aggregation operator (analyzer bug)")
+    args = [compile_expr(arg, layout, state) for arg in expr.args]
+    if name.startswith("CAST_"):
+        try:
+            target = lookup_type(name[5:])
+        except ExecutionError as exc:
+            return _raises(str(exc))
+        operand = args[0]
+        return lambda row, outer: coerce_value(operand(row, outer), target)
+    fn = _SCALAR_FUNCTIONS.get(name)
+    if fn is None:
+        return _raises(f"unknown function {name!r}")
+
+    def run(row, outer):
+        values = [arg(row, outer) for arg in args]
+        try:
+            return fn(*values)
+        except TypeError as exc:
             raise ExecutionError(
-                f"column {expr.display!r} referenced outside a row context")
-        return env.lookup(expr.key or expr.display)
-    if isinstance(expr, Param):
-        if expr.name not in state.params:
-            raise ExecutionError(f"missing bind parameter :{expr.name}")
-        return state.params[expr.name]
-    if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, env, state)
-    if isinstance(expr, UnaryOp):
-        value = eval_expr(expr.operand, env, state)
-        if expr.op == "NOT":
-            return None if value is None else (not _truthy(value))
-        if expr.op == "-":
-            return None if value is None else -value
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, Case):
-        for cond, result in expr.whens:
-            if eval_expr(cond, env, state) is True:
-                return eval_expr(result, env, state)
-        if expr.default is not None:
-            return eval_expr(expr.default, env, state)
-        return None
-    if isinstance(expr, FuncCall):
-        if expr.is_aggregate:
-            raise ExecutionError(
-                f"aggregate {expr.name} evaluated outside an aggregation "
-                f"operator (analyzer bug)")
-        if expr.name.startswith("CAST_"):
-            from repro.db.types import coerce_value, lookup_type
-            value = eval_expr(expr.args[0], env, state)
-            return coerce_value(value, lookup_type(expr.name[5:]))
-        fn = _SCALAR_FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise ExecutionError(f"unknown function {expr.name!r}")
-        args = [eval_expr(a, env, state) for a in expr.args]
-        return fn(*args)
-    if isinstance(expr, IsNull):
-        value = eval_expr(expr.operand, env, state)
-        result = value is None
-        return (not result) if expr.negated else result
-    if isinstance(expr, InList):
-        return _eval_in(expr, env, state)
-    if isinstance(expr, Between):
-        value = eval_expr(expr.operand, env, state)
-        low = eval_expr(expr.low, env, state)
-        high = eval_expr(expr.high, env, state)
-        lo_ok = _compare(">=", value, low)
-        hi_ok = _compare("<=", value, high)
-        result = _kleene_and(lo_ok, hi_ok)
-        if expr.negated:
-            return None if result is None else (not result)
-        return result
-    if isinstance(expr, Like):
-        value = eval_expr(expr.operand, env, state)
-        pattern = eval_expr(expr.pattern, env, state)
-        if value is None or pattern is None:
-            return None
-        result = bool(_like_regex(str(pattern)).match(str(value)))
-        return (not result) if expr.negated else result
-    if isinstance(expr, SubqueryExpr):
-        return _eval_subquery(expr, env, state)
-    if isinstance(expr, Star):
-        raise ExecutionError("* is not a scalar expression")
-    raise ExecutionError(f"cannot evaluate expression {expr!r}")
+                f"bad arguments for {name}: {values!r}") from exc
+    return run
 
 
-def _truthy(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise ExecutionError(
-        f"expected a boolean condition value, got {value!r}")
-
-
-def _kleene_and(left: Optional[bool], right: Optional[bool]
-                ) -> Optional[bool]:
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def _kleene_or(left: Optional[bool], right: Optional[bool]
-               ) -> Optional[bool]:
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
-
-
-def _eval_binary(expr: BinaryOp, env: Optional[RowEnv],
-                 state: EvalState) -> Any:
-    op = expr.op
-    if op == "AND":
-        left = eval_expr(expr.left, env, state)
-        if left is False:
-            return False
-        right = eval_expr(expr.right, env, state)
-        return _kleene_and(_as_bool(left), _as_bool(right))
-    if op == "OR":
-        left = eval_expr(expr.left, env, state)
-        if left is True:
-            return True
-        right = eval_expr(expr.right, env, state)
-        return _kleene_or(_as_bool(left), _as_bool(right))
-    left = eval_expr(expr.left, env, state)
-    right = eval_expr(expr.right, env, state)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return _compare(op, left, right)
-    return _arith(op, left, right)
-
-
-def _as_bool(value: Any) -> Optional[bool]:
-    if value is None:
-        return None
-    return _truthy(value)
-
-
-def _eval_in(expr: InList, env: Optional[RowEnv],
-             state: EvalState) -> Optional[bool]:
-    value = eval_expr(expr.operand, env, state)
-    saw_null = value is None
-    matched = False
-    for item in expr.items:
-        item_value = eval_expr(item, env, state)
-        verdict = _compare("=", value, item_value)
-        if verdict is True:
-            matched = True
-            break
-        if verdict is None:
-            saw_null = True
-    if matched:
-        result: Optional[bool] = True
-    elif saw_null:
-        result = None
-    else:
-        result = False
+def _compile_is_null(expr: IsNull, layout, state) -> Compiled:
+    operand = compile_expr(expr.operand, layout, state)
     if expr.negated:
-        return None if result is None else (not result)
-    return result
+        return lambda row, outer: operand(row, outer) is not None
+    return lambda row, outer: operand(row, outer) is None
 
 
-def _eval_subquery(expr: SubqueryExpr, env: Optional[RowEnv],
-                   state: EvalState) -> Any:
-    if state.execute_subquery is None or expr.plan is None:
-        raise ExecutionError(
-            "subquery evaluated without an executor (analyzer bug)")
-    rows = state.execute_subquery(expr.plan, env)
-    if expr.kind == "EXISTS":
-        result = len(rows) > 0
-        return (not result) if expr.negated else result
-    if expr.kind == "SCALAR":
-        if not rows:
+def _in(value: Any, candidates: Iterable[Any]) -> Optional[bool]:
+    """``value IN candidates``: TRUE on a match, else NULL if the value
+    or a candidate is NULL, else FALSE.  Stops at the first match."""
+    unknown = value is None
+    for candidate in candidates:
+        if candidate is None:
+            unknown = True
+        elif value == candidate:
+            return True
+    return None if unknown else False
+
+
+def _compile_in_list(expr: InList, layout, state) -> Compiled:
+    operand = compile_expr(expr.operand, layout, state)
+    negated = expr.negated
+    items = [compile_expr(item, layout, state) for item in expr.items]
+
+    def run(row, outer):
+        result = _in(operand(row, outer),
+                     (item(row, outer) for item in items))
+        return _kleene_not(result) if negated else result
+    return run
+
+
+def _compile_between(expr: Between, layout, state) -> Compiled:
+    operand = compile_expr(expr.operand, layout, state)
+    low = compile_expr(expr.low, layout, state)
+    high = compile_expr(expr.high, layout, state)
+    negated = expr.negated
+
+    def run(row, outer):
+        value = operand(row, outer)
+        result = _kleene_and(
+            _apply_strict(operator.ge, _CANNOT_COMPARE, value,
+                          low(row, outer)),
+            _apply_strict(operator.le, _CANNOT_COMPARE, value,
+                          high(row, outer)))
+        return _kleene_not(result) if negated else result
+    return run
+
+
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    regex = []
+    for ch in pattern:
+        if ch == "%":
+            regex.append(".*")
+        elif ch == "_":
+            regex.append(".")
+        else:
+            regex.append(re.escape(ch))
+    return re.compile("^" + "".join(regex) + "$", re.DOTALL)
+
+
+def _compile_like(expr: Like, layout, state) -> Compiled:
+    operand = compile_expr(expr.operand, layout, state)
+    pattern = compile_expr(expr.pattern, layout, state)
+    negated = expr.negated
+
+    def run(row, outer):
+        value = operand(row, outer)
+        like = pattern(row, outer)
+        if value is None or like is None:
             return None
-        if len(rows) > 1:
-            raise ExecutionError(
-                "scalar subquery returned more than one row")
-        if len(rows[0]) != 1:
-            raise ExecutionError(
-                "scalar subquery must return exactly one column")
-        return rows[0][0]
-    if expr.kind == "IN":
-        value = eval_expr(expr.operand, env, state)
-        saw_null = value is None
-        matched = False
-        for row in rows:
-            if len(row) != 1:
+        matched = _like_regex(str(like)).match(str(value)) is not None
+        return matched is not negated
+    return run
+
+
+def _compile_subquery(expr: SubqueryExpr, layout, state) -> Compiled:
+    if state.subquery_runner is None or expr.plan is None:
+        return _raises(
+            "subquery evaluated without an executor (analyzer bug)")
+    rows_of = state.subquery_runner(expr.plan, layout)
+    negated = expr.negated
+    kind = expr.kind
+    if kind == "EXISTS":
+        return lambda row, outer: bool(rows_of(row, outer)) is not negated
+    if kind == "SCALAR":
+        def run_scalar(row, outer):
+            rows = rows_of(row, outer)
+            if not rows:
+                return None
+            if len(rows) > 1:
+                raise ExecutionError(
+                    "scalar subquery returned more than one row")
+            if len(rows[0]) != 1:
+                raise ExecutionError(
+                    "scalar subquery must return exactly one column")
+            return rows[0][0]
+        return run_scalar
+    if kind == "IN":
+        operand = compile_expr(expr.operand, layout, state)
+
+        def run_in(row, outer):
+            rows = rows_of(row, outer)
+            if rows and len(rows[0]) != 1:
                 raise ExecutionError(
                     "IN subquery must return exactly one column")
-            verdict = _compare("=", value, row[0])
-            if verdict is True:
-                matched = True
-                break
-            if verdict is None:
-                saw_null = True
-        if matched:
-            result: Optional[bool] = True
-        elif saw_null:
-            result = None
-        else:
-            result = False
-        return (None if result is None else (not result)) \
-            if expr.negated else result
-    raise ExecutionError(f"unknown subquery kind {expr.kind!r}")
+            result = _in(operand(row, outer), (r[0] for r in rows))
+            return _kleene_not(result) if negated else result
+        return run_in
+    return _raises(f"unknown subquery kind {kind!r}")
+
+
+_COMPILERS: Dict[type, Callable[[Any, Layout, EvalState], Compiled]] = {
+    Literal: _compile_literal,
+    Column: _compile_column,
+    Param: _compile_param,
+    BinaryOp: _compile_binary,
+    UnaryOp: _compile_unary,
+    Case: _compile_case,
+    FuncCall: _compile_func,
+    IsNull: _compile_is_null,
+    InList: _compile_in_list,
+    Between: _compile_between,
+    Like: _compile_like,
+    SubqueryExpr: _compile_subquery,
+    Star: lambda expr, layout, state: _raises(
+        "* is not a scalar expression"),
+}

@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.algebra import operators as op
 from repro.algebra.evaluator import Evaluator, Relation
-from repro.algebra.expressions import RowEnv, eval_expr
+from repro.algebra.expressions import eval_expr
 from repro.algebra.translator import Scope, Translator
 from repro.db.engine import Database
 from repro.db.transaction import Transaction, parse_isolation
@@ -322,13 +322,15 @@ class Session:
         matched = self._target_rows(stmt.table, stmt.where, params, ts)
         ncols = len(schema.columns)
         scope = Scope(matched.attrs[:ncols])
-        assignments = [
-            (schema.index_of(a.column),
-             self._translator.resolve_expression(a.value, scope))
-            for a in stmt.assignments
-        ]
         ctx = self.db.context(txn=self.txn, stmt_ts=ts, params=params)
         evaluator = Evaluator(ctx)
+        assignments = [
+            (schema.index_of(a.column),
+             evaluator.compile(
+                 self._translator.resolve_expression(a.value, scope),
+                 scope.attrs))
+            for a in stmt.assignments
+        ]
         pk_index = self._pk_index(schema, ts)
         if pk_index is not None:
             # rows being rewritten release their old key first
@@ -338,10 +340,9 @@ class Session:
         count = 0
         for row in matched.rows:
             rowid = row[ncols]
-            env = RowEnv(dict(zip(matched.attrs[:ncols], row[:ncols])))
             new_values = list(row[:ncols])
-            for index, expr in assignments:
-                new_values[index] = eval_expr(expr, env, evaluator.state)
+            for index, value_of in assignments:
+                new_values[index] = value_of(row, None)
             validated = schema.validate_row(new_values)
             if pk_index is not None:
                 pk = self._pk_of(schema, validated)

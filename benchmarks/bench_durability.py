@@ -7,15 +7,15 @@ Two claims under measurement:
   :class:`SnapshotStore` primed by the previous incarnation still
   addresses the recovered history.  Both restarts run the same
   protocol — recover, then serve the dashboard burst — differing only
-  in the store they reattach: the primed one or an empty one.  Delta
-  patching is pinned off (``delta="off"``, the documented service
-  knob) so the measurement isolates what durability changes — how a
-  timeline *state is acquired*.  Warm workers rehydrate states out of
-  the store (C-heavy pickle + sqlite work that overlaps across
-  workers); cold workers full-build each state with a version-chain
-  scan over all 160k chains of the churned table, dead ones included —
-  a pure-Python walk that cannot overlap.  Warm must be ≥2x faster
-  and do **zero** full materializations.
+  in the store they reattach: the primed one or an empty one.  Every
+  dashboard asks for one state, so what differs is how a worker
+  acquires its *first* state (later ones are delta hops off it on
+  both sides): warm workers rehydrate it out of the store (C-heavy
+  pickle + sqlite work that overlaps across workers); cold workers
+  full-build it with a version-chain scan over all 160k chains of
+  the churned table, dead ones included — a pure-Python walk that
+  cannot overlap.  Warm must be ≥2x faster and do **zero** full
+  materializations.
 
 * **WAL overhead.** Making the history durable is an append-path tax on
   the write side: length-prefixed frames, buffered appends, batched
@@ -45,10 +45,6 @@ N_CHURNED = 120000     #: rows deleted before the timeline starts: an
                       #: AS-OF scan still visits their dead chains, a
                       #: rehydrate only pays for live rows
 N_TICKS = 8           #: committed states the dashboards walk
-DELTA_MODE = "off"    #: isolate state acquisition (build vs rehydrate)
-                      #: from the orthogonal delta-move accelerator,
-                      #: which amortizes both sides of the comparison
-                      #: identically
 WINDOW = 1            #: ticks per timeline job (disjoint windows)
 N_JOBS = 8            #: dashboards; every origin is a distinct state
 N_WORKERS = 4         #: the service's default concurrency
@@ -99,14 +95,8 @@ def prime_store(db, ticks, store_path):
     """The previous incarnation: publish every committed timeline
     state of the history to the persistent store."""
     with ReenactmentService(db, store=store_path, workers=2,
-                            cache_capacity=CACHE_CAPACITY,
-                            delta=DELTA_MODE,
-                            spill_publish="all") as service:
-        # windowscan pinned off: priming must materialize and publish
-        # *every* state, which a window pass deliberately avoids
-        service.timeline_scan("bench_account", ticks,
-                              mode="sparkline",
-                              windowscan="off").result(timeout=600)
+                            cache_capacity=CACHE_CAPACITY) as service:
+        service.warm("bench_account", ticks).result(timeout=600)
         assert len(service.store.inventory(db.history_id)) >= N_TICKS
 
 
@@ -118,15 +108,10 @@ def restart_and_serve(wal_dir, store_path, windows):
     db = Database.open(wal_dir)
     recovery_s = time.perf_counter() - t0
     with ReenactmentService(db, store=store_path, workers=N_WORKERS,
-                            cache_capacity=CACHE_CAPACITY,
-                            delta=DELTA_MODE) as service:
+                            cache_capacity=CACHE_CAPACITY) as service:
         t1 = time.perf_counter()
-        # windowscan pinned off (like delta): the claim is about how a
-        # state is *acquired* — store rehydrate vs full build — which
-        # a counts-only window pass would bypass on both sides
         handles = [service.timeline_scan("bench_account", window,
-                                         mode="sparkline",
-                                         windowscan="off")
+                                         mode="sparkline")
                    for window in windows]
         for handle in handles:
             handle.result(timeout=600)
@@ -183,7 +168,7 @@ def test_warm_restart_vs_cold(benchmark, request):
     record_result(
         "durability", "warm_restart",
         n_rows=N_ROWS, n_churned=N_CHURNED, jobs=N_JOBS,
-        window=WINDOW, workers=N_WORKERS, delta=DELTA_MODE,
+        window=WINDOW, workers=N_WORKERS,
         cold_ms=round(cold_s * 1000, 1),
         warm_ms=round(warm_s * 1000, 1),
         recovery_ms=round(warm_rec * 1000, 1),

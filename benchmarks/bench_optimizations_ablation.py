@@ -7,18 +7,12 @@ turn, reporting the slowdown each ablation causes.  Expected shape:
 optimizer-on is substantially faster than optimizer-off, with
 projection merging (CASE composition) and dead-column pruning carrying
 most of the win.
-
-A second ablation axis covers the execution side: incremental (delta)
-snapshot materialization on the SQLite backend, toggled on/off over a
-multi-timestamp probe workload (the sweep the delta optimization
-exists for) — the execution-layer sibling of the plan-layer rules
-above.
 """
 
 import time
 
 import pytest
-from conftest import delta_probe_history, delta_session_sweep, report
+from conftest import report
 
 from repro import Database
 from repro.core.optimizer import OptimizerConfig, ProvenanceOptimizer
@@ -99,41 +93,3 @@ def test_ablation_summary(benchmark, ablation_db):
         benchmark.extra_info[variant + "_ms"] = round(seconds * 1000, 1)
     # the optimizer must win, and merging must matter
     assert timings["off"] > timings["full"]
-
-
-def test_ablation_delta_materialization(benchmark):
-    """Execution-layer ablation: a probe sweep (every committed probe
-    transaction reenacted through one SQLite session) with incremental
-    snapshot materialization on vs off.  Both sides run identical
-    plans; only how AS-OF snapshots are built differs."""
-    db, xids, _ = delta_probe_history(N_ROWS, 8, seed=5, spread=10)
-
-    def sweep():
-        timings = {}
-        rows = {}
-        for mode in ("off", "auto"):
-            elapsed, stats, results = delta_session_sweep(db, xids,
-                                                          mode)
-            timings[mode] = elapsed
-            rows[mode] = sorted(
-                results[-1].table("bench_account").rows)
-            if mode == "auto":
-                assert stats.delta_materializations > 0
-        # toggling materialization strategy must not change answers
-        assert rows["off"] == rows["auto"]
-        return timings
-
-    timings = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    speedup = timings["off"] / max(timings["auto"], 1e-9)
-    report(f"E6 execution ablation: delta materialization "
-           f"({len(xids)} probes over {N_ROWS} rows)",
-           [f"delta off : {timings['off'] * 1000:8.1f} ms",
-            f"delta auto: {timings['auto'] * 1000:8.1f} ms "
-            f"({speedup:4.1f}x)"])
-    benchmark.extra_info["delta_off_ms"] = \
-        round(timings["off"] * 1000, 1)
-    benchmark.extra_info["delta_on_ms"] = \
-        round(timings["auto"] * 1000, 1)
-    benchmark.extra_info["delta_speedup_x"] = round(speedup, 1)
-    # incremental materialization must not lose on its home workload
-    assert timings["auto"] <= timings["off"] * 1.1

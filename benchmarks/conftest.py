@@ -159,8 +159,8 @@ def _metrics_snapshot(payload):
 def delta_probe_history(n_rows, n_probes, seed=4, stmts_per_probe=2,
                         spread=20):
     """A populated ``bench_account`` table plus ``n_probes`` small
-    committed transactions — the multi-timestamp probe workload the
-    delta-materialization benchmarks share.  Returns
+    committed transactions — a multi-timestamp probe workload.
+    Returns
     ``(db, probe_xids, commit_timestamps)``."""
     from repro.workloads import populate_accounts, uN_transaction
     db = Database()
@@ -172,25 +172,6 @@ def delta_probe_history(n_rows, n_probes, seed=4, stmts_per_probe=2,
         xids.append(uN_transaction(db, stmts_per_probe, spread=spread))
         timestamps.append(db.clock.now())
     return db, xids, timestamps
-
-
-def delta_session_sweep(db, xids, mode):
-    """Reenact every probe transaction through one SQLite session with
-    the given delta mode; returns ``(elapsed_s, SessionStats,
-    results)`` — the shared protocol both the delta benchmark and the
-    ablation's delta axis measure."""
-    import time
-
-    from repro import SQLiteBackend
-    from repro.core.reenactor import Reenactor
-    backend = SQLiteBackend(delta=mode)
-    reenactor = Reenactor(db, backend=backend)
-    with backend.open_session() as session:
-        started = time.perf_counter()
-        results = [reenactor.reenact(xid, session=session)
-                   for xid in xids]
-        elapsed = time.perf_counter() - started
-    return elapsed, session.stats, results
 
 
 @pytest.fixture(scope="module")

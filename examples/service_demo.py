@@ -64,26 +64,24 @@ def main() -> None:
         print("timeline row counts:",
               {ts: len(rel.rows) for ts, rel in sorted(states.items())})
 
-        # -- the snapshot pipeline: the same timeline scan, before and
-        #    after (PR 5) --------------------------------------------
+        # -- the snapshot planner at work ----------------------------
         # A timeline job walks one table through a run of committed
-        # states.  On the PR-4 path every tick is a clone (or full
-        # rebuild); the pipeline builds the first state once and
-        # *moves* it forward in place — delta-sized work per tick.
+        # states: the planner builds the first state once and *moves*
+        # it forward in place — delta-sized work per tick.  `warm`
+        # primes the same states and publishes each to the spill
+        # store, for every worker to rehydrate from.
         ticks = [now - 2, now - 1, now]
-        print("\ntimeline-scan pipeline, before/after:")
-        for label, pipeline in (("pr4 (pipeline=off)", "off"),
-                                ("pipeline (auto)", "auto")):
-            with ReenactmentService(db, backend="sqlite", workers=1,
-                                    pipeline=pipeline) as probe:
-                probe.timeline_scan("account", ticks,
-                                    mode="sparkline").result()
-                sessions = probe.stats().sessions
-            print(f"  {label:>18}: "
-                  f"full={sessions['full_materializations']} "
-                  f"clone+delta={sessions['delta_materializations']} "
-                  f"patched_in_place={sessions['patched_in_place']} "
-                  f"batch_rehydrated={sessions['batch_rehydrated']}")
+        with ReenactmentService(db, backend="sqlite",
+                                workers=1) as probe:
+            probe.timeline_scan("account", ticks,
+                                mode="sparkline").result()
+            walked = probe.stats().sessions
+            probe.warm("account", ticks).result()
+            stored = len(probe.store.inventory(db.history_id))
+        print(f"\ntimeline walk: full={walked['full_materializations']} "
+              f"clone+delta={walked['delta_materializations']} "
+              f"patched_in_place={walked['patched_in_place']}; "
+              f"warm() left {stored} state(s) in the store")
 
         # the debug panel rides the same pipeline: its prefix columns
         # all read the begin-time snapshots, which materialize once

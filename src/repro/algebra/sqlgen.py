@@ -84,6 +84,15 @@ class DialectConfig:
     #: snapshot/window temp tables must carry column types mapped from
     #: the catalog (row-shape inference where no catalog type exists).
     typed_temp_columns: bool = False
+    #: snapshot-planner cutover (:mod:`repro.backends.planner`): a
+    #: cached neighbor is patched — moved or cloned — when the
+    #: estimated delta is at most this fraction of the table's
+    #: cardinality; above it a store read or storage scan wins.
+    delta_max_ratio: float = 0.5
+    #: snapshot-planner cutover: a sparkline scan over at least this
+    #: many distinct ticks takes the single window pass; below it the
+    #: event-table setup costs more than the per-probe moves it saves.
+    window_min_ticks: int = 4
 
     def __post_init__(self):
         if self.quote_style not in ("none", "double"):
@@ -250,48 +259,13 @@ class Dialect:
 
     # -- window-compiled timeline scans ------------------------------
     #
-    # A timeline scan asks for one table's state at N committed
+    # A sparkline scan asks for one table's cardinality at N committed
     # timestamps.  Dialects with window functions answer all N from a
-    # single pass over an *event* table holding the base state plus
-    # the commit-log delta chain, instead of N per-probe snapshot
-    # executions.  The rendering is shared ANSI window SQL; dialects
-    # without the capability raise and callers fall back to the
-    # per-probe pipeline.
-
-    def gen_window_states(self, events: str, ticks: str,
-                          data_columns: List[str]) -> str:
-        """Render full-state timeline reconstruction as one query.
-
-        ``events`` is a table ``(__wts__, __live__, *data_columns,
-        __rowid__, __xid__)`` — the base state stamped at the first
-        tick plus one row per delta-chain change (``__live__`` = 0
-        marks a deletion tombstone).  ``ticks`` is a table
-        ``(__qts__)`` of query timestamps.  The query returns, for
-        every tick, the latest version ≤ that tick of every live row:
-        rows ``(__qts__, *data_columns)`` — "latest version ≤ tick,
-        per row id" via ``ROW_NUMBER()`` descending by write timestamp
-        within each (tick, rowid) partition.
-        """
-        if not self.config.window_functions:
-            raise ReenactmentError(
-                "timeline window scan needs ROW_NUMBER()-over-"
-                "partition machinery the "
-                f"{self.name!r} dialect does not have — walk the "
-                "per-probe snapshot pipeline instead")
-        q = self.quote
-        picked = ", ".join(f"e.{q(c)} AS {q(c)}" for c in data_columns)
-        out = ", ".join(q(c) for c in data_columns)
-        return (
-            f"SELECT {q('__qts__')}, {out} FROM ("
-            f"SELECT t.{q('__qts__')} AS {q('__qts__')}, {picked}, "
-            f"e.{q('__live__')} AS {q('__live__')}, "
-            f"ROW_NUMBER() OVER ("
-            f"PARTITION BY t.{q('__qts__')}, e.{q(op.ROWID_SUFFIX)} "
-            f"ORDER BY e.{q('__wts__')} DESC) AS {q('__rn__')} "
-            f"FROM {q(ticks)} AS t JOIN {q(events)} AS e "
-            f"ON e.{q('__wts__')} <= t.{q('__qts__')}) AS w "
-            f"WHERE {q('__rn__')} = 1 AND {q('__live__')} = 1 "
-            f"ORDER BY {q('__qts__')}")
+    # single running-sum pass over the commit-log delta chain's +1/-1
+    # *events*, instead of N per-probe snapshot executions.  The
+    # rendering is shared ANSI window SQL; dialects without the
+    # capability raise and callers fall back to the per-probe
+    # pipeline (which full-state scans always walk).
 
     def gen_window_counts(self, events: str, ticks: str) -> str:
         """Render sparkline cardinalities as one running aggregate.

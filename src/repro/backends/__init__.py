@@ -18,12 +18,12 @@ from repro.backends.base import (BackendSession, BackendSpec,
 from repro.backends.duckdb import (HAVE_DUCKDB, DuckDBBackend,
                                    DuckDBDialect, DuckDBSession)
 from repro.backends.memory import InMemoryBackend
-from repro.backends.sqlbase import (BoundDialect, SnapshotBinder,
-                                    SQLBackend, SQLPipeline,
-                                    SQLSession)
-from repro.backends.sqlite import (SnapshotCache, SQLiteBackend,
-                                   SQLiteDialect, SQLitePipeline,
-                                   SQLiteSession)
+from repro.backends.binder import SnapshotBinder
+from repro.backends.cache import SnapshotCache
+from repro.backends.sqlbase import (BoundDialect, SQLBackend,
+                                    SQLPipeline, SQLSession)
+from repro.backends.sqlite import (SQLiteBackend, SQLiteDialect,
+                                   SQLitePipeline, SQLiteSession)
 
 register_backend("memory", InMemoryBackend)
 register_backend("in-memory", InMemoryBackend)

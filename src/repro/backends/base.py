@@ -259,24 +259,27 @@ class BackendSession(abc.ABC):
         :meth:`prime_snapshots` hint per set."""
         return SnapshotPipeline(self, snapshot_sets, ctx)
 
+    def publish_snapshots(self, snapshots, ctx: EvalContext) -> None:
+        """Save every given ``(table, ts)`` committed state that is
+        resident in this session to the attached spill store, unless
+        the store already holds it — with :meth:`prime_snapshots`, how
+        a warm-up pass seeds the store for a whole worker pool.
+        Stateless backends have nothing to publish (default no-op)."""
+
     def window_scan(self, table: str, timestamps, ctx: EvalContext,
-                    mode: str = "full",
-                    windowscan: Optional[str] = None
+                    mode: str = "full"
                     ) -> Optional[Dict[int, Relation]]:
         """Answer a whole timeline scan — one table's state (``mode
         ="full"``) or committed cardinality (``mode="sparkline"``) at
         every timestamp in ``timestamps`` — with a *single*
         window-compiled SQL pass over the table's commit-log delta
-        chain, if this backend can.
+        chain, if this backend can and its planner expects that to be
+        the cheaper way.
 
         Returns ``{ts: Relation}`` covering the sorted, deduplicated
-        timestamps, or ``None`` when the backend (or this particular
-        context: overrides, snapshot providers, time travel disabled)
-        cannot take the window path — callers then fall back to the
-        per-probe snapshot pipeline.  ``windowscan`` overrides the
-        backend's configured mode for this call (``"off"`` forces the
-        fallback; ``"always"`` skips the cost-model cutover).  The
-        default cannot window-compile anything."""
+        timestamps, or ``None`` — callers then walk the per-probe
+        snapshot pipeline.  The default cannot window-compile
+        anything."""
         return None
 
     @property
@@ -311,7 +314,7 @@ class SnapshotPipeline:
     """Default cross-compile priming pipeline: per-set hints, no
     planning.
 
-    Subclasses (see :class:`repro.backends.sqlite.SQLitePipeline`)
+    Subclasses (see :class:`repro.backends.sqlbase.SQLPipeline`)
     override :meth:`prime` to plan the union.  ``prime(i)`` may be
     called with each index at most once and indices must not decrease —
     priming set ``i`` tells the pipeline every set before ``i`` has
@@ -370,19 +373,14 @@ class ExecutionBackend(abc.ABC):
 
     #: capability flags for admission checks (the reenactment service
     #: consults these instead of try/except probing):
-    #: ``sessions``   — sessions carry reusable state (snapshot cache);
-    #: ``delta``      — incremental snapshot materialization;
-    #: ``spill``      — evicted snapshots can spill to a shared store;
-    #: ``windowscan`` — timeline scans compile to one window-function
-    #:                  SQL pass over the commit log.
-    capabilities: Dict[str, bool] = {
-        "sessions": False, "delta": False, "spill": False,
-        "windowscan": False}
+    #: ``sessions`` — sessions carry reusable state (snapshot cache);
+    #: ``spill``    — evicted snapshots can spill to a shared store.
+    capabilities: Dict[str, bool] = {"sessions": False, "spill": False}
 
     def open_session(self) -> BackendSession:
         """A session over this backend.  The default delegates each plan
         to :meth:`execute_plan`; stateful backends override this to
-        share resources (see :class:`repro.backends.sqlite.SQLiteSession`)."""
+        share resources (see :class:`repro.backends.sqlbase.SQLSession`)."""
         return _DelegatingSession(self)
 
     def execute_plan(self, plan: op.Operator,
@@ -430,9 +428,8 @@ def available_backends(capabilities: bool = False
 
     With ``capabilities=True``, returns ``{name: capability_flags}``
     instead — the admission-check view the reenactment service uses to
-    decide up front whether a backend supports stateful sessions,
-    incremental (delta) materialization, and snapshot spill, rather
-    than probing with try/except."""
+    decide up front whether a backend supports stateful sessions and
+    snapshot spill, rather than probing with try/except."""
     if not capabilities:
         return sorted(_REGISTRY)
     return {name: dict(factory().capabilities)

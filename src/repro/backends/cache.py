@@ -1,0 +1,229 @@
+"""The session snapshot cache: which materialized ``(table, ts)``
+states are live on an engine connection, under which temp-table names.
+
+Split out of :mod:`repro.backends.sqlbase`; the planner
+(:mod:`repro.backends.planner`) reads this inventory, the binder
+(:mod:`repro.backends.binder`) fills it.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.backends.base import SessionStats
+from repro.errors import ExecutionError
+
+
+def quote_ident(ident: str) -> str:
+    """Standard SQL double-quote identifier quoting."""
+    return '"' + ident.replace('"', '""') + '"'
+
+
+#: What a materialized snapshot is keyed on: ``(table, ts)`` for plain
+#: committed AS-OF state; what-if overrides and trigger-history snapshot
+#: providers change what a scan returns, so their identity is folded in.
+SnapshotKey = Tuple
+
+
+def spillable_key(key: SnapshotKey) -> bool:
+    """Whether a snapshot key names a plain committed ``(table, ts)``
+    state.  Only those are spillable/rehydratable: their contents are a
+    pure function of the version history, so a stored copy stays valid
+    for as long as the database object lives.  Override and
+    trigger-history-provider snapshots embed object identities and are
+    never written to a shared store."""
+    return len(key) == 2 and isinstance(key[0], str) \
+        and isinstance(key[1], int)
+
+
+#: Default snapshot-cache capacity: generous enough that the workloads
+#: the reuse tests pin down (fleets, debug panels, differential sweeps)
+#: never evict, small enough that a history with hundreds of distinct
+#: timestamps no longer keeps every temp table alive for the session.
+DEFAULT_CACHE_CAPACITY = 64
+
+
+class SnapshotCache:
+    """Session-lifetime, size-bounded LRU of materialized snapshot
+    temp tables.
+
+    The cache owns temp-table *naming* (a monotone counter, so names
+    never collide across the plans of one connection) and records one
+    entry per snapshot once it has actually been created and filled —
+    a fleet of plans over the same transaction materializes each
+    ``(table, ts)`` exactly once while it stays resident.
+
+    ``capacity`` bounds the number of live entries (``None`` =
+    unbounded).  Recency is updated on every :meth:`lookup` hit;
+    :meth:`enforce_capacity` evicts least-recently-used entries via the
+    ``on_evict(name, entry)`` callback (which drops the temp table —
+    and, with a spill store attached, saves its rows first), skipping
+    names the in-flight plan still references.  An evicted snapshot
+    that is requested again is re-materialized — as a delta hop off a
+    surviving neighbor, by rehydrating it from the spill store, or
+    from a full storage scan.
+
+    Entries are namespaced by a *realm*: the identity of the database
+    the evaluation context reads from.  Two `Database` instances share
+    table names and logical timestamps (every clock starts at the same
+    epoch), so without the realm a session reused across databases
+    would serve one database's snapshot to the other.  Pinned objects
+    (the realm's database, override relations, snapshot providers)
+    keep every ``id()`` a key embeds unambiguous while any entry
+    embedding it is live; pins are refcounted per entry and released
+    on eviction, so the capacity bound frees override relations along
+    with their temp tables.  ``stats.materializations`` stays keyed by
+    the plain snapshot key — the human-readable ``(table, ts)``
+    contract the reuse tests assert on.
+    """
+
+    def __init__(self, stats: Optional[SessionStats] = None,
+                 capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
+                 on_evict: Optional[
+                     Callable[[str, Tuple[int, SnapshotKey]],
+                              None]] = None):
+        if capacity is not None and capacity < 1:
+            raise ExecutionError(
+                f"snapshot cache capacity must be >= 1, got {capacity}")
+        self.stats = stats if stats is not None else SessionStats()
+        self.capacity = capacity
+        self.on_evict = on_evict
+        self._names: "OrderedDict[Tuple[int, SnapshotKey], str]" = \
+            OrderedDict()
+        #: entry -> the objects its key's ids refer to; one object may
+        #: pin several entries, so liveness is the refcount below.
+        self._entry_pins: Dict[Tuple[int, SnapshotKey],
+                               Tuple[object, ...]] = {}
+        #: id(pin) -> [pin, number of live entries embedding it].
+        self._pin_refs: Dict[int, List] = {}
+        #: temp tables primed but not yet scanned by any plan.
+        self._primed: Set[str] = set()
+        self._counter = 0
+
+    def lookup(self, realm, key: SnapshotKey) -> Optional[str]:
+        """Cached temp-table name for a snapshot, refreshing its LRU
+        recency."""
+        name = self._names.get((realm, key))
+        if name is not None:
+            self._names.move_to_end((realm, key))
+        return name
+
+    def mark_primed(self, names: Iterable[str]) -> None:
+        """Mark freshly *primed* snapshots: materialized ahead of the
+        plans they were primed for, scanned by none yet."""
+        self._primed.update(names)
+
+    def first_scan(self, name: str) -> bool:
+        """Whether a plan binding ``name`` is the first scan of a
+        primed snapshot — the materialization that plan's own priming
+        paid for, not a reuse of an earlier plan's work.  Clears the
+        mark."""
+        if name in self._primed:
+            self._primed.discard(name)
+            return True
+        return False
+
+    def allocate(self) -> str:
+        self._counter += 1
+        return f"__snap_{self._counter}__"
+
+    def commit(self, realm, key: SnapshotKey, name: str,
+               pins: Tuple[object, ...] = ()) -> None:
+        entry = (realm, key)
+        if entry in self._names:
+            # defensive: re-commit of a live key displaces its old
+            # temp table — release its pins and drop the table
+            self._release_pins(entry)
+            old_name = self._names[entry]
+            if old_name != name:
+                self._drop(old_name, entry)
+        self._names[entry] = name
+        live = tuple(pin for pin in pins if pin is not None)
+        self._entry_pins[entry] = live
+        for pin in live:
+            ref = self._pin_refs.setdefault(id(pin), [pin, 0])
+            ref[1] += 1
+        self.stats.snapshots_materialized += 1
+        self.stats.materializations[key] += 1
+
+    def _drop(self, name: str, entry: Tuple[int, SnapshotKey]) -> None:
+        self._primed.discard(name)
+        if self.on_evict is not None:
+            self.on_evict(name, entry)
+
+    def _release_pins(self, entry: Tuple[int, SnapshotKey]) -> None:
+        for pin in self._entry_pins.pop(entry, ()):
+            ref = self._pin_refs.get(id(pin))
+            if ref is None:
+                continue
+            ref[1] -= 1
+            if ref[1] <= 0:
+                del self._pin_refs[id(pin)]
+
+    def move(self, realm, old_key: SnapshotKey,
+             new_key: SnapshotKey) -> str:
+        """Re-key a live entry: its temp table was patched **in place**
+        from the committed state at ``old_key`` to the one at
+        ``new_key`` — the table survives under the same name, the old
+        version ceases to exist.  Returns the (unchanged) temp-table
+        name.  Counts as a materialization of the new key (the reuse
+        tests' per-key contract holds: a later re-request of the old
+        key is a fresh materialization, exactly as after an
+        eviction)."""
+        old_entry = (realm, old_key)
+        name = self._names.pop(old_entry)
+        pins = self._entry_pins.pop(old_entry, ())
+        new_entry = (realm, new_key)
+        if new_entry in self._names:
+            # defensive: a live entry for the destination would be
+            # displaced — drop its table like a re-commit does
+            self._release_pins(new_entry)
+            old_name = self._names.pop(new_entry)
+            if old_name != name:
+                self._drop(old_name, new_entry)
+        self._names[new_entry] = name
+        self._entry_pins[new_entry] = pins
+        self.stats.snapshots_materialized += 1
+        self.stats.materializations[new_key] += 1
+        self.stats.patched_in_place += 1
+        return name
+
+    def forget(self, realm, key: SnapshotKey) -> None:
+        """Remove a live entry *without* the eviction callback: its
+        temp table is known bad (a patch failed half-way), so it must
+        be neither spilled nor served again.  The caller drops it."""
+        entry = (realm, key)
+        self._primed.discard(self._names.pop(entry))
+        self._release_pins(entry)
+
+    def plain_entries(self, realm) -> List[Tuple[str, int, str]]:
+        """Every cached committed AS-OF state in ``realm``, as
+        ``(table, ts, temp_table_name)`` triples — the inventory the
+        planner plans against.  Override/provider entries are never
+        listed (their contents are not a function of the version
+        history, so they are no delta source)."""
+        return [(key[0], key[1], name)
+                for (entry_realm, key), name in self._names.items()
+                if entry_realm == realm and spillable_key(key)]
+
+    def enforce_capacity(self, protected: Iterable[str] = ()) -> None:
+        """Evict least-recently-used entries until within ``capacity``,
+        never touching temp tables in ``protected`` (names the current
+        plan's already-generated SQL still references)."""
+        if self.capacity is None or len(self._names) <= self.capacity:
+            return
+        protected = set(protected)
+        for entry in list(self._names):
+            if len(self._names) <= self.capacity:
+                break
+            name = self._names[entry]
+            if name in protected:
+                continue
+            del self._names[entry]
+            self._release_pins(entry)
+            self.stats.snapshots_evicted += 1
+            self._drop(name, entry)
+
+    def __len__(self) -> int:
+        return len(self._names)

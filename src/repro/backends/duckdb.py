@@ -3,7 +3,7 @@ engine.
 
 Same deployment story as :mod:`repro.backends.sqlite` — snapshots
 materialized to temp tables through the shared
-:class:`~repro.backends.sqlbase.SnapshotBinder` pipeline, plans printed
+:class:`~repro.backends.binder.SnapshotBinder` pipeline, plans printed
 through the ``duckdb`` :class:`~repro.algebra.sqlgen.DialectConfig`,
 flag columns coerced back on the way out — but executed by DuckDB's
 vectorized operators, which is what the analytic-shaped workloads
@@ -55,9 +55,9 @@ except ImportError:  # driver not installed — backend stays dormant
 HAVE_DUCKDB = duckdb is not None
 
 from repro.algebra.sqlgen import DUCKDB, Dialect
-from repro.backends.sqlbase import (BoundDialect, SnapshotBinder,
-                                    SQLBackend, SQLPipeline,
-                                    SQLSession)
+from repro.backends.binder import SnapshotBinder
+from repro.backends.sqlbase import (BoundDialect, SQLBackend,
+                                    SQLPipeline, SQLSession)
 from repro.errors import ExecutionError
 from repro.obs.trace import span
 
@@ -110,9 +110,7 @@ class DuckDBSession(SQLSession):
 
 class DuckDBBackend(SQLBackend):
     """Materialize snapshots into DuckDB and run plans as SQL (see
-    :class:`SQLBackend` for every shared mode knob: ``delta``,
-    ``cache_capacity``, ``spill_store``/``spill_publish``,
-    ``pipeline``, ``windowscan``)."""
+    :class:`SQLBackend` for ``cache_capacity`` and ``spill_store``)."""
 
     name = "duckdb"
     dialect_config = DUCKDB

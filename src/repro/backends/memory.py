@@ -29,10 +29,9 @@ class InMemoryBackend(ExecutionBackend):
 
     name = "memory"
 
-    #: stateless: no session cache, no delta patching, nothing to spill
-    #: (the admission-check flags the service reads; see base class).
-    capabilities = {"sessions": False, "delta": False, "spill": False,
-                    "windowscan": False}
+    #: stateless: no session cache, nothing to spill (the
+    #: admission-check flags the service reads; see base class).
+    capabilities = {"sessions": False, "spill": False}
 
     def execute_plan(self, plan: op.Operator,
                      ctx: EvalContext) -> Relation:

@@ -1,0 +1,176 @@
+"""The snapshot materialization planner: one cost model, no engine.
+
+A stock DBMS has no time travel, so a SQL backend meets the paper's
+``AS OF`` requirement by *materializing* committed states into temp
+tables.  How a state gets there is the one decision every SQL-backend
+operation goes through, and it is made here, by pure functions of
+what the caller observed — nothing in this module touches a
+connection:
+
+* :func:`plan_snapshots` — for every snapshot a plan needs and the
+  session cache does not hold, which of the :data:`~repro.backends.
+  base.PLAN_OPS` produces it: patch a cached neighbor forward in
+  place, clone a neighbor and apply the delta, read it back from the
+  spill store, or scan storage;
+* :func:`window_pass_refusal` — whether a timeline scan is answered
+  by one window-function SQL pass or walks the per-probe pipeline.
+
+The two cutovers are numbers on the engine's frozen
+:class:`~repro.algebra.sqlgen.DialectConfig` (``delta_max_ratio``,
+``window_min_ticks``); there is no mode to set.
+"""
+
+from __future__ import annotations
+
+from typing import (Dict, Hashable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
+
+from repro.algebra.sqlgen import DialectConfig
+from repro.backends.base import SnapshotPlanStep
+
+
+class SnapshotRequest(NamedTuple):
+    """One snapshot a plan scans that the session cache does not
+    hold.  ``plain`` marks a committed ``(table, ts)`` state — a pure
+    function of the version history; what-if overrides and
+    trigger-history provider snapshots are not."""
+
+    key: Hashable
+    table: str
+    ts: Optional[int]
+    plain: bool
+
+
+def plan_snapshots(requests: Sequence[SnapshotRequest],
+                   cached: Mapping[str, Sequence[int]],
+                   movable: Mapping[str, Sequence[int]],
+                   history, max_ratio: float,
+                   store_attached: bool
+                   ) -> List[Tuple[Hashable, SnapshotPlanStep]]:
+    """One :class:`SnapshotPlanStep` per request, in execution order.
+
+    ``cached`` lists, per table, the committed versions resident in
+    the session cache; ``movable`` the subset a priming pipeline has
+    proven no remaining compile reads (only those may be consumed by
+    a ``patch-in-place``).  ``history`` answers
+    ``table_delta_estimate(table, ts_from, ts_to)`` and
+    ``table_cardinality(table)`` — the database — or is ``None`` when
+    the context has no time-traveling history, and then no delta hop
+    is possible.  A hop is affordable when its estimated delta is at
+    most ``max_ratio`` of the table's cardinality.
+
+    Plain requests are planned per table in timestamp order, so each
+    step is one hop from its predecessor: every step's source is
+    either cached or produced by an earlier step of the same plan
+    (never movable — the plan's own SQL still reads it).
+    Override/provider requests are always full builds and run last.
+    """
+    plain: Dict[str, List[SnapshotRequest]] = {}
+    rest: List[Tuple[Hashable, SnapshotPlanStep]] = []
+    for request in requests:
+        if request.plain:
+            plain.setdefault(request.table, []).append(request)
+        else:
+            rest.append((request.key, SnapshotPlanStep(
+                op="full-build", table=request.table,
+                ts=request.ts if request.ts is not None else -1,
+                reason="what-if override / snapshot provider state: "
+                       "only a fresh full build is correct")))
+    out: List[Tuple[Hashable, SnapshotPlanStep]] = []
+    for table in sorted(plain):
+        #: delta sources as [ts, movable?], consumed by moves and
+        #: extended by this plan's own steps
+        sources: List[Tuple[int, bool]] = []
+        budget = 0.0
+        if history is not None:
+            budget = history.table_cardinality(table) * max_ratio
+            granted = movable.get(table, ())
+            sources = [(ts0, ts0 in granted)
+                       for ts0 in cached.get(table, ())]
+        for request in sorted(plain[table], key=lambda r: r.ts):
+            step = _hop(table, request.ts, sources, budget, history)
+            if step is None and store_attached:
+                step = SnapshotPlanStep(
+                    op="rehydrate-batch", table=table, ts=request.ts,
+                    reason="no affordable cached neighbor; spill store "
+                           "attached — batched store read (full build "
+                           "on a store miss)")
+            elif step is None:
+                step = SnapshotPlanStep(
+                    op="full-build", table=table, ts=request.ts,
+                    reason="no affordable cached neighbor and no "
+                           "spill store: storage scan")
+            out.append((request.key, step))
+            if history is not None:
+                sources.append((request.ts, False))
+    return out + rest
+
+
+def _hop(table: str, ts: int, sources: List[Tuple[int, bool]],
+         budget: float, history) -> Optional[SnapshotPlanStep]:
+    """The cheapest affordable delta hop to ``(table, ts)``, or
+    ``None``.  A move is delta-sized work with no clone, so the best
+    movable source wins whenever it is affordable; a move consumes
+    its source."""
+    if not sources:
+        return None
+    scored = [(history.table_delta_estimate(table, ts0, ts),
+               abs(ts0 - ts), index)
+              for index, (ts0, _) in enumerate(sources)]
+    granted = [score for score in scored if sources[score[2]][1]]
+    if granted:
+        estimate, _, index = min(granted)
+        if estimate <= budget:
+            source_ts = sources.pop(index)[0]
+            return SnapshotPlanStep(
+                op="patch-in-place", table=table, ts=ts,
+                source_ts=source_ts,
+                reason=f"cached @{source_ts} has no later reader; "
+                       f"~{estimate} delta row(s) within budget "
+                       f"{budget:g}")
+    estimate, _, index = min(scored)
+    if estimate <= budget:
+        source_ts = sources[index][0]
+        return SnapshotPlanStep(
+            op="clone-delta", table=table, ts=ts, source_ts=source_ts,
+            reason=f"nearest cached neighbor @{source_ts} still has "
+                   f"readers; ~{estimate} delta row(s) within budget "
+                   f"{budget:g}")
+    return None
+
+
+def window_pass_refusal(config: DialectConfig, mode: str, timestamps,
+                        table: str, ctx) -> Optional[str]:
+    """Why a timeline scan of ``table`` walks the per-probe pipeline —
+    or ``None`` when it is admitted to the single window-function
+    pass over the commit-log delta chain.
+
+    Only sparkline (cardinality) scans are admitted: a full-state
+    scan ships |ticks| x |rows| tuples on either path and measured
+    0.22x through the window's sort
+    (``BENCH_timeline_windowscan.json``), so it always takes per-probe
+    moves.  The rest is read off the scan itself: the tick count
+    against ``config.window_min_ticks``, and whether the commit log
+    is this context's truth at all."""
+    if not config.window_functions:
+        return (f"dialect {config.name!r} has no window-function "
+                f"hooks")
+    if any(ts is None for ts in timestamps):
+        return "scan includes a non-committed (None) timestamp"
+    if mode != "sparkline":
+        return ("full-state reconstruction measures slower through "
+                "the window sort than per-probe delta moves")
+    ticks = len({int(ts) for ts in timestamps})
+    if ticks < config.window_min_ticks:
+        return (f"{ticks} tick(s) is below the "
+                f"{config.window_min_ticks}-tick amortization "
+                f"threshold")
+    db = getattr(ctx, "db", None)
+    if db is None or not getattr(db.config, "timetravel_enabled", False):
+        return ("context has no time-traveling database; the "
+                "commit-log delta chain is unavailable")
+    if ctx.overrides.get(table) is not None \
+            or getattr(ctx, "snapshot_provider", None) is not None:
+        return ("what-if overrides / snapshot provider present: the "
+                "commit log is not this scan's truth")
+    return None

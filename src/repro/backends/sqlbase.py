@@ -16,973 +16,37 @@ Every SQL backend realizes the paper's deployment story the same way:
    the relation is returned.
 
 What differs between engines is *policy* (quoting, compound form, CTE
-barriers, parameter markers, typed temp columns — all knobs on the
-dialect config) plus a handful of driver-level hooks (connect,
-error types, whether ``__rowid__`` indexes pay off).  Everything else —
-the snapshot cache, the planned :class:`SnapshotBinder`, the priming
-pipeline, window-compiled timeline scans — lives here once and is
-shared by :mod:`repro.backends.sqlite` and
-:mod:`repro.backends.duckdb`.
+barriers, parameter markers, typed temp columns, the planner's two
+cutovers — all fields of the dialect config) plus a handful of
+driver-level hooks (connect, error types, whether ``__rowid__``
+indexes pay off).  Everything else lives once and is shared by
+:mod:`repro.backends.sqlite` and :mod:`repro.backends.duckdb`: the
+snapshot cache (:mod:`repro.backends.cache`), the materialization
+planner (:mod:`repro.backends.planner`), the binder that executes its
+steps (:mod:`repro.backends.binder`), and — here — the session, the
+priming pipeline and the window-compiled sparkline scan.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import (Callable, Dict, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra import operators as op
 from repro.algebra.evaluator import EvalContext, Relation
-from repro.algebra.expressions import EvalState, eval_expr
-from repro.algebra.operators import (DEL_FLAG, ROWID_SUFFIX, UPD_FLAG,
-                                     XID_SUFFIX)
+from repro.algebra.operators import DEL_FLAG, ROWID_SUFFIX, UPD_FLAG
 from repro.algebra.sqlgen import (Dialect, DialectConfig, NATIVE,
                                   generate_sql)
 from repro.backends.base import (BackendSession, ExecutionBackend,
-                                 SessionStats, SnapshotPipeline,
-                                 SnapshotPlan, SnapshotPlanStep)
-from repro.db.types import DataType, infer_type
-from repro.errors import (ExecutionError, ReenactmentError,
-                          TimeTravelError)
+                                 SnapshotPipeline)
+from repro.backends.binder import SnapshotBinder, context_realm
+from repro.backends.cache import (DEFAULT_CACHE_CAPACITY, SnapshotCache,
+                                  quote_ident, spillable_key)
+from repro.backends.planner import window_pass_refusal
+from repro.db.types import DataType
+from repro.errors import ExecutionError
 from repro.faults.inject import fault_point
-from repro.obs.explain import explain_active, record_explain
-from repro.obs.trace import NOOP_SPAN, span
-
-
-def quote_ident(ident: str) -> str:
-    """Standard SQL double-quote identifier quoting."""
-    return '"' + ident.replace('"', '""') + '"'
-
-
-#: What a materialized snapshot is keyed on: ``(table, ts)`` for plain
-#: committed AS-OF state; what-if overrides and trigger-history snapshot
-#: providers change what a scan returns, so their identity is folded in.
-SnapshotKey = Tuple
-
-def spillable_key(key: SnapshotKey) -> bool:
-    """Whether a snapshot key names a plain committed ``(table, ts)``
-    state.  Only those are spillable/rehydratable: their contents are a
-    pure function of the version history, so a stored copy stays valid
-    for as long as the database object lives.  Override and
-    trigger-history-provider snapshots embed object identities and are
-    never written to a shared store."""
-    return len(key) == 2 and isinstance(key[0], str) \
-        and isinstance(key[1], int)
-
-
-#: Default snapshot-cache capacity: generous enough that the workloads
-#: the reuse tests pin down (fleets, debug panels, differential sweeps)
-#: never evict, small enough that a history with hundreds of distinct
-#: timestamps no longer keeps every temp table alive for the session.
-DEFAULT_CACHE_CAPACITY = 64
-
-
-#: catalog type -> SQL column type, for dialects whose CREATE TABLE
-#: requires statically typed columns (``typed_temp_columns``).
-SQL_COLUMN_TYPES = {
-    DataType.INT: "BIGINT",
-    DataType.FLOAT: "DOUBLE",
-    DataType.STRING: "VARCHAR",
-    DataType.BOOL: "BOOLEAN",
-}
-
-
-def sql_column_types(ctx: EvalContext, table: str,
-                     data_columns: List[str],
-                     rows: Optional[list] = None,
-                     offsets: Tuple[int, int] = (0, 0)) -> List[str]:
-    """SQL column types for ``data_columns`` of ``table``: catalog
-    declarations where the table has them, otherwise inferred from the
-    first non-NULL value in ``rows`` (``offsets`` = (row index shift,
-    unused) positions the columns within wider rows), VARCHAR as the
-    all-NULL fallback — a typed engine accepts any NULLs under it."""
-    declared: Dict[str, str] = {}
-    catalog = getattr(getattr(ctx, "db", None), "catalog", None)
-    if catalog is not None and catalog.has(table):
-        for column in catalog.get(table).columns:
-            declared[column.name] = SQL_COLUMN_TYPES[column.dtype]
-    shift = offsets[0]
-    types: List[str] = []
-    for index, name in enumerate(data_columns):
-        dtype = declared.get(name)
-        if dtype is None:
-            dtype = "VARCHAR"
-            for row in rows or ():
-                value = row[shift + index]
-                if value is not None:
-                    try:
-                        dtype = SQL_COLUMN_TYPES[infer_type(value)]
-                    except (KeyError, Exception):
-                        dtype = "VARCHAR"
-                    break
-        types.append(dtype)
-    return types
-
-
-class SnapshotCache:
-    """Session-lifetime, size-bounded LRU of materialized snapshot
-    temp tables.
-
-    The cache owns temp-table *naming* (a monotone counter, so names
-    never collide across the plans of one connection) and records one
-    entry per snapshot once it has actually been created and filled —
-    a fleet of plans over the same transaction materializes each
-    ``(table, ts)`` exactly once while it stays resident.
-
-    ``capacity`` bounds the number of live entries (``None`` =
-    unbounded).  Recency is updated on every :meth:`lookup` hit;
-    :meth:`enforce_capacity` evicts least-recently-used entries via the
-    ``on_evict(name, entry)`` callback (which drops the temp table —
-    and, with a spill store attached, saves its rows first), skipping
-    names the in-flight plan still references.  An evicted snapshot
-    that is requested again is re-materialized — as a delta hop off a
-    surviving neighbor, by rehydrating it from the spill store, or
-    from a full storage scan.
-
-    Entries are namespaced by a *realm*: the identity of the database
-    the evaluation context reads from.  Two `Database` instances share
-    table names and logical timestamps (every clock starts at the same
-    epoch), so without the realm a session reused across databases
-    would serve one database's snapshot to the other.  Pinned objects
-    (the realm's database, override relations, snapshot providers)
-    keep every ``id()`` a key embeds unambiguous while any entry
-    embedding it is live; pins are refcounted per entry and released
-    on eviction, so the capacity bound frees override relations along
-    with their temp tables.  ``stats.materializations`` stays keyed by
-    the plain snapshot key — the human-readable ``(table, ts)``
-    contract the reuse tests assert on.
-    """
-
-    def __init__(self, stats: Optional[SessionStats] = None,
-                 capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
-                 on_evict: Optional[
-                     Callable[[str, Tuple[int, SnapshotKey]],
-                              None]] = None):
-        if capacity is not None and capacity < 1:
-            raise ExecutionError(
-                f"snapshot cache capacity must be >= 1, got {capacity}")
-        self.stats = stats if stats is not None else SessionStats()
-        self.capacity = capacity
-        self.on_evict = on_evict
-        self._names: "OrderedDict[Tuple[int, SnapshotKey], str]" = \
-            OrderedDict()
-        #: entry -> the objects its key's ids refer to; one object may
-        #: pin several entries, so liveness is the refcount below.
-        self._entry_pins: Dict[Tuple[int, SnapshotKey],
-                               Tuple[object, ...]] = {}
-        #: id(pin) -> [pin, number of live entries embedding it].
-        self._pin_refs: Dict[int, List] = {}
-        self._counter = 0
-
-    def lookup(self, realm, key: SnapshotKey,
-               count_reuse: bool = True) -> Optional[str]:
-        """Cached temp-table name for a snapshot, refreshing its LRU
-        recency.  ``count_reuse=False`` suppresses the
-        ``snapshots_reused`` statistic — used by session priming, which
-        is bookkeeping ahead of a plan, not a plan actually scanning a
-        snapshot another plan paid for."""
-        name = self._names.get((realm, key))
-        if name is not None:
-            self._names.move_to_end((realm, key))
-            if count_reuse:
-                self.stats.snapshots_reused += 1
-        return name
-
-    def allocate(self) -> str:
-        self._counter += 1
-        return f"__snap_{self._counter}__"
-
-    def commit(self, realm, key: SnapshotKey, name: str,
-               pins: Tuple[object, ...] = ()) -> None:
-        entry = (realm, key)
-        if entry in self._names:
-            # defensive: re-commit of a live key displaces its old
-            # temp table — release its pins and drop the table
-            self._release_pins(entry)
-            old_name = self._names[entry]
-            if old_name != name and self.on_evict is not None:
-                self.on_evict(old_name, entry)
-        self._names[entry] = name
-        live = tuple(pin for pin in pins if pin is not None)
-        self._entry_pins[entry] = live
-        for pin in live:
-            ref = self._pin_refs.setdefault(id(pin), [pin, 0])
-            ref[1] += 1
-        self.stats.snapshots_materialized += 1
-        self.stats.materializations[key] += 1
-
-    def _release_pins(self, entry: Tuple[int, SnapshotKey]) -> None:
-        for pin in self._entry_pins.pop(entry, ()):
-            ref = self._pin_refs.get(id(pin))
-            if ref is None:
-                continue
-            ref[1] -= 1
-            if ref[1] <= 0:
-                del self._pin_refs[id(pin)]
-
-    def move(self, realm, old_key: SnapshotKey,
-             new_key: SnapshotKey) -> str:
-        """Re-key a live entry: its temp table was patched **in place**
-        from the committed state at ``old_key`` to the one at
-        ``new_key`` — the table survives under the same name, the old
-        version ceases to exist.  Returns the (unchanged) temp-table
-        name.  Counts as a materialization of the new key (the reuse
-        tests' per-key contract holds: a later re-request of the old
-        key is a fresh materialization, exactly as after an
-        eviction)."""
-        old_entry = (realm, old_key)
-        name = self._names.pop(old_entry)
-        pins = self._entry_pins.pop(old_entry, ())
-        new_entry = (realm, new_key)
-        if new_entry in self._names:
-            # defensive: a live entry for the destination would be
-            # displaced — drop its table like a re-commit does
-            self._release_pins(new_entry)
-            old_name = self._names.pop(new_entry)
-            if old_name != name and self.on_evict is not None:
-                self.on_evict(old_name, new_entry)
-        self._names[new_entry] = name
-        self._entry_pins[new_entry] = pins
-        self.stats.snapshots_materialized += 1
-        self.stats.materializations[new_key] += 1
-        self.stats.patched_in_place += 1
-        return name
-
-    def plain_entries(self, realm) -> List[Tuple[str, int, str]]:
-        """Every cached committed AS-OF state in ``realm``, as
-        ``(table, ts, temp_table_name)`` triples — the inventory a
-        snapshot pipeline plans against."""
-        out: List[Tuple[str, int, str]] = []
-        for (entry_realm, key), name in self._names.items():
-            if entry_realm != realm:
-                continue
-            if len(key) == 2 and isinstance(key[0], str) \
-                    and isinstance(key[1], int):
-                out.append((key[0], key[1], name))
-        return out
-
-    def plain_snapshots(self, realm,
-                        table: str) -> List[Tuple[int, str]]:
-        """Cached committed AS-OF states of ``table`` in ``realm``, as
-        ``(ts, temp_table_name)`` pairs — the delta-patching candidates.
-        Override/provider entries are never candidates (their contents
-        are not a function of the version history)."""
-        out: List[Tuple[int, str]] = []
-        for (entry_realm, key), name in self._names.items():
-            if entry_realm != realm:
-                continue
-            if len(key) == 2 and key[0] == table \
-                    and isinstance(key[1], int):
-                out.append((key[1], name))
-        return out
-
-    def enforce_capacity(self, protected: Iterable[str] = ()) -> None:
-        """Evict least-recently-used entries until within ``capacity``,
-        never touching temp tables in ``protected`` (names the current
-        plan's already-generated SQL still references)."""
-        if self.capacity is None or len(self._names) <= self.capacity:
-            return
-        protected = set(protected)
-        for entry in list(self._names):
-            if len(self._names) <= self.capacity:
-                break
-            name = self._names[entry]
-            if name in protected:
-                continue
-            del self._names[entry]
-            self._release_pins(entry)
-            self.stats.snapshots_evicted += 1
-            if self.on_evict is not None:
-                self.on_evict(name, entry)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
-class SnapshotBinder:
-    """Maps time-traveled scans to materialized snapshot tables.
-
-    Registration happens lazily while the SQL is generated (every scan
-    the generator renders passes through :meth:`bind`, including scans
-    inside subquery plans); :meth:`materialize` then creates and fills
-    the temp tables on the target connection before the query runs.
-    Snapshot resolution defers to the evaluation context, so what-if
-    overrides, trigger-history snapshot providers and plain time travel
-    all compose exactly as they do for the in-memory evaluator.
-
-    With a session :class:`SnapshotCache`, binds are first served from
-    the snapshots earlier plans already materialized; only cache misses
-    become fresh temp tables, and those are published to the cache after
-    they exist (a plan that fails before :meth:`materialize` leaves the
-    cache untouched, never pointing at absent tables).
-
-    Materialization itself is **incremental** when it can be: a plain
-    committed ``(table, ts)`` snapshot whose neighbor at another
-    timestamp is already cached is built as a *filtered clone* of the
-    cached temp table — one C-speed ``CREATE TABLE … AS SELECT …
-    WHERE __rowid__ NOT IN (delta rowids)`` that clones and deletes in
-    a single pass — followed by an ``executemany INSERT`` of the
-    delta's new row states.  Cost is proportional to the write set
-    between the snapshots, not to table cardinality.
-    A cost model (``delta`` mode ``"auto"``) falls back to the full
-    storage-scan rebuild when the estimated delta is a large fraction
-    of the table; overrides, trigger-history providers and contexts
-    without native time travel always take the full path.
-
-    ``config`` is the target engine's
-    :class:`~repro.algebra.sqlgen.DialectConfig`; the binder reads its
-    temp-table strategy knobs (``temp_table_keyword``,
-    ``typed_temp_columns`` — typed engines get catalog-mapped column
-    declarations, see :func:`sql_column_types`).
-    """
-
-    def __init__(self, ctx: EvalContext,
-                 cache: Optional[SnapshotCache] = None,
-                 delta: str = "auto",
-                 delta_max_ratio: float = 0.5,
-                 count_reuse: bool = True,
-                 reuse_discount: Optional[Set[str]] = None,
-                 store=None, publish: str = "full",
-                 pipeline: str = "auto",
-                 movable: Optional[Dict[str, Set[int]]] = None,
-                 config: Optional[DialectConfig] = None):
-        self.ctx = ctx
-        self._state = EvalState(params=ctx.params)
-        self.cache = cache
-        self._delta_mode = delta
-        self._delta_max_ratio = delta_max_ratio
-        #: dialect temp-table policy (native config = untyped TEMP).
-        self._config = config if config is not None else NATIVE
-        #: shared spill tier: cache misses on plain committed snapshots
-        #: are rehydrated from here before falling back to a rebuild.
-        self._store = store
-        #: write-through policy: "full" publishes only full (storage
-        #: scan) materializations; "all" also publishes delta-built
-        #: snapshots, paying a temp-table read per publish — how a
-        #: warm-up pass seeds the store for a whole worker pool.
-        self._publish_mode = publish
-        #: False while priming: prime binds are bookkeeping, not reuse.
-        self._count_reuse = count_reuse
-        #: names this session primed but no plan has scanned yet — the
-        #: first plan bind of each is the scan the priming *paid for*,
-        #: not a reuse (keeps `snapshots_reused` meaning "served from a
-        #: snapshot an earlier plan materialized", exactly as before
-        #: priming existed).
-        self._reuse_discount = reuse_discount
-        #: names this binder already discounted: further binds by the
-        #: same plan stay uncounted, mirroring the pre-priming behavior
-        #: where a plan's own fresh snapshots never counted as reuses.
-        self._discounted: Set[str] = set()
-        #: materialization planning mode: "off" reproduces the
-        #: pre-pipeline behavior (per-entry store lookups, no moves),
-        #: "auto" plans the whole entry set (batched store reads,
-        #: patch-in-place moves where granted *and* the cost model
-        #: approves), "always" moves whenever a granted source exists.
-        self._pipeline_mode = pipeline
-        #: per-table committed versions this binder may *consume*:
-        #: cached snapshots a pipeline has proven no remaining compile
-        #: reads, so they can be patched forward in place instead of
-        #: cloned.  Empty outside pipelined priming — a plan whose SQL
-        #: already references cached temp tables must never move them.
-        self._movable = movable or {}
-        #: the most recent :class:`SnapshotPlan` built by
-        #: :meth:`materialize` (observability / test pinning).
-        self.plan: Optional[SnapshotPlan] = None
-        #: plain committed pairs this binder's scans found already
-        #: resident — surfaced as ``reuse-cached`` plan steps.
-        self._reused_pairs: "OrderedDict[Tuple[str, int], None]" = \
-            OrderedDict()
-        #: prefetched delta hops: (table, ts_from, ts_to) -> delta rows.
-        self._delta_prefetched: Dict[Tuple[str, int, int], list] = {}
-        #: the database this context reads from — the cache realm.
-        #: Realms are keyed by the database's *durable history id*
-        #: (falling back to object identity for histories predating
-        #: it), so a spill store outlives any one database object and
-        #: a recycled ``id()`` can never alias two histories.  A
-        #: context without a database (StaticContext) is its own
-        #: realm, so snapshots never leak between unrelated contexts.
-        self._source = getattr(ctx, "db", None)
-        if self._source is None:
-            self._realm = id(ctx)
-        else:
-            self._realm = getattr(self._source, "history_id",
-                                  None) or id(self._source)
-        #: snapshot key -> temp table name, fresh for *this* plan.
-        self._entries: Dict[SnapshotKey, str] = {}
-        #: snapshot key -> (table, ts, pinned source object).
-        self._meta: Dict[SnapshotKey, Tuple[str, Optional[int],
-                                            Optional[object]]] = {}
-        #: every temp-table name this plan references (cache hits and
-        #: fresh entries alike) — protected from eviction until the
-        #: plan has executed.
-        self._used: Set[str] = set()
-        #: base tables touched (for result-type coercion).
-        self.tables_used: Set[str] = set()
-
-    def snapshot_key(self, table: str, ts: Optional[int]
-                     ) -> Tuple[SnapshotKey, Optional[object]]:
-        """The cache key for a scan of ``table`` at ``ts``, plus the
-        object (if any) whose identity the key depends on."""
-        override = self.ctx.overrides.get(table)
-        if override is not None:
-            # an override replaces the table regardless of ts
-            return (table, ("override", id(override))), override
-        provider = getattr(self.ctx, "snapshot_provider", None)
-        if provider is not None and ts is not None:
-            return (table, ts, ("provider", id(provider))), provider
-        return (table, ts), None
-
-    def bind(self, scan: op.TableScan) -> str:
-        ts: Optional[int] = None
-        if scan.as_of is not None:
-            value = eval_expr(scan.as_of, None, self._state)
-            if value is None:
-                raise TimeTravelError(
-                    f"AS OF timestamp for {scan.table!r} is NULL")
-            ts = int(value)
-        return self.bind_key(scan.table, ts)
-
-    def bind_key(self, table: str, ts: Optional[int]) -> str:
-        """Register a scan of ``table`` at ``ts`` and return the temp
-        table it will read — also the entry point for priming a
-        session with a compiled reenactment's snapshot set."""
-        key, pin = self.snapshot_key(table, ts)
-        self.tables_used.add(table)
-        if self.cache is not None:
-            name = self.cache.lookup(self._realm, key,
-                                     count_reuse=False)
-            if name is not None:
-                if pin is None and ts is not None:
-                    self._reused_pairs.setdefault((table, ts))
-                if self._count_reuse and name not in self._discounted:
-                    if self._reuse_discount is not None \
-                            and name in self._reuse_discount:
-                        # first scan of a snapshot primed for this
-                        # very reenactment: the materialization this
-                        # plan paid for, not a reuse
-                        self._reuse_discount.discard(name)
-                        self._discounted.add(name)
-                    else:
-                        self.cache.stats.snapshots_reused += 1
-                self._used.add(name)
-                return name
-        name = self._entries.get(key)
-        if name is None:
-            name = self.cache.allocate() if self.cache is not None \
-                else f"__snap_{len(self._entries) + 1}__"
-            self._entries[key] = name
-            self._meta[key] = (table, ts, pin)
-        self._used.add(name)
-        return name
-
-    @property
-    def used_names(self) -> Set[str]:
-        """Temp tables the generated SQL references (for deferred
-        indexing and eviction protection)."""
-        return self._used
-
-    # .. dialect temp-table policy ........................................
-
-    def _snapshot_columns(self, table: str) -> List[str]:
-        return list(self.ctx.table_columns(table)) \
-            + [ROWID_SUFFIX, XID_SUFFIX]
-
-    def _column_decl(self, table: str, columns: List[str],
-                     rows: Optional[list]) -> str:
-        """The column list of a snapshot CREATE TABLE — bare names, or
-        name+type declarations on typed-temp-column dialects (data
-        columns from the catalog / row inference, annotation columns
-        BIGINT)."""
-        if not self._config.typed_temp_columns:
-            return ", ".join(quote_ident(c) for c in columns)
-        data_columns = columns[:-2]
-        types = sql_column_types(self.ctx, table, data_columns, rows)
-        types += ["BIGINT", "BIGINT"]  # __rowid__, __xid__
-        return ", ".join(f"{quote_ident(c)} {t}"
-                         for c, t in zip(columns, types))
-
-    def _create_snapshot_table(self, conn, name: str, table: str,
-                               rows: Optional[list]) -> List[str]:
-        columns = self._snapshot_columns(table)
-        conn.execute(
-            f"CREATE {self._config.temp_table_keyword} TABLE "
-            f"{quote_ident(name)} "
-            f"({self._column_decl(table, columns, rows)})")
-        return columns
-
-    def _rowid_scratch_decl(self) -> str:
-        decl = quote_ident(ROWID_SUFFIX)
-        if self._config.typed_temp_columns:
-            decl += " BIGINT"
-        return decl
-
-    def materialize(self, conn) -> None:
-        if self._pipeline_mode == "off":
-            self._materialize_unplanned(conn)
-        else:
-            self._materialize_planned(conn)
-        if self.cache is not None:
-            self.cache.enforce_capacity(protected=self._used)
-
-    def _materialize_unplanned(self, conn) -> None:
-        """The pre-pipeline path: per-entry decisions, one store
-        lookup per rehydration, never a move — kept verbatim as the
-        ablation baseline (``pipeline="off"``)."""
-        stats = self.cache.stats if self.cache is not None else None
-        for key, name in self._entries.items():
-            table, ts, pin = self._meta[key]
-            source = self._delta_source(table, ts, pin)
-            if source is not None:
-                self._materialize_delta(conn, name, table, ts, *source,
-                                        stats=stats)
-                if self._publish_mode == "all":
-                    rows = conn.execute(
-                        f"SELECT * FROM {quote_ident(name)}").fetchall()
-                    self._publish(table, ts, key, pin, rows, stats)
-            elif not self._materialize_from_store(conn, name, table, ts,
-                                                  key, pin, stats=stats):
-                rows = self._materialize_full(conn, name, table, ts,
-                                              stats=stats)
-                self._publish(table, ts, key, pin, rows, stats)
-            if self.cache is not None:
-                self.cache.commit(self._realm, key, name,
-                                  pins=(self._source, pin))
-
-    # .. the snapshot pipeline: plan, then execute .........................
-
-    def _delta_capable(self) -> bool:
-        db = self._source
-        return (self._delta_mode != "off" and self.cache is not None
-                and db is not None
-                and getattr(db, "config", None) is not None
-                and db.config.timetravel_enabled)
-
-    def _plan_entries(self) -> List[Tuple[SnapshotKey,
-                                          SnapshotPlanStep]]:
-        """Decide, per fresh entry, how it will be materialized —
-        against the current cache inventory plus the entries this very
-        plan will have built by the time each step runs.  Plain
-        committed entries are planned per table in timestamp order
-        (each step one hop from its predecessor); override/provider
-        entries are always full builds."""
-        db = self._source
-        deltable = self._delta_capable()
-        storeable = self._store is not None
-        plain: Dict[str, List[Tuple[int, SnapshotKey]]] = {}
-        rest: List[Tuple[SnapshotKey, SnapshotPlanStep]] = []
-        for key, name in self._entries.items():
-            table, ts, pin = self._meta[key]
-            if pin is None and ts is not None:
-                plain.setdefault(table, []).append((ts, key))
-            else:
-                rest.append((key, SnapshotPlanStep(
-                    op="full-build", table=table,
-                    ts=ts if ts is not None else -1,
-                    reason="what-if override / snapshot provider "
-                           "state: only a fresh full build is "
-                           "correct")))
-        out: List[Tuple[SnapshotKey, SnapshotPlanStep]] = []
-        for table in sorted(plain):
-            budget = int(db.table_cardinality(table)
-                         * self._delta_max_ratio) if deltable else 0
-            #: available delta sources: (ts, movable?) — cached
-            #: snapshots (movable iff the pipeline granted them) plus
-            #: earlier planned entries of this table (never movable:
-            #: this plan's own SQL/caller still reads them).
-            sources: List[Tuple[int, bool]] = []
-            if deltable:
-                granted = self._movable.get(table, set())
-                for ts0, _name in self.cache.plain_snapshots(
-                        self._realm, table):
-                    sources.append((ts0, ts0 in granted))
-            for ts, key in sorted(plain[table]):
-                step = None
-                if sources:
-                    def cost(src):
-                        return (db.table_delta_estimate(table, src[0],
-                                                        ts),
-                                abs(src[0] - ts))
-                    movable = [s for s in sources if s[1]]
-                    if movable:
-                        # a move is delta-sized work with no clone —
-                        # always cheaper than cloning, so the best
-                        # movable source wins whenever affordable
-                        best = min(movable, key=cost)
-                        estimate = db.table_delta_estimate(
-                            table, best[0], ts)
-                        if self._pipeline_mode == "always" \
-                                or self._delta_mode == "always" \
-                                or estimate <= budget:
-                            if estimate <= budget:
-                                why = (f"cached @{best[0]} has no "
-                                       f"later reader; ~{estimate} "
-                                       f"delta row(s) within budget "
-                                       f"{budget}")
-                            else:
-                                why = (f"cached @{best[0]} has no "
-                                       f"later reader; ~{estimate} "
-                                       f"delta row(s) over budget "
-                                       f"{budget}, forced by "
-                                       f"pipeline/delta 'always'")
-                            step = SnapshotPlanStep(
-                                op="patch-in-place", table=table,
-                                ts=ts, source_ts=best[0], reason=why)
-                            sources.remove(best)
-                    if step is None:
-                        best = min(sources, key=cost)
-                        estimate = db.table_delta_estimate(
-                            table, best[0], ts)
-                        if self._delta_mode == "always" \
-                                or estimate <= budget:
-                            if estimate <= budget:
-                                why = (f"nearest cached neighbor "
-                                       f"@{best[0]} still has "
-                                       f"readers; ~{estimate} delta "
-                                       f"row(s) within budget "
-                                       f"{budget}")
-                            else:
-                                why = (f"nearest cached neighbor "
-                                       f"@{best[0]}; ~{estimate} "
-                                       f"delta row(s) over budget "
-                                       f"{budget}, forced by "
-                                       f"delta='always'")
-                            step = SnapshotPlanStep(
-                                op="clone-delta", table=table, ts=ts,
-                                source_ts=best[0], reason=why)
-                if step is None:
-                    if storeable:
-                        op_name = "rehydrate-batch"
-                        why = ("no affordable cached neighbor; spill "
-                               "store attached — batched store read "
-                               "(full build on a store miss)")
-                    else:
-                        op_name = "full-build"
-                        why = ("no affordable cached neighbor and no "
-                               "spill store: storage scan")
-                    step = SnapshotPlanStep(op=op_name, table=table,
-                                            ts=ts, reason=why)
-                out.append((key, step))
-                if deltable:
-                    sources.append((ts, False))
-        out.extend(rest)
-        return out
-
-    def _prefetch_delta_chains(
-            self, steps: List[Tuple[SnapshotKey,
-                                    SnapshotPlanStep]]) -> None:
-        """Fetch every delta a plan's per-table hop chains will apply
-        in one commit-log pass per chain (see
-        :meth:`repro.db.engine.Database.table_delta_chain`) instead of
-        one bisection pair per hop."""
-        db = self._source
-        chains: Dict[str, List[int]] = {}
-        for _key, step in steps:
-            if step.op not in ("patch-in-place", "clone-delta"):
-                continue
-            chain = chains.get(step.table)
-            if chain is not None and chain[-1] == step.source_ts:
-                chain.append(step.ts)
-            elif chain is None:
-                chains[step.table] = [step.source_ts, step.ts]
-        for table, chain in chains.items():
-            if len(chain) < 3:
-                continue  # a single hop gains nothing from chaining
-            hops = db.table_delta_chain(table, chain)
-            for (ts_from, ts_to), delta in zip(
-                    zip(chain, chain[1:]), hops):
-                self._delta_prefetched[(table, ts_from, ts_to)] = delta
-
-    def _delta_rows(self, table: str, ts_from: int, ts_to: int) -> list:
-        delta = self._delta_prefetched.pop((table, ts_from, ts_to),
-                                           None)
-        if delta is None:
-            delta = self._source.table_delta(table, ts_from, ts_to)
-        return delta
-
-    def _materialize_planned(self, conn) -> None:
-        stats = self.cache.stats if self.cache is not None else None
-        steps = self._plan_entries()
-        self.plan = SnapshotPlan(
-            steps=[SnapshotPlanStep(op="reuse-cached", table=table,
-                                    ts=ts,
-                                    reason="already resident in the "
-                                           "session snapshot cache")
-                   for table, ts in self._reused_pairs]
-            + [step for _key, step in steps])
-        if self.plan.steps and explain_active():
-            record_explain(
-                "snapshot-plan", counts=self.plan.counts(),
-                steps=[step.as_dict() for step in self.plan.steps])
-        with span("snapshot.plan", steps=len(self.plan)) as plan_span:
-            if plan_span is not NOOP_SPAN:
-                for op_name, count in self.plan.counts().items():
-                    plan_span.set(op_name, count)
-            self._execute_plan_steps(conn, steps, stats)
-
-    def _execute_plan_steps(self, conn, steps, stats) -> None:
-        fetched: Dict[Tuple[str, int], list] = {}
-        wanted = [(step.table, step.ts) for _key, step in steps
-                  if step.op == "rehydrate-batch"]
-        if wanted:
-            fetch_many = getattr(self._store, "fetch_many", None)
-            if fetch_many is not None:
-                fetched = fetch_many(self._realm, wanted)
-            else:  # a put/get-only store lookalike
-                for pair in wanted:
-                    rows = self._store.get(self._realm, *pair)
-                    if rows is not None:
-                        fetched[pair] = rows
-        self._prefetch_delta_chains(steps)
-        #: live temp-table name per committed version, updated as
-        #: steps run (a move re-homes its source's name).
-        live: Dict[Tuple[str, int], str] = {}
-        if self.cache is not None:
-            for table, ts0, name in self.cache.plain_entries(
-                    self._realm):
-                live[(table, ts0)] = name
-        for key, step in steps:
-            table, ts, pin = self._meta[key]
-            name = self._entries[key]
-            if step.op == "patch-in-place":
-                name = self._execute_move(conn, key, step, live, stats)
-            elif step.op == "clone-delta":
-                self._materialize_delta(
-                    conn, name, table, ts, step.source_ts,
-                    live[(table, step.source_ts)], stats=stats)
-                if self._publish_mode == "all":
-                    rows = conn.execute(
-                        f"SELECT * FROM {quote_ident(name)}").fetchall()
-                    self._publish(table, ts, key, pin, rows, stats)
-            else:
-                rows = fetched.get((table, ts)) \
-                    if step.op == "rehydrate-batch" else None
-                if not self._build_from_rows(conn, name, table, rows,
-                                             stats):
-                    rows = self._materialize_full(conn, name, table, ts,
-                                                  stats=stats)
-                    self._publish(table, ts, key, pin, rows, stats)
-            if step.op != "patch-in-place" and self.cache is not None:
-                self.cache.commit(self._realm, key, name,
-                                  pins=(self._source, pin))
-            if pin is None and ts is not None:
-                live[(table, ts)] = name
-
-    def _execute_move(self, conn, key: SnapshotKey,
-                      step: SnapshotPlanStep,
-                      live: Dict[Tuple[str, int], str],
-                      stats: Optional[SessionStats]) -> str:
-        """Patch the source snapshot's temp table forward **in place**
-        and re-key the cache entry: the table keeps its name, the
-        source version ceases to exist, and the allocated (never
-        created) destination name is abandoned."""
-        table, ts = step.table, step.ts
-        source_name = live.pop((table, step.source_ts))
-        delta = self._delta_rows(table, step.source_ts, ts)
-        if delta:
-            scratch = f"__move_ids_{source_name}"
-            conn.execute(
-                f"CREATE {self._config.temp_table_keyword} TABLE "
-                f"{quote_ident(scratch)} ({self._rowid_scratch_decl()})")
-            conn.executemany(
-                f"INSERT INTO {quote_ident(scratch)} VALUES (?)",
-                [(int(rowid),) for rowid, _, _ in delta])
-            conn.execute(
-                f"DELETE FROM {quote_ident(source_name)} "
-                f"WHERE {quote_ident(ROWID_SUFFIX)} IN "
-                f"(SELECT {quote_ident(ROWID_SUFFIX)} "
-                f"FROM {quote_ident(scratch)})")
-            conn.execute(f"DROP TABLE {quote_ident(scratch)}")
-            inserts = [tuple(values) + (rowid, xid)
-                       for rowid, values, xid in delta
-                       if values is not None]
-            if inserts:
-                n_columns = len(self.ctx.table_columns(table)) + 2
-                placeholders = ", ".join("?" * n_columns)
-                conn.executemany(
-                    f"INSERT INTO {quote_ident(source_name)} "
-                    f"VALUES ({placeholders})", inserts)
-        abandoned = self._entries[key]
-        self._entries[key] = source_name
-        self._used.discard(abandoned)
-        self._used.add(source_name)
-        self.cache.move(self._realm, (table, step.source_ts), key)
-        if stats is not None:
-            stats.delta_rows_applied += len(delta)
-        if self._publish_mode == "all":
-            rows = conn.execute(
-                f"SELECT * FROM "
-                f"{quote_ident(source_name)}").fetchall()
-            self._publish(table, ts, key, None, rows, stats)
-        return source_name
-
-    def _build_from_rows(self, conn, name: str, table: str, rows,
-                         stats: Optional[SessionStats]) -> bool:
-        """Create + fill a snapshot temp table from store-fetched rows
-        (the batched half of rehydration); refuses rows whose width no
-        longer matches the schema, like the unplanned path."""
-        if rows is None:
-            return False
-        columns = self._snapshot_columns(table)
-        if rows and len(rows[0]) != len(columns):
-            return False  # schema drift: distrust the stored copy
-        self._create_snapshot_table(conn, name, table, rows)
-        if rows:
-            placeholders = ", ".join("?" * len(columns))
-            conn.executemany(
-                f"INSERT INTO {quote_ident(name)} "
-                f"VALUES ({placeholders})", rows)
-        if stats is not None:
-            stats.snapshots_rehydrated += 1
-            stats.batch_rehydrated += 1
-        return True
-
-    # .. full rebuild (storage scan) ......................................
-
-    def _materialize_full(self, conn, name: str, table: str,
-                          ts: Optional[int],
-                          stats: Optional[SessionStats]) -> List[tuple]:
-        triples = self.ctx.scan_table(table, ts)
-        rows = [tuple(values) + (rowid, xid)
-                for rowid, values, xid in triples]
-        columns = self._create_snapshot_table(conn, name, table, rows)
-        if rows:
-            placeholders = ", ".join("?" * (len(columns)))
-            conn.executemany(
-                f"INSERT INTO {quote_ident(name)} "
-                f"VALUES ({placeholders})", rows)
-        if stats is not None:
-            stats.full_materializations += 1
-        return rows
-
-    def _publish(self, table: str, ts: Optional[int], key: SnapshotKey,
-                 pin: Optional[object], rows: List[tuple],
-                 stats: Optional[SessionStats]) -> None:
-        """Write-through: a full materialization already paid the
-        expensive storage scan, so its rows are published to the spill
-        store immediately — other sessions' first touch of this
-        snapshot rehydrates instead of rescanning storage, without
-        waiting for an eviction to warm the store.  Keys another
-        session already published are skipped (same immutable state)."""
-        if self._store is None or pin is not None \
-                or not spillable_key(key):
-            return
-        if (self._realm, table, ts) in self._store:
-            return
-        self._store.put(self._realm, table, ts, rows)
-        if stats is not None:
-            stats.snapshots_spilled += 1
-
-    # .. rehydration (spill-store lookup) .................................
-
-    def _materialize_from_store(self, conn, name: str, table: str,
-                                ts: Optional[int], key: SnapshotKey,
-                                pin: Optional[object],
-                                stats: Optional[SessionStats]) -> bool:
-        """Rebuild a plain committed snapshot from the spill store's
-        saved rows, if present.  Returns True when the temp table was
-        created this way.  Slots between the delta path (a C-speed
-        clone of a cached neighbor is cheaper than an ``executemany``
-        of every stored row) and the full storage scan (which also
-        walks every version chain in Python first)."""
-        if self._store is None or pin is not None \
-                or not spillable_key(key):
-            return False
-        rows = self._store.get(self._realm, table, ts)
-        if rows is None:
-            return False
-        columns = self._snapshot_columns(table)
-        if rows and len(rows[0]) != len(columns):
-            return False  # schema drift: distrust the stored copy
-        self._create_snapshot_table(conn, name, table, rows)
-        if rows:
-            placeholders = ", ".join("?" * len(columns))
-            conn.executemany(
-                f"INSERT INTO {quote_ident(name)} "
-                f"VALUES ({placeholders})", rows)
-        if stats is not None:
-            stats.snapshots_rehydrated += 1
-        return True
-
-    # .. incremental rebuild (clone + delta patch) ........................
-
-    def _delta_source(self, table: str, ts: Optional[int],
-                      pin: Optional[object]
-                      ) -> Optional[Tuple[int, str]]:
-        """The cached neighbor snapshot to patch from, as ``(ts0,
-        temp_table_name)`` — or ``None`` when this snapshot must be
-        rebuilt in full (delta off, no usable candidate, or the cost
-        model prefers the full scan)."""
-        if self._delta_mode == "off" or self.cache is None \
-                or ts is None or pin is not None:
-            return None
-        db = self._source
-        if db is None \
-                or not getattr(db, "config", None) \
-                or not db.config.timetravel_enabled:
-            return None
-        candidates = self.cache.plain_snapshots(self._realm, table)
-        if not candidates:
-            return None
-        best_ts, best_name = min(
-            candidates,
-            key=lambda c: (db.table_delta_estimate(table, c[0], ts),
-                           abs(c[0] - ts)))
-        if self._delta_mode != "always":
-            estimate = db.table_delta_estimate(table, best_ts, ts)
-            budget = int(db.table_cardinality(table)
-                         * self._delta_max_ratio)
-            if estimate > budget:
-                return None  # pathological history: full scan is cheaper
-        return best_ts, best_name
-
-    def _materialize_delta(self, conn, name: str, table: str, ts: int,
-                           source_ts: int, source_name: str,
-                           stats: Optional[SessionStats]) -> None:
-        delta = self._delta_rows(table, source_ts, ts)
-        temp_kw = self._config.temp_table_keyword
-        if not delta:
-            conn.execute(
-                f"CREATE {temp_kw} TABLE {quote_ident(name)} AS "
-                f"SELECT * FROM {quote_ident(source_name)}")
-        else:
-            # one-pass clone-without-the-changed-rows: the delta rowids
-            # go through a scratch table (not inline literals) so a
-            # pathological forced-delta patch cannot overflow the
-            # engine's SQL-length limit
-            scratch = f"__delta_ids_{name}"
-            conn.execute(
-                f"CREATE {temp_kw} TABLE {quote_ident(scratch)} "
-                f"({self._rowid_scratch_decl()})")
-            conn.executemany(
-                f"INSERT INTO {quote_ident(scratch)} VALUES (?)",
-                [(int(rowid),) for rowid, _, _ in delta])
-            conn.execute(
-                f"CREATE {temp_kw} TABLE {quote_ident(name)} AS "
-                f"SELECT * FROM {quote_ident(source_name)} "
-                f"WHERE {quote_ident(ROWID_SUFFIX)} NOT IN "
-                f"(SELECT {quote_ident(ROWID_SUFFIX)} "
-                f"FROM {quote_ident(scratch)})")
-            conn.execute(f"DROP TABLE {quote_ident(scratch)}")
-        inserts = [tuple(values) + (rowid, xid)
-                   for rowid, values, xid in delta
-                   if values is not None]
-        if inserts:
-            n_columns = len(self.ctx.table_columns(table)) + 2
-            placeholders = ", ".join("?" * n_columns)
-            conn.executemany(
-                f"INSERT INTO {quote_ident(name)} "
-                f"VALUES ({placeholders})", inserts)
-        if stats is not None:
-            stats.delta_materializations += 1
-            stats.delta_rows_applied += len(delta)
-
-
-#: column names the window-scan event/tick temp tables reserve; a user
-#: table that uses one of them cannot take the window path (the
-#: per-probe pipeline handles it instead).
-WINDOW_RESERVED_COLUMNS = frozenset({
-    "__qts__", "__wts__", "__live__", "__delta__", "__rn__",
-    ROWID_SUFFIX, XID_SUFFIX})
+from repro.obs.explain import record_explain
+from repro.obs.trace import span
 
 
 class BoundDialect(Dialect):
@@ -1036,26 +100,20 @@ class SQLPipeline(SnapshotPipeline):
         requested = sorted({(table, int(ts))
                             for table, ts in self.snapshot_sets[index]
                             if ts is not None})
-        for pair in requested:
-            if self._first_reader[pair] < index \
-                    and session.cache.lookup(binder._realm, pair,
-                                             count_reuse=False) \
-                    is not None:
-                # an earlier compile in this pipeline already paid for
-                # this snapshot — the cross-compile sharing the union
-                # hand-off exists for
-                session.stats.primes_shared += 1
-        movable: Dict[str, Set[int]] = {}
-        for table, ts, _name in session.cache.plain_entries(
-                binder._realm):
+        cached = {(table, ts) for table, ts, _name
+                  in session.cache.plain_entries(binder.realm)}
+        # requests an earlier compile in this pipeline already paid
+        # for — the cross-compile sharing the union hand-off exists for
+        session.stats.primes_shared += sum(
+            1 for pair in requested
+            if pair in cached and self._first_reader[pair] < index)
+        for table, ts in cached:
             last = self._last_reader.get((table, ts))
             if last is not None and last < index:
-                movable.setdefault(table, set()).add(ts)
-        binder._movable = movable
+                binder.movable.setdefault(table, set()).add(ts)
         for table, ts in requested:
             binder.bind_key(table, ts)
         binder.materialize(session.conn)
-        session._fresh_primed.update(binder._entries.values())
 
 
 class SQLSession(BackendSession):
@@ -1104,9 +162,6 @@ class SQLSession(BackendSession):
         #: so snapshots that only ever serve as delta-clone sources
         #: (timeline priming) never pay for one.
         self._indexed: Set[str] = set()
-        #: snapshots primed but not yet scanned by any plan (see
-        #: SnapshotBinder reuse accounting).
-        self._fresh_primed: Set[str] = set()
         #: window-scan temp tables get their own name space, so they
         #: can never collide with the cache's ``__snap_N__`` snapshots.
         self._ws_counter = 0
@@ -1133,18 +188,10 @@ class SQLSession(BackendSession):
 
     def _binder(self, ctx: EvalContext,
                 priming: bool = False) -> SnapshotBinder:
-        return SnapshotBinder(ctx, cache=self.cache,
-                              delta=self.backend.delta,
-                              delta_max_ratio=self.backend.delta_max_ratio,
-                              count_reuse=not priming,
-                              reuse_discount=None if priming
-                              else self._fresh_primed,
+        return SnapshotBinder(ctx, cache=self.cache, priming=priming,
                               store=self.spill_store,
-                              publish=getattr(self.backend,
-                                              "spill_publish", "full"),
-                              pipeline=getattr(self.backend,
-                                               "pipeline", "auto"),
-                              config=self.backend.dialect_config)
+                              config=self.backend.dialect_config,
+                              driver_errors=self._error_types)
 
     def attach_spill_store(self, store) -> None:
         """Share a snapshot spill store with this session: evicted
@@ -1154,21 +201,24 @@ class SQLSession(BackendSession):
         self._check_open()
         self.spill_store = store
 
-    def _drop_snapshot(self, name: str, entry=None) -> None:
-        if self.spill_store is not None and entry is not None:
-            realm, key = entry
-            # demote instead of destroy — unless the store already
-            # holds this immutable state (write-through published it,
-            # or another session spilled it first)
-            if spillable_key(key) \
-                    and (realm, key[0], key[1]) not in self.spill_store:
-                rows = self.conn.execute(
-                    f"SELECT * FROM {quote_ident(name)}").fetchall()
-                self.spill_store.put(realm, key[0], key[1], rows)
-                self.stats.snapshots_spilled += 1
+    def _spill(self, name: str, realm, key) -> None:
+        """Save a resident plain committed snapshot to the spill store
+        — unless the store already holds this immutable state
+        (write-through published it, or another session spilled it
+        first)."""
+        if self.spill_store is None or not spillable_key(key) \
+                or (realm, key[0], key[1]) in self.spill_store:
+            return
+        rows = self.conn.execute(
+            f"SELECT * FROM {quote_ident(name)}").fetchall()
+        self.spill_store.put(realm, key[0], key[1], rows)
+        self.stats.snapshots_spilled += 1
+
+    def _drop_snapshot(self, name: str, entry) -> None:
+        # eviction demotes instead of destroying
+        self._spill(name, *entry)
         self.conn.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
         self._indexed.discard(name)
-        self._fresh_primed.discard(name)
 
     def _ensure_indexes(self, names: Set[str]) -> None:
         """Index the row-identity column of every snapshot the next
@@ -1196,266 +246,89 @@ class SQLSession(BackendSession):
                                 if ts is not None):
             binder.bind_key(table, ts)
         binder.materialize(self.conn)
-        # only *freshly materialized* snapshots are discounted; prime
-        # hits on earlier plans' snapshots stay genuine future reuses
-        self._fresh_primed.update(binder._entries.values())
+
+    def publish_snapshots(self, snapshots, ctx: EvalContext) -> None:
+        self._check_open()
+        realm = context_realm(ctx)
+        for table, ts in snapshots:
+            name = self.cache.lookup(realm, (table, ts))
+            if name is not None:
+                self._spill(name, realm, (table, ts))
+        # priming never evicts its own set, so a set larger than the
+        # cache leaves it over its bound: trim now that all is stored
+        self.cache.enforce_capacity()
 
     def snapshot_pipeline(self, snapshot_sets,
                           ctx: EvalContext) -> SnapshotPipeline:
-        """Planned cross-compile priming (see :class:`SQLPipeline`)
-        — unless the backend's ``pipeline`` mode is ``"off"``, which
-        degrades to the base per-set hints (the ablation baseline)."""
+        """Planned cross-compile priming (see :class:`SQLPipeline`)."""
         self._check_open()
-        if getattr(self.backend, "pipeline", "auto") == "off":
-            return SnapshotPipeline(self, snapshot_sets, ctx)
         return self._pipeline_class(self, snapshot_sets, ctx)
 
     # .. window-compiled timeline scans ...................................
 
     def window_scan(self, table: str, timestamps, ctx: EvalContext,
-                    mode: str = "full",
-                    windowscan: Optional[str] = None
+                    mode: str = "full"
                     ) -> Optional[Dict[int, Relation]]:
-        """Answer a whole timeline scan with one window-function SQL
-        pass over the table's commit-log delta chain (see
+        """Answer a sparkline timeline scan with one window-function
+        SQL pass over the table's commit-log delta chain (see
         :meth:`repro.backends.base.BackendSession.window_scan`).
 
-        The base state at the first tick is acquired through the
-        normal :class:`SnapshotBinder` pipeline (cache hit, store
-        rehydrate, or full build — all counted as usual, and the
-        result stays cached for later scans); every later tick is
-        answered from delta-chain *events* loaded into a temp table
-        and folded by the dialect's window hooks, so the per-probe
-        plan count stays at zero no matter how many ticks the scan
-        covers.  Returns ``None`` — falling back to the per-probe
-        pipeline — when the configured mode is ``"off"``, the tick
-        count is below the ``"auto"`` cutover, or the context cannot
-        be window-compiled (what-if overrides, snapshot providers, no
-        native time travel).  A dialect without window functions
-        cannot take this path at all: under ``"always"`` that is an
-        up-front :class:`~repro.errors.ReenactmentError` (a forced
-        fast path must not silently degrade to per-probe), under
-        ``"auto"`` a clean ``None`` fallback."""
+        The base cardinality at the first tick comes from an
+        already-cached snapshot or one storage scan; every later tick
+        is answered from the delta chain's +1/-1 *events*, loaded into
+        a temp table and folded by the dialect's running-sum window —
+        no snapshot is materialized and the per-probe plan count stays
+        at zero no matter how many ticks the scan covers.  Returns
+        ``None`` — the caller walks the per-probe pipeline — whenever
+        :func:`repro.backends.planner.window_pass_refusal` names a
+        reason (a full-state scan, too few ticks, no window functions,
+        what-if overrides, no native time travel)."""
         self._check_open()
         if mode not in ("full", "sparkline"):
             raise ExecutionError(
                 f"timeline mode must be 'full' or 'sparkline', "
                 f"got {mode!r}")
-        modes = type(self.backend).WINDOWSCAN_MODES
-        setting = windowscan if windowscan is not None \
-            else getattr(self.backend, "windowscan", "auto")
-        if setting not in modes:
-            raise ExecutionError(
-                f"windowscan mode must be one of "
-                f"{modes}, got {setting!r}")
-        config = self.backend.dialect_config
-
-        def fallback(reason: str) -> None:
+        if not timestamps:
+            return {}
+        refusal = window_pass_refusal(self.backend.dialect_config, mode,
+                                      timestamps, table, ctx)
+        if refusal is not None:
             record_explain("window-scan", table=table, mode=mode,
                            ticks=len(timestamps),
-                           decision="per-probe", reason=reason)
-
-        if not config.window_functions:
-            if setting == "always":
-                raise ReenactmentError(
-                    f"windowscan='always' forced on backend "
-                    f"{self.backend.name!r}, but its {config.name!r} "
-                    f"dialect has no window-function hooks — the "
-                    f"single-pass scan cannot run; use 'auto'/'off' "
-                    f"or a window-capable backend")
-            fallback(f"dialect {config.name!r} has no window-function "
-                     f"hooks")
-            return None
-        if setting == "off":
-            fallback("windowscan='off' pins the per-probe pipeline")
-            return None
-        if any(ts is None for ts in timestamps):
-            fallback("scan includes a non-committed (None) timestamp")
+                           decision="per-probe", reason=refusal)
             return None
         ordered = sorted({int(ts) for ts in timestamps})
-        if not ordered:
-            return {}
-        # the "auto" cost model is mode-aware: sparkline folds the
-        # whole scan into one tiny running-sum query, so it cuts over
-        # as soon as the tick count amortizes the event-table setup;
-        # full reconstruction ships |ticks| x |rows| tuples either way
-        # and the window's ROW_NUMBER sort over the tick x event join
-        # measures *slower* than the per-probe pipeline's delta moves
-        # (see bench_timeline_windowscan), so only "always" forces it.
-        if setting == "auto" and \
-                (mode != "sparkline" or
-                 len(ordered) <
-                 type(self.backend).WINDOWSCAN_MIN_TICKS):
-            if mode != "sparkline":
-                fallback("auto cutover: full-mode reconstruction "
-                         "measures slower through the window sort "
-                         "than per-probe delta moves")
-            else:
-                fallback(f"auto cutover: {len(ordered)} tick(s) is "
-                         f"below the "
-                         f"{type(self.backend).WINDOWSCAN_MIN_TICKS}"
-                         f"-tick amortization threshold")
-            return None
-        db = getattr(ctx, "db", None)
-        if db is None or \
-                not getattr(db.config, "timetravel_enabled", False):
-            fallback("context has no time-traveling database; the "
-                     "commit-log delta chain is unavailable")
-            return None
-        if ctx.overrides.get(table) is not None \
-                or getattr(ctx, "snapshot_provider", None) is not None:
-            fallback("what-if overrides / snapshot provider present: "
-                     "the commit log is not this scan's truth")
-            return None
-        columns = list(ctx.table_columns(table))
-        if WINDOW_RESERVED_COLUMNS.intersection(columns):
-            fallback("table uses window-reserved column name(s): "
-                     + ", ".join(sorted(
-                         WINDOW_RESERVED_COLUMNS.intersection(
-                             columns))))
-            return None
         record_explain(
             "window-scan", table=table, mode=mode,
             ticks=len(ordered), decision="window-pass",
-            reason=f"single {mode}-mode SQL pass over {len(ordered)} "
-                   f"tick(s) of the commit-log delta chain")
+            reason=f"single SQL pass over {len(ordered)} tick(s) of "
+                   f"the commit-log delta chain")
         with span("backend.window_scan", table=table, mode=mode,
                   ticks=len(ordered), engine=self.engine_label):
-            hops = db.table_delta_chain(table, ordered) \
+            hops = ctx.db.table_delta_chain(table, ordered) \
                 if len(ordered) > 1 else []
-            if mode == "full":
-                return self._window_scan_full(table, ordered, columns,
-                                              hops, ctx)
             return self._window_scan_counts(table, ordered, hops, ctx)
 
-    def _window_temp_names(self) -> Tuple[str, str]:
+    def _window_scan_counts(self, table: str, ordered, hops,
+                            ctx: EvalContext) -> Dict[int, Relation]:
         self._ws_counter += 1
-        return (f"__wsev_{self._ws_counter}__",
-                f"__wsticks_{self._ws_counter}__")
-
-    def _create_window_temp(self, name: str,
-                            columns: List[Tuple[str, str]]) -> None:
-        """CREATE a window-scan temp table from (name, sql_type)
-        pairs — the types are only emitted on typed-temp dialects."""
-        config = self.backend.dialect_config
-        if config.typed_temp_columns:
-            decl = ", ".join(f"{quote_ident(c)} {t}"
-                             for c, t in columns)
-        else:
-            decl = ", ".join(quote_ident(c) for c, _t in columns)
-        self.conn.execute(
-            f"CREATE {config.temp_table_keyword} TABLE "
-            f"{quote_ident(name)} ({decl})")
-
-    def _window_ticks_table(self, name: str, ordered) -> None:
-        self._create_window_temp(name, [("__qts__", "BIGINT")])
-        self.conn.executemany(
-            f"INSERT INTO {quote_ident(name)} VALUES (?)",
-            [(ts,) for ts in ordered])
-
-    def _drop_window_temps(self, *names: str) -> None:
-        for name in names:
-            self.conn.execute(
-                f"DROP TABLE IF EXISTS {quote_ident(name)}")
-
-    def _window_query(self, sql: str) -> list:
-        try:
-            return self.conn.execute(sql).fetchall()
-        except self._error_types as exc:
-            raise ExecutionError(
-                f"{self.engine_label} rejected window-compiled "
-                f"timeline SQL: {exc}\n{sql}") from exc
-
-    def _window_base(self, table: str, ts: int,
-                     ctx: EvalContext) -> str:
-        """Materialize the scan's base state through the snapshot
-        pipeline (cache / store / full build, stats as usual) and
-        return its temp table; it stays cached for later scans."""
-        binder = self._binder(ctx, priming=True)
-        name = binder.bind_key(table, ts)
-        binder.materialize(self.conn)
-        self._fresh_primed.update(binder._entries.values())
-        return name
-
-    def _window_scan_full(self, table: str, ordered, columns,
-                          hops, ctx: EvalContext
-                          ) -> Optional[Dict[int, Relation]]:
-        with span("windowscan.compile", table=table, mode="full"):
-            dialect = self._dialect(self._binder(ctx))
-            events, ticks = self._window_temp_names()
-            sql = dialect.gen_window_states(events, ticks, columns)
-        base = self._window_base(table, ordered[0], ctx)
-        width = len(columns)
-        try:
-            self._window_ticks_table(ticks, ordered)
-            data_types = sql_column_types(ctx, table, columns)
-            event_columns = [("__wts__", "BIGINT"),
-                             ("__live__", "BIGINT"),
-                             *zip(columns, data_types),
-                             (ROWID_SUFFIX, "BIGINT"),
-                             (XID_SUFFIX, "BIGINT")]
-            self._create_window_temp(events, event_columns)
-            # base state stamped at the first tick: one C-speed copy
-            # (the snapshot temp is (*columns, __rowid__, __xid__))
-            self.conn.execute(
-                f"INSERT INTO {quote_ident(events)} "
-                f"SELECT {ordered[0]}, 1, t.* "
-                f"FROM {quote_ident(base)} AS t")
-            rows = []
-            blank = (None,) * width
-            for ts_to, hop in zip(ordered[1:], hops):
-                for rowid, values, xid in hop:
-                    if values is None:  # deletion tombstone
-                        rows.append((ts_to, 0) + blank + (rowid, None))
-                    else:
-                        rows.append((ts_to, 1) + tuple(values)
-                                    + (rowid, xid))
-            if rows:
-                placeholders = ", ".join("?" * (width + 4))
-                self.conn.executemany(
-                    f"INSERT INTO {quote_ident(events)} "
-                    f"VALUES ({placeholders})", rows)
-            fetched = self._window_query(sql)
-        finally:
-            self._drop_window_temps(events, ticks)
-        attrs = [f"{table}.{column}" for column in columns]
-        bool_positions = type(self.backend)._bool_positions(
-            attrs, ctx, {table})
-        per_tick: Dict[int, list] = {ts: [] for ts in ordered}
-        for row in fetched:
-            per_tick[row[0]].append(row[1:])
-        self.stats.window_scans += 1
-        self.stats.window_scan_ticks += len(ordered)
-        return {ts: _coerce_result(attrs, tick_rows, bool_positions)
-                for ts, tick_rows in per_tick.items()}
-
-    def _window_base_census(self, table: str, ts: int,
-                            ctx: EvalContext):
-        """Base cardinality and live row-id set at the first tick.
-        Served from an already-cached snapshot temp table when one is
-        resident; otherwise from one storage scan — a counts-only
-        sparkline pass never materializes a snapshot of its own."""
-        binder = self._binder(ctx, priming=True)
-        key, _pin = binder.snapshot_key(table, ts)
-        name = self.cache.lookup(binder._realm, key, count_reuse=False)
+        events = f"__wsev_{self._ws_counter}__"
+        ticks = f"__wsticks_{self._ws_counter}__"
+        with span("windowscan.compile", table=table, mode="sparkline"):
+            sql = self._dialect(self._binder(ctx)).gen_window_counts(
+                events, ticks)
+        # live row ids at the first tick: from an already-cached
+        # snapshot when one is resident, otherwise one storage scan —
+        # a counts-only pass never materializes a snapshot of its own
+        name = self.cache.lookup(context_realm(ctx), (table, ordered[0]))
         if name is not None:
             live = {row[0] for row in self.conn.execute(
                 f"SELECT {quote_ident(ROWID_SUFFIX)} "
                 f"FROM {quote_ident(name)}").fetchall()}
         else:
             live = {rowid for rowid, _values, _xid
-                    in ctx.scan_table(table, ts)}
-        return len(live), live
-
-    def _window_scan_counts(self, table: str, ordered, hops,
-                            ctx: EvalContext
-                            ) -> Optional[Dict[int, Relation]]:
-        with span("windowscan.compile", table=table, mode="sparkline"):
-            dialect = self._dialect(self._binder(ctx))
-            events, ticks = self._window_temp_names()
-            sql = dialect.gen_window_counts(events, ticks)
-        base_count, live = self._window_base_census(table, ordered[0],
-                                                    ctx)
+                    in ctx.scan_table(table, ordered[0])}
+        base_count = len(live)
         deltas = []
         for ts_to, hop in zip(ordered[1:], hops):
             for rowid, values, _xid in hop:
@@ -1466,17 +339,30 @@ class SQLSession(BackendSession):
                 elif rowid not in live:
                     live.add(rowid)
                     deltas.append((ts_to, 1))
+        config = self.backend.dialect_config
+        bigint = " BIGINT" if config.typed_temp_columns else ""
         try:
-            self._window_ticks_table(ticks, ordered)
-            self._create_window_temp(events, [("__wts__", "BIGINT"),
-                                              ("__delta__", "BIGINT")])
-            if deltas:
-                self.conn.executemany(
-                    f"INSERT INTO {quote_ident(events)} VALUES (?, ?)",
-                    deltas)
-            fetched = self._window_query(sql)
+            for temp, columns, rows in (
+                    (ticks, ("__qts__",), [(ts,) for ts in ordered]),
+                    (events, ("__wts__", "__delta__"), deltas)):
+                decl = ", ".join(quote_ident(c) + bigint for c in columns)
+                self.conn.execute(
+                    f"CREATE {config.temp_table_keyword} TABLE "
+                    f"{quote_ident(temp)} ({decl})")
+                if rows:
+                    self.conn.executemany(
+                        f"INSERT INTO {quote_ident(temp)} VALUES "
+                        f"({', '.join('?' * len(columns))})", rows)
+            try:
+                fetched = self.conn.execute(sql).fetchall()
+            except self._error_types as exc:
+                raise ExecutionError(
+                    f"{self.engine_label} rejected window-compiled "
+                    f"timeline SQL: {exc}\n{sql}") from exc
         finally:
-            self._drop_window_temps(events, ticks)
+            for temp in (events, ticks):
+                self.conn.execute(
+                    f"DROP TABLE IF EXISTS {quote_ident(temp)}")
         self.stats.window_scans += 1
         self.stats.window_scan_ticks += len(ordered)
         return {ts: Relation(["n_rows"], [(base_count + int(net),)])
@@ -1541,101 +427,37 @@ class SQLBackend(ExecutionBackend):
     One-shot ``execute_plan`` (inherited) runs each plan on a throwaway
     session; batch callers hold a session open so the connection and
     every materialized snapshot are shared.  Engine subclasses set
-    :attr:`dialect_config` and a session class; every mode knob below
-    is shared.
+    :attr:`dialect_config` and a session class.
 
-    ``delta`` selects the snapshot materialization strategy:
-    ``"auto"`` (default) patches cached neighbors incrementally when
-    the estimated delta is at most ``delta_max_ratio`` of table
-    cardinality and rebuilds in full otherwise; ``"always"`` patches
-    whenever any neighbor is cached (the differential harness's
-    adversarial mode); ``"off"`` always rebuilds in full (the ablation
-    baseline).  ``cache_capacity`` bounds the session snapshot cache
-    (``None`` = unbounded).
+    ``cache_capacity`` bounds the session snapshot cache (``None`` =
+    unbounded).  ``spill_store`` (a
+    :class:`repro.service.store.SnapshotStore`, or anything with its
+    ``put``/``get`` surface) is attached to every session this backend
+    opens: evicted plain committed snapshots spill there instead of
+    being destroyed, and cache misses rehydrate from it — how the
+    reenactment service shares snapshot work across its worker pool.
 
-    ``spill_store`` (a :class:`repro.service.store.SnapshotStore`, or
-    anything with its ``put``/``get`` surface) is attached to every
-    session this backend opens: evicted plain committed snapshots spill
-    there instead of being destroyed, and cache misses rehydrate from
-    it — how the reenactment service shares snapshot work across its
-    worker pool.
+    *How* a snapshot is materialized is not configurable: the planner
+    (:mod:`repro.backends.planner`) decides from the cache inventory,
+    the version history and the two cutovers on
+    :attr:`dialect_config`."""
 
-    ``pipeline`` selects how snapshot sets are *planned* (see
-    :attr:`PIPELINE_MODES` and
-    :class:`repro.backends.base.SnapshotPlan`): planned sets
-    batch-rehydrate from the store in one read, and pipelined callers
-    (:meth:`SQLSession.snapshot_pipeline`) may have cached
-    snapshots patched forward **in place** instead of cloned."""
-
-    capabilities = {"sessions": True, "delta": True, "spill": True,
-                    "windowscan": True}
+    capabilities = {"sessions": True, "spill": True}
 
     #: the engine's :class:`~repro.algebra.sqlgen.DialectConfig` —
     #: quoting, compound form, CTE barriers, parameter markers,
-    #: window capability, temp-table strategy.
+    #: window capability, temp-table strategy, planner cutovers.
     dialect_config: DialectConfig = NATIVE
 
     #: the session class :meth:`open_session` instantiates.
     _session_class: type = None
 
-    DELTA_MODES = ("off", "auto", "always")
-
-    PUBLISH_MODES = ("full", "all")
-
-    #: window-compiled timeline scan modes: "off" always walks the
-    #: per-probe snapshot pipeline (the PR-5 baseline), "auto" takes
-    #: the single-pass window compilation for *sparkline* scans
-    #: covering at least :attr:`WINDOWSCAN_MIN_TICKS` distinct
-    #: committed timestamps (the cost-model cutover: below it — and
-    #: for full-state scans at any density, whose row shipping
-    #: dominates — the per-probe pipeline's patch-in-place moves win),
-    #: "always" window-compiles every scan the context makes legal
-    #: (the differential harness's forced mode).
-    WINDOWSCAN_MODES = ("off", "auto", "always")
-
-    #: "auto" cutover: a window pass pays a fixed event-table setup
-    #: that a couple of per-probe moves undercut; dense scans amortize
-    #: it to nothing.
-    WINDOWSCAN_MIN_TICKS = 4
-
-    #: snapshot pipeline modes: "off" reproduces the pre-pipeline
-    #: materialization path exactly (per-entry store lookups, no
-    #: moves — the ablation baseline), "auto" plans every snapshot set
-    #: (batched store reads; patch-in-place moves where a pipeline
-    #: grants them and the cost model approves), "always" moves on
-    #: every granted opportunity regardless of cost (the differential
-    #: harness's adversarial mode).
-    PIPELINE_MODES = ("off", "auto", "always")
-
-    def __init__(self, database: str = ":memory:", delta: str = "auto",
+    def __init__(self, database: str = ":memory:",
                  cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
-                 delta_max_ratio: float = 0.5,
-                 spill_store=None, spill_publish: str = "full",
-                 pipeline: str = "auto", windowscan: str = "auto"):
-        if delta not in self.DELTA_MODES:
-            raise ExecutionError(
-                f"delta mode must be one of {self.DELTA_MODES}, "
-                f"got {delta!r}")
-        if spill_publish not in self.PUBLISH_MODES:
-            raise ExecutionError(
-                f"spill_publish must be one of {self.PUBLISH_MODES}, "
-                f"got {spill_publish!r}")
-        if pipeline not in self.PIPELINE_MODES:
-            raise ExecutionError(
-                f"pipeline mode must be one of {self.PIPELINE_MODES}, "
-                f"got {pipeline!r}")
-        if windowscan not in self.WINDOWSCAN_MODES:
-            raise ExecutionError(
-                f"windowscan mode must be one of "
-                f"{self.WINDOWSCAN_MODES}, got {windowscan!r}")
+                 spill_store=None):
         self.database = database
-        self.delta = delta
         self.cache_capacity = cache_capacity
-        self.delta_max_ratio = delta_max_ratio
         self.spill_store = spill_store
-        self.spill_publish = spill_publish
-        self.pipeline = pipeline
-        self.windowscan = windowscan
 
     def open_session(self) -> SQLSession:
         return self._session_class(self)

@@ -1,9 +1,9 @@
 """SQLite execution backend: reenactment as SQL on a stock engine.
 
-All of the machinery — snapshot cache, planned :class:`SnapshotBinder`
-materialization, the priming pipeline, window-compiled timeline scans —
-lives in :mod:`repro.backends.sqlbase` and is shared with every SQL
-backend; this module contributes SQLite's
+All of the machinery — snapshot cache, materialization planner,
+:class:`SnapshotBinder`, the priming pipeline, the window-compiled
+sparkline scan — is shared with every SQL backend (see
+:mod:`repro.backends.sqlbase`); this module contributes SQLite's
 :class:`~repro.algebra.sqlgen.DialectConfig` and the driver glue.
 
 Dialect deltas from the native printer, each load-bearing:
@@ -36,16 +36,16 @@ import dataclasses
 import sqlite3
 
 # Re-exported so existing imports (tests, service code, __init__) keep
-# working against this module; the implementations moved to sqlbase.
+# working against this module; the implementations are shared.
 from repro.algebra.sqlgen import (SQLITE, Dialect,  # noqa: F401
                                   DialectConfig, generate_sql)
-from repro.backends.sqlbase import (DEFAULT_CACHE_CAPACITY,  # noqa: F401
-                                    WINDOW_RESERVED_COLUMNS,
-                                    BoundDialect, SnapshotBinder,
-                                    SnapshotCache, SnapshotKey,
+from repro.backends.binder import SnapshotBinder
+from repro.backends.cache import (DEFAULT_CACHE_CAPACITY,  # noqa: F401
+                                  SnapshotCache, SnapshotKey,
+                                  quote_ident, spillable_key)
+from repro.backends.sqlbase import (BoundDialect,  # noqa: F401
                                     SQLBackend, SQLPipeline,
-                                    SQLSession, _coerce_result,
-                                    quote_ident, spillable_key)
+                                    SQLSession, _coerce_result)
 from repro.obs.trace import span
 
 #: SQLite's dialect config, with the CTE materialization barrier
@@ -96,9 +96,7 @@ class SQLiteSession(SQLSession):
 
 class SQLiteBackend(SQLBackend):
     """Materialize snapshots into SQLite and run plans as SQL (see
-    :class:`SQLBackend` for every shared mode knob: ``delta``,
-    ``cache_capacity``, ``spill_store``/``spill_publish``,
-    ``pipeline``, ``windowscan``)."""
+    :class:`SQLBackend` for ``cache_capacity`` and ``spill_store``)."""
 
     name = "sqlite"
     dialect_config = SQLITE_DIALECT

@@ -164,10 +164,10 @@ class TransactionInspector:
         ``{table: {ts: n_rows}}``.
 
         Served by :func:`repro.debugger.timeline.timeline_states` in
-        sparkline mode on the panel's backend — on a
-        windowscan-capable backend the whole strip for a table is one
-        window-compiled SQL query, no matter how many statements the
-        transaction ran.  Boundary timestamps arrive unsorted and
+        sparkline mode on the panel's backend — where the session's
+        planner admits the window pass, the whole strip for a table is
+        one window-compiled SQL query, no matter how many statements
+        the transaction ran.  Boundary timestamps arrive unsorted and
         with duplicates (an open interval shares its start with the
         next statement); ``timeline_states`` sorts and dedupes before
         touching the backend."""

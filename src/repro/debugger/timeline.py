@@ -102,23 +102,22 @@ TIMELINE_MODES = ("full", "sparkline")
 def timeline_states(db: Database, table: str,
                     timestamps: Sequence[int],
                     session=None, backend=None,
-                    mode: str = "full",
-                    windowscan: Optional[str] = None
-                    ) -> Dict[int, "object"]:
+                    mode: str = "full") -> Dict[int, "object"]:
     """The timeline panel's *data* fetch: the committed state of
     ``table`` at each timestamp.
 
-    A windowscan-capable backend session answers the whole scan with
-    **one window-compiled SQL pass** over the table's commit-log delta
-    chain (:meth:`~repro.backends.base.BackendSession.window_scan`) —
-    base state once, every further tick delta-sized events folded by
-    ``ROW_NUMBER()``/``SUM() OVER`` windows, zero per-probe plans.
-    Otherwise the scan walks the session's snapshot pipeline: the
-    whole series is declared up front (one single-state snapshot set
-    per tick, sorted and deduplicated, so unsorted or repeated caller
-    ticks cannot defeat patch-in-place moves), the first state is
-    materialized once and then *moved* forward per tick.  Either way
-    the result is keyed by the caller's original timestamps.
+    Where the session's planner admits it — a dense sparkline scan on
+    an engine with window functions — the whole scan is **one
+    window-compiled SQL pass** over the table's commit-log delta
+    chain (:meth:`~repro.backends.base.BackendSession.window_scan`):
+    base cardinality once, every further tick delta-sized events
+    folded by a ``SUM() OVER`` running aggregate, zero per-probe
+    plans.  Otherwise the scan walks the session's snapshot pipeline:
+    the whole series is declared up front (one single-state snapshot
+    set per tick, sorted and deduplicated, so unsorted or repeated
+    caller ticks cannot defeat patch-in-place moves), the first state
+    is materialized once and then *moved* forward per tick.  Either
+    way the result is keyed by the caller's original timestamps.
 
     ``mode="full"`` returns the full relation per timestamp (the
     detail view); ``mode="sparkline"`` returns a one-row
@@ -126,10 +125,7 @@ def timeline_states(db: Database, table: str,
     time strip the timeline draws without dragging every row of every
     state into Python.  ``session`` reuses a caller's open backend
     session; otherwise ``backend`` (default in-memory) supplies a
-    throwaway one.  ``windowscan`` overrides the backend's configured
-    windowscan mode for this call (``"off"`` pins the per-probe
-    pipeline — what cache-priming callers use, since a window pass
-    materializes only the base state).
+    throwaway one.
     """
     from repro.algebra import operators as op
     from repro.algebra.expressions import Literal
@@ -147,8 +143,7 @@ def timeline_states(db: Database, table: str,
         if session is None:
             session = stack.enter_context(
                 resolve_backend(backend).open_session())
-        states = session.window_scan(table, ordered, ctx, mode=mode,
-                                     windowscan=windowscan)
+        states = session.window_scan(table, ordered, ctx, mode=mode)
         if states is None:
             states = {}
             sets = [[(table, ts)] for ts in ordered]

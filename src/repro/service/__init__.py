@@ -14,7 +14,7 @@ from repro.errors import (HandleTimeout, JobTimeout, ServiceError,
 from repro.service.cache import ResultCache, ResultCacheStats
 from repro.service.jobs import (PRIORITY_HIGH, PRIORITY_LOW,
                                 PRIORITY_NORMAL, EquivalenceJob, Job,
-                                ReenactJob, TimelineScanJob,
+                                ReenactJob, TimelineScanJob, WarmJob,
                                 WhatIfFleetJob, options_fingerprint)
 from repro.service.resilience import ResilientStore
 from repro.service.scheduler import (JobHandle, ReenactmentService,
@@ -26,6 +26,6 @@ __all__ = [
     "JobTimeout", "PRIORITY_HIGH", "PRIORITY_LOW", "PRIORITY_NORMAL",
     "ReenactJob", "ReenactmentService", "ResilientStore",
     "ResultCache", "ResultCacheStats", "ServiceError", "ServiceStats",
-    "SnapshotStore", "StoreStats", "TimelineScanJob", "WhatIfFleetJob",
-    "WorkerCrashed", "options_fingerprint",
+    "SnapshotStore", "StoreStats", "TimelineScanJob", "WarmJob",
+    "WhatIfFleetJob", "WorkerCrashed", "options_fingerprint",
 ]

@@ -14,8 +14,11 @@ paper describes analysts issuing concurrently:
 * :class:`EquivalenceJob` — certify one transaction's reenactment
   against storage ground truth (the E3 oracle, as a service call);
 * :class:`TimelineScanJob` — materialize a table's state at a series
-  of timestamps (the debugger timeline's data fetch; on a delta-capable
-  backend each state is one incremental hop from the previous).
+  of timestamps (the debugger timeline's data fetch; on a SQL backend
+  each state is one incremental hop from the previous).
+
+:class:`WarmJob` is the operator's fifth kind: prime a table's states
+and publish them to the spill store ahead of traffic.
 
 Fingerprints embed the database's logical-clock reading at submission
 (the *history version*): reenactment output is a pure function of
@@ -241,26 +244,21 @@ class TimelineScanJob(Job):
     per tick (the cardinality strip — all the materialization work,
     none of the row shipping).
 
-    On a windowscan-capable backend a dense scan skips the per-probe
-    pipeline entirely: one window-compiled SQL pass over the commit
-    log answers every tick (see
+    A dense sparkline scan skips the per-probe pipeline entirely
+    where the session's planner admits it: one window-compiled SQL
+    pass over the commit log answers every tick (see
     :meth:`repro.backends.base.BackendSession.window_scan`).
-    ``windowscan`` pins the strategy per job — ``"off"`` is what the
-    service's cache-priming jobs (:meth:`ReenactmentService.warm` /
-    ``rewarm``) use, since their purpose is materializing and
-    publishing *every* state, which a window pass deliberately avoids.
     """
 
     table: str
     timestamps: Sequence[int] = field(default_factory=list)
     mode: str = "full"
-    windowscan: Optional[str] = None
 
     kind = "timeline_scan"
 
     def cache_key(self, db) -> Hashable:
         return ("timeline", self.table, tuple(self.timestamps),
-                self.mode, self.windowscan, history_version(db))
+                self.mode, history_version(db))
 
     def run(self, worker) -> Dict[int, Relation]:
         from repro.debugger.timeline import timeline_states
@@ -269,9 +267,37 @@ class TimelineScanJob(Job):
             return timeline_states(worker.db, self.table,
                                    list(self.timestamps),
                                    session=worker.session,
-                                   mode=self.mode,
-                                   windowscan=self.windowscan)
+                                   mode=self.mode)
 
     def describe(self) -> str:
         return (f"timeline_scan(table={self.table!r}, "
                 f"states={len(self.timestamps)}, mode={self.mode})")
+
+
+@dataclass
+class WarmJob(Job):
+    """Prime-and-publish: materialize the committed states of
+    ``table`` at ``timestamps`` on the worker's session (one sorted
+    delta chain — see
+    :meth:`~repro.backends.base.BackendSession.prime_snapshots`) and
+    save every one of them to the spill store.  Returns the sorted,
+    deduplicated timestamps it covered.  Run for its side effect, so
+    never result-cached or deduplicated."""
+
+    table: str
+    timestamps: Sequence[int] = field(default_factory=list)
+
+    kind = "warm"
+
+    def run(self, worker) -> List[int]:
+        ticks = sorted({int(ts) for ts in self.timestamps})
+        pairs = [(self.table, ts) for ts in ticks]
+        ctx = worker.db.context(params={})
+        with span("job.warm", table=self.table, ticks=len(ticks)):
+            worker.session.prime_snapshots(pairs, ctx)
+            worker.session.publish_snapshots(pairs, ctx)
+        return ticks
+
+    def describe(self) -> str:
+        return (f"warm(table={self.table!r}, "
+                f"states={len(self.timestamps)})")

@@ -59,7 +59,8 @@ from repro.obs.trace import span, span_from
 from repro.service.cache import ResultCache
 from repro.service.jobs import (PRIORITY_HIGH, PRIORITY_NORMAL,
                                 EquivalenceJob, Job, ReenactJob,
-                                TimelineScanJob, WhatIfFleetJob)
+                                TimelineScanJob, WarmJob,
+                                WhatIfFleetJob)
 from repro.service.resilience import ResilientStore
 from repro.service.store import SnapshotStore
 
@@ -255,10 +256,8 @@ class ReenactmentService:
             result = h1.result()
 
     ``backend`` is anything :func:`repro.backends.resolve_backend`
-    accepts; ``cache_capacity`` / ``delta`` / ``pipeline`` /
-    ``windowscan`` override the backend's snapshot-cache bound,
-    materialization mode, snapshot-pipeline mode and window-compiled
-    timeline-scan mode when the backend has those knobs.
+    accepts; ``cache_capacity`` overrides the snapshot-cache bound of
+    a backend the service constructs from a name.
     ``async_spill`` (default on) makes a store the service constructs
     publish spills write-behind — eviction on a worker enqueues the
     payload instead of paying pickle + disk I/O inline, and queued
@@ -283,13 +282,9 @@ class ReenactmentService:
                  workers: int = 4,
                  store="auto",
                  cache_capacity: Optional[int] = None,
-                 delta: Optional[str] = None,
-                 spill_publish: Optional[str] = None,
                  result_cache_capacity: Optional[int] = 256,
                  store_capacity: Optional[int] = None,
                  async_spill: bool = True,
-                 pipeline: Optional[str] = None,
-                 windowscan: Optional[str] = None,
                  resilient_spill: bool = True):
         if workers < 1:
             raise ServiceError(f"need at least 1 worker, got {workers}")
@@ -304,73 +299,23 @@ class ReenactmentService:
         caller_owned = isinstance(backend, ExecutionBackend)
         self.backend = resolve_backend(backend)
         caps = dict(self.backend.capabilities)
-        # backend tuning knobs, applied via admission checks — a
-        # backend that doesn't declare the capability is refused the
-        # knob instead of silently ignoring it.  Knobs only apply to a
-        # backend the service constructed itself: mutating a
-        # caller-owned instance would leak the service's settings into
-        # every session the caller opens directly, beyond the
-        # service's lifetime.
-        if caller_owned and (cache_capacity is not None
-                             or delta is not None
-                             or spill_publish is not None):
-            raise ServiceError(
-                "cache_capacity/delta/spill_publish only apply to a "
-                "backend the service constructs from a name; configure "
-                "your backend instance directly instead")
-        if cache_capacity is not None or delta is not None:
+        # the cache bound is applied via an admission check — a
+        # backend without a session cache is refused it instead of
+        # silently ignoring it — and only to a backend the service
+        # constructed itself: mutating a caller-owned instance would
+        # leak the setting into every session the caller opens
+        # directly, beyond the service's lifetime.
+        if cache_capacity is not None:
+            if caller_owned:
+                raise ServiceError(
+                    "cache_capacity only applies to a backend the "
+                    "service constructs from a name; configure your "
+                    "backend instance directly instead")
             if not caps.get("sessions"):
                 raise ServiceError(
                     f"backend {self.backend.name!r} has no session "
                     f"snapshot cache to tune (capabilities: {caps})")
-            if cache_capacity is not None:
-                self.backend.cache_capacity = cache_capacity
-            if delta is not None:
-                if not caps.get("delta"):
-                    raise ServiceError(
-                        f"backend {self.backend.name!r} does not "
-                        f"support delta materialization")
-                self.backend.delta = delta
-        if spill_publish is not None:
-            if not caps.get("spill"):
-                raise ServiceError(
-                    f"backend {self.backend.name!r} cannot spill "
-                    f"snapshots; spill_publish is meaningless")
-            self.backend.spill_publish = spill_publish
-        if pipeline is not None:
-            if caller_owned:
-                raise ServiceError(
-                    "pipeline= only applies to a backend the service "
-                    "constructs from a name; configure your backend "
-                    "instance directly instead")
-            if not caps.get("sessions"):
-                raise ServiceError(
-                    f"backend {self.backend.name!r} has no session "
-                    f"snapshot machinery to plan (capabilities: "
-                    f"{caps})")
-            modes = getattr(type(self.backend), "PIPELINE_MODES", None)
-            if modes is not None and pipeline not in modes:
-                raise ServiceError(
-                    f"pipeline mode must be one of {modes}, "
-                    f"got {pipeline!r}")
-            self.backend.pipeline = pipeline
-        if windowscan is not None:
-            if caller_owned:
-                raise ServiceError(
-                    "windowscan= only applies to a backend the "
-                    "service constructs from a name; configure your "
-                    "backend instance directly instead")
-            if not caps.get("windowscan"):
-                raise ServiceError(
-                    f"backend {self.backend.name!r} cannot compile "
-                    f"window timeline scans (capabilities: {caps})")
-            modes = getattr(type(self.backend), "WINDOWSCAN_MODES",
-                            None)
-            if modes is not None and windowscan not in modes:
-                raise ServiceError(
-                    f"windowscan mode must be one of {modes}, "
-                    f"got {windowscan!r}")
-            self.backend.windowscan = windowscan
+            self.backend.cache_capacity = cache_capacity
         self._store, self._owns_store = self._admit_store(store, caps,
                                                           store_capacity)
         self.workers = workers
@@ -554,12 +499,23 @@ class ReenactmentService:
 
     def timeline_scan(self, table: str, timestamps: Sequence[int],
                       priority: int = PRIORITY_NORMAL,
-                      mode: str = "full",
-                      windowscan: Optional[str] = None) -> JobHandle:
+                      mode: str = "full") -> JobHandle:
         return self.submit(
             TimelineScanJob(table=table, timestamps=list(timestamps),
-                            mode=mode, windowscan=windowscan),
+                            mode=mode),
             priority=priority)
+
+    def warm(self, table: str, timestamps: Sequence[int]) -> JobHandle:
+        """Pre-warm the spill tier: materialize the given committed
+        states of ``table`` on one worker and publish every one of
+        them to the store, ahead of traffic — every worker's first
+        touch of them then rehydrates from the store instead of
+        rescanning storage.  Runs as one high-priority
+        :class:`~repro.service.jobs.WarmJob`; call ``.result()`` on
+        the handle to block until the store is warm."""
+        return self.submit(WarmJob(table=table,
+                                   timestamps=list(timestamps)),
+                           priority=PRIORITY_HIGH)
 
     def rewarm(self, tables: Optional[Sequence[str]] = None
                ) -> Dict[str, JobHandle]:
@@ -570,13 +526,13 @@ class ReenactmentService:
         (``Database.open``) keeps its durable ``history_id``, so every
         snapshot a previous incarnation spilled to a persistent store
         is still addressed to this history.  ``rewarm`` lists the
-        store's ``(table, ts)`` holdings and schedules one
-        high-priority sparkline timeline job per table over exactly
-        those timestamps — each state is a rehydration (store read),
-        never a full rebuild, and afterwards real traffic finds warm
-        session caches.  Returns table -> handle (block on
-        ``.result()`` to wait); ``tables`` restricts the set.  Tables
-        the recovered catalog no longer knows are skipped."""
+        store's ``(table, ts)`` holdings and submits one :meth:`warm`
+        job per table over exactly those timestamps — the first state
+        is a store read, the rest delta hops off it, never a full
+        rebuild — and afterwards real traffic finds warm session
+        caches.  Returns table -> handle (block on ``.result()`` to
+        wait); ``tables`` restricts the set.  Tables the recovered
+        catalog no longer knows are skipped."""
         if self._store is None:
             raise ServiceError(
                 "rewarm requires a spill store (store=...)")
@@ -587,28 +543,8 @@ class ReenactmentService:
             if not self.db.catalog.has(table):
                 continue
             grouped.setdefault(table, []).append(ts)
-        # windowscan pinned off: rewarm's whole point is pulling every
-        # stored state into warm session caches via rehydration, which
-        # a window pass (base state only) deliberately skips.
-        return {table: self.timeline_scan(table, sorted(set(stamps)),
-                                          priority=PRIORITY_HIGH,
-                                          mode="sparkline",
-                                          windowscan="off")
+        return {table: self.warm(table, stamps)
                 for table, stamps in sorted(grouped.items())}
-
-    def warm(self, table: str, timestamps: Sequence[int]) -> JobHandle:
-        """Pre-warm the spill tier: materialize (and, via write-through,
-        publish to the store) the given committed states of ``table``
-        ahead of traffic, so every worker's first touch of them
-        rehydrates from the store instead of rescanning storage.  Runs
-        as one high-priority timeline job on a single worker; call
-        ``.result()`` on the handle to block until the store is warm.
-        The windowscan strategy is pinned off: warming must
-        materialize (and publish) *each* state, which a window pass
-        deliberately avoids."""
-        return self.timeline_scan(table, timestamps,
-                                  priority=PRIORITY_HIGH,
-                                  windowscan="off")
 
     # -- the worker loop ---------------------------------------------------
 

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from repro import Database
-from repro.backends import HAVE_DUCKDB, DuckDBBackend, SQLiteBackend
+from repro.backends import HAVE_DUCKDB
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.workloads import WorkloadConfig, WorkloadGenerator
 
@@ -25,13 +25,6 @@ requires_duckdb = pytest.mark.skipif(
 #: installed and skips cleanly otherwise.
 SQL_ENGINES = ["sqlite",
                pytest.param("duckdb", marks=requires_duckdb)]
-
-_ENGINE_BACKENDS = {"sqlite": SQLiteBackend, "duckdb": DuckDBBackend}
-
-
-def sql_backend(engine, **kwargs):
-    """Construct a SQL backend by differential-harness engine name."""
-    return _ENGINE_BACKENDS[engine](**kwargs)
 
 
 def typed_rows(relation):

@@ -20,6 +20,7 @@ from repro.errors import ExecutionError
 from repro.workloads import populate_accounts, uN_transaction
 
 from conftest import assert_relations_match
+from planner_policy import FORCE_DELTA, NO_DELTA, policy_backend
 
 N_ROWS = 300
 N_PROBES = 5
@@ -51,8 +52,8 @@ def sweep(db, xids, backend, options=STRICT):
 
 def test_delta_sweep_matches_full_sweep_and_interpreter(history_db):
     db, xids = history_db
-    delta_results, _ = sweep(db, xids, SQLiteBackend(delta="always"))
-    full_results, _ = sweep(db, xids, SQLiteBackend(delta="off"))
+    delta_results, _ = sweep(db, xids, policy_backend(FORCE_DELTA))
+    full_results, _ = sweep(db, xids, policy_backend(NO_DELTA))
     memory = Reenactor(db)
     for xid, via_delta, via_full in zip(xids, delta_results,
                                         full_results):
@@ -68,7 +69,7 @@ def test_delta_sweep_matches_full_sweep_and_interpreter(history_db):
 
 def test_first_snapshot_full_then_delta_hops(history_db):
     db, xids = history_db
-    _, session = sweep(db, xids, SQLiteBackend(delta="always"))
+    _, session = sweep(db, xids, policy_backend(FORCE_DELTA))
     stats = session.stats
     assert stats.full_materializations == 1
     assert stats.delta_materializations == len(xids) - 1
@@ -81,9 +82,9 @@ def test_first_snapshot_full_then_delta_hops(history_db):
     assert all(count == 1 for count in stats.materializations.values())
 
 
-def test_auto_mode_uses_deltas_for_small_write_sets(history_db):
+def test_default_policy_uses_deltas_for_small_write_sets(history_db):
     db, xids = history_db
-    _, session = sweep(db, xids, SQLiteBackend(delta="auto"))
+    _, session = sweep(db, xids, SQLiteBackend())
     assert session.stats.delta_materializations == len(xids) - 1
 
 
@@ -91,8 +92,9 @@ def test_auto_mode_uses_deltas_for_small_write_sets(history_db):
 
 def test_cost_model_falls_back_on_pathological_history():
     """A history whose every step rewrites the whole table: the delta
-    between adjacent snapshots is the table itself, so ``auto`` mode
-    must prefer full rebuilds while ``always`` still patches."""
+    between adjacent snapshots is the table itself, so the default
+    policy must prefer full rebuilds while the admit-everything policy
+    still patches."""
     db = Database()
     db.execute("CREATE TABLE bench_account "
                "(id INT, owner TEXT, branch INT, bal INT)")
@@ -105,12 +107,12 @@ def test_cost_model_falls_back_on_pathological_history():
         xids.append(session.txn.xid)
         session.commit()
 
-    _, auto_session = sweep(db, xids, SQLiteBackend(delta="auto"))
+    _, auto_session = sweep(db, xids, SQLiteBackend())
     assert auto_session.stats.delta_materializations == 0
     assert auto_session.stats.full_materializations == len(xids)
 
     always_results, always_session = sweep(
-        db, xids, SQLiteBackend(delta="always"))
+        db, xids, policy_backend(FORCE_DELTA))
     assert always_session.stats.delta_materializations == len(xids) - 1
     # and the forced-delta answers still match the interpreter
     reference = Reenactor(db).reenact(xids[-1], STRICT)
@@ -118,14 +120,14 @@ def test_cost_model_falls_back_on_pathological_history():
                            reference.table("bench_account"))
 
 
-def test_delta_ratio_knob_tightens_the_budget(history_db):
+def test_delta_ratio_tightens_the_budget(history_db):
     """delta_max_ratio=0 starves the cost model: every estimate > 0
-    exceeds the budget, so auto behaves like off — including for the
-    smallest possible hop (a single-commit interval)."""
+    exceeds the budget, so every miss is a full rebuild — including
+    for the smallest possible hop (a single-commit interval)."""
     db, xids = history_db
     xids = xids + [uN_transaction(db, 1, spread=7)]  # 1-commit hop
     _, session = sweep(db, xids,
-                       SQLiteBackend(delta="auto", delta_max_ratio=0.0))
+                       policy_backend({"delta_max_ratio": 0.0}))
     assert session.stats.delta_materializations == 0
     assert session.stats.full_materializations == len(xids)
 
@@ -134,7 +136,7 @@ def test_delta_ratio_knob_tightens_the_budget(history_db):
 
 def test_capacity_bound_evicts_and_rematerializes(history_db):
     db, xids = history_db
-    backend = SQLiteBackend(delta="always", cache_capacity=2)
+    backend = policy_backend(FORCE_DELTA, cache_capacity=2)
     reenactor = Reenactor(db, backend=backend)
     with backend.open_session() as session:
         for xid in xids:
@@ -202,7 +204,7 @@ def test_in_flight_plan_snapshots_survive_eviction(history_db):
     capacity must still execute — its own temp tables are protected
     from eviction until the plan ran."""
     db, xids = history_db
-    backend = SQLiteBackend(delta="always", cache_capacity=1)
+    backend = policy_backend(FORCE_DELTA, cache_capacity=1)
     reenactor = Reenactor(db, backend=backend)
     with backend.open_session() as session:
         results = [reenactor.reenact(xid, STRICT, session=session)
@@ -271,9 +273,12 @@ def test_priming_then_executing_adds_no_materializations(history_db):
 
 # -- configuration validation ----------------------------------------------
 
-def test_invalid_delta_mode_rejected():
-    with pytest.raises(ExecutionError, match="delta mode"):
-        SQLiteBackend(delta="sometimes")
+def test_backend_takes_no_materialization_mode():
+    """How a snapshot is materialized is the planner's decision: the
+    constructor has no argument to steer it."""
+    import inspect
+    assert list(inspect.signature(SQLiteBackend.__init__).parameters) \
+        == ["self", "database", "cache_capacity", "spill_store"]
 
 
 def test_invalid_cache_capacity_rejected():

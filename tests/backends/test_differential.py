@@ -18,23 +18,29 @@ reenacts the whole history through one long-lived session per backend
 — so the SQLite snapshot cache is validated against exactly the
 histories that stress it (many transactions sharing AS-OF states) —
 and ``delta`` runs the same long-lived sweep with *forced* incremental
-materialization (``SQLiteBackend(delta="always")``): every snapshot
+materialization (the planner's ``delta_max_ratio`` raised until every
+hop is affordable — ``planner_policy.FORCE_DELTA``): every snapshot
 after a table's first is built by patching a cached neighbor with the
 version-history delta, and the results must still be identical to the
 interpreter's.  A fourth mode, ``inplace``, is the snapshot
 *pipeline's* adversarial sweep: every transaction is compiled first,
 the whole ordered series of snapshot sets is primed through
-``session.snapshot_pipeline`` on a **capacity-1** cache with
-``pipeline="always"`` — so whenever a cached version's last reader is
-behind the cursor it is destructively patched forward in place (a
-move, no clone), and the answers still must not change.  A fifth
-mode, ``windowscan``, sweeps the *timeline* oracle: every commit
-timestamp of the history is scanned through
-``timeline_states`` with the window-compiled path forced on
-(``SQLiteBackend(windowscan="always")``) and compared tick by tick
-against the per-probe SQLite path and the in-memory interpreter —
-while the session counters prove the forced run really was served by
-window SQL (``window_scans`` up, ``plans_executed`` zero).
+``session.snapshot_pipeline`` on a **capacity-1** cache under the
+same admit-everything policy — so whenever a cached version's last
+reader is behind the cursor it is destructively patched forward in
+place (a move, no clone), and the answers still must not change.  A
+fifth mode, ``windowscan``, sweeps the *timeline* oracle: every commit
+timestamp of the history is scanned through ``timeline_states`` with
+the window pass admitted at any tick count
+(``planner_policy.FORCE_WINDOW``) and compared tick by tick against
+the per-probe path of the same engine and the in-memory interpreter —
+while the session counters prove every forced sparkline scan really
+was served by window SQL (one ``window_scans`` each, no per-probe
+plan).
+
+The forced paths are test-only policy overrides on a backend
+subclass (``tests/planner_policy.py``); the shipped backends have no
+mode to set.
 
 The ``smoke`` subset (first few seeds) is what CI runs inside its
 30-second budget; the full sweep covers 50+ histories across both
@@ -47,12 +53,14 @@ import dataclasses
 import pytest
 
 from repro import Database
-from repro.backends import SQLiteBackend, resolve_backend
+from repro.backends import resolve_backend
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.core.whatif import WhatIfScenario
 
 from conftest import (SQL_ENGINES, assert_relations_match,
-                      build_history, committed_xids, sql_backend)
+                      build_history, committed_xids)
+from planner_policy import (FORCE_DELTA, FORCE_WINDOW, NO_DELTA,
+                            NO_WINDOW, policy_backend)
 
 SMOKE_SEEDS = list(range(3))
 FULL_SEEDS = list(range(25))
@@ -88,16 +96,15 @@ def check_inplace_differential(db, reenactor, seed, isolation,
                                engine="sqlite"):
     """The ``inplace`` mode body: compile every committed transaction
     first, hand the ordered snapshot-set series to the session's
-    snapshot pipeline on a capacity-1 cache with moves forced
-    (``pipeline="always"``), execute each compile un-primed, and
+    snapshot pipeline on a capacity-1 cache with every granted move
+    affordable (``FORCE_DELTA``), execute each compile un-primed, and
     require every result to match the in-memory interpreter's."""
     xids = committed_xids(db)
     sql_options = dataclasses.replace(STRICT_OPTIONS, backend=engine)
     compiles = [reenactor.compile(reenactor.transaction_record(xid),
                                   sql_options)
                 for xid in xids]
-    backend = sql_backend(engine, delta="always", pipeline="always",
-                          cache_capacity=1)
+    backend = policy_backend(FORCE_DELTA, engine, cache_capacity=1)
     checked = 0
     with resolve_backend("memory").open_session() as mem_session, \
             backend.open_session() as sq_session:
@@ -132,11 +139,13 @@ def check_windowscan_differential(db, seed, isolation,
     """The ``windowscan`` mode body: every commit timestamp of the
     history becomes a timeline tick, and each table of the catalog is
     scanned — in both ``full`` and ``sparkline`` mode — three ways:
-    window-compiled SQL forced on (``windowscan="always"``), the
-    per-probe path on the same engine (``windowscan="off"``), and the
+    the window pass admitted at any tick count (``FORCE_WINDOW``),
+    never admitted on the same engine (``NO_WINDOW``), and the
     in-memory interpreter.  All three must agree tick for tick, and
-    the stats prove the forced run took the window path for every scan
-    (``plans_executed`` stays zero) while the probe run never did."""
+    the stats prove the forced run took the window path for every
+    sparkline scan (its only per-probe plans are the full-state
+    scans, which no policy window-compiles) while the probe run never
+    did."""
     from repro.db.auditlog import AuditEventKind
     from repro.debugger.timeline import timeline_states
 
@@ -146,8 +155,8 @@ def check_windowscan_differential(db, seed, isolation,
         return 0
     tables = sorted(db.catalog.table_names())
     checked = 0
-    win_backend = sql_backend(engine, windowscan="always")
-    probe_backend = sql_backend(engine, windowscan="off")
+    win_backend = policy_backend(FORCE_WINDOW, engine)
+    probe_backend = policy_backend(NO_WINDOW, engine)
     with win_backend.open_session() as win_session, \
             probe_backend.open_session() as probe_session, \
             resolve_backend("memory").open_session() as mem_session:
@@ -174,16 +183,16 @@ def check_windowscan_differential(db, seed, isolation,
                     checked += 1
         win_stats = win_session.stats
         probe_stats = probe_session.stats
-    assert win_stats.window_scans == len(tables) * 2, \
+    assert win_stats.window_scans == len(tables), \
         f"forced window sweep fell back: seed={seed} " \
         f"isolation={isolation} engine={engine} " \
         f"stats={win_stats.as_dict()}"
-    assert win_stats.plans_executed == 0, \
-        f"forced window sweep executed per-probe plans: seed={seed} " \
-        f"isolation={isolation} engine={engine} " \
+    assert win_stats.plans_executed == len(tables) * len(ticks), \
+        f"forced sparkline sweep executed per-probe plans: " \
+        f"seed={seed} isolation={isolation} engine={engine} " \
         f"stats={win_stats.as_dict()}"
     assert probe_stats.window_scans == 0, \
-        f"windowscan='off' still window-scanned: seed={seed} " \
+        f"NO_WINDOW still window-scanned: seed={seed} " \
         f"isolation={isolation} engine={engine}"
     return checked
 
@@ -203,7 +212,7 @@ def check_history_differential(seed, isolation, mode="oneshot",
     nothing may change; ``mode="inplace"`` forces the snapshot
     pipeline's destructive moves on a capacity-1 cache (see
     :func:`check_inplace_differential`); ``mode="windowscan"`` sweeps
-    the timeline oracle with window-compiled SQL forced on (see
+    the timeline oracle with the window pass forced on (see
     :func:`check_windowscan_differential`)."""
     db = build_history(seed, isolation)
     reenactor = Reenactor(db)
@@ -222,9 +231,8 @@ def check_history_differential(seed, isolation, mode="oneshot",
             # break — the eviction policy has its own tests
             backends = {
                 "memory": resolve_backend("memory"),
-                "sql": sql_backend(
-                    engine,
-                    delta="always" if mode == "delta" else "auto",
+                "sql": policy_backend(
+                    FORCE_DELTA if mode == "delta" else {}, engine,
                     cache_capacity=None),
             }
             sessions = {
@@ -273,8 +281,8 @@ def check_history_service_differential(seed, isolation):
     """Satellite of the service PR: every committed transaction of a
     seeded history is submitted *concurrently* to a
     :class:`ReenactmentService` (SQLite worker pool, capacity-1 session
-    caches, shared spill store, delta off so every refill is a store
-    rehydrate or a full rebuild) and each result must be
+    caches, shared spill store, no delta hop affordable so every
+    refill is a store rehydrate or a full rebuild) and each result must be
     multiset-identical to the in-memory interpreter's direct
     ``Reenactor.execute``.  Two rounds are driven — the logical clock
     moves between them, so round two bypasses the result cache and
@@ -288,8 +296,9 @@ def check_history_service_differential(seed, isolation):
     reference = {xid: reenactor.reenact(xid, STRICT_OPTIONS)
                  for xid in xids}
     workers = 3
-    with ReenactmentService(db, backend="sqlite", workers=workers,
-                            cache_capacity=1, delta="off") as service:
+    with ReenactmentService(
+            db, backend=policy_backend(NO_DELTA, cache_capacity=1),
+            workers=workers) as service:
         for round_no in range(2):
             handles = {xid: service.reenact(xid, STRICT_OPTIONS)
                        for xid in xids}
@@ -516,10 +525,9 @@ def test_equivalence_union_priming_identical(seed, isolation):
     byte-identical reports with it on and off (and agree with the
     in-memory interpreter), while the pipelined sweep actually moves
     snapshots forward in place on a delta-capable backend."""
-    from repro.backends import SQLiteBackend
     from repro.core.equivalence import check_history_equivalence
     db = build_history(seed, isolation)
-    backend = SQLiteBackend(delta="always", cache_capacity=1)
+    backend = policy_backend(FORCE_DELTA, cache_capacity=1)
     on = check_history_equivalence(db, backend=backend,
                                    union_priming=True)
     off = check_history_equivalence(db, backend="sqlite",

@@ -19,6 +19,7 @@ from repro.debugger.timeline import timeline_states
 from repro.errors import ExecutionError
 
 from conftest import assert_relations_match, requires_duckdb
+from planner_policy import FORCE_DELTA, policy_backend
 
 
 class TestRegistrationGating:
@@ -130,22 +131,21 @@ class TestSessionMachinery:
                 for k in (1, 2, 3)]
         reenactor = Reenactor(account_db)
         options = ReenactmentOptions(backend="duckdb")
-        backend = DuckDBBackend(delta="always")
+        backend = policy_backend(FORCE_DELTA, "duckdb")
         with backend.open_session() as session:
             for xid in xids:
                 reenactor.reenact(xid, options, session=session)
             stats = session.stats
         assert stats.delta_materializations > 0
 
-    def test_windowscan_forced_single_query(self, account_db):
+    def test_sparkline_windowscan_single_query(self, account_db):
         timestamps = []
         for k in range(6):
             run_txn(account_db,
                     [f"UPDATE account SET bal = bal + {k + 1} "
                      f"WHERE cust = 'Alice'"])
             timestamps.append(account_db.clock.now())
-        backend = DuckDBBackend(windowscan="always")
-        with backend.open_session() as session:
+        with DuckDBBackend().open_session() as session:
             for mode in ("full", "sparkline"):
                 states = timeline_states(account_db, "account",
                                          timestamps, session=session,
@@ -157,8 +157,10 @@ class TestSessionMachinery:
                                            context=f"mode={mode} "
                                                    f"ts={ts}")
             stats = session.stats
-        assert stats.window_scans == 2
-        assert stats.plans_executed == 0
+        # the dense sparkline is one window pass; the full-state scan
+        # walks the per-probe pipeline on every engine
+        assert stats.window_scans == 1
+        assert stats.plans_executed == len(timestamps)
 
     def test_named_params_filtered_to_statement(self, account_db):
         """The context may carry more params than one statement uses;

@@ -1,0 +1,119 @@
+"""Typed errors from snapshot materialization.
+
+Creating, filling and patching snapshot temp tables runs before the
+generated query does, so the driver errors it can hit must come back
+as :class:`~repro.errors.ExecutionError` naming the snapshot and the
+plan step — never raw ``sqlite3``/``OverflowError`` — and must leave
+neither a cache entry nor a temp table for the failed snapshot.
+"""
+
+import pytest
+
+from repro import Database, SQLiteBackend
+from repro.core.reenactor import Reenactor
+from repro.debugger.timeline import timeline_states
+from repro.errors import ExecutionError
+
+TOO_BIG = 2 ** 63  # one past SQLite's INTEGER range
+
+
+def run_txn(db, sql):
+    conn = db.connect()
+    conn.begin()
+    conn.execute(sql)
+    xid = conn.txn.xid
+    conn.commit()
+    return xid, db.clock.now()
+
+
+def temp_tables(session):
+    return {row[0] for row in session.conn.execute(
+        "SELECT name FROM sqlite_temp_master WHERE type = 'table'")}
+
+
+@pytest.fixture
+def overflowing_history():
+    """Ten rows; commit 1 is an ordinary update, commit 2 writes an
+    integer SQLite cannot store, commit 3 reads the state after it."""
+    db = Database()
+    db.execute("CREATE TABLE t (k INT, v INT)")
+    conn = db.connect()
+    conn.begin()
+    for k in range(10):
+        conn.execute(f"INSERT INTO t VALUES ({k}, {k})")
+    conn.commit()
+    first = run_txn(db, "UPDATE t SET v = v + 1 WHERE k = 1")
+    run_txn(db, f"UPDATE t SET v = {TOO_BIG - 1} + 1 WHERE k = 2")
+    third = run_txn(db, "UPDATE t SET v = v + 1 WHERE k = 3")
+    return db, first, third
+
+
+def test_annotation_column_clash_is_rejected_up_front():
+    db = Database()
+    db.execute("CREATE TABLE t (__rowid__ INT, v INT)")
+    db.execute("INSERT INTO t VALUES (1, 10)")
+    xid, _ = run_txn(db, "UPDATE t SET v = v + 1")
+    # the interpreter has no temp tables and answers it
+    assert Reenactor(db).reenact(xid).table("t").rows == [(1, 11)]
+    backend = SQLiteBackend()
+    with backend.open_session() as session:
+        with pytest.raises(ExecutionError, match="__rowid__"):
+            Reenactor(db, backend=backend).reenact(xid, session=session)
+        assert len(session.cache) == 0
+        assert temp_tables(session) == set()
+
+
+def test_overflow_during_full_build_is_typed(overflowing_history):
+    db, _, (third_xid, _) = overflowing_history
+    backend = SQLiteBackend()
+    with backend.open_session() as session:
+        with pytest.raises(ExecutionError,
+                           match=r"full-build of snapshot \('t', \d+\)"
+                                 r".*OverflowError"):
+            Reenactor(db, backend=backend).reenact(third_xid,
+                                                   session=session)
+        assert len(session.cache) == 0
+        assert temp_tables(session) == set()
+
+
+def test_overflow_during_clone_delta_is_typed(overflowing_history):
+    db, (first_xid, _), (third_xid, _) = overflowing_history
+    backend = SQLiteBackend()
+    reenactor = Reenactor(db, backend=backend)
+    with backend.open_session() as session:
+        reenactor.reenact(first_xid, session=session)
+        healthy = temp_tables(session)
+        assert len(session.cache) == 1
+        with pytest.raises(ExecutionError,
+                           match="clone-delta of snapshot"):
+            reenactor.reenact(third_xid, session=session)
+        # the cached neighbor is untouched, the failed clone is gone
+        assert len(session.cache) == 1
+        assert temp_tables(session) == healthy
+        assert reenactor.reenact(first_xid, session=session) \
+            .table("t").rows
+
+
+def test_overflow_during_patch_in_place_forgets_the_source(
+        overflowing_history):
+    """A move that fails half-way has already deleted rows from its
+    cached source: the source must leave the cache (and never reach a
+    spill store) along with the failed destination."""
+    from repro import SnapshotStore
+    db, (_, first_ts), (_, third_ts) = overflowing_history
+    store = SnapshotStore()
+    backend = SQLiteBackend(spill_store=store)
+    with backend.open_session() as session:
+        with pytest.raises(ExecutionError,
+                           match="patch-in-place of snapshot"):
+            timeline_states(db, "t", [first_ts, third_ts - 1],
+                            session=session)
+        assert session.stats.full_materializations == 1
+        assert len(session.cache) == 0
+        assert temp_tables(session) == set()
+        # the session still serves the healthy state, rebuilt
+        states = timeline_states(db, "t", [first_ts], session=session)
+        assert len(states[first_ts].rows) == 10
+    # only the write-through copy of the healthy full build is stored
+    assert store.inventory(db.history_id) == [("t", first_ts)]
+    store.close()

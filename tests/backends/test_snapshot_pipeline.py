@@ -19,13 +19,14 @@ import pytest
 
 from repro import Database, SnapshotStore
 from repro.backends import SQLiteBackend, resolve_backend
-from repro.backends.base import (SessionStats, SnapshotPipeline,
-                                 SnapshotPlan, SnapshotPlanStep)
+from repro.backends.base import (SessionStats, SnapshotPlan,
+                                 SnapshotPlanStep)
 from repro.backends.sqlite import SQLitePipeline
 from repro.debugger.timeline import timeline_states
 from repro.errors import ExecutionError
 
 from conftest import assert_relations_match
+from planner_policy import NO_DELTA, NO_WINDOW, policy_backend
 
 
 def history(n_rows=30, n_commits=6):
@@ -52,11 +53,11 @@ def test_timeline_walk_is_one_build_plus_moves():
     """A pipelined timeline scan materializes the first state once and
     *moves* it forward tick by tick: delta-sized work, no clones, and —
     because a move re-keys instead of re-creating — not a single
-    eviction even on a capacity-1 cache.  (windowscan pinned off: this
-    test pins the *per-probe* pipeline's move accounting, which the
-    PR-7 window pass deliberately bypasses.)"""
+    eviction even on a capacity-1 cache.  (``NO_WINDOW``: this test
+    pins the *per-probe* pipeline's move accounting, which the window
+    pass deliberately bypasses.)"""
     db, timestamps = history()
-    backend = SQLiteBackend(cache_capacity=1, windowscan="off")
+    backend = policy_backend(NO_WINDOW, cache_capacity=1)
     with backend.open_session() as session:
         states = timeline_states(db, "acct", timestamps,
                                  session=session, mode="sparkline")
@@ -123,25 +124,6 @@ def test_pipeline_prime_order_is_enforced():
             pipe.prime(2)
 
 
-def test_pipeline_off_backend_degrades_to_hints():
-    """``pipeline="off"`` is the PR-4 baseline: the base per-set hint
-    pipeline, never a move — and the results are unchanged.
-    (windowscan pinned off so the scan actually walks the hint path
-    whose counters this test pins.)"""
-    db, timestamps = history()
-    backend = SQLiteBackend(pipeline="off", windowscan="off")
-    with backend.open_session() as session:
-        pipe = session.snapshot_pipeline([[("acct", timestamps[0])]],
-                                         db.context(params={}))
-        assert type(pipe) is SnapshotPipeline
-        pipe.close()
-        states = timeline_states(db, "acct", timestamps,
-                                 session=session, mode="sparkline")
-        assert session.stats.patched_in_place == 0
-        assert session.stats.batch_rehydrated == 0
-    assert all(states[ts].rows[0][0] == 30 for ts in timestamps)
-
-
 def test_planned_set_rehydrates_in_one_store_read():
     """Every store-resident snapshot a plan needs comes back in one
     ``fetch_many`` — one lock acquisition, one SELECT — instead of a
@@ -149,13 +131,13 @@ def test_planned_set_rehydrates_in_one_store_read():
     db, timestamps = history(n_commits=4)
     probe = timestamps[:3]
     store = SnapshotStore()
-    warm = SQLiteBackend(delta="off", spill_store=store)
+    warm = policy_backend(NO_DELTA, spill_store=store)
     ctx = db.context(params={})
     with warm.open_session() as session:
         # write-through publishes each full materialization
         session.prime_snapshots([("acct", ts) for ts in probe], ctx)
         assert session.stats.snapshots_spilled == len(probe)
-    cold = SQLiteBackend(delta="off", spill_store=store)
+    cold = policy_backend(NO_DELTA, spill_store=store)
     with cold.open_session() as session:
         before = store.stats.batch_fetches
         session.prime_snapshots([("acct", ts) for ts in probe], ctx)
@@ -174,13 +156,13 @@ def test_realms_are_durable_history_ids():
     db_b, ts_b = history(n_commits=2)
     assert db_a.history_id != db_b.history_id
     store = SnapshotStore()
-    backend_a = SQLiteBackend(delta="off", spill_store=store)
+    backend_a = policy_backend(NO_DELTA, spill_store=store)
     ctx_a = db_a.context(params={})
     with backend_a.open_session() as session:
         session.prime_snapshots([("acct", ts_a[0])], ctx_a)
         assert session.stats.snapshots_spilled == 1
     assert (db_a.history_id, "acct", ts_a[0]) in store
-    backend_b = SQLiteBackend(delta="off", spill_store=store)
+    backend_b = policy_backend(NO_DELTA, spill_store=store)
     ctx_b = db_b.context(params={})
     with backend_b.open_session() as session:
         # same (table, ts) pair, different history: must NOT rehydrate
@@ -251,11 +233,9 @@ def test_session_stats_carry_pipeline_counters():
 def test_moved_snapshot_is_rematerializable_afterwards():
     """Requesting a version after it was consumed by a move simply
     rebuilds it — destructive moves never change answers, only
-    costs.  (windowscan pinned off: the scan must take the per-probe
-    move path whose re-request behavior is under test.)"""
+    costs."""
     db, timestamps = history(n_commits=3)
-    ctx = db.context(params={})
-    with SQLiteBackend(windowscan="off").open_session() as session:
+    with SQLiteBackend().open_session() as session:
         walked = timeline_states(db, "acct", timestamps,
                                  session=session, mode="full")
         assert session.stats.patched_in_place == len(timestamps) - 1

@@ -1,25 +1,22 @@
-"""Window-compiled timeline scans (PR 7).
+"""Window-compiled sparkline timeline scans.
 
 Pins the single-pass window compilation's observable contract:
 
-* a dense scan on a windowscan-capable session is answered by **one**
-  SQL pass — ``window_scans`` goes up once, ``plans_executed`` stays
-  at zero — and the answers are identical to the per-probe pipeline
-  and the in-memory interpreter, cell for cell in sparkline mode;
-* the cost-model cutover: ``"auto"`` takes the window path only at
-  :attr:`SQLiteBackend.WINDOWSCAN_MIN_TICKS` distinct ticks and
-  above, ``"always"`` whenever the context is legal, ``"off"`` never;
-* admission: what-if overrides, snapshot providers, contexts without
-  native time travel, and tables whose columns collide with the
-  window machinery's reserved names all fall back to the per-probe
-  pipeline (``window_scan`` returns ``None``) instead of answering
-  wrong;
+* a dense sparkline scan on a window-capable session is answered by
+  **one** SQL pass — ``window_scans`` goes up once, ``plans_executed``
+  stays at zero — and the answers are identical to the per-probe
+  pipeline and the in-memory interpreter, cell for cell;
+* the planner's admission rule: the window path is taken at the
+  dialect config's ``window_min_ticks`` distinct ticks and above,
+  never for full-state scans; the forced paths here are test-only
+  policy overrides (``tests/planner_policy.py``);
+* admission: what-if overrides, snapshot providers and contexts
+  without native time travel all fall back to the per-probe pipeline
+  (``window_scan`` returns ``None``) instead of answering wrong;
 * results are keyed by the caller's *original* timestamps even when
   the request arrives unsorted and with duplicates;
 * the ``window_scans`` / ``window_scan_ticks`` counters ride
-  ``SessionStats.as_dict`` and ``merge``;
-* the service's ``windowscan=`` knob configures a backend the service
-  constructs and refuses caller-owned or incapable backends.
+  ``SessionStats.as_dict`` and ``merge``.
 """
 
 import dataclasses
@@ -31,15 +28,14 @@ from repro.algebra.evaluator import Relation
 from repro.algebra.sqlgen import Dialect
 from repro.backends import SQLiteBackend, resolve_backend
 from repro.backends.base import SessionStats
-from repro.backends.sqlite import WINDOW_RESERVED_COLUMNS
 from repro.db.auditlog import AuditEventKind
 from repro.debugger.timeline import timeline_states
-from repro.errors import (ExecutionError, ReenactmentError,
-                          ServiceError)
-from repro.service.jobs import TimelineScanJob
+from repro.errors import ExecutionError, ReenactmentError
 
-from conftest import (assert_relations_match, build_history,
-                      committed_xids)
+from conftest import assert_relations_match, build_history
+from planner_policy import FORCE_WINDOW, NO_WINDOW, policy_backend
+
+MIN_TICKS = SQLiteBackend.dialect_config.window_min_ticks
 
 
 def history(n_rows=30, n_commits=8):
@@ -76,33 +72,31 @@ def _no_window_backend(**kwargs):
         dialect_config = dataclasses.replace(
             SQLiteBackend.dialect_config, name="sqlite-nowindow",
             window_functions=False)
-        capabilities = dict(SQLiteBackend.capabilities,
-                            windowscan=False)
     return NoWindowBackend(**kwargs)
 
 
-def scan(db, timestamps, mode, windowscan):
-    """One timeline scan on a fresh session; returns (states, stats)."""
-    backend = SQLiteBackend(windowscan=windowscan)
-    with backend.open_session() as session:
+def scan(db, timestamps, mode, policy):
+    """One timeline scan on a fresh session planning under ``policy``
+    (``{}`` = the shipped defaults); returns (states, stats)."""
+    with policy_backend(policy).open_session() as session:
         states = timeline_states(db, "acct", timestamps,
                                  session=session, mode=mode)
         return states, session.stats
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("mode", ["full", "sparkline"])
-    def test_window_matches_per_probe_and_memory(self, mode):
+    def test_window_matches_per_probe_and_memory(self):
         db, timestamps = history()
-        win, win_stats = scan(db, timestamps, mode, "always")
-        probe, probe_stats = scan(db, timestamps, mode, "off")
+        win, win_stats = scan(db, timestamps, "sparkline", FORCE_WINDOW)
+        probe, probe_stats = scan(db, timestamps, "sparkline",
+                                  NO_WINDOW)
         mem = timeline_states(db, "acct", timestamps,
-                              backend="memory", mode=mode)
+                              backend="memory", mode="sparkline")
         for ts in timestamps:
             assert_relations_match(win[ts], probe[ts],
-                                   context=f"mode={mode} ts={ts}")
+                                   context=f"ts={ts}")
             assert_relations_match(win[ts], mem[ts],
-                                   context=f"mode={mode} ts={ts}")
+                                   context=f"ts={ts}")
         # the whole scan was ONE window pass: no per-probe plans at all
         assert win_stats.window_scans == 1
         assert win_stats.window_scan_ticks == len(timestamps)
@@ -126,10 +120,10 @@ class TestEquivalence:
         for table in sorted(db.catalog.table_names()):
             win = timeline_states(
                 db, table, ticks, mode="sparkline",
-                session=None, backend=SQLiteBackend(windowscan="always"))
+                session=None, backend=policy_backend(FORCE_WINDOW))
             probe = timeline_states(
                 db, table, ticks, mode="sparkline",
-                session=None, backend=SQLiteBackend(windowscan="off"))
+                session=None, backend=policy_backend(NO_WINDOW))
             win_cells = {ts: win[ts].rows[0][0] for ts in ticks}
             probe_cells = {ts: probe[ts].rows[0][0] for ts in ticks}
             assert win_cells == probe_cells, \
@@ -139,68 +133,69 @@ class TestEquivalence:
         db, timestamps = history()
         request = [timestamps[4], timestamps[0], timestamps[4],
                    timestamps[2], timestamps[6]]
-        backend = SQLiteBackend(windowscan="always")
-        with backend.open_session() as session:
+        with policy_backend(FORCE_WINDOW).open_session() as session:
             states = timeline_states(db, "acct", request,
                                      session=session, mode="sparkline")
             assert session.stats.window_scans == 1
             # deduped before the backend saw it
             assert session.stats.window_scan_ticks == 4
         assert set(states) == set(request)
-        reference, _ = scan(db, request, "sparkline", "off")
+        reference, _ = scan(db, request, "sparkline", NO_WINDOW)
         for ts in request:
             assert_relations_match(states[ts], reference[ts],
                                    context=f"ts={ts}")
 
 
 class TestCutover:
-    def test_auto_below_min_ticks_stays_per_probe(self):
+    def test_below_min_ticks_stays_per_probe(self):
         db, timestamps = history()
-        few = timestamps[:SQLiteBackend.WINDOWSCAN_MIN_TICKS - 1]
-        states, stats = scan(db, few, "sparkline", "auto")
+        few = timestamps[:MIN_TICKS - 1]
+        states, stats = scan(db, few, "sparkline", {})
         assert stats.window_scans == 0
         assert stats.plans_executed == len(few)
         assert len(states) == len(few)
 
-    def test_auto_at_min_ticks_window_compiles(self):
+    def test_at_min_ticks_window_compiles(self):
         db, timestamps = history()
-        enough = timestamps[:SQLiteBackend.WINDOWSCAN_MIN_TICKS]
-        _, stats = scan(db, enough, "sparkline", "auto")
+        _, stats = scan(db, timestamps[:MIN_TICKS], "sparkline", {})
         assert stats.window_scans == 1
         assert stats.plans_executed == 0
 
-    def test_auto_full_mode_stays_per_probe(self):
-        """The cost model is mode-aware: full reconstruction ships
-        every row of every tick on either path, and the window's
-        ``ROW_NUMBER`` sort over the tick x event join measures slower
-        than the per-probe moves it saves — so ``"auto"`` cuts over
-        only for sparkline scans; full mode window-compiles under
-        ``"always"`` alone."""
+    def test_min_ticks_counts_distinct_ticks(self):
         db, timestamps = history()
-        _, stats = scan(db, timestamps, "full", "auto")
+        repeated = [timestamps[0]] * MIN_TICKS
+        _, stats = scan(db, repeated, "sparkline", {})
+        assert stats.window_scans == 0
+
+    @pytest.mark.parametrize("policy", [{}, FORCE_WINDOW])
+    def test_full_mode_stays_per_probe(self, policy):
+        """The admission rule is mode-aware: full reconstruction ships
+        every row of every tick on either path, and measured slower
+        through a window sort than the per-probe moves it would save
+        — so no policy window-compiles a full-state scan."""
+        db, timestamps = history()
+        _, stats = scan(db, timestamps, "full", policy)
         assert stats.window_scans == 0
         assert stats.plans_executed == len(timestamps)
 
-    def test_always_engages_even_for_one_tick(self):
+    def test_forced_policy_engages_even_for_one_tick(self):
         db, timestamps = history()
-        _, stats = scan(db, [timestamps[0]], "full", "always")
+        _, stats = scan(db, [timestamps[0]], "sparkline", FORCE_WINDOW)
         assert stats.window_scans == 1
         assert stats.plans_executed == 0
 
-    def test_off_never_window_scans(self):
+    def test_no_window_policy_never_window_scans(self):
         db, timestamps = history()
-        _, stats = scan(db, timestamps, "sparkline", "off")
+        _, stats = scan(db, timestamps, "sparkline", NO_WINDOW)
         assert stats.window_scans == 0
         assert stats.window_scan_ticks == 0
 
     def test_empty_timestamp_list(self):
         db, _ = history(n_commits=2)
         assert timeline_states(db, "acct", [],
-                               backend=SQLiteBackend(
-                                   windowscan="always")) == {}
+                               backend=SQLiteBackend()) == {}
         ctx = db.context(params={})
-        with SQLiteBackend(windowscan="always").open_session() \
-                as session:
+        with SQLiteBackend().open_session() as session:
             assert session.window_scan("acct", [], ctx) == {}
 
 
@@ -212,73 +207,68 @@ class TestAdmission:
         db, timestamps = history(n_commits=4)
         override = Relation(["acct.id", "acct.bal"], [(1, 999)])
         ctx = db.context(params={}, overrides={"acct": override})
-        with SQLiteBackend(windowscan="always").open_session() \
-                as session:
-            assert session.window_scan("acct", timestamps, ctx) is None
+        with policy_backend(FORCE_WINDOW).open_session() as session:
+            assert session.window_scan("acct", timestamps, ctx,
+                                       mode="sparkline") is None
 
     def test_snapshot_provider_refused(self):
         db, timestamps = history(n_commits=4)
         ctx = db.context(params={},
                          snapshot_provider=lambda table, ts: [])
-        with SQLiteBackend(windowscan="always").open_session() \
-                as session:
-            assert session.window_scan("acct", timestamps, ctx) is None
+        with policy_backend(FORCE_WINDOW).open_session() as session:
+            assert session.window_scan("acct", timestamps, ctx,
+                                       mode="sparkline") is None
 
     def test_context_without_database_refused(self):
         from repro.algebra.evaluator import StaticContext
         db, timestamps = history(n_commits=4)
         ctx = StaticContext(
             {"acct": Relation(["acct.id", "acct.bal"], [(1, 1)])})
-        with SQLiteBackend(windowscan="always").open_session() \
-                as session:
-            assert session.window_scan("acct", timestamps, ctx) is None
+        with policy_backend(FORCE_WINDOW).open_session() as session:
+            assert session.window_scan("acct", timestamps, ctx,
+                                       mode="sparkline") is None
 
     def test_timetravel_disabled_refused(self):
         from repro.db.engine import DatabaseConfig
         db, timestamps = history(n_commits=4)
         ctx = db.context(params={})
         db.config = DatabaseConfig(timetravel_enabled=False)
-        with SQLiteBackend(windowscan="always").open_session() \
-                as session:
-            assert session.window_scan("acct", timestamps, ctx) is None
+        with policy_backend(FORCE_WINDOW).open_session() as session:
+            assert session.window_scan("acct", timestamps, ctx,
+                                       mode="sparkline") is None
 
-    def test_reserved_column_collision_refused(self):
-        db, timestamps = history(n_commits=4)
-        ctx = db.context(params={})
-        # a user table whose column shadows the window machinery's
-        # working names would make the generated SQL ambiguous; the
-        # guard must bail before any SQL is built
-        ctx.table_columns = lambda table: ["id", "__wts__"]
-        with SQLiteBackend(windowscan="always").open_session() \
-                as session:
-            assert session.window_scan("acct", timestamps, ctx) is None
+    def test_window_working_names_never_meet_user_columns(self):
+        """The sparkline pass loads only (timestamp, +1/-1) events —
+        no user column reaches its SQL — so a table whose column
+        shadows one of the pass's working names is still answered
+        by it, correctly."""
+        db = Database()
+        db.execute("CREATE TABLE odd (__wts__ INT, __delta__ INT)")
+        conn = db.connect()
+        ticks = []
+        for k in range(5):
+            conn.begin()
+            conn.execute(f"INSERT INTO odd VALUES ({k}, {k})")
+            if k == 3:
+                conn.execute("DELETE FROM odd WHERE __wts__ = 0")
+            conn.commit()
+            ticks.append(db.clock.now())
+        with SQLiteBackend().open_session() as session:
+            states = timeline_states(db, "odd", ticks, session=session,
+                                     mode="sparkline")
+            assert session.stats.window_scans == 1
+        assert [states[ts].rows[0][0] for ts in ticks] \
+            == [1, 2, 3, 3, 4]
 
     def test_none_timestamp_refused(self):
         db, timestamps = history(n_commits=4)
         ctx = db.context(params={})
-        with SQLiteBackend(windowscan="always").open_session() \
-                as session:
+        with policy_backend(FORCE_WINDOW).open_session() as session:
             assert session.window_scan("acct", [timestamps[0], None],
-                                       ctx) is None
-
-    def test_reserved_names_cover_the_working_set(self):
-        assert {"__qts__", "__wts__", "__live__", "__delta__",
-                "__rn__"} <= set(WINDOW_RESERVED_COLUMNS)
+                                       ctx, mode="sparkline") is None
 
 
 class TestValidation:
-    def test_backend_rejects_unknown_windowscan_mode(self):
-        with pytest.raises(ExecutionError, match="windowscan"):
-            SQLiteBackend(windowscan="sometimes")
-
-    def test_session_rejects_unknown_override(self):
-        db, timestamps = history(n_commits=2)
-        ctx = db.context(params={})
-        with SQLiteBackend().open_session() as session:
-            with pytest.raises(ExecutionError, match="windowscan"):
-                session.window_scan("acct", timestamps, ctx,
-                                    windowscan="sometimes")
-
     def test_session_rejects_unknown_scan_mode(self):
         db, timestamps = history(n_commits=2)
         ctx = db.context(params={})
@@ -287,43 +277,20 @@ class TestValidation:
                 session.window_scan("acct", timestamps, ctx,
                                     mode="everything")
 
-    def test_base_dialect_hooks_are_unexpressible(self):
-        dialect = Dialect()
+    def test_base_dialect_hook_is_unexpressible(self):
         with pytest.raises(ReenactmentError):
-            dialect.gen_window_states("e", "t", ["id"])
-        with pytest.raises(ReenactmentError):
-            dialect.gen_window_counts("e", "t")
+            Dialect().gen_window_counts("e", "t")
 
     def test_memory_session_has_no_window_path(self):
         db, timestamps = history(n_commits=4)
         ctx = db.context(params={})
         with resolve_backend("memory").open_session() as session:
             assert session.window_scan("acct", timestamps, ctx,
-                                       windowscan="always") is None
+                                       mode="sparkline") is None
 
-    def test_forced_windowscan_without_hooks_raises(self):
-        """Satellite regression: ``windowscan="always"`` on a SQL
-        backend whose dialect has no window-function hooks must raise
-        up front, never silently degrade to per-probe."""
-        db, timestamps = history(n_commits=4)
-        ctx = db.context(params={})
-        with _no_window_backend().open_session() as session:
-            with pytest.raises(ReenactmentError, match="window"):
-                session.window_scan("acct", timestamps, ctx,
-                                    windowscan="always")
-
-    def test_forced_windowscan_without_hooks_raises_via_backend_knob(
-            self):
-        db, timestamps = history(n_commits=4)
-        backend = _no_window_backend(windowscan="always")
-        with backend.open_session() as session:
-            with pytest.raises(ReenactmentError, match="window"):
-                timeline_states(db, "acct", timestamps,
-                                session=session)
-
-    def test_auto_windowscan_without_hooks_falls_back_cleanly(self):
-        """``"auto"`` on the same hook-less dialect is a clean
-        per-probe fallback — identical answers, zero window scans."""
+    def test_dialect_without_hooks_falls_back_cleanly(self):
+        """A dialect without window functions is a clean per-probe
+        fallback — identical answers, zero window scans."""
         db, timestamps = history(n_commits=4)
         reference = timeline_states(db, "acct", timestamps,
                                     mode="sparkline")
@@ -353,29 +320,11 @@ class TestStats:
 
 
 class TestService:
-    def test_knob_refused_on_caller_owned_backend(self):
-        db, _ = history(n_commits=2)
-        with pytest.raises(ServiceError, match="windowscan"):
-            ReenactmentService(db, backend=SQLiteBackend(),
-                               windowscan="always")
-
-    def test_knob_refused_on_incapable_backend(self):
-        db, _ = history(n_commits=2)
-        with pytest.raises(ServiceError, match="window"):
-            ReenactmentService(db, backend="memory",
-                               windowscan="always")
-
-    def test_knob_rejects_unknown_mode(self):
-        db, _ = history(n_commits=2)
-        with pytest.raises(ServiceError, match="windowscan"):
-            ReenactmentService(db, backend="sqlite",
-                               windowscan="sometimes")
-
-    def test_forced_window_service_answers_identically(self):
+    def test_service_window_scans_dense_sparklines(self):
         db, timestamps = history()
-        reference, _ = scan(db, timestamps, "sparkline", "off")
-        with ReenactmentService(db, backend="sqlite", workers=2,
-                                windowscan="always") as service:
+        reference, _ = scan(db, timestamps, "sparkline", NO_WINDOW)
+        with ReenactmentService(db, backend="sqlite",
+                                workers=2) as service:
             result = service.timeline_scan(
                 "acct", timestamps, mode="sparkline").result(timeout=60)
             sessions = service.stats().sessions
@@ -383,10 +332,3 @@ class TestService:
         for ts in timestamps:
             assert_relations_match(result[ts], reference[ts],
                                    context=f"service ts={ts}")
-
-    def test_job_cache_key_distinguishes_windowscan(self):
-        db, timestamps = history(n_commits=2)
-        default = TimelineScanJob(table="acct", timestamps=timestamps)
-        pinned = TimelineScanJob(table="acct", timestamps=timestamps,
-                                 windowscan="off")
-        assert default.cache_key(db) != pinned.cache_key(db)

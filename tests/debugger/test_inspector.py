@@ -103,9 +103,9 @@ class TestTimelineStrip:
         is flat — and on a window-compiled backend the whole strip per
         table is one SQL pass (zero per-probe plans) even though the
         boundary ticks arrive unsorted and duplicated."""
-        from repro import SQLiteBackend
+        from planner_policy import FORCE_WINDOW, policy_backend
         db, _, t2 = skewed
-        backend = SQLiteBackend(windowscan="always")
+        backend = policy_backend(FORCE_WINDOW)
         inspector = TransactionInspector(db, t2, backend=backend)
         strip = inspector.timeline_strip()
         assert set(strip) == {"account", "overdraft"}

@@ -137,7 +137,7 @@ class TestTimelineStates:
         sets are declared in sorted deduplicated order (N-1 moves for
         N distinct ticks), while the result is keyed by the caller's
         original timestamps."""
-        from repro import SQLiteBackend
+        from planner_policy import NO_WINDOW, policy_backend
         from repro.debugger.timeline import timeline_states
         db = Database()
         db.execute("CREATE TABLE t (x INT)")
@@ -150,8 +150,7 @@ class TestTimelineStates:
             ticks.append(db.clock.now())
         request = [ticks[3], ticks[0], ticks[3], ticks[1], ticks[4],
                    ticks[0]]
-        backend = SQLiteBackend(windowscan="off")
-        with backend.open_session() as session:
+        with policy_backend(NO_WINDOW).open_session() as session:
             states = timeline_states(db, "t", request, session=session,
                                      mode="sparkline")
             stats = session.stats

@@ -76,38 +76,33 @@ def test_collector_is_thread_local():
 
 # -- recording from the engine ---------------------------------------------
 
-def test_timeline_scan_explains_window_pass_and_snapshot_plan(
-        history_db):
+def test_sparkline_scan_explains_its_window_pass(history_db):
     db, _, ticks = history_db
-    with ReenactmentService(db, backend="sqlite", workers=1,
-                            windowscan="always") as svc:
-        handle = svc.timeline_scan("account", ticks, mode="full")
+    with ReenactmentService(db, backend="sqlite", workers=1) as svc:
+        handle = svc.timeline_scan("account", ticks, mode="sparkline")
         handle.result(timeout=30)
         events = handle.explain(timeout=5)
-    kinds = [e["kind"] for e in events]
-    assert "window-scan" in kinds
-    assert "snapshot-plan" in kinds
     scan = next(e for e in events if e["kind"] == "window-scan")
     assert scan["decision"] == "window-pass"
     assert scan["table"] == "account"
     assert scan["ticks"] == len(ticks)
     assert "SQL pass" in scan["reason"]
-    plan = next(e for e in events if e["kind"] == "snapshot-plan")
-    assert plan["steps"], "plan must carry its steps"
-    for step in plan["steps"]:
-        assert step["reason"], "every plan step carries a why"
 
 
-def test_timeline_scan_explains_per_probe_fallback(history_db):
+def test_full_scan_explains_per_probe_fallback_and_snapshot_plans(
+        history_db):
     db, _, ticks = history_db
-    with ReenactmentService(db, backend="sqlite", workers=1,
-                            windowscan="off") as svc:
+    with ReenactmentService(db, backend="sqlite", workers=1) as svc:
         handle = svc.timeline_scan("account", ticks)
         handle.result(timeout=30)
         events = handle.explain(timeout=5)
     scan = next(e for e in events if e["kind"] == "window-scan")
     assert scan["decision"] == "per-probe"
     assert scan["reason"]
+    plan = next(e for e in events if e["kind"] == "snapshot-plan")
+    assert plan["steps"], "plan must carry its steps"
+    for step in plan["steps"]:
+        assert step["reason"], "every plan step carries a why"
 
 
 def test_reenact_job_explains_its_snapshot_plan(history_db):

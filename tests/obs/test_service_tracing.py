@@ -50,17 +50,22 @@ def _child_names(children, record):
     return {c["name"] for c in children.get(record["span_id"], ())}
 
 
-def test_traced_timeline_scan_yields_the_full_span_tree(history_db):
-    """Acceptance: submit -> schedule -> compile -> snapshot-plan
-    (with explain reasons) -> window-scan -> result, in one trace."""
+def test_traced_timeline_scans_yield_the_full_span_tree(history_db):
+    """Acceptance: submit -> schedule -> job -> window-scan (sparkline)
+    or snapshot-plan with explain reasons (full state) -> result, each
+    in one trace."""
     db, _, ticks = history_db
     sink = enable_tracing()
     try:
-        with ReenactmentService(db, backend="sqlite", workers=2,
-                                windowscan="always") as svc:
-            handle = svc.timeline_scan("account", ticks, mode="full")
+        with ReenactmentService(db, backend="sqlite",
+                                workers=2) as svc:
+            handle = svc.timeline_scan("account", ticks,
+                                       mode="sparkline")
             handle.result(timeout=30)
             explain = handle.explain(timeout=5)
+            full = svc.timeline_scan("account", ticks, mode="full")
+            full.result(timeout=30)
+            full_explain = full.explain(timeout=5)
     finally:
         disable_tracing()
 
@@ -70,7 +75,7 @@ def test_traced_timeline_scan_yields_the_full_span_tree(history_db):
     names = {r["name"] for r in by_id.values()}
     assert {"service.submit", "service.schedule", "job.timeline_scan",
             "backend.window_scan", "windowscan.compile",
-            "snapshot.plan", "service.result"} <= names
+            "service.result"} <= names
 
     (submit,) = children[None]
     assert submit["name"] == "service.submit"
@@ -82,15 +87,20 @@ def test_traced_timeline_scan_yields_the_full_span_tree(history_db):
                if c["name"] == "job.timeline_scan")
     assert _child_names(children, job) == {"backend.window_scan"}
     (scan,) = children[job["span_id"]]
-    assert {"windowscan.compile",
-            "snapshot.plan"} <= _child_names(children, scan)
+    assert "windowscan.compile" in _child_names(children, scan)
     assert scan["attrs"]["ticks"] == len(ticks)
-
-    # the plan decisions arrive with their reasons
-    plan = next(e for e in explain if e["kind"] == "snapshot-plan")
-    assert all(step["reason"] for step in plan["steps"])
     scan_event = next(e for e in explain if e["kind"] == "window-scan")
     assert scan_event["decision"] == "window-pass"
+
+    # the full-state scan walks the per-probe pipeline: its plan
+    # decisions arrive with their reasons, under the same job span
+    full_names = {r["name"]
+                  for r in _tree(records, full.trace_id)[0].values()}
+    assert {"job.timeline_scan", "backend.execute_plan",
+            "snapshot.plan"} <= full_names
+    assert "backend.window_scan" not in full_names
+    plan = next(e for e in full_explain if e["kind"] == "snapshot-plan")
+    assert all(step["reason"] for step in plan["steps"])
 
     # and the whole tree renders from the handle's trace id
     text = render_trace(records, trace_id=handle.trace_id)
@@ -126,8 +136,7 @@ def test_sixteen_concurrent_jobs_nest_without_leakage(history_db):
     try:
         with ReenactmentService(db, backend="sqlite", workers=4,
                                 cache_capacity=2,
-                                result_cache_capacity=None,
-                                windowscan="always") as svc:
+                                result_cache_capacity=None) as svc:
             handles = []
             for i in range(16):
                 if i % 2:
@@ -184,8 +193,8 @@ def test_service_emits_valid_jsonl_trace_file(tmp_path, history_db):
     path = tmp_path / "service_trace.jsonl"
     enable_tracing(JsonlFileSink(str(path)))
     try:
-        with ReenactmentService(db, backend="sqlite", workers=3,
-                                windowscan="always") as svc:
+        with ReenactmentService(db, backend="sqlite",
+                                workers=3) as svc:
             handles = [svc.timeline_scan("account", ticks,
                                          mode="sparkline", priority=i)
                        for i in range(6)]

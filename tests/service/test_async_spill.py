@@ -17,11 +17,11 @@ import threading
 import pytest
 
 from repro import Database, SnapshotStore
-from repro.backends import SQLiteBackend
 from repro.debugger.timeline import timeline_states
 from repro.errors import ServiceError
 
 from service_helpers import assert_relations_match, run_txn
+from planner_policy import NO_DELTA, policy_backend
 
 
 def test_queued_spill_readable_before_flush():
@@ -97,7 +97,7 @@ def test_session_close_flushes_write_behind_queue():
     ts = db.clock.now()
     store = SnapshotStore(async_publish=True)
     store.pause_publisher()
-    backend = SQLiteBackend(delta="off", spill_store=store)
+    backend = policy_backend(NO_DELTA, spill_store=store)
     session = backend.open_session()
     session.prime_snapshots([("acct", ts)], db.context(params={}))
     assert store.pending_count() == 1  # write-through queued, unflushed
@@ -125,10 +125,11 @@ def test_inflight_spill_rehydrates_across_sessions_before_flush():
 
     store = SnapshotStore(async_publish=True)
     store.pause_publisher()
-    # worker A: capacity-1 cache, delta off, pipeline off — every
-    # eviction spills; all spills sit on the paused queue
-    churn = SQLiteBackend(delta="off", pipeline="off", cache_capacity=1,
-                          spill_store=store)
+    # worker A: capacity-1 cache, no delta hop affordable — every
+    # state is a full build, published write-through; all spills sit
+    # on the paused queue
+    churn = policy_backend(NO_DELTA, cache_capacity=1,
+                           spill_store=store)
     ctx = db.context(params={})
     with churn.open_session() as session_a:
         for ts in timestamps:
@@ -144,7 +145,7 @@ def test_inflight_spill_rehydrates_across_sessions_before_flush():
 
         def rehydrate():
             try:
-                cold = SQLiteBackend(delta="off", spill_store=store)
+                cold = policy_backend(NO_DELTA, spill_store=store)
                 with cold.open_session() as session_b:
                     states = {}
                     for ts in timestamps[:-1]:

@@ -19,10 +19,10 @@ temp tables outright.  Two hazards are pinned down here:
 import threading
 
 from repro import Database, SnapshotStore
-from repro.backends import SQLiteBackend
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 
 from service_helpers import assert_relations_match, run_txn
+from planner_policy import NO_DELTA, policy_backend
 
 STRICT = ReenactmentOptions(annotations=True, include_deleted=True)
 
@@ -63,8 +63,8 @@ def test_inflight_plan_tables_survive_capacity_pressure():
     reference = {x: reenactor.reenact(x, STRICT)
                  for x in (xid, other)}
     store = SnapshotStore()
-    backend = SQLiteBackend(cache_capacity=1, delta="off",
-                            spill_store=store)
+    backend = policy_backend(NO_DELTA, cache_capacity=1,
+                             spill_store=store)
     with backend.open_session() as session:
         shared = Reenactor(db, backend=backend)
         result = shared.reenact(xid, STRICT, session=session)
@@ -108,8 +108,8 @@ def test_workers_churning_same_keys_stay_correct():
         # each thread owns its session; rotation offsets make threads
         # request the same keys in different orders, maximizing
         # interleaved spill/rehydrate traffic on the shared store
-        backend = SQLiteBackend(cache_capacity=1, delta="off",
-                                spill_store=store)
+        backend = policy_backend(NO_DELTA, cache_capacity=1,
+                                 spill_store=store)
         reenactor = Reenactor(db, backend=backend)
         try:
             with backend.open_session() as session:
@@ -152,9 +152,9 @@ def test_service_workers_share_spilled_snapshots():
     xids = multi_ts_history(db, n_txns=8)
     reference = {xid: Reenactor(db).reenact(xid, STRICT)
                  for xid in xids}
-    with ReenactmentService(db, workers=3, cache_capacity=1,
-                            delta="off",
-                            result_cache_capacity=None) as svc:
+    with ReenactmentService(
+            db, workers=3, result_cache_capacity=None,
+            backend=policy_backend(NO_DELTA, cache_capacity=1)) as svc:
         # two rounds over every transaction; the clock moves between
         # rounds so round two re-executes instead of hitting the
         # result cache — landing on workers whose caches no longer

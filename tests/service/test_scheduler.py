@@ -58,10 +58,8 @@ class MarkerJob(Job):
 
 def test_available_backends_reports_capability_flags():
     flags = available_backends(capabilities=True)
-    assert flags["sqlite"] == {"sessions": True, "delta": True,
-                               "spill": True, "windowscan": True}
-    assert flags["memory"] == {"sessions": False, "delta": False,
-                               "spill": False, "windowscan": False}
+    assert flags["sqlite"] == {"sessions": True, "spill": True}
+    assert flags["memory"] == {"sessions": False, "spill": False}
     # the plain call keeps its historical shape
     assert available_backends() == sorted(flags)
 
@@ -100,16 +98,15 @@ def test_memory_backend_refused_cache_capacity(db):
         ReenactmentService(db, backend="memory", cache_capacity=4)
 
 
-def test_sqlite_service_attaches_store_and_knobs(db):
+def test_sqlite_service_attaches_store_and_cache_bound(db):
     svc = ReenactmentService(db, backend="sqlite", workers=1,
-                             cache_capacity=3, delta="off")
+                             cache_capacity=3)
     try:
         # the service wraps its store in the resilience layer by
         # default; the spill tier underneath is a SnapshotStore
         assert isinstance(svc.store, ResilientStore)
         assert isinstance(svc.store.inner, SnapshotStore)
         assert svc.backend.cache_capacity == 3
-        assert svc.backend.delta == "off"
     finally:
         svc.close()
 
@@ -329,15 +326,15 @@ def test_dedup_escalates_priority_of_queued_duplicate(history_db):
     assert log == ["target", "filler"]
 
 
-def test_caller_owned_backend_refused_tuning_knobs(db):
-    backend = SQLiteBackend(delta="always")
+def test_caller_owned_backend_refused_cache_capacity(db):
+    backend = SQLiteBackend(cache_capacity=7)
     with pytest.raises(ServiceError, match="configure"):
         ReenactmentService(db, backend=backend, cache_capacity=1)
-    assert backend.delta == "always"  # untouched
-    # without knobs a caller-owned instance is fine
+    assert backend.cache_capacity == 7  # untouched
+    # without the knob a caller-owned instance is fine
     with ReenactmentService(db, backend=backend, workers=1):
         pass
-    assert backend.delta == "always"
+    assert backend.cache_capacity == 7
 
 
 def test_dead_worker_rejects_jobs_instead_of_hanging(history_db):
@@ -414,8 +411,7 @@ def test_close_drains_queued_jobs_then_rejects(history_db):
 
 def test_service_stats_snapshot_shape(history_db):
     db, xids = history_db
-    with ReenactmentService(db, workers=2, cache_capacity=1,
-                            delta="off") as svc:
+    with ReenactmentService(db, workers=2, cache_capacity=1) as svc:
         for xid in xids:
             svc.reenact(xid).result(timeout=30)
         payload = svc.stats().as_dict()

@@ -13,11 +13,11 @@ import threading
 import pytest
 
 from repro import Database, SnapshotStore
-from repro.backends import SQLiteBackend
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.errors import ExecutionError, ServiceError
 
 from service_helpers import assert_relations_match, run_txn
+from planner_policy import NO_DELTA, policy_backend
 
 
 # -- unit: the store itself ----------------------------------------------
@@ -135,14 +135,14 @@ def make_history(db):
 
 
 def test_eviction_spills_and_miss_rehydrates():
-    """capacity=1, delta off: reenacting A, B, A again must spill A's
+    """capacity=1, no delta hop affordable: reenacting A, B, A again must spill A's
     snapshot on B's materialization and rehydrate it for the repeat —
     one spill/rehydrate cycle, observable in both stat surfaces."""
     db = Database()
     a, b, _ = make_history(db)
     store = SnapshotStore()
-    backend = SQLiteBackend(cache_capacity=1, delta="off",
-                            spill_store=store)
+    backend = policy_backend(NO_DELTA, cache_capacity=1,
+                             spill_store=store)
     reenactor = Reenactor(db, backend=backend)
     reference = {xid: Reenactor(db).reenact(xid) for xid in (a, b)}
     with backend.open_session() as session:
@@ -169,8 +169,8 @@ def test_rehydrated_snapshots_keep_type_fidelity():
     db = Database()
     a, b, _ = make_history(db)
     store = SnapshotStore()
-    backend = SQLiteBackend(cache_capacity=1, delta="off",
-                            spill_store=store)
+    backend = policy_backend(NO_DELTA, cache_capacity=1,
+                             spill_store=store)
     reenactor = Reenactor(db, backend=backend)
     options = ReenactmentOptions(annotations=True, include_deleted=True)
     fresh = Reenactor(db).reenact(a, options)
@@ -191,8 +191,8 @@ def test_override_snapshots_never_enter_the_store():
     db = Database()
     make_history(db)
     store = SnapshotStore()
-    backend = SQLiteBackend(cache_capacity=1, delta="off",
-                            spill_store=store)
+    backend = policy_backend(NO_DELTA, cache_capacity=1,
+                             spill_store=store)
     xid = run_txn(db, ["UPDATE account SET bal = 0 "
                        "WHERE cust = 'Bob'"])
     scenario = WhatIfScenario(db, xid, backend=backend)

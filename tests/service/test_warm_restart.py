@@ -33,13 +33,10 @@ def test_restarted_service_comes_back_warm(tmp_path):
     store_path = str(tmp_path / "spill.sqlite")
     db, ticks = build_durable_history(tmp_path)
 
-    # first incarnation: publish every materialized state to the store
-    # (windowscan pinned off — priming must materialize every state,
-    # the same reason ReenactmentService.warm pins it)
-    with ReenactmentService(db, store=store_path, workers=2,
-                            spill_publish="all") as svc:
-        reference = svc.timeline_scan(
-            "acc", ticks, windowscan="off").result(timeout=60)
+    # first incarnation: publish every state to the store
+    with ReenactmentService(db, store=store_path, workers=2) as svc:
+        svc.warm("acc", ticks).result(timeout=60)
+        reference = svc.timeline_scan("acc", ticks).result(timeout=60)
         assert len(svc.store.inventory(db.history_id)) >= len(ticks)
     db.wal.close()
 
@@ -52,7 +49,7 @@ def test_restarted_service_comes_back_warm(tmp_path):
         handles["acc"].result(timeout=60)
         sessions = svc2.stats().sessions
         # warm restart: every state came out of the store (the first
-        # rehydrates, the rest are delta moves off it) — nothing was
+        # rehydrates, the rest are delta hops off it) — nothing was
         # rebuilt from a storage scan
         assert sessions["snapshots_rehydrated"] > 0
         assert sessions["full_materializations"] == 0
@@ -62,6 +59,30 @@ def test_restarted_service_comes_back_warm(tmp_path):
             assert_relations_match(result[ts], reference[ts],
                                    context=f"warm restart ts={ts}")
     rec.wal.close()
+
+
+def test_warm_publishes_every_state(tmp_path):
+    """``warm`` keeps its promise under default settings, with a
+    session cache smaller than the tick list: every requested state is
+    in the store afterwards, one full build paid for all of them, and
+    the worker's cache is back within its bound."""
+    db, ticks = build_durable_history(tmp_path)
+    assert len(ticks) > 2
+    with ReenactmentService(db, workers=1, cache_capacity=2) as svc:
+        assert svc.warm("acc", reversed(ticks)).result(timeout=60) \
+            == ticks
+        stored = {ts for table, ts
+                  in svc.store.inventory(db.history_id)
+                  if table == "acc"}
+        assert stored >= set(ticks)
+        sessions = svc.stats().sessions
+        assert sessions["full_materializations"] == 1
+        assert sessions["snapshots_spilled"] == len(ticks)
+        assert sessions["snapshots_evicted"] == len(ticks) - 2
+        # a second warm finds everything published: nothing to spill
+        svc.warm("acc", ticks).result(timeout=60)
+        assert svc.stats().sessions["snapshots_spilled"] == len(ticks)
+    db.wal.close()
 
 
 def test_rewarm_requires_a_store(tmp_path):
@@ -77,10 +98,8 @@ def test_rewarm_skips_tables_the_catalog_lost(tmp_path):
     longer has (dropped after the spill): rewarm must skip it."""
     store_path = str(tmp_path / "spill.sqlite")
     db, ticks = build_durable_history(tmp_path)
-    with ReenactmentService(db, store=store_path, workers=1,
-                            spill_publish="all") as svc:
-        svc.timeline_scan("acc", ticks,
-                          windowscan="off").result(timeout=60)
+    with ReenactmentService(db, store=store_path, workers=1) as svc:
+        svc.warm("acc", ticks).result(timeout=60)
     db.execute("DROP TABLE acc")
     db.wal.close()
 
@@ -96,11 +115,9 @@ def test_rewarm_table_filter(tmp_path):
     db.execute("CREATE TABLE other (a INT)")
     db.execute("INSERT INTO other VALUES (1)")
     other_tick = db.clock.now()
-    with ReenactmentService(db, store=store_path, workers=1,
-                            spill_publish="all") as svc:
-        svc.timeline_scan("acc", ticks,
-                          windowscan="off").result(timeout=60)
-        svc.timeline_scan("other", [other_tick]).result(timeout=60)
+    with ReenactmentService(db, store=store_path, workers=1) as svc:
+        svc.warm("acc", ticks).result(timeout=60)
+        svc.warm("other", [other_tick]).result(timeout=60)
     db.wal.close()
 
     rec = Database.open(str(tmp_path / "wal"))

@@ -102,8 +102,7 @@ class TriggerHistory:
         # seed the current committed state
         seed_ts = self.db.clock.now()
         hist = self.db.table(hist_name)
-        for rowid, values, version in \
-                self.db.table(table).latest_committed_rows():
+        for rowid, values, _xid in self.db.table(table).scan():
             seed_txn = self.db.begin_transaction(user="__history__")
             self.db.mvcc.insert(
                 seed_txn, hist,
@@ -171,8 +170,7 @@ class TriggerHistory:
 
     def _commit_times(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
-        for _rowid, values, _v in \
-                self.db.table(COMMITS_TABLE).latest_committed_rows():
+        for _rowid, values, _v in self.db.table(COMMITS_TABLE).scan():
             xid, ts, kind = values
             if kind == "commit":
                 out[xid] = ts
@@ -191,8 +189,7 @@ class TriggerHistory:
         ncols = len(self.db.catalog.get(table).columns)
         # rowid → (commit_ts, stmt_ts, op, xid, values)
         best: Dict[int, tuple] = {}
-        for _hrowid, values, _v in \
-                self.db.table(hist_name).latest_committed_rows():
+        for _hrowid, values, _v in self.db.table(hist_name).scan():
             rowid, op, xid, stmt_ts = values[:4]
             payload = values[4:4 + ncols]
             commit_ts = stmt_ts if op == "seed" else commits.get(xid)
@@ -216,7 +213,7 @@ class TriggerHistory:
         from repro.db.auditlog import AuditEventKind, AuditLogEntry
         log = AuditLog()
         rows = [values for _r, values, _v in
-                self.db.table(AUDIT_TABLE).latest_committed_rows()]
+                self.db.table(AUDIT_TABLE).scan()]
         rows.sort(key=lambda r: (r[2], 0 if r[1] == "BEGIN" else 1))
         for xid, kind, ts, stmt_index, sql, isolation, user, \
                 session_id in rows:

@@ -190,17 +190,18 @@ class Database:
 
     # -- time travel ------------------------------------------------------------
 
-    def table_snapshot(self, name: str,
-                       ts: int) -> List[Tuple[int, tuple, int]]:
-        """Committed state of table ``name`` at time ``ts`` as
-        (rowid, values, creator_xid) triples — the ``AS OF`` API."""
+    def _history_table(self, name: str) -> VersionedTable:
         if not self.config.timetravel_enabled:
             raise TimeTravelError(
                 "time travel is disabled on this database "
                 "(DatabaseConfig.timetravel_enabled)")
-        table = self.table(name)
-        return [(rowid, values, version.xid)
-                for rowid, values, version in table.scan_committed(ts)]
+        return self.table(name)
+
+    def table_snapshot(self, name: str,
+                       ts: int) -> List[Tuple[int, tuple, int]]:
+        """Committed state of table ``name`` at time ``ts`` as
+        (rowid, values, creator_xid) triples — the ``AS OF`` API."""
+        return self._history_table(name).scan(ts)
 
     def table_delta(self, name: str, ts_from: int,
                     ts_to: int) -> List[Tuple[int, Optional[tuple],
@@ -212,43 +213,21 @@ class Database:
         with table size — the incremental counterpart of
         :meth:`table_snapshot`, and what delta-materializing execution
         backends patch cached snapshots with."""
-        if not self.config.timetravel_enabled:
-            raise TimeTravelError(
-                "time travel is disabled on this database "
-                "(DatabaseConfig.timetravel_enabled)")
-        out: List[Tuple[int, Optional[tuple], Optional[int]]] = []
-        for delta in self.table(name).scan_delta(ts_from, ts_to):
-            if delta.new is None:
-                out.append((delta.rowid, None, None))
-            else:
-                out.append((delta.rowid, delta.new.values, delta.new.xid))
-        return out
+        return _delta_triples(
+            self._history_table(name).scan_delta(ts_from, ts_to))
 
     def table_delta_chain(self, name: str, timestamps: List[int]
                           ) -> List[List[Tuple[int, Optional[tuple],
                                                Optional[int]]]]:
         """Consecutive deltas along a timestamp chain — one
         :meth:`table_delta`-shaped list per hop
-        ``timestamps[i] -> timestamps[i+1]``, in one commit-log pass
-        for monotone chains.  Snapshot pipelines that walk a table
-        through a planned series of versions (timeline scans,
-        timestamp-ordered equivalence sweeps) fetch every patch they
-        will apply with this single call."""
-        if not self.config.timetravel_enabled:
-            raise TimeTravelError(
-                "time travel is disabled on this database "
-                "(DatabaseConfig.timetravel_enabled)")
-        out: List[List[Tuple[int, Optional[tuple], Optional[int]]]] = []
-        for hop in self.table(name).scan_delta_chain(timestamps):
-            rows: List[Tuple[int, Optional[tuple], Optional[int]]] = []
-            for delta in hop:
-                if delta.new is None:
-                    rows.append((delta.rowid, None, None))
-                else:
-                    rows.append((delta.rowid, delta.new.values,
-                                 delta.new.xid))
-            out.append(rows)
-        return out
+        ``timestamps[i] -> timestamps[i+1]``, in one commit-log pass.
+        Snapshot pipelines that walk a table through a planned series
+        of versions (timeline scans, timestamp-ordered equivalence
+        sweeps) fetch every patch they will apply with this single
+        call."""
+        return [_delta_triples(hop) for hop in
+                self._history_table(name).scan_delta_chain(timestamps)]
 
     def table_delta_estimate(self, name: str, ts_from: int,
                              ts_to: int) -> int:
@@ -376,6 +355,11 @@ class Database:
             self._firing_triggers = False
 
 
+def _delta_triples(hop) -> List[Tuple[int, Optional[tuple], Optional[int]]]:
+    return [(d.rowid, None, None) if d.new is None
+            else (d.rowid, d.new.values, d.new.xid) for d in hop]
+
+
 class DatabaseContext(EvalContext):
     """Scan resolution against a :class:`Database`.
 
@@ -418,9 +402,5 @@ class DatabaseContext(EvalContext):
         if self.txn is not None:
             ts = self.stmt_ts if self.stmt_ts is not None \
                 else self.db.clock.now()
-            return [(rowid, values, version.xid)
-                    for rowid, values, version
-                    in self.db.mvcc.read(self.txn, vtable, ts)]
-        return [(rowid, values, version.xid)
-                for rowid, values, version
-                in vtable.latest_committed_rows()]
+            return self.db.mvcc.read(self.txn, vtable, ts)
+        return vtable.scan()

@@ -23,7 +23,7 @@ committed updates between T's first write and T's commit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.db.clock import LogicalClock
 from repro.db.table import ScanRow, VersionedTable
@@ -88,10 +88,12 @@ class MVCCManager:
     # -- reads -------------------------------------------------------------
 
     def read(self, txn: Transaction, table: VersionedTable,
-             stmt_ts: int) -> Iterator[ScanRow]:
-        """Rows visible to ``txn`` for a statement at ``stmt_ts``."""
+             stmt_ts: int) -> List[ScanRow]:
+        """Rows visible to ``txn`` for a statement at ``stmt_ts``: its
+        committed snapshot overlaid with its own write set."""
         self._require_active(txn)
-        return table.scan_for_txn(txn.xid, txn.snapshot_ts(stmt_ts))
+        return table.scan(txn.snapshot_ts(stmt_ts), txn.xid,
+                          txn.write_set.get(table.schema.name, ()))
 
     # -- writes ------------------------------------------------------------
 

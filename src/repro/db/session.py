@@ -222,7 +222,7 @@ class Session:
         indexes = [schema.index_of(c) for c in pk_cols]
         table = self.db.table(schema.name)
         out: Dict[tuple, int] = {}
-        for rowid, values, _version in self.db.mvcc.read(
+        for rowid, values, _xid in self.db.mvcc.read(
                 self.txn, table, stmt_ts):
             out[tuple(values[i] for i in indexes)] = rowid
         return out

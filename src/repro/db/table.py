@@ -4,29 +4,44 @@
 bookkeeping.  Policy (conflict detection, isolation levels, commit
 protocol) lives in :mod:`repro.db.mvcc`.
 
-Besides full snapshots (:meth:`VersionedTable.scan_committed`), the
-table answers *delta* questions: which rows differ between the
-committed states at two timestamps?  A per-table commit log — an
-append-only, timestamp-ordered list of ``(commit_ts, rowid)`` events —
-makes :meth:`VersionedTable.scan_delta` cost proportional to the number
-of commits inside the interval (two bisections plus a chain walk per
-touched row), never to table cardinality.  Incremental snapshot
-materialization in the execution backends is built on exactly this.
+Every read is one :meth:`VersionedTable.scan`: the committed state at a
+timestamp (:meth:`VersionedTable.state_at`), optionally overlaid with
+one transaction's pending writes.  The table keeps a *live map* —
+rowid → newest committed, non-tombstone version — current at every
+publish, and derives older states from it by rolling back along the
+commit log, so a read near the present costs what changed since, not a
+walk of every chain (docs/storage.md).
+
+Besides full snapshots the table answers *delta* questions: which rows
+differ between the committed states at two timestamps?  The per-table
+commit log — an append-only, timestamp-ordered list of
+``(commit_ts, rowid)`` events — makes :meth:`VersionedTable.scan_delta`
+cost proportional to the number of commits inside the interval (two
+bisections plus a chain walk per touched row), never to table
+cardinality.  Incremental snapshot materialization in the execution
+backends is built on exactly this.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.schema import TableSchema
 from repro.db.tuples import Version, VersionChain
 from repro.errors import ExecutionError
 
 
-#: A scan row: (rowid, values, creating Version or None for overrides).
-ScanRow = Tuple[int, tuple, Optional[Version]]
+#: A scan row: (rowid, values, xid of the creating transaction).
+ScanRow = Tuple[int, tuple, int]
+
+#: :meth:`VersionedTable.state_at` rolls the live map back along the
+#: commit-log suffix after ``ts`` while that suffix holds at most this
+#: share of the table's chains; a longer suffix means most chains would
+#: be looked up anyway, and one pass over all of them is cheaper than a
+#: copy of the map plus a patch per touched row.
+ROLLBACK_MAX_SHARE = 0.5
 
 
 @dataclass
@@ -45,6 +60,16 @@ class DeltaRow:
     new: Optional[Version]
 
 
+def _put(state: Dict[int, Version], rowid: int,
+         version: Optional[Version]) -> None:
+    """``version`` is what ``state`` shows of ``rowid``: nothing, when
+    it is a tombstone or there is none."""
+    if version is None or version.values is None:
+        state.pop(rowid, None)
+    else:
+        state[rowid] = version
+
+
 class VersionedTable:
     """One multi-version table."""
 
@@ -58,6 +83,13 @@ class VersionedTable:
         #: substrate of :meth:`scan_delta` / :meth:`delta_size_estimate`.
         self._commit_ts_log: List[int] = []
         self._commit_rowid_log: List[int] = []
+        #: live map: rowid → newest committed version, deleted rows
+        #: absent.  Derived state — maintained wherever a version is
+        #: published, rebuilt on recovery, never checkpointed.
+        self._live: Dict[int, Version] = {}
+        #: latest commit published without a commit-log entry (history
+        #: off); states before it cannot be rolled back to.
+        self._unlogged_ts = 0
 
     # -- rowids ----------------------------------------------------------
 
@@ -76,28 +108,68 @@ class VersionedTable:
 
     # -- scans -----------------------------------------------------------
 
-    def scan_committed(self, ts: int) -> Iterator[ScanRow]:
-        """Time travel: committed state of the table at time ``ts``."""
-        for rowid in sorted(self.rows):
-            version = self.rows[rowid].committed_at(ts)
-            if version is not None:
-                yield rowid, version.values, version
+    def state_at(self, ts: Optional[int] = None) -> Dict[int, Version]:
+        """Committed state at time ``ts`` (``None``: the latest) as
+        rowid → visible version; per row exactly
+        :meth:`VersionChain.committed_at`.  Read-only — with nothing
+        to roll back the result *is* the live map."""
+        if ts is None:
+            return self._live
+        log = self._commit_ts_log
+        if ts < self._unlogged_ts:
+            # publishes after ts left no log entry to roll back along
+            if log:
+                return self._walk_chains(ts)
+            # history was never kept: pruning leaves a row one
+            # committed version, and the live map holds it
+            return {rowid: version
+                    for rowid, version in self._live.items()
+                    if version.begin_ts <= ts}
+        start = bisect_right(log, ts)
+        suffix = len(log) - start
+        if suffix > ROLLBACK_MAX_SHARE * len(self.rows):
+            return self._walk_chains(ts)
+        if not suffix:
+            return self._live
+        state = dict(self._live)
+        for rowid in set(self._commit_rowid_log[start:]):
+            _put(state, rowid, self.rows[rowid].committed_at(ts))
+        return state
 
-    def scan_for_txn(self, xid: int, snapshot_ts: int) -> Iterator[ScanRow]:
-        """Transaction view: own uncommitted writes overlay the committed
-        snapshot at ``snapshot_ts``."""
-        for rowid in sorted(self.rows):
-            version = self.rows[rowid].visible_to(xid, snapshot_ts)
-            if version is not None:
-                yield rowid, version.values, version
+    def _walk_chains(self, ts: int) -> Dict[int, Version]:
+        """:meth:`state_at` from the chains alone:
+        :meth:`VersionChain.committed_at` for every row, inlined."""
+        state: Dict[int, Version] = {}
+        for rowid, chain in self.rows.items():
+            for version in reversed(chain.versions):
+                begin = version.begin_ts
+                if begin is not None and begin <= ts:
+                    end = version.end_ts
+                    if end is None or end > ts:
+                        if version.values is not None:
+                            state[rowid] = version
+                        break
+        return state
 
-    def latest_committed_rows(self) -> Iterator[ScanRow]:
-        """Most recent committed state (auto-commit reads)."""
-        for rowid in sorted(self.rows):
-            version = self.rows[rowid].latest_committed()
-            if version is not None and not version.is_tombstone \
-                    and version.end_ts is None:
-                yield rowid, version.values, version
+    def scan(self, ts: Optional[int] = None, xid: Optional[int] = None,
+             written: Iterable[int] = ()) -> List[ScanRow]:
+        """Rows of the committed state at ``ts`` (``None``: the latest)
+        in rowid order.  With ``xid``, that transaction's pending
+        writes overlay it (:meth:`VersionChain.visible_to`);
+        ``written`` names the rows it may have written — its write
+        set — so no other chain is probed."""
+        state = self.state_at(ts)
+        if written:
+            if state is self._live:
+                state = dict(state)
+            for rowid in written:
+                own = self.rows[rowid].uncommitted_for(xid)
+                if own is not None:
+                    _put(state, rowid, own)
+        out = [(rowid, version.values, version.xid)
+               for rowid, version in state.items()]
+        out.sort()
+        return out
 
     # -- deltas ----------------------------------------------------------
 
@@ -114,76 +186,39 @@ class VersionedTable:
     def scan_delta_chain(self, timestamps: List[int]
                          ) -> List[List[DeltaRow]]:
         """Consecutive deltas along a timestamp chain: one entry per
-        hop ``timestamps[i] -> timestamps[i+1]``.
+        hop ``timestamps[i] -> timestamps[i+1]`` (either direction),
+        each the rows whose committed state at the hop's end differs
+        from the one at its start, as :class:`DeltaRow` entries in
+        rowid order.
 
-        For a monotone chain (the order snapshot pipelines walk in) the
-        commit log is bisected once per boundary instead of twice per
-        hop and each segment's touched-rowid set is sliced directly;
-        non-monotone chains fall back to per-hop :meth:`scan_delta`.
-        The result of every hop is identical to ``scan_delta(a, b)``.
+        Cost is proportional to the number of commit events inside the
+        hops — the commit log is bisected once per timestamp, and only
+        chains with a commit inside a hop are walked.  Rows that both
+        appear and disappear strictly inside a hop (insert then delete,
+        or writes by transactions that later aborted — aborts never
+        reach the commit log) contribute nothing.
         """
-        if len(timestamps) < 2:
-            return []
-        ascending = all(a <= b for a, b in zip(timestamps,
-                                               timestamps[1:]))
-        descending = all(a >= b for a, b in zip(timestamps,
-                                                timestamps[1:]))
-        if not (ascending or descending):
-            return [self.scan_delta(a, b)
-                    for a, b in zip(timestamps, timestamps[1:])]
         bounds = [bisect_right(self._commit_ts_log, ts)
                   for ts in timestamps]
         out: List[List[DeltaRow]] = []
         for i, (ts_from, ts_to) in enumerate(zip(timestamps,
                                                  timestamps[1:])):
             lo, hi = sorted((bounds[i], bounds[i + 1]))
-            touched = sorted(set(self._commit_rowid_log[lo:hi]))
             hop: List[DeltaRow] = []
-            for rowid in touched:
+            for rowid in sorted(set(self._commit_rowid_log[lo:hi])):
                 chain = self.rows.get(rowid)
                 if chain is None:
-                    continue
+                    continue  # history pruned after logging
                 old = chain.committed_at(ts_from)
                 new = chain.committed_at(ts_to)
-                if old is None and new is None:
-                    continue
-                if old is new:
-                    continue
-                hop.append(DeltaRow(rowid=rowid, old=old, new=new))
+                if old is not new:  # else: same version (or none) at both
+                    hop.append(DeltaRow(rowid=rowid, old=old, new=new))
             out.append(hop)
         return out
 
     def scan_delta(self, ts_from: int, ts_to: int) -> List[DeltaRow]:
-        """Rows whose committed state at ``ts_to`` differs from the one
-        at ``ts_from`` (either direction: ``ts_from`` may exceed
-        ``ts_to``), as :class:`DeltaRow` entries in rowid order.
-
-        Cost is proportional to the number of commit events in the
-        interval — the commit log is bisected, and only chains with a
-        commit inside the interval are walked.  Rows that both appear
-        and disappear strictly inside the interval (insert then delete,
-        or writes by transactions that later aborted — aborts never
-        reach the commit log) contribute nothing.
-        """
-        if ts_from == ts_to:
-            return []
-        lo, hi = sorted((ts_from, ts_to))
-        start = bisect_right(self._commit_ts_log, lo)
-        end = bisect_right(self._commit_ts_log, hi)
-        touched = sorted(set(self._commit_rowid_log[start:end]))
-        out: List[DeltaRow] = []
-        for rowid in touched:
-            chain = self.rows.get(rowid)
-            if chain is None:
-                continue  # history pruned after logging
-            old = chain.committed_at(ts_from)
-            new = chain.committed_at(ts_to)
-            if old is None and new is None:
-                continue
-            if old is new:
-                continue  # same version visible at both endpoints
-            out.append(DeltaRow(rowid=rowid, old=old, new=new))
-        return out
+        """The one-hop :meth:`scan_delta_chain`."""
+        return self.scan_delta_chain([ts_from, ts_to])[0]
 
     # -- writes (mechanism only; callers do conflict checks) -------------
 
@@ -205,6 +240,17 @@ class VersionedTable:
 
     # -- transaction lifecycle helpers -----------------------------------
 
+    def _publish(self, rowid: int, version: Version, logged: bool) -> None:
+        """``version`` just became the newest committed one of
+        ``rowid``: bring the live map (and the commit log, while
+        history is kept) up to date."""
+        _put(self._live, rowid, version)
+        if logged:
+            self._commit_ts_log.append(version.begin_ts)
+            self._commit_rowid_log.append(rowid)
+        else:
+            self._unlogged_ts = max(self._unlogged_ts, version.begin_ts)
+
     def commit_rows(self, xid: int, rowids: List[int], commit_ts: int,
                     keep_history: bool = True) -> None:
         for rowid in rowids:
@@ -214,14 +260,12 @@ class VersionedTable:
             published = chain.commit(xid, commit_ts)
             if chain.lock_xid == xid:
                 chain.lock_xid = None
+            if published is not None:
+                self._publish(rowid, published, logged=keep_history)
             if not keep_history:
                 chain.prune_history()
                 if not chain.versions:
                     del self.rows[rowid]
-            elif published is not None:
-                # deltas are only meaningful while history is kept
-                self._commit_ts_log.append(commit_ts)
-                self._commit_rowid_log.append(rowid)
 
     def commit_writes(self, xid: int, commit_ts: int,
                       rowids: List[int]) -> List[Tuple]:
@@ -259,8 +303,7 @@ class VersionedTable:
         for rowid, _values, _stmt_ts in rows:
             published = self.rows[rowid].commit(xid, commit_ts)
             if published is not None:
-                self._commit_ts_log.append(commit_ts)
-                self._commit_rowid_log.append(rowid)
+                self._publish(rowid, published, logged=True)
 
     def abort_rows(self, xid: int, rowids: List[int]) -> None:
         for rowid in rowids:
@@ -297,7 +340,7 @@ class VersionedTable:
 
     def restore_checkpoint_state(self, state: Dict) -> None:
         """Load :meth:`checkpoint_state` output into this (empty)
-        table."""
+        table; the live map is rebuilt from the chains."""
         self._next_rowid = state["next_rowid"]
         for rowid, versions in state["chains"]:
             chain = VersionChain(rowid)
@@ -306,6 +349,8 @@ class VersionedTable:
                         begin_ts=begin_ts, end_ts=end_ts)
                 for xid, values, stmt_ts, begin_ts, end_ts in versions]
             self.rows[rowid] = chain
+            if chain.versions[-1].end_ts is None:
+                _put(self._live, rowid, chain.versions[-1])
         self._commit_ts_log = list(state["commit_ts_log"])
         self._commit_rowid_log = list(state["commit_rowid_log"])
 
@@ -319,7 +364,7 @@ class VersionedTable:
                     yield rowid, version
 
     def row_count_committed(self, ts: int) -> int:
-        return sum(1 for _ in self.scan_committed(ts))
+        return len(self.state_at(ts))
 
     def cardinality(self) -> int:
         """Number of version chains — an O(1) upper bound on the row

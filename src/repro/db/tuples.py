@@ -18,11 +18,11 @@ Visibility rules implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class Version:
     """One version of a row."""
 
@@ -141,9 +141,15 @@ class VersionChain:
 
     def prune_history(self) -> None:
         """Drop superseded versions (used when time travel is disabled to
-        measure the overhead of keeping history — experiment E4)."""
+        measure the overhead of keeping history — experiment E4).  A
+        deleted row with no history is no row: when all that survives
+        is a committed tombstone the chain empties, and the table
+        reclaims it."""
         current = [v for v in self.versions
                    if not v.committed or v.end_ts is None]
+        if len(current) == 1 and current[0].committed \
+                and current[0].is_tombstone:
+            current = []
         self.versions = current
 
     def creation_events(self) -> List[Tuple[int, Version]]:

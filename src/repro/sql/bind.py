@@ -9,89 +9,108 @@ with literals before logging.
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict
+import dataclasses
+from typing import Any, Callable, Dict, List
 
-from repro.algebra.expressions import Expr, Literal, Param, transform
+from repro.algebra.expressions import (Expr, Literal, Param, SubqueryExpr,
+                                       transform)
 from repro.errors import ExecutionError
 from repro.sql import ast
 
 
 def bind_expression(expr: Expr, params: Dict[str, Any]) -> Expr:
-    """Replace every :class:`Param` with the literal bound value."""
-
-    from repro.algebra.expressions import SubqueryExpr
+    """Replace every :class:`Param` with the literal bound value.
+    ``expr`` is never mutated; it is returned as is when it holds no
+    parameter."""
+    replaced = False
 
     def visit(node: Expr) -> Expr:
+        nonlocal replaced
         if isinstance(node, Param):
             if node.name not in params:
                 raise ExecutionError(
                     f"missing bind parameter :{node.name}")
+            replaced = True
             return Literal(params[node.name])
         if isinstance(node, SubqueryExpr) and node.query is not None:
-            _bind_in_place(node.query, params)
+            bound = _with(node, query=bind_statement(node.query, params))
+            replaced = replaced or bound is not node
+            return bound
         return node
 
-    return transform(expr, visit)
+    bound = transform(expr, visit)
+    return bound if replaced else expr
 
 
 def bind_statement(stmt: ast.Statement,
                    params: Dict[str, Any]) -> ast.Statement:
-    """Return a deep copy of ``stmt`` with all parameters inlined."""
-    stmt = copy.deepcopy(stmt)
-    _bind_in_place(stmt, params)
+    """``stmt`` with all parameters inlined.  The caller's statement is
+    never mutated: nodes on the way to a replaced parameter are built
+    anew, everything else is shared — a statement holding no parameter
+    is returned as is."""
+
+    def expr(e):
+        return None if e is None else bind_expression(e, params)
+
+    def exprs(items: List[Expr]) -> List[Expr]:
+        return _each(items, expr)
+
+    def keyed(items):   # SelectItem / OrderItem
+        return _each(items, lambda item: _with(item, expr=expr(item.expr)))
+
+    def source(src: ast.TableSource) -> ast.TableSource:
+        if isinstance(src, ast.TableRef):
+            return _with(src, as_of=expr(src.as_of))
+        if isinstance(src, ast.SubquerySource):
+            return _with(src, query=bind_statement(src.query, params))
+        if isinstance(src, ast.JoinSource):
+            return _with(src, left=source(src.left),
+                         right=source(src.right),
+                         condition=expr(src.condition))
+        return src
+
+    if isinstance(stmt, ast.Select):
+        return _with(stmt, items=keyed(stmt.items),
+                     sources=_each(stmt.sources, source),
+                     where=expr(stmt.where),
+                     group_by=exprs(stmt.group_by),
+                     having=expr(stmt.having),
+                     order_by=keyed(stmt.order_by),
+                     limit=expr(stmt.limit))
+    if isinstance(stmt, ast.SetOpQuery):
+        return _with(stmt, left=bind_statement(stmt.left, params),
+                     right=bind_statement(stmt.right, params),
+                     order_by=keyed(stmt.order_by),
+                     limit=expr(stmt.limit))
+    if isinstance(stmt, ast.ValuesClause):
+        return _with(stmt, rows=_each(stmt.rows, exprs))
+    if isinstance(stmt, ast.Insert):
+        return _with(stmt, source=bind_statement(stmt.source, params))
+    if isinstance(stmt, ast.Update):
+        return _with(stmt, where=expr(stmt.where), assignments=_each(
+            stmt.assignments,
+            lambda a: _with(a, value=expr(a.value))))
+    if isinstance(stmt, ast.Delete):
+        return _with(stmt, where=expr(stmt.where))
+    if isinstance(stmt, ast.ProvenanceOfQuery):
+        return _with(stmt, query=bind_statement(stmt.query, params))
+    # DDL / transaction control / transaction-id requests carry no
+    # parameters
     return stmt
 
 
-def _bind_in_place(stmt: ast.Statement, params: Dict[str, Any]) -> None:
-    if isinstance(stmt, ast.Select):
-        for item in stmt.items:
-            item.expr = bind_expression(item.expr, params)
-        for source in stmt.sources:
-            _bind_source(source, params)
-        if stmt.where is not None:
-            stmt.where = bind_expression(stmt.where, params)
-        stmt.group_by = [bind_expression(g, params) for g in stmt.group_by]
-        if stmt.having is not None:
-            stmt.having = bind_expression(stmt.having, params)
-        for item in stmt.order_by:
-            item.expr = bind_expression(item.expr, params)
-        if stmt.limit is not None:
-            stmt.limit = bind_expression(stmt.limit, params)
-    elif isinstance(stmt, ast.SetOpQuery):
-        _bind_in_place(stmt.left, params)
-        _bind_in_place(stmt.right, params)
-        for item in stmt.order_by:
-            item.expr = bind_expression(item.expr, params)
-        if stmt.limit is not None:
-            stmt.limit = bind_expression(stmt.limit, params)
-    elif isinstance(stmt, ast.ValuesClause):
-        stmt.rows = [[bind_expression(v, params) for v in row]
-                     for row in stmt.rows]
-    elif isinstance(stmt, ast.Insert):
-        _bind_in_place(stmt.source, params)
-    elif isinstance(stmt, ast.Update):
-        for assignment in stmt.assignments:
-            assignment.value = bind_expression(assignment.value, params)
-        if stmt.where is not None:
-            stmt.where = bind_expression(stmt.where, params)
-    elif isinstance(stmt, ast.Delete):
-        if stmt.where is not None:
-            stmt.where = bind_expression(stmt.where, params)
-    elif isinstance(stmt, ast.ProvenanceOfQuery):
-        _bind_in_place(stmt.query, params)
-    # DDL / transaction control / transaction-id requests carry no
-    # parameters
+def _with(node, **fields):
+    """``node`` with ``fields`` replaced — ``node`` itself when it
+    already holds every one of those values."""
+    changed = {name: value for name, value in fields.items()
+               if value is not getattr(node, name)}
+    return dataclasses.replace(node, **changed) if changed else node
 
 
-def _bind_source(source: ast.TableSource, params: Dict[str, Any]) -> None:
-    if isinstance(source, ast.TableRef):
-        if source.as_of is not None:
-            source.as_of = bind_expression(source.as_of, params)
-    elif isinstance(source, ast.SubquerySource):
-        _bind_in_place(source.query, params)
-    elif isinstance(source, ast.JoinSource):
-        _bind_source(source.left, params)
-        _bind_source(source.right, params)
-        if source.condition is not None:
-            source.condition = bind_expression(source.condition, params)
+def _each(items: List, bind: Callable) -> List:
+    """``[bind(item) for item in items]`` — ``items`` itself when
+    ``bind`` changed none of them."""
+    out = [bind(item) for item in items]
+    if all(new is old for new, old in zip(out, items)):
+        return items
+    return out

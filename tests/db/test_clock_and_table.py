@@ -44,21 +44,25 @@ class TestVersionedTable:
         second = table.insert_row(1, (2, "y"), stmt_ts=1)
         assert second == first + 1
 
-    def test_scan_committed_orders_by_rowid(self, table):
-        for i in range(5):
-            rowid = table.insert_row(1, (i, "v"), stmt_ts=1)
+    def test_scan_orders_by_rowid(self, table):
+        rowids = [table.insert_row(1, (i, "v"), stmt_ts=1)
+                  for i in range(5)]
+        # publish out of rowid order: the live map's insertion order
+        # must not leak into the scan
+        for rowid in reversed(rowids):
             table.commit_rows(1, [rowid], commit_ts=2)
-        rowids = [rowid for rowid, _, _ in table.scan_committed(2)]
-        assert rowids == sorted(rowids)
+        assert [rowid for rowid, _, _ in table.scan(2)] == rowids
+        assert [rowid for rowid, _, _ in table.scan()] == rowids
 
-    def test_scan_for_txn_overlays_own_writes(self, table):
+    def test_scan_overlays_own_writes(self, table):
         rowid = table.insert_row(1, (1, "old"), stmt_ts=1)
         table.commit_rows(1, [rowid], commit_ts=2)
         table.write_row(7, rowid, (1, "mine"), stmt_ts=3)
-        mine = list(table.scan_for_txn(7, snapshot_ts=2))
-        other = list(table.scan_for_txn(8, snapshot_ts=2))
-        assert mine[0][1] == (1, "mine")
-        assert other[0][1] == (1, "old")
+        mine = table.scan(2, xid=7, written=[rowid])
+        other = table.scan(2, xid=8, written=[rowid])
+        assert mine == [(rowid, (1, "mine"), 7)]
+        assert other == [(rowid, (1, "old"), 1)]
+        assert table.scan(2) == other
 
     def test_abort_rows_removes_empty_chains(self, table):
         rowid = table.insert_row(5, (1, "x"), stmt_ts=1)
@@ -91,9 +95,61 @@ class TestVersionedTable:
         assert table.row_count_committed(2) == 1
         assert table.row_count_committed(4) == 2
 
-    def test_latest_committed_rows_skips_tombstones(self, table):
+    def test_latest_scan_skips_tombstones(self, table):
         rowid = table.insert_row(1, (1, "a"), stmt_ts=1)
         table.commit_rows(1, [rowid], commit_ts=2)
         table.write_row(2, rowid, None, stmt_ts=3)  # delete
+        assert table.scan(2, xid=2, written=[rowid]) == []
         table.commit_rows(2, [rowid], commit_ts=4)
-        assert list(table.latest_committed_rows()) == []
+        assert table.scan() == []
+        assert table.scan(4) == []
+        assert table.scan(3) == [(rowid, (1, "a"), 1)]
+
+    def test_deleted_rows_are_reclaimed_without_history(self, table):
+        """Time travel off: a deleted row leaves no chain behind."""
+        rowids = [table.insert_row(1, (i, "v"), stmt_ts=1)
+                  for i in range(5)]
+        table.commit_rows(1, rowids, commit_ts=2, keep_history=False)
+        assert table.cardinality() == 5
+        for rowid in rowids:
+            table.write_row(2, rowid, None, stmt_ts=3)
+        table.commit_rows(2, rowids, commit_ts=4, keep_history=False)
+        assert table.rows == {}
+        assert table.cardinality() == 0
+        assert table.scan() == [] and table.scan(4) == []
+
+    def test_database_without_time_travel_reclaims_deleted_rows(self):
+        from repro import Database, DatabaseConfig
+        db = Database(DatabaseConfig(timetravel_enabled=False))
+        db.execute("CREATE TABLE t (a INT)")
+        for a in range(5):
+            db.execute(f"INSERT INTO t VALUES ({a})")
+        assert db.table_cardinality("t") == 5
+        for a in range(5):
+            db.execute(f"DELETE FROM t WHERE a = {a}")
+        assert db.table_cardinality("t") == 0
+        assert db.execute("SELECT * FROM t").rows == []
+
+    def test_scan_equals_per_chain_visibility_when_history_is_mixed(
+            self, table):
+        """Commits with and without history on one table (a database
+        whose ``timetravel_enabled`` was flipped while live): reads
+        before the unlogged commit have no complete log to roll back
+        along and must still agree with ``committed_at``."""
+        r1 = table.insert_row(1, (1, "a"), stmt_ts=1)
+        r2 = table.insert_row(1, (2, "b"), stmt_ts=1)
+        table.commit_rows(1, [r1, r2], commit_ts=2)
+        table.write_row(2, r2, (2, "c"), stmt_ts=3)
+        table.commit_rows(2, [r2], commit_ts=4)
+        table.write_row(3, r1, (1, "z"), stmt_ts=5)
+        table.commit_rows(3, [r1], commit_ts=6, keep_history=False)
+        table.write_row(4, r2, None, stmt_ts=7)
+        table.commit_rows(4, [r2], commit_ts=8)
+        for ts in range(10):
+            expected = [(rowid, version.values, version.xid)
+                        for rowid in sorted(table.rows)
+                        for version in [table.rows[rowid].committed_at(ts)]
+                        if version is not None]
+            assert table.scan(ts) == expected, ts
+        assert table.scan(5) == [(r2, (2, "c"), 2)]  # r1's past is pruned
+        assert table.scan() == [(r1, (1, "z"), 3)]

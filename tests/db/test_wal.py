@@ -7,13 +7,16 @@ mechanism itself — format, policies, recovery edge cases, checkpoint
 rotation and compaction.
 """
 
+import json
 import os
+import pickle
+import shutil
 
 import pytest
 
 from repro import Database, WriteAheadLog
 from repro.db.engine import DatabaseConfig
-from repro.db.wal import record_offsets
+from repro.db.wal import capture_state, record_offsets
 from repro.errors import WALError
 
 
@@ -366,3 +369,40 @@ class TestCheckpoints:
         assert snapshot(rec) == snapshot(db)
         assert audit_tuples(rec) == audit_tuples(db)
         rec.wal.close()
+
+
+class TestFormatStability:
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "wal_pr14")
+
+    def test_checkpoint_written_before_the_live_map_opens_identically(
+            self, tmp_path):
+        """``fixtures/wal_pr14/wal`` (a checkpoint plus a tail segment)
+        and the two ``expected_*`` files beside it were written by
+        commit 4cc6a4b, before tables kept a live-state map.  The map
+        is derived state — rebuilt on recovery, never stored — so the
+        old files must read exactly as that commit read them, and a
+        checkpoint taken now must carry exactly what one carried
+        then."""
+        wal_dir = tmp_path / "wal"
+        shutil.copytree(os.path.join(self.FIXTURE, "wal"), wal_dir)
+        with open(os.path.join(self.FIXTURE,
+                               "expected_snapshots.json")) as fh:
+            expected = json.load(fh)
+        with open(os.path.join(self.FIXTURE,
+                               "expected_tables.pickle"), "rb") as fh:
+            expected_tables = pickle.load(fh)
+
+        rec = Database.open(str(wal_dir))
+        try:
+            assert rec.last_recovery.checkpoint_index == 1
+            assert rec.last_recovery.commits_replayed > 0
+            assert rec.clock.now() == expected["clock"]
+            for name, by_ts in expected["snapshots"].items():
+                for ts, rows in by_ts.items():
+                    got = [[rowid, list(values), xid] for rowid, values,
+                           xid in rec.table_snapshot(name, int(ts))]
+                    assert got == rows, (name, ts)
+            assert capture_state(rec)["tables"] == expected_tables
+        finally:
+            rec.wal.close()

@@ -3,7 +3,8 @@
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro import Database
+from repro import Database, DatabaseConfig
+from repro.db.table import ROLLBACK_MAX_SHARE
 from repro.errors import TransactionError
 
 
@@ -124,3 +125,164 @@ def test_aborted_transactions_leave_no_trace_in_data(seed):
             session.execute("DELETE FROM t WHERE k > 1")
     session.rollback()
     assert sorted(db.execute("SELECT * FROM t").rows) == before
+
+
+# -- the fused read path against the per-chain reference -------------------
+#
+# ``VersionedTable.state_at`` answers reads from the live map rolled
+# back along the commit log (near the present) or from one walk over
+# the chains (far in the past, or with no commit log).  The reference
+# is what both replaced: ``VersionChain.committed_at`` / ``visible_to``
+# asked of every chain, one at a time.
+
+def _reference_committed(table, ts):
+    return [(rowid, version.values, version.xid)
+            for rowid in sorted(table.rows)
+            for version in [table.rows[rowid].committed_at(ts)]
+            if version is not None]
+
+
+def _reference_visible(table, xid, ts):
+    return [(rowid, version.values, version.xid)
+            for rowid in sorted(table.rows)
+            for version in [table.rows[rowid].visible_to(xid, ts)]
+            if version is not None]
+
+
+def _check_reads(db, sessions=()):
+    """Every committed read at every timestamp, and every active
+    transaction's view, equals the per-chain reference.  Returns which
+    sides of the ``state_at`` cutover the committed reads fell on."""
+    now = db.clock.now()
+    sides = set()
+    for name, table in db.tables.items():
+        for ts in range(now + 1):
+            expected = _reference_committed(table, ts)
+            assert table.scan(ts) == expected, (name, ts)
+            assert table.row_count_committed(ts) == len(expected)
+            if db.config.timetravel_enabled:
+                assert db.table_snapshot(name, ts) == expected, (name, ts)
+                suffix = table.delta_size_estimate(ts, now)
+                sides.add("walk" if suffix > ROLLBACK_MAX_SHARE
+                          * table.cardinality() else "rollback")
+        assert table.scan() == _reference_committed(table, now), name
+        for session in sessions:
+            if not session.in_transaction:
+                continue
+            txn = session.txn
+            for stmt_ts in (txn.begin_ts, now):
+                assert db.mvcc.read(txn, table, stmt_ts) == \
+                    _reference_visible(table, txn.xid,
+                                       txn.snapshot_ts(stmt_ts)), \
+                    (name, txn.xid, stmt_ts)
+    return sides
+
+
+def _random_history(db, seed, n_steps, check_every=7):
+    """Three sessions interleave SI and READ COMMITTED transactions of
+    inserts, updates, deletes, re-deletes and aborts on ``t``; a
+    trigger writes ``log`` through the same transaction.  Reads are
+    checked against the reference along the way, with transactions in
+    flight.  Returns the sessions (some still mid-transaction)."""
+    import random
+    rng = random.Random(seed)
+    db.execute("CREATE TABLE t (k INT, v INT)")
+    db.execute("CREATE TABLE log (k INT, what TEXT)")
+
+    def record(db_, txn, ts, table, rowid, old, new):
+        db_.mvcc.insert(txn, db_.table("log"),
+                        ((old or new)[0], "del" if new is None else "upd"),
+                        ts)
+
+    db.create_trigger("t", "update", record)
+    db.create_trigger("t", "delete", record)
+    db.execute("INSERT INTO t VALUES " + ", ".join(
+        f"({k}, {k})" for k in range(1, 9)))
+    sessions = [db.connect(user=f"u{i}") for i in range(3)]
+    next_key = 100
+    for step in range(n_steps):
+        session = rng.choice(sessions)
+        if not session.in_transaction:
+            session.begin(rng.choice(["SERIALIZABLE", "READ COMMITTED"]))
+        action = rng.choice(["insert", "update", "update", "delete",
+                             "redelete", "commit", "commit", "abort"])
+        try:
+            if action == "insert":
+                next_key += 1
+                session.execute(f"INSERT INTO t VALUES ({next_key}, 0)")
+            elif action == "update":
+                session.execute(f"UPDATE t SET v = v + 1 "
+                                f"WHERE k = {rng.randint(1, 8)}")
+            elif action == "delete":
+                session.execute(f"DELETE FROM t "
+                                f"WHERE k = {rng.randint(1, next_key)}")
+            elif action == "redelete":
+                # write, delete and delete again inside one transaction
+                key = rng.randint(1, 8)
+                session.execute(f"UPDATE t SET v = -1 WHERE k = {key}")
+                session.execute(f"DELETE FROM t WHERE k = {key}")
+                session.execute(f"DELETE FROM t WHERE k = {key}")
+            elif action == "commit":
+                session.commit()
+            else:
+                session.rollback()
+        except TransactionError:
+            pass  # conflict: the session's transaction was aborted
+        if step % check_every == 0:
+            _check_reads(db, sessions)
+    return sessions
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       n_steps=st.integers(min_value=5, max_value=40),
+       timetravel=st.booleans())
+def test_fused_scan_equals_per_chain_reference(seed, n_steps, timetravel):
+    """With and without history: with time travel off there is no
+    commit log to roll back along, rows are pruned and reclaimed, and
+    the live map must be maintained all the same (it is what
+    trigger-based history reads)."""
+    db = Database(DatabaseConfig(timetravel_enabled=timetravel))
+    sessions = _random_history(db, seed, n_steps)
+    _check_reads(db, sessions)
+
+
+def test_reference_check_runs_both_sides_of_the_cutover():
+    """The property above is only worth its name if its timestamps fall
+    on both sides of ``ROLLBACK_MAX_SHARE``."""
+    db = Database()
+    sessions = _random_history(db, seed=7, n_steps=40)
+    assert _check_reads(db, sessions) == {"walk", "rollback"}
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       n_steps=st.integers(min_value=5, max_value=40),
+       checkpoint_every=st.sampled_from([None, 4]))
+def test_fused_scan_equals_reference_after_recovery(
+        tmp_path_factory, seed, n_steps, checkpoint_every):
+    """The live map is derived state: rebuilt by pure WAL replay
+    (``checkpoint_every=None``) and by checkpoint + tail, it must answer
+    every read as the original database does."""
+    wal_dir = str(tmp_path_factory.mktemp("wal"))
+    db = Database.open(wal_dir, checkpoint_every=checkpoint_every)
+    sessions = _random_history(db, seed, n_steps, check_every=1000)
+    for session in sessions:
+        if session.in_transaction:
+            session.rollback()
+    _check_reads(db)
+    db.wal.close()
+
+    recovered = Database.open(wal_dir)
+    try:
+        if checkpoint_every is None:
+            assert recovered.last_recovery.checkpoint_index is None
+        _check_reads(recovered)
+        for name in db.tables:
+            for ts in range(db.clock.now() + 1):
+                assert recovered.table_snapshot(name, ts) == \
+                    db.table_snapshot(name, ts), (name, ts)
+    finally:
+        recovered.wal.close()

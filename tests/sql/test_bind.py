@@ -78,3 +78,44 @@ class TestBindStatement:
         bound = bind_statement(stmt, {"v": 10, "w": "x"})
         reparsed = parse_statement(format_statement(bound))
         assert format_statement(reparsed) == format_statement(bound)
+
+    def test_missing_parameter_in_statement(self):
+        stmt = parse_statement("UPDATE t SET a = 1 WHERE b = :gone")
+        with pytest.raises(ExecutionError, match="missing bind"):
+            bind_statement(stmt, {})
+        nested = parse_statement(
+            "DELETE FROM t WHERE a IN (SELECT b FROM u WHERE c = :gone)")
+        with pytest.raises(ExecutionError, match="missing bind"):
+            bind_statement(nested, {"other": 1})
+
+    def test_statement_without_parameters_is_returned_as_is(self):
+        for sql in ("INSERT INTO t VALUES (1, 'a'), (2, 'b')",
+                    "UPDATE t SET a = a + 1 WHERE b = 2",
+                    "DELETE FROM t WHERE a IN (SELECT b FROM u)",
+                    "SELECT a FROM t AS OF 3 WHERE b = 1 ORDER BY a"):
+            stmt = parse_statement(sql)
+            assert bind_statement(stmt, {}) is stmt
+            assert bind_statement(stmt, {"unused": 1}) is stmt
+
+    @pytest.mark.parametrize("sql", [
+        "UPDATE t SET a = :v, b = 2 WHERE c = :w AND d = 1",
+        "DELETE FROM t WHERE a IN (SELECT b FROM u WHERE c = :v) "
+        "AND d < :w",
+        "INSERT INTO t VALUES (1, :v), (:w, 2)",
+        "INSERT INTO t (SELECT a, :v FROM u AS OF :w JOIN s ON u.a = s.a)",
+        "SELECT :v AS x FROM t WHERE b = :w GROUP BY c "
+        "HAVING COUNT(*) > :v ORDER BY :w LIMIT :v",
+        "SELECT a FROM t WHERE b = :v UNION SELECT a FROM u LIMIT :w",
+    ])
+    def test_callers_statement_is_never_mutated(self, sql):
+        stmt = parse_statement(sql)
+        # the dataclass repr is structural (subquery nodes compare by
+        # identity, so == cannot tell)
+        before = repr(stmt)
+        bound = bind_statement(stmt, {"v": 10, "w": 20})
+        assert bound is not stmt
+        assert repr(stmt) == before
+        assert ":" not in format_statement(bound)
+        # binding is repeatable: the first call left no literal behind
+        assert format_statement(bind_statement(stmt, {"v": 1, "w": 2})) \
+            != format_statement(bound)

@@ -156,24 +156,6 @@ def _metrics_snapshot(payload):
     return registry.snapshot()
 
 
-def delta_probe_history(n_rows, n_probes, seed=4, stmts_per_probe=2,
-                        spread=20):
-    """A populated ``bench_account`` table plus ``n_probes`` small
-    committed transactions — a multi-timestamp probe workload.
-    Returns
-    ``(db, probe_xids, commit_timestamps)``."""
-    from repro.workloads import populate_accounts, uN_transaction
-    db = Database()
-    db.execute("CREATE TABLE bench_account "
-               "(id INT, owner TEXT, branch INT, bal INT)")
-    populate_accounts(db, n_rows, seed=seed)
-    xids, timestamps = [], []
-    for _ in range(n_probes):
-        xids.append(uN_transaction(db, stmts_per_probe, spread=spread))
-        timestamps.append(db.clock.now())
-    return db, xids, timestamps
-
-
 @pytest.fixture(scope="module")
 def skew_db():
     """The running example history, shared per module."""

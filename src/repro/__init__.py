@@ -29,10 +29,9 @@ Quickstart::
 
 from repro.db import (Database, DatabaseConfig, IsolationLevel, Session,
                       WriteAheadLog)
-from repro.backends import (BackendSession, DuckDBBackend,
-                            ExecutionBackend, InMemoryBackend,
-                            SQLiteBackend, available_backends,
-                            resolve_backend)
+from repro.backends import (BackendSession, ExecutionBackend,
+                            InMemoryBackend, SQLiteBackend,
+                            available_backends, resolve_backend)
 from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultSpec, armed
 from repro.service import (ReenactmentService, ResultCache,
@@ -43,9 +42,8 @@ __version__ = "1.6.0"
 __all__ = [
     "Database", "DatabaseConfig", "IsolationLevel", "Session",
     "WriteAheadLog",
-    "BackendSession", "DuckDBBackend", "ExecutionBackend",
-    "InMemoryBackend", "SQLiteBackend", "available_backends",
-    "resolve_backend",
+    "BackendSession", "ExecutionBackend", "InMemoryBackend",
+    "SQLiteBackend", "available_backends", "resolve_backend",
     "ReenactmentService", "ResultCache", "SnapshotStore",
     "FaultPlan", "FaultSpec", "armed",
     "ReproError", "__version__",

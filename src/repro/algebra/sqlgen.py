@@ -19,8 +19,8 @@ dialects that do have window functions can render it by overriding
 :meth:`Dialect.gen_annotate_rowid`.
 
 Generation is parameterized by a :class:`Dialect`: the policy knobs —
-quoting, compound-SELECT form, CTE materialization barriers, parameter
-markers, window-function availability — live in first-class
+quoting, compound-SELECT form, CTE materialization barriers,
+window-function availability — live in first-class
 :class:`DialectConfig` objects, one per target engine, so execution
 backends (:mod:`repro.backends`) only override the hooks where
 behavior (not policy) differs: mapping time-traveled scans onto
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra import operators as op
-from repro.algebra.expressions import Column, Expr, Param, transform
+from repro.algebra.expressions import Column, Expr, transform
 from repro.errors import ReenactmentError, ReproError
 from repro.sql.formatter import format_expr
 
@@ -44,10 +44,10 @@ class DialectConfig:
 
     Everything here is declarative — the :class:`Dialect` renderer
     reads these knobs, and a backend declares its dialect by pointing
-    at a config instead of overriding string-producing methods.  The
-    configs for known engines are registered at import time
-    (:func:`available_dialects`), so policy tests can sweep every
-    dialect without importing any engine driver.
+    at a config instead of overriding string-producing methods.  Each
+    engine module registers its own config (:func:`register_dialect`),
+    so policy tests sweep every dialect through
+    :func:`available_dialects`.
     """
 
     name: str
@@ -74,16 +74,6 @@ class DialectConfig:
     #: synthetic row-id annotation and the window-compiled timeline
     #: hooks are expressible.
     window_functions: bool = False
-    #: named-parameter marker style: "colon" (``:name``) or "dollar"
-    #: (``$name``).
-    param_style: str = "colon"
-    #: keyword introducing session-scoped tables (snapshot and
-    #: window-scan temps).
-    temp_table_keyword: str = "TEMP"
-    #: the engine requires statically typed columns in CREATE TABLE —
-    #: snapshot/window temp tables must carry column types mapped from
-    #: the catalog (row-shape inference where no catalog type exists).
-    typed_temp_columns: bool = False
     #: snapshot-planner cutover (:mod:`repro.backends.planner`): a
     #: cached neighbor is patched — moved or cloned — when the
     #: estimated delta is at most this fraction of the table's
@@ -99,22 +89,12 @@ class DialectConfig:
             raise ReproError(
                 f"dialect {self.name!r}: quote_style must be 'none' "
                 f"or 'double', got {self.quote_style!r}")
-        if self.param_style not in ("colon", "dollar"):
-            raise ReproError(
-                f"dialect {self.name!r}: param_style must be 'colon' "
-                f"or 'dollar', got {self.param_style!r}")
 
     def quote(self, ident: str) -> str:
         """Apply this dialect's identifier-quoting policy."""
         if self.quote_style == "double":
             return '"' + ident.replace('"', '""') + '"'
         return ident
-
-    def param_marker(self, name: str) -> str:
-        """The placeholder text for a named query parameter."""
-        if self.param_style == "dollar":
-            return f"${name}"
-        return f":{name}"
 
 
 #: registered dialect configs, by lowercase name.
@@ -147,23 +127,6 @@ def get_dialect(name: str) -> DialectConfig:
 #: time travel, no window machinery — a re-parseable fixpoint.
 NATIVE = register_dialect(DialectConfig(name="native"))
 
-#: SQLite: bounded parser stack (flat CTEs), bare compound operands,
-#: MATERIALIZED barrier against the query flattener (needs >= 3.35 —
-#: the backend downgrades the knob on older libraries).
-SQLITE = register_dialect(DialectConfig(
-    name="sqlite", quote_style="double", use_ctes=True,
-    parenthesized_compounds=False, cte_materialization="MATERIALIZED",
-    window_functions=True, param_style="colon"))
-
-#: DuckDB: postgres-flavored — parenthesized compounds, ``$name``
-#: parameters, statically typed temp-table columns; columnar and
-#: vectorized, so the window-compiled paths are its fast lane.
-DUCKDB = register_dialect(DialectConfig(
-    name="duckdb", quote_style="double", use_ctes=True,
-    parenthesized_compounds=True, cte_materialization="MATERIALIZED",
-    window_functions=True, param_style="dollar",
-    typed_temp_columns=True))
-
 
 class Dialect:
     """Renderer for one target SQL dialect, driven by a
@@ -173,7 +136,7 @@ class Dialect:
     time-travel ``AS OF`` scans, parenthesized compound queries —
     whose output re-parses and re-evaluates on the engine (a tested
     fixpoint).  Everything policy-shaped (quoting, compound form, CTE
-    barriers, parameter markers) is read from the config; subclasses
+    barriers) is read from the config; subclasses
     override only behavior that is not expressible as a knob (backends
     map time-traveled scans onto materialized snapshot tables).  The
     window hooks render shared ANSI window SQL, gated on the config's
@@ -200,10 +163,6 @@ class Dialect:
     def quote(self, ident: str) -> str:
         """Quote an identifier per the config's quoting policy."""
         return self.config.quote(ident)
-
-    def param_marker(self, name: str) -> str:
-        """Named-parameter placeholder per the config's style."""
-        return self.config.param_marker(name)
 
     def scan_source(self, scan: op.TableScan) -> str:
         """FROM-clause source text for a base-table scan."""
@@ -529,7 +488,7 @@ def _remap(expr: Expr, colmap: Dict[str, str],
     same name counter*, so inner aliases can never shadow the outer flat
     names the correlation refers to.
     """
-    from repro.algebra.expressions import RawSQL, SubqueryExpr
+    from repro.algebra.expressions import SubqueryExpr
     import copy as _copy
 
     def visit(node: Expr) -> Expr:
@@ -537,13 +496,6 @@ def _remap(expr: Expr, colmap: Dict[str, str],
             key = node.key or node.display
             if key in colmap:
                 return Column(name=colmap[key], key=colmap[key])
-        if isinstance(node, Param) and gen is not None:
-            # named-parameter markers are dialect policy; the default
-            # formatter prints the native ":name", so only divergent
-            # styles need a literal rewrite
-            marker = gen.dialect.param_marker(node.name)
-            if marker != f":{node.name}":
-                return RawSQL(marker)
         if isinstance(node, SubqueryExpr) and node.plan is not None:
             plan = _remap_plan(_copy.deepcopy(node.plan), colmap)
             if gen is None:

@@ -42,10 +42,11 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.algebra import operators as op
 from repro.algebra.evaluator import EvalContext, Relation
 from repro.errors import ExecutionError, ReproError
+from repro.obs.metrics import StatsView
 
 
 @dataclass
-class SessionStats:
+class SessionStats(StatsView):
     """Observable work a :class:`BackendSession` performed.
 
     ``materializations`` counts CREATE-and-fill events per snapshot key
@@ -102,26 +103,13 @@ class SessionStats:
 
     def as_dict(self) -> Dict[str, int]:
         """All scalar counters plus the number of distinct snapshot
-        keys, as a plain JSON-serializable dict — the payload benchmark
-        reports and service stats embed."""
-        return {
-            "plans_executed": self.plans_executed,
-            "snapshots_materialized": self.snapshots_materialized,
-            "snapshots_reused": self.snapshots_reused,
-            "full_materializations": self.full_materializations,
-            "delta_materializations": self.delta_materializations,
-            "delta_rows_applied": self.delta_rows_applied,
-            "snapshots_evicted": self.snapshots_evicted,
-            "snapshots_spilled": self.snapshots_spilled,
-            "snapshots_rehydrated": self.snapshots_rehydrated,
-            "patched_in_place": self.patched_in_place,
-            "batch_rehydrated": self.batch_rehydrated,
-            "primes_shared": self.primes_shared,
-            "spill_queue_flushes": self.spill_queue_flushes,
-            "window_scans": self.window_scans,
-            "window_scan_ticks": self.window_scan_ticks,
-            "distinct_snapshot_keys": len(self.materializations),
-        }
+        keys (in place of the per-key counter itself), as a plain
+        JSON-serializable dict — the payload benchmark reports and
+        service stats embed."""
+        payload = super().as_dict()
+        payload["distinct_snapshot_keys"] = \
+            len(payload.pop("materializations"))
+        return payload
 
     def merge(self, other: "SessionStats") -> None:
         """Fold another session's counters into this one (service-level

@@ -23,48 +23,9 @@ from repro.backends.base import SnapshotPlan, SnapshotPlanStep
 from repro.backends.cache import (SnapshotCache, SnapshotKey,
                                   quote_ident, spillable_key)
 from repro.backends.planner import SnapshotRequest, plan_snapshots
-from repro.db.types import DataType, infer_type
 from repro.errors import ExecutionError, TimeTravelError
 from repro.obs.explain import explain_active, record_explain
 from repro.obs.trace import NOOP_SPAN, span
-
-#: catalog type -> SQL column type, for dialects whose CREATE TABLE
-#: requires statically typed columns (``typed_temp_columns``).
-SQL_COLUMN_TYPES = {
-    DataType.INT: "BIGINT",
-    DataType.FLOAT: "DOUBLE",
-    DataType.STRING: "VARCHAR",
-    DataType.BOOL: "BOOLEAN",
-}
-
-
-def sql_column_types(ctx: EvalContext, table: str,
-                     data_columns: List[str],
-                     rows: Optional[list] = None) -> List[str]:
-    """SQL column types for ``data_columns`` of ``table``: catalog
-    declarations where the table has them, otherwise inferred from the
-    first non-NULL value in ``rows``, VARCHAR as the all-NULL fallback
-    — a typed engine accepts any NULLs under it."""
-    declared: Dict[str, str] = {}
-    catalog = getattr(getattr(ctx, "db", None), "catalog", None)
-    if catalog is not None and catalog.has(table):
-        for column in catalog.get(table).columns:
-            declared[column.name] = SQL_COLUMN_TYPES[column.dtype]
-    types: List[str] = []
-    for index, name in enumerate(data_columns):
-        dtype = declared.get(name)
-        if dtype is None:
-            dtype = "VARCHAR"
-            for row in rows or ():
-                value = row[index]
-                if value is not None:
-                    try:
-                        dtype = SQL_COLUMN_TYPES[infer_type(value)]
-                    except (KeyError, Exception):
-                        dtype = "VARCHAR"
-                    break
-        types.append(dtype)
-    return types
 
 
 def context_realm(ctx: EvalContext):
@@ -108,8 +69,8 @@ class SnapshotBinder:
     for a plan binder, whose SQL already references cached tables.
 
     ``config`` is the target engine's
-    :class:`~repro.algebra.sqlgen.DialectConfig` (temp-table strategy
-    and the planner's ``delta_max_ratio``); ``driver_errors`` the
+    :class:`~repro.algebra.sqlgen.DialectConfig` (the planner's
+    ``delta_max_ratio``); ``driver_errors`` the
     exception types its driver raises, rethrown from materialization
     as :class:`~repro.errors.ExecutionError`.
     """
@@ -219,24 +180,11 @@ class SnapshotBinder:
         indexing and eviction protection)."""
         return self._used
 
-    # .. dialect temp-table policy ........................................
+    # .. snapshot temp tables .............................................
 
     def _snapshot_columns(self, table: str) -> List[str]:
         return list(self.ctx.table_columns(table)) \
             + [ROWID_SUFFIX, XID_SUFFIX]
-
-    def _column_decl(self, table: str, columns: List[str],
-                     rows: Optional[list]) -> str:
-        """The column list of a snapshot CREATE TABLE — bare names, or
-        name+type declarations on typed-temp-column dialects (data
-        columns from the catalog / row inference, annotation columns
-        BIGINT)."""
-        if not self._config.typed_temp_columns:
-            return ", ".join(quote_ident(c) for c in columns)
-        types = sql_column_types(self.ctx, table, columns[:-2], rows)
-        types += ["BIGINT", "BIGINT"]  # __rowid__, __xid__
-        return ", ".join(f"{quote_ident(c)} {t}"
-                         for c, t in zip(columns, types))
 
     def _create_filled(self, conn, name: str, table: str,
                        rows: Sequence[tuple]) -> None:
@@ -244,9 +192,8 @@ class SnapshotBinder:
         (``(*data, __rowid__, __xid__)`` tuples)."""
         columns = self._snapshot_columns(table)
         conn.execute(
-            f"CREATE {self._config.temp_table_keyword} TABLE "
-            f"{quote_ident(name)} "
-            f"({self._column_decl(table, columns, rows)})")
+            f"CREATE TEMP TABLE {quote_ident(name)} "
+            f"({', '.join(quote_ident(c) for c in columns)})")
         self._insert(conn, name, len(columns), rows)
 
     @staticmethod
@@ -264,11 +211,8 @@ class SnapshotBinder:
         They go through a table (not inline literals) so a large patch
         cannot overflow the engine's SQL-length limit."""
         scratch = f"__delta_ids_{owner}"
-        decl = quote_ident(ROWID_SUFFIX)
-        if self._config.typed_temp_columns:
-            decl += " BIGINT"
-        conn.execute(f"CREATE {self._config.temp_table_keyword} TABLE "
-                     f"{quote_ident(scratch)} ({decl})")
+        conn.execute(f"CREATE TEMP TABLE {quote_ident(scratch)} "
+                     f"({quote_ident(ROWID_SUFFIX)})")
         try:
             conn.executemany(
                 f"INSERT INTO {quote_ident(scratch)} VALUES (?)",
@@ -472,8 +416,7 @@ class SnapshotBinder:
                delta) -> None:
         """One-pass clone of ``source`` without the rows the delta
         changed, then the delta's new row states."""
-        create = (f"CREATE {self._config.temp_table_keyword} TABLE "
-                  f"{quote_ident(name)} AS "
+        create = (f"CREATE TEMP TABLE {quote_ident(name)} AS "
                   f"SELECT * FROM {quote_ident(source)}")
         if not delta:
             conn.execute(create)

@@ -16,15 +16,15 @@ Every SQL backend realizes the paper's deployment story the same way:
    the relation is returned.
 
 What differs between engines is *policy* (quoting, compound form, CTE
-barriers, parameter markers, typed temp columns, the planner's two
-cutovers — all fields of the dialect config) plus a handful of
-driver-level hooks (connect, error types, whether ``__rowid__``
-indexes pay off).  Everything else lives once and is shared by
-:mod:`repro.backends.sqlite` and :mod:`repro.backends.duckdb`: the
-snapshot cache (:mod:`repro.backends.cache`), the materialization
-planner (:mod:`repro.backends.planner`), the binder that executes its
-steps (:mod:`repro.backends.binder`), and — here — the session, the
-priming pipeline and the window-compiled sparkline scan.
+barriers, window capability, the planner's two cutovers — all fields
+of the dialect config) plus the driver glue of an :class:`SQLSession`
+subclass (connect, per-connection setup, error types, a label):
+:mod:`repro.backends.sqlite` is the whole of one engine.  Everything
+else lives once: the snapshot cache (:mod:`repro.backends.cache`), the
+materialization planner (:mod:`repro.backends.planner`), the binder
+that executes its steps (:mod:`repro.backends.binder`), and — here —
+the session, the priming pipeline and the window-compiled sparkline
+scan.
 """
 
 from __future__ import annotations
@@ -130,21 +130,15 @@ class SQLSession(BackendSession):
     is LRU-bounded by the backend's ``cache_capacity`` — evicted
     snapshots drop their temp table and are rebuilt on demand.
 
-    Engine subclasses provide :meth:`_connect` plus the class knobs
-    below; everything else is shared.
+    Engine subclasses provide :meth:`_connect`, optionally
+    :meth:`_configure_connection`, and the two class attributes below;
+    everything else is shared.
     """
 
     #: exception types the engine driver raises for rejected SQL.
     _error_types: Tuple[type, ...] = (Exception,)
     #: human-readable engine name for error messages.
     engine_label = "SQL engine"
-    #: build a ``__rowid__`` index on snapshot temp tables before
-    #: scanning them — pays off on row stores whose joins walk an
-    #: index; columnar engines hash-join vectors and skip it.
-    index_rowids = True
-    #: the pipeline class :meth:`snapshot_pipeline` instantiates
-    #: (subclasses narrow it so ``isinstance`` pins hold).
-    _pipeline_class: type = None  # set to SQLPipeline below
 
     def __init__(self, backend: "SQLBackend"):
         super().__init__(backend)
@@ -173,16 +167,6 @@ class SQLSession(BackendSession):
 
     def _configure_connection(self) -> None:
         """Per-connection setup (pragmas, settings); default none."""
-
-    def _dialect(self, binder: SnapshotBinder) -> Dialect:
-        return BoundDialect(binder, self.backend.dialect_config)
-
-    def _gen_sql(self, plan: op.Operator, dialect: Dialect) -> str:
-        return generate_sql(plan, dialect=dialect)
-
-    def _run_query(self, sql: str, params) -> list:
-        fault_point("session.execute")
-        return self.conn.execute(sql, params or {}).fetchall()
 
     # .....................................................................
 
@@ -225,11 +209,7 @@ class SQLSession(BackendSession):
         query scans.  ``__rowid__`` is the join key of every
         reenactment plan that joins at all — the READ COMMITTED rowid
         anti-join and the provenance left join — and without an index
-        each such access is a full scan of the temp table.  Columnar
-        engines (``index_rowids`` off) skip this: their vectorized
-        hash joins beat index upkeep."""
-        if not self.index_rowids:
-            return
+        each such access is a full scan of the temp table."""
         for name in names - self._indexed:
             self.conn.execute(
                 f"CREATE INDEX {quote_ident('__ix_' + name)} "
@@ -262,7 +242,7 @@ class SQLSession(BackendSession):
                           ctx: EvalContext) -> SnapshotPipeline:
         """Planned cross-compile priming (see :class:`SQLPipeline`)."""
         self._check_open()
-        return self._pipeline_class(self, snapshot_sets, ctx)
+        return SQLPipeline(self, snapshot_sets, ctx)
 
     # .. window-compiled timeline scans ...................................
 
@@ -315,8 +295,8 @@ class SQLSession(BackendSession):
         events = f"__wsev_{self._ws_counter}__"
         ticks = f"__wsticks_{self._ws_counter}__"
         with span("windowscan.compile", table=table, mode="sparkline"):
-            sql = self._dialect(self._binder(ctx)).gen_window_counts(
-                events, ticks)
+            sql = Dialect(self.backend.dialect_config) \
+                .gen_window_counts(events, ticks)
         # live row ids at the first tick: from an already-cached
         # snapshot when one is resident, otherwise one storage scan —
         # a counts-only pass never materializes a snapshot of its own
@@ -339,16 +319,13 @@ class SQLSession(BackendSession):
                 elif rowid not in live:
                     live.add(rowid)
                     deltas.append((ts_to, 1))
-        config = self.backend.dialect_config
-        bigint = " BIGINT" if config.typed_temp_columns else ""
         try:
             for temp, columns, rows in (
                     (ticks, ("__qts__",), [(ts,) for ts in ordered]),
                     (events, ("__wts__", "__delta__"), deltas)):
-                decl = ", ".join(quote_ident(c) + bigint for c in columns)
+                decl = ", ".join(quote_ident(c) for c in columns)
                 self.conn.execute(
-                    f"CREATE {config.temp_table_keyword} TABLE "
-                    f"{quote_ident(temp)} ({decl})")
+                    f"CREATE TEMP TABLE {quote_ident(temp)} ({decl})")
                 if rows:
                     self.conn.executemany(
                         f"INSERT INTO {quote_ident(temp)} VALUES "
@@ -373,11 +350,14 @@ class SQLSession(BackendSession):
         self._check_open()
         with span("backend.execute_plan", engine=self.engine_label):
             binder = self._binder(ctx)
-            sql = self._gen_sql(plan, self._dialect(binder))
+            sql = generate_sql(plan, dialect=BoundDialect(
+                binder, self.backend.dialect_config))
             binder.materialize(self.conn)
             self._ensure_indexes(binder.used_names)
             try:
-                rows = self._run_query(sql, ctx.params)
+                fault_point("session.execute")
+                rows = self.conn.execute(sql,
+                                         ctx.params or {}).fetchall()
             except self._error_types as exc:
                 raise ExecutionError(
                     f"{self.engine_label} rejected generated "
@@ -389,16 +369,16 @@ class SQLSession(BackendSession):
 
     def _teardown(self) -> None:
         store = self.spill_store
-        if store is not None and getattr(store, "async_publish", False) \
-                and not getattr(store, "closed", False):
-            # write-behind contract: a session's in-flight spills land
-            # in the store no later than the session's close
-            store.flush()
-            self.stats.spill_queue_flushes += 1
-        self.conn.close()
-
-
-SQLSession._pipeline_class = SQLPipeline
+        try:
+            if store is not None \
+                    and getattr(store, "async_publish", False) \
+                    and not getattr(store, "closed", False):
+                # write-behind contract: a session's in-flight spills
+                # land in the store no later than the session's close
+                store.flush()
+                self.stats.spill_queue_flushes += 1
+        finally:
+            self.conn.close()
 
 
 def _coerce_result(attrs: List[str], rows: List[tuple],
@@ -427,7 +407,7 @@ class SQLBackend(ExecutionBackend):
     One-shot ``execute_plan`` (inherited) runs each plan on a throwaway
     session; batch callers hold a session open so the connection and
     every materialized snapshot are shared.  Engine subclasses set
-    :attr:`dialect_config` and a session class.
+    :attr:`name`, :attr:`dialect_config` and :attr:`_session_class`.
 
     ``cache_capacity`` bounds the session snapshot cache (``None`` =
     unbounded).  ``spill_store`` (a
@@ -445,8 +425,8 @@ class SQLBackend(ExecutionBackend):
     capabilities = {"sessions": True, "spill": True}
 
     #: the engine's :class:`~repro.algebra.sqlgen.DialectConfig` —
-    #: quoting, compound form, CTE barriers, parameter markers,
-    #: window capability, temp-table strategy, planner cutovers.
+    #: quoting, compound form, CTE barriers, window capability,
+    #: planner cutovers.
     dialect_config: DialectConfig = NATIVE
 
     #: the session class :meth:`open_session` instantiates.

@@ -1,10 +1,10 @@
 """SQLite execution backend: reenactment as SQL on a stock engine.
 
 All of the machinery — snapshot cache, materialization planner,
-:class:`SnapshotBinder`, the priming pipeline, the window-compiled
-sparkline scan — is shared with every SQL backend (see
-:mod:`repro.backends.sqlbase`); this module contributes SQLite's
-:class:`~repro.algebra.sqlgen.DialectConfig` and the driver glue.
+snapshot binder, the priming pipeline, the window-compiled sparkline
+scan — lives in :mod:`repro.backends.sqlbase`; this module is what an
+engine *is*: its :class:`~repro.algebra.sqlgen.DialectConfig`, the
+driver glue of its session, and a name.
 
 Dialect deltas from the native printer, each load-bearing:
 
@@ -32,40 +32,21 @@ with the evaluator's case-sensitive semantics.
 
 from __future__ import annotations
 
-import dataclasses
 import sqlite3
 
-# Re-exported so existing imports (tests, service code, __init__) keep
-# working against this module; the implementations are shared.
-from repro.algebra.sqlgen import (SQLITE, Dialect,  # noqa: F401
-                                  DialectConfig, generate_sql)
-from repro.backends.binder import SnapshotBinder
-from repro.backends.cache import (DEFAULT_CACHE_CAPACITY,  # noqa: F401
-                                  SnapshotCache, SnapshotKey,
-                                  quote_ident, spillable_key)
-from repro.backends.sqlbase import (BoundDialect,  # noqa: F401
-                                    SQLBackend, SQLPipeline,
-                                    SQLSession, _coerce_result)
+from repro.algebra.sqlgen import DialectConfig, register_dialect
+from repro.backends.sqlbase import SQLBackend, SQLSession
 from repro.obs.trace import span
 
-#: SQLite's dialect config, with the CTE materialization barrier
-#: dropped on engines too old to parse ``AS MATERIALIZED``.
-SQLITE_DIALECT: DialectConfig = SQLITE \
-    if sqlite3.sqlite_version_info >= (3, 35, 0) \
-    else dataclasses.replace(SQLITE, cte_materialization="")
-
-
-class SQLiteDialect(BoundDialect):
-    """SQLite's SQL, wired to a :class:`SnapshotBinder`."""
-
-    def __init__(self, binder: SnapshotBinder):
-        super().__init__(binder, SQLITE_DIALECT)
-
-
-class SQLitePipeline(SQLPipeline):
-    """The planned cross-compile priming pipeline over one
-    :class:`SQLiteSession` (see :class:`SQLPipeline` for the
-    planning logic — nothing here is SQLite-specific)."""
+#: SQLite: bounded parser stack (flat CTEs), bare compound operands,
+#: and a MATERIALIZED barrier against the query flattener where the
+#: linked library can parse the keyword (>= 3.35).
+SQLITE_DIALECT = register_dialect(DialectConfig(
+    name="sqlite", quote_style="double", use_ctes=True,
+    parenthesized_compounds=False,
+    cte_materialization="MATERIALIZED"
+    if sqlite3.sqlite_version_info >= (3, 35, 0) else "",
+    window_functions=True))
 
 
 class SQLiteSession(SQLSession):
@@ -74,7 +55,6 @@ class SQLiteSession(SQLSession):
 
     _error_types = (sqlite3.Error,)
     engine_label = "SQLite"
-    _pipeline_class = SQLitePipeline
 
     def _connect(self):
         with span("session.open", engine="sqlite",
@@ -86,13 +66,6 @@ class SQLiteSession(SQLSession):
         # semantics (and the in-memory evaluator) are case-sensitive
         self.conn.execute("PRAGMA case_sensitive_like = ON")
 
-    def _dialect(self, binder: SnapshotBinder) -> Dialect:
-        return SQLiteDialect(binder)
-
-    def _gen_sql(self, plan, dialect: Dialect) -> str:
-        # routed through this module's name so tests can stub it
-        return generate_sql(plan, dialect=dialect)
-
 
 class SQLiteBackend(SQLBackend):
     """Materialize snapshots into SQLite and run plans as SQL (see
@@ -101,6 +74,3 @@ class SQLiteBackend(SQLBackend):
     name = "sqlite"
     dialect_config = SQLITE_DIALECT
     _session_class = SQLiteSession
-
-    def open_session(self) -> SQLiteSession:
-        return SQLiteSession(self)

@@ -48,7 +48,6 @@ its commit, so a crash discards uncommitted effects by construction.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import struct
@@ -64,6 +63,7 @@ from repro.db.types import DataType
 from repro.errors import WALError
 from repro.faults.inject import fault_point
 from repro.faults.retry import RetryPolicy
+from repro.obs.metrics import StatsView
 from repro.obs.trace import span
 
 #: frame header: payload length, payload crc32 (little-endian u32 each).
@@ -232,7 +232,7 @@ class RecoveryReport:
 
 
 @dataclass
-class WALStats:
+class WALStats(StatsView):
     """Observable work the log performed since it was opened."""
 
     records_appended: int = 0
@@ -254,29 +254,6 @@ class WALStats:
     #: background checkpoints that failed (the covered segments stay
     #: on disk, so recovery is unaffected — just un-compacted).
     checkpoint_failures: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "records_appended": self.records_appended,
-            "bytes_appended": self.bytes_appended,
-            "flushes": self.flushes,
-            "fsyncs": self.fsyncs,
-            "checkpoints": self.checkpoints,
-            "segments_compacted": self.segments_compacted,
-            "checkpoints_compacted": self.checkpoints_compacted,
-            "appends_retried": self.appends_retried,
-            "fsyncs_retried": self.fsyncs_retried,
-            "quarantines": self.quarantines,
-            "checkpoints_background": self.checkpoints_background,
-            "checkpoint_failures": self.checkpoint_failures,
-        }
-
-    def merge(self, other: "WALStats") -> None:
-        """Fold another log's counters into this one (aggregation
-        across reopened/rotated logs)."""
-        for spec in dataclasses.fields(self):
-            setattr(self, spec.name, getattr(self, spec.name)
-                    + getattr(other, spec.name))
 
 
 class WriteAheadLog:

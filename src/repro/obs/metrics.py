@@ -8,14 +8,16 @@ Three instrument kinds, all label-aware and thread-safe:
 
 The engine's existing stats dataclasses (``SessionStats``,
 ``ServiceStats``, ``WALStats``, store/cache stats) stay the source of
-truth; :func:`publish_stats` projects any ``as_dict()`` payload into
-a registry as gauges, so one registry can expose a
+truth: :class:`StatsView` derives their ``as_dict()`` payload from the
+declared fields, and :func:`publish_stats` projects any such payload
+into a registry as gauges, so one registry can expose a
 ``service.stats()``-compatible merged snapshot next to live
 histograms maintained by the scheduler itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -26,6 +28,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "StatsView",
     "publish_stats",
 ]
 
@@ -273,6 +276,23 @@ class MetricsRegistry:
         out: Dict[str, Any] = {}
         for metric in self.metrics():
             out.update(metric.snapshot())
+        return out
+
+
+class StatsView:
+    """Base of the stats dataclasses: the ``as_dict()`` payload that
+    service stats, benchmark reports and :func:`publish_stats` read is
+    the declared fields themselves, so a field added to a stats class
+    is exported without a second hand-kept list."""
+
+    def as_dict(self) -> Dict[str, Any]:
+        """Every field by name, in declaration order, as a plain
+        JSON-serializable dict (nested mappings are copied)."""
+        out: Dict[str, Any] = {}
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            out[spec.name] = dict(value) \
+                if isinstance(value, Mapping) else value
         return out
 
 

@@ -22,27 +22,18 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Hashable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Hashable, Optional, Tuple
 
 from repro.errors import ServiceError
+from repro.obs.metrics import StatsView
 
 
 @dataclass
-class ResultCacheStats:
+class ResultCacheStats(StatsView):
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
-
-    def merge(self, other: "ResultCacheStats") -> None:
-        """Accumulate ``other``'s counters into this instance."""
-        for spec in fields(self):
-            setattr(self, spec.name,
-                    getattr(self, spec.name) + getattr(other, spec.name))
 
 
 class ResultCache:

@@ -43,7 +43,7 @@ import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import BackendSpec, resolve_backend
@@ -54,14 +54,15 @@ from repro.errors import (HandleTimeout, JobTimeout, ServiceError,
 from repro.faults.inject import fault_point
 from repro.faults.retry import RetryPolicy
 from repro.obs.explain import ExplainCollector
-from repro.obs.metrics import MetricsRegistry, publish_stats
+from repro.obs.metrics import (MetricsRegistry, StatsView,
+                               publish_stats)
 from repro.obs.trace import span, span_from
 from repro.service.cache import ResultCache
 from repro.service.jobs import (PRIORITY_HIGH, PRIORITY_NORMAL,
                                 EquivalenceJob, Job, ReenactJob,
                                 TimelineScanJob, WarmJob,
                                 WhatIfFleetJob)
-from repro.service.resilience import ResilientStore
+from repro.service.resilience import SPILL_RETRYABLE, ResilientStore
 from repro.service.store import SnapshotStore
 
 #: queue sentinel telling a worker to exit; scheduled *after* every
@@ -161,7 +162,7 @@ class JobHandle:
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(StatsView):
     """Point-in-time snapshot of everything the service observed."""
 
     workers: int = 0
@@ -183,55 +184,11 @@ class ServiceStats:
     #: ``None`` when the service runs without a spill store.
     store: Optional[Dict[str, int]] = None
     #: spill-tier degradation counters (retries, breaker state) —
-    #: ``None`` when the store is unwrapped or absent.
+    #: ``None`` when the service runs without a spill store.
     resilience: Optional[Dict[str, int]] = None
     #: every worker session's counters, merged (see
     #: :meth:`SessionStats.as_dict`).
     sessions: Dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workers": self.workers,
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_executed": self.jobs_executed,
-            "jobs_failed": self.jobs_failed,
-            "jobs_deduplicated": self.jobs_deduplicated,
-            "jobs_from_cache": self.jobs_from_cache,
-            "jobs_deadline_expired": self.jobs_deadline_expired,
-            "jobs_requeued": self.jobs_requeued,
-            "workers_restarted": self.workers_restarted,
-            "queue_depth": self.queue_depth,
-            "result_cache": dict(self.result_cache),
-            "store": dict(self.store) if self.store else None,
-            "resilience": dict(self.resilience)
-            if self.resilience else None,
-            "sessions": dict(self.sessions),
-        }
-
-    def merge(self, other: "ServiceStats") -> None:
-        """Fold another snapshot into this one: numeric fields sum,
-        dict fields accumulate per key (one nesting level deep), a
-        ``store`` of ``None`` adopts the other side's dict."""
-        for spec in fields(self):
-            theirs = getattr(other, spec.name)
-            if theirs is None:
-                continue
-            mine = getattr(self, spec.name)
-            if isinstance(theirs, dict):
-                if mine is None:
-                    mine = {}
-                    setattr(self, spec.name, mine)
-                for key, value in theirs.items():
-                    if isinstance(value, dict):
-                        sub = mine.setdefault(key, {})
-                        for k, v in value.items():
-                            sub[k] = sub.get(k, 0) + (v or 0)
-                    elif isinstance(value, (int, float)):
-                        mine[key] = mine.get(key, 0) + value
-                    else:
-                        mine[key] = value
-            elif isinstance(theirs, (int, float)):
-                setattr(self, spec.name, (mine or 0) + theirs)
 
 
 class _WorkerContext:
@@ -257,21 +214,22 @@ class ReenactmentService:
 
     ``backend`` is anything :func:`repro.backends.resolve_backend`
     accepts; ``cache_capacity`` overrides the snapshot-cache bound of
-    a backend the service constructs from a name.
-    ``async_spill`` (default on) makes a store the service constructs
-    publish spills write-behind — eviction on a worker enqueues the
-    payload instead of paying pickle + disk I/O inline, and queued
-    spills stay readable by every worker until the background flush
-    lands.  ``store`` selects the spill tier: ``"auto"``
-    (default) attaches a private on-disk :class:`SnapshotStore` when
-    the backend's capability flags say it can spill, ``True`` requires
-    spill support (:class:`ServiceError` otherwise), a path string
-    creates the store at that path, an existing :class:`SnapshotStore`
-    is shared (and not closed with the service), and ``None``/``False``
-    disables spilling.
+    a backend the service constructs from a name.  ``store`` selects
+    the spill tier: ``"auto"`` (default) attaches a private on-disk
+    :class:`SnapshotStore` when the backend's capability flags say it
+    can spill, ``True`` requires spill support (:class:`ServiceError`
+    otherwise), a path string creates the store at that path, an
+    existing :class:`SnapshotStore` is shared (and not closed with the
+    service), and ``None``/``False`` disables spilling.  A store the
+    service constructs publishes spills write-behind — eviction on a
+    worker enqueues the payload instead of paying pickle + disk I/O
+    inline, and queued spills stay readable by every worker until the
+    background flush lands — and is unbounded; a caller who wants an
+    LRU bound or synchronous writes passes their own
+    ``SnapshotStore(capacity=...)``.
 
-    ``resilient_spill`` (default on) wraps whatever store is attached
-    in a :class:`~repro.service.resilience.ResilientStore`: transient
+    Whatever store is attached is wrapped in a
+    :class:`~repro.service.resilience.ResilientStore`: transient
     spill/rehydrate failures are retried with backoff, persistent
     failure trips a circuit breaker and the service degrades to
     cache-only operation instead of failing jobs — the spill tier is
@@ -282,19 +240,10 @@ class ReenactmentService:
                  workers: int = 4,
                  store="auto",
                  cache_capacity: Optional[int] = None,
-                 result_cache_capacity: Optional[int] = 256,
-                 store_capacity: Optional[int] = None,
-                 async_spill: bool = True,
-                 resilient_spill: bool = True):
+                 result_cache_capacity: Optional[int] = 256):
         if workers < 1:
             raise ServiceError(f"need at least 1 worker, got {workers}")
         self.db = db
-        #: write-behind spill publishing for a store the service
-        #: constructs itself: eviction on a worker enqueues the
-        #: payload and keeps executing; a small publisher thread owns
-        #: the pickle + disk write.  Caller-owned stores keep whatever
-        #: policy they were built with.
-        self._async_spill = async_spill
         from repro.backends import ExecutionBackend
         caller_owned = isinstance(backend, ExecutionBackend)
         self.backend = resolve_backend(backend)
@@ -316,8 +265,7 @@ class ReenactmentService:
                     f"backend {self.backend.name!r} has no session "
                     f"snapshot cache to tune (capabilities: {caps})")
             self.backend.cache_capacity = cache_capacity
-        self._store, self._owns_store = self._admit_store(store, caps,
-                                                          store_capacity)
+        self._store, self._owns_store = self._admit_store(store, caps)
         self.workers = workers
         self._queue: "queue.PriorityQueue[Tuple[int, int, Optional[Job], Optional[JobHandle]]]" = \
             queue.PriorityQueue()
@@ -343,8 +291,7 @@ class ReenactmentService:
         #: transients, trips a circuit breaker on persistent failure
         #: and falls back to cache-only operation — a broken spill
         #: disk slows the service down instead of taking it down.
-        if resilient_spill and self._store is not None:
-            from repro.service.resilience import SPILL_RETRYABLE
+        if self._store is not None:
             self._store = ResilientStore(
                 self._store,
                 retry=RetryPolicy(
@@ -369,27 +316,24 @@ class ReenactmentService:
         for thread in self._threads:
             thread.start()
 
-    def _admit_store(self, store, caps: Dict[str, bool],
-                     capacity: Optional[int]):
+    def _admit_store(self, store, caps: Dict[str, bool]):
         """Resolve the ``store`` spec against the backend's spill
-        capability.  Returns ``(store_or_None, service_owns_it)``."""
+        capability.  Returns ``(store_or_None, service_owns_it)``; a
+        store built here is write-behind."""
         if store in (None, False):
             return None, False
         if store == "auto":
             if not caps.get("spill"):
                 return None, False
-            return SnapshotStore(capacity=capacity,
-                                 async_publish=self._async_spill), True
+            return SnapshotStore(async_publish=True), True
         if not caps.get("spill"):
             raise ServiceError(
                 f"backend {self.backend.name!r} cannot spill snapshots "
                 f"(capabilities: {caps}); run with store=None")
         if store is True:
-            return SnapshotStore(capacity=capacity,
-                                 async_publish=self._async_spill), True
+            return SnapshotStore(async_publish=True), True
         if isinstance(store, str):
-            return SnapshotStore(path=store, capacity=capacity,
-                                 async_publish=self._async_spill), True
+            return SnapshotStore(path=store, async_publish=True), True
         return store, False  # caller-owned SnapshotStore (or lookalike)
 
     # -- submission --------------------------------------------------------
@@ -605,10 +549,12 @@ class ReenactmentService:
         with self._lock:
             self._live_sessions.append(session)
         worker = _WorkerContext(self.db, self.backend, session)
+        stopping = False
         try:
             while True:
                 _, _, job, handle = self._queue.get()
                 if job is None:  # stop sentinel
+                    stopping = True
                     break
                 expired = False
                 with self._lock:
@@ -677,7 +623,14 @@ class ReenactmentService:
                 if session in self._live_sessions:
                     self._live_sessions.remove(session)
                 self._session_totals.merge(session.stats)
-            session.close()
+            try:
+                session.close()
+            except Exception:
+                # the stop sentinel is consumed: a restart by the
+                # supervisor would park on a queue nothing feeds, and
+                # close() would join it forever
+                if not stopping:
+                    raise
 
     def _reject_loop(self, error: ServiceError) -> None:
         """Fallback loop for a worker whose session never opened:
@@ -714,27 +667,16 @@ class ReenactmentService:
             merged.merge(self._session_totals)
             for session in self._live_sessions:
                 merged.merge(session.stats)
-            resilience = None
-            if self._store is not None \
-                    and hasattr(self._store, "resilience_stats"):
-                resilience = self._store.resilience_stats()
-            snapshot = ServiceStats(
-                workers=self.workers,
-                jobs_submitted=self._stats.jobs_submitted,
-                jobs_executed=self._stats.jobs_executed,
-                jobs_failed=self._stats.jobs_failed,
-                jobs_deduplicated=self._stats.jobs_deduplicated,
-                jobs_from_cache=self._stats.jobs_from_cache,
-                jobs_deadline_expired=self._stats.jobs_deadline_expired,
-                jobs_requeued=self._stats.jobs_requeued,
-                workers_restarted=self._stats.workers_restarted,
+            store = self._store
+            return replace(
+                self._stats,
                 queue_depth=self._queue.qsize(),
                 result_cache=self._result_cache.stats.as_dict(),
-                store=self._store.stats.as_dict()
-                if self._store is not None else None,
-                resilience=resilience,
+                store=store.stats.as_dict()
+                if store is not None else None,
+                resilience=store.resilience_stats()
+                if store is not None else None,
                 sessions=merged.as_dict())
-        return snapshot
 
     def metrics(self,
                 registry: Optional[MetricsRegistry] = None

@@ -1,6 +1,6 @@
 """The shared snapshot store: a disk-spill tier behind session caches.
 
-Per-session :class:`~repro.backends.sqlite.SnapshotCache` instances are
+Per-session :class:`~repro.backends.cache.SnapshotCache` instances are
 hot tiers: temp tables on one connection, LRU-bounded, gone when the
 session closes.  Before this store existed, eviction *destroyed* the
 snapshot — the next request for the same ``(table, ts)`` state paid a
@@ -13,7 +13,7 @@ session in the reenactment service — rehydrates from it instead of
 rebuilding from storage.
 
 Only plain committed ``(table, ts)`` snapshots are stored (see
-:func:`repro.backends.sqlite.spillable_key`): their contents are a pure
+:func:`repro.backends.cache.spillable_key`): their contents are a pure
 function of the version history, which MVCC storage never rewrites, so
 a stored copy can never go stale while the database object lives.
 What-if overrides and trigger-history provider snapshots embed Python
@@ -45,16 +45,17 @@ import sqlite3
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.faults.inject import fault_point
+from repro.obs.metrics import StatsView
 from repro.obs.trace import span
 
 
 @dataclass
-class StoreStats:
+class StoreStats(StatsView):
     """Observable work the store performed (aggregate across every
     session attached to it)."""
 
@@ -82,31 +83,10 @@ class StoreStats:
     #: lookups served from the write-behind queue — a spill that was
     #: readable before its store write landed.
     pending_hits: int = 0
-    #: publisher-thread write failures survived (the batch stays
-    #: queued and is retried on the next drain).
+    #: write-behind drains that failed: a publisher pass (the batch
+    #: stays queued and is retried on the next one) or the final
+    #: drain of :meth:`SnapshotStore.close` (the batch is dropped).
     publisher_errors: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "spills": self.spills,
-            "rehydrations": self.rehydrations,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "rows_spilled": self.rows_spilled,
-            "rows_rehydrated": self.rows_rehydrated,
-            "batch_fetches": self.batch_fetches,
-            "async_queued": self.async_queued,
-            "queue_flushes": self.queue_flushes,
-            "pending_hits": self.pending_hits,
-            "publisher_errors": self.publisher_errors,
-        }
-
-    def merge(self, other: "StoreStats") -> None:
-        """Accumulate ``other``'s counters into this instance (all
-        fields are additive event counts)."""
-        for spec in fields(self):
-            setattr(self, spec.name,
-                    getattr(self, spec.name) + getattr(other, spec.name))
 
 
 class SnapshotStore:
@@ -236,6 +216,7 @@ class SnapshotStore:
     def _write_payloads(self, payloads) -> None:
         """Write serialized snapshots ``(skey, n_rows, payload)`` in
         one transaction; the caller holds the lock."""
+        fault_point("store.write")
         for skey, n_rows, payload in payloads:
             self._tick += 1
             self._conn.execute(
@@ -439,6 +420,7 @@ class SnapshotStore:
             except Exception:
                 with self._drain:
                     self.stats.publisher_errors += 1
+                    self._drain.notify_all()
                 time.sleep(0.01)  # don't spin on a persistent fault
                 continue
             failed = False
@@ -481,15 +463,28 @@ class SnapshotStore:
         before returning — the durability hand-off sessions invoke on
         close.  Returns the number of entries this call wrote inline
         (0 when the publisher thread did the writing, or there was
-        nothing to flush).  No-op on a synchronous store."""
+        nothing to flush).  No-op on a synchronous store.
+
+        Never an unbounded wait: the publisher is waited on only until
+        one of its drains fails, then the caller drains inline itself —
+        and an inline drain that fails raises :class:`ServiceError`
+        (the batch stays queued and readable)."""
         if not self.async_publish:
             return 0
         with self._drain:
             self._check_open()
+            errors_before = self.stats.publisher_errors
             while self._pending:
                 if self._paused or self._publisher is None \
-                        or not self._publisher.is_alive():
-                    return self._drain_locked()
+                        or not self._publisher.is_alive() \
+                        or self.stats.publisher_errors > errors_before:
+                    try:
+                        return self._drain_locked()
+                    except Exception as exc:
+                        raise ServiceError(
+                            f"snapshot store flush gave up with "
+                            f"{len(self._pending)} spill(s) still "
+                            f"queued: {exc!r}") from exc
                 self._drain.notify_all()
                 self._drain.wait(timeout=0.5)
             return 0
@@ -533,10 +528,15 @@ class SnapshotStore:
             if self._torn_down:
                 return
             if not self._closed:
-                if self._pending:
+                try:
                     # write-behind durability: whatever is still queued
                     # lands in the store before the connection closes
                     self._drain_locked()
+                except Exception:
+                    # nobody is left to retry, and refusing to tear
+                    # down would leak the connection: every queued
+                    # state is rebuildable, so count the loss and go on
+                    self.stats.publisher_errors += 1
                 self._closed = True
             publisher = self._publisher
             self._drain.notify_all()

@@ -14,7 +14,7 @@ evidence everything here asserts on.
 import pytest
 
 from repro import Database, SQLiteBackend
-from repro.backends.sqlite import SnapshotCache
+from repro.backends import SnapshotCache
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.errors import ExecutionError
 from repro.workloads import populate_accounts, uN_transaction

@@ -4,8 +4,7 @@ This is the permanent cross-validation oracle for the execution
 backends (and, transitively, for every future optimization of either
 path): seeded random concurrent histories from the workload generator
 are reenacted on the in-memory interpreter *and* on every registered
-SQL engine (SQLite always; DuckDB whenever its optional driver is
-installed — see ``conftest.SQL_ENGINES``), and the results must be
+SQL engine (``conftest.SQL_ENGINES``), and the results must be
 multiset-identical — including annotation columns and tombstones — and
 what-if scenarios must produce identical ``TableDiff``s.
 
@@ -53,7 +52,7 @@ import dataclasses
 import pytest
 
 from repro import Database
-from repro.backends import resolve_backend
+from repro.backends import available_backends, resolve_backend
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.core.whatif import WhatIfScenario
 
@@ -460,8 +459,7 @@ def test_differential_full(seed, isolation, mode, engine):
     """Full sweep: together with the smoke slice this covers
     len(FULL_SEEDS) × 2 isolation levels = 50 seeded histories, each
     reenacted one-shot *and* through long-lived sessions — on every
-    registered SQL engine, so three backends cross-validate whenever
-    the duckdb driver is present."""
+    registered SQL engine."""
     db, checked = check_history_differential(seed, isolation, mode,
                                              engine)
     assert checked > 0
@@ -550,10 +548,10 @@ def test_sweep_covers_fifty_histories():
     assert len(FULL_SEEDS) * len(ISOLATION_LEVELS) >= 50
     assert set(MODES) == {"oneshot", "session", "delta", "inplace",
                           "windowscan"}
-    # every registered SQL engine rides the whole sweep; with the
-    # duckdb driver installed that is three backends cross-validating
-    engines = [getattr(p, "values", (p,))[0] for p in SQL_ENGINES]
-    assert engines == ["sqlite", "duckdb"]
+    # every listed SQL engine rides the whole sweep: a plain
+    # registered name, never a skip-marked parameter
+    assert "sqlite" in SQL_ENGINES
+    assert set(SQL_ENGINES) <= set(available_backends())
     assert check_history_service_differential.__doc__ is not None
     assert check_inplace_differential.__doc__ is not None
     assert check_windowscan_differential.__doc__ is not None

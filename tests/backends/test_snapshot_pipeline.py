@@ -18,10 +18,10 @@ Pins the PR-5 materialization pipeline's observable contract:
 import pytest
 
 from repro import Database, SnapshotStore
-from repro.backends import SQLiteBackend, resolve_backend
+from repro.backends import (SQLiteBackend, SQLPipeline,
+                            resolve_backend)
 from repro.backends.base import (SessionStats, SnapshotPlan,
                                  SnapshotPlanStep)
-from repro.backends.sqlite import SQLitePipeline
 from repro.debugger.timeline import timeline_states
 from repro.errors import ExecutionError
 
@@ -113,7 +113,7 @@ def test_pipeline_prime_order_is_enforced():
     with SQLiteBackend().open_session() as session:
         sets = [[("acct", ts)] for ts in timestamps]
         pipe = session.snapshot_pipeline(sets, ctx)
-        assert isinstance(pipe, SQLitePipeline)
+        assert isinstance(pipe, SQLPipeline)
         pipe.prime(1)
         with pytest.raises(ExecutionError, match="out of order"):
             pipe.prime(0)

@@ -6,14 +6,15 @@ import dataclasses
 import pytest
 
 from repro import Database
-from repro.backends import SQLiteBackend
-from repro.backends.sqlite import SnapshotBinder, quote_ident
+from repro.backends import BoundDialect, SnapshotBinder, SQLiteBackend
+from repro.backends.cache import quote_ident
 from repro.core.reenactor import (ANNOTATION_NAMES, ReenactmentOptions,
                                   Reenactor)
 from repro.core.whatif import WhatIfScenario
 from repro.errors import ExecutionError
 
 from conftest import assert_relations_match
+from planner_policy import policy_backend
 
 
 def run_txn(db, statements, isolation=None):
@@ -190,8 +191,8 @@ def test_snapshot_reuse_one_temp_table_per_version(account_db):
     ctx = account_db.context(params={})
     binder = SnapshotBinder(ctx)
     from repro.algebra.sqlgen import generate_sql
-    from repro.backends.sqlite import SQLiteDialect
-    generate_sql(plans["account"], dialect=SQLiteDialect(binder))
+    generate_sql(plans["account"], dialect=BoundDialect(
+        binder, SQLiteBackend.dialect_config))
     # serializable chain: every statement reads the same begin-time
     # snapshot — exactly one materialized table
     assert len(binder._entries) == 1
@@ -205,18 +206,43 @@ def test_quote_ident_escapes_quotes():
 def test_sqlite_error_carries_sql(account_db, monkeypatch):
     xid = run_txn(account_db, ["UPDATE account SET bal = 1"])
     backend = SQLiteBackend()
-    import repro.backends.sqlite as sqlite_mod
-    real = sqlite_mod.generate_sql
+    import repro.backends.sqlbase as sqlbase_mod
+    real = sqlbase_mod.generate_sql
 
     def broken(plan, dialect=None):
         real(plan, dialect=dialect)  # still registers snapshots
         return "SELECT FROM nonsense"
 
-    monkeypatch.setattr(sqlite_mod, "generate_sql", broken)
+    monkeypatch.setattr(sqlbase_mod, "generate_sql", broken)
     reenactor = Reenactor(account_db, backend=backend)
     with pytest.raises(ExecutionError) as excinfo:
         reenactor.reenact(xid)
     assert "SELECT FROM nonsense" in str(excinfo.value)
+
+
+def test_subclass_dialect_config_drives_rendering(account_db):
+    """A backend subclass that replaces ``dialect_config`` — how a new
+    engine declares its policy — must *render* under that config, not
+    only plan under it: with the barrier keyword stripped, no query
+    SQLite is sent carries it."""
+    xid = run_txn(account_db, [
+        "UPDATE account SET bal = bal + 1 WHERE bal > 20",
+        "DELETE FROM account WHERE cust = 'Eve'",
+    ])
+    assert SQLiteBackend.dialect_config.cte_materialization
+    backend = policy_backend({"name": "sqlite-nobarrier",
+                              "cte_materialization": ""})
+    sent = []
+    with backend.open_session() as session:
+        session.conn.set_trace_callback(sent.append)
+        sq = Reenactor(account_db).reenact(
+            xid, ReenactmentOptions(backend=backend),
+            session=session).table("account")
+    queries = [sql for sql in sent if sql.startswith("WITH ")]
+    assert queries, sent
+    assert not any("MATERIALIZED" in sql for sql in queries)
+    assert_relations_match(
+        Reenactor(account_db).reenact(xid).table("account"), sq)
 
 
 def test_deleted_rows_not_nulls(account_db):

@@ -96,6 +96,10 @@ def random_fault_plan(seed):
                 count=rng.randint(1, 3), error=WorkerCrash)
     if rng.random() < 0.3:
         plan.on("session.open", count=1)
+    if rng.random() < 0.4:
+        # uncapped on purpose: the spill tier may stay broken through
+        # shutdown, and the service's close() must still return
+        plan.on("store.write", probability=rng.uniform(0.3, 1.0))
     return plan
 
 

@@ -1,9 +1,11 @@
 """Stats-parity guard: every stats dataclass in the system must
-round-trip its counters through ``as_dict()`` and accumulate through
-``merge()``.
+round-trip its counters through ``as_dict()``, and the one with a
+``merge()`` (``SessionStats`` — the service folds worker sessions
+together) must accumulate every field through it.
 
 The guard is introspective — it walks ``dataclasses.fields`` so a
-field added to any stats class without updating ``as_dict``/``merge``
+field that goes missing from ``as_dict`` (derived, see
+``repro.obs.metrics.StatsView``) or from the hand-written ``merge``
 fails here instead of silently disappearing from service stats,
 benchmark payloads, and the metrics registry.
 """
@@ -21,6 +23,7 @@ from repro.service.store import StoreStats
 
 STATS_CLASSES = [SessionStats, ServiceStats, WALStats, StoreStats,
                  ResultCacheStats]
+MERGING_CLASSES = [SessionStats]
 
 #: numeric fields intentionally represented differently in as_dict()
 #: (exposed under a derived name instead of the field name).
@@ -79,7 +82,7 @@ def test_every_field_round_trips_as_dict(cls):
             assert payload[spec.name] == value
 
 
-@pytest.mark.parametrize("cls", STATS_CLASSES,
+@pytest.mark.parametrize("cls", MERGING_CLASSES,
                          ids=lambda c: c.__name__)
 def test_every_field_accumulates_through_merge(cls):
     left, left_values = _filled(cls, PRIMES)
@@ -102,20 +105,10 @@ def test_every_field_accumulates_through_merge(cls):
 
 
 def test_merge_of_fresh_instances_is_identity():
-    for cls in STATS_CLASSES:
+    for cls in MERGING_CLASSES:
         fresh = cls()
         fresh.merge(cls())
         assert fresh == cls()
-
-
-def test_service_stats_merge_adopts_store_dict():
-    left = ServiceStats()
-    assert left.store is None
-    right = ServiceStats(store={"spills": 4})
-    left.merge(right)
-    assert left.store == {"spills": 4}
-    left.merge(ServiceStats(store={"spills": 1, "misses": 2}))
-    assert left.store == {"spills": 5, "misses": 2}
 
 
 def test_as_dict_payloads_are_json_serializable():

@@ -16,7 +16,7 @@ stock one.
 import dataclasses
 import sys
 
-from repro.backends import DuckDBBackend, SQLiteBackend
+from repro.backends import resolve_backend
 
 #: every delta hop is affordable — a huge *finite* ratio: ``0 * inf``
 #: is NaN, which would refuse the hops of an empty table.
@@ -28,14 +28,14 @@ FORCE_WINDOW = {"window_min_ticks": 1}
 #: no tick count reaches the window pass: always per-probe.
 NO_WINDOW = {"window_min_ticks": sys.maxsize}
 
-_ENGINES = {"sqlite": SQLiteBackend, "duckdb": DuckDBBackend}
-
 
 def policy_backend(policy, engine="sqlite", **kwargs):
-    """A backend of ``engine`` planning under ``policy`` (a dict of
-    ``DialectConfig`` fields — combine the constants above with
-    ``{**A, **B}``); ``kwargs`` go to the backend constructor."""
-    base = _ENGINES[engine]
+    """A backend of ``engine`` (any registered SQL engine — the names
+    in ``tests/backends/conftest.py``'s ``SQL_ENGINES``) planning under
+    ``policy`` (a dict of ``DialectConfig`` fields — combine the
+    constants above with ``{**A, **B}``); ``kwargs`` go to the backend
+    constructor."""
+    base = type(resolve_backend(engine))
 
     class PolicyBackend(base):
         dialect_config = dataclasses.replace(base.dialect_config,

@@ -7,12 +7,14 @@ histories, correct-or-explicit-error oracle) lives in
 mechanism down in isolation.
 """
 
+import sqlite3
 import threading
 import time
 
 import pytest
 
-from repro import ReenactmentService, SnapshotStore
+from repro import ReenactmentService, SnapshotStore, SQLiteBackend
+from repro.backends import SQLiteSession
 from repro.errors import (HandleTimeout, JobTimeout, ReproError,
                           ServiceError, WorkerCrashed)
 from repro.faults import (CircuitBreaker, FaultPlan, RetryPolicy,
@@ -366,13 +368,6 @@ def test_service_without_store_reports_no_resilience(account_db):
         assert svc.stats().resilience is None
 
 
-def test_resilient_spill_off_keeps_raw_store(account_db):
-    with ReenactmentService(account_db, workers=1,
-                            resilient_spill=False) as svc:
-        assert isinstance(svc.store, SnapshotStore)
-        assert svc.stats().resilience is None
-
-
 def test_retries_total_metric_counts_spill_retries(account_db):
     plan = FaultPlan(seed=3).on("store.spill", count=1)
     with armed(plan):
@@ -457,3 +452,98 @@ def test_close_drains_inline_when_publisher_wedged():
     assert not store._publisher.is_alive()
     store.close()
     assert store.closed
+
+
+# -- close() never hangs over a broken spill tier --------------------------
+
+def _close_within(svc, seconds=10):
+    closer = threading.Thread(target=svc.close, daemon=True)
+    closer.start()
+    closer.join(timeout=seconds)
+    assert not closer.is_alive(), \
+        f"ReenactmentService.close() still blocked after {seconds}s"
+
+
+def _assert_connection_closed(conn):
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        conn.execute("SELECT 1")
+
+
+class ProbeSession(SQLiteSession):
+    """Stock session whose connection the test thread may probe after
+    the worker that owned it is gone."""
+
+    def _connect(self):
+        return sqlite3.connect(self.backend.database,
+                               check_same_thread=False)
+
+
+class ProbeBackend(SQLiteBackend):
+    _session_class = ProbeSession
+
+
+@pytest.mark.parametrize("site", ["store.publisher", "store.write"])
+def test_close_returns_while_spill_tier_stays_broken(history_db, site):
+    """A spill tier that fails for good — the publisher thread alone
+    (``store.publisher``) or every write including the inline drains
+    of ``flush()`` and ``close()`` (``store.write``) — costs the
+    queued spills, never an answer, an open connection or a hang."""
+    from repro.db.auditlog import AuditEventKind
+    db, _xids = history_db
+    ticks = sorted({entry.ts for entry in db.audit_log.entries
+                    if entry.kind is AuditEventKind.COMMIT})
+    assert len(ticks) >= 6
+    with ReenactmentService(db, workers=1, store=None) as svc:
+        reference = svc.timeline_scan("account", ticks).result(timeout=20)
+    with armed(FaultPlan(seed=1).on(site)):
+        svc = ReenactmentService(
+            db, backend=ProbeBackend(cache_capacity=1))
+        states = svc.timeline_scan("account", ticks).result(timeout=20)
+        sessions = list(svc._live_sessions)
+        assert sessions
+        _close_within(svc)
+    assert set(states) == set(reference)
+    for ts in ticks:
+        assert_relations_match(states[ts], reference[ts],
+                               context=f"site={site} ts={ts}")
+    stats = svc.stats()
+    assert stats.jobs_failed == 0
+    assert stats.workers_restarted == 0
+    assert stats.store["async_queued"] >= 1
+    assert stats.store["publisher_errors"] >= 1
+    if site == "store.write":
+        # every close-time flush failed: degraded like a put
+        assert stats.resilience["store_errors"] >= len(sessions)
+    for session in sessions:
+        _assert_connection_closed(session.conn)
+    _assert_connection_closed(svc.store.inner._conn)
+
+
+def test_flush_gives_up_with_typed_error_when_writes_keep_failing():
+    store = SnapshotStore(async_publish=True)
+    with armed(FaultPlan(seed=1).on("store.write")):
+        store.put(1, "account", 5, [("Alice", 1)])
+        with pytest.raises(ServiceError, match="still queued"):
+            store.flush()
+        # given up on, not lost: still served from the queue
+        assert store.get(1, "account", 5) == [("Alice", 1)]
+    store.flush()
+    assert store.pending_count() == 0
+    assert store.get(1, "account", 5) == [("Alice", 1)]
+    store.close()
+
+
+def test_stopped_worker_exits_whatever_its_teardown_raises(account_db):
+    class BrokenTeardownSession(SQLiteSession):
+        def _teardown(self):
+            super()._teardown()
+            raise RuntimeError("teardown failed after the sentinel")
+
+    class BrokenTeardownBackend(SQLiteBackend):
+        _session_class = BrokenTeardownSession
+
+    svc = ReenactmentService(account_db,
+                             backend=BrokenTeardownBackend(), workers=2)
+    assert svc.submit(SleepJob(0)).result(timeout=10) == "slept"
+    _close_within(svc)
+    assert svc.stats().workers_restarted == 0

@@ -319,8 +319,11 @@ def plan_tables(op: Operator) -> List[str]:
 
 
 def transform_plan(op: Operator, fn) -> Operator:
-    """Bottom-up plan rewrite: children first, then ``fn`` on the node."""
-    new_children = [transform_plan(c, fn) for c in op.children()]
-    if new_children != op.children():
+    """Bottom-up plan rewrite: children first, then ``fn`` on the node.
+    A child counts as rewritten when ``fn`` returned another object —
+    dataclass ``==`` would compare whole subtrees at every level."""
+    children = op.children()
+    new_children = [transform_plan(c, fn) for c in children]
+    if any(new is not old for new, old in zip(new_children, children)):
         op.replace_children(new_children)
     return fn(op)

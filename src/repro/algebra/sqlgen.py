@@ -30,7 +30,7 @@ materialized snapshot tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra import operators as op
 from repro.algebra.expressions import Column, Expr, transform
@@ -267,6 +267,9 @@ class _Generator:
         #: hoisted (name, body) common table expressions, in dependency
         #: order (a body only references CTEs appended before it).
         self.ctes: List[Tuple[str, str]] = []
+        #: bodies :meth:`_gen_scan` rendered — a bare scan renames
+        #: columns and nothing else, so :meth:`derived` keeps it inline.
+        self._scan_bodies: Set[str] = set()
         #: >0 while rendering an expression-level subquery.  Such
         #: bodies may carry correlated references to outer flat names
         #: (remapped by :func:`_remap_plan`) and therefore must stay
@@ -279,8 +282,16 @@ class _Generator:
 
     def derived(self, body: str) -> str:
         """A derived table for a FROM clause: inline ``(body)`` or, for
-        CTE dialects outside subquery context, a hoisted CTE name."""
-        if self.dialect.use_ctes and self._subquery_depth == 0:
+        CTE dialects outside subquery context, a hoisted CTE name.
+
+        A bare table scan always stays inline.  Hoisting exists to bound
+        nesting depth and to put the dialect's materialization barrier
+        between stacked CASE projections; a leaf scan adds one level and
+        carries no expression an engine's flattener could compound,
+        while behind a barrier it costs a full copy of the scanned
+        table on every query."""
+        if self.dialect.use_ctes and self._subquery_depth == 0 \
+                and body not in self._scan_bodies:
             name = self.fresh("q")
             self.ctes.append((name, body))
             return self.dialect.quote(name)
@@ -334,6 +345,7 @@ class _Generator:
         from_clause = self.dialect.scan_source(scan)
         alias = self.fresh("t")
         sql = (f"SELECT {', '.join(pieces)} FROM {from_clause} {alias}")
+        self._scan_bodies.add(sql)
         return sql, colmap
 
     def _gen_const(self, const: op.ConstRel):

@@ -33,9 +33,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra import operators as op
 from repro.algebra.evaluator import EvalContext, Relation
+from repro.algebra.expressions import contains_subquery
 from repro.algebra.operators import DEL_FLAG, ROWID_SUFFIX, UPD_FLAG
 from repro.algebra.sqlgen import (Dialect, DialectConfig, NATIVE,
                                   generate_sql)
+from repro.algebra.translator import operator_expressions
 from repro.backends.base import (BackendSession, ExecutionBackend,
                                  SnapshotPipeline)
 from repro.backends.binder import SnapshotBinder, context_realm
@@ -206,10 +208,11 @@ class SQLSession(BackendSession):
 
     def _ensure_indexes(self, names: Set[str]) -> None:
         """Index the row-identity column of every snapshot the next
-        query scans.  ``__rowid__`` is the join key of every
-        reenactment plan that joins at all — the READ COMMITTED rowid
-        anti-join and the provenance left join — and without an index
-        each such access is a full scan of the temp table."""
+        query scans — called for plans that probe (:func:`_probes`).
+        ``__rowid__`` is the join key of every reenactment plan that
+        joins at all — the READ COMMITTED rowid anti-join and the
+        provenance left join — and without an index each such access
+        is a full scan of the temp table."""
         for name in names - self._indexed:
             self.conn.execute(
                 f"CREATE INDEX {quote_ident('__ix_' + name)} "
@@ -353,7 +356,8 @@ class SQLSession(BackendSession):
             sql = generate_sql(plan, dialect=BoundDialect(
                 binder, self.backend.dialect_config))
             binder.materialize(self.conn)
-            self._ensure_indexes(binder.used_names)
+            if _probes(plan):
+                self._ensure_indexes(binder.used_names)
             try:
                 fault_point("session.execute")
                 rows = self.conn.execute(sql,
@@ -379,6 +383,19 @@ class SQLSession(BackendSession):
                 self.stats.spill_queue_flushes += 1
         finally:
             self.conn.close()
+
+
+def _probes(plan: op.Operator) -> bool:
+    """Whether a plan looks rows up instead of streaming them: it holds
+    a join (the READ COMMITTED rowid anti-join, the provenance left
+    join) or a subquery expression (redirected ``INSERT ... SELECT``
+    and ``WHERE ... IN (SELECT ...)`` reads).  A snapshot-isolation
+    update/delete chain filters and projects; an index on its snapshot
+    is built and never read."""
+    nodes = list(op.walk_plan(plan))
+    return any(isinstance(node, op.Join) for node in nodes) \
+        or any(contains_subquery(expr) for node in nodes
+               for expr in operator_expressions(node))
 
 
 def _coerce_result(attrs: List[str], rows: List[tuple],

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional
 from repro.core.reenactor import (DEL, UPD, ReenactmentOptions,
                                   Reenactor)
 from repro.db.engine import Database
-from repro.db.transaction import IsolationLevel
 
 
 @dataclass
@@ -78,25 +77,21 @@ def check_transaction_equivalence(db: Database, xid: int,
                                  optimize=optimize)
     compiled = reenactor.compile(record, options)
     result = reenactor.execute(compiled, session=session)
-    return _report_for_result(db, record, result)
+    return _report_for_result(db, compiled, result)
 
 
-def _report_for_result(db: Database, record, result
+def _report_for_result(db: Database, compiled, result
                        ) -> EquivalenceReport:
     """Judge one reenactment result against storage ground truth —
     shared by the per-transaction entry point and the pipelined
-    history sweep."""
-    report = EquivalenceReport(xid=record.xid)
-
-    if record.isolation is IsolationLevel.READ_COMMITTED \
-            and record.statements:
-        snapshot_ts = record.statements[-1].ts
-    else:
-        snapshot_ts = record.begin_ts
-
+    history sweep.  Each table is judged at the time the compile says
+    its unwritten rows were read (``compiled.state_ts``): under READ
+    COMMITTED that is the table's own last statement, not the
+    transaction's."""
+    report = EquivalenceReport(xid=compiled.xid)
     for table_name, relation in result.tables.items():
-        check = _check_table(db, record.xid, table_name, relation,
-                             snapshot_ts)
+        check = _check_table(db, compiled.xid, table_name, relation,
+                             compiled.state_ts[table_name])
         report.checks.append(check)
     return report
 
@@ -227,15 +222,14 @@ def check_history_equivalence(db: Database,
                 raise ValueError(
                     f"transaction {xid} did not commit; only committed "
                     f"transactions have effects to check")
-            compiles.append((xid, record,
-                             reenactor.compile(record, options)))
+            compiles.append((xid, reenactor.compile(record, options)))
         out: Dict[int, EquivalenceReport] = {}
         ctx = db.context(params={})
-        sets = [compiled.snapshots for _, _, compiled in compiles]
+        sets = [compiled.snapshots for _, compiled in compiles]
         with session.snapshot_pipeline(sets, ctx) as pipe:
-            for index, (xid, record, compiled) in enumerate(compiles):
+            for index, (xid, compiled) in enumerate(compiles):
                 pipe.prime(index)
                 result = reenactor.execute(compiled, session=session,
                                            prime=False)
-                out[xid] = _report_for_result(db, record, result)
+                out[xid] = _report_for_result(db, compiled, result)
         return out

@@ -12,7 +12,10 @@ This module implements the rules that matter for those shapes:
   guard stops merging when substitution would blow the expression up
   (updated columns appear twice per CASE level, so unbounded merging is
   exponential);
-* **selection pushdown** through projections, and **selection fusion**;
+* **selection pushdown** through projections and ``UNION ALL`` (a
+  reenacted INSERT), as far as it goes in one visit, and **selection
+  fusion** — what turns the affected-rows query into a filter on the
+  scan;
 * **identity-projection removal**;
 * **dead-column pruning** — drops annotation and data columns that no
   ancestor needs, narrowing table scans (this is what makes
@@ -80,12 +83,10 @@ def _estimate_merged_size(outer_exprs, mapping: Dict[str, Expr]) -> int:
     """Size of ``substitute(outer, mapping)`` without performing the
     substitution: outer size plus (refs × (inner size − 1)) per mapped
     column.  Exact for tree-shaped expressions, which is what we have."""
-    inner_sizes = {name: expr_size(e) for name, e in mapping.items()}
-    counts = _column_ref_counts(outer_exprs)
     total = sum(expr_size(e) for e in outer_exprs)
-    for name, count in counts.items():
-        if name in inner_sizes:
-            total += count * (inner_sizes[name] - 1)
+    for name, count in _column_ref_counts(outer_exprs).items():
+        if name in mapping:  # only what is referenced gets measured
+            total += count * (expr_size(mapping[name]) - 1)
     return total
 
 
@@ -112,6 +113,11 @@ class ProvenanceOptimizer:
     def __init__(self, config: Optional[OptimizerConfig] = None):
         self.config = config or OptimizerConfig()
         self.rule_applications: Dict[str, int] = {}
+        #: expressions :meth:`_fold` produced, by ``id`` (held, so no id
+        #: is reused): folding is idempotent and expressions are never
+        #: mutated, so a later pass skips what no rule has rebuilt since
+        #: — the pass that only confirms the fixpoint folds nothing.
+        self._folded: Dict[int, Expr] = {}
 
     def optimize(self, plan: op.Operator) -> op.Operator:
         cfg = self.config
@@ -150,8 +156,15 @@ class ProvenanceOptimizer:
         return node
 
     def _push_selection(self, node: op.Operator) -> op.Operator:
-        if not (isinstance(node, op.Selection)
-                and isinstance(node.child, op.Projection)):
+        """Push a selection below the projection or UNION ALL under it
+        — and on, as far as it goes: the rewrite visits bottom-up, so
+        a selection that moved one level per pass would cost one full
+        pass (every expression folded again) per level."""
+        if not isinstance(node, op.Selection):
+            return node
+        if isinstance(node.child, op.SetOp):
+            return self._push_through_union(node, node.child)
+        if not isinstance(node.child, op.Projection):
             return node
         if getattr(node, "_push_rejected", False):
             return node
@@ -167,8 +180,36 @@ class ProvenanceOptimizer:
         pushed = substitute(node.condition, mapping)
         self._hit("push_selection")
         return op.Projection(
-            op.Selection(projection.child, pushed),
+            self._push_selection(op.Selection(projection.child, pushed)),
             projection.exprs, projection.names)
+
+    def _push_through_union(self, node: op.Selection,
+                            union: op.SetOp) -> op.Operator:
+        """σ(L ∪all R) = σ(L) ∪all σ'(R).  Every reenacted INSERT puts
+        a UNION ALL on top of the chain; a filter left above it (the
+        affected-rows filter above all) makes the whole CASE stack run
+        over every row before any is dropped.  R's attributes answer
+        L's by position, so σ' is the condition with L's keys replaced
+        by R's.  A condition holding a subquery stays put (its plan may
+        refer to L's keys too), and so does every distinct-sensitive
+        set operation."""
+        if not (union.kind == "union" and union.all) \
+                or _contains_subquery(node.condition):
+            return node
+        renames = {
+            left: Column(name=right.rsplit(".", 1)[-1], key=right)
+            for left, right in zip(union.left.attrs, union.right.attrs)
+            if left != right}
+        self._hit("push_selection")
+        return op.SetOp(
+            "union",
+            self._push_selection(
+                op.Selection(union.left, node.condition)),
+            self._push_selection(
+                op.Selection(union.right,
+                             substitute(node.condition, renames)
+                             if renames else node.condition)),
+            all=True)
 
     def _merge_projections(self, node: op.Operator) -> op.Operator:
         if not (isinstance(node, op.Projection)
@@ -222,9 +263,12 @@ class ProvenanceOptimizer:
         return op.transform_plan(plan, visit)
 
     def _fold(self, expr: Expr) -> Expr:
+        if id(expr) in self._folded:
+            return expr
         folded = transform(expr, self._fold_node)
         if folded != expr:
             self._hit("fold_constants")
+        self._folded[id(folded)] = folded
         return folded
 
     @staticmethod

@@ -37,12 +37,22 @@ Isolation levels (§3 footnote 2):
   written (rowid anti-join).  This is sound because write locks prevent
   concurrent commits to rows the transaction wrote (see
   :mod:`repro.db.mvcc`).
+
+Execution pays for the rows the transaction wrote, not for the table
+([5]): a request for whole table states is compiled to the
+affected-rows query (the chain under ``σ __upd__``, pushed down to the
+scan) and :meth:`Reenactor.execute` adds the rows the transaction never
+wrote straight from the AS-OF snapshot.  The full query of Example 3
+remains what :meth:`Reenactor.build_plans` and
+:meth:`Reenactor.reenactment_sql` produce, and what the tests hold the
+split to.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra import operators as op
@@ -56,7 +66,7 @@ from repro.db.auditlog import TransactionRecord
 from repro.db.engine import Database
 from repro.db.transaction import IsolationLevel
 from repro.errors import ReenactmentError
-from repro.obs.trace import span
+from repro.obs.trace import NOOP_SPAN, span
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 
@@ -110,7 +120,9 @@ class ParsedStatement:
 
 @dataclass
 class ReenactmentResult:
-    """Plans and (optionally) evaluated relations per updated table."""
+    """Per updated table, the plan a backend ran and the resulting
+    relation (for a whole-table request the plan is the affected-rows
+    query; the relation is complete)."""
 
     xid: int
     plans: Dict[str, op.Operator]
@@ -129,6 +141,9 @@ class ReenactmentResult:
 class CompiledReenactment:
     """The compile half of a reenactment: optimized per-table plans plus
     everything an executor needs to run them — without touching storage.
+    ``options`` is the request; for a request that asks for whole tables
+    ``plans`` compute only the rows the transaction wrote (annotated,
+    tombstones kept) and :meth:`Reenactor.execute` completes them.
 
     Compiling once and executing many times is the what-if fleet's hot
     path: plan construction and optimization are pure functions of the
@@ -151,10 +166,31 @@ class CompiledReenactment:
     optimizer_stats: Dict[str, int] = field(default_factory=dict)
     #: what-if table replacements to evaluate under (R -> R', §2).
     overrides: Optional[Dict[str, Relation]] = None
+    #: per table, the AS-OF time at which the rows the transaction
+    #: never wrote are read (:meth:`Reenactor.state_timestamps`) — where
+    #: :meth:`Reenactor.execute` completes a whole-table request from,
+    #: and the state the equivalence oracle judges the table at.
+    state_ts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def tables(self) -> List[str]:
         return list(self.plans)
+
+
+def _check(options: ReenactmentOptions) -> None:
+    if options.include_deleted and not options.annotations:
+        raise ReenactmentError(
+            "include_deleted requires annotations=True so the "
+            "__del__ flag remains visible")
+
+
+def _split(options: ReenactmentOptions) -> bool:
+    """Whether a request is executed as *affected rows from the engine
+    plus untouched rows from the snapshot* (see
+    :meth:`Reenactor.execute`).  Not when the request is the affected
+    rows already, nor under the provenance join, whose output columns
+    the completion pass does not know."""
+    return not (options.only_affected or options.with_provenance)
 
 
 def plan_snapshots(plans: Dict[str, op.Operator]
@@ -273,15 +309,27 @@ class Reenactor:
         The result is inert — it can be executed any number of times,
         on any backend or session, via :meth:`execute`."""
         options = options or ReenactmentOptions()
+        _check(options)
+        # a whole-table request compiles to the rows the transaction
+        # wrote, annotated and tombstones kept; execute() adds the rest
+        planned = replace(options, only_affected=True, annotations=True,
+                          include_deleted=True) \
+            if _split(options) else options
         optimizer_stats: Dict[str, int] = {}
         with span("reenactor.compile", xid=record.xid) as sp:
-            plans = self.build_plans(record, options,
+            if statements is None:
+                statements = self.parsed_statements(record)
+            plans = self.build_plans(record, planned,
                                      statements=statements,
                                      optimizer_stats=optimizer_stats)
+            stamps = self.state_timestamps(record, statements,
+                                           upto=options.upto)
             compiled = CompiledReenactment(
                 xid=record.xid, record=record, options=options,
                 plans=plans, snapshots=plan_snapshots(plans),
-                optimizer_stats=optimizer_stats, overrides=overrides)
+                optimizer_stats=optimizer_stats, overrides=overrides,
+                state_ts={table: stamps.get(table, record.begin_ts)
+                          for table in plans})
             sp.set("tables", len(plans))
             sp.set("snapshots", len(compiled.snapshots))
         return compiled
@@ -304,40 +352,100 @@ class Reenactor:
         hint for a caller session a
         :meth:`~repro.backends.base.BackendSession.snapshot_pipeline`
         has already primed with this compile's set (priming twice is
-        harmless but pays a redundant plan)."""
+        harmless but pays a redundant plan).
+
+        A request for whole tables was compiled to the rows the
+        transaction wrote; the rows it never wrote are added here,
+        straight from the AS-OF snapshot (:meth:`_complete`) — on every
+        backend alike, the engine only ever sees the affected rows."""
         result = ReenactmentResult(xid=compiled.xid, plans=compiled.plans)
         ctx = self.db.context(params={}, overrides=compiled.overrides,
                       snapshot_provider=self.snapshot_provider)
+        spec = compiled.options.backend \
+            if compiled.options.backend is not None else self.backend
         with span("reenactor.execute", xid=compiled.xid,
-                  tables=len(compiled.plans)):
-            if session is not None:
-                if prime:
-                    session.prime_snapshots(compiled.snapshots, ctx)
-                for table, plan in compiled.plans.items():
-                    result.tables[table] = session.execute_plan(plan,
-                                                                ctx)
-                return result
-            backend = resolve_backend(
-                compiled.options.backend
-                if compiled.options.backend is not None
-                else self.backend)
-            with backend.open_session() as scoped:
-                scoped.prime_snapshots(compiled.snapshots, ctx)
-                for table, plan in compiled.plans.items():
-                    result.tables[table] = scoped.execute_plan(plan,
-                                                               ctx)
+                  tables=len(compiled.plans)) as sp, \
+                (nullcontext(session) if session is not None
+                 else resolve_backend(spec).open_session()) as active:
+            if prime or session is None:
+                active.prime_snapshots(compiled.snapshots, ctx)
+            split = _split(compiled.options)
+            affected = passthrough = 0
+            for table, plan in compiled.plans.items():
+                relation = active.execute_plan(plan, ctx)
+                affected += len(relation.rows)
+                if split:
+                    relation, untouched = self._complete(
+                        table, relation, compiled.state_ts[table], ctx,
+                        compiled.options)
+                    passthrough += untouched
+                result.tables[table] = relation
+            if sp is not NOOP_SPAN:
+                sp.set("affected_rows", affected)
+                sp.set("passthrough_rows", passthrough)
         return result
+
+    def _complete(self, table: str, affected: Relation, ts: int, ctx,
+                  options: ReenactmentOptions) -> Tuple[Relation, int]:
+        """The whole table state a request asked for, from the rows the
+        transaction wrote (``affected``: annotated, tombstones kept) and
+        the snapshot of ``table`` at ``ts``; also the number of rows
+        taken from the snapshot.
+
+        Rests on one invariant of the statement translation: a row whose
+        ``__upd__`` is still false at the end of the chain left every
+        CASE through its ELSE branch — it *is* its input row, with
+        ``__del__`` false.  So a snapshot row the affected relation does
+        not carry is emitted as storage holds it; an affected row takes
+        its snapshot row's place, rows the transaction inserted follow
+        in the engine's order.  Tombstones are dropped and annotation
+        columns stripped last, as the request says."""
+        ncols = len(self.db.catalog.get(table).columns)
+        rowid_at = affected.column_index(ROWID)
+        del_at = affected.column_index(DEL)
+        annotated = options.annotations
+        width = None if annotated else ncols
+        keep_deleted = options.include_deleted
+        pending = {row[rowid_at]: row for row in affected.rows}
+        rows: List[tuple] = []
+        untouched = 0
+        for rowid, values, xid in ctx.scan_table(table, ts):
+            row = pending.pop(rowid, None)
+            if row is None:
+                untouched += 1
+                row = tuple(values)
+                rows.append(row + (rowid, xid, False, False)
+                            if annotated else row)
+            elif keep_deleted or not row[del_at]:
+                rows.append(row[:width])
+        rows.extend(row[:width] for row in pending.values()
+                    if keep_deleted or not row[del_at])
+        return Relation(affected.attrs[:width], rows), untouched
+
+    def state_timestamps(self, record: TransactionRecord,
+                         statements: List[ParsedStatement],
+                         upto: Optional[int] = None) -> Dict[str, int]:
+        """Per table written by the first ``upto`` statements, the
+        AS-OF time its chain reads rows the transaction never wrote at:
+        the begin time under snapshot isolation, the table's last
+        statement under READ COMMITTED (where :meth:`_rc_input` re-bases
+        the chain before every statement)."""
+        rebased = record.isolation is IsolationLevel.READ_COMMITTED
+        return {parsed.target: parsed.ts if rebased else record.begin_ts
+                for parsed in statements[:upto]}
 
     def reenactment_sql(self, xid: int, table: Optional[str] = None,
                         options: Optional[ReenactmentOptions] = None,
                         dialect=None) -> str:
         """The reenactment query as SQL text (Example 3), in the native
         dialect by default (``dialect`` selects another — see
-        :class:`repro.algebra.sqlgen.Dialect`)."""
+        :class:`repro.algebra.sqlgen.Dialect`).  This is the paper's
+        query over whole tables, not the affected-rows query
+        :meth:`execute` sends to a backend."""
         from repro.algebra.sqlgen import generate_sql
         options = options or ReenactmentOptions()
         if table is not None:
-            options.table = table
+            options = replace(options, table=table)
         plans = self.build_plans(self.transaction_record(xid), options)
         if table is None:
             if len(plans) != 1:
@@ -357,6 +465,7 @@ class Reenactor:
                     statements: Optional[List[ParsedStatement]] = None,
                     optimizer_stats: Optional[Dict[str, int]] = None
                     ) -> Dict[str, op.Operator]:
+        _check(options)
         if statements is None:
             statements = self.parsed_statements(record)
         chains = self.build_chains(record, statements, upto=options.upto)
@@ -743,13 +852,8 @@ class Reenactor:
                   options: ReenactmentOptions,
                   optimizer_stats: Optional[Dict[str, int]] = None
                   ) -> op.Operator:
-        plan: op.Operator = copy.deepcopy(chain)
-        if options.include_deleted:
-            if not options.annotations:
-                raise ReenactmentError(
-                    "include_deleted requires annotations=True so the "
-                    "__del__ flag remains visible")
-        else:
+        plan = chain  # built for this compile and referenced nowhere else
+        if not options.include_deleted:
             plan = op.Selection(
                 plan, UnaryOp("NOT", Column(name=DEL,
                                             key=f"{table}.{DEL}")))

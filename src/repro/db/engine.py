@@ -385,6 +385,13 @@ class DatabaseContext(EvalContext):
         #: callable (table, ts) -> [(rowid, values, xid)].  Used by the
         #: trigger-based history fallback (§3 footnote 3).
         self.snapshot_provider = snapshot_provider
+        #: per table, the last AS-OF read ``(ts, rows)``.  A backend
+        #: materializes a state and the reenactor then completes its
+        #: result from the same state; the second read is answered
+        #: here.  Derived, private to this context, and one entry per
+        #: table — a context that walks many states retains only the
+        #: newest.
+        self._as_of_rows: Dict[str, Tuple[int, list]] = {}
 
     def table_columns(self, table: str):
         return list(self.db.catalog.get(table).column_names)
@@ -395,9 +402,15 @@ class DatabaseContext(EvalContext):
             return [(i + 1, tuple(row), 0)
                     for i, row in enumerate(override.rows)]
         if as_of_ts is not None:
+            held = self._as_of_rows.get(table)
+            if held is not None and held[0] == as_of_ts:
+                return held[1]
             if self.snapshot_provider is not None:
-                return self.snapshot_provider(table, as_of_ts)
-            return self.db.table_snapshot(table, as_of_ts)
+                rows = self.snapshot_provider(table, as_of_ts)
+            else:
+                rows = self.db.table_snapshot(table, as_of_ts)
+            self._as_of_rows[table] = (as_of_ts, rows)
+            return rows
         vtable = self.db.table(table)
         if self.txn is not None:
             ts = self.stmt_ts if self.stmt_ts is not None \

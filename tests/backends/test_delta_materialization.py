@@ -216,18 +216,45 @@ def test_in_flight_plan_snapshots_survive_eviction(history_db):
 
 # -- temp-table indexes ----------------------------------------------------
 
+def _snapshots_and_indexed(session):
+    tables = {row[0] for row in session.conn.execute(
+        "SELECT name FROM sqlite_temp_master WHERE type = 'table' "
+        "AND name LIKE '__snap%'")}
+    indexed = {row[0] for row in session.conn.execute(
+        "SELECT tbl_name FROM sqlite_temp_master "
+        "WHERE type = 'index'")}
+    return tables, indexed
+
+
 def test_materialized_snapshots_are_rowid_indexed(history_db):
+    """A snapshot gets its ``__rowid__`` index when a plan probes it —
+    the READ COMMITTED rowid anti-join, the provenance left join — and
+    not for a snapshot-isolation chain, which only filters and
+    projects."""
     db, xids = history_db
+    writer = db.connect(user="rc")
+    writer.begin("READ COMMITTED")
+    writer.execute("UPDATE bench_account SET bal = bal + 1 WHERE id = 1")
+    writer.execute("UPDATE bench_account SET bal = bal + 1 WHERE id = 2")
+    rc_xid = writer.txn.xid
+    writer.commit()
     backend = SQLiteBackend()
     reenactor = Reenactor(db, backend=backend)
+
     with backend.open_session() as session:
         reenactor.reenact(xids[0], STRICT, session=session)
-        tables = {row[0] for row in session.conn.execute(
-            "SELECT name FROM sqlite_temp_master WHERE type = 'table' "
-            "AND name LIKE '__snap%'")}
-        indexed = {row[0] for row in session.conn.execute(
-            "SELECT tbl_name FROM sqlite_temp_master "
-            "WHERE type = 'index'")}
+        tables, indexed = _snapshots_and_indexed(session)
+        assert tables and not indexed
+    with backend.open_session() as session:
+        reenactor.reenact(rc_xid, STRICT, session=session)
+        tables, indexed = _snapshots_and_indexed(session)
+        assert tables and tables <= indexed
+    with backend.open_session() as session:
+        reenactor.reenact(
+            xids[0], ReenactmentOptions(annotations=True,
+                                        with_provenance=True),
+            session=session)
+        tables, indexed = _snapshots_and_indexed(session)
         assert tables and tables <= indexed
 
 

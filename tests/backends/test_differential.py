@@ -48,13 +48,16 @@ isolation levels and both modes.
 
 import contextlib
 import dataclasses
+import itertools
 
 import pytest
 
 from repro import Database
+from repro.algebra.evaluator import Evaluator
 from repro.backends import available_backends, resolve_backend
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.core.whatif import WhatIfScenario
+from repro.errors import ReenactmentError
 
 from conftest import (SQL_ENGINES, assert_relations_match,
                       build_history, committed_xids)
@@ -436,6 +439,118 @@ def check_whatif_differential(db, seed, isolation, engine="sqlite"):
     assert diffs["memory"] == diffs[engine], \
         f"what-if diff mismatch seed={seed} isolation={isolation} " \
         f"engine={engine}"
+
+
+def check_split_against_full_plan(seed, isolation):
+    """What ``reenact()`` runs — the affected-rows query on a backend,
+    completed from the AS-OF snapshot — against what it replaced: the
+    full Example-3 plan of ``build_plans`` under the *request's*
+    options, evaluated by the in-memory ``Evaluator``.  Swept over
+    every committed transaction, the prefixes ``upto`` ∈ {0, mid, all},
+    a written and a never-written table, and every legal combination of
+    ``annotations`` × ``include_deleted`` (the illegal one must raise at
+    compile), on the interpreter and on every SQL engine; type-strict
+    multisets everywhere, and on the interpreter the row order too:
+    snapshot rows in rowid order, each written row in its snapshot
+    row's place, inserted rows last in statement order — under
+    snapshot isolation exactly the full plan's order."""
+    db = Database()
+    db.execute("CREATE TABLE side (id INT, note TEXT)")
+    db.execute("INSERT INTO side VALUES (1, 'a'), (2, 'b')")
+    build_history(seed, isolation, db=db)
+    reenactor = Reenactor(db)
+    checked = 0
+    with contextlib.ExitStack() as stack:
+        sessions = {name: stack.enter_context(
+                        resolve_backend(name).open_session())
+                    for name in ["memory"] + SQL_ENGINES}
+        for xid in committed_xids(db):
+            record = reenactor.transaction_record(xid)
+            n = len(record.statements)
+            for upto, table in itertools.product(
+                    sorted({0, n // 2, n}), ("bench_account", "side")):
+                with pytest.raises(ReenactmentError,
+                                   match="requires annotations"):
+                    reenactor.compile(record, ReenactmentOptions(
+                        upto=upto, table=table, include_deleted=True))
+                ordered = {}
+                for annotations, include_deleted in (
+                        (True, True), (True, False), (False, False)):
+                    options = ReenactmentOptions(
+                        upto=upto, table=table, annotations=annotations,
+                        include_deleted=include_deleted)
+                    context = (f"seed={seed} isolation={isolation} "
+                               f"xid={xid} {options}")
+                    oracle = Evaluator(db.context(params={})).evaluate(
+                        reenactor.build_plans(record, options)[table])
+                    for name, session in sessions.items():
+                        got = reenactor.reenact(
+                            xid, dataclasses.replace(options,
+                                                     backend=name),
+                            session=session).table(table)
+                        assert_relations_match(
+                            oracle, got, context=f"{context} on {name}")
+                        if name == "memory":
+                            ordered[annotations, include_deleted] = got
+                            if isolation == "SERIALIZABLE":
+                                assert got.rows == oracle.rows, context
+                    checked += 1
+                # order, read off the annotated result
+                full = ordered[True, True]
+                rowid = full.column_index("__rowid__")
+                deleted = full.column_index("__del__")
+                ids = [row[rowid] for row in full.rows]
+                stored = [i for i in ids if i > 0]
+                assert stored == sorted(stored), context
+                assert ids == stored + sorted(
+                    (i for i in ids if i < 0), reverse=True), context
+                live = [row for row in full.rows if not row[deleted]]
+                assert ordered[True, False].rows == live, context
+                width = len(ordered[False, False].attrs)
+                assert ordered[False, False].rows == \
+                    [row[:width] for row in live], context
+    return checked
+
+
+def check_optimizer_metamorphic(seed, isolation):
+    """The optimizer is a rewrite, never a semantics change:
+    ``optimize=False`` and ``optimize=True`` must agree on every
+    committed transaction of the history — whole tables and the
+    affected-rows request, on the interpreter and on every SQL
+    engine."""
+    db = build_history(seed, isolation)
+    reenactor = Reenactor(db)
+    checked = 0
+    for xid in committed_xids(db):
+        for backend, only_affected in itertools.product(
+                ["memory"] + SQL_ENGINES, (False, True)):
+            options = dataclasses.replace(
+                STRICT_OPTIONS, backend=backend,
+                only_affected=only_affected)
+            naive = reenactor.reenact(
+                xid, dataclasses.replace(options, optimize=False))
+            optimized = reenactor.reenact(xid, options)
+            assert set(naive.tables) == set(optimized.tables)
+            for table in naive.tables:
+                assert_relations_match(
+                    naive.tables[table], optimized.tables[table],
+                    context=f"seed={seed} isolation={isolation} "
+                            f"backend={backend} xid={xid} "
+                            f"only_affected={only_affected}")
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+@pytest.mark.parametrize("seed", FULL_SEEDS)
+def test_split_execution_equals_full_plan(seed, isolation):
+    assert check_split_against_full_plan(seed, isolation) > 0
+
+
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+@pytest.mark.parametrize("seed", FULL_SEEDS)
+def test_optimizer_on_off_metamorphic(seed, isolation):
+    assert check_optimizer_metamorphic(seed, isolation) > 0
 
 
 @pytest.mark.parametrize("engine", SQL_ENGINES)

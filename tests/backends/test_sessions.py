@@ -191,6 +191,43 @@ def test_override_does_not_poison_snapshot_cache(account_db):
                for count in session.stats.materializations.values())
 
 
+def test_cold_reenactment_reads_each_state_from_storage_once(
+        account_db, monkeypatch):
+    """The backend materializes the begin-time state and the reenactor
+    completes its result from the same state: the execution context
+    answers the second AS-OF read from the first — one storage read per
+    ``execute``, and nothing kept between executes or handed to a
+    what-if override."""
+    from repro.algebra.evaluator import Relation
+    xid = run_txn(account_db,
+                  ["UPDATE account SET bal = bal * 2 WHERE bal >= 50"])
+    reads = []
+    real = Database.table_snapshot
+    monkeypatch.setattr(
+        Database, "table_snapshot",
+        lambda self, name, ts: reads.append((name, ts))
+        or real(self, name, ts))
+    reenactor = Reenactor(account_db, backend="sqlite")
+    record = reenactor.transaction_record(xid)
+    expected = reenactor.reenact(xid).table("account")
+    assert reads == [("account", record.begin_ts)]
+    assert sorted(expected.rows) == [("Alice", "checking", 200),
+                                     ("Bob", "savings", 100),
+                                     ("Eve", "savings", 9)]
+    reenactor.reenact(xid)
+    assert reads == [("account", record.begin_ts)] * 2
+
+    ctx = account_db.context(params={})
+    first = ctx.scan_table("account", record.begin_ts)
+    assert ctx.scan_table("account", record.begin_ts) is first
+    later = ctx.scan_table("account", account_db.clock.now())
+    assert later is not first and later != first
+    assert ctx.scan_table("account", None) is not later  # live read
+    override = Relation(["cust", "typ", "bal"], [("Zed", "checking", 1)])
+    assert ctx.with_overrides({"account": override}).scan_table(
+        "account", record.begin_ts) == [(1, ("Zed", "checking", 1), 0)]
+
+
 def test_compiled_snapshot_set_matches_materializations(account_db):
     """`CompiledReenactment.snapshots` names exactly the ``(table,
     ts)`` states the executor materializes — the contract the snapshot

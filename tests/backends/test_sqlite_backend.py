@@ -148,6 +148,35 @@ def test_bool_column_coercion(db):
     assert all(isinstance(v, bool) for v in sq.column("active"))
 
 
+def test_untouched_rows_never_pass_through_the_engine(db):
+    """Rows the transaction did not write are completed from the AS-OF
+    snapshot: they come back as storage holds them — the very objects,
+    so no engine type system (0/1 booleans, REAL affinity, TEXT
+    re-decoding) can have touched them — while written rows are
+    computed on SQLite and coerced back as before."""
+    db.execute("CREATE TABLE m (id INT, ok BOOL, ratio REAL, note TEXT)")
+    db.execute("INSERT INTO m VALUES (1, true, 1.5, 'one'), "
+               "(2, false, 2.0, NULL), (3, NULL, 3.25, 'three')")
+    xid = run_txn(db, [
+        "UPDATE m SET ok = false, ratio = ratio * 2 WHERE id = 1"])
+    begin_ts = db.audit_log.transaction_record(xid).begin_ts
+    stored = {rowid: values
+              for rowid, values, _ in db.table_snapshot("m", begin_ts)}
+    options = ReenactmentOptions(annotations=True)
+    mem = Reenactor(db).reenact(xid, options).table("m")
+    sq = Reenactor(db, backend="sqlite").reenact(xid, options).table("m")
+    assert_relations_match(mem, sq)
+    rowid, upd = sq.column_index("__rowid__"), sq.column_index("__upd__")
+    untouched = [row for row in sq.rows if not row[upd]]
+    assert [row[0] for row in untouched] == [2, 3]
+    for row in untouched:
+        assert all(got is kept
+                   for got, kept in zip(row, stored[row[rowid]]))
+    (written,) = [row for row in sq.rows if row[upd]]
+    assert written[:4] == (1, False, 3.0, "one")
+    assert [type(v) for v in written[:4]] == [int, bool, float, str]
+
+
 def test_read_committed_rebasing(account_db):
     from repro.workloads.simulator import HistorySimulator, TxnScript
     t1 = TxnScript("T1", [
@@ -243,6 +272,41 @@ def test_subclass_dialect_config_drives_rendering(account_db):
     assert not any("MATERIALIZED" in sql for sql in queries)
     assert_relations_match(
         Reenactor(account_db).reenact(xid).table("account"), sq)
+
+
+def test_barrier_wraps_case_stacks_never_a_bare_scan(account_db):
+    """The ``MATERIALIZED`` barrier stops SQLite's flattener from
+    compounding CASE stacks; around a leaf scan it would only copy the
+    whole snapshot once per query.  Read from what SQLite is sent: the
+    snapshot is scanned inline, the CASE projections still sit behind
+    the barrier, and once optimized the affected-rows filter is applied
+    directly to the scan."""
+    import re
+    xid = run_txn(account_db, [
+        "UPDATE account SET bal = bal + 1 WHERE bal > 20",
+        "DELETE FROM account WHERE cust = 'Eve'",
+        "INSERT INTO account VALUES ('Carol', 'checking', 7)",
+    ])
+    inline_scan = r'FROM \(SELECT [^()]* FROM "__snap_\d+__" t\d+\) AS t\d+'
+    queries = {}
+    for optimize in (True, False):
+        sent = []
+        backend = SQLiteBackend()
+        with backend.open_session() as session:
+            session.conn.set_trace_callback(sent.append)
+            Reenactor(account_db).reenact(
+                xid, ReenactmentOptions(backend=backend,
+                                        optimize=optimize),
+                session=session)
+        (query,) = [sql for sql in sent if sql.startswith("WITH ")]
+        assert not re.search(
+            r'AS MATERIALIZED \(SELECT [^()]* FROM "__snap_', query)
+        assert re.search(inline_scan, query)
+        assert re.search(r"AS MATERIALIZED \(SELECT [^()]*CASE WHEN",
+                         query)
+        queries[optimize] = query
+    assert re.search(inline_scan + " WHERE ", queries[True])
+    assert not re.search(inline_scan + " WHERE ", queries[False])
 
 
 def test_deleted_rows_not_nulls(account_db):

@@ -48,6 +48,33 @@ class TestAccepts:
         s.commit()
         assert check_transaction_equivalence(db, xid).ok
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_rc_transaction_over_two_tables(self, backend):
+        """A READ COMMITTED reenactment ends each table at the last
+        statement *on that table*: a commit to ``a`` between T1's
+        statement on ``a`` and its later statement on ``b`` is not part
+        of ``a``'s reenacted state, and the oracle must judge ``a``
+        there — in the single check and in the pipelined sweep."""
+        db = Database()
+        db.execute("CREATE TABLE a (id INT, v INT)")
+        db.execute("CREATE TABLE b (id INT, v INT)")
+        db.execute("INSERT INTO a VALUES (1,10), (2,20)")
+        db.execute("INSERT INTO b VALUES (1,100)")
+        t1 = db.connect()
+        t1.begin("READ COMMITTED")
+        t1.execute("UPDATE a SET v = v + 1 WHERE id = 1")
+        db.execute("UPDATE a SET v = v + 5 WHERE id = 2")
+        t1.execute("UPDATE b SET v = v + 1 WHERE id = 1")
+        xid = t1.txn.xid
+        t1.commit()
+        report = check_transaction_equivalence(db, xid, backend=backend)
+        assert report.ok, [c.detail for c in report.failures()]
+        by_table = {c.table: c for c in report.checks}
+        assert by_table["a"].final_actual == {(1, 11): 1, (2, 20): 1}
+        assert by_table["b"].final_actual == {(1, 101): 1}
+        sweep = check_history_equivalence(db, backend=backend)
+        assert sweep[xid].ok, [c.detail for c in sweep[xid].failures()]
+
     def test_history_checker_covers_all_committed(self, db):
         run_txn(db, "UPDATE t SET v = 1 WHERE k = 1")
         run_txn(db, "DELETE FROM t WHERE k = 2")

@@ -168,3 +168,114 @@ class TestOnReenactmentChains:
         naive = reenactor.reenact(
             xid, ReenactmentOptions(optimize=False)).tables["t"]
         assert sorted(optimized.rows) == sorted(naive.rows)
+
+
+class TestSelectionThroughUnionAll:
+    """σ(L ∪all R) → σ(L) ∪all σ'(R): what gets the affected-rows
+    filter below a reenacted INSERT."""
+
+    PUSH_ONLY = OptimizerConfig(
+        merge_projections=False, combine_selections=False,
+        remove_identity=False, prune_columns=False, fold_constants=False)
+
+    @staticmethod
+    def above_union(db, sql, condition):
+        union = plan_for(db, sql)
+        assert isinstance(union, op.SetOp)
+        return op.Selection(union, condition)
+
+    @staticmethod
+    def a_above(bound):
+        from repro.algebra.expressions import BinaryOp, Column, Literal
+        return BinaryOp(">", Column(name="a", key="a"), Literal(bound))
+
+    def test_right_side_is_remapped_by_position(self, db):
+        import copy
+        from repro.algebra.expressions import columns_used
+        plan = self.above_union(
+            db, "SELECT a FROM t UNION ALL SELECT c FROM t",
+            self.a_above(2))
+        assert plan.child.left.attrs != plan.child.right.attrs
+        expected = rows(db, copy.deepcopy(plan))
+        assert expected == [(3,), (4,), (10,), (20,), (30,), (40,)]
+        optimizer = ProvenanceOptimizer(self.PUSH_ONLY)
+        result = optimizer.optimize(plan)
+        assert isinstance(result, op.SetOp) and result.all
+        assert optimizer.rule_applications["push_selection"] >= 3
+        for side in (result.left, result.right):
+            selections = [n for n in op.walk_plan(side)
+                          if isinstance(n, op.Selection)]
+            assert len(selections) == 1
+            assert set(columns_used(selections[0].condition)) \
+                <= set(selections[0].child.attrs)
+        assert rows(db, result) == expected
+
+    def test_subquery_condition_stays_above(self, db):
+        import copy
+        from repro.algebra.expressions import Column, SubqueryExpr
+        condition = SubqueryExpr(
+            "IN", None, operand=Column(name="a", key="a"),
+            plan=plan_for(db, "SELECT a FROM t WHERE c > 15"))
+        plan = self.above_union(
+            db, "SELECT a FROM t UNION ALL SELECT c FROM t", condition)
+        expected = rows(db, copy.deepcopy(plan))
+        result = ProvenanceOptimizer().optimize(plan)
+        assert isinstance(result, op.Selection)
+        assert isinstance(result.child, op.SetOp)
+        assert rows(db, result) == expected == [(2,), (3,), (4,)]
+
+    @pytest.mark.parametrize("word", ["UNION", "EXCEPT", "INTERSECT"])
+    def test_distinct_sensitive_set_operations_are_left_alone(self, db,
+                                                              word):
+        import copy
+        plan = self.above_union(
+            db, f"SELECT a FROM t {word} SELECT c / 10 FROM t",
+            self.a_above(0))
+        expected = rows(db, copy.deepcopy(plan))
+        result = ProvenanceOptimizer().optimize(plan)
+        assert isinstance(result, op.Selection)
+        assert isinstance(result.child, op.SetOp)
+        assert rows(db, result) == expected
+
+    def test_merge_size_guard_still_stops_the_push_below(self, db):
+        """Through the union the condition travels as it is; under it,
+        substituting it into a projection is still subject to
+        ``merge_size_limit``."""
+        plan = self.above_union(
+            db, "SELECT a + a + a + a AS a FROM t "
+                "UNION ALL SELECT c FROM t", self.a_above(2))
+        config = OptimizerConfig(
+            merge_projections=False, combine_selections=False,
+            remove_identity=False, prune_columns=False,
+            fold_constants=False, merge_size_limit=5)
+        result = ProvenanceOptimizer(config).optimize(plan)
+        assert isinstance(result, op.SetOp)
+        # left: a > 2 over four references to a is past the limit
+        assert isinstance(result.left, op.Selection)
+        assert isinstance(result.left.child, op.Projection)
+        # right: a plain column fits, the selection went below
+        assert isinstance(result.right, op.Projection)
+        assert isinstance(result.right.child, op.Selection)
+
+    def test_affected_rows_filter_reaches_the_scan_under_an_insert(
+            self, db):
+        s = db.connect()
+        s.begin()
+        s.execute("UPDATE t SET c = c + 1 WHERE a = 1")
+        s.execute("INSERT INTO t VALUES (5, 'w', 50)")
+        xid = s.txn.xid
+        s.commit()
+        reenactor = Reenactor(db)
+        plan = reenactor.build_plans(
+            reenactor.transaction_record(xid),
+            ReenactmentOptions(annotations=True, only_affected=True,
+                               include_deleted=True))["t"]
+        unions = [n for n in op.walk_plan(plan)
+                  if isinstance(n, op.SetOp)]
+        assert len(unions) == 1
+        scan_side = list(op.walk_plan(unions[0].left))
+        assert isinstance(scan_side[-1], op.TableScan)
+        assert isinstance(scan_side[-2], op.Selection)
+        assert rows(db, plan) == [
+            (1, "x", 11, 1, xid, True, False),
+            (5, "w", 50, -1_000_001, xid, True, False)]

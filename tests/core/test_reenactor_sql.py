@@ -57,6 +57,27 @@ class TestExample3:
         sql = Reenactor(db).reenactment_sql(t1, "account")
         assert f"AS OF {record.begin_ts}" in sql
 
+    def test_prints_the_full_query_and_leaves_options_alone(self, skewed):
+        """``reenactment_sql`` is the paper's query over the whole
+        table — what backends run is the affected-rows query, and this
+        text is its oracle — and a caller's options object is not
+        pinned to the first table it was used for."""
+        db, t1, _ = skewed
+        reenactor = Reenactor(db)
+        sql = reenactor.reenactment_sql(
+            t1, "account", ReenactmentOptions(annotations=True))
+        assert " WHERE " not in sql  # no __upd__ filter: every row
+        rows = db.execute(sql).rows
+        assert sorted(row[:3] for row in rows) == \
+            [("Alice", "Checking", -20), ("Alice", "Savings", 30)]
+        assert sorted(row[-2] for row in rows) == [False, True]
+
+        options = ReenactmentOptions()
+        reenactor.reenactment_sql(t1, "account", options)
+        assert options.table is None
+        other = reenactor.reenactment_sql(t1, "overdraft", options)
+        assert "FROM overdraft" in other
+
     def test_multi_table_requires_choice(self, skewed):
         db, _, t2 = skewed
         # T2 wrote only account (the overdraft insert produced no rows)

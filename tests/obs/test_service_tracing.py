@@ -128,6 +128,34 @@ def test_traced_reenact_job_covers_compile_and_execute(history_db):
             "reenactor.execute"} <= _child_names(children, job)
 
 
+def test_execute_span_counts_engine_and_passthrough_rows():
+    """``reenactor.execute`` says how the result was put together: rows
+    the backend computed (written, deleted, inserted) and rows taken
+    unchanged from the AS-OF snapshot."""
+    from repro.core.reenactor import ReenactmentOptions, Reenactor
+    db = Database()
+    db.execute("CREATE TABLE account (cust TEXT, bal INT)")
+    db.execute("INSERT INTO account VALUES ('Alice', 100), ('Bob', 50), "
+               "('Eve', 9)")
+    xid = run_txn(db, ["UPDATE account SET bal = 0 WHERE cust = 'Alice'",
+                       "DELETE FROM account WHERE cust = 'Bob'",
+                       "INSERT INTO account VALUES ('Carol', 7)"])
+    for backend in ("memory", "sqlite"):
+        for options, counts in (
+                (ReenactmentOptions(), (3, 1)),
+                (ReenactmentOptions(annotations=True,
+                                    only_affected=True), (2, 0))):
+            sink = enable_tracing()
+            try:
+                Reenactor(db, backend=backend).reenact(xid, options)
+            finally:
+                disable_tracing()
+            (execute,) = [r for r in sink.spans()
+                          if r["name"] == "reenactor.execute"]
+            assert (execute["attrs"]["affected_rows"],
+                    execute["attrs"]["passthrough_rows"]) == counts
+
+
 def test_sixteen_concurrent_jobs_nest_without_leakage(history_db):
     """16 jobs racing across 4 workers: every trace holds exactly its
     own submit/schedule pair and no span adopts a foreign parent."""

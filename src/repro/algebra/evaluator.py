@@ -219,12 +219,8 @@ class Evaluator:
         """``rows_of(row, outer)`` for a subquery nested in an expression
         over rows of ``layout``.  An uncorrelated plan runs once; a
         correlated one runs per row with that row as its outer frame."""
-        correlated = getattr(plan, "_correlated", None)
-        if correlated is None:
-            from repro.algebra.translator import plan_free_columns
-            correlated = bool(plan_free_columns(plan))
-            plan._correlated = correlated
-        if not correlated:
+        from repro.algebra.translator import plan_free_columns
+        if not plan_free_columns(plan):
             def run_once(row, outer):
                 cached = self._subquery_cache.get(id(plan))
                 if cached is None:

@@ -266,13 +266,8 @@ def transform_topdown(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     if replaced is not expr:
         return replaced
 
-    def visit_children(node: Expr) -> Expr:
-        if node is expr:
-            return node
-        return transform_topdown(node, fn)
-
-    # Rebuild one level using the bottom-up machinery, but recurse with
-    # transform_topdown so deeper nodes also get first-match-wins.
+    # Rebuild one level, recursing with transform_topdown so deeper
+    # nodes also get first-match-wins.
     if isinstance(expr, BinaryOp):
         return BinaryOp(expr.op, transform_topdown(expr.left, fn),
                         transform_topdown(expr.right, fn))

@@ -1,10 +1,19 @@
 """Relational algebra operators.
 
 The algebra graph is GProM's intermediate language (Fig. 5): the
-translator produces it from SQL, the provenance rewriter and the
-reenactor transform it, the optimizer rewrites it, and it is either
+translator produces it from SQL, the provenance rewriter, the reenactor
+and the optimizer each build a new graph from it, and it is either
 interpreted directly (:mod:`repro.algebra.evaluator`) or printed back to
 SQL (:mod:`repro.algebra.sqlgen`).
+
+Plans are values: every operator is a frozen dataclass, so a node can be
+held, compared and referenced from more than one parent.  A class names
+its child fields (``CHILDREN``) and its expression-bearing fields
+(``EXPRS``) once; :meth:`Operator.children`, :meth:`Operator.with_children`,
+:meth:`Operator.expressions` and :meth:`Operator.map_expressions` are
+derived from that, and both rebuilders return ``self`` when nothing
+changed.  List-typed fields and the expressions in them are immutable
+by contract — nothing assigns to them after construction.
 
 Attribute naming convention: scan outputs are qualified
 ``"<binding>.<column>"`` keys; projections introduce the (plain) output
@@ -15,8 +24,8 @@ stripped before results reach users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.algebra.expressions import Expr
 from repro.errors import AnalysisError
@@ -31,14 +40,95 @@ UPD_FLAG = "__upd__"     # updated-by-reenacted-transaction flag
 DEL_FLAG = "__del__"     # deleted-by-reenacted-transaction flag
 
 
+@dataclass(frozen=True)
+class AggSpec:
+    """One aggregate: ``func(expr)`` named ``name`` in the output."""
+
+    func: str                  # COUNT / SUM / AVG / MIN / MAX
+    expr: Optional[Expr]       # None means COUNT(*)
+    name: str
+    distinct: bool = False
+
+
+def _exprs_in(value, out: List[Expr]) -> List[Expr]:
+    """``out`` plus the expressions held by one ``EXPRS`` field value,
+    whatever its shape: an expression, ``None``, an :class:`AggSpec`,
+    or lists and tuples of those (``(expr, ascending)`` order items
+    included)."""
+    if isinstance(value, Expr):
+        out.append(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            if isinstance(item, Expr):  # a projection list, mostly
+                out.append(item)
+            else:
+                _exprs_in(item, out)
+    elif isinstance(value, AggSpec) and value.expr is not None:
+        out.append(value.expr)
+    return out
+
+
+def _map_exprs(value, fn):
+    """``value`` with ``fn`` applied to every expression
+    :func:`_exprs_in` finds; ``value`` itself when ``fn`` returned each
+    of them unchanged."""
+    if isinstance(value, Expr):
+        return fn(value)
+    if isinstance(value, AggSpec):
+        if value.expr is None:
+            return value
+        expr = fn(value.expr)
+        return value if expr is value.expr else replace(value, expr=expr)
+    if isinstance(value, (list, tuple)):
+        items = [_map_exprs(item, fn) for item in value]
+        if all(new is old for new, old in zip(items, value)):
+            return value
+        return type(value)(items)
+    return value
+
+
 class Operator:
-    """Base class; subclasses define ``children`` and ``attrs``."""
+    """Base class; subclasses are frozen dataclasses that name their
+    child fields in ``CHILDREN`` and their expression-bearing fields in
+    ``EXPRS``, and define ``attrs``."""
+
+    CHILDREN: ClassVar[Tuple[str, ...]] = ()
+    EXPRS: ClassVar[Tuple[str, ...]] = ()
 
     def children(self) -> List["Operator"]:
-        return []
+        return [getattr(self, name) for name in self.CHILDREN]
 
-    def replace_children(self, new_children: List["Operator"]) -> None:
-        raise NotImplementedError
+    def with_children(self, new_children: List["Operator"]) -> "Operator":
+        """This node over ``new_children`` — ``self`` if they are the
+        children it already has."""
+        if len(new_children) != len(self.CHILDREN):
+            raise AnalysisError(
+                f"{type(self).__name__} has {len(self.CHILDREN)} "
+                f"children, got {len(new_children)}")
+        return self._with({name: new
+                           for name, new in zip(self.CHILDREN, new_children)
+                           if new is not getattr(self, name)})
+
+    def expressions(self) -> List[Expr]:
+        """All scalar expressions owned directly by this operator."""
+        out: List[Expr] = []
+        for name in self.EXPRS:
+            _exprs_in(getattr(self, name), out)
+        return out
+
+    def map_expressions(self, fn) -> "Operator":
+        """This node with ``fn`` applied to each of its expressions —
+        ``self`` if ``fn`` returned every one of them unchanged."""
+        changed = {}
+        for name in self.EXPRS:
+            old = getattr(self, name)
+            new = _map_exprs(old, fn)
+            if new is not old:
+                changed[name] = new
+        return self._with(changed)
+
+    def _with(self, changed: dict) -> "Operator":
+        return replace(self, **changed) if changed else self
 
     @property
     def attrs(self) -> List[str]:
@@ -49,7 +139,7 @@ class Operator:
         return explain(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableScan(Operator):
     """Access a base table, optionally at a past point in time.
 
@@ -58,18 +148,13 @@ class TableScan(Operator):
     ``None`` the scan sees the executing transaction's view.
     """
 
+    EXPRS = ("as_of",)
+
     table: str
     columns: List[str]
     binding: str
     as_of: Optional[Expr] = None
     annotations: Tuple[str, ...] = ()
-
-    def children(self) -> List[Operator]:
-        return []
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        if new_children:
-            raise AnalysisError("TableScan has no children")
 
     @property
     def attrs(self) -> List[str]:
@@ -81,44 +166,39 @@ class TableScan(Operator):
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstRel(Operator):
     """Constant relation: rows of expressions (VALUES / reenacted
     INSERT ... VALUES)."""
 
+    EXPRS = ("rows",)
+
     rows: List[List[Expr]]
     names: List[str]
-
-    def children(self) -> List[Operator]:
-        return []
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        if new_children:
-            raise AnalysisError("ConstRel has no children")
 
     @property
     def attrs(self) -> List[str]:
         return list(self.names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Selection(Operator):
+    CHILDREN = ("child",)
+    EXPRS = ("condition",)
+
     child: Operator
     condition: Expr
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        (self.child,) = new_children
 
     @property
     def attrs(self) -> List[str]:
         return self.child.attrs
 
 
-@dataclass
+@dataclass(frozen=True)
 class Projection(Operator):
+    CHILDREN = ("child",)
+    EXPRS = ("exprs",)
+
     child: Operator
     exprs: List[Expr]
     names: List[str]
@@ -126,12 +206,6 @@ class Projection(Operator):
     def __post_init__(self):
         if len(self.exprs) != len(self.names):
             raise AnalysisError("projection exprs/names length mismatch")
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        (self.child,) = new_children
 
     @property
     def attrs(self) -> List[str]:
@@ -141,7 +215,7 @@ class Projection(Operator):
 JOIN_KINDS = ("inner", "left", "cross", "semi", "anti")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Join(Operator):
     """Join of two inputs.
 
@@ -149,6 +223,9 @@ class Join(Operator):
     rows with *no* match — the shape reenactment uses to merge
     READ COMMITTED statement snapshots with the transaction's own chain.
     """
+
+    CHILDREN = ("left", "right")
+    EXPRS = ("condition",)
 
     left: Operator
     right: Operator
@@ -159,12 +236,6 @@ class Join(Operator):
         if self.kind not in JOIN_KINDS:
             raise AnalysisError(f"unknown join kind {self.kind!r}")
 
-    def children(self) -> List[Operator]:
-        return [self.left, self.right]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        self.left, self.right = new_children
-
     @property
     def attrs(self) -> List[str]:
         if self.kind in ("semi", "anti"):
@@ -172,43 +243,26 @@ class Join(Operator):
         return self.left.attrs + self.right.attrs
 
 
-@dataclass
-class AggSpec:
-    """One aggregate: ``func(expr)`` named ``name`` in the output."""
-
-    func: str                  # COUNT / SUM / AVG / MIN / MAX
-    expr: Optional[Expr]       # None means COUNT(*)
-    name: str
-    distinct: bool = False
-
-
-@dataclass
+@dataclass(frozen=True)
 class Aggregation(Operator):
+    CHILDREN = ("child",)
+    EXPRS = ("group_exprs", "aggregates")
+
     child: Operator
     group_exprs: List[Expr]
     group_names: List[str]
     aggregates: List[AggSpec]
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        (self.child,) = new_children
 
     @property
     def attrs(self) -> List[str]:
         return list(self.group_names) + [a.name for a in self.aggregates]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Distinct(Operator):
+    CHILDREN = ("child",)
+
     child: Operator
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        (self.child,) = new_children
 
     @property
     def attrs(self) -> List[str]:
@@ -218,8 +272,10 @@ class Distinct(Operator):
 SETOP_KINDS = ("union", "intersect", "except")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetOp(Operator):
+    CHILDREN = ("left", "right")
+
     kind: str
     left: Operator
     right: Operator
@@ -229,50 +285,38 @@ class SetOp(Operator):
         if self.kind not in SETOP_KINDS:
             raise AnalysisError(f"unknown set operation {self.kind!r}")
 
-    def children(self) -> List[Operator]:
-        return [self.left, self.right]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        self.left, self.right = new_children
-
     @property
     def attrs(self) -> List[str]:
         return self.left.attrs
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderBy(Operator):
+    CHILDREN = ("child",)
+    EXPRS = ("items",)
+
     child: Operator
     items: List[Tuple[Expr, bool]]  # (expr, ascending)
 
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        (self.child,) = new_children
-
     @property
     def attrs(self) -> List[str]:
         return self.child.attrs
 
 
-@dataclass
+@dataclass(frozen=True)
 class Limit(Operator):
+    CHILDREN = ("child",)
+    EXPRS = ("count",)
+
     child: Operator
     count: Expr
 
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        (self.child,) = new_children
-
     @property
     def attrs(self) -> List[str]:
         return self.child.attrs
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnotateRowId(Operator):
     """Append a synthetic rowid column.
 
@@ -283,15 +327,11 @@ class AnnotateRowId(Operator):
     inserted rows (DESIGN.md §4.5).
     """
 
+    CHILDREN = ("child",)
+
     child: Operator
     name: str
     seed: int = 0
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def replace_children(self, new_children: List[Operator]) -> None:
-        (self.child,) = new_children
 
     @property
     def attrs(self) -> List[str]:
@@ -303,7 +343,8 @@ class AnnotateRowId(Operator):
 # ---------------------------------------------------------------------------
 
 def walk_plan(op: Operator):
-    """Pre-order iteration over the operator tree."""
+    """Pre-order iteration over the operator tree (a node referenced
+    twice is visited once per reference)."""
     yield op
     for child in op.children():
         yield from walk_plan(child)
@@ -319,11 +360,13 @@ def plan_tables(op: Operator) -> List[str]:
 
 
 def transform_plan(op: Operator, fn) -> Operator:
-    """Bottom-up plan rewrite: children first, then ``fn`` on the node.
-    A child counts as rewritten when ``fn`` returned another object —
-    dataclass ``==`` would compare whole subtrees at every level."""
-    children = op.children()
-    new_children = [transform_plan(c, fn) for c in children]
-    if any(new is not old for new, old in zip(new_children, children)):
-        op.replace_children(new_children)
-    return fn(op)
+    """Bottom-up plan rewrite: children first, then ``fn`` on the node
+    over its rewritten children.  Pure — ``op`` is left as it was, and
+    a subtree ``fn`` changed nothing in comes back as the same object."""
+    changed = {}
+    for name in op.CHILDREN:
+        child = getattr(op, name)
+        new = transform_plan(child, fn)
+        if new is not child:
+            changed[name] = new
+    return fn(op._with(changed))

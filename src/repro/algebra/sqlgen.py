@@ -501,7 +501,6 @@ def _remap(expr: Expr, colmap: Dict[str, str],
     names the correlation refers to.
     """
     from repro.algebra.expressions import SubqueryExpr
-    import copy as _copy
 
     def visit(node: Expr) -> Expr:
         if isinstance(node, Column):
@@ -509,7 +508,7 @@ def _remap(expr: Expr, colmap: Dict[str, str],
             if key in colmap:
                 return Column(name=colmap[key], key=colmap[key])
         if isinstance(node, SubqueryExpr) and node.plan is not None:
-            plan = _remap_plan(_copy.deepcopy(node.plan), colmap)
+            plan = _remap_plan(node.plan, colmap)
             if gen is None:
                 return SubqueryExpr(node.kind, node.query, node.operand,
                                     node.negated, plan, node.correlated)
@@ -545,7 +544,7 @@ def _render_subquery(node, plan: op.Operator, colmap: Dict[str, str],
 
 
 def _remap_plan(plan: op.Operator, colmap: Dict[str, str]) -> op.Operator:
-    """Apply ``_remap`` to the *free* expressions inside a plan — only
+    """``plan`` with ``_remap`` applied to its *free* expressions — only
     columns the plan does not produce itself are correlated references
     that need renaming to the outer query's flat names."""
     available = set()
@@ -554,29 +553,9 @@ def _remap_plan(plan: op.Operator, colmap: Dict[str, str]) -> op.Operator:
     local = {key: flat for key, flat in colmap.items()
              if key not in available}
     if local:
-        if isinstance(plan, op.Selection):
-            plan.condition = _remap(plan.condition, local)
-        elif isinstance(plan, op.Projection):
-            plan.exprs = [_remap(e, local) for e in plan.exprs]
-        elif isinstance(plan, op.Join) and plan.condition is not None:
-            plan.condition = _remap(plan.condition, local)
-        elif isinstance(plan, op.Aggregation):
-            plan.group_exprs = [_remap(g, local)
-                                for g in plan.group_exprs]
-            for spec in plan.aggregates:
-                if spec.expr is not None:
-                    spec.expr = _remap(spec.expr, local)
-        elif isinstance(plan, op.OrderBy):
-            plan.items = [(_remap(e, local), asc)
-                          for e, asc in plan.items]
-        elif isinstance(plan, op.Limit):
-            plan.count = _remap(plan.count, local)
-        elif isinstance(plan, op.ConstRel):
-            plan.rows = [[_remap(e, local) for e in row]
-                         for row in plan.rows]
-    for child in plan.children():
-        _remap_plan(child, colmap)
-    return plan
+        plan = plan.map_expressions(lambda expr: _remap(expr, local))
+    return plan.with_children(
+        [_remap_plan(child, colmap) for child in plan.children()])
 
 
 def generate_sql(plan: op.Operator,

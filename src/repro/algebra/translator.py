@@ -60,29 +60,6 @@ class Scope:
         return out
 
 
-def operator_expressions(node: op.Operator) -> List[Expr]:
-    """All scalar expressions owned directly by an operator."""
-    if isinstance(node, op.Selection):
-        return [node.condition]
-    if isinstance(node, op.Projection):
-        return list(node.exprs)
-    if isinstance(node, op.Join):
-        return [node.condition] if node.condition is not None else []
-    if isinstance(node, op.Aggregation):
-        out = list(node.group_exprs)
-        out.extend(a.expr for a in node.aggregates if a.expr is not None)
-        return out
-    if isinstance(node, op.OrderBy):
-        return [e for e, _ in node.items]
-    if isinstance(node, op.Limit):
-        return [node.count]
-    if isinstance(node, op.ConstRel):
-        return [e for row in node.rows for e in row]
-    if isinstance(node, op.TableScan):
-        return [node.as_of] if node.as_of is not None else []
-    return []
-
-
 def plan_free_columns(plan: op.Operator) -> List[str]:
     """Column keys referenced by a plan but not produced inside it —
     non-empty exactly for correlated subquery plans."""
@@ -91,11 +68,7 @@ def plan_free_columns(plan: op.Operator) -> List[str]:
         available = set()
         for child in node.children():
             available.update(child.attrs)
-        if isinstance(node, op.Aggregation):
-            # HAVING-level expressions are rewritten to aggregation
-            # outputs before planning, so child attrs are the scope.
-            pass
-        for expr in operator_expressions(node):
+        for expr in node.expressions():
             for key in columns_used(expr):
                 if key not in available and key not in free:
                     free.append(key)

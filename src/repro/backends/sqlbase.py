@@ -37,7 +37,6 @@ from repro.algebra.expressions import contains_subquery
 from repro.algebra.operators import DEL_FLAG, ROWID_SUFFIX, UPD_FLAG
 from repro.algebra.sqlgen import (Dialect, DialectConfig, NATIVE,
                                   generate_sql)
-from repro.algebra.translator import operator_expressions
 from repro.backends.base import (BackendSession, ExecutionBackend,
                                  SnapshotPipeline)
 from repro.backends.binder import SnapshotBinder, context_realm
@@ -395,7 +394,7 @@ def _probes(plan: op.Operator) -> bool:
     nodes = list(op.walk_plan(plan))
     return any(isinstance(node, op.Join) for node in nodes) \
         or any(contains_subquery(expr) for node in nodes
-               for expr in operator_expressions(node))
+               for expr in node.expressions())
 
 
 def _coerce_result(attrs: List[str], rows: List[tuple],

@@ -164,8 +164,7 @@ def check_history_equivalence(db: Database,
                               xids: Optional[List[int]] = None,
                               optimize: bool = True,
                               backend=None,
-                              service=None,
-                              union_priming: bool = True
+                              service=None
                               ) -> Dict[int, EquivalenceReport]:
     """Check every committed transaction of a history (default: all
     transactions in the audit log) on the given execution backend.
@@ -173,16 +172,15 @@ def check_history_equivalence(db: Database,
     The whole sweep runs on one backend session: transactions of a
     history overlap in the snapshots they read, so on SQLite each
     ``(table, ts)`` state is materialized once for the sweep rather
-    than once per transaction.  With ``union_priming`` (the default)
-    every transaction is *compiled first* and the ordered series of
-    compiled ``(table, ts)`` snapshot sets is handed to the session's
-    snapshot pipeline in one piece — shared pairs materialize once for
-    the whole sweep, deltas chain across transaction boundaries, and
-    versions no later transaction reads may be patched forward in
-    place instead of cloned.  Results are identical with it off (the
-    pipeline is purely a materialization strategy); ``False`` keeps
-    the per-transaction compile/prime interleaving as the ablation
-    baseline.
+    than once per transaction.  Every transaction is *compiled first*
+    and the ordered series of compiled ``(table, ts)`` snapshot sets is
+    handed to the session's snapshot pipeline in one piece — shared
+    pairs materialize once for the whole sweep, deltas chain across
+    transaction boundaries, and versions no later transaction reads may
+    be patched forward in place instead of cloned.  The pipeline is
+    purely a materialization strategy: a loop of
+    :func:`check_transaction_equivalence` on one session reports the
+    same.
 
     ``service`` (a :class:`~repro.service.ReenactmentService`) fans the
     sweep out across the service's worker pool instead — one
@@ -206,11 +204,6 @@ def check_history_equivalence(db: Database,
                 xids.append(xid)
     resolved = resolve_backend(backend)
     with resolved.open_session() as session:
-        if not union_priming:
-            return {xid: check_transaction_equivalence(
-                        db, xid, optimize=optimize, backend=resolved,
-                        session=session)
-                    for xid in xids}
         reenactor = Reenactor(db, backend=resolved)
         options = ReenactmentOptions(annotations=True,
                                      include_deleted=True,

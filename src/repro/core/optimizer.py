@@ -25,12 +25,18 @@ This module implements the rules that matter for those shapes:
 
 Every rule can be disabled individually — the ablation benchmark (E6)
 measures each rule's contribution.
+
+The optimizer is pure: :meth:`ProvenanceOptimizer.optimize` leaves its
+input as it was and builds new nodes only on the path to a change, so
+the plan it is handed may be held (a trace's "rewritten" stage) or
+share subtrees with other plans.  What it learns about a node — an
+expression already folded, a merge or push already found too large —
+lives in identity memos on the optimizer, never on the node.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
 from repro.algebra import operators as op
@@ -108,7 +114,7 @@ def _contains_subquery(expr: Expr) -> bool:
 
 
 class ProvenanceOptimizer:
-    """Rule-driven plan rewriter."""
+    """Rule-driven plan optimizer."""
 
     def __init__(self, config: Optional[OptimizerConfig] = None):
         self.config = config or OptimizerConfig()
@@ -118,6 +124,12 @@ class ProvenanceOptimizer:
         #: mutated, so a later pass skips what no rule has rebuilt since
         #: — the pass that only confirms the fixpoint folds nothing.
         self._folded: Dict[int, Expr] = {}
+        #: selections :meth:`_push_selection` / projections
+        #: :meth:`_merge_projections` estimated past ``merge_size_limit``,
+        #: by ``id`` (held likewise): nodes are immutable, so the answer
+        #: stands for as long as a pass meets the same node again.
+        self._push_rejected: Dict[int, op.Operator] = {}
+        self._merge_rejected: Dict[int, op.Operator] = {}
 
     def optimize(self, plan: op.Operator) -> op.Operator:
         cfg = self.config
@@ -166,7 +178,7 @@ class ProvenanceOptimizer:
             return self._push_through_union(node, node.child)
         if not isinstance(node.child, op.Projection):
             return node
-        if getattr(node, "_push_rejected", False):
+        if id(node) in self._push_rejected:
             return node
         projection = node.child
         mapping = dict(zip(projection.names, projection.exprs))
@@ -175,7 +187,7 @@ class ProvenanceOptimizer:
         # estimate first — substitution on a doomed push is the cost
         if _estimate_merged_size([node.condition], mapping) \
                 > self.config.merge_size_limit:
-            node._push_rejected = True
+            self._push_rejected[id(node)] = node
             return node
         pushed = substitute(node.condition, mapping)
         self._hit("push_selection")
@@ -215,7 +227,7 @@ class ProvenanceOptimizer:
         if not (isinstance(node, op.Projection)
                 and isinstance(node.child, op.Projection)):
             return node
-        if getattr(node, "_merge_rejected", False):
+        if id(node) in self._merge_rejected:
             return node
         inner = node.child
         mapping = dict(zip(inner.names, inner.exprs))
@@ -228,7 +240,7 @@ class ProvenanceOptimizer:
                     return node
         if _estimate_merged_size(node.exprs, mapping) \
                 > self.config.merge_size_limit:
-            node._merge_rejected = True
+            self._merge_rejected[id(node)] = node
             return node
         merged = [substitute(e, mapping) for e in node.exprs]
         self._hit("merge_projections")
@@ -247,17 +259,17 @@ class ProvenanceOptimizer:
 
     def _fold_pass(self, plan: op.Operator) -> op.Operator:
         def visit(node: op.Operator) -> op.Operator:
-            if isinstance(node, op.Selection):
-                folded = self._fold(node.condition)
-                if folded is not node.condition:
-                    node.condition = folded
-                if isinstance(folded, Literal) and folded.value is True:
-                    self._hit("fold_constants")
-                    return node.child
-            elif isinstance(node, op.Projection):
-                node.exprs = [self._fold(e) for e in node.exprs]
-            elif isinstance(node, op.Join) and node.condition is not None:
-                node.condition = self._fold(node.condition)
+            if not node.CHILDREN:
+                # VALUES rows and AS OF times are as the statement wrote
+                # them: no rule substitutes into a leaf, there is no
+                # skeleton to fold
+                return node
+            node = node.map_expressions(self._fold)
+            if isinstance(node, op.Selection) \
+                    and isinstance(node.condition, Literal) \
+                    and node.condition.value is True:
+                self._hit("fold_constants")
+                return node.child
             return node
 
         return op.transform_plan(plan, visit)
@@ -266,7 +278,9 @@ class ProvenanceOptimizer:
         if id(expr) in self._folded:
             return expr
         folded = transform(expr, self._fold_node)
-        if folded != expr:
+        if folded == expr:
+            folded = expr  # nothing folded: the node holding it stands
+        else:
             self._hit("fold_constants")
         self._folded[id(folded)] = folded
         return folded
@@ -321,7 +335,8 @@ class ProvenanceOptimizer:
     def _prune(self, plan: op.Operator,
                required: Optional[Set[str]]) -> op.Operator:
         """Top-down dead-column elimination.  ``required=None`` means
-        every output attribute is needed (the root)."""
+        every output attribute is needed (the root).  Returns ``plan``
+        itself where nothing under it had a column to lose."""
         if isinstance(plan, op.Projection):
             if required is not None:
                 keep = [(e, n) for e, n in zip(plan.exprs, plan.names)
@@ -330,19 +345,20 @@ class ProvenanceOptimizer:
                     keep = [(plan.exprs[0], plan.names[0])]
                 if len(keep) != len(plan.exprs):
                     self._hit("prune_columns")
-                plan.exprs = [e for e, _ in keep]
-                plan.names = [n for _, n in keep]
+                    plan = replace(plan, exprs=[e for e, _ in keep],
+                                   names=[n for _, n in keep])
             child_required: Set[str] = set()
             for expr in plan.exprs:
                 child_required.update(expr_required_columns(expr))
-            plan.child = self._prune(plan.child, child_required)
-            return plan
-        if isinstance(plan, op.Selection):
+            return plan.with_children(
+                [self._prune(plan.child, child_required)])
+        if isinstance(plan, (op.Selection, op.OrderBy)):
             child_required = set(required) if required is not None \
                 else set(plan.child.attrs)
-            child_required.update(expr_required_columns(plan.condition))
-            plan.child = self._prune(plan.child, child_required)
-            return plan
+            for expr in plan.expressions():
+                child_required.update(expr_required_columns(expr))
+            return plan.with_children(
+                [self._prune(plan.child, child_required)])
         if isinstance(plan, op.Join):
             needed = set(required) if required is not None \
                 else set(plan.attrs)
@@ -356,56 +372,44 @@ class ProvenanceOptimizer:
                 # right side exists only for the condition
                 right_req = set(expr_required_columns(plan.condition)) \
                     & right_attrs if plan.condition is not None else set()
-            plan.left = self._prune(plan.left, left_req or None)
-            plan.right = self._prune(plan.right, right_req or None)
-            return plan
+            return plan.with_children(
+                [self._prune(plan.left, left_req or None),
+                 self._prune(plan.right, right_req or None)])
         if isinstance(plan, op.Aggregation):
             if required is not None:
                 keep = [a for a in plan.aggregates if a.name in required]
                 if len(keep) != len(plan.aggregates):
                     self._hit("prune_columns")
-                    plan.aggregates = keep
+                    plan = replace(plan, aggregates=keep)
             child_required = set()
-            for g in plan.group_exprs:
-                child_required.update(expr_required_columns(g))
-            for a in plan.aggregates:
-                if a.expr is not None:
-                    child_required.update(expr_required_columns(a.expr))
-            plan.child = self._prune(plan.child, child_required or None)
-            return plan
-        if isinstance(plan, op.SetOp):
-            if plan.kind == "union" and plan.all and required is not None:
-                positions = [i for i, a in enumerate(plan.left.attrs)
-                             if a in required]
-                if positions and len(positions) < len(plan.left.attrs):
-                    self._hit("prune_columns")
-                    plan.left = _narrow(plan.left, positions)
-                    plan.right = _narrow(plan.right, positions)
-            # distinct-sensitive set ops need every column
-            plan.left = self._prune(plan.left, None)
-            plan.right = self._prune(plan.right, None)
-            return plan
-        if isinstance(plan, op.Distinct):
-            plan.child = self._prune(plan.child, None)
-            return plan
-        if isinstance(plan, (op.OrderBy,)):
-            child_required = set(required) if required is not None \
-                else set(plan.child.attrs)
-            for expr, _asc in plan.items:
+            for expr in plan.expressions():
                 child_required.update(expr_required_columns(expr))
-            plan.child = self._prune(plan.child, child_required)
-            return plan
+            return plan.with_children(
+                [self._prune(plan.child, child_required or None)])
+        if isinstance(plan, op.SetOp):
+            left, right = plan.left, plan.right
+            if plan.kind == "union" and plan.all and required is not None:
+                positions = [i for i, a in enumerate(left.attrs)
+                             if a in required]
+                if positions and len(positions) < len(left.attrs):
+                    self._hit("prune_columns")
+                    left = _narrow(left, positions)
+                    right = _narrow(right, positions)
+            # distinct-sensitive set ops need every column
+            return plan.with_children(
+                [self._prune(left, None), self._prune(right, None)])
+        if isinstance(plan, op.Distinct):
+            return plan.with_children([self._prune(plan.child, None)])
         if isinstance(plan, op.Limit):
-            plan.child = self._prune(plan.child, required)
-            return plan
+            return plan.with_children([self._prune(plan.child, required)])
         if isinstance(plan, op.AnnotateRowId):
             if required is not None and plan.name not in required:
                 self._hit("prune_columns")
                 return self._prune(plan.child, required)
             child_required = (set(required) - {plan.name}) \
                 if required is not None else None
-            plan.child = self._prune(plan.child, child_required)
-            return plan
+            return plan.with_children(
+                [self._prune(plan.child, child_required)])
         if isinstance(plan, op.TableScan):
             if required is None:
                 return plan
@@ -422,8 +426,8 @@ class ProvenanceOptimizer:
             if len(keep_columns) != len(plan.columns) \
                     or keep_annotations != plan.annotations:
                 self._hit("prune_columns")
-                plan.columns = keep_columns
-                plan.annotations = keep_annotations
+                return replace(plan, columns=keep_columns,
+                               annotations=keep_annotations)
             return plan
         if isinstance(plan, op.ConstRel):
             if required is not None:
@@ -431,14 +435,13 @@ class ProvenanceOptimizer:
                              if n in required]
                 if positions and len(positions) < len(plan.names):
                     self._hit("prune_columns")
-                    plan.names = [plan.names[i] for i in positions]
-                    plan.rows = [[row[i] for i in positions]
-                                 for row in plan.rows]
+                    return op.ConstRel(
+                        [[row[i] for i in positions] for row in plan.rows],
+                        [plan.names[i] for i in positions])
             return plan
         # unknown operator: be conservative
-        for child in plan.children():
-            self._prune(child, None)
-        return plan
+        return plan.with_children(
+            [self._prune(child, None) for child in plan.children()])
 
 
 def _narrow(plan: op.Operator, positions: List[int]) -> op.Operator:

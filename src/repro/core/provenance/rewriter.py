@@ -24,7 +24,6 @@ paper's pipeline.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -156,8 +155,7 @@ class ProvenanceRewriter:
             # filter and contributes no provenance (PI-CS)
             left = self._rewrite(join.left)
             return RewriteResult(
-                op.Join(left.plan, copy.deepcopy(join.right), join.kind,
-                        join.condition),
+                op.Join(left.plan, join.right, join.kind, join.condition),
                 left.prov_attrs)
         left = self._rewrite(join.left)
         right = self._rewrite(join.right)
@@ -200,14 +198,12 @@ class ProvenanceRewriter:
         # re-derive their provenance by joining the plain set-op result
         # with the rewritten left input on (null-safe) data equality.
         left = self._rewrite(setop.left)
-        plain = op.SetOp(setop.kind, copy.deepcopy(setop.left),
-                         copy.deepcopy(setop.right), all=setop.all)
         renamed_attrs = [f"__set{self._next_join()}_{i}"
-                         for i in range(len(plain.attrs))]
+                         for i in range(len(setop.attrs))]
         renamed = op.Projection(
-            plain,
+            setop,
             [Column(name=a.rsplit(".", 1)[-1], key=a)
-             for a in plain.attrs],
+             for a in setop.attrs],
             renamed_attrs)
         condition = self._nullsafe_pairs(
             renamed_attrs, list(setop.left.attrs))
@@ -241,14 +237,11 @@ class ProvenanceRewriter:
 
     def _rewrite_aggregation(self, agg: op.Aggregation) -> RewriteResult:
         child = self._rewrite(agg.child)
-        # the aggregation itself runs over the *plain* child
-        plain_agg = op.Aggregation(copy.deepcopy(agg.child),
-                                   list(agg.group_exprs),
-                                   list(agg.group_names),
-                                   list(agg.aggregates))
+        # the aggregation itself runs over the *plain* child: ``agg``
+        # as it is, referenced from the join beside the rewritten child
         if not agg.group_exprs:
             # global aggregate: every input row is provenance
-            joined = op.Join(plain_agg, child.plan, "cross")
+            joined = op.Join(agg, child.plan, "cross")
         else:
             join_id = self._next_join()
             group_names = [f"__g{join_id}_{i}"
@@ -263,11 +256,11 @@ class ProvenanceRewriter:
                                       prov_side_names)
             condition = self._nullsafe_pairs(list(agg.group_names),
                                              group_names)
-            joined = op.Join(plain_agg, prov_side, "inner", condition)
+            joined = op.Join(agg, prov_side, "inner", condition)
         out_exprs: List[Expr] = [
             Column(name=a.rsplit(".", 1)[-1], key=a)
-            for a in plain_agg.attrs]
-        out_names = list(plain_agg.attrs)
+            for a in agg.attrs]
+        out_names = list(agg.attrs)
         for attr in child.prov_attrs:
             out_exprs.append(Column(name=attr.name, key=attr.name))
             out_names.append(attr.name)

@@ -50,7 +50,6 @@ split to.
 
 from __future__ import annotations
 
-import copy
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -60,7 +59,7 @@ from repro.algebra.evaluator import Evaluator, Relation
 from repro.backends import BackendSpec, resolve_backend
 from repro.algebra.expressions import (BinaryOp, Case, Column, Expr,
                                        Literal, SubqueryExpr, UnaryOp,
-                                       transform, walk)
+                                       contains_subquery, transform, walk)
 from repro.algebra.translator import Scope, Translator
 from repro.db.auditlog import TransactionRecord
 from repro.db.engine import Database
@@ -201,7 +200,6 @@ def plan_snapshots(plans: Dict[str, op.Operator]
     backend wants to build them in.  Descends into expression subquery
     plans (the printer renders those scans too, so they hit the
     snapshot cache)."""
-    from repro.algebra.translator import operator_expressions
     seen = set()
 
     def visit(node: op.Operator) -> None:
@@ -209,7 +207,7 @@ def plan_snapshots(plans: Dict[str, op.Operator]
             ts = node.as_of.value if isinstance(node.as_of, Literal) \
                 else None
             seen.add((node.table, ts))
-        for expr in operator_expressions(node):
+        for expr in node.expressions():
             for sub in walk(expr):
                 if isinstance(sub, SubqueryExpr) and sub.plan is not None:
                     visit(sub.plan)
@@ -533,8 +531,7 @@ class Reenactor:
         # the plain query fixes the insertion order (AnnotateRowId order)
         plain = self._translator.translate_query(parsed.stmt.source)
         plain_redirected = self._redirect_plan(
-            copy.deepcopy(plain), chains, parsed, record,
-            record.isolation)
+            plain, chains, parsed, record, record.isolation)
         plain_rows = Evaluator(ctx).evaluate(plain_redirected).rows
 
         rewrite = ProvenanceRewriter().rewrite(plain)
@@ -606,18 +603,18 @@ class Reenactor:
     def _rc_input(self, chains: Dict[str, op.Operator], table: str,
                   stmt_ts: int) -> op.Operator:
         """READ COMMITTED statement input: own-written rows merged with
-        the committed statement-time snapshot of untouched rows."""
+        the committed statement-time snapshot of untouched rows.  ``own``
+        is one node under two parents (the union and the anti-join's id
+        list) — the chain is a DAG."""
         chain = chains.get(table)
         if chain is None:
             return self._base_plan(table, stmt_ts)
-        chain = copy.deepcopy(chain)
         upd_attr = f"{table}.{UPD}"
         rowid_attr = f"{table}.{ROWID}"
 
         own = op.Selection(chain, Column(name=UPD, key=upd_attr))
         written_ids = op.Projection(
-            copy.deepcopy(own),
-            [Column(name=ROWID, key=rowid_attr)], ["__w__"])
+            own, [Column(name=ROWID, key=rowid_attr)], ["__w__"])
         snapshot = self._base_plan(table, stmt_ts)
         untouched = op.Join(
             snapshot, written_ids, kind="anti",
@@ -794,9 +791,8 @@ class Reenactor:
         if isolation is IsolationLevel.READ_COMMITTED:
             view = self._rc_input(chains, table, parsed.ts)
         else:
-            view = chains.get(table)
-            view = copy.deepcopy(view) if view is not None \
-                else self._base_plan(table, record.begin_ts)
+            view = chains.get(table) \
+                or self._base_plan(table, record.begin_ts)
         return op.Selection(
             view, UnaryOp("NOT", Column(name=DEL, key=f"{table}.{DEL}")))
 
@@ -809,9 +805,9 @@ class Reenactor:
 
         def visit(node: op.Operator) -> op.Operator:
             if not isinstance(node, op.TableScan):
-                self._redirect_in_expressions(node, chains, parsed,
-                                              record, isolation)
-                return node
+                return node.map_expressions(
+                    lambda expr: self._redirect_subqueries(
+                        expr, chains, parsed, record, isolation))
             if node.as_of is not None:
                 return node  # explicit time travel stays as written
             view = self._read_view(chains, node.table, parsed, record,
@@ -825,25 +821,17 @@ class Reenactor:
 
         return op.transform_plan(plan, visit)
 
-    def _redirect_in_expressions(self, node: op.Operator, chains, parsed,
-                                 record, isolation) -> None:
-        from repro.algebra.translator import operator_expressions
-        for expr in operator_expressions(node):
-            for sub in walk(expr):
-                if isinstance(sub, SubqueryExpr) and sub.plan is not None:
-                    sub.plan = self._redirect_plan(sub.plan, chains,
-                                                   parsed, record,
-                                                   isolation)
-
     def _redirect_subqueries(self, expr: Expr, chains, parsed, record,
                              isolation) -> Expr:
+        """``expr`` with the plan of every subquery in it redirected
+        (:meth:`_redirect_plan`); ``expr`` itself if it holds none."""
         def visit(node: Expr) -> Expr:
             if isinstance(node, SubqueryExpr) and node.plan is not None:
-                node.plan = self._redirect_plan(node.plan, chains, parsed,
-                                                record, isolation)
+                return replace(node, plan=self._redirect_plan(
+                    node.plan, chains, parsed, record, isolation))
             return node
 
-        return transform(expr, visit)
+        return transform(expr, visit) if contains_subquery(expr) else expr
 
     # .. finalization ..........................................................................
 
@@ -852,7 +840,7 @@ class Reenactor:
                   options: ReenactmentOptions,
                   optimizer_stats: Optional[Dict[str, int]] = None
                   ) -> op.Operator:
-        plan = chain  # built for this compile and referenced nowhere else
+        plan = chain
         if not options.include_deleted:
             plan = op.Selection(
                 plan, UnaryOp("NOT", Column(name=DEL,

@@ -26,7 +26,6 @@ probe.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -136,7 +135,7 @@ class WhatIfScenario:
             else Reenactor(db, backend=backend)
         self.record = self.reenactor.transaction_record(xid)
         self._statements = self.reenactor.parsed_statements(self.record)
-        self._modified = [copy.deepcopy(s) for s in self._statements]
+        self._modified = list(self._statements)
         self._overrides: Dict[str, Relation] = {}
         #: xid -> error text for concurrent transactions the most
         #: recent :meth:`conflict_analysis` could not reenact.

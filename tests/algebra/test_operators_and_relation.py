@@ -86,9 +86,131 @@ class TestTreeUtilities:
         result = op.transform_plan(plan, strip_selection)
         assert isinstance(result, op.Join)
 
-    def test_replace_children_on_leaf_rejected(self):
-        with pytest.raises(AnalysisError):
-            scan().replace_children([scan()])
+    def test_transform_plan_is_pure_and_keeps_untouched_subtrees(self):
+        plan = self.make_plan()
+        assert op.transform_plan(plan, lambda node: node) is plan
+        narrowed = scan("y", columns=())
+
+        def narrow_y(node):
+            if isinstance(node, op.TableScan) and node.table == "y":
+                return narrowed
+            return node
+
+        result = op.transform_plan(plan, narrow_y)
+        assert result is not plan and result != plan
+        assert plan == self.make_plan()
+        assert result.child.left is plan.child.left
+        assert result.child.right is narrowed
+
+
+class TestPlansAreValues:
+    """Operators are frozen; the two rebuilders return the node itself
+    when nothing changed and a new node — never a changed one —
+    otherwise."""
+
+    def make_join(self):
+        return op.Join(scan("l"), scan("r"), "inner",
+                       BinaryOp("=", Column(name="a", key="l.a"),
+                                Column(name="a", key="r.a")))
+
+    def test_with_children_same_children_is_self(self):
+        join = self.make_join()
+        assert join.with_children(join.children()) is join
+        assert join.with_children([join.left, join.right]) is join
+
+    def test_with_children_builds_a_new_node(self):
+        join = self.make_join()
+        other = scan("z")
+        rebuilt = join.with_children([join.left, other])
+        assert rebuilt is not join
+        assert rebuilt.right is other and rebuilt.left is join.left
+        assert (rebuilt.kind, rebuilt.condition) == ("inner",
+                                                     join.condition)
+        assert join.right == scan("r")
+
+    def test_with_children_checks_arity(self):
+        with pytest.raises(AnalysisError, match="children"):
+            self.make_join().with_children([scan("l")])
+
+    def test_leaf_refuses_children(self):
+        assert scan().with_children([]) == scan()
+        with pytest.raises(AnalysisError, match="children"):
+            scan().with_children([scan()])
+        with pytest.raises(AnalysisError, match="children"):
+            op.ConstRel([[Literal(1)]], ["a"]).with_children([scan()])
+
+    def test_map_expressions_unchanged_is_self(self):
+        for node in (self.make_join(), scan(),
+                     op.Join(scan("l"), scan("r"), "cross"),
+                     op.Distinct(scan())):
+            assert node.map_expressions(lambda expr: expr) is node
+
+    def test_map_expressions_builds_a_new_node(self):
+        node = op.Projection(scan(), [Column(name="a", key="t.a"),
+                                      Literal(1)], ["a", "one"])
+        kept = node.exprs[0]
+        mapped = node.map_expressions(
+            lambda expr: Literal(2) if expr == Literal(1) else expr)
+        assert mapped is not node
+        assert mapped.exprs == [kept, Literal(2)]
+        assert mapped.exprs[0] is kept and mapped.child is node.child
+        assert node.exprs == [kept, Literal(1)]
+
+    def test_expressions_cover_every_expression_bearing_field(self):
+        a, b = Column(name="a", key="t.a"), Column(name="b", key="t.b")
+        count_star = op.AggSpec("COUNT", None, "n")
+        cases = [
+            (op.TableScan("t", ["a"], "t", as_of=Literal(3)),
+             [Literal(3)]),
+            (scan(), []),
+            (op.ConstRel([[Literal(1), Literal(2)], [Literal(3), a]],
+                         ["x", "y"]),
+             [Literal(1), Literal(2), Literal(3), a]),
+            (op.Selection(scan(), a), [a]),
+            (op.Join(scan("l"), scan("r"), "cross"), []),
+            (op.Aggregation(scan(), [a], ["t.a"],
+                            [count_star, op.AggSpec("SUM", b, "s")]),
+             [a, b]),
+            (op.OrderBy(scan(), [(a, True), (b, False)]), [a, b]),
+            (op.Limit(scan(), Literal(5)), [Literal(5)]),
+            (op.AnnotateRowId(scan(), "__new__"), []),
+        ]
+        for node, expected in cases:
+            assert node.expressions() == expected
+            seen = []
+            renamed = node.map_expressions(
+                lambda expr: seen.append(expr) or Literal("x"))
+            assert seen == expected
+            assert renamed.expressions() == [Literal("x")] * len(expected)
+            assert node.expressions() == expected
+        agg = cases[5][0].map_expressions(lambda expr: Literal("x"))
+        assert agg.aggregates[0] is count_star
+        assert agg.aggregates[1] == op.AggSpec("SUM", Literal("x"), "s")
+        ordered = cases[6][0].map_expressions(lambda expr: Literal("x"))
+        assert ordered.items == [(Literal("x"), True),
+                                 (Literal("x"), False)]
+
+    def test_assigning_to_a_field_raises(self):
+        from dataclasses import FrozenInstanceError
+        selection = op.Selection(scan(), Literal(True))
+        with pytest.raises(FrozenInstanceError):
+            selection.child = scan("u")
+        with pytest.raises(FrozenInstanceError):
+            selection.condition = Literal(False)
+        with pytest.raises(FrozenInstanceError):
+            scan().columns = ["a"]
+        with pytest.raises(FrozenInstanceError):
+            selection._push_rejected = True
+        with pytest.raises(FrozenInstanceError):
+            op.AggSpec("SUM", Literal(1), "s").expr = Literal(2)
+
+    def test_a_node_may_sit_under_two_parents(self):
+        shared = op.Selection(scan(), Literal(True))
+        plan = op.SetOp("union", shared,
+                        op.Join(scan("u"), shared, "anti", Literal(True)),
+                        all=True)
+        assert plan.left is plan.right.right
+        assert sum(1 for n in op.walk_plan(plan) if n is shared) == 2
 
 
 class TestRelation:

@@ -41,12 +41,13 @@ The forced paths are test-only policy overrides on a backend
 subclass (``tests/planner_policy.py``); the shipped backends have no
 mode to set.
 
-The ``smoke`` subset (first few seeds) is what CI runs inside its
-30-second budget; the full sweep covers 50+ histories across both
-isolation levels and both modes.
+CI runs the whole file as one step; the ``smoke`` subset (first few
+seeds, ``-k smoke``) is the quick local slice, the full sweep covers
+50+ histories across both isolation levels and every mode.
 """
 
 import contextlib
+import copy
 import dataclasses
 import itertools
 
@@ -54,8 +55,11 @@ import pytest
 
 from repro import Database
 from repro.algebra.evaluator import Evaluator
+from repro.algebra.sqlgen import Dialect, generate_sql, get_dialect
 from repro.backends import available_backends, resolve_backend
-from repro.core.reenactor import ReenactmentOptions, Reenactor
+from repro.core.optimizer import ProvenanceOptimizer
+from repro.core.reenactor import (ReenactmentOptions, Reenactor,
+                                  plan_snapshots)
 from repro.core.whatif import WhatIfScenario
 from repro.errors import ReenactmentError
 
@@ -541,6 +545,75 @@ def check_optimizer_metamorphic(seed, isolation):
     return checked
 
 
+SUBQUERY_STATEMENTS = [
+    "INSERT INTO bench_account (SELECT id + 5000, owner, branch, bal "
+    "FROM bench_account WHERE branch = 0)",
+    "UPDATE bench_account SET bal = bal + 1 WHERE id IN "
+    "(SELECT id FROM bench_account WHERE bal > 500)",
+    "DELETE FROM bench_account WHERE bal < 0 AND EXISTS "
+    "(SELECT 1 FROM bench_account b WHERE b.branch = "
+    "bench_account.branch AND b.bal > bench_account.bal + 900)",
+]
+
+
+def check_no_consumer_mutates_a_plan(seed, isolation):
+    """Plans are values, and every consumer treats them so: whatever
+    is done with a compiled plan set — optimized again, printed in two
+    dialects, executed on two backends, scanned for its snapshots —
+    it still equals the copy taken right after the compile.  Operators
+    are frozen; this is what holds the ``Expr`` classes and the
+    list-typed operator fields, immutable by contract only, to it.
+    Three transactions — an ``INSERT ... SELECT``, an ``IN`` and a
+    correlated ``EXISTS`` subquery — join each history, so the paths
+    that rebuild subquery plans (redirecting reads, remapping
+    correlated columns in ``sqlgen``) are swept too."""
+    db = build_history(seed, isolation)
+    session = db.connect()
+    for statement in SUBQUERY_STATEMENTS:
+        session.begin(isolation)
+        session.execute(statement)
+        session.commit()
+    reenactor = Reenactor(db)
+    sqlite_dialect = Dialect(get_dialect("sqlite"))
+    checked = 0
+    with contextlib.ExitStack() as stack:
+        sessions = [stack.enter_context(
+                        resolve_backend(name).open_session())
+                    for name in ["memory"] + SQL_ENGINES]
+        for xid, optimize, request in itertools.product(
+                committed_xids(db), (True, False),
+                ({}, {"only_affected": True},
+                 {"annotations": True, "with_provenance": True})):
+            compiled = reenactor.compile(
+                reenactor.transaction_record(xid),
+                ReenactmentOptions(optimize=optimize, **request))
+            snapshot = copy.deepcopy(compiled.plans)
+            for plan in compiled.plans.values():
+                ProvenanceOptimizer().optimize(plan)
+                for dialect in (None, sqlite_dialect):
+                    with contextlib.suppress(ReenactmentError):
+                        generate_sql(plan, dialect=dialect)
+            for backend_session in sessions:
+                reenactor.execute(compiled, session=backend_session)
+            plan_snapshots(compiled.plans)
+            context = (f"seed={seed} isolation={isolation} xid={xid} "
+                       f"optimize={optimize} {request}")
+            # repr is structural everywhere; == is too, except that a
+            # SubqueryExpr equals only itself (eq=False), never its copy
+            text = repr(compiled.plans)
+            assert text == repr(snapshot), context
+            if "SubqueryExpr(" not in text:
+                assert compiled.plans == snapshot, context
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+@pytest.mark.parametrize("seed", FULL_SEEDS)
+def test_no_consumer_mutates_a_plan(seed, isolation):
+    assert check_no_consumer_mutates_a_plan(seed, isolation) > 0
+
+
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
 @pytest.mark.parametrize("seed", FULL_SEEDS)
 def test_split_execution_equals_full_plan(seed, isolation):
@@ -558,7 +631,7 @@ def test_optimizer_on_off_metamorphic(seed, isolation):
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
 @pytest.mark.parametrize("seed", SMOKE_SEEDS)
 def test_differential_smoke(seed, isolation, mode, engine):
-    """Quick slice for CI: a few seeds, full checks, both modes."""
+    """Quick slice: a few seeds, full checks, every mode."""
     db, checked = check_history_differential(seed, isolation, mode,
                                              engine)
     assert checked > 0
@@ -584,7 +657,7 @@ def test_differential_full(seed, isolation, mode, engine):
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
 @pytest.mark.parametrize("seed", SMOKE_SEEDS)
 def test_service_differential_smoke(seed, isolation):
-    """Quick service-scheduler slice for CI (its own step; see
+    """Quick service-scheduler slice (see
     ``check_history_service_differential``)."""
     assert check_history_service_differential(seed, isolation) > 0
 
@@ -602,7 +675,7 @@ def test_service_differential_full(seed, isolation):
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
 @pytest.mark.parametrize("seed", CRASH_SMOKE_SEEDS)
 def test_crash_recover_differential_smoke(seed, isolation, tmp_path):
-    """Quick crash-recovery slice for CI (its own step; see
+    """Quick crash-recovery slice (see
     ``check_crash_recover_differential``)."""
     assert check_crash_recover_differential(seed, isolation,
                                             tmp_path) > 0
@@ -634,17 +707,20 @@ def _equivalence_fingerprint(report):
 @pytest.mark.parametrize("seed", SMOKE_SEEDS)
 def test_equivalence_union_priming_identical(seed, isolation):
     """Union priming is a materialization strategy, not a semantics
-    change: a whole-history equivalence sweep must produce
-    byte-identical reports with it on and off (and agree with the
-    in-memory interpreter), while the pipelined sweep actually moves
-    snapshots forward in place on a delta-capable backend."""
-    from repro.core.equivalence import check_history_equivalence
+    change: the whole-history equivalence sweep (every transaction
+    compiled first, the snapshot-set series pipelined) must produce
+    reports byte-identical to a loop of per-transaction checks on one
+    session (compile, prime and execute interleaved), and agree with
+    the in-memory interpreter."""
+    from repro.core.equivalence import (check_history_equivalence,
+                                        check_transaction_equivalence)
     db = build_history(seed, isolation)
     backend = policy_backend(FORCE_DELTA, cache_capacity=1)
-    on = check_history_equivalence(db, backend=backend,
-                                   union_priming=True)
-    off = check_history_equivalence(db, backend="sqlite",
-                                    union_priming=False)
+    on = check_history_equivalence(db, backend=backend)
+    with resolve_backend("sqlite").open_session() as session:
+        off = {xid: check_transaction_equivalence(
+                   db, xid, backend="sqlite", session=session)
+               for xid in committed_xids(db)}
     mem = check_history_equivalence(db, backend="memory")
     assert set(on) == set(off) == set(mem) and on
     for xid in on:

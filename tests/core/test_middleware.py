@@ -123,3 +123,30 @@ class TestTransactionRequests:
             f"REENACT TRANSACTION {xid}")
         assert sorted(via_sql.relation.rows) == \
             sorted(direct.relation.rows)
+
+
+def test_trace_stages_are_what_each_stage_produced():
+    """Each stage of a trace is the plan that stage produced: the
+    optimizer builds a new plan, it does not rewrite the one the trace
+    holds under "-- rewritten"."""
+    from repro.algebra.sqlgen import explain
+    from repro.algebra.translator import Translator
+    from repro.core.provenance.rewriter import ProvenanceRewriter
+    from repro.sql.parser import parse_statement
+    database = Database()
+    database.execute("CREATE TABLE account (cust TEXT, typ TEXT, bal INT)")
+    database.execute("INSERT INTO account VALUES ('Alice','c',100), "
+                     "('Bob','s',10)")
+    sql = "PROVENANCE OF (SELECT cust FROM account WHERE bal > 20)"
+    trace = GProM(database).trace(sql)
+
+    plan = Translator(database.catalog).translate_query(
+        parse_statement(sql).query)
+    rewritten = ProvenanceRewriter().rewrite(plan).plan
+    assert explain(trace.plan) == explain(plan)
+    assert explain(trace.rewritten) == explain(rewritten)
+    assert trace.plan == plan and trace.rewritten == rewritten
+    assert trace.optimized != trace.rewritten
+    assert explain(trace.optimized) != explain(trace.rewritten)
+    assert f"-- rewritten:\n{explain(rewritten)}\n" in trace.explain()
+    assert trace.relation.rows == [("Alice", "Alice", "c", 100, 1)]

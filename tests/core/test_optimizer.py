@@ -1,6 +1,8 @@
 """Provenance-aware optimizer: every rule preserves semantics, and the
 rules fire on the plan shapes reenactment produces."""
 
+import copy
+
 import pytest
 
 from repro import Database
@@ -41,13 +43,27 @@ QUERIES = [
 ]
 
 
+def assert_unchanged(plan, snapshot):
+    """``plan`` still is what the ``copy.deepcopy`` taken before it was
+    handed out says it was.  ``repr`` is structural everywhere; ``==``
+    is too, except that a ``SubqueryExpr`` equals only itself."""
+    text = repr(plan)
+    assert text == repr(snapshot)
+    if "SubqueryExpr(" not in text:
+        assert plan == snapshot
+
+
 @pytest.mark.parametrize("sql", QUERIES)
 def test_optimizer_preserves_semantics(db, sql):
     plan = plan_for(db, sql)
-    import copy
-    expected = rows(db, copy.deepcopy(plan))
-    optimized = ProvenanceOptimizer().optimize(plan)
-    assert rows(db, optimized) == expected
+    snapshot = copy.deepcopy(plan)
+    optimizer = ProvenanceOptimizer()
+    optimized = optimizer.optimize(plan)
+    # plans are values: the optimizer built a new plan, the one it was
+    # handed is as it was — and is the reference to compare against
+    assert optimizer.rule_applications and optimized is not plan
+    assert_unchanged(plan, snapshot)
+    assert rows(db, optimized) == rows(db, plan)
 
 
 class TestRules:
@@ -116,13 +132,54 @@ class TestRules:
                        for n in op.walk_plan(result))
 
     def test_disabled_config_changes_nothing(self, db):
-        import copy
         plan = plan_for(db, "SELECT a FROM t WHERE b = 'x'")
-        snapshot = copy.deepcopy(plan)
         optimizer = ProvenanceOptimizer(OptimizerConfig.disabled())
-        result = optimizer.optimize(plan)
+        assert optimizer.optimize(plan) is plan
         assert optimizer.rule_applications == {}
-        assert rows(db, result) == rows(db, snapshot)
+
+
+class TestRejectionMemos:
+    """A merge or push estimated past ``merge_size_limit`` is remembered
+    by the optimizer (nodes are frozen, nothing is stashed on them): the
+    next pass meets the same node and does not estimate again."""
+
+    def test_rejected_merge_and_push_are_not_re_estimated(
+            self, db, monkeypatch):
+        from repro.algebra.expressions import BinaryOp, Column, Literal
+        from repro.core import optimizer as optimizer_module
+        a = Column(name="a", key="a")
+        wide = plan_for(db, "SELECT a + a + a + a AS a FROM t")
+        rejected_push = op.Selection(wide, BinaryOp(">", a, Literal(2)))
+        rejected_merge = op.Projection(wide, [BinaryOp("+", a, a)], ["a"])
+        # two stacked selections keep pass one busy, so there is a pass two
+        busy = plan_for(db, "SELECT a FROM t WHERE c > 15")
+        busy = busy.with_children([op.Selection(
+            busy.child, BinaryOp("<", Column(name="c", key="t.c"),
+                                 Literal(40)))])
+        plan = op.SetOp(
+            "union", op.SetOp("union", rejected_push, rejected_merge,
+                              all=True), busy, all=True)
+        expected = rows(db, plan)
+
+        estimates = []
+        estimate = optimizer_module._estimate_merged_size
+        monkeypatch.setattr(
+            optimizer_module, "_estimate_merged_size",
+            lambda exprs, mapping: estimates.append(exprs)
+            or estimate(exprs, mapping))
+        optimizer = ProvenanceOptimizer(OptimizerConfig(
+            remove_identity=False, prune_columns=False,
+            fold_constants=False, merge_size_limit=5))
+        result = optimizer.optimize(plan)
+        assert optimizer.rule_applications == {"combine_selections": 1}
+        assert len(estimates) == 2  # one per rejected node, over two passes
+        assert result.left.left is rejected_push
+        assert result.left.right is rejected_merge
+        assert vars(rejected_push).keys() == {"child", "condition"}
+        # ... and not on a later call of the same optimizer either
+        assert optimizer.optimize(result) is result
+        assert len(estimates) == 2
+        assert rows(db, result) == expected
 
 
 class TestOnReenactmentChains:
@@ -160,6 +217,34 @@ class TestOnReenactmentChains:
             if isinstance(node, op.Projection):
                 assert sum(expr_size(e) for e in node.exprs) <= 500 * 2
 
+    def test_read_committed_chain_is_left_as_it_was(self, db):
+        """A 6-statement READ COMMITTED chain is a DAG — every re-basing
+        references the transaction's own rows twice — and the optimizer
+        rewrites each reference without touching the shared node."""
+        s = db.connect()
+        s.begin("READ COMMITTED")
+        for i in range(5):
+            s.execute(f"UPDATE t SET c = c + 1 WHERE a = {(i % 4) + 1}")
+        s.execute("INSERT INTO t VALUES (5, 'w', 50)")
+        xid = s.txn.xid
+        s.commit()
+        reenactor = Reenactor(db)
+        plan = reenactor.build_plans(
+            reenactor.transaction_record(xid),
+            ReenactmentOptions(optimize=False, annotations=True,
+                               only_affected=True))["t"]
+        unions = [n for n in op.walk_plan(plan)
+                  if isinstance(n, op.SetOp) and
+                  isinstance(n.right, op.Join)]
+        assert unions and all(u.left is u.right.right.child
+                              for u in unions)
+        snapshot = copy.deepcopy(plan)
+        optimizer = ProvenanceOptimizer()
+        optimized = optimizer.optimize(plan)
+        assert optimizer.rule_applications["merge_projections"] > 0
+        assert_unchanged(plan, snapshot)
+        assert rows(db, optimized) == rows(db, plan)
+
     def test_optimized_reenactment_correct(self, db):
         xid = self.make_chain_xid(db, 12)
         reenactor = Reenactor(db)
@@ -190,13 +275,12 @@ class TestSelectionThroughUnionAll:
         return BinaryOp(">", Column(name="a", key="a"), Literal(bound))
 
     def test_right_side_is_remapped_by_position(self, db):
-        import copy
         from repro.algebra.expressions import columns_used
         plan = self.above_union(
             db, "SELECT a FROM t UNION ALL SELECT c FROM t",
             self.a_above(2))
         assert plan.child.left.attrs != plan.child.right.attrs
-        expected = rows(db, copy.deepcopy(plan))
+        expected = rows(db, plan)
         assert expected == [(3,), (4,), (10,), (20,), (30,), (40,)]
         optimizer = ProvenanceOptimizer(self.PUSH_ONLY)
         result = optimizer.optimize(plan)
@@ -211,14 +295,13 @@ class TestSelectionThroughUnionAll:
         assert rows(db, result) == expected
 
     def test_subquery_condition_stays_above(self, db):
-        import copy
         from repro.algebra.expressions import Column, SubqueryExpr
         condition = SubqueryExpr(
             "IN", None, operand=Column(name="a", key="a"),
             plan=plan_for(db, "SELECT a FROM t WHERE c > 15"))
         plan = self.above_union(
             db, "SELECT a FROM t UNION ALL SELECT c FROM t", condition)
-        expected = rows(db, copy.deepcopy(plan))
+        expected = rows(db, plan)
         result = ProvenanceOptimizer().optimize(plan)
         assert isinstance(result, op.Selection)
         assert isinstance(result.child, op.SetOp)
@@ -227,11 +310,10 @@ class TestSelectionThroughUnionAll:
     @pytest.mark.parametrize("word", ["UNION", "EXCEPT", "INTERSECT"])
     def test_distinct_sensitive_set_operations_are_left_alone(self, db,
                                                               word):
-        import copy
         plan = self.above_union(
             db, f"SELECT a FROM t {word} SELECT c / 10 FROM t",
             self.a_above(0))
-        expected = rows(db, copy.deepcopy(plan))
+        expected = rows(db, plan)
         result = ProvenanceOptimizer().optimize(plan)
         assert isinstance(result, op.Selection)
         assert isinstance(result.child, op.SetOp)

@@ -17,8 +17,7 @@ Run with::
 """
 
 from repro import Database, ReenactmentService
-from repro.core.equivalence import check_history_equivalence
-from repro.core.reenactor import ReenactmentOptions, Reenactor
+from repro.core.reenactor import ReenactmentOptions
 from repro.obs import (disable_tracing, enable_tracing, render_explain,
                        render_trace)
 from repro.workloads import run_write_skew_history, setup_bank
@@ -93,11 +92,12 @@ def main() -> None:
               f"{panel.last_stats.primes_shared} across "
               f"{len(panel.columns())} prefix columns")
 
-        # -- core entry points route through the same service ---------
-        reports = check_history_equivalence(db, service=service)
+        # -- sweeps and repeats are calls on the same service ---------
+        reports = {xid: handle.result() for xid, handle
+                   in service.equivalence_sweep().items()}
         print("equivalence sweep:",
               {xid: report.ok for xid, report in sorted(reports.items())})
-        again = Reenactor(db).reenact(t1, options, service=service)
+        again = service.reenact(t1, options).result()
         assert sorted(again.tables) == sorted(first.tables)
 
         stats = service.stats()

@@ -16,17 +16,15 @@ harness (``tests/backends/``) holds them to that by reenacting seeded
 random histories on every backend and requiring multiset-identical
 results.
 
-Execution comes in two granularities:
-
-* :meth:`ExecutionBackend.execute_plan` — one-shot convenience: open
-  whatever resources the backend needs, run one plan, tear down;
-* :meth:`ExecutionBackend.open_session` — a :class:`BackendSession`
-  (context manager) that keeps backend resources alive across a *batch*
-  of plan executions.  The SQLite session holds one connection for its
-  lifetime and memoizes snapshot materialization per ``(table, ts)``
-  key, so a fleet of plans over the same transaction (what-if fleets,
-  debugger prefix columns, whole-history equivalence sweeps)
-  materializes each AS-OF snapshot exactly once.
+A backend runs plans on a :class:`BackendSession` (context manager,
+from :meth:`ExecutionBackend.open_session`) that keeps backend
+resources alive across a *batch* of plan executions.  The SQLite
+session holds one connection for its lifetime and memoizes snapshot
+materialization per ``(table, ts)`` key, so a fleet of plans over the
+same transaction (what-if fleets, debugger prefix columns,
+whole-history equivalence sweeps) materializes each AS-OF snapshot
+exactly once.  :meth:`ExecutionBackend.execute_plan` is the same on a
+throwaway session.
 
 The explicit snapshot key a session caches on is the architectural seam
 later incremental-delta and server backends plug into.
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.algebra import operators as op
@@ -114,22 +112,13 @@ class SessionStats(StatsView):
     def merge(self, other: "SessionStats") -> None:
         """Fold another session's counters into this one (service-level
         aggregation across a worker pool)."""
-        self.plans_executed += other.plans_executed
-        self.snapshots_materialized += other.snapshots_materialized
-        self.snapshots_reused += other.snapshots_reused
-        self.materializations.update(other.materializations)
-        self.full_materializations += other.full_materializations
-        self.delta_materializations += other.delta_materializations
-        self.delta_rows_applied += other.delta_rows_applied
-        self.snapshots_evicted += other.snapshots_evicted
-        self.snapshots_spilled += other.snapshots_spilled
-        self.snapshots_rehydrated += other.snapshots_rehydrated
-        self.patched_in_place += other.patched_in_place
-        self.batch_rehydrated += other.batch_rehydrated
-        self.primes_shared += other.primes_shared
-        self.spill_queue_flushes += other.spill_queue_flushes
-        self.window_scans += other.window_scans
-        self.window_scan_ticks += other.window_scan_ticks
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            theirs = getattr(other, spec.name)
+            if isinstance(mine, Counter):
+                mine.update(theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
 
 
 #: operation kinds a :class:`SnapshotPlan` step may carry, in the order
@@ -220,13 +209,14 @@ class BackendSession(abc.ABC):
             f"spill (capabilities: {self.backend.capabilities})")
 
     def prime_snapshots(self, snapshots, ctx: EvalContext) -> None:
-        """Hint: the caller is about to execute plans scanning the given
-        ``(table, ts)`` snapshot states (a
-        :attr:`~repro.core.reenactor.CompiledReenactment.snapshots`
-        set).  Stateful backends materialize them *in the caller's
-        order* — sorted by ``(table, ts)``, each snapshot is one small
-        delta hop from its predecessor instead of an unordered full
-        rebuild.  Stateless backends ignore the hint (default no-op)."""
+        """Materialize the given ``(table, ts)`` snapshot states ahead
+        of the plans that scan them: a :meth:`snapshot_pipeline` of
+        this one set.  A stateful backend builds them sorted by
+        ``(table, ts)``, each one small delta hop from its predecessor
+        instead of an unordered full rebuild; a stateless one has
+        nothing to build."""
+        with self.snapshot_pipeline([snapshots], ctx) as pipe:
+            pipe.prime(0)
 
     def snapshot_pipeline(self, snapshot_sets,
                           ctx: EvalContext) -> "SnapshotPipeline":
@@ -237,14 +227,13 @@ class BackendSession(abc.ABC):
         must be called with each index, in order, immediately before
         that compile's plans run.
 
-        Handing the whole series over up front is what the hint-only
-        :meth:`prime_snapshots` cannot express: a planning backend
-        materializes shared ``(table, ts)`` pairs once for all N
-        compiles, chains deltas across compile boundaries, and — once
-        an index is primed — knows exactly which cached versions no
+        Handing the whole series over up front lets a planning backend
+        materialize shared ``(table, ts)`` pairs once for all N
+        compiles, chain deltas across compile boundaries, and — once
+        an index is primed — know exactly which cached versions no
         later compile reads, so it may *move* them forward in place
-        instead of cloning.  The default pipeline degrades to one
-        :meth:`prime_snapshots` hint per set."""
+        instead of cloning.  The default pipeline is for stateless
+        backends: it checks the protocol and builds nothing."""
         return SnapshotPipeline(self, snapshot_sets, ctx)
 
     def publish_snapshots(self, snapshots, ctx: EvalContext) -> None:
@@ -299,8 +288,8 @@ class BackendSession(abc.ABC):
 
 
 class SnapshotPipeline:
-    """Default cross-compile priming pipeline: per-set hints, no
-    planning.
+    """Default cross-compile priming pipeline, for a stateless backend:
+    nothing to materialize, only the protocol.
 
     Subclasses (see :class:`repro.backends.sqlbase.SQLPipeline`)
     override :meth:`prime` to plan the union.  ``prime(i)`` may be
@@ -319,7 +308,9 @@ class SnapshotPipeline:
         self._next_index = 0
         self._closed = False
 
-    def _advance_to(self, index: int) -> None:
+    def prime(self, index: int) -> None:
+        """Materialize set ``index``'s snapshots ahead of its plans
+        (here: only move the cursor — nothing to materialize)."""
         if self._closed:
             raise ExecutionError("snapshot pipeline is closed")
         if index < self._next_index:
@@ -331,12 +322,6 @@ class SnapshotPipeline:
                 f"snapshot pipeline has {len(self.snapshot_sets)} "
                 f"sets; cannot prime set {index}")
         self._next_index = index + 1
-
-    def prime(self, index: int) -> None:
-        """Materialize set ``index``'s snapshots ahead of its plans."""
-        self._advance_to(index)
-        self.session.prime_snapshots(self.snapshot_sets[index],
-                                     self.ctx)
 
     def close(self) -> None:
         self._closed = True

@@ -94,15 +94,18 @@ class SQLPipeline(SnapshotPipeline):
                 self._last_reader[pair] = index
 
     def prime(self, index: int) -> None:
-        self._advance_to(index)
+        super().prime(index)
         session: "SQLSession" = self.session
         session._check_open()
         binder = session._binder(self.ctx, priming=True)
         requested = sorted({(table, int(ts))
                             for table, ts in self.snapshot_sets[index]
                             if ts is not None})
+        # at the first set no reader is behind the cursor: nothing is
+        # shared with an earlier set yet, nothing can be granted
         cached = {(table, ts) for table, ts, _name
-                  in session.cache.plain_entries(binder.realm)}
+                  in session.cache.plain_entries(binder.realm)} \
+            if index else ()
         # requests an earlier compile in this pipeline already paid
         # for — the cross-compile sharing the union hand-off exists for
         session.stats.primes_shared += sum(
@@ -217,17 +220,6 @@ class SQLSession(BackendSession):
                 f"CREATE INDEX {quote_ident('__ix_' + name)} "
                 f"ON {quote_ident(name)} ({quote_ident(ROWID_SUFFIX)})")
             self._indexed.add(name)
-
-    def prime_snapshots(self, snapshots, ctx: EvalContext) -> None:
-        """Materialize a compiled reenactment's ``(table, ts)`` set in
-        sorted order before its plans run, so every snapshot is one
-        small delta hop from its same-table predecessor."""
-        self._check_open()
-        binder = self._binder(ctx, priming=True)
-        for table, ts in sorted((t, ts) for t, ts in snapshots
-                                if ts is not None):
-            binder.bind_key(table, ts)
-        binder.materialize(self.conn)
 
     def publish_snapshots(self, snapshots, ctx: EvalContext) -> None:
         self._check_open()

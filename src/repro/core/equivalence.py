@@ -163,8 +163,7 @@ def _check_table(db: Database, xid: int, table_name: str, relation,
 def check_history_equivalence(db: Database,
                               xids: Optional[List[int]] = None,
                               optimize: bool = True,
-                              backend=None,
-                              service=None
+                              backend=None
                               ) -> Dict[int, EquivalenceReport]:
     """Check every committed transaction of a history (default: all
     transactions in the audit log) on the given execution backend.
@@ -173,56 +172,26 @@ def check_history_equivalence(db: Database,
     history overlap in the snapshots they read, so on SQLite each
     ``(table, ts)`` state is materialized once for the sweep rather
     than once per transaction.  Every transaction is *compiled first*
-    and the ordered series of compiled ``(table, ts)`` snapshot sets is
-    handed to the session's snapshot pipeline in one piece — shared
+    and the series runs through :meth:`Reenactor.execute_all` — shared
     pairs materialize once for the whole sweep, deltas chain across
     transaction boundaries, and versions no later transaction reads may
-    be patched forward in place instead of cloned.  The pipeline is
-    purely a materialization strategy: a loop of
+    be patched forward in place instead of cloned.  That is purely a
+    materialization strategy: a loop of
     :func:`check_transaction_equivalence` on one session reports the
-    same.
-
-    ``service`` (a :class:`~repro.service.ReenactmentService`) fans the
-    sweep out across the service's worker pool instead — one
-    equivalence job per transaction, executed concurrently on the
-    workers' sessions with snapshot work shared through the spill
-    store.  The service's backend is used; ``backend`` is then
-    ignored."""
-    from repro.backends import resolve_backend
-    if service is not None:
-        if service.db is not db:
-            raise ValueError(
-                "service serves a different database than this sweep")
-        handles = service.equivalence_sweep(xids, optimize=optimize)
-        return {xid: handle.result()
-                for xid, handle in handles.items()}
+    same."""
     if xids is None:
-        xids = []
-        for xid in db.audit_log.transaction_ids():
-            record = db.audit_log.transaction_record(xid)
-            if record.committed and record.statements:
-                xids.append(xid)
-    resolved = resolve_backend(backend)
-    with resolved.open_session() as session:
-        reenactor = Reenactor(db, backend=resolved)
-        options = ReenactmentOptions(annotations=True,
-                                     include_deleted=True,
-                                     optimize=optimize)
-        compiles = []
-        for xid in xids:
-            record = reenactor.transaction_record(xid)
-            if not record.committed:
-                raise ValueError(
-                    f"transaction {xid} did not commit; only committed "
-                    f"transactions have effects to check")
-            compiles.append((xid, reenactor.compile(record, options)))
-        out: Dict[int, EquivalenceReport] = {}
-        ctx = db.context(params={})
-        sets = [compiled.snapshots for _, compiled in compiles]
-        with session.snapshot_pipeline(sets, ctx) as pipe:
-            for index, (xid, compiled) in enumerate(compiles):
-                pipe.prime(index)
-                result = reenactor.execute(compiled, session=session,
-                                           prime=False)
-                out[xid] = _report_for_result(db, compiled, result)
-        return out
+        xids = db.audit_log.committed_xids()
+    reenactor = Reenactor(db, backend=backend)
+    options = ReenactmentOptions(annotations=True, include_deleted=True,
+                                 optimize=optimize)
+    compiles = []
+    for xid in xids:
+        record = reenactor.transaction_record(xid)
+        if not record.committed:
+            raise ValueError(
+                f"transaction {xid} did not commit; only committed "
+                f"transactions have effects to check")
+        compiles.append(reenactor.compile(record, options))
+    return {compiled.xid: _report_for_result(db, compiled, result)
+            for result, compiled in zip(reenactor.execute_all(compiles),
+                                        compiles)}

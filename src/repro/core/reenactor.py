@@ -98,10 +98,6 @@ class ReenactmentOptions:
     include_deleted: bool = False
     #: run the provenance-aware optimizer over the plans ([5], E6).
     optimize: bool = True
-    #: execution backend for evaluating the plans: a registered name
-    #: ("memory", "sqlite"), an ExecutionBackend instance, or ``None``
-    #: to use the reenactor's default backend.
-    backend: BackendSpec = None
 
 
 @dataclass
@@ -229,9 +225,8 @@ class Reenactor:
         engine's native audit log and time travel; pass the adapters of
         :class:`repro.core.trigger_history.TriggerHistory` to reenact on
         a database without native support (§3 footnote 3).  ``backend``
-        selects how finished plans are executed (see
-        :mod:`repro.backends`); per-request
-        :attr:`ReenactmentOptions.backend` overrides it."""
+        selects how finished plans are executed when the caller holds
+        no session of their own (see :mod:`repro.backends`)."""
         self.db = db
         self.audit_log = audit_log if audit_log is not None \
             else db.audit_log
@@ -261,26 +256,12 @@ class Reenactor:
 
     def reenact(self, xid: int,
                 options: Optional[ReenactmentOptions] = None,
-                session=None, service=None) -> ReenactmentResult:
+                session=None) -> ReenactmentResult:
         """Reenact transaction ``xid`` and evaluate the resulting plans
         over time-traveled snapshots.  ``session`` (a
         :class:`~repro.backends.base.BackendSession`) shares backend
         resources — connection, materialized snapshots — with other
-        reenactments in the same batch.  ``service`` (a
-        :class:`~repro.service.ReenactmentService`) instead routes the
-        request through the shared scheduler: the job runs on the
-        service's worker pool (its sessions, spill store and result
-        cache) and this call blocks for the result — identical
-        concurrent or repeated requests are answered once."""
-        if service is not None:
-            if session is not None:
-                raise ReenactmentError(
-                    "pass either session= or service=, not both")
-            if service.db is not self.db:
-                raise ReenactmentError(
-                    "service serves a different database than this "
-                    "reenactor")
-            return service.reenact(xid, options).result()
+        reenactments in the same batch."""
         options = options or ReenactmentOptions()
         record = self.transaction_record(xid)
         return self.reenact_record(record, options, session=session)
@@ -333,55 +314,75 @@ class Reenactor:
         return compiled
 
     def execute(self, compiled: CompiledReenactment,
-                session=None, prime: bool = True) -> ReenactmentResult:
-        """The execute phase: run a compiled reenactment's plans.
+                session=None) -> ReenactmentResult:
+        """The execute phase: run a compiled reenactment's plans — the
+        one-element case of :meth:`execute_all`."""
+        (result,) = self.execute_all([compiled], session=session)
+        return result
+
+    def execute_all(self, compiles, session=None):
+        """Run a series of compiled reenactments on one session, lazily:
+        yields each :class:`ReenactmentResult` in order.
 
         With ``session`` the plans run on the caller's open
         :class:`~repro.backends.base.BackendSession` (snapshots shared
-        with everything else the session ran); without one, a throwaway
-        session on the resolved backend is used, so even a one-shot
-        multi-table reenactment materializes each snapshot once.
+        with everything else the session ran, left open); without one,
+        a throwaway session on this reenactor's backend is used, so even
+        a one-shot multi-table reenactment materializes each snapshot
+        once.
 
-        Either way the session is first *primed* with the compiled
-        ``(table, ts)`` snapshot set, in its sorted order — a
-        delta-materializing backend builds each snapshot as a small
-        incremental hop instead of meeting the scans in whatever order
-        the generated SQL mentions them.  ``prime=False`` skips that
-        hint for a caller session a
+        The whole series of compiled ``(table, ts)`` snapshot sets is
+        handed to the session's
         :meth:`~repro.backends.base.BackendSession.snapshot_pipeline`
-        has already primed with this compile's set (priming twice is
-        harmless but pays a redundant plan).
+        up front and set *i* is primed immediately before compile *i*
+        runs: a planning backend materializes pairs the compiles share
+        once, builds each snapshot as a small hop from its same-table
+        predecessor, and may move versions no later compile reads
+        forward in place.  Pipeline and throwaway session are released
+        when the generator is exhausted or closed.  All compiles of a
+        batch evaluate under one context, so they must share one
+        ``overrides`` object.
 
         A request for whole tables was compiled to the rows the
         transaction wrote; the rows it never wrote are added here,
         straight from the AS-OF snapshot (:meth:`_complete`) — on every
         backend alike, the engine only ever sees the affected rows."""
-        result = ReenactmentResult(xid=compiled.xid, plans=compiled.plans)
-        ctx = self.db.context(params={}, overrides=compiled.overrides,
-                      snapshot_provider=self.snapshot_provider)
-        spec = compiled.options.backend \
-            if compiled.options.backend is not None else self.backend
-        with span("reenactor.execute", xid=compiled.xid,
-                  tables=len(compiled.plans)) as sp, \
-                (nullcontext(session) if session is not None
-                 else resolve_backend(spec).open_session()) as active:
-            if prime or session is None:
-                active.prime_snapshots(compiled.snapshots, ctx)
-            split = _split(compiled.options)
-            affected = passthrough = 0
-            for table, plan in compiled.plans.items():
-                relation = active.execute_plan(plan, ctx)
-                affected += len(relation.rows)
-                if split:
-                    relation, untouched = self._complete(
-                        table, relation, compiled.state_ts[table], ctx,
-                        compiled.options)
-                    passthrough += untouched
-                result.tables[table] = relation
-            if sp is not NOOP_SPAN:
-                sp.set("affected_rows", affected)
-                sp.set("passthrough_rows", passthrough)
-        return result
+        compiles = list(compiles)
+        if not compiles:
+            return
+        overrides = compiles[0].overrides
+        if any(c.overrides is not overrides for c in compiles):
+            raise ReenactmentError(
+                "compiles of one batch must share one overrides object; "
+                "execute what-if variants one by one")
+        ctx = self.db.context(params={}, overrides=overrides,
+                              snapshot_provider=self.snapshot_provider)
+        with (nullcontext(session) if session is not None
+              else resolve_backend(self.backend).open_session()) as active, \
+                active.snapshot_pipeline(
+                    [c.snapshots for c in compiles], ctx) as pipe:
+            for index, compiled in enumerate(compiles):
+                result = ReenactmentResult(xid=compiled.xid,
+                                           plans=compiled.plans)
+                with span("reenactor.execute", xid=compiled.xid,
+                          tables=len(compiled.plans)) as sp:
+                    pipe.prime(index)
+                    split = _split(compiled.options)
+                    affected = passthrough = 0
+                    for table, plan in compiled.plans.items():
+                        relation = active.execute_plan(plan, ctx)
+                        affected += len(relation.rows)
+                        if split:
+                            relation, untouched = self._complete(
+                                table, relation,
+                                compiled.state_ts[table], ctx,
+                                compiled.options)
+                            passthrough += untouched
+                        result.tables[table] = relation
+                    if sp is not NOOP_SPAN:
+                        sp.set("affected_rows", affected)
+                        sp.set("passthrough_rows", passthrough)
+                yield result
 
     def _complete(self, table: str, affected: Relation, ts: int, ctx,
                   options: ReenactmentOptions) -> Tuple[Relation, int]:
@@ -493,19 +494,18 @@ class Reenactor:
                     f"prefix length {upto} out of range (transaction "
                     f"has {len(statements)} statements)")
             statements = statements[:upto]
-        isolation = record.isolation
         chains: Dict[str, op.Operator] = {}
         for parsed in statements:
             target = parsed.target
             if not self.db.catalog.has(target):
                 raise ReenactmentError(
                     f"table {target!r} no longer exists; cannot reenact")
-            if isolation is IsolationLevel.READ_COMMITTED:
+            if record.isolation is IsolationLevel.READ_COMMITTED:
                 chains[target] = self._rc_input(chains, target, parsed.ts)
             elif target not in chains:
                 chains[target] = self._base_plan(target, record.begin_ts)
             chains[target] = self._apply_statement(
-                chains, chains[target], parsed, record, isolation)
+                chains, chains[target], parsed, record)
         return chains
 
     def insert_sources(self, record: TransactionRecord,
@@ -530,13 +530,13 @@ class Reenactor:
 
         # the plain query fixes the insertion order (AnnotateRowId order)
         plain = self._translator.translate_query(parsed.stmt.source)
-        plain_redirected = self._redirect_plan(
-            plain, chains, parsed, record, record.isolation)
+        plain_redirected = self._redirect_plan(plain, chains, parsed,
+                                               record)
         plain_rows = Evaluator(ctx).evaluate(plain_redirected).rows
 
         rewrite = ProvenanceRewriter().rewrite(plain)
         redirected = self._redirect_plan(rewrite.plan, chains, parsed,
-                                         record, record.isolation)
+                                         record)
         relation = Evaluator(ctx).evaluate(redirected)
         rowid_attrs = [a for a in rewrite.prov_attrs
                        if a.column == "rowid"]
@@ -627,24 +627,19 @@ class Reenactor:
 
     def _apply_statement(self, chains: Dict[str, op.Operator],
                          chain: op.Operator, parsed: ParsedStatement,
-                         record: TransactionRecord,
-                         isolation: IsolationLevel) -> op.Operator:
+                         record: TransactionRecord) -> op.Operator:
         stmt = parsed.stmt
         if isinstance(stmt, ast.Update):
-            return self._apply_update(chains, chain, stmt, parsed, record,
-                                      isolation)
+            return self._apply_update(chains, chain, stmt, parsed, record)
         if isinstance(stmt, ast.Delete):
-            return self._apply_delete(chains, chain, stmt, parsed, record,
-                                      isolation)
+            return self._apply_delete(chains, chain, stmt, parsed, record)
         if isinstance(stmt, ast.Insert):
-            return self._apply_insert(chains, chain, stmt, parsed, record,
-                                      isolation)
+            return self._apply_insert(chains, chain, stmt, parsed, record)
         raise ReenactmentError(f"unsupported statement {stmt!r}")
 
     def _live_condition(self, table: str, where: Optional[Expr],
                         chain_attrs: List[str],
-                        chains, parsed, record, isolation
-                        ) -> Expr:
+                        chains, parsed, record) -> Expr:
         """θ AND NOT __del__, resolved against the chain schema, with
         subquery table accesses redirected to reenactment views."""
         not_deleted: Expr = UnaryOp(
@@ -654,24 +649,23 @@ class Reenactor:
         scope = Scope(chain_attrs)
         condition = self._translator.resolve_expression(where, scope)
         condition = self._redirect_subqueries(condition, chains, parsed,
-                                              record, isolation)
+                                              record)
         return BinaryOp("AND", condition, not_deleted)
 
     def _apply_update(self, chains, chain: op.Operator, stmt: ast.Update,
-                      parsed: ParsedStatement, record, isolation
-                      ) -> op.Operator:
+                      parsed: ParsedStatement, record) -> op.Operator:
         table = stmt.table
         schema = self.db.catalog.get(table)
         attrs = chain.attrs
         condition = self._live_condition(table, stmt.where, attrs, chains,
-                                         parsed, record, isolation)
+                                         parsed, record)
         scope = Scope(attrs)
         assigned: Dict[str, Expr] = {}
         for assignment in stmt.assignments:
             value = self._translator.resolve_expression(assignment.value,
                                                         scope)
             value = self._redirect_subqueries(value, chains, parsed,
-                                              record, isolation)
+                                              record)
             assigned[assignment.column] = value
 
         exprs: List[Expr] = []
@@ -698,12 +692,11 @@ class Reenactor:
         return op.Projection(chain, exprs, names)
 
     def _apply_delete(self, chains, chain: op.Operator, stmt: ast.Delete,
-                      parsed: ParsedStatement, record, isolation
-                      ) -> op.Operator:
+                      parsed: ParsedStatement, record) -> op.Operator:
         table = stmt.table
         schema = self.db.catalog.get(table)
         condition = self._live_condition(table, stmt.where, chain.attrs,
-                                         chains, parsed, record, isolation)
+                                         chains, parsed, record)
         exprs: List[Expr] = []
         names: List[str] = []
         for column in schema.column_names:
@@ -724,8 +717,7 @@ class Reenactor:
         return op.Projection(chain, exprs, names)
 
     def _apply_insert(self, chains, chain: op.Operator, stmt: ast.Insert,
-                      parsed: ParsedStatement, record, isolation
-                      ) -> op.Operator:
+                      parsed: ParsedStatement, record) -> op.Operator:
         table = stmt.table
         schema = self.db.catalog.get(table)
         ncols = len(schema.columns)
@@ -743,7 +735,7 @@ class Reenactor:
         else:
             query_plan = self._translator.translate_query(stmt.source)
             query_plan = self._redirect_plan(query_plan, chains, parsed,
-                                             record, isolation)
+                                             record)
             if len(query_plan.attrs) != (ncols if stmt.columns is None
                                          else len(stmt.columns)):
                 raise ReenactmentError(
@@ -785,10 +777,10 @@ class Reenactor:
     # .. redirecting reads to reenactment views ...........................................
 
     def _read_view(self, chains, table: str, parsed: ParsedStatement,
-                   record, isolation: IsolationLevel) -> op.Operator:
+                   record) -> op.Operator:
         """What the reenacted statement sees when *reading* ``table``:
         live (non-deleted) rows of the current chain / snapshot."""
-        if isolation is IsolationLevel.READ_COMMITTED:
+        if record.isolation is IsolationLevel.READ_COMMITTED:
             view = self._rc_input(chains, table, parsed.ts)
         else:
             view = chains.get(table) \
@@ -797,8 +789,7 @@ class Reenactor:
             view, UnaryOp("NOT", Column(name=DEL, key=f"{table}.{DEL}")))
 
     def _redirect_plan(self, plan: op.Operator, chains,
-                       parsed: ParsedStatement, record,
-                       isolation: IsolationLevel) -> op.Operator:
+                       parsed: ParsedStatement, record) -> op.Operator:
         """Replace every base-table scan in a query plan by the
         reenactment read view of that table, preserving the scan's
         binding and attribute keys."""
@@ -807,11 +798,10 @@ class Reenactor:
             if not isinstance(node, op.TableScan):
                 return node.map_expressions(
                     lambda expr: self._redirect_subqueries(
-                        expr, chains, parsed, record, isolation))
+                        expr, chains, parsed, record))
             if node.as_of is not None:
                 return node  # explicit time travel stays as written
-            view = self._read_view(chains, node.table, parsed, record,
-                                   isolation)
+            view = self._read_view(chains, node.table, parsed, record)
             exprs: List[Expr] = []
             for attr in node.attrs:
                 short = attr.rsplit(".", 1)[-1]
@@ -821,14 +811,14 @@ class Reenactor:
 
         return op.transform_plan(plan, visit)
 
-    def _redirect_subqueries(self, expr: Expr, chains, parsed, record,
-                             isolation) -> Expr:
+    def _redirect_subqueries(self, expr: Expr, chains, parsed,
+                             record) -> Expr:
         """``expr`` with the plan of every subquery in it redirected
         (:meth:`_redirect_plan`); ``expr`` itself if it holds none."""
         def visit(node: Expr) -> Expr:
             if isinstance(node, SubqueryExpr) and node.plan is not None:
                 return replace(node, plan=self._redirect_plan(
-                    node.plan, chains, parsed, record, isolation))
+                    node.plan, chains, parsed, record))
             return node
 
         return transform(expr, visit) if contains_subquery(expr) else expr

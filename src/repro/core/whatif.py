@@ -438,7 +438,7 @@ class WhatIfFleet:
     # -- execution ----------------------------------------------------------
 
     def run(self, options: Optional[ReenactmentOptions] = None,
-            session=None, service=None) -> Dict[str, WhatIfResult]:
+            session=None) -> Dict[str, WhatIfResult]:
         """Run every scenario; returns name -> :class:`WhatIfResult`
         (insertion-ordered, so iteration follows fleet construction).
 
@@ -449,23 +449,7 @@ class WhatIfFleet:
         already materialized is a cache hit.
 
         ``session`` runs the whole fleet on a caller-held
-        :class:`~repro.backends.base.BackendSession` (left open);
-        ``service`` submits the fleet as one job to a
-        :class:`~repro.service.ReenactmentService` — it executes on a
-        worker's long-lived session, sharing spilled snapshots with
-        every other job the service runs — and blocks for the result."""
-        if service is not None:
-            if session is not None:
-                raise WhatIfError(
-                    "pass either session= or service=, not both")
-            if service.db is not self.db:
-                raise WhatIfError(
-                    "service serves a different database than this "
-                    "fleet")
-            from repro.service.jobs import WhatIfFleetJob
-            return service.submit(
-                WhatIfFleetJob(xid=self.xid, fleet=self,
-                               options=options)).result()
+        :class:`~repro.backends.base.BackendSession` (left open)."""
         if not self._scenarios:
             raise WhatIfError("fleet has no scenarios; add some first")
         options = options or ReenactmentOptions()

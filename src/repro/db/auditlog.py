@@ -180,6 +180,17 @@ class AuditLog:
         self._sync_index()
         return list(self._by_xid)
 
+    def committed_xids(self) -> List[int]:
+        """Committed, non-empty transactions in xid order — the ones
+        with effects to check (what an equivalence sweep covers by
+        default)."""
+        out = []
+        for xid in self.transaction_ids():
+            record = self.transaction_record(xid)
+            if record.committed and record.statements:
+                out.append(xid)
+        return out
+
     def transactions(self, start_ts: Optional[int] = None,
                      end_ts: Optional[int] = None,
                      committed_only: bool = False

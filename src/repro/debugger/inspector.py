@@ -114,34 +114,30 @@ class TransactionInspector:
     def columns(self) -> List[DebugColumn]:
         """All panel columns, computed lazily and cached — on one
         backend session, with every prefix reenactment compiled first
-        and the whole series handed to the session's snapshot pipeline:
-        the begin-time snapshots all prefixes share are materialized
+        and the whole series run by :meth:`Reenactor.execute_all`: the
+        begin-time snapshots all prefixes share are materialized
         once for the panel (``primes_shared`` counts the N-1
         hand-offs), not once per column."""
         if self._columns is None:
-            probes: List[Tuple[int, str, object]] = []
-            for k in range(-1, len(self.statements)):
-                for table in self.selected_tables:
-                    options = ReenactmentOptions(
-                        upto=k + 1, table=table, annotations=True,
-                        include_deleted=True)
-                    probes.append((k, table, self.reenactor.compile(
-                        self.record, options,
-                        statements=self.statements)))
+            keys = [(k, table)
+                    for k in range(-1, len(self.statements))
+                    for table in self.selected_tables]
+            compiles = [self.reenactor.compile(
+                            self.record,
+                            ReenactmentOptions(
+                                upto=k + 1, table=table, annotations=True,
+                                include_deleted=True),
+                            statements=self.statements)
+                        for k, table in keys]
             states: Dict[Tuple[int, str], TableState] = {}
             collector = ExplainCollector()
             with collector, self.backend.open_session() as session:
-                ctx = self.db.context(params={})
-                sets = [compiled.snapshots for _, _, compiled in probes]
-                with session.snapshot_pipeline(sets, ctx) as pipe:
-                    for index, (k, table, compiled) in enumerate(
-                            probes):
-                        pipe.prime(index)
-                        relation = self.reenactor.execute(
-                            compiled, session=session,
-                            prime=False).table(table)
-                        states[(k, table)] = self._state_from_relation(
-                            table, relation)
+                for result, (k, table) in zip(
+                        self.reenactor.execute_all(compiles,
+                                                   session=session),
+                        keys):
+                    states[(k, table)] = self._state_from_relation(
+                        table, result.table(table))
                 self.last_stats = session.stats
             self.last_explain = collector.events
             self._columns = []
@@ -225,7 +221,8 @@ class TransactionInspector:
 
     def whatif(self) -> WhatIfScenario:
         """Start a what-if scenario from this transaction."""
-        return WhatIfScenario(self.db, self.xid)
+        return WhatIfScenario(self.db, self.xid,
+                              reenactor=self.reenactor)
 
     # -- internals ---------------------------------------------------------------------
 

@@ -30,7 +30,7 @@ Jobs that carry arbitrary callables (what-if scenario editors) return
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (Any, Callable, Dict, Hashable, List, Optional,
                     Sequence, Tuple)
 
@@ -47,15 +47,10 @@ PRIORITY_LOW = 20
 
 def options_fingerprint(options: Optional[ReenactmentOptions]
                         ) -> Tuple:
-    """A hashable identity for a :class:`ReenactmentOptions` — every
-    field that changes the result, with backend specs collapsed to
-    their registry name."""
+    """A hashable identity for a :class:`ReenactmentOptions`: every
+    field, in declaration order (all are hashable scalars)."""
     options = options or ReenactmentOptions()
-    backend = options.backend
-    backend_name = getattr(backend, "name", backend)
-    return (options.upto, options.table, options.annotations,
-            options.only_affected, options.with_provenance,
-            options.include_deleted, options.optimize, backend_name)
+    return tuple(getattr(options, spec.name) for spec in fields(options))
 
 
 def history_version(db) -> int:
@@ -141,16 +136,15 @@ def _freeze_spec(spec) -> Tuple:
 
 @dataclass
 class WhatIfFleetJob(Job):
-    """Run a what-if fleet — from declarative variant specs, from
-    ``(name, edit-callable)`` pairs, or a prebuilt
-    :class:`~repro.core.whatif.WhatIfFleet` — on the worker's session.
+    """Run a what-if fleet — from declarative variant specs or from
+    ``(name, edit-callable)`` pairs — on the worker's session.
 
     Declarative variants (see :func:`apply_variant_spec`) make the job
     a pure function of hashable inputs, so identical fleets — the
     "several analysts probe the same fix" pattern — are deduplicated
-    and result-cached like reenact jobs.  Callable edits and prebuilt
-    fleets stay uncacheable but still share every snapshot the
-    worker's session (and the spill store) already holds.
+    and result-cached like reenact jobs.  Callable edits stay
+    uncacheable but still share every snapshot the worker's session
+    (and the spill store) already holds.
     """
 
     xid: int
@@ -158,20 +152,11 @@ class WhatIfFleetJob(Job):
     #: tuple or a callable receiving a fresh scenario to mutate.
     variants: Sequence[Tuple[str, Any]] = ()
     options: Optional[ReenactmentOptions] = None
-    #: a fully built fleet adopted as-is (``variants`` then ignored).
-    fleet: Optional[object] = None
 
     kind = "whatif_fleet"
 
-    @property
-    def idempotent(self) -> bool:
-        # a prebuilt fleet is caller-held state the job's run mutates
-        # (scenario compilation, result attachment): after a crash
-        # mid-run it must fail loudly, not silently run twice
-        return self.fleet is None
-
     def cache_key(self, db) -> Optional[Hashable]:
-        if self.fleet is not None or not self.variants \
+        if not self.variants \
                 or any(callable(edit) for _, edit in self.variants):
             return None
         frozen = tuple((name, _freeze_spec(edit))
@@ -180,28 +165,23 @@ class WhatIfFleetJob(Job):
                 options_fingerprint(self.options), history_version(db))
 
     def run(self, worker):
-        fleet = self.fleet
-        if fleet is None:
-            from repro.core.whatif import WhatIfFleet
-            if not self.variants:
-                raise ServiceError(
-                    "what-if fleet job needs variants or a prebuilt "
-                    "fleet")
-            fleet = WhatIfFleet(worker.db, self.xid,
-                                backend=worker.backend)
-            for name, edit in self.variants:
-                scenario = fleet.scenario(name)
-                if callable(edit):
-                    edit(scenario)
-                else:
-                    apply_variant_spec(scenario, edit)
+        from repro.core.whatif import WhatIfFleet
+        if not self.variants:
+            raise ServiceError("what-if fleet job needs variants")
+        fleet = WhatIfFleet(worker.db, self.xid, backend=worker.backend)
+        for name, edit in self.variants:
+            scenario = fleet.scenario(name)
+            if callable(edit):
+                edit(scenario)
+            else:
+                apply_variant_spec(scenario, edit)
         with span("job.whatif_fleet", xid=self.xid,
                   variants=len(fleet)):
             return fleet.run(self.options, session=worker.session)
 
     def describe(self) -> str:
-        n = len(self.variants) if self.fleet is None else len(self.fleet)
-        return f"whatif_fleet(xid={self.xid}, variants={n})"
+        return (f"whatif_fleet(xid={self.xid}, "
+                f"variants={len(self.variants)})")
 
 
 @dataclass

@@ -412,11 +412,9 @@ class ReenactmentService:
     def whatif_fleet(self, xid: int,
                      variants: Sequence[Tuple[str, Any]] = (),
                      options: Optional[ReenactmentOptions] = None,
-                     fleet=None,
                      priority: int = PRIORITY_NORMAL) -> JobHandle:
         return self.submit(
-            WhatIfFleetJob(xid=xid, variants=variants, options=options,
-                           fleet=fleet),
+            WhatIfFleetJob(xid=xid, variants=variants, options=options),
             priority=priority)
 
     def equivalence(self, xid: int, optimize: bool = True,
@@ -432,11 +430,7 @@ class ReenactmentService:
         (default: every committed, non-empty transaction in the audit
         log), fanned out across the worker pool."""
         if xids is None:
-            xids = []
-            for xid in self.db.audit_log.transaction_ids():
-                record = self.db.audit_log.transaction_record(xid)
-                if record.committed and record.statements:
-                    xids.append(xid)
+            xids = self.db.audit_log.committed_xids()
         return {xid: self.equivalence(xid, optimize=optimize,
                                       priority=priority)
                 for xid in xids}

@@ -68,9 +68,8 @@ def build_history(seed, isolation="SERIALIZABLE", n_rows=40,
 
 
 def reenact_on(db, xid, backend, **option_kw):
-    reenactor = Reenactor(db)
-    options = ReenactmentOptions(backend=backend, **option_kw)
-    return reenactor.reenact(xid, options)
+    return Reenactor(db, backend=backend).reenact(
+        xid, ReenactmentOptions(**option_kw))
 
 
 @pytest.fixture

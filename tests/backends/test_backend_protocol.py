@@ -8,7 +8,7 @@ from repro.backends import (ExecutionBackend, InMemoryBackend,
                             SQLiteBackend, available_backends,
                             register_backend, resolve_backend)
 from repro.backends.base import _REGISTRY
-from repro.core.reenactor import ReenactmentOptions, Reenactor
+from repro.core.reenactor import Reenactor
 from repro.errors import ReproError
 
 
@@ -72,29 +72,6 @@ def test_register_backend_custom(db):
         assert instance.plans, "custom backend was not used"
     finally:
         _REGISTRY.pop("recording", None)
-
-
-def test_options_backend_overrides_reenactor_default(db):
-    db.execute("CREATE TABLE t (a INT)")
-    db.execute("INSERT INTO t VALUES (5)")
-    session = db.connect()
-    session.begin()
-    session.execute("UPDATE t SET a = 6")
-    xid = session.txn.xid
-    session.commit()
-
-    class Failing(ExecutionBackend):
-        name = "failing"
-
-        def execute_plan(self, plan, ctx):
-            raise AssertionError("default backend must be overridden")
-
-    reenactor = Reenactor(db, backend=Failing())
-    result = reenactor.reenact(
-        xid, ReenactmentOptions(backend="sqlite"))
-    assert result.table("t").rows == [(6,)]
-    with pytest.raises(AssertionError):
-        reenactor.reenact(xid)
 
 
 def test_backend_execution_does_not_mutate_state(db):

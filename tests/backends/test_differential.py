@@ -101,37 +101,28 @@ def _inplace_moves_expected(snapshot_sets):
 def check_inplace_differential(db, reenactor, seed, isolation,
                                engine="sqlite"):
     """The ``inplace`` mode body: compile every committed transaction
-    first, hand the ordered snapshot-set series to the session's
-    snapshot pipeline on a capacity-1 cache with every granted move
-    affordable (``FORCE_DELTA``), execute each compile un-primed, and
+    first, run the whole series through ``execute_all`` on a capacity-1
+    cache with every granted move affordable (``FORCE_DELTA``), and
     require every result to match the in-memory interpreter's."""
-    xids = committed_xids(db)
-    sql_options = dataclasses.replace(STRICT_OPTIONS, backend=engine)
     compiles = [reenactor.compile(reenactor.transaction_record(xid),
-                                  sql_options)
-                for xid in xids]
+                                  STRICT_OPTIONS)
+                for xid in committed_xids(db)]
+    sets = [compiled.snapshots for compiled in compiles]
     backend = policy_backend(FORCE_DELTA, engine, cache_capacity=1)
     checked = 0
     with resolve_backend("memory").open_session() as mem_session, \
             backend.open_session() as sq_session:
-        ctx = db.context(params={})
-        sets = [compiled.snapshots for compiled in compiles]
-        with sq_session.snapshot_pipeline(sets, ctx) as pipe:
-            for index, (xid, compiled) in enumerate(zip(xids,
-                                                        compiles)):
-                mem = reenactor.reenact(xid, STRICT_OPTIONS,
-                                        session=mem_session)
-                pipe.prime(index)
-                sq = reenactor.execute(compiled, session=sq_session,
-                                       prime=False)
-                assert set(mem.tables) == set(sq.tables)
-                for table in mem.tables:
-                    assert_relations_match(
-                        mem.tables[table], sq.tables[table],
-                        context=f"seed={seed} isolation={isolation} "
-                                f"engine={engine} mode=inplace "
-                                f"xid={xid} table={table}")
-                checked += 1
+        for sq in reenactor.execute_all(compiles, session=sq_session):
+            mem = reenactor.reenact(sq.xid, STRICT_OPTIONS,
+                                    session=mem_session)
+            assert set(mem.tables) == set(sq.tables)
+            for table in mem.tables:
+                assert_relations_match(
+                    mem.tables[table], sq.tables[table],
+                    context=f"seed={seed} isolation={isolation} "
+                            f"engine={engine} mode=inplace "
+                            f"xid={sq.xid} table={table}")
+            checked += 1
         stats = sq_session.stats
     if checked and _inplace_moves_expected(sets):
         assert stats.patched_in_place > 0, \
@@ -222,6 +213,7 @@ def check_history_differential(seed, isolation, mode="oneshot",
     :func:`check_windowscan_differential`)."""
     db = build_history(seed, isolation)
     reenactor = Reenactor(db)
+    sql_reenactor = Reenactor(db, backend=engine)
     if mode == "inplace":
         return db, check_inplace_differential(db, reenactor, seed,
                                               isolation, engine)
@@ -248,10 +240,8 @@ def check_history_differential(seed, isolation, mode="oneshot",
         for xid in committed_xids(db):
             mem = reenactor.reenact(xid, STRICT_OPTIONS,
                                     session=sessions["memory"])
-            sq = reenactor.reenact(
-                xid,
-                dataclasses.replace(STRICT_OPTIONS, backend=engine),
-                session=sessions["sql"])
+            sq = sql_reenactor.reenact(xid, STRICT_OPTIONS,
+                                       session=sessions["sql"])
             assert set(mem.tables) == set(sq.tables)
             for table in mem.tables:
                 assert_relations_match(
@@ -489,9 +479,7 @@ def check_split_against_full_plan(seed, isolation):
                         reenactor.build_plans(record, options)[table])
                     for name, session in sessions.items():
                         got = reenactor.reenact(
-                            xid, dataclasses.replace(options,
-                                                     backend=name),
-                            session=session).table(table)
+                            xid, options, session=session).table(table)
                         assert_relations_match(
                             oracle, got, context=f"{context} on {name}")
                         if name == "memory":
@@ -523,14 +511,13 @@ def check_optimizer_metamorphic(seed, isolation):
     affected-rows request, on the interpreter and on every SQL
     engine."""
     db = build_history(seed, isolation)
-    reenactor = Reenactor(db)
     checked = 0
     for xid in committed_xids(db):
         for backend, only_affected in itertools.product(
                 ["memory"] + SQL_ENGINES, (False, True)):
+            reenactor = Reenactor(db, backend=backend)
             options = dataclasses.replace(
-                STRICT_OPTIONS, backend=backend,
-                only_affected=only_affected)
+                STRICT_OPTIONS, only_affected=only_affected)
             naive = reenactor.reenact(
                 xid, dataclasses.replace(options, optimize=False))
             optimized = reenactor.reenact(xid, options)

@@ -1,0 +1,132 @@
+"""``Reenactor.execute_all``: the one way a compiled reenactment runs.
+
+* a batch equals a loop of ``execute`` on a second session, type-strict,
+  on every backend — and on SQLite the batch session's counters equal
+  those of the priming protocol written out by hand (declare every
+  snapshot set, prime set *i* immediately before compile *i*);
+* the generator owns what it opened: closing it early closes the
+  pipeline and a throwaway session, never a caller's;
+* compiles that would need different evaluation contexts are refused.
+"""
+
+import sqlite3
+
+import pytest
+
+from repro.algebra.evaluator import Relation
+from repro.backends import SQLiteBackend, resolve_backend
+from repro.core.reenactor import ReenactmentOptions, Reenactor
+from repro.errors import ExecutionError, ReenactmentError
+
+from conftest import (SQL_ENGINES, assert_relations_match,
+                      build_history, committed_xids)
+
+SEEDS = list(range(10))
+ISOLATION_LEVELS = ["SERIALIZABLE", "READ COMMITTED"]
+STRICT = ReenactmentOptions(annotations=True, include_deleted=True)
+
+
+def compile_history(db, reenactor, options=STRICT):
+    return [reenactor.compile(reenactor.transaction_record(xid), options)
+            for xid in committed_xids(db)]
+
+
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_equals_loop_of_execute(seed, isolation):
+    db = build_history(seed, isolation)
+    for name in ["memory"] + SQL_ENGINES:
+        reenactor = Reenactor(db, backend=name)
+        compiles = compile_history(db, reenactor)
+        assert compiles
+        with resolve_backend(name).open_session() as batch_session, \
+                resolve_backend(name).open_session() as loop_session, \
+                resolve_backend(name).open_session() as hand_session:
+            batch = list(reenactor.execute_all(compiles,
+                                               session=batch_session))
+            loop = [reenactor.execute(compiled, session=loop_session)
+                    for compiled in compiles]
+            ctx = db.context(params={})
+            sets = [compiled.snapshots for compiled in compiles]
+            with hand_session.snapshot_pipeline(sets, ctx) as pipe:
+                for index, compiled in enumerate(compiles):
+                    pipe.prime(index)
+                    for plan in compiled.plans.values():
+                        hand_session.execute_plan(plan, ctx)
+            assert batch_session.stats.as_dict() \
+                == hand_session.stats.as_dict()
+        assert [r.xid for r in batch] == [c.xid for c in compiles]
+        for compiled, got, expected in zip(compiles, batch, loop):
+            assert list(got.tables) == list(expected.tables)
+            for table in expected.tables:
+                assert_relations_match(
+                    expected.tables[table], got.tables[table],
+                    context=f"seed={seed} isolation={isolation} "
+                            f"backend={name} xid={compiled.xid} "
+                            f"table={table}")
+
+
+def test_closing_the_generator_releases_what_it_opened(monkeypatch):
+    db = build_history(0)
+    opened, pipelines = [], []
+    open_session = SQLiteBackend.open_session
+
+    def recording_open(self):
+        session = open_session(self)
+        opened.append(session)
+        snapshot_pipeline = session.snapshot_pipeline
+
+        def recording_pipeline(snapshot_sets, ctx):
+            pipelines.append(snapshot_pipeline(snapshot_sets, ctx))
+            return pipelines[-1]
+
+        session.snapshot_pipeline = recording_pipeline
+        return session
+
+    monkeypatch.setattr(SQLiteBackend, "open_session", recording_open)
+    reenactor = Reenactor(db, backend="sqlite")
+    compiles = compile_history(db, reenactor)
+    assert len(compiles) > 1
+
+    results = reenactor.execute_all(compiles)
+    first = next(results)
+    (session,), (pipe,) = opened, pipelines
+    assert first.xid == compiles[0].xid
+    assert not session.closed
+    results.close()
+    assert session.closed
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        session.conn.execute("SELECT 1")
+    with pytest.raises(ExecutionError, match="pipeline is closed"):
+        pipe.prime(1)
+
+    # a caller's session is the caller's to close
+    with resolve_backend("sqlite").open_session() as held:
+        results = reenactor.execute_all(compiles, session=held)
+        next(results)
+        results.close()
+        assert not held.closed
+        with pytest.raises(ExecutionError, match="pipeline is closed"):
+            pipelines[-1].prime(1)
+        assert reenactor.execute(compiles[0], session=held).tables \
+            .keys() == first.tables.keys()
+
+
+def test_a_batch_shares_one_overrides_object():
+    db = build_history(0)
+    reenactor = Reenactor(db)
+    record = reenactor.transaction_record(committed_xids(db)[0])
+    table = next(iter(reenactor.compile(record).plans))
+    columns = list(db.catalog.get(table).column_names)
+
+    def variant():
+        return reenactor.compile(
+            record, overrides={table: Relation(columns, [])})
+
+    plain, edited = reenactor.compile(record), variant()
+    with pytest.raises(ReenactmentError, match="overrides"):
+        list(reenactor.execute_all([plain, edited]))
+    with pytest.raises(ReenactmentError, match="overrides"):
+        list(reenactor.execute_all([edited, variant()]))
+    assert list(reenactor.execute_all([])) == []
+    assert len(list(reenactor.execute_all([edited, edited]))) == 2

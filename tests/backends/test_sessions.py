@@ -264,10 +264,8 @@ def test_session_shared_across_databases_keeps_snapshots_apart():
     db2, xid2 = make(500)
     backend = SQLiteBackend()
     with backend.open_session() as session:
-        first = Reenactor(db1).reenact(
-            xid1, ReenactmentOptions(backend="sqlite"), session=session)
-        second = Reenactor(db2).reenact(
-            xid2, ReenactmentOptions(backend="sqlite"), session=session)
+        first = Reenactor(db1).reenact(xid1, session=session)
+        second = Reenactor(db2).reenact(xid2, session=session)
     assert first.table("account").rows == [("Alice", "c", 101)]
     assert second.table("account").rows == [("Alice", "c", 501)]
     # same (table, ts) key, two realms -> two materializations

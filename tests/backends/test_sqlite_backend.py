@@ -39,9 +39,8 @@ def account_db(db):
 def both(db, xid, **options):
     mem = Reenactor(db).reenact(
         xid, ReenactmentOptions(**options)).table("account")
-    sq = Reenactor(db).reenact(
-        xid, ReenactmentOptions(backend="sqlite", **options)
-    ).table("account")
+    sq = Reenactor(db, backend="sqlite").reenact(
+        xid, ReenactmentOptions(**options)).table("account")
     return mem, sq
 
 
@@ -265,8 +264,7 @@ def test_subclass_dialect_config_drives_rendering(account_db):
     with backend.open_session() as session:
         session.conn.set_trace_callback(sent.append)
         sq = Reenactor(account_db).reenact(
-            xid, ReenactmentOptions(backend=backend),
-            session=session).table("account")
+            xid, session=session).table("account")
     queries = [sql for sql in sent if sql.startswith("WITH ")]
     assert queries, sent
     assert not any("MATERIALIZED" in sql for sql in queries)
@@ -295,8 +293,7 @@ def test_barrier_wraps_case_stacks_never_a_bare_scan(account_db):
         with backend.open_session() as session:
             session.conn.set_trace_callback(sent.append)
             Reenactor(account_db).reenact(
-                xid, ReenactmentOptions(backend=backend,
-                                        optimize=optimize),
+                xid, ReenactmentOptions(optimize=optimize),
                 session=session)
         (query,) = [sql for sql in sent if sql.startswith("WITH ")]
         assert not re.search(

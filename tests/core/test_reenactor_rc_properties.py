@@ -21,7 +21,6 @@ Every property is checked against ground truth (the equivalence
 oracle) *and* across execution backends.
 """
 
-import dataclasses
 import random
 
 import hypothesis.strategies as st
@@ -70,10 +69,8 @@ def assert_correct_everywhere(db, xid):
     """Ground-truth equivalence + backend agreement for one txn."""
     report = check_transaction_equivalence(db, xid)
     assert report.ok, [c.detail for c in report.failures()]
-    reenactor = Reenactor(db)
-    mem = reenactor.reenact(xid, STRICT)
-    sq = reenactor.reenact(xid, dataclasses.replace(STRICT,
-                                                    backend="sqlite"))
+    mem = Reenactor(db).reenact(xid, STRICT)
+    sq = Reenactor(db, backend="sqlite").reenact(xid, STRICT)
     for table in mem.tables:
         left = sorted(map(repr, mem.tables[table].rows))
         right = sorted(map(repr, sq.tables[table].rows))

@@ -172,3 +172,29 @@ class TestProvenanceClick:
             0, "UPDATE account SET bal = bal WHERE cust = 'Alice'")
         result = scenario.run()
         assert result.conflicts
+
+
+def test_whatif_runs_on_the_inspectors_backend(skewed):
+    """A scenario started from the panel runs where the panel runs:
+    it shares the inspector's reenactor (backend, parsed statements)
+    instead of building a default one."""
+    from repro.backends import ExecutionBackend, InMemoryBackend
+
+    class Recording(ExecutionBackend):
+        name = "recording"
+
+        def __init__(self):
+            self.plans = []
+
+        def execute_plan(self, plan, ctx):
+            self.plans.append(plan)
+            return InMemoryBackend().execute_plan(plan, ctx)
+
+    db, t1, _ = skewed
+    backend = Recording()
+    scenario = TransactionInspector(db, t1, backend=backend).whatif()
+    assert scenario.reenactor.backend is backend
+    scenario.insert_statement(
+        0, "UPDATE account SET bal = bal WHERE cust = 'Alice'")
+    assert scenario.run().conflicts
+    assert backend.plans, "the scenario ran on another backend"

@@ -6,18 +6,19 @@ cache for repeats, in-flight coalescing for races); priorities order
 the queue; capability flags gate configuration up front.
 """
 
+import dataclasses
 import threading
 
 import pytest
 
-from repro import (Database, ReenactmentService, SnapshotStore,
+from repro import (ReenactmentService, SnapshotStore,
                    available_backends)
 from repro.backends import SQLiteBackend
 from repro.backends.base import SessionStats
 from repro.core.equivalence import check_history_equivalence
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.core.whatif import WhatIfFleet
-from repro.errors import ReenactmentError, ReproError, ServiceError
+from repro.errors import ServiceError
 from repro.service import (PRIORITY_HIGH, PRIORITY_LOW, Job, ReenactJob,
                            ResilientStore, options_fingerprint)
 
@@ -162,7 +163,8 @@ def test_timeline_scan_matches_storage_snapshots(history_db):
 def test_equivalence_sweep_and_core_routing(history_db):
     db, xids = history_db
     with ReenactmentService(db, workers=3) as svc:
-        via_service = check_history_equivalence(db, service=svc)
+        via_service = {xid: handle.result(30) for xid, handle
+                       in svc.equivalence_sweep().items()}
     direct = check_history_equivalence(db, backend="sqlite")
     assert set(via_service) == set(direct) == set(committed_xids(db))
     assert all(report.ok for report in via_service.values())
@@ -172,18 +174,16 @@ def test_whatif_fleet_via_service(history_db):
     db, xids = history_db
     target = xids[-1]
 
-    def build(backend=None, service=None):
-        fleet = WhatIfFleet(db, target, backend=backend or "sqlite")
-        fleet.scenario("boost").replace_statement(
-            0, "UPDATE account SET bal = bal + 500 "
-               "WHERE cust = 'Alice'")
-        fleet.scenario("noop").insert_statement(
-            0, "UPDATE account SET bal = bal WHERE cust = 'Bob'")
-        return fleet.run(service=service)
-
-    direct = build()
+    boost = "UPDATE account SET bal = bal + 500 WHERE cust = 'Alice'"
+    noop = "UPDATE account SET bal = bal WHERE cust = 'Bob'"
+    fleet = WhatIfFleet(db, target, backend="sqlite")
+    fleet.scenario("boost").replace_statement(0, boost)
+    fleet.scenario("noop").insert_statement(0, noop)
+    direct = fleet.run()
     with ReenactmentService(db, workers=2) as svc:
-        routed = build(service=svc)
+        routed = svc.whatif_fleet(
+            target, variants=[("boost", ("replace", 0, boost)),
+                              ("noop", ("insert", 0, noop))]).result(30)
     assert list(routed) == list(direct) == ["boost", "noop"]
     for name in routed:
         assert {t: (sorted(d.added), sorted(d.removed))
@@ -203,17 +203,6 @@ def test_whatif_variants_submitted_as_specs(history_db):
         results = handle.result(30)
     assert list(results) == ["bump"]
     assert results["bump"].diffs["account"].changed
-
-
-def test_reenactor_service_routing_checks_database(history_db):
-    db, xids = history_db
-    other = Database()
-    with ReenactmentService(db, workers=1) as svc:
-        with pytest.raises(ReenactmentError, match="different"):
-            Reenactor(other).reenact(xids[0], service=svc)
-        with pytest.raises(ReenactmentError, match="not both"):
-            Reenactor(db).reenact(xids[0], service=svc,
-                                  session=object())
 
 
 # -- deduplication and the result cache -----------------------------------
@@ -277,6 +266,19 @@ def test_different_options_are_different_jobs(history_db):
         second = svc.reenact(xids[0], annotated)
         second.result(timeout=30)
         assert second.source == "executed"
+
+
+def test_fingerprint_covers_every_options_field():
+    """The result-cache key is derived from the option fields, so a
+    field added later cannot be forgotten: flipping any one field
+    changes the key."""
+    base = ReenactmentOptions()
+    flipped = {"upto": 1, "table": "account"}
+    for spec in dataclasses.fields(ReenactmentOptions):
+        value = flipped.get(spec.name, not getattr(base, spec.name))
+        assert options_fingerprint(
+            dataclasses.replace(base, **{spec.name: value})) \
+            != options_fingerprint(base), spec.name
 
 
 # -- priorities ------------------------------------------------------------
@@ -350,23 +352,6 @@ def test_dead_worker_rejects_jobs_instead_of_hanging(history_db):
         assert svc.stats().jobs_failed == 1
     finally:
         svc.close()
-
-
-def test_service_routing_rejects_foreign_database(history_db):
-    """Every core entry point must refuse a service bound to a
-    different database instead of silently answering from it."""
-    db, _ = history_db
-    foreign = Database()
-    foreign.execute("CREATE TABLE account (cust TEXT, bal INT)")
-    fxid = run_txn(foreign, ["INSERT INTO account VALUES ('A', 1)"])
-    fleet = WhatIfFleet(foreign, fxid, backend="sqlite")
-    fleet.scenario("noop").insert_statement(
-        0, "UPDATE account SET bal = bal WHERE cust = 'A'")
-    with ReenactmentService(db, workers=1) as svc:
-        with pytest.raises(ValueError, match="different"):
-            check_history_equivalence(foreign, service=svc)
-        with pytest.raises(ReproError, match="different"):
-            fleet.run(service=svc)
 
 
 # -- failures and lifecycle ------------------------------------------------

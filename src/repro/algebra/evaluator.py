@@ -19,6 +19,7 @@ TableScan` sees:
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -193,21 +194,35 @@ class Evaluator:
     functions).  Runners are memoized per evaluator, not on the plan,
     so a correlated subplan run once per outer row compiles once and a
     cached plan retains no closures.
+
+    Plans are DAGs, and a node's rows for a run without an outer frame
+    are computed once per evaluator and reused by every referrer —
+    across every plan the evaluator is handed, so the roots of one
+    :meth:`~repro.core.reenactor.Reenactor.compile_all` batch evaluate
+    the chain they share once.  Runners never change a list they are
+    given, and :meth:`evaluate` hands out a copy.
     """
 
     def __init__(self, ctx: EvalContext):
         self.ctx = ctx
-        self.state = EvalState(params=ctx.params,
-                               subquery_runner=self._subquery_runner)
+        # nothing the evaluator hands out refers back to it strongly, so
+        # a one-shot evaluator and every row it kept are freed as soon
+        # as its caller lets go of it, not at some later cyclic collection
+        this = weakref.ref(self)
+        self.state = EvalState(
+            params=ctx.params,
+            subquery_runner=lambda plan, layout:
+            this()._subquery_runner(plan, layout))
         #: id(node) → (node, runner); holding the node keeps its id its own
         self._runners: Dict[int, Tuple[op.Operator, Runner]] = {}
-        self._subquery_cache: Dict[int, List[tuple]] = {}
+        #: id(node) → the node's rows without an outer frame
+        self._rows: Dict[int, List[tuple]] = {}
 
     # -- public ------------------------------------------------------------
 
     def evaluate(self, plan: op.Operator) -> Relation:
         rows = self._eval(plan, None)
-        return Relation(plan.attrs, rows)
+        return Relation(plan.attrs, list(rows))
 
     def compile(self, expr: Expr, attrs: Sequence[str]) -> Compiled:
         """Compile ``expr`` for rows with schema ``attrs``."""
@@ -220,19 +235,14 @@ class Evaluator:
         over rows of ``layout``.  An uncorrelated plan runs once; a
         correlated one runs per row with that row as its outer frame."""
         from repro.algebra.translator import plan_free_columns
+        this = weakref.ref(self)
         if not plan_free_columns(plan):
-            def run_once(row, outer):
-                cached = self._subquery_cache.get(id(plan))
-                if cached is None:
-                    cached = self._eval(plan, None)
-                    self._subquery_cache[id(plan)] = cached
-                return cached
-            return run_once
+            return lambda row, outer: this()._eval(plan, None)
         columns = tuple(layout.items())
 
         def run(row, outer):
             frame = RowEnv({key: row[i] for key, i in columns}, outer)
-            return self._eval(plan, frame)
+            return this()._eval(plan, frame)
         return run
 
     # -- dispatcher -----------------------------------------------------------
@@ -243,8 +253,23 @@ class Evaluator:
             build = _BUILDERS.get(type(plan))
             if build is None:
                 raise ExecutionError(f"cannot evaluate operator {plan!r}")
-            entry = self._runners[id(plan)] = (plan, build(self, plan))
+            entry = self._runners[id(plan)] = (
+                plan, self._once(id(plan), build(self, plan)))
         return entry[1]
+
+    def _once(self, key: int, run: Runner) -> Runner:
+        """``run`` with its rows for a run without an outer frame kept
+        under ``key`` and reused."""
+        computed = self._rows
+
+        def run_once(outer):
+            if outer is not None:
+                return run(outer)
+            rows = computed.get(key)
+            if rows is None:
+                rows = computed[key] = run(None)
+            return rows
+        return run_once
 
     def _eval(self, plan: op.Operator,
               outer: Optional[RowEnv]) -> List[tuple]:

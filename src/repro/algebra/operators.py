@@ -25,7 +25,7 @@ stripped before results reach users.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.algebra.expressions import Expr
 from repro.errors import AnalysisError
@@ -342,12 +342,18 @@ class AnnotateRowId(Operator):
 # Tree utilities
 # ---------------------------------------------------------------------------
 
-def walk_plan(op: Operator):
-    """Pre-order iteration over the operator tree (a node referenced
-    twice is visited once per reference)."""
-    yield op
-    for child in op.children():
-        yield from walk_plan(child)
+def walk_plan(*roots: Operator):
+    """Pre-order iteration over the distinct nodes of the plan DAG under
+    ``roots`` (a node referenced twice is visited once)."""
+    seen = set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def plan_tables(op: Operator) -> List[str]:
@@ -362,11 +368,21 @@ def plan_tables(op: Operator) -> List[str]:
 def transform_plan(op: Operator, fn) -> Operator:
     """Bottom-up plan rewrite: children first, then ``fn`` on the node
     over its rewritten children.  Pure — ``op`` is left as it was, and
-    a subtree ``fn`` changed nothing in comes back as the same object."""
-    changed = {}
-    for name in op.CHILDREN:
-        child = getattr(op, name)
-        new = transform_plan(child, fn)
-        if new is not child:
-            changed[name] = new
-    return fn(op._with(changed))
+    a subtree ``fn`` changed nothing in comes back as the same object.
+    Each node is rewritten once, memoised by identity, so a node shared
+    by several parents stays one node shared by their rewrites."""
+    done: Dict[int, Operator] = {}
+
+    def visit(node: Operator) -> Operator:
+        out = done.get(id(node))
+        if out is None:
+            changed = {}
+            for name in node.CHILDREN:
+                child = getattr(node, name)
+                new = visit(child)
+                if new is not child:
+                    changed[name] = new
+            out = done[id(node)] = fn(node._with(changed))
+        return out
+
+    return visit(op)

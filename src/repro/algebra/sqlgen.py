@@ -29,6 +29,7 @@ materialized snapshot tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -58,8 +59,10 @@ class DialectConfig:
     #: hoist derived tables into a WITH clause.  Deep reenactment
     #: chains (READ COMMITTED re-basing in particular) nest subqueries
     #: hundreds of levels deep; engines with a bounded parser stack
-    #: need the flat CTE form.  The native dialect keeps inline
-    #: nesting so generated SQL stays a re-parseable fixpoint.
+    #: need the flat CTE form, which also prints a node several parents
+    #: share (a READ COMMITTED chain's own rows) once.  The native
+    #: dialect keeps inline nesting so generated SQL stays a
+    #: re-parseable fixpoint.
     use_ctes: bool = False
     #: parenthesize compound-SELECT operands.  Standard form is
     #: ``(SELECT ...) UNION ALL (SELECT ...)``; SQLite rejects the
@@ -178,10 +181,13 @@ class Dialect:
             return f"({left_body}) {word} ({right_body})"
         return f"{left_body} {word} {right_body}"
 
-    def cte_item(self, name: str, body: str) -> str:
+    def cte_item(self, name: str, body: str,
+                 shared: bool = False) -> Optional[str]:
         """One ``name AS (body)`` item of a WITH clause (only reached
         when :attr:`use_ctes` is set), with the config's
-        materialization barrier if it declares one."""
+        materialization barrier if it declares one.  ``shared`` marks
+        the CTE of a node several parents read; a dialect that computes
+        such a node ahead of the query, under ``name``, returns None."""
         barrier = self.config.cte_materialization
         if barrier:
             return f"{self.quote(name)} AS {barrier} ({body})"
@@ -261,7 +267,7 @@ class Dialect:
 
 
 class _Generator:
-    def __init__(self, dialect: Optional[Dialect] = None):
+    def __init__(self, dialect: Optional[Dialect], plan: op.Operator):
         self._counter = 0
         self.dialect = dialect or Dialect()
         #: hoisted (name, body) common table expressions, in dependency
@@ -270,6 +276,24 @@ class _Generator:
         #: bodies :meth:`_gen_scan` rendered — a bare scan renames
         #: columns and nothing else, so :meth:`derived` keeps it inline.
         self._scan_bodies: Set[str] = set()
+        #: ``id`` of the nodes of ``plan`` with more than one referrer,
+        #: and the rendering of each already printed (CTE dialects only;
+        #: the native dialect prints every reference inline): a shared
+        #: node is one CTE every referrer reads under one name.
+        self._shared: Set[int] = set()
+        if self.dialect.use_ctes:
+            refs = Counter(id(child) for node in op.walk_plan(plan)
+                           for child in node.children())
+            self._shared = {key for key, count in refs.items()
+                            if count > 1}
+        self._printed: Dict[int, Tuple[str, Dict[str, str]]] = {}
+        #: the (name, body) CTEs of the shared nodes, in dependency
+        #: order; a body holds the CTEs only it reads in a WITH of its
+        #: own, and reads other shared nodes by name.
+        self.shared_ctes: List[Tuple[str, str]] = []
+        #: reference bodies of those CTEs → their names (see
+        #: :meth:`derived`).
+        self._cte_refs: Dict[str, str] = {}
         #: >0 while rendering an expression-level subquery.  Such
         #: bodies may carry correlated references to outer flat names
         #: (remapped by :func:`_remap_plan`) and therefore must stay
@@ -289,7 +313,11 @@ class _Generator:
         between stacked CASE projections; a leaf scan adds one level and
         carries no expression an engine's flattener could compound,
         while behind a barrier it costs a full copy of the scanned
-        table on every query."""
+        table on every query.  The body of a shared node's CTE is read
+        as that CTE."""
+        name = self._cte_refs.get(body)
+        if name is not None:
+            return self.dialect.quote(name)
         if self.dialect.use_ctes and self._subquery_depth == 0 \
                 and body not in self._scan_bodies:
             name = self.fresh("q")
@@ -301,6 +329,28 @@ class _Generator:
     # attribute keys to the flat column names used in the SQL text.
 
     def gen(self, plan: op.Operator) -> Tuple[str, Dict[str, str]]:
+        if id(plan) not in self._shared or self._subquery_depth:
+            return self._gen(plan)
+        printed = self._printed.get(id(plan))
+        if printed is None:
+            outer, self.ctes = self.ctes, []
+            body, colmap = self._gen(plan)
+            private, self.ctes = self.ctes, outer
+            if body not in self._scan_bodies:  # a bare scan stays inline
+                name = self.fresh("q")
+                if private:
+                    body = f"WITH {self._with_items(private)} {body}"
+                self.shared_ctes.append((name, body))
+                body = f"SELECT * FROM {self.dialect.quote(name)}"
+                self._cte_refs[body] = name
+            printed = self._printed[id(plan)] = (body, colmap)
+        return printed
+
+    def _with_items(self, ctes: List[Tuple[str, str]]) -> str:
+        return ", ".join(self.dialect.cte_item(name, body)
+                         for name, body in ctes)
+
+    def _gen(self, plan: op.Operator) -> Tuple[str, Dict[str, str]]:
         if isinstance(plan, op.TableScan):
             return self._gen_scan(plan)
         if isinstance(plan, op.ConstRel):
@@ -563,7 +613,7 @@ def generate_sql(plan: op.Operator,
     """Print a plan as a single SQL query whose output columns are the
     plan's attributes (short names, in order).  ``dialect`` selects the
     target syntax; the default is the repo's native dialect."""
-    generator = _Generator(dialect)
+    generator = _Generator(dialect, plan)
     body, colmap = generator.gen(plan)
     outer_alias = generator.fresh("t")
     pieces = []
@@ -578,11 +628,13 @@ def generate_sql(plan: op.Operator,
         pieces.append(f"{colmap[attr]} AS "
                       f"{generator.dialect.quote(short)}")
     text = f"SELECT {', '.join(pieces)} FROM ({body}) AS {outer_alias}"
+    items = [generator.dialect.cte_item(name, cte_body, shared=True)
+             for name, cte_body in generator.shared_ctes]
+    items = [item for item in items if item is not None]
     if generator.ctes:
-        with_clause = ", ".join(
-            generator.dialect.cte_item(name, cte_body)
-            for name, cte_body in generator.ctes)
-        text = f"WITH {with_clause} {text}"
+        items.append(generator._with_items(generator.ctes))
+    if items:
+        text = f"WITH {', '.join(items)} {text}"
     return text
 
 

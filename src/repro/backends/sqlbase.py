@@ -54,15 +54,30 @@ class BoundDialect(Dialect):
     """A dialect wired to a :class:`SnapshotBinder`: time-traveled
     scans render as scans of the binder's materialized snapshot temp
     tables (an engine has no native time travel — challenge C2 is met
-    by materializing).  Everything else follows the config."""
+    by materializing).  A node several parents share is computed ahead
+    of the query into a temp table of its own (:attr:`ahead`): an
+    engine expands a CTE once per reference when it prepares a query,
+    so a chain of shared CTEs — a READ COMMITTED re-base per statement
+    — would cost it exponential time.  Everything else follows the
+    config."""
 
     def __init__(self, binder: SnapshotBinder,
                  config: Optional[DialectConfig] = None):
         super().__init__(config)
         self.binder = binder
+        #: (temp table name, SELECT) of every shared node, in
+        #: dependency order
+        self.ahead: List[Tuple[str, str]] = []
 
     def scan_source(self, scan: op.TableScan) -> str:
         return self.quote(self.binder.bind(scan))
+
+    def cte_item(self, name: str, body: str,
+                 shared: bool = False) -> Optional[str]:
+        if shared:
+            self.ahead.append((name, body))
+            return None
+        return super().cte_item(name, body)
 
 
 class SQLPipeline(SnapshotPipeline):
@@ -344,19 +359,29 @@ class SQLSession(BackendSession):
         self._check_open()
         with span("backend.execute_plan", engine=self.engine_label):
             binder = self._binder(ctx)
-            sql = generate_sql(plan, dialect=BoundDialect(
-                binder, self.backend.dialect_config))
+            dialect = BoundDialect(binder, self.backend.dialect_config)
+            sql = generate_sql(plan, dialect=dialect)
             binder.materialize(self.conn)
             if _probes(plan):
                 self._ensure_indexes(binder.used_names)
+            params = ctx.params or {}
+            statement = sql
             try:
                 fault_point("session.execute")
-                rows = self.conn.execute(sql,
-                                         ctx.params or {}).fetchall()
+                for name, body in dialect.ahead:
+                    statement = \
+                        f"CREATE TEMP TABLE {quote_ident(name)} AS {body}"
+                    self.conn.execute(statement, params)
+                statement = sql
+                rows = self.conn.execute(sql, params).fetchall()
             except self._error_types as exc:
                 raise ExecutionError(
                     f"{self.engine_label} rejected generated "
-                    f"reenactment SQL: {exc}\n{sql}") from exc
+                    f"reenactment SQL: {exc}\n{statement}") from exc
+            finally:
+                for name, _body in dialect.ahead:
+                    self.conn.execute(
+                        f"DROP TABLE IF EXISTS {quote_ident(name)}")
             self.stats.plans_executed += 1
         bool_positions = type(self.backend)._bool_positions(
             plan.attrs, ctx, binder.tables_used)

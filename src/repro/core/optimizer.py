@@ -32,6 +32,15 @@ the plan it is handed may be held (a trace's "rewritten" stage) or
 share subtrees with other plans.  What it learns about a node — an
 expression already folded, a merge or push already found too large —
 lives in identity memos on the optimizer, never on the node.
+
+Plans are DAGs — a READ COMMITTED chain reads the transaction's own
+rows twice, the prefixes of one debug panel share one chain — and the
+optimizer keeps them so: every pass rewrites each node once, memoised
+by identity, and a node with more than one referrer is a *barrier*.
+Everything below a barrier is rewritten once; no rule merges, pushes
+or prunes through it, since each of its referrers would need a
+different rewrite and the shared node would be computed once per
+referrer again.
 """
 
 from __future__ import annotations
@@ -113,6 +122,22 @@ def _contains_subquery(expr: Expr) -> bool:
     return any(isinstance(n, SubqueryExpr) for n in walk(expr))
 
 
+def _shared(roots: List[op.Operator]) -> Set[int]:
+    """``id`` of every node of the DAG under ``roots`` with more than
+    one referrer — a parent's child field or a place in ``roots``."""
+    seen: Set[int] = set()
+    shared: Set[int] = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            stack.extend(node.children())
+    return shared
+
+
 class ProvenanceOptimizer:
     """Rule-driven plan optimizer."""
 
@@ -130,26 +155,73 @@ class ProvenanceOptimizer:
         #: stands for as long as a pass meets the same node again.
         self._push_rejected: Dict[int, op.Operator] = {}
         self._merge_rejected: Dict[int, op.Operator] = {}
+        #: ``id`` of the barriers — nodes with more than one referrer —
+        #: of the plan being rewritten (see :meth:`_pass`), and the
+        #: pruned form of each (see :meth:`_prune`).
+        self._barriers: Set[int] = set()
+        self._pruned: Dict[int, op.Operator] = {}
 
-    def optimize(self, plan: op.Operator) -> op.Operator:
+    def optimize(self, plan):
+        """The optimized form of ``plan`` — or, given a list of plans,
+        the list of their optimized forms, rewritten together in one
+        run: a node two of them share is a barrier like any other, and
+        stays one node shared by their rewrites."""
+        roots = [plan] if isinstance(plan, op.Operator) else list(plan)
         cfg = self.config
+        rules = [rule for enabled, rule in (
+            (cfg.fold_constants, self._fold_operator),
+            (cfg.combine_selections, self._combine_selections),
+            (cfg.push_selections, self._push_selection),
+            (cfg.merge_projections, self._merge_projections),
+            (cfg.remove_identity, self._remove_identity)) if enabled]
+        self._barriers = _shared(roots)
         for _ in range(cfg.max_passes):
             before = self.rule_applications.copy()
-            if cfg.fold_constants:
-                plan = self._fold_pass(plan)
-            if cfg.combine_selections:
-                plan = op.transform_plan(plan, self._combine_selections)
-            if cfg.push_selections:
-                plan = op.transform_plan(plan, self._push_selection)
-            if cfg.merge_projections:
-                plan = op.transform_plan(plan, self._merge_projections)
-            if cfg.remove_identity:
-                plan = op.transform_plan(plan, self._remove_identity)
+            for rule in rules:
+                roots = self._pass(roots, rule)
             if self.rule_applications == before:
                 break
         if cfg.prune_columns:
-            plan = self._prune(plan, required=None)
-        return plan
+            self._pruned = {}
+            roots = [self._prune(root, required=None) for root in roots]
+        return roots[0] if isinstance(plan, op.Operator) else roots
+
+    def _pass(self, roots: List[op.Operator], rule) -> List[op.Operator]:
+        """One bottom-up application of ``rule`` to the DAG under
+        ``roots``: each node once, over its rewritten children.  The
+        rewrite of a barrier is registered as one before any of its
+        parents is visited, so a rule looking at a child knows whether
+        it may rewrite through it — and since no rule rewrites through
+        one, the barriers of the rewritten DAG are exactly those: the
+        shared nodes are found once per run, not once per pass."""
+        shared, barriers = self._barriers, set()
+        self._barriers = barriers
+        # rewrites of the shared nodes; any other node is met once anyway
+        done: Dict[int, op.Operator] = {}
+
+        def visit(node: op.Operator) -> op.Operator:
+            key = id(node)
+            barrier = key in shared
+            if barrier and key in done:
+                return done[key]
+            changed = {}
+            for name in node.CHILDREN:
+                child = getattr(node, name)
+                new = visit(child)
+                if new is not child:
+                    changed[name] = new
+            out = rule(node._with(changed) if changed else node)
+            if barrier:
+                done[key] = out
+                barriers.add(id(out))
+            return out
+
+        return [visit(root) for root in roots]
+
+    def _through(self, child: op.Operator) -> bool:
+        """Whether a rule may rewrite through ``child`` (it is not a
+        barrier)."""
+        return id(child) not in self._barriers
 
     def _hit(self, rule: str) -> None:
         self.rule_applications[rule] = \
@@ -159,7 +231,8 @@ class ProvenanceOptimizer:
 
     def _combine_selections(self, node: op.Operator) -> op.Operator:
         if isinstance(node, op.Selection) \
-                and isinstance(node.child, op.Selection):
+                and isinstance(node.child, op.Selection) \
+                and self._through(node.child):
             inner = node.child
             self._hit("combine_selections")
             return op.Selection(
@@ -172,7 +245,8 @@ class ProvenanceOptimizer:
         — and on, as far as it goes: the rewrite visits bottom-up, so
         a selection that moved one level per pass would cost one full
         pass (every expression folded again) per level."""
-        if not isinstance(node, op.Selection):
+        if not isinstance(node, op.Selection) \
+                or not self._through(node.child):
             return node
         if isinstance(node.child, op.SetOp):
             return self._push_through_union(node, node.child)
@@ -225,7 +299,8 @@ class ProvenanceOptimizer:
 
     def _merge_projections(self, node: op.Operator) -> op.Operator:
         if not (isinstance(node, op.Projection)
-                and isinstance(node.child, op.Projection)):
+                and isinstance(node.child, op.Projection)
+                and self._through(node.child)):
             return node
         if id(node) in self._merge_rejected:
             return node
@@ -257,22 +332,19 @@ class ProvenanceOptimizer:
 
     # -- constant folding -----------------------------------------------------
 
-    def _fold_pass(self, plan: op.Operator) -> op.Operator:
-        def visit(node: op.Operator) -> op.Operator:
-            if not node.CHILDREN:
-                # VALUES rows and AS OF times are as the statement wrote
-                # them: no rule substitutes into a leaf, there is no
-                # skeleton to fold
-                return node
-            node = node.map_expressions(self._fold)
-            if isinstance(node, op.Selection) \
-                    and isinstance(node.condition, Literal) \
-                    and node.condition.value is True:
-                self._hit("fold_constants")
-                return node.child
+    def _fold_operator(self, node: op.Operator) -> op.Operator:
+        if not node.CHILDREN:
+            # VALUES rows and AS OF times are as the statement wrote
+            # them: no rule substitutes into a leaf, there is no
+            # skeleton to fold
             return node
-
-        return op.transform_plan(plan, visit)
+        node = node.map_expressions(self._fold)
+        if isinstance(node, op.Selection) \
+                and isinstance(node.condition, Literal) \
+                and node.condition.value is True:
+            self._hit("fold_constants")
+            return node.child
+        return node
 
     def _fold(self, expr: Expr) -> Expr:
         if id(expr) in self._folded:
@@ -335,8 +407,19 @@ class ProvenanceOptimizer:
     def _prune(self, plan: op.Operator,
                required: Optional[Set[str]]) -> op.Operator:
         """Top-down dead-column elimination.  ``required=None`` means
-        every output attribute is needed (the root).  Returns ``plan``
-        itself where nothing under it had a column to lose."""
+        every output attribute is needed (the root, and a barrier, whose
+        referrers may need different columns — it is pruned once).
+        Returns ``plan`` itself where nothing under it had a column to
+        lose."""
+        if id(plan) in self._barriers:
+            out = self._pruned.get(id(plan))
+            if out is None:
+                out = self._pruned[id(plan)] = self._prune_node(plan, None)
+            return out
+        return self._prune_node(plan, required)
+
+    def _prune_node(self, plan: op.Operator,
+                    required: Optional[Set[str]]) -> op.Operator:
         if isinstance(plan, op.Projection):
             if required is not None:
                 keep = [(e, n) for e, n in zip(plan.exprs, plan.names)

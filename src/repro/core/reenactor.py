@@ -46,6 +46,12 @@ wrote straight from the AS-OF snapshot.  The full query of Example 3
 remains what :meth:`Reenactor.build_plans` and
 :meth:`Reenactor.reenactment_sql` produce, and what the tests hold the
 split to.
+
+Plans are DAGs: a READ COMMITTED re-base reads the transaction's own
+rows twice, and :meth:`Reenactor.compile_all` compiles many requests —
+the prefixes of a debug panel — over one chain, each prefix a *tap* on
+it, in one optimizer run.  No layer expands a shared node once per
+reference.
 """
 
 from __future__ import annotations
@@ -137,8 +143,9 @@ class CompiledReenactment:
     """The compile half of a reenactment: optimized per-table plans plus
     everything an executor needs to run them — without touching storage.
     ``options`` is the request; for a request that asks for whole tables
-    ``plans`` compute only the rows the transaction wrote (annotated,
-    tombstones kept) and :meth:`Reenactor.execute` completes them.
+    ``plans`` usually compute only the rows the transaction wrote
+    (annotated, tombstones kept) and :meth:`Reenactor.execute` completes
+    them (``split``).
 
     Compiling once and executing many times is the what-if fleet's hot
     path: plan construction and optimization are pure functions of the
@@ -157,7 +164,8 @@ class CompiledReenactment:
     #: ``(table, ts)`` so a delta-materializing session builds each
     #: snapshot as a small hop from its same-table predecessor.
     snapshots: List[Tuple[str, Optional[int]]]
-    #: aggregated optimizer rule applications across all table plans.
+    #: optimizer rule applications of the run that optimized the plans
+    #: (one run per :meth:`Reenactor.compile_all` batch).
     optimizer_stats: Dict[str, int] = field(default_factory=dict)
     #: what-if table replacements to evaluate under (R -> R', §2).
     overrides: Optional[Dict[str, Relation]] = None
@@ -166,6 +174,10 @@ class CompiledReenactment:
     #: :meth:`Reenactor.execute` completes a whole-table request from,
     #: and the state the equivalence oracle judges the table at.
     state_ts: Dict[str, int] = field(default_factory=dict)
+    #: whether ``plans`` compute only the rows the transaction wrote,
+    #: for :meth:`Reenactor.execute_all` to complete from the snapshot
+    #: at ``state_ts``; otherwise they compute what ``options`` ask for.
+    split: bool = False
 
     @property
     def tables(self) -> List[str]:
@@ -188,6 +200,18 @@ def _split(options: ReenactmentOptions) -> bool:
     return not (options.only_affected or options.with_provenance)
 
 
+def _prefix_length(statements: List[ParsedStatement],
+                   upto: Optional[int]) -> int:
+    """How many statements a request with prefix ``upto`` reenacts."""
+    if upto is None:
+        return len(statements)
+    if upto < 0 or upto > len(statements):
+        raise ReenactmentError(
+            f"prefix length {upto} out of range (transaction "
+            f"has {len(statements)} statements)")
+    return upto
+
+
 def plan_snapshots(plans: Dict[str, op.Operator]
                    ) -> List[Tuple[str, Optional[int]]]:
     """Distinct ``(table, as_of_ts)`` states scanned by a plan set,
@@ -195,10 +219,15 @@ def plan_snapshots(plans: Dict[str, op.Operator]
     version-history hops, which is the order a delta-materializing
     backend wants to build them in.  Descends into expression subquery
     plans (the printer renders those scans too, so they hit the
-    snapshot cache)."""
+    snapshot cache); visits each node of the plan DAGs once."""
     seen = set()
-
-    def visit(node: op.Operator) -> None:
+    visited = set()
+    stack = list(plans.values())
+    while stack:
+        node = stack.pop()
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
         if isinstance(node, op.TableScan):
             ts = node.as_of.value if isinstance(node.as_of, Literal) \
                 else None
@@ -206,14 +235,48 @@ def plan_snapshots(plans: Dict[str, op.Operator]
         for expr in node.expressions():
             for sub in walk(expr):
                 if isinstance(sub, SubqueryExpr) and sub.plan is not None:
-                    visit(sub.plan)
-        for child in node.children():
-            visit(child)
-
-    for plan in plans.values():
-        visit(plan)
+                    stack.append(sub.plan)
+        stack.extend(node.children())
     return sorted(seen, key=lambda key: (key[0], key[1] is not None,
                                          key[1] or 0))
+
+
+def _reach_shared(chains: List[Dict[str, op.Operator]]) -> List[bool]:
+    """Per request (its chains, by table), whether they reach a node the
+    chains of another request reach too."""
+    first: Dict[int, int] = {}
+    shared = [False] * len(chains)
+    for index, tables in enumerate(chains):
+        for node in op.walk_plan(*tables.values()):
+            other = first.setdefault(id(node), index)
+            if other != index:
+                shared[index] = shared[other] = True
+    return shared
+
+
+class _Chains(dict):
+    """``table → chain`` of one :meth:`Reenactor.build_chains` pass at
+    one prefix.  Every copy shares the pass's base plans: :meth:`base`
+    builds one node per ``(table, ts)``, so each prefix, each READ
+    COMMITTED re-base and each redirected read of one snapshot state
+    scans it through the same node."""
+
+    def __init__(self, base_plan, bases=None):
+        super().__init__()
+        self._base_plan = base_plan
+        self._bases: Dict[Tuple[str, int], op.Operator] = \
+            {} if bases is None else bases
+
+    def base(self, table: str, ts: int) -> op.Operator:
+        node = self._bases.get((table, ts))
+        if node is None:
+            node = self._bases[table, ts] = self._base_plan(table, ts)
+        return node
+
+    def copy(self) -> "_Chains":
+        out = _Chains(self._base_plan, self._bases)
+        out.update(self)
+        return out
 
 
 class Reenactor:
@@ -283,35 +346,77 @@ class Reenactor:
                 overrides: Optional[Dict[str, Relation]] = None
                 ) -> CompiledReenactment:
         """The compile phase: build and optimize the reenactment plans
-        for ``record`` without executing anything.
+        for ``record`` without executing anything — the one-element case
+        of :meth:`compile_all`.
 
         The result is inert — it can be executed any number of times,
         on any backend or session, via :meth:`execute`."""
-        options = options or ReenactmentOptions()
-        _check(options)
-        # a whole-table request compiles to the rows the transaction
-        # wrote, annotated and tombstones kept; execute() adds the rest
-        planned = replace(options, only_affected=True, annotations=True,
-                          include_deleted=True) \
-            if _split(options) else options
-        optimizer_stats: Dict[str, int] = {}
+        (compiled,) = self.compile_all(record, [options],
+                                       statements=statements)
+        compiled.overrides = overrides
+        return compiled
+
+    def compile_all(self, record: TransactionRecord,
+                    requests: List[Optional[ReenactmentOptions]],
+                    statements: Optional[List[ParsedStatement]] = None
+                    ) -> List[CompiledReenactment]:
+        """Compile several requests over one transaction — prefixes,
+        tables, option sets — as one DAG: one :meth:`build_chains` pass
+        (prefix *k* reads the chain node statement *k* left, a *tap*),
+        one root per requested table, one optimizer run over all roots.
+        A node several roots share is rewritten once and stays one node,
+        so a batch run by :meth:`execute_all` evaluates it once on the
+        in-memory backend, and a CTE dialect prints it once.
+
+        A request for whole tables compiles to the rows the transaction
+        wrote and :meth:`execute_all` adds the rest from the snapshot
+        (``split``) — unless its chains share a node with another
+        request's: its affected-rows filter cannot move below the shared
+        node, so splitting would only add a second snapshot scan, and it
+        compiles whole, as the paper's Example-3 query."""
+        requests = [options or ReenactmentOptions() for options in requests]
+        for options in requests:
+            _check(options)
+        if not requests:
+            return []
         with span("reenactor.compile", xid=record.xid) as sp:
             if statements is None:
                 statements = self.parsed_statements(record)
-            plans = self.build_plans(record, planned,
-                                     statements=statements,
-                                     optimizer_stats=optimizer_stats)
-            stamps = self.state_timestamps(record, statements,
-                                           upto=options.upto)
-            compiled = CompiledReenactment(
-                xid=record.xid, record=record, options=options,
-                plans=plans, snapshots=plan_snapshots(plans),
-                optimizer_stats=optimizer_stats, overrides=overrides,
-                state_ts={table: stamps.get(table, record.begin_ts)
-                          for table in plans})
-            sp.set("tables", len(plans))
-            sp.set("snapshots", len(compiled.snapshots))
-        return compiled
+            lengths = [_prefix_length(statements, options.upto)
+                       for options in requests]
+            taps = self.build_chains(record, statements, upto=max(lengths))
+            chains = [self._request_chains(record, taps[k], options)
+                      for k, options in zip(lengths, requests)]
+            shared = _reach_shared(chains) if len(requests) > 1 \
+                else [False]
+            splits = [_split(options) and not whole
+                      for options, whole in zip(requests, shared)]
+            batch = []
+            for options, split, tables in zip(requests, splits, chains):
+                # a split request compiles to the rows the transaction
+                # wrote, annotated and tombstones kept
+                planned = replace(options, only_affected=True,
+                                  annotations=True, include_deleted=True) \
+                    if split else options
+                batch.append((options, {
+                    table: self._finalize(table, chain, record, planned)
+                    for table, chain in tables.items()}))
+            optimizer_stats = self._optimize(batch)
+            out = []
+            for (options, plans), split in zip(batch, splits):
+                stamps = self.state_timestamps(record, statements,
+                                               upto=options.upto)
+                out.append(CompiledReenactment(
+                    xid=record.xid, record=record, options=options,
+                    plans=plans, snapshots=plan_snapshots(plans),
+                    optimizer_stats=dict(optimizer_stats),
+                    state_ts={table: stamps.get(table, record.begin_ts)
+                              for table in plans},
+                    split=split))
+            sp.set("tables", sum(len(c.plans) for c in out))
+            sp.set("snapshots", len({pair for c in out
+                                     for pair in c.snapshots}))
+        return out
 
     def execute(self, compiled: CompiledReenactment,
                 session=None) -> ReenactmentResult:
@@ -341,12 +446,14 @@ class Reenactor:
         forward in place.  Pipeline and throwaway session are released
         when the generator is exhausted or closed.  All compiles of a
         batch evaluate under one context, so they must share one
-        ``overrides`` object.
+        ``overrides`` object — and on the in-memory backend on one
+        evaluator, which computes a node the plans of a
+        :meth:`compile_all` batch share once for all of them.
 
-        A request for whole tables was compiled to the rows the
-        transaction wrote; the rows it never wrote are added here,
-        straight from the AS-OF snapshot (:meth:`_complete`) — on every
-        backend alike, the engine only ever sees the affected rows."""
+        A split compile computes the rows the transaction wrote; the
+        rows it never wrote are added here, straight from the AS-OF
+        snapshot (:meth:`_complete`) — on every backend alike, the
+        engine only sees the affected rows."""
         compiles = list(compiles)
         if not compiles:
             return
@@ -367,12 +474,11 @@ class Reenactor:
                 with span("reenactor.execute", xid=compiled.xid,
                           tables=len(compiled.plans)) as sp:
                     pipe.prime(index)
-                    split = _split(compiled.options)
                     affected = passthrough = 0
                     for table, plan in compiled.plans.items():
                         relation = active.execute_plan(plan, ctx)
                         affected += len(relation.rows)
-                        if split:
+                        if compiled.split:
                             relation, untouched = self._complete(
                                 table, relation,
                                 compiled.state_ts[table], ctx,
@@ -461,40 +567,33 @@ class Reenactor:
 
     def build_plans(self, record: TransactionRecord,
                     options: ReenactmentOptions,
-                    statements: Optional[List[ParsedStatement]] = None,
-                    optimizer_stats: Optional[Dict[str, int]] = None
+                    statements: Optional[List[ParsedStatement]] = None
                     ) -> Dict[str, op.Operator]:
+        """The plans of one request exactly as it asks — never split."""
         _check(options)
         if statements is None:
             statements = self.parsed_statements(record)
-        chains = self.build_chains(record, statements, upto=options.upto)
-
-        # Interesting tables for options.table even when never written:
-        if options.table is not None and options.table not in chains:
-            chains = {options.table: self._base_plan(options.table,
-                                                     record.begin_ts)}
-
-        out: Dict[str, op.Operator] = {}
-        for table, chain in chains.items():
-            if options.table is not None and table != options.table:
-                continue
-            out[table] = self._finalize(table, chain, record, options,
-                                        optimizer_stats=optimizer_stats)
-        return out
+        taps = self.build_chains(record, statements, upto=options.upto)
+        plans = {table: self._finalize(table, chain, record, options)
+                 for table, chain in self._request_chains(
+                     record, taps[-1], options).items()}
+        self._optimize([(options, plans)])
+        return plans
 
     def build_chains(self, record: TransactionRecord,
                      statements: List[ParsedStatement],
                      upto: Optional[int] = None
-                     ) -> Dict[str, op.Operator]:
+                     ) -> List[Dict[str, op.Operator]]:
         """The raw reenactment chains (annotated, tombstones included)
-        after applying the first ``upto`` statements."""
-        if upto is not None:
-            if upto < 0 or upto > len(statements):
-                raise ReenactmentError(
-                    f"prefix length {upto} out of range (transaction "
-                    f"has {len(statements)} statements)")
-            statements = statements[:upto]
-        chains: Dict[str, op.Operator] = {}
+        of every prefix of the first ``upto`` statements, from one pass:
+        ``taps[k]`` maps each table the first ``k`` statements wrote to
+        the chain node the last of them left — a *tap* on the one chain,
+        which every longer prefix reads through.  The pass builds one
+        base-plan node per ``(table, ts)``; every tap answers
+        ``base(table, ts)`` with it."""
+        statements = statements[:_prefix_length(statements, upto)]
+        chains = _Chains(self._base_plan)
+        taps = [chains.copy()]
         for parsed in statements:
             target = parsed.target
             if not self.db.catalog.has(target):
@@ -503,10 +602,42 @@ class Reenactor:
             if record.isolation is IsolationLevel.READ_COMMITTED:
                 chains[target] = self._rc_input(chains, target, parsed.ts)
             elif target not in chains:
-                chains[target] = self._base_plan(target, record.begin_ts)
+                chains[target] = chains.base(target, record.begin_ts)
             chains[target] = self._apply_statement(
                 chains, chains[target], parsed, record)
-        return chains
+            taps.append(chains.copy())
+        return taps
+
+    @staticmethod
+    def _request_chains(record: TransactionRecord, tap: "_Chains",
+                        options: ReenactmentOptions
+                        ) -> Dict[str, op.Operator]:
+        """The chains a request reads at its prefix's tap: every table
+        written so far, or the one it names — a table not written yet
+        reads its begin-time snapshot."""
+        if options.table is None:
+            return dict(tap)
+        return {options.table: tap.get(options.table)
+                or tap.base(options.table, record.begin_ts)}
+
+    @staticmethod
+    def _optimize(batch: List[Tuple[ReenactmentOptions,
+                                    Dict[str, op.Operator]]]
+                  ) -> Dict[str, int]:
+        """Optimize, in place, every plan of ``batch`` whose request asks
+        for it — all in one optimizer run; returns its rule
+        applications."""
+        from repro.core.optimizer import ProvenanceOptimizer
+        keys = [(plans, table) for options, plans in batch
+                if options.optimize for table in plans]
+        if not keys:
+            return {}
+        optimizer = ProvenanceOptimizer()
+        optimized = optimizer.optimize([plans[table]
+                                        for plans, table in keys])
+        for (plans, table), plan in zip(keys, optimized):
+            plans[table] = plan
+        return optimizer.rule_applications
 
     def insert_sources(self, record: TransactionRecord,
                        statements: List[ParsedStatement], k: int
@@ -524,7 +655,7 @@ class Reenactor:
                 or isinstance(parsed.stmt.source, ast.ValuesClause):
             raise ReenactmentError(
                 f"statement {k} is not an INSERT ... SELECT")
-        chains = self.build_chains(record, statements, upto=k)
+        chains = self.build_chains(record, statements, upto=k)[-1]
         ctx = self.db.context(params={},
                       snapshot_provider=self.snapshot_provider)
 
@@ -600,7 +731,7 @@ class Reenactor:
         names.append(f"{table}.{DEL}")
         return op.Projection(scan, exprs, names)
 
-    def _rc_input(self, chains: Dict[str, op.Operator], table: str,
+    def _rc_input(self, chains: _Chains, table: str,
                   stmt_ts: int) -> op.Operator:
         """READ COMMITTED statement input: own-written rows merged with
         the committed statement-time snapshot of untouched rows.  ``own``
@@ -608,14 +739,14 @@ class Reenactor:
         list) — the chain is a DAG."""
         chain = chains.get(table)
         if chain is None:
-            return self._base_plan(table, stmt_ts)
+            return chains.base(table, stmt_ts)
         upd_attr = f"{table}.{UPD}"
         rowid_attr = f"{table}.{ROWID}"
 
         own = op.Selection(chain, Column(name=UPD, key=upd_attr))
         written_ids = op.Projection(
             own, [Column(name=ROWID, key=rowid_attr)], ["__w__"])
-        snapshot = self._base_plan(table, stmt_ts)
+        snapshot = chains.base(table, stmt_ts)
         untouched = op.Join(
             snapshot, written_ids, kind="anti",
             condition=BinaryOp("=",
@@ -784,7 +915,7 @@ class Reenactor:
             view = self._rc_input(chains, table, parsed.ts)
         else:
             view = chains.get(table) \
-                or self._base_plan(table, record.begin_ts)
+                or chains.base(table, record.begin_ts)
         return op.Selection(
             view, UnaryOp("NOT", Column(name=DEL, key=f"{table}.{DEL}")))
 
@@ -827,9 +958,9 @@ class Reenactor:
 
     def _finalize(self, table: str, chain: op.Operator,
                   record: TransactionRecord,
-                  options: ReenactmentOptions,
-                  optimizer_stats: Optional[Dict[str, int]] = None
-                  ) -> op.Operator:
+                  options: ReenactmentOptions) -> op.Operator:
+        """The request's (unoptimized) plan of ``table`` over its
+        chain."""
         plan = chain
         if not options.include_deleted:
             plan = op.Selection(
@@ -854,14 +985,6 @@ class Reenactor:
 
         if options.with_provenance:
             plan = self._attach_provenance(table, plan, record, options)
-        if options.optimize:
-            from repro.core.optimizer import ProvenanceOptimizer
-            optimizer = ProvenanceOptimizer()
-            plan = optimizer.optimize(plan)
-            if optimizer_stats is not None:
-                for rule, count in optimizer.rule_applications.items():
-                    optimizer_stats[rule] = \
-                        optimizer_stats.get(rule, 0) + count
         return plan
 
     def _attach_provenance(self, table: str, plan: op.Operator,

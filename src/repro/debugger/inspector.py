@@ -15,10 +15,12 @@ default filters to rows affected by at least one statement
 selectable (marker 8); clicking a tuple version yields its provenance
 graph (marker 6).
 
-All prefix probes of one panel scan the same begin-time snapshots, so
-the panel computes its columns on a single backend session: on SQLite
-each ``(table, ts)`` state is materialized once for the whole panel
-instead of once per column.
+The panel is one compile: every prefix is a tap on one reenactment
+chain (:meth:`~repro.core.reenactor.Reenactor.compile_all`), optimized
+in one run, and the columns are computed in one batch on one backend
+session — on the in-memory backend each statement of the chain is
+evaluated once for the whole panel, on SQLite each ``(table, ts)``
+state is materialized once instead of once per column.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ class TransactionInspector:
             if parsed.target not in touched:
                 touched.append(parsed.target)
         self.touched_tables = touched
-        #: tables currently displayed (marker 8 in Fig. 4)
-        self.selected_tables: List[str] = (
-            [t for t in touched if t in tables] if tables is not None
-            else list(touched))
+        #: tables currently displayed (marker 8 in Fig. 4), in the order
+        #: the transaction first touched them
+        self.selected_tables: List[str] = \
+            self._touched(tables) if tables is not None else list(touched)
         self._graph_builder: Optional[ProvenanceGraphBuilder] = None
         self._columns: Optional[List[DebugColumn]] = None
         #: the session counters of the last :meth:`columns` pass —
@@ -112,23 +114,23 @@ class TransactionInspector:
     # -- panel content --------------------------------------------------------
 
     def columns(self) -> List[DebugColumn]:
-        """All panel columns, computed lazily and cached — on one
-        backend session, with every prefix reenactment compiled first
-        and the whole series run by :meth:`Reenactor.execute_all`: the
-        begin-time snapshots all prefixes share are materialized
+        """All panel columns, computed lazily and cached — every prefix
+        reenactment compiled in one :meth:`Reenactor.compile_all` and
+        the whole series run by one :meth:`Reenactor.execute_all` on one
+        backend session: the chain the prefixes share is optimized and
+        evaluated once, and the begin-time snapshots are materialized
         once for the panel (``primes_shared`` counts the N-1
         hand-offs), not once per column."""
         if self._columns is None:
             keys = [(k, table)
                     for k in range(-1, len(self.statements))
                     for table in self.selected_tables]
-            compiles = [self.reenactor.compile(
-                            self.record,
-                            ReenactmentOptions(
-                                upto=k + 1, table=table, annotations=True,
-                                include_deleted=True),
-                            statements=self.statements)
-                        for k, table in keys]
+            compiles = self.reenactor.compile_all(
+                self.record,
+                [ReenactmentOptions(upto=k + 1, table=table,
+                                    annotations=True, include_deleted=True)
+                 for k, table in keys],
+                statements=self.statements)
             states: Dict[Tuple[int, str], TableState] = {}
             collector = ExplainCollector()
             with collector, self.backend.open_session() as session:
@@ -168,13 +170,8 @@ class TransactionInspector:
         next statement); ``timeline_states`` sorts and dedupes before
         touching the backend."""
         from repro.debugger.timeline import timeline_states
-        tables = [table] if table is not None \
-            else list(self.selected_tables)
-        unknown = [t for t in tables if t not in self.touched_tables]
-        if unknown:
-            raise ReenactmentError(
-                f"table(s) {unknown} were not touched by transaction "
-                f"{self.xid}; touched: {self.touched_tables}")
+        tables = self._touched([table]) if table is not None \
+            else self.selected_tables
         ticks: List[int] = [self.record.begin_ts]
         for stmt in self.record.statements:
             start, end = self.record.statement_interval(stmt.index)
@@ -198,13 +195,18 @@ class TransactionInspector:
         return self.show_unaffected
 
     def select_tables(self, tables: Sequence[str]) -> None:
+        self.selected_tables = self._touched(tables)
+        self._columns = None  # recompute with the new selection
+
+    def _touched(self, tables: Sequence[str]) -> List[str]:
+        """``tables`` in the order the transaction first touched them;
+        a table it never touched is an error."""
         unknown = [t for t in tables if t not in self.touched_tables]
         if unknown:
             raise ReenactmentError(
                 f"table(s) {unknown} were not touched by transaction "
                 f"{self.xid}; touched: {self.touched_tables}")
-        self.selected_tables = list(tables)
-        self._columns = None  # recompute with the new selection
+        return [t for t in self.touched_tables if t in tables]
 
     # -- provenance (click action, marker 6) ---------------------------------------
 
@@ -238,6 +240,11 @@ class TransactionInspector:
         return column
 
     def _state_from_relation(self, table: str, relation) -> TableState:
+        """One table state, in the order the rows were stored — rowid
+        order, then the rows the transaction inserted, in insertion
+        (descending synthetic rowid) order.  A whole chain does not keep
+        it: a READ COMMITTED re-base puts the transaction's own rows
+        first, and a SQL engine owes no order at all."""
         ncols = len(self.db.catalog.get(table).columns)
         rowid_idx = relation.column_index(ROWID)
         xid_idx = relation.column_index(XID)
@@ -246,7 +253,9 @@ class TransactionInspector:
         state = TableState(
             table=table,
             columns=list(self.db.catalog.get(table).column_names))
-        for row in relation.rows:
+        for row in sorted(relation.rows,
+                          key=lambda row: (row[rowid_idx] < 0,
+                                           abs(row[rowid_idx]))):
             state.rows.append(TupleVersionView(
                 rowid=row[rowid_idx], values=row[:ncols],
                 creator_xid=row[xid_idx], affected=bool(row[upd_idx]),

@@ -210,7 +210,13 @@ class TestPlansAreValues:
                         op.Join(scan("u"), shared, "anti", Literal(True)),
                         all=True)
         assert plan.left is plan.right.right
-        assert sum(1 for n in op.walk_plan(plan) if n is shared) == 2
+        # a DAG walk meets each node once, also across several roots
+        assert sum(1 for n in op.walk_plan(plan) if n is shared) == 1
+        assert [n for n in op.walk_plan(shared, plan)].count(shared) == 1
+        # a rewrite keeps it one node under both parents
+        rewritten = op.transform_plan(plan, lambda node: node.map_expressions(
+            lambda expr: Literal(False) if expr == Literal(True) else expr))
+        assert rewritten.left is rewritten.right.right is not shared
 
 
 class TestRelation:

@@ -592,6 +592,76 @@ def check_no_consumer_mutates_a_plan(seed, isolation):
             if "SubqueryExpr(" not in text:
                 assert compiled.plans == snapshot, context
             checked += 1
+        # a compile_all batch — every prefix of every table the
+        # transaction wrote, plus the whole-transaction requests — is
+        # one DAG of roots sharing their chains; running it changes none
+        for xid in committed_xids(db):
+            record = reenactor.transaction_record(xid)
+            tables = sorted({parsed.target for parsed
+                             in reenactor.parsed_statements(record)})
+            requests = [ReenactmentOptions(upto=k, table=table,
+                                           annotations=True,
+                                           include_deleted=True)
+                        for k in range(len(record.statements) + 1)
+                        for table in tables]
+            requests += [ReenactmentOptions(),
+                         ReenactmentOptions(only_affected=True)]
+            batch = reenactor.compile_all(record, requests)
+            roots = [compiled.plans for compiled in batch]
+            snapshot = copy.deepcopy(roots)
+            for backend_session in sessions:
+                for _result in reenactor.execute_all(
+                        batch, session=backend_session):
+                    pass
+            assert repr(roots) == repr(snapshot), \
+                f"seed={seed} isolation={isolation} xid={xid} batch"
+            checked += 1
+    return checked
+
+
+def _typed_sequence(rows):
+    """Rows in order, each value paired with its type name."""
+    return [tuple((type(value).__name__, value) for value in row)
+            for row in rows]
+
+
+def check_panel_against_prefix_reenactments(seed, isolation):
+    """The debug panel is one compile over one chain
+    (``compile_all``, one ``execute_all``); what it replaced is one
+    reenactment per column.  Every state of every column must equal,
+    row for row and type-strict, ``reenact(upto=k, table=t,
+    annotations=True, include_deleted=True)`` on the same backend —
+    which pins the panel's row order to the per-column path's: stored
+    rows by rowid, then inserted rows in insertion order, also where a
+    READ COMMITTED re-base puts the transaction's own rows first."""
+    from repro.debugger import TransactionInspector
+    db = build_history(seed, isolation)
+    checked = 0
+    for backend in ["memory"] + SQL_ENGINES:
+        reenactor = Reenactor(db, backend=backend)
+        for xid in committed_xids(db):
+            inspector = TransactionInspector(db, xid, backend=backend)
+            for column in inspector.columns():
+                for table, state in column.states.items():
+                    relation = reenactor.reenact(xid, ReenactmentOptions(
+                        upto=column.index + 1, table=table,
+                        annotations=True, include_deleted=True)
+                    ).table(table)
+                    ncols = len(state.columns)
+                    flags = [relation.column_index(name) for name in
+                             ("__rowid__", "__xid__", "__upd__", "__del__")]
+                    expected = [(row[flags[0]],) + row[:ncols]
+                                + tuple(row[i] for i in flags[1:])
+                                for row in relation.rows]
+                    got = [(r.rowid,) + r.values
+                           + (r.creator_xid, r.affected, r.deleted)
+                           for r in state.rows]
+                    assert _typed_sequence(got) \
+                        == _typed_sequence(expected), \
+                        f"seed={seed} isolation={isolation} " \
+                        f"backend={backend} xid={xid} " \
+                        f"column={column.index} table={table}"
+                    checked += 1
     return checked
 
 
@@ -599,6 +669,12 @@ def check_no_consumer_mutates_a_plan(seed, isolation):
 @pytest.mark.parametrize("seed", FULL_SEEDS)
 def test_no_consumer_mutates_a_plan(seed, isolation):
     assert check_no_consumer_mutates_a_plan(seed, isolation) > 0
+
+
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+@pytest.mark.parametrize("seed", FULL_SEEDS)
+def test_panel_columns_equal_prefix_reenactments(seed, isolation):
+    assert check_panel_against_prefix_reenactments(seed, isolation) > 0
 
 
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)

@@ -112,6 +112,34 @@ def test_closing_the_generator_releases_what_it_opened(monkeypatch):
             .keys() == first.tables.keys()
 
 
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+def test_a_result_is_the_callers_to_change(isolation):
+    """On the in-memory backend a batch runs on one evaluator, which
+    computes a node its plans share once and keeps the rows: every
+    result is still the caller's own.  Each prefix of a transaction is
+    compiled into one batch, run twice over (the second time every root
+    is answered from the kept rows), and each result is emptied and
+    padded as it arrives — no later result may notice."""
+    db = build_history(3, isolation)
+    reenactor = Reenactor(db)
+    record = max((reenactor.transaction_record(xid)
+                  for xid in committed_xids(db)),
+                 key=lambda record: len(record.statements))
+    batch = reenactor.compile_all(record, [
+        ReenactmentOptions(upto=k, annotations=True, include_deleted=True)
+        for k in range(len(record.statements) + 1)])
+    # prefixes of one chain share it, so none is split
+    assert not any(compiled.split for compiled in batch if compiled.plans)
+    expected = [reenactor.execute(compiled) for compiled in batch * 2]
+    results = reenactor.execute_all(batch * 2)
+    for got, want in zip(results, expected):
+        assert list(got.tables) == list(want.tables)
+        for table, relation in got.tables.items():
+            assert relation.rows == want.tables[table].rows
+            relation.rows.clear()
+            relation.rows.append(("junk",))
+
+
 def test_a_batch_shares_one_overrides_object():
     db = build_history(0)
     reenactor = Reenactor(db)

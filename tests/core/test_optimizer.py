@@ -148,9 +148,14 @@ class TestRejectionMemos:
         from repro.algebra.expressions import BinaryOp, Column, Literal
         from repro.core import optimizer as optimizer_module
         a = Column(name="a", key="a")
-        wide = plan_for(db, "SELECT a + a + a + a AS a FROM t")
-        rejected_push = op.Selection(wide, BinaryOp(">", a, Literal(2)))
-        rejected_merge = op.Projection(wide, [BinaryOp("+", a, a)], ["a"])
+        # two copies: one node under both would be a barrier, never
+        # merged or pushed into, so never estimated
+        rejected_push = op.Selection(
+            plan_for(db, "SELECT a + a + a + a AS a FROM t"),
+            BinaryOp(">", a, Literal(2)))
+        rejected_merge = op.Projection(
+            plan_for(db, "SELECT a + a + a + a AS a FROM t"),
+            [BinaryOp("+", a, a)], ["a"])
         # two stacked selections keep pass one busy, so there is a pass two
         busy = plan_for(db, "SELECT a FROM t WHERE c > 15")
         busy = busy.with_children([op.Selection(

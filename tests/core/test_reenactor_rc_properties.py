@@ -22,6 +22,8 @@ oracle) *and* across execution backends.
 """
 
 import random
+import time
+from collections import Counter
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -141,6 +143,76 @@ def test_rc_insert_then_delete_same_transaction(seed):
         "inserted-then-deleted row must appear exactly once, as a tombstone"
     final = Reenactor(db).reenact(xid).table("account")
     assert new_id not in final.column("id")
+
+
+def rc_chain(n_statements, n_rows=40):
+    """One committed READ COMMITTED transaction of ``n_statements``
+    single-row UPDATEs on one table."""
+    db = make_db(n_rows)
+    session = db.connect()
+    session.begin("READ COMMITTED")
+    for i in range(n_statements):
+        session.execute(f"UPDATE account SET bal = bal + 1 "
+                        f"WHERE id = {i % n_rows + 1}")
+    xid = session.txn.xid
+    session.commit()
+    return db, xid
+
+
+def test_rc_chain_compiles_linearly():
+    """Each statement re-bases the chain over its own rows, which the
+    re-base reads twice (the union and the anti-join's id list).  Kept
+    one node through every layer — built once, rewritten once, printed
+    once, evaluated once — the plan grows by a fixed number of nodes
+    per statement; expanded once per reference it grew ×4 per two
+    statements, and 32 statements never finished."""
+    from repro.algebra import operators as op
+    from repro.algebra.sqlgen import Dialect, generate_sql, get_dialect
+    sqlite = Dialect(get_dialect("sqlite"))
+    sizes = {}
+    for n in (8, 32):
+        db, xid = rc_chain(n)
+        truth = sorted(db.execute("SELECT id, owner, bal FROM account")
+                       .rows)
+        for backend in ("memory", "sqlite"):
+            reenactor = Reenactor(db, backend=backend)
+            start = time.perf_counter()
+            compiled = reenactor.compile(reenactor.transaction_record(xid))
+            result = reenactor.execute(compiled)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 2.0, (n, backend, elapsed)
+            assert sorted(result.table("account").rows) == truth
+        plan = compiled.plans["account"]
+        sizes[n] = (sum(1 for _ in op.walk_plan(plan)),
+                    len(generate_sql(plan, dialect=sqlite)))
+    (nodes_8, sql_8), (nodes_32, sql_32) = sizes[8], sizes[32]
+    # linear: a fixed cost per re-based statement over a cheaper first
+    # statement (no re-base) puts 4x the statements just above 4x the
+    # nodes — the tree form had 4**12 times as many
+    assert nodes_32 <= 4.5 * nodes_8, sizes
+    assert sql_32 <= 5 * sql_8, sizes
+
+
+def test_rc_compile_keeps_own_rows_one_node():
+    """After the optimizer, a re-base still reads the transaction's own
+    rows through one node under both parents — the union and the
+    anti-join's id list — optimized or not, split or whole."""
+    from repro.algebra import operators as op
+    db, xid = rc_chain(4)
+    reenactor = Reenactor(db)
+    record = reenactor.transaction_record(xid)
+    for options in (ReenactmentOptions(), STRICT,
+                    ReenactmentOptions(optimize=False),
+                    ReenactmentOptions(only_affected=True)):
+        plan = reenactor.compile(record, options).plans["account"]
+        rebases = [node for node in op.walk_plan(plan)
+                   if isinstance(node, op.Join) and node.kind == "anti"]
+        assert len(rebases) == 3, options  # every statement but the first
+        referrers = Counter(id(child) for node in op.walk_plan(plan)
+                            for child in node.children())
+        for join in rebases:
+            own = join.right.child  # the id list over the own rows
+            assert referrers[id(own)] == 2, options
 
 
 @settings(max_examples=20, **SETTINGS)

@@ -94,6 +94,48 @@ class TestFiltering:
         with pytest.raises(ReenactmentError, match="not touched"):
             inspector.select_tables(["ghost"])
 
+    def test_selection_keeps_the_transactions_order(self, skewed):
+        db, _, t2 = skewed
+        given = TransactionInspector(db, t2,
+                                     tables=["overdraft", "account"])
+        assert given.selected_tables == ["account", "overdraft"]
+        inspector = TransactionInspector(db, t2)
+        inspector.select_tables(["overdraft", "account"])
+        assert inspector.selected_tables == given.selected_tables
+        assert list(inspector.column(0).states) == given.selected_tables
+
+
+def test_unknown_table_rejected_at_construction(skewed):
+    """The constructor checks its ``tables`` like :meth:`select_tables`
+    does, instead of dropping the unknown name and rendering an empty
+    panel."""
+    db, _, t2 = skewed
+    with pytest.raises(ReenactmentError, match="not touched"):
+        TransactionInspector(db, t2, tables=["nope"])
+    with pytest.raises(ReenactmentError, match="not touched"):
+        TransactionInspector(db, t2, tables=["account", "nope"])
+
+
+def test_a_panel_is_one_compile(skewed, monkeypatch):
+    """``columns()`` compiles every prefix in one batch: the optimizer
+    runs once for the whole panel, not once per column, and every
+    column still executes its own plan."""
+    from repro.core.optimizer import ProvenanceOptimizer
+    calls = []
+    optimize = ProvenanceOptimizer.optimize
+
+    def counting(self, plan):
+        calls.append(plan)
+        return optimize(self, plan)
+
+    monkeypatch.setattr(ProvenanceOptimizer, "optimize", counting)
+    db, _, t2 = skewed
+    inspector = TransactionInspector(db, t2)
+    columns = inspector.columns()
+    assert len(calls) == 1
+    assert len(calls[0]) == len(columns) * len(inspector.selected_tables)
+    assert inspector.last_stats.plans_executed == len(calls[0])
+
 
 class TestTimelineStrip:
     def test_strip_counts_every_boundary(self, skewed):

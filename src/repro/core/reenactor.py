@@ -58,7 +58,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra import operators as op
 from repro.algebra.evaluator import Evaluator, Relation
@@ -128,6 +129,19 @@ class ReenactmentResult:
     xid: int
     plans: Dict[str, op.Operator]
     tables: Dict[str, Relation] = field(default_factory=dict)
+    #: per table, the rows the transaction wrote as the plan returned
+    #: them (annotated, tombstones kept) — held for a split compile
+    #: only, the one whose plans compute exactly those.
+    affected: Optional[Dict[str, Relation]] = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def written_rowids(self) -> Optional[Dict[str, Set[int]]]:
+        """Per table, the stored rows the transaction wrote
+        (:func:`physical_writes` of :attr:`affected`); ``None`` unless
+        the compile was split."""
+        return None if self.affected is None \
+            else physical_writes(self.affected)
 
     def table(self, name: str) -> Relation:
         try:
@@ -182,6 +196,20 @@ class CompiledReenactment:
     @property
     def tables(self) -> List[str]:
         return list(self.plans)
+
+
+def physical_writes(relations: Dict[str, Relation]) -> Dict[str, Set[int]]:
+    """Per table, the positive ``__rowid__`` values of annotated
+    reenactment relations: the stored rows written — the synthetic
+    negative ids of inserted rows are conflict-free and left out.
+    Tables with none are absent."""
+    out: Dict[str, Set[int]] = {}
+    for table, relation in relations.items():
+        rowid_at = relation.column_index(ROWID)
+        ids = {row[rowid_at] for row in relation.rows if row[rowid_at] > 0}
+        if ids:
+            out[table] = ids
+    return out
 
 
 def _check(options: ReenactmentOptions) -> None:
@@ -453,7 +481,10 @@ class Reenactor:
         A split compile computes the rows the transaction wrote; the
         rows it never wrote are added here, straight from the AS-OF
         snapshot (:meth:`_complete`) — on every backend alike, the
-        engine only sees the affected rows."""
+        engine only sees the affected rows.  The result keeps them
+        (``affected``), so its write set
+        (:attr:`ReenactmentResult.written_rowids`) needs no second
+        reenactment."""
         compiles = list(compiles)
         if not compiles:
             return
@@ -469,8 +500,9 @@ class Reenactor:
                 active.snapshot_pipeline(
                     [c.snapshots for c in compiles], ctx) as pipe:
             for index, compiled in enumerate(compiles):
-                result = ReenactmentResult(xid=compiled.xid,
-                                           plans=compiled.plans)
+                result = ReenactmentResult(
+                    xid=compiled.xid, plans=compiled.plans,
+                    affected={} if compiled.split else None)
                 with span("reenactor.execute", xid=compiled.xid,
                           tables=len(compiled.plans)) as sp:
                     pipe.prime(index)
@@ -479,6 +511,7 @@ class Reenactor:
                         relation = active.execute_plan(plan, ctx)
                         affected += len(relation.rows)
                         if compiled.split:
+                            result.affected[table] = relation
                             relation, untouched = self._complete(
                                 table, relation,
                                 compiled.state_ts[table], ctx,

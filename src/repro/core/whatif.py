@@ -14,26 +14,33 @@ In addition, :meth:`WhatIfScenario.conflict_analysis` checks whether the
 modified transaction's writes would have collided with a concurrent
 transaction's writes — detecting, e.g., that adding the *promotion*
 update (``UPDATE account SET bal = bal WHERE cust = :name``) to Bob's
-transaction "would force T2 to abort" under first-updater-wins.
+transaction "would force T2 to abort" under first-updater-wins.  No
+write set is reenacted only to be read: the modified transaction's comes
+with its reenactment (:attr:`ReenactmentResult.written_rowids`), a
+committed concurrent transaction's is read off storage's commit log
+(:meth:`Database.rows_written_by`), and only an aborted one — whose
+attempted writes never reached storage — is reenacted.
 
 The intended workload is exploratory: a user probing *many* variants of
-one suspect transaction.  :class:`WhatIfFleet` batches that — the
-unmodified original is compiled and reenacted exactly once, and every
-scenario variant executes against one shared backend session, so AS-OF
-snapshots are materialized once for the whole fleet instead of once per
-probe.
+one suspect transaction.  :class:`WhatIfFleet` batches that — the record
+is parsed once, the unmodified original is compiled and reenacted
+exactly once, and every scenario variant executes against one shared
+backend session, so AS-OF snapshots are materialized once for the whole
+fleet instead of once per probe.  A fleet of N variants runs N + 1
+reenactments, plus one per aborted concurrent transaction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.evaluator import Relation
 from repro.backends import BackendSpec, resolve_backend
-from repro.core.reenactor import (ROWID, ParsedStatement,
-                                  ReenactmentOptions, ReenactmentResult,
-                                  Reenactor)
+from repro.core.reenactor import (ParsedStatement, ReenactmentOptions,
+                                  ReenactmentResult, Reenactor,
+                                  physical_writes)
+from repro.db.auditlog import TransactionRecord
 from repro.db.engine import Database
 from repro.errors import (AnalysisError, AuditLogError, ExecutionError,
                           ReenactmentError, SQLSyntaxError,
@@ -50,6 +57,11 @@ from repro.sql.parser import parse_statement
 EXPECTED_REENACTMENT_ERRORS = (AnalysisError, AuditLogError,
                                ExecutionError, ReenactmentError,
                                SQLSyntaxError, TimeTravelError)
+
+#: the request whose result is a transaction's write set, where no
+#: whole-transaction reenactment already holds it
+_WRITES = ReenactmentOptions(annotations=True, include_deleted=True,
+                             only_affected=True)
 
 
 @dataclass
@@ -82,10 +94,11 @@ class WhatIfResult:
     diffs: Dict[str, TableDiff]
     conflicts: List[ConflictFinding] = field(default_factory=list)
     #: concurrent transactions whose write sets could not be
-    #: reconstructed (reenactment failed with an expected error, see
-    #: :data:`EXPECTED_REENACTMENT_ERRORS`), keyed by xid with the
-    #: error text.  Non-empty means :attr:`conflicts` may be missing
-    #: collisions against those transactions.
+    #: reconstructed (the storage read or the reenactment failed with
+    #: an expected error, see :data:`EXPECTED_REENACTMENT_ERRORS`),
+    #: keyed by xid with the error text.  Non-empty means
+    #: :attr:`conflicts` may be missing collisions against those
+    #: transactions.
     degraded_xids: Dict[int, str] = field(default_factory=dict)
 
     @property
@@ -114,8 +127,8 @@ class WhatIfResult:
             lines.append(f"conflict: {conflict.description}")
         for xid, error in sorted(self.degraded_xids.items()):
             lines.append(
-                f"degraded: conflict analysis could not reenact "
-                f"concurrent transaction {xid} ({error})")
+                f"degraded: conflict analysis could not reconstruct "
+                f"the writes of concurrent transaction {xid} ({error})")
         return "\n".join(lines)
 
 
@@ -129,16 +142,32 @@ class WhatIfScenario:
 
     def __init__(self, db: Database, xid: int, backend=None,
                  reenactor: Optional[Reenactor] = None):
-        self.db = db
-        self.xid = xid
-        self.reenactor = reenactor if reenactor is not None \
-            else Reenactor(db, backend=backend)
-        self.record = self.reenactor.transaction_record(xid)
-        self._statements = self.reenactor.parsed_statements(self.record)
-        self._modified = list(self._statements)
+        if reenactor is None:
+            reenactor = Reenactor(db, backend=backend)
+        record = reenactor.transaction_record(xid)
+        self._start(reenactor, record, reenactor.parsed_statements(record))
+
+    @classmethod
+    def parsed(cls, reenactor: Reenactor, record: TransactionRecord,
+               statements: List[ParsedStatement]) -> "WhatIfScenario":
+        """A scenario over a record whose statements are parsed already
+        — how a fleet and a debug panel start one without parsing the
+        record again.  ``statements`` is not modified."""
+        scenario = cls.__new__(cls)
+        scenario._start(reenactor, record, statements)
+        return scenario
+
+    def _start(self, reenactor: Reenactor, record: TransactionRecord,
+               statements: List[ParsedStatement]) -> None:
+        self.db = reenactor.db
+        self.xid = record.xid
+        self.reenactor = reenactor
+        self.record = record
+        self._statements = statements
+        self._modified = list(statements)
         self._overrides: Dict[str, Relation] = {}
-        #: xid -> error text for concurrent transactions the most
-        #: recent :meth:`conflict_analysis` could not reenact.
+        #: xid -> error text for concurrent transactions whose writes
+        #: the most recent conflict analysis could not reconstruct.
         self.last_degraded: Dict[int, str] = {}
 
     # -- scenario editing --------------------------------------------------
@@ -206,7 +235,12 @@ class WhatIfScenario:
         computed earlier *under the same options*;
         ``other_writes_cache`` memoizes concurrent transactions' write
         sets for conflict analysis.  Both are the fleet's levers and
-        default to the standalone behavior."""
+        default to the standalone behavior.
+
+        Conflict analysis takes the modified transaction's write set
+        from ``modified`` when it covers the whole transaction (a split
+        compile of every table and statement); other option sets
+        reenact it once more for it."""
         options = options or ReenactmentOptions()
         if original is None:
             original = self.reenactor.reenact_record(
@@ -215,13 +249,15 @@ class WhatIfScenario:
         modified = self.reenactor.reenact_record(
             self.record, options, statements=self._modified,
             overrides=self._overrides or None, session=session)
-        diffs = self.diff_results(original, modified)
-        result = WhatIfResult(original=original, modified=modified,
-                              diffs=diffs)
-        result.conflicts = self.conflict_analysis(
-            session=session, other_writes_cache=other_writes_cache)
-        result.degraded_xids = dict(self.last_degraded)
-        return result
+        written = modified.written_rowids \
+            if options.upto is None and options.table is None else None
+        if written is None:
+            written = self._written_rowids(session)
+        conflicts = self._conflicts(written, session, other_writes_cache)
+        return WhatIfResult(original=original, modified=modified,
+                            diffs=self.diff_results(original, modified),
+                            conflicts=conflicts,
+                            degraded_xids=dict(self.last_degraded))
 
     @staticmethod
     def diff_results(original: ReenactmentResult,
@@ -248,7 +284,8 @@ class WhatIfScenario:
 
     def conflict_analysis(self, session=None,
                           other_writes_cache: Optional[
-                              Dict[int, Dict[str, set]]] = None
+                              Dict[int, Tuple[Dict[str, set],
+                                              Optional[str]]]] = None
                           ) -> List[ConflictFinding]:
         """Would the modified transaction's writes collide with a
         concurrent transaction?  Under first-updater-wins, two
@@ -256,12 +293,21 @@ class WhatIfScenario:
         row cannot both commit — the later writer aborts (the promotion
         trick relies on this, §2).
 
-        Concurrent transactions that cannot be reenacted (expected
-        reenactment failures only) contribute no writes; their xids and
-        errors are recorded in :attr:`last_degraded` and surfaced as
-        :attr:`WhatIfResult.degraded_xids` by :meth:`run`."""
+        Standalone, this reenacts the modified transaction for its
+        write set; :meth:`run` takes it from the reenactment it ran
+        anyway.  Concurrent transactions whose writes cannot be
+        reconstructed (expected failures only) contribute none; their
+        xids and errors are recorded in :attr:`last_degraded` and
+        surfaced as :attr:`WhatIfResult.degraded_xids` by :meth:`run`.
+        ``other_writes_cache`` memoizes the ``(writes, error)`` pair of
+        each concurrent transaction."""
+        return self._conflicts(self._written_rowids(session), session,
+                               other_writes_cache)
+
+    def _conflicts(self, written: Dict[str, set], session,
+                   cache: Optional[Dict[int, Tuple]]
+                   ) -> List[ConflictFinding]:
         self.last_degraded = {}
-        written = self._written_rowids(session=session)
         if not written:
             return []
         my_begin = self.record.begin_ts
@@ -275,7 +321,7 @@ class WhatIfScenario:
             if other.begin_ts > my_end or other_end < my_begin:
                 continue  # not concurrent
             other_written, error = self._rowids_written_by(
-                other.xid, session=session, cache=other_writes_cache)
+                other, session=session, cache=cache)
             if error is not None:
                 self.last_degraded[other.xid] = error
             for table, rowids in written.items():
@@ -293,46 +339,43 @@ class WhatIfScenario:
         return findings
 
     def _written_rowids(self, session=None) -> Dict[str, set]:
-        options = ReenactmentOptions(annotations=True,
-                                     include_deleted=True,
-                                     only_affected=True)
         result = self.reenactor.reenact_record(
-            self.record, options, statements=self._modified,
+            self.record, _WRITES, statements=self._modified,
             overrides=self._overrides or None, session=session)
-        return _physical_writes(result)
+        return physical_writes(result.tables)
 
-    def _rowids_written_by(self, xid: int, session=None,
+    def _rowids_written_by(self, other: TransactionRecord, session=None,
                            cache: Optional[Dict[int, Tuple]] = None
                            ) -> Tuple[Dict[str, set], Optional[str]]:
-        """Rows a transaction wrote, from the audit log via
-        reenactment (aborted transactions have no committed effects but
-        their *attempted* writes still conflict; we approximate with
-        their reenacted writes).  Returns ``(writes, error)`` — on an
-        expected reenactment failure the writes are ``{}`` and
-        ``error`` names it.  Scenario edits never change what *other*
-        transactions wrote, so a fleet shares one ``cache``."""
-        if cache is not None and xid in cache:
-            return cache[xid]
-        out = self._compute_rowids_written_by(xid, session)
-        if cache is not None:
-            cache[xid] = out
-        return out
+        """Rows a concurrent transaction wrote, as ``(writes, error)``.
 
-    def _compute_rowids_written_by(
-            self, xid: int, session=None
-    ) -> Tuple[Dict[str, set], Optional[str]]:
-        record = self.db.audit_log.transaction_record(xid)
-        if not record.statements:
-            return {}, None
-        options = ReenactmentOptions(annotations=True,
-                                     include_deleted=True,
-                                     only_affected=True)
+        A committed transaction's writes are in storage: they are read
+        off the commit log at its commit time
+        (:meth:`Database.rows_written_by`), which by the paper's
+        contract is exactly what reenacting it would report.  An
+        aborted (or still active) transaction's attempted writes never
+        reached storage but still conflict, so only those are
+        reenacted.  On an expected failure of either — a commit the
+        log cannot answer for raises :class:`TimeTravelError` — the
+        writes are ``{}`` and ``error`` names it, never a silent
+        "wrote nothing".  Scenario edits never change what *other*
+        transactions wrote, so a fleet shares one ``cache``."""
+        if cache is not None and other.xid in cache:
+            return cache[other.xid]
         try:
-            result = self.reenactor.reenact(xid, options,
-                                            session=session)
+            if other.committed:
+                writes = self.db.rows_written_by(other.xid, other.commit_ts)
+            elif other.statements:
+                writes = physical_writes(self.reenactor.reenact(
+                    other.xid, _WRITES, session=session).tables)
+            else:
+                writes = {}
+            out = writes, None
         except EXPECTED_REENACTMENT_ERRORS as exc:
-            return {}, f"{type(exc).__name__}: {exc}"
-        return _physical_writes(result), None
+            out = {}, f"{type(exc).__name__}: {exc}"
+        if cache is not None:
+            cache[other.xid] = out
+        return out
 
     # -- helpers ----------------------------------------------------------------------
 
@@ -369,10 +412,11 @@ class WhatIfFleet:
     The naive loop pays full price per probe: each ``scenario.run()``
     reenacts the unmodified original again and (on SQLite) re-opens a
     connection and re-materializes every AS-OF snapshot.  The fleet
-    compiles and reenacts the original exactly once, memoizes concurrent
-    transactions' write sets for conflict analysis, and runs every
-    variant against one session — so each ``(table, ts)`` snapshot is
-    materialized exactly once no matter how many scenarios scan it.
+    parses the record once for all its scenarios, compiles and reenacts
+    the original exactly once, memoizes concurrent transactions' write
+    sets for conflict analysis, and runs every variant against one
+    session — so each ``(table, ts)`` snapshot is materialized exactly
+    once no matter how many scenarios scan it.
     Every reenactment primes the session with its compiled snapshot
     set in ``(table, ts)`` order, so on a delta-capable backend the
     snapshots a variant adds (e.g. statement-time states of a
@@ -395,6 +439,7 @@ class WhatIfFleet:
         self.backend = resolve_backend(backend)
         self.reenactor = Reenactor(db, backend=self.backend)
         self.record = self.reenactor.transaction_record(xid)
+        self.statements = self.reenactor.parsed_statements(self.record)
         self._scenarios: List[Tuple[str, WhatIfScenario]] = []
         #: session statistics of the most recent :meth:`run` — the
         #: observable proof of snapshot reuse (tests assert on it).
@@ -409,8 +454,8 @@ class WhatIfFleet:
     def scenario(self, name: Optional[str] = None) -> WhatIfScenario:
         """A fresh scenario sharing this fleet's reenactor (audit-log
         record and parsed statements are reused, not re-parsed)."""
-        scenario = WhatIfScenario(self.db, self.xid,
-                                  reenactor=self.reenactor)
+        scenario = WhatIfScenario.parsed(self.reenactor, self.record,
+                                         self.statements)
         self.add(scenario, name=name)
         return scenario
 
@@ -446,7 +491,11 @@ class WhatIfFleet:
         compiled once and executed once on the shared session; each
         scenario then compiles only its *modified* statement list and
         executes on the same session, where every snapshot the original
-        already materialized is a cache hit.
+        already materialized is a cache hit.  Conflict analysis reads
+        each variant's write set off its reenactment and committed
+        concurrent transactions' off storage, so a fleet of N variants
+        is N + 1 reenactments (plus one per aborted concurrent
+        transaction, shared by all variants).
 
         ``session`` runs the whole fleet on a caller-held
         :class:`~repro.backends.base.BackendSession` (left open)."""
@@ -462,7 +511,8 @@ class WhatIfFleet:
                 options: ReenactmentOptions) -> Dict[str, WhatIfResult]:
         results: Dict[str, WhatIfResult] = {}
         other_writes: Dict[int, Tuple] = {}
-        compiled = self.reenactor.compile(self.record, options)
+        compiled = self.reenactor.compile(self.record, options,
+                                          statements=self.statements)
         original = self.reenactor.execute(compiled, session=session)
         self.last_degraded = {}
         for name, scenario in self._scenarios:
@@ -472,19 +522,6 @@ class WhatIfFleet:
             self.last_degraded.update(results[name].degraded_xids)
         self.last_stats = session.stats
         return results
-
-
-def _physical_writes(result: ReenactmentResult) -> Dict[str, set]:
-    """Physical rowids a reenacted transaction wrote, per table
-    (synthetic negative insert ids are conflict-free and excluded)."""
-    out: Dict[str, Set[int]] = {}
-    for table, relation in result.tables.items():
-        rowid_idx = relation.column_index(ROWID)
-        ids = {row[rowid_idx] for row in relation.rows
-               if row[rowid_idx] > 0}
-        if ids:
-            out[table] = ids
-    return out
 
 
 def _counter(counts):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.algebra.evaluator import EvalContext, Relation
 from repro.db.auditlog import AuditLog
@@ -228,6 +228,23 @@ class Database:
         call."""
         return [_delta_triples(hop) for hop in
                 self._history_table(name).scan_delta_chain(timestamps)]
+
+    def rows_written_by(self, xid: int, commit_ts: int
+                        ) -> Dict[str, Set[int]]:
+        """Per table, the rows committed transaction ``xid`` wrote, read
+        off the commit log at its ``commit_ts``
+        (:meth:`VersionedTable.rows_published_by`): the stored rows it
+        updated or deleted — what reenacting it reports as its
+        physical writes — without reenacting it.  Raises
+        :class:`TimeTravelError` when history is off or the log cannot
+        answer for ``commit_ts``."""
+        out = {}
+        for name in self.tables:
+            rowids = self._history_table(name).rows_published_by(
+                xid, commit_ts)
+            if rowids:
+                out[name] = rowids
+        return out
 
     def table_delta_estimate(self, name: str, ts_from: int,
                              ts_to: int) -> int:

@@ -24,13 +24,13 @@ backends is built on exactly this.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.db.schema import TableSchema
 from repro.db.tuples import Version, VersionChain
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TimeTravelError
 
 
 #: A scan row: (rowid, values, xid of the creating transaction).
@@ -220,6 +220,42 @@ class VersionedTable:
         """The one-hop :meth:`scan_delta_chain`."""
         return self.scan_delta_chain([ts_from, ts_to])[0]
 
+    def rows_published_by(self, xid: int, commit_ts: int) -> Set[int]:
+        """Rows committed transaction ``xid`` wrote in this table: those
+        it published a version of at ``commit_ts`` (an update or a
+        tombstone) that existed before it.  Rows it inserted are left
+        out, as reenactment's synthetic ids are.  Two bisections of the
+        commit log plus one chain per row committed at ``commit_ts``.
+
+        Raises :class:`TimeTravelError` when a publish at or after
+        ``commit_ts`` left no log entry (history off), or when a row
+        logged at ``commit_ts`` no longer holds the versions it had
+        then (its history was pruned after logging): the log cannot
+        answer then, and an empty set would read as "wrote nothing"."""
+        if commit_ts <= self._unlogged_ts:
+            raise TimeTravelError(
+                f"commit {commit_ts} of transaction {xid} predates the "
+                f"commit log of table {self.schema.name!r} (history was "
+                f"not kept through {self._unlogged_ts})")
+        log = self._commit_ts_log
+        lo = bisect_left(log, commit_ts)
+        hi = bisect_right(log, commit_ts, lo)
+        out: Set[int] = set()
+        for rowid in self._commit_rowid_log[lo:hi]:
+            chain = self.rows.get(rowid)
+            oldest = chain.versions[0].begin_ts if chain else None
+            if oldest is None or oldest > commit_ts:
+                raise TimeTravelError(
+                    f"row {rowid} of table {self.schema.name!r} lost the "
+                    f"versions logged at commit {commit_ts} of "
+                    f"transaction {xid} (history pruned after logging)")
+            versions = chain.versions
+            if oldest < commit_ts and any(
+                    v.begin_ts == commit_ts and v.xid == xid
+                    for v in reversed(versions)):
+                out.add(rowid)
+        return out
+
     # -- writes (mechanism only; callers do conflict checks) -------------
 
     def insert_row(self, xid: int, values: tuple, stmt_ts: int) -> int:
@@ -320,7 +356,8 @@ class VersionedTable:
 
     def checkpoint_state(self) -> Dict:
         """Everything durable about this table: committed version
-        chains, the commit log and the rowid counter.  Pending
+        chains, the commit log, the rowid counter and — only once a
+        publish left no log entry — ``_unlogged_ts``.  Pending
         (uncommitted) versions are excluded — an in-flight transaction
         re-applies them through its own WAL commit record on replay."""
         chains = []
@@ -331,12 +368,15 @@ class VersionedTable:
                         if v.committed]
             if versions:
                 chains.append((rowid, versions))
-        return {
+        state = {
             "next_rowid": self._next_rowid,
             "chains": chains,
             "commit_ts_log": list(self._commit_ts_log),
             "commit_rowid_log": list(self._commit_rowid_log),
         }
+        if self._unlogged_ts:
+            state["unlogged_ts"] = self._unlogged_ts
+        return state
 
     def restore_checkpoint_state(self, state: Dict) -> None:
         """Load :meth:`checkpoint_state` output into this (empty)
@@ -353,6 +393,7 @@ class VersionedTable:
                 _put(self._live, rowid, chain.versions[-1])
         self._commit_ts_log = list(state["commit_ts_log"])
         self._commit_rowid_log = list(state["commit_rowid_log"])
+        self._unlogged_ts = state.get("unlogged_ts", 0)
 
     # -- introspection -----------------------------------------------------
 

@@ -222,9 +222,11 @@ class TransactionInspector:
     # -- what-if entry points (Fig. 4: editing SQL or table contents) ----------------
 
     def whatif(self) -> WhatIfScenario:
-        """Start a what-if scenario from this transaction."""
-        return WhatIfScenario(self.db, self.xid,
-                              reenactor=self.reenactor)
+        """Start a what-if scenario from this transaction, on the
+        panel's backend and statements (the record is not parsed
+        again)."""
+        return WhatIfScenario.parsed(self.reenactor, self.record,
+                                     self.statements)
 
     # -- internals ---------------------------------------------------------------------
 

@@ -6,7 +6,11 @@ path): seeded random concurrent histories from the workload generator
 are reenacted on the in-memory interpreter *and* on every registered
 SQL engine (``conftest.SQL_ENGINES``), and the results must be
 multiset-identical — including annotation columns and tombstones — and
-what-if scenarios must produce identical ``TableDiff``s.
+what-if scenarios must produce identical ``TableDiff``s, with diffs,
+conflicts and degraded transactions equal to the reenact-every-write-set
+reference (``tests/whatif_reference.py``).  Every committed
+transaction's write set read off the commit log must equal its
+reenacted one.
 
 Comparison is type-strict (see ``conftest.typed_rows``): ``True == 1``
 in Python, so a sloppy comparison would hide boolean-coercion bugs.
@@ -67,6 +71,8 @@ from conftest import (SQL_ENGINES, assert_relations_match,
                       build_history, committed_xids)
 from planner_policy import (FORCE_DELTA, FORCE_WINDOW, NO_DELTA,
                             NO_WINDOW, policy_backend)
+from whatif_reference import reenacted_writes, reference_run
+from whatif_reference import signature as whatif_signature
 
 SMOKE_SEEDS = list(range(3))
 FULL_SEEDS = list(range(25))
@@ -406,18 +412,22 @@ def check_crash_recover_differential(seed, isolation, tmp_path):
 
 def check_whatif_differential(db, seed, isolation, engine="sqlite"):
     """The same modification applied on both backends must yield
-    identical diffs.  Picks the first committed multi-statement
-    transaction and drops its first statement; falls back to appending
-    an update when every transaction is single-statement."""
-    target = None
-    for xid in committed_xids(db):
-        record = db.audit_log.transaction_record(xid)
-        if len(record.statements) >= 2:
-            target = xid
-            break
-    if target is None:
-        target = committed_xids(db)[0]
-    diffs = {}
+    identical diffs, and on each backend the diffs, conflicts and
+    degraded transactions of ``run()`` — write sets read off the
+    modified result and the commit log — must equal the reference that
+    reenacts every write set (``tests/whatif_reference.py``).  Picks
+    the first committed multi-statement transaction and drops its
+    first statement; falls back to appending an update when every
+    transaction is single-statement.  A second scenario appends a
+    write of every row — to the target on ``engine``, to every
+    committed transaction on the interpreter — so that conflicts with
+    concurrent transactions, aborted ones included, are found and
+    compared too."""
+    xids = committed_xids(db)
+    target = next((xid for xid in xids
+                   if len(db.audit_log.transaction_record(xid).statements)
+                   >= 2), xids[0])
+    signatures = {}
     for backend in ("memory", engine):
         scenario = WhatIfScenario(db, target, backend=backend)
         if len(scenario.statements) >= 2:
@@ -426,13 +436,38 @@ def check_whatif_differential(db, seed, isolation, engine="sqlite"):
             scenario.insert_statement(
                 len(scenario.statements),
                 "UPDATE bench_account SET bal = bal + 17 WHERE id <= 3")
-        result = scenario.run()
-        diffs[backend] = {
-            table: (sorted(diff.added), sorted(diff.removed))
-            for table, diff in result.diffs.items()}
-    assert diffs["memory"] == diffs[engine], \
+        signatures[backend] = whatif_signature(scenario.run())
+        context = f"seed={seed} isolation={isolation} backend={backend}"
+        assert signatures[backend] == reference_run(scenario), context
+        sweep = xids if backend == "memory" else [target]
+        with resolve_backend(backend).open_session() as session:
+            for xid in sweep:
+                scenario = WhatIfScenario(db, xid, backend=backend)
+                scenario.insert_statement(
+                    len(scenario.statements),
+                    "UPDATE bench_account SET bal = bal")
+                assert whatif_signature(scenario.run(session=session)) \
+                    == reference_run(scenario, session=session), \
+                    f"{context} xid={xid}"
+    assert signatures["memory"] == signatures[engine], \
         f"what-if diff mismatch seed={seed} isolation={isolation} " \
         f"engine={engine}"
+
+
+def check_storage_write_sets(seed, isolation):
+    """A committed transaction's write set read off the commit log
+    (``Database.rows_written_by``) equals the one reenacting it
+    reports, for every committed transaction of the history; returns
+    how many were compared."""
+    db = build_history(seed, isolation)
+    reenactor = Reenactor(db)
+    xids = committed_xids(db)
+    for xid in xids:
+        commit_ts = db.audit_log.transaction_record(xid).commit_ts
+        assert db.rows_written_by(xid, commit_ts) \
+            == reenacted_writes(reenactor, xid), \
+            f"seed={seed} isolation={isolation} xid={xid}"
+    return len(xids)
 
 
 def check_split_against_full_plan(seed, isolation):
@@ -694,11 +729,14 @@ def test_optimizer_on_off_metamorphic(seed, isolation):
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
 @pytest.mark.parametrize("seed", SMOKE_SEEDS)
 def test_differential_smoke(seed, isolation, mode, engine):
-    """Quick slice: a few seeds, full checks, every mode."""
+    """Quick slice: a few seeds, full checks, every mode.  The what-if
+    check does not depend on the mode (every mode builds the same
+    history), so it runs once per history, with ``oneshot``."""
     db, checked = check_history_differential(seed, isolation, mode,
                                              engine)
     assert checked > 0
-    check_whatif_differential(db, seed, isolation, engine)
+    if mode == "oneshot":
+        check_whatif_differential(db, seed, isolation, engine)
 
 
 @pytest.mark.parametrize("engine", SQL_ENGINES)
@@ -714,7 +752,14 @@ def test_differential_full(seed, isolation, mode, engine):
     db, checked = check_history_differential(seed, isolation, mode,
                                              engine)
     assert checked > 0
-    check_whatif_differential(db, seed, isolation, engine)
+    if mode == "oneshot":
+        check_whatif_differential(db, seed, isolation, engine)
+
+
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+@pytest.mark.parametrize("seed", FULL_SEEDS)
+def test_storage_write_sets_equal_reenacted(seed, isolation):
+    assert check_storage_write_sets(seed, isolation) > 0
 
 
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)

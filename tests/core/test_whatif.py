@@ -163,36 +163,65 @@ class TestPromotion:
         assert "unchanged" in text
 
 
+@pytest.fixture
+def aborted_rival():
+    """T1 commits; a concurrent rival wrote row k = 2 and rolled back.
+    Its attempted write is in no storage — only reenactment knows it."""
+    db = Database()
+    db.execute("CREATE TABLE t (k INT, v INT)")
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+    t1 = db.connect()
+    t1.begin()
+    t1.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+    rival = db.connect()
+    rival.begin()
+    rival.execute("UPDATE t SET v = 0 WHERE k = 2")
+    rival_xid = rival.txn.xid
+    rival.rollback()
+    xid = t1.txn.xid
+    t1.commit()
+    scenario = WhatIfScenario(db, xid)
+    scenario.insert_statement(0, "UPDATE t SET v = v WHERE k = 2")
+    return scenario, rival_xid
+
+
 class TestDegradedConflictAnalysis:
     """Conflict analysis must not silently report "no conflict" when a
-    concurrent transaction cannot be reenacted: expected reenactment
+    concurrent transaction's writes cannot be reconstructed: expected
     failures degrade *visibly*, anything else is an engine bug and
-    propagates."""
+    propagates.  An aborted transaction is reenacted; a committed one
+    is read off the commit log."""
 
-    def test_expected_failure_degrades_visibly(self, skewed):
-        db, t1, t2 = skewed
-        scenario = WhatIfScenario(db, t1)
+    def test_aborted_rival_is_reenacted(self, aborted_rival):
+        scenario, rival = aborted_rival
+        result = scenario.run()
+        assert not result.degraded
+        assert [(c.table, c.other_xid) for c in result.conflicts] \
+            == [("t", rival)]
+
+    def test_expected_failure_degrades_visibly(self, aborted_rival):
+        scenario, rival = aborted_rival
         real_reenact = scenario.reenactor.reenact
 
         def flaky(xid, options, session=None):
-            if xid == t2:
+            if xid == rival:
                 raise ReenactmentError("synthetic reenactment failure")
             return real_reenact(xid, options, session=session)
 
         scenario.reenactor.reenact = flaky
         result = scenario.run()
         assert result.degraded
-        assert t2 in result.degraded_xids
-        assert "ReenactmentError" in result.degraded_xids[t2]
+        assert rival in result.degraded_xids
+        assert "ReenactmentError" in result.degraded_xids[rival]
         assert any("degraded" in line
                    for line in result.summary().splitlines())
-        # t2's writes could not be reconstructed, so no conflict may
-        # name it — absence of evidence, flagged, not evidence of absence
-        assert all(c.other_xid != t2 for c in result.conflicts)
+        # the rival's writes could not be reconstructed, so no conflict
+        # may name it — absence of evidence, flagged, not evidence of
+        # absence
+        assert all(c.other_xid != rival for c in result.conflicts)
 
-    def test_unexpected_failure_propagates(self, skewed):
-        db, t1, t2 = skewed
-        scenario = WhatIfScenario(db, t1)
+    def test_unexpected_failure_propagates(self, aborted_rival):
+        scenario, _ = aborted_rival
 
         def broken(xid, options, session=None):
             raise RuntimeError("engine bug")
@@ -200,6 +229,46 @@ class TestDegradedConflictAnalysis:
         scenario.reenactor.reenact = broken
         with pytest.raises(RuntimeError, match="engine bug"):
             scenario.run()
+
+    def test_committed_rivals_are_never_reenacted(self, skewed):
+        db, t1, t2 = skewed
+        scenario = WhatIfScenario(db, t1)
+        scenario.insert_statement(
+            0, "UPDATE account SET bal = bal WHERE cust = 'Alice'")
+
+        def broken(xid, options, session=None):
+            raise RuntimeError("a committed write set was reenacted")
+
+        scenario.reenactor.reenact = broken
+        result = scenario.run()
+        assert any(c.other_xid == t2 for c in result.conflicts)
+        assert not result.degraded
+
+    def test_unanswerable_commit_degrades_visibly(self):
+        """A committed rival published without history: the commit log
+        cannot say what it wrote, and the storage read's
+        ``TimeTravelError`` is reported, never read as "no conflict"."""
+        db = Database()
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        t1 = db.connect()
+        t1.begin()
+        t1.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+        rival = db.connect()
+        rival.begin()
+        rival.execute("UPDATE t SET v = 0 WHERE k = 2")
+        rival_xid = rival.txn.xid
+        db.config.timetravel_enabled = False
+        rival.commit()
+        db.config.timetravel_enabled = True
+        xid = t1.txn.xid
+        t1.commit()
+        scenario = WhatIfScenario(db, xid)
+        scenario.insert_statement(0, "UPDATE t SET v = v WHERE k = 2")
+        result = scenario.run()
+        assert "TimeTravelError" in result.degraded_xids[rival_xid]
+        assert all(c.other_xid != rival_xid for c in result.conflicts)
+        assert "degraded" in result.summary()
 
     def test_clean_run_is_not_degraded(self, skewed):
         db, t1, _ = skewed

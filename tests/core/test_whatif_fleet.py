@@ -146,6 +146,36 @@ def test_fleet_surfaces_conflict_finding(probe_db):
     assert results["variant-0"].conflicts == []
 
 
+def test_a_fleet_is_one_compile_per_variant_plus_the_original(
+        probe_db, monkeypatch):
+    """A 3-variant fleet with a committed concurrent writer and no
+    aborted one parses the record once and compiles four times: the
+    original and each variant.  No write set is reenacted — the
+    variants' come with their reenactments, the writer's from the
+    commit log — and the collision is still found."""
+    from repro.core.reenactor import Reenactor
+    db, xid, other_xid = probe_db
+    calls = {"compile_all": 0, "parsed_statements": 0}
+    for name in calls:
+        real = getattr(Reenactor, name)
+
+        def counting(self, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Reenactor, name, counting)
+    fleet = WhatIfFleet(db, xid, backend="sqlite")
+    fleet.scenario("collide").insert_statement(
+        0, "UPDATE t SET v = 0 WHERE k = 5")
+    fleet.scenario("drop").delete_statement(1)
+    fleet.scenario("edit").edit_table("t", [(1, 11), (5, 55)])
+    results = fleet.run()
+    assert calls == {"compile_all": 4, "parsed_statements": 1}
+    assert [(c.rowid, c.other_xid)
+            for c in results["collide"].conflicts] == [(5, other_xid)]
+    assert fleet.last_degraded == {}
+
+
 # -- fleet construction ---------------------------------------------------
 
 def test_empty_fleet_refuses_to_run(probe_db):

@@ -178,3 +178,79 @@ def test_cardinality_upper_bounds_snapshots(db):
     ts = db.clock.now()
     assert db.table_cardinality("t") >= \
         len(db.table_snapshot("t", ts))
+
+
+# -- write sets off the commit log ------------------------------------------
+
+def commit_ts(db, xid):
+    return db.audit_log.transaction_record(xid).commit_ts
+
+
+def test_rows_written_by_reads_the_commit_log(db):
+    """Updated and deleted stored rows are the transaction's write set;
+    rows it inserted — even ones it then updated or deleted — are not
+    (reenactment gives those synthetic ids)."""
+    xid = run_txn(db, ["UPDATE t SET v = v WHERE k = 1",
+                       "DELETE FROM t WHERE k = 3",
+                       "INSERT INTO t VALUES (4, 40), (5, 50)",
+                       "UPDATE t SET v = 0 WHERE k = 4",
+                       "DELETE FROM t WHERE k = 5"])
+    later = run_txn(db, ["UPDATE t SET v = 1 WHERE k = 2"])
+    assert db.rows_written_by(xid, commit_ts(db, xid)) == {"t": {1, 3}}
+    assert db.rows_written_by(later, commit_ts(db, later)) == {"t": {2}}
+
+
+def test_insert_only_and_aborted_writes_are_not_in_storage(db):
+    inserter = run_txn(db, ["INSERT INTO t VALUES (4, 40)"])
+    assert db.rows_written_by(inserter, commit_ts(db, inserter)) == {}
+    run_txn(db, ["UPDATE t SET v = 0"], commit=False)
+    # the abort left no commit-log entry for any later read to find
+    assert db.table("t").rows_published_by(inserter,
+                                           commit_ts(db, inserter)) == set()
+
+
+def test_rows_written_by_refuses_what_the_log_cannot_answer(db):
+    """A commit published without history has no log entries: the
+    read raises rather than answering "wrote nothing"."""
+    db.config.timetravel_enabled = False
+    unlogged = run_txn(db, ["UPDATE t SET v = 0 WHERE k = 1"])
+    with pytest.raises(TimeTravelError):
+        db.rows_written_by(unlogged, commit_ts(db, unlogged))
+    db.config.timetravel_enabled = True
+    with pytest.raises(TimeTravelError, match="predates the commit log"):
+        db.rows_written_by(unlogged, commit_ts(db, unlogged))
+    logged = run_txn(db, ["UPDATE t SET v = 0 WHERE k = 2"])
+    assert db.rows_written_by(logged, commit_ts(db, logged)) == {"t": {2}}
+
+
+@pytest.mark.parametrize("older_checkpoint", [False, True],
+                         ids=["unlogged_ts_kept", "no_unlogged_ts_key"])
+def test_a_checkpoint_round_trip_with_history_off_still_refuses(
+        db, older_checkpoint):
+    """Two logged updates, then history off: a later update prunes row
+    1's chain and a delete reclaims row 2's.  A checkpoint carries
+    ``_unlogged_ts``, so the restored table refuses both logged write
+    sets as the live one does.  A checkpoint without it (as builds that
+    did not store it wrote one) is refused by the pruned and reclaimed
+    chains themselves — never read as "wrote nothing"."""
+    from repro.db.wal import capture_state, restore_state
+
+    updated = run_txn(db, ["UPDATE t SET v = 0 WHERE k = 1"])
+    deleted = run_txn(db, ["UPDATE t SET v = 0 WHERE k = 2"])
+    db.config.timetravel_enabled = False
+    run_txn(db, ["UPDATE t SET v = 1 WHERE k = 1",
+                 "DELETE FROM t WHERE k = 2"])
+    assert 2 not in db.table("t").rows  # reclaimed
+    state = capture_state(db)
+    (table_state,) = [t["state"] for t in state["tables"]]
+    assert table_state["unlogged_ts"] == db.table("t")._unlogged_ts
+    if older_checkpoint:
+        del table_state["unlogged_ts"]
+    restored = Database()
+    restore_state(restored, state)
+    restored.config.timetravel_enabled = True
+    match = ("history pruned after logging" if older_checkpoint
+             else "predates the commit log")
+    for xid in (updated, deleted):
+        with pytest.raises(TimeTravelError, match=match):
+            restored.rows_written_by(xid, commit_ts(restored, xid))

@@ -22,15 +22,17 @@ import time
 from conftest import bench_rounds, record_result, report
 
 from repro import Database, ReenactmentService
-from repro.backends import SQLiteBackend
 from repro.core.equivalence import check_transaction_equivalence
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.core.whatif import WhatIfFleet
+from repro.debugger.timeline import timeline_states
 from repro.workloads import populate_accounts
 
 TABLE_SIZES = [10000, 40000]
 N_JOBS = 16
 N_WORKERS = 4
+N_PAIRS = 3           #: interleaved naive/service runs per size; each
+                      #: side's best time is compared
 MIN_SPEEDUP_X = 2.0
 
 STRICT = ReenactmentOptions(annotations=True, include_deleted=True)
@@ -122,18 +124,7 @@ def run_job_naive(db, spec):
     elif kind == "equiv":
         check_transaction_equivalence(db, spec[1], backend="sqlite")
     elif kind == "timeline":
-        backend = SQLiteBackend()
-        from repro.service.jobs import TimelineScanJob
-
-        class _Client:
-            pass
-
-        client = _Client()
-        client.db = db
-        client.backend = backend
-        with backend.open_session() as session:
-            client.session = session
-            TimelineScanJob("bench_account", list(spec[1])).run(client)
+        timeline_states(db, "bench_account", list(spec[1]))
 
 
 def submit_job(service, spec):
@@ -191,8 +182,15 @@ def test_service_vs_naive_clients(benchmark, request):
         for n_rows in TABLE_SIZES:
             db, suspect, probes, probe_ts = make_history(n_rows)
             jobs = job_mix(suspect, probes, probe_ts)
-            naive_s = measure_naive(db, jobs)
-            service_s, stats = measure_service(db, jobs)
+            # interleave and keep each side's best run: the claim is
+            # about shared serving, not about scheduler noise
+            naive_s, (service_s, stats) = float("inf"), \
+                (float("inf"), None)
+            for _ in range(N_PAIRS):
+                naive_s = min(naive_s, measure_naive(db, jobs))
+                service_s, stats = min((service_s, stats),
+                                       measure_service(db, jobs),
+                                       key=lambda run: run[0])
             out[n_rows] = (naive_s, service_s, stats)
         return out
 
@@ -212,7 +210,7 @@ def test_service_vs_naive_clients(benchmark, request):
         record_result(
             "service_throughput", f"mixed_{n_rows}",
             n_rows=n_rows, jobs=N_JOBS, workers=N_WORKERS,
-            naive_ms=round(naive_s * 1000, 1),
+            pairs=N_PAIRS, naive_ms=round(naive_s * 1000, 1),
             service_ms=round(service_s * 1000, 1),
             speedup=round(speedup, 2),
             min_required_x=MIN_SPEEDUP_X,
@@ -222,7 +220,8 @@ def test_service_vs_naive_clients(benchmark, request):
             snapshots_rehydrated=sessions["snapshots_rehydrated"],
             store=stats.store)
     report(f"service throughput: {N_JOBS} concurrent mixed jobs, "
-           f"{N_WORKERS} workers vs per-client naive sessions", lines)
+           f"{N_WORKERS} workers vs per-client naive sessions "
+           f"(best of {N_PAIRS} runs each)", lines)
 
     largest = TABLE_SIZES[-1]
     naive_s, service_s, stats = out[largest]

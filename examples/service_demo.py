@@ -8,7 +8,7 @@ deduplication and the result cache have something to do.  At the end
 the service's stats snapshot shows where the answers came from —
 followed by the observability surfaces over the same burst: the
 Prometheus text exposition of the service's metrics registry, one
-rendered trace (the timeline scan's span tree), and the plan-explain
+rendered trace (a reenactment's span tree), and the plan-explain
 events saying why each snapshot decision was made.
 
 Run with::
@@ -64,23 +64,20 @@ def main() -> None:
               {ts: len(rel.rows) for ts, rel in sorted(states.items())})
 
         # -- the snapshot planner at work ----------------------------
-        # A timeline job walks one table through a run of committed
-        # states: the planner builds the first state once and *moves*
-        # it forward in place — delta-sized work per tick.  `warm`
-        # primes the same states and publishes each to the spill
-        # store, for every worker to rehydrate from.
+        # A timeline scan reads storage and touches no session.  `warm`
+        # primes a run of committed states on one worker — the first
+        # built from storage, each later one a delta hop from its
+        # predecessor — and publishes each to the spill store, for
+        # every worker to rehydrate from.
         ticks = [now - 2, now - 1, now]
         with ReenactmentService(db, backend="sqlite",
                                 workers=1) as probe:
-            probe.timeline_scan("account", ticks,
-                                mode="sparkline").result()
-            walked = probe.stats().sessions
             probe.warm("account", ticks).result()
+            walked = probe.stats().sessions
             stored = len(probe.store.inventory(db.history_id))
-        print(f"\ntimeline walk: full={walked['full_materializations']} "
-              f"clone+delta={walked['delta_materializations']} "
-              f"patched_in_place={walked['patched_in_place']}; "
-              f"warm() left {stored} state(s) in the store")
+        print(f"\nwarm: full={walked['full_materializations']} "
+              f"clone+delta={walked['delta_materializations']}; "
+              f"{stored} state(s) in the store")
 
         # the debug panel rides the same pipeline: its prefix columns
         # all read the begin-time snapshots, which materialize once
@@ -102,7 +99,7 @@ def main() -> None:
 
         stats = service.stats()
         exposition = service.prometheus()
-        timeline_explain = timeline.explain()
+        reenact_explain = handles[0].explain()
     disable_tracing()
 
     print("\nservice stats:")
@@ -121,13 +118,13 @@ def main() -> None:
                 or "reenact_job_duration_seconds_count" in line:
             print("  " + line)
 
-    print("\ntrace of the timeline scan (span tree from the ring "
+    print("\ntrace of T1's reenactment (span tree from the ring "
           "sink):")
-    print(render_trace(sink.spans(), trace_id=timeline.trace_id))
+    print(render_trace(sink.spans(), trace_id=handles[0].trace_id))
 
-    print("\nwhy the timeline scan did what it did "
+    print("\nwhy its snapshots were materialized the way they were "
           "(JobHandle.explain()):")
-    print(render_explain(timeline_explain))
+    print(render_explain(reenact_explain))
 
 
 if __name__ == "__main__":

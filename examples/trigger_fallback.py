@@ -3,8 +3,7 @@
 §3 footnote 3: "For systems that do not support these features, it is
 possible to use triggers to implement them."  This script runs on a
 database with both features *disabled*, installs the trigger-based
-fallback, and shows that the debugger's core operations still work —
-plus the suspicious-execution scanner on a small anomaly history.
+fallback, and shows that the debugger's core operations still work.
 
 Run:  python examples/trigger_fallback.py
 """
@@ -12,13 +11,11 @@ Run:  python examples/trigger_fallback.py
 from repro import Database, DatabaseConfig
 from repro.core import Reenactor, TriggerHistory
 from repro.core.reenactor import ReenactmentOptions
-from repro.debugger import find_suspicious
-from repro.workloads import write_skew
 
 
 def main() -> None:
     print("=" * 70)
-    print("1. database with NO native audit log / time travel")
+    print("database with NO native audit log / time travel")
     print("=" * 70)
     db = Database(DatabaseConfig(audit_enabled=False,
                                  timetravel_enabled=False))
@@ -54,17 +51,6 @@ def main() -> None:
         xid, ReenactmentOptions(upto=1, table="account"))
     print("after statement 0 only (prefix reenactment):")
     print(prefix.tables["account"].pretty())
-
-    print()
-    print("=" * 70)
-    print("2. suspicious-execution scanner on the write-skew history")
-    print("=" * 70)
-    db2 = Database()
-    write_skew(db2)
-    for suspicion in find_suspicious(db2):
-        print(f"[{suspicion.kind}] T{suspicion.xids} "
-              f"on {suspicion.tables}")
-        print(f"    {suspicion.description}")
 
 
 if __name__ == "__main__":

@@ -73,19 +73,14 @@ class DialectConfig:
     #: reenactment CASE stacks exponentially at prepare time without
     #: the barrier.
     cte_materialization: str = ""
-    #: the engine has ROW_NUMBER()/SUM() OVER window machinery: the
-    #: synthetic row-id annotation and the window-compiled timeline
-    #: hooks are expressible.
+    #: the engine has ROW_NUMBER() OVER window machinery: the
+    #: synthetic row-id annotation is expressible.
     window_functions: bool = False
     #: snapshot-planner cutover (:mod:`repro.backends.planner`): a
     #: cached neighbor is patched — moved or cloned — when the
     #: estimated delta is at most this fraction of the table's
     #: cardinality; above it a store read or storage scan wins.
     delta_max_ratio: float = 0.5
-    #: snapshot-planner cutover: a sparkline scan over at least this
-    #: many distinct ticks takes the single window pass; below it the
-    #: event-table setup costs more than the per-probe moves it saves.
-    window_min_ticks: int = 4
 
     def __post_init__(self):
         if self.quote_style not in ("none", "double"):
@@ -142,9 +137,9 @@ class Dialect:
     barriers) is read from the config; subclasses
     override only behavior that is not expressible as a knob (backends
     map time-traveled scans onto materialized snapshot tables).  The
-    window hooks render shared ANSI window SQL, gated on the config's
-    ``window_functions`` capability — no engine-specific rendering
-    lives here.
+    synthetic row-id hook renders shared ANSI window SQL, gated on the
+    config's ``window_functions`` capability — no engine-specific
+    rendering lives here.
     """
 
     name = "native"
@@ -221,49 +216,6 @@ class Dialect:
         out[node.name] = flat
         return (f"SELECT {columns}, -({offset} + ROW_NUMBER() OVER ()) "
                 f"AS {flat} FROM {gen.derived(sql)} AS {alias}", out)
-
-    # -- window-compiled timeline scans ------------------------------
-    #
-    # A sparkline scan asks for one table's cardinality at N committed
-    # timestamps.  Dialects with window functions answer all N from a
-    # single running-sum pass over the commit-log delta chain's +1/-1
-    # *events*, instead of N per-probe snapshot executions.  The
-    # rendering is shared ANSI window SQL; dialects without the
-    # capability raise and callers fall back to the per-probe
-    # pipeline (which full-state scans always walk).
-
-    def gen_window_counts(self, events: str, ticks: str) -> str:
-        """Render sparkline cardinalities as one running aggregate.
-
-        ``events`` is a table ``(__wts__, __delta__)`` of +1/-1
-        cardinality changes relative to the base state.  The query
-        returns one row ``(__qts__, net)`` per tick in ``ticks``,
-        where ``net`` is the running ``SUM(__delta__)`` over all
-        events at or before that tick (0 when none apply): nets per
-        write timestamp, one running ``SUM() OVER (ORDER BY ts)``,
-        then each tick reads the latest running total at or before it.
-        """
-        if not self.config.window_functions:
-            raise ReenactmentError(
-                "sparkline window scan needs SUM() OVER (ORDER BY ...) "
-                f"running aggregates the {self.name!r} dialect does "
-                "not have — walk the per-probe snapshot pipeline "
-                "instead")
-        q = self.quote
-        return (
-            f"WITH {q('__net__')} AS ("
-            f"SELECT {q('__wts__')} AS {q('__wts__')}, "
-            f"SUM({q('__delta__')}) AS {q('__d__')} "
-            f"FROM {q(events)} GROUP BY {q('__wts__')}), "
-            f"{q('__run__')} AS ("
-            f"SELECT {q('__wts__')} AS {q('__wts__')}, "
-            f"SUM({q('__d__')}) OVER (ORDER BY {q('__wts__')}) "
-            f"AS {q('__n__')} FROM {q('__net__')}) "
-            f"SELECT t.{q('__qts__')}, COALESCE(("
-            f"SELECT r.{q('__n__')} FROM {q('__run__')} AS r "
-            f"WHERE r.{q('__wts__')} <= t.{q('__qts__')} "
-            f"ORDER BY r.{q('__wts__')} DESC LIMIT 1), 0) "
-            f"FROM {q(ticks)} AS t ORDER BY t.{q('__qts__')}")
 
 
 class _Generator:

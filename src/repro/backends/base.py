@@ -92,12 +92,6 @@ class SessionStats(StatsView):
     #: write-behind spill-queue flushes this session forced (on close,
     #: so its in-flight spills land in the store before it goes away).
     spill_queue_flushes: int = 0
-    #: timeline scans answered by a window-compiled single SQL pass
-    #: over the commit-log event table instead of per-probe snapshot
-    #: executions (``window_scan_ticks`` sums the timestamps those
-    #: passes covered — the per-probe plans that were *not* run).
-    window_scans: int = 0
-    window_scan_ticks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """All scalar counters plus the number of distinct snapshot
@@ -221,11 +215,10 @@ class BackendSession(abc.ABC):
     def snapshot_pipeline(self, snapshot_sets,
                           ctx: EvalContext) -> "SnapshotPipeline":
         """Cross-compile priming: ``snapshot_sets`` is the *ordered*
-        list of ``(table, ts)`` sets of N compiles (or single-state
-        timeline steps) that will execute on this session, one after
-        another.  The returned pipeline's :meth:`SnapshotPipeline.prime`
-        must be called with each index, in order, immediately before
-        that compile's plans run.
+        list of ``(table, ts)`` sets of N compiles that will execute
+        on this session, one after another.  The returned pipeline's
+        :meth:`SnapshotPipeline.prime` must be called with each index,
+        in order, immediately before that compile's plans run.
 
         Handing the whole series over up front lets a planning backend
         materialize shared ``(table, ts)`` pairs once for all N
@@ -242,22 +235,6 @@ class BackendSession(abc.ABC):
         the store already holds it — with :meth:`prime_snapshots`, how
         a warm-up pass seeds the store for a whole worker pool.
         Stateless backends have nothing to publish (default no-op)."""
-
-    def window_scan(self, table: str, timestamps, ctx: EvalContext,
-                    mode: str = "full"
-                    ) -> Optional[Dict[int, Relation]]:
-        """Answer a whole timeline scan — one table's state (``mode
-        ="full"``) or committed cardinality (``mode="sparkline"``) at
-        every timestamp in ``timestamps`` — with a *single*
-        window-compiled SQL pass over the table's commit-log delta
-        chain, if this backend can and its planner expects that to be
-        the cheaper way.
-
-        Returns ``{ts: Relation}`` covering the sorted, deduplicated
-        timestamps, or ``None`` — callers then walk the per-probe
-        snapshot pipeline.  The default cannot window-compile
-        anything."""
-        return None
 
     @property
     def closed(self) -> bool:

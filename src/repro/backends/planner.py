@@ -5,19 +5,15 @@ A stock DBMS has no time travel, so a SQL backend meets the paper's
 tables.  How a state gets there is the one decision every SQL-backend
 operation goes through, and it is made here, by pure functions of
 what the caller observed — nothing in this module touches a
-connection:
+connection.  :func:`plan_snapshots` picks, for every snapshot a plan
+needs and the session cache does not hold, which of the
+:data:`~repro.backends.base.PLAN_OPS` produces it: patch a cached
+neighbor forward in place, clone a neighbor and apply the delta, read
+it back from the spill store, or scan storage.
 
-* :func:`plan_snapshots` — for every snapshot a plan needs and the
-  session cache does not hold, which of the :data:`~repro.backends.
-  base.PLAN_OPS` produces it: patch a cached neighbor forward in
-  place, clone a neighbor and apply the delta, read it back from the
-  spill store, or scan storage;
-* :func:`window_pass_refusal` — whether a timeline scan is answered
-  by one window-function SQL pass or walks the per-probe pipeline.
-
-The two cutovers are numbers on the engine's frozen
-:class:`~repro.algebra.sqlgen.DialectConfig` (``delta_max_ratio``,
-``window_min_ticks``); there is no mode to set.
+The cutover is a number on the engine's frozen
+:class:`~repro.algebra.sqlgen.DialectConfig` (``delta_max_ratio``);
+there is no mode to set.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 from typing import (Dict, Hashable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from repro.algebra.sqlgen import DialectConfig
 from repro.backends.base import SnapshotPlanStep
 
 
@@ -136,41 +131,4 @@ def _hop(table: str, ts: int, sources: List[Tuple[int, bool]],
             reason=f"nearest cached neighbor @{source_ts} still has "
                    f"readers; ~{estimate} delta row(s) within budget "
                    f"{budget:g}")
-    return None
-
-
-def window_pass_refusal(config: DialectConfig, mode: str, timestamps,
-                        table: str, ctx) -> Optional[str]:
-    """Why a timeline scan of ``table`` walks the per-probe pipeline —
-    or ``None`` when it is admitted to the single window-function
-    pass over the commit-log delta chain.
-
-    Only sparkline (cardinality) scans are admitted: a full-state
-    scan ships |ticks| x |rows| tuples on either path and measured
-    0.22x through the window's sort
-    (``BENCH_timeline_windowscan.json``), so it always takes per-probe
-    moves.  The rest is read off the scan itself: the tick count
-    against ``config.window_min_ticks``, and whether the commit log
-    is this context's truth at all."""
-    if not config.window_functions:
-        return (f"dialect {config.name!r} has no window-function "
-                f"hooks")
-    if any(ts is None for ts in timestamps):
-        return "scan includes a non-committed (None) timestamp"
-    if mode != "sparkline":
-        return ("full-state reconstruction measures slower through "
-                "the window sort than per-probe delta moves")
-    ticks = len({int(ts) for ts in timestamps})
-    if ticks < config.window_min_ticks:
-        return (f"{ticks} tick(s) is below the "
-                f"{config.window_min_ticks}-tick amortization "
-                f"threshold")
-    db = getattr(ctx, "db", None)
-    if db is None or not getattr(db.config, "timetravel_enabled", False):
-        return ("context has no time-traveling database; the "
-                "commit-log delta chain is unavailable")
-    if ctx.overrides.get(table) is not None \
-            or getattr(ctx, "snapshot_provider", None) is not None:
-        return ("what-if overrides / snapshot provider present: the "
-                "commit log is not this scan's truth")
     return None

@@ -16,15 +16,14 @@ Every SQL backend realizes the paper's deployment story the same way:
    the relation is returned.
 
 What differs between engines is *policy* (quoting, compound form, CTE
-barriers, window capability, the planner's two cutovers — all fields
-of the dialect config) plus the driver glue of an :class:`SQLSession`
+barriers, window capability, the planner's cutover — all fields of the
+dialect config) plus the driver glue of an :class:`SQLSession`
 subclass (connect, per-connection setup, error types, a label):
 :mod:`repro.backends.sqlite` is the whole of one engine.  Everything
 else lives once: the snapshot cache (:mod:`repro.backends.cache`), the
 materialization planner (:mod:`repro.backends.planner`), the binder
 that executes its steps (:mod:`repro.backends.binder`), and — here —
-the session, the priming pipeline and the window-compiled sparkline
-scan.
+the session and the priming pipeline.
 """
 
 from __future__ import annotations
@@ -42,11 +41,9 @@ from repro.backends.base import (BackendSession, ExecutionBackend,
 from repro.backends.binder import SnapshotBinder, context_realm
 from repro.backends.cache import (DEFAULT_CACHE_CAPACITY, SnapshotCache,
                                   quote_ident, spillable_key)
-from repro.backends.planner import window_pass_refusal
 from repro.db.types import DataType
 from repro.errors import ExecutionError
 from repro.faults.inject import fault_point
-from repro.obs.explain import record_explain
 from repro.obs.trace import span
 
 
@@ -173,11 +170,8 @@ class SQLSession(BackendSession):
         #: snapshot temp tables that already carry their __rowid__
         #: index — built lazily before the first query that scans them,
         #: so snapshots that only ever serve as delta-clone sources
-        #: (timeline priming) never pay for one.
+        #: (pipeline priming) never pay for one.
         self._indexed: Set[str] = set()
-        #: window-scan temp tables get their own name space, so they
-        #: can never collide with the cache's ``__snap_N__`` snapshots.
-        self._ws_counter = 0
 
     # .. engine hooks .....................................................
 
@@ -252,107 +246,6 @@ class SQLSession(BackendSession):
         """Planned cross-compile priming (see :class:`SQLPipeline`)."""
         self._check_open()
         return SQLPipeline(self, snapshot_sets, ctx)
-
-    # .. window-compiled timeline scans ...................................
-
-    def window_scan(self, table: str, timestamps, ctx: EvalContext,
-                    mode: str = "full"
-                    ) -> Optional[Dict[int, Relation]]:
-        """Answer a sparkline timeline scan with one window-function
-        SQL pass over the table's commit-log delta chain (see
-        :meth:`repro.backends.base.BackendSession.window_scan`).
-
-        The base cardinality at the first tick comes from an
-        already-cached snapshot or one storage scan; every later tick
-        is answered from the delta chain's +1/-1 *events*, loaded into
-        a temp table and folded by the dialect's running-sum window —
-        no snapshot is materialized and the per-probe plan count stays
-        at zero no matter how many ticks the scan covers.  Returns
-        ``None`` — the caller walks the per-probe pipeline — whenever
-        :func:`repro.backends.planner.window_pass_refusal` names a
-        reason (a full-state scan, too few ticks, no window functions,
-        what-if overrides, no native time travel)."""
-        self._check_open()
-        if mode not in ("full", "sparkline"):
-            raise ExecutionError(
-                f"timeline mode must be 'full' or 'sparkline', "
-                f"got {mode!r}")
-        if not timestamps:
-            return {}
-        refusal = window_pass_refusal(self.backend.dialect_config, mode,
-                                      timestamps, table, ctx)
-        if refusal is not None:
-            record_explain("window-scan", table=table, mode=mode,
-                           ticks=len(timestamps),
-                           decision="per-probe", reason=refusal)
-            return None
-        ordered = sorted({int(ts) for ts in timestamps})
-        record_explain(
-            "window-scan", table=table, mode=mode,
-            ticks=len(ordered), decision="window-pass",
-            reason=f"single SQL pass over {len(ordered)} tick(s) of "
-                   f"the commit-log delta chain")
-        with span("backend.window_scan", table=table, mode=mode,
-                  ticks=len(ordered), engine=self.engine_label):
-            hops = ctx.db.table_delta_chain(table, ordered) \
-                if len(ordered) > 1 else []
-            return self._window_scan_counts(table, ordered, hops, ctx)
-
-    def _window_scan_counts(self, table: str, ordered, hops,
-                            ctx: EvalContext) -> Dict[int, Relation]:
-        self._ws_counter += 1
-        events = f"__wsev_{self._ws_counter}__"
-        ticks = f"__wsticks_{self._ws_counter}__"
-        with span("windowscan.compile", table=table, mode="sparkline"):
-            sql = Dialect(self.backend.dialect_config) \
-                .gen_window_counts(events, ticks)
-        # live row ids at the first tick: from an already-cached
-        # snapshot when one is resident, otherwise one storage scan —
-        # a counts-only pass never materializes a snapshot of its own
-        name = self.cache.lookup(context_realm(ctx), (table, ordered[0]))
-        if name is not None:
-            live = {row[0] for row in self.conn.execute(
-                f"SELECT {quote_ident(ROWID_SUFFIX)} "
-                f"FROM {quote_ident(name)}").fetchall()}
-        else:
-            live = {rowid for rowid, _values, _xid
-                    in ctx.scan_table(table, ordered[0])}
-        base_count = len(live)
-        deltas = []
-        for ts_to, hop in zip(ordered[1:], hops):
-            for rowid, values, _xid in hop:
-                if values is None:
-                    if rowid in live:
-                        live.discard(rowid)
-                        deltas.append((ts_to, -1))
-                elif rowid not in live:
-                    live.add(rowid)
-                    deltas.append((ts_to, 1))
-        try:
-            for temp, columns, rows in (
-                    (ticks, ("__qts__",), [(ts,) for ts in ordered]),
-                    (events, ("__wts__", "__delta__"), deltas)):
-                decl = ", ".join(quote_ident(c) for c in columns)
-                self.conn.execute(
-                    f"CREATE TEMP TABLE {quote_ident(temp)} ({decl})")
-                if rows:
-                    self.conn.executemany(
-                        f"INSERT INTO {quote_ident(temp)} VALUES "
-                        f"({', '.join('?' * len(columns))})", rows)
-            try:
-                fetched = self.conn.execute(sql).fetchall()
-            except self._error_types as exc:
-                raise ExecutionError(
-                    f"{self.engine_label} rejected window-compiled "
-                    f"timeline SQL: {exc}\n{sql}") from exc
-        finally:
-            for temp in (events, ticks):
-                self.conn.execute(
-                    f"DROP TABLE IF EXISTS {quote_ident(temp)}")
-        self.stats.window_scans += 1
-        self.stats.window_scan_ticks += len(ordered)
-        return {ts: Relation(["n_rows"], [(base_count + int(net),)])
-                for ts, net in fetched}
 
     def execute_plan(self, plan: op.Operator,
                      ctx: EvalContext) -> Relation:
@@ -452,14 +345,13 @@ class SQLBackend(ExecutionBackend):
 
     *How* a snapshot is materialized is not configurable: the planner
     (:mod:`repro.backends.planner`) decides from the cache inventory,
-    the version history and the two cutovers on
-    :attr:`dialect_config`."""
+    the version history and the cutover on :attr:`dialect_config`."""
 
     capabilities = {"sessions": True, "spill": True}
 
     #: the engine's :class:`~repro.algebra.sqlgen.DialectConfig` —
     #: quoting, compound form, CTE barriers, window capability,
-    #: planner cutovers.
+    #: planner cutover.
     dialect_config: DialectConfig = NATIVE
 
     #: the session class :meth:`open_session` instantiates.

@@ -1,8 +1,8 @@
 """SQLite execution backend: reenactment as SQL on a stock engine.
 
 All of the machinery — snapshot cache, materialization planner,
-snapshot binder, the priming pipeline, the window-compiled sparkline
-scan — lives in :mod:`repro.backends.sqlbase`; this module is what an
+snapshot binder, the priming pipeline — lives in
+:mod:`repro.backends.sqlbase`; this module is what an
 engine *is*: its :class:`~repro.algebra.sqlgen.DialectConfig`, the
 driver glue of its session, and a name.
 

@@ -178,8 +178,12 @@ class VersionedTable:
         return for the interval, in O(log commits): the count of commit
         events between the two timestamps.  Overcounts rows committed
         several times inside the interval — fine for the cost model
-        choosing between delta patching and a full rebuild."""
+        choosing between delta patching and a full rebuild.  A hop
+        reaching below ``_unlogged_ts`` may hold commits the log never
+        saw, so it estimates as the whole table."""
         lo, hi = sorted((ts_from, ts_to))
+        if lo < self._unlogged_ts:
+            return len(self.rows)
         return (bisect_right(self._commit_ts_log, hi)
                 - bisect_right(self._commit_ts_log, lo))
 
@@ -197,15 +201,24 @@ class VersionedTable:
         appear and disappear strictly inside a hop (insert then delete,
         or writes by transactions that later aborted — aborts never
         reach the commit log) contribute nothing.
+
+        A hop reaching below ``_unlogged_ts`` may hold commits
+        published with history off, which left no log entry: it is
+        answered from every chain, as :meth:`_walk_chains` answers a
+        state.
         """
         bounds = [bisect_right(self._commit_ts_log, ts)
                   for ts in timestamps]
         out: List[List[DeltaRow]] = []
         for i, (ts_from, ts_to) in enumerate(zip(timestamps,
                                                  timestamps[1:])):
-            lo, hi = sorted((bounds[i], bounds[i + 1]))
+            if min(ts_from, ts_to) < self._unlogged_ts:
+                rowids = sorted(self.rows)
+            else:
+                lo, hi = sorted((bounds[i], bounds[i + 1]))
+                rowids = sorted(set(self._commit_rowid_log[lo:hi]))
             hop: List[DeltaRow] = []
-            for rowid in sorted(set(self._commit_rowid_log[lo:hi])):
+            for rowid in rowids:
                 chain = self.rows.get(rowid)
                 if chain is None:
                     continue  # history pruned after logging

@@ -7,8 +7,6 @@ from repro.debugger.inspector import (DebugColumn, TableState,
 from repro.debugger.render import (render_debug_panel,
                                    render_detail_panel,
                                    render_table_state, render_timeline)
-from repro.debugger.suspicion import (Suspicion, SuspicionScanner,
-                                      find_suspicious)
 from repro.debugger.timeline import (StatementInterval, TimelineRow,
                                      TransactionTimeline)
 
@@ -16,6 +14,5 @@ __all__ = [
     "DebugColumn", "TableState", "TransactionInspector",
     "TupleVersionView", "render_debug_panel", "render_detail_panel",
     "render_table_state", "render_timeline", "StatementInterval",
-    "TimelineRow", "TransactionTimeline", "Suspicion",
-    "SuspicionScanner", "find_suspicious",
+    "TimelineRow", "TransactionTimeline",
 ]

@@ -161,14 +161,12 @@ class TransactionInspector:
         transaction's begin time and every statement boundary, as
         ``{table: {ts: n_rows}}``.
 
-        Served by :func:`repro.debugger.timeline.timeline_states` in
-        sparkline mode on the panel's backend — where the session's
-        planner admits the window pass, the whole strip for a table is
-        one window-compiled SQL query, no matter how many statements
-        the transaction ran.  Boundary timestamps arrive unsorted and
-        with duplicates (an open interval shares its start with the
-        next statement); ``timeline_states`` sorts and dedupes before
-        touching the backend."""
+        Read from storage by
+        :func:`repro.debugger.timeline.timeline_states` in sparkline
+        mode — one AS-OF read and one commit-log delta chain per
+        table, whatever the panel's backend.  Boundary timestamps
+        arrive unsorted and with duplicates (an open interval shares
+        its start with the next statement)."""
         from repro.debugger.timeline import timeline_states
         tables = self._touched([table]) if table is not None \
             else self.selected_tables
@@ -179,14 +177,11 @@ class TransactionInspector:
             if end is not None:
                 ticks.append(end)
         out: Dict[str, Dict[int, int]] = {}
-        with self.backend.open_session() as session:
-            for name in tables:
-                states = timeline_states(self.db, name, ticks,
-                                         session=session,
-                                         mode="sparkline")
-                out[name] = {ts: states[ts].rows[0][0]
-                             for ts in sorted(set(ticks))}
-            self.last_stats = session.stats
+        for name in tables:
+            states = timeline_states(self.db, name, ticks,
+                                     mode="sparkline")
+            out[name] = {ts: states[ts].rows[0][0]
+                         for ts in sorted(set(ticks))}
         return out
 
     def toggle_unaffected(self) -> bool:

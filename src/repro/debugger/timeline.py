@@ -16,10 +16,10 @@ simple text search over statement SQL.
 from __future__ import annotations
 
 import re
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.algebra.evaluator import Relation
 from repro.db.auditlog import TransactionRecord
 from repro.db.engine import Database
 from repro.errors import AuditLogError
@@ -100,67 +100,55 @@ TIMELINE_MODES = ("full", "sparkline")
 
 
 def timeline_states(db: Database, table: str,
-                    timestamps: Sequence[int],
-                    session=None, backend=None,
-                    mode: str = "full") -> Dict[int, "object"]:
+                    timestamps: Sequence[int], session=None,
+                    mode: str = "full") -> Dict[int, Relation]:
     """The timeline panel's *data* fetch: the committed state of
-    ``table`` at each timestamp.
+    ``table`` at each timestamp, read from storage alone — the AS-OF
+    snapshot at the earliest tick, then the commit log's delta chain
+    applied forward, one hop per later tick.  No engine runs: a state
+    at a tick is a committed read, and the timeline is "instantiated
+    ... by querying the audit log".
 
-    Where the session's planner admits it — a dense sparkline scan on
-    an engine with window functions — the whole scan is **one
-    window-compiled SQL pass** over the table's commit-log delta
-    chain (:meth:`~repro.backends.base.BackendSession.window_scan`):
-    base cardinality once, every further tick delta-sized events
-    folded by a ``SUM() OVER`` running aggregate, zero per-probe
-    plans.  Otherwise the scan walks the session's snapshot pipeline:
-    the whole series is declared up front (one single-state snapshot
-    set per tick, sorted and deduplicated, so unsorted or repeated
-    caller ticks cannot defeat patch-in-place moves), the first state
-    is materialized once and then *moved* forward per tick.  Either
-    way the result is keyed by the caller's original timestamps.
+    ``mode="full"`` returns per timestamp the stored rows in rowid
+    order, as a relation with the ``table.column`` attributes an AS-OF
+    scan has; ``mode="sparkline"`` returns a one-row ``n_rows`` count —
+    the cardinality strip.  Ticks may arrive unsorted and repeated; the
+    result is keyed by the caller's own.  A tick that is not an ``int``
+    raises :class:`AuditLogError`.
 
-    ``mode="full"`` returns the full relation per timestamp (the
-    detail view); ``mode="sparkline"`` returns a one-row
-    ``n_rows``-count relation per timestamp — the cardinality-over-
-    time strip the timeline draws without dragging every row of every
-    state into Python.  ``session`` reuses a caller's open backend
-    session; otherwise ``backend`` (default in-memory) supplies a
-    throwaway one.
+    ``session`` is accepted and unused: ``perf/drivers.py`` passes one.
     """
-    from repro.algebra import operators as op
-    from repro.algebra.expressions import Literal
-    from repro.backends import resolve_backend
     if mode not in TIMELINE_MODES:
         raise AuditLogError(
             f"timeline mode must be one of {TIMELINE_MODES}, "
             f"got {mode!r}")
-    schema = db.catalog.get(table)
+    attrs = [f"{table}.{column}"
+             for column in db.catalog.get(table).column_names]
+    for ts in timestamps:
+        if not isinstance(ts, int):
+            raise AuditLogError(
+                f"timeline tick {ts!r} of table {table!r} is not a "
+                f"commit timestamp")
     if not timestamps:
         return {}
-    ordered = sorted({int(ts) for ts in timestamps})
-    ctx = db.context(params={})
-    with ExitStack() as stack:
-        if session is None:
-            session = stack.enter_context(
-                resolve_backend(backend).open_session())
-        states = session.window_scan(table, ordered, ctx, mode=mode)
-        if states is None:
-            states = {}
-            sets = [[(table, ts)] for ts in ordered]
-            pipe = stack.enter_context(
-                session.snapshot_pipeline(sets, ctx))
-            for index, ts in enumerate(ordered):
-                pipe.prime(index)
-                plan: op.Operator = op.TableScan(
-                    table=table, columns=list(schema.column_names),
-                    binding=table, as_of=Literal(ts))
-                if mode == "sparkline":
-                    plan = op.Aggregation(
-                        plan, [], [],
-                        [op.AggSpec(func="COUNT", expr=None,
-                                    name="n_rows")])
-                states[ts] = session.execute_plan(plan, ctx)
-    return {ts: states[int(ts)] for ts in timestamps}
+    ordered = sorted(set(timestamps))
+    live = {rowid: values for rowid, values, _xid
+            in db.table_snapshot(table, ordered[0])}
+    hops = db.table_delta_chain(table, ordered) if len(ordered) > 1 \
+        else []
+    states: Dict[int, Relation] = {}
+    for ts, hop in zip(ordered, [()] + hops):
+        for rowid, values, _xid in hop:
+            if values is None:
+                live.pop(rowid, None)
+            else:
+                live[rowid] = values
+        if mode == "sparkline":
+            states[ts] = Relation(["n_rows"], [(len(live),)])
+        else:
+            states[ts] = Relation(attrs, [live[rowid]
+                                          for rowid in sorted(live)])
+    return {ts: states[ts] for ts in timestamps}
 
 
 class TransactionTimeline:

@@ -11,9 +11,8 @@ diagnostics on:
   (counters, gauges, fixed-bucket histograms) with Prometheus-style
   text exposition.  The existing stats dataclasses publish into it.
 * :mod:`repro.obs.explain` — a per-job explain collector: the
-  snapshot binder records why each plan step was chosen and
-  ``window_scan`` records its cutover decision; the service exposes
-  the events via ``JobHandle.explain()``.
+  snapshot binder records why each plan step was chosen; the service
+  exposes the events via ``JobHandle.explain()``.
 """
 
 from repro.obs.explain import (ExplainCollector, explain_active,

@@ -1,9 +1,9 @@
 """Per-job explain collection.
 
-The snapshot binder and ``window_scan`` know *why* they chose what
-they chose — which cached neighbor was close enough to patch, why the
-window cutover declined a scan — but those reasons used to evaporate
-at decision time.  An :class:`ExplainCollector` catches them.
+The snapshot binder knows *why* it chose what it chose — which cached
+neighbor was close enough to patch, why a state was rebuilt — but
+those reasons used to evaporate at decision time.  An
+:class:`ExplainCollector` catches them.
 
 The collector is thread-local and explicitly scoped: the service
 worker loop opens one around each job's ``run`` (so the events land
@@ -90,14 +90,6 @@ def render_explain(events: List[Dict[str, Any]]) -> str:
                 reason = step.get("reason")
                 if reason:
                     lines.append("      because %s" % reason)
-        elif kind == "window-scan":
-            decision = event.get("decision", "?")
-            lines.append("window scan: %s (%s@%s ticks=%s)"
-                         % (decision, event.get("table"),
-                            event.get("mode"), event.get("ticks")))
-            reason = event.get("reason")
-            if reason:
-                lines.append("    because %s" % reason)
         else:
             detail = " ".join("%s=%s" % (k, v)
                               for k, v in sorted(event.items())

@@ -13,9 +13,8 @@ paper describes analysts issuing concurrently:
   worker's session;
 * :class:`EquivalenceJob` — certify one transaction's reenactment
   against storage ground truth (the E3 oracle, as a service call);
-* :class:`TimelineScanJob` — materialize a table's state at a series
-  of timestamps (the debugger timeline's data fetch; on a SQL backend
-  each state is one incremental hop from the previous).
+* :class:`TimelineScanJob` — a table's state at a series of
+  timestamps (the debugger timeline's data fetch, read from storage).
 
 :class:`WarmJob` is the operator's fifth kind: prime a table's states
 and publish them to the spill store ahead of traffic.
@@ -210,24 +209,13 @@ class EquivalenceJob(Job):
 
 @dataclass
 class TimelineScanJob(Job):
-    """Materialize the committed state of ``table`` at each timestamp —
-    the debugger timeline / debug-panel data fetch.
-
-    The whole timestamp series is handed to the worker session's
-    snapshot pipeline (see
-    :func:`repro.debugger.timeline.timeline_states`): on a pipelined
-    backend the first state is built once and every later tick is a
-    patch-in-place *move* of the same temp table, because the pipeline
-    knows no later tick reads an earlier state.  ``mode="full"``
-    returns ``{ts: Relation}`` of full table states in the order
-    given; ``mode="sparkline"`` returns one-row ``n_rows`` relations
-    per tick (the cardinality strip — all the materialization work,
-    none of the row shipping).
-
-    A dense sparkline scan skips the per-probe pipeline entirely
-    where the session's planner admits it: one window-compiled SQL
-    pass over the commit log answers every tick (see
-    :meth:`repro.backends.base.BackendSession.window_scan`).
+    """The committed state of ``table`` at each timestamp — the
+    debugger timeline's data fetch — read from storage by
+    :func:`repro.debugger.timeline.timeline_states`: one AS-OF read
+    and the commit log's delta chain.  The worker's backend session is
+    not used.  ``mode="full"`` returns ``{ts: Relation}`` of full
+    table states; ``mode="sparkline"`` one-row ``n_rows`` relations
+    per tick (the cardinality strip).
     """
 
     table: str
@@ -246,7 +234,6 @@ class TimelineScanJob(Job):
                   ticks=len(self.timestamps), mode=self.mode):
             return timeline_states(worker.db, self.table,
                                    list(self.timestamps),
-                                   session=worker.session,
                                    mode=self.mode)
 
     def describe(self) -> str:

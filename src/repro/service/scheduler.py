@@ -136,11 +136,10 @@ class JobHandle:
     def explain(self, timeout: Optional[float] = None
                 ) -> List[Dict[str, Any]]:
         """Block like :meth:`result`, then return the explain events
-        the job's execution recorded (snapshot-plan step reasons,
-        window-scan cutover decisions).  A handle answered straight
-        from the result cache ran nothing and returns ``[]``; a
-        deduplicated handle shares the executing submission's
-        events."""
+        the job's execution recorded (snapshot-plan step reasons).  A
+        handle answered straight from the result cache ran nothing and
+        returns ``[]``; a deduplicated handle shares the executing
+        submission's events."""
         self._wait(timeout)
         return list(self._explain)
 

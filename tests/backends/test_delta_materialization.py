@@ -120,6 +120,37 @@ def test_cost_model_falls_back_on_pathological_history():
                            reference.table("bench_account"))
 
 
+def test_history_off_commit_is_never_patched_over():
+    """A commit published with history off is in no commit-log delta:
+    the hop from a state before it to one after must not be a cheap
+    clone that drops it.  Reenacting *b* after *a* on one session
+    answers what the interpreter answers."""
+    db = Database()
+    db.execute("CREATE TABLE t (k INT, x INT)")
+    db.execute("INSERT INTO t VALUES (1, 1)")
+
+    def run(sql):
+        session = db.connect()
+        session.begin()
+        session.execute(sql)
+        xid = session.txn.xid
+        session.commit()
+        return xid
+
+    a = run("UPDATE t SET x = x + 10 WHERE k = 1")
+    db.config.timetravel_enabled = False
+    run("INSERT INTO t VALUES (2, 2)")
+    db.config.timetravel_enabled = True
+    b = run("UPDATE t SET x = x + 100 WHERE k = 2")
+    results, _ = sweep(db, [a, b], SQLiteBackend())
+    memory = Reenactor(db)
+    for xid, got in zip([a, b], results):
+        assert_relations_match(got.table("t"),
+                               memory.reenact(xid, STRICT).table("t"),
+                               context=f"xid={xid}")
+    assert (2, 102) in results[1].table("t").project(["k", "x"]).rows
+
+
 def test_delta_ratio_tightens_the_budget(history_db):
     """delta_max_ratio=0 starves the cost model: every estimate > 0
     exceeds the budget, so every miss is a full rebuild — including

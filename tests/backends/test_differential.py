@@ -32,14 +32,9 @@ the whole ordered series of snapshot sets is primed through
 same admit-everything policy — so whenever a cached version's last
 reader is behind the cursor it is destructively patched forward in
 place (a move, no clone), and the answers still must not change.  A
-fifth mode, ``windowscan``, sweeps the *timeline* oracle: every commit
-timestamp of the history is scanned through ``timeline_states`` with
-the window pass admitted at any tick count
-(``planner_policy.FORCE_WINDOW``) and compared tick by tick against
-the per-probe path of the same engine and the in-memory interpreter —
-while the session counters prove every forced sparkline scan really
-was served by window SQL (one ``window_scans`` each, no per-probe
-plan).
+fifth mode, ``windowscan``, is the *timeline's* storage oracle: every
+commit timestamp of the history is scanned through ``timeline_states``
+and each state must equal ``table_snapshot`` at that tick.
 
 The forced paths are test-only policy overrides on a backend
 subclass (``tests/planner_policy.py``); the shipped backends have no
@@ -69,8 +64,7 @@ from repro.errors import ReenactmentError
 
 from conftest import (SQL_ENGINES, assert_relations_match,
                       build_history, committed_xids)
-from planner_policy import (FORCE_DELTA, FORCE_WINDOW, NO_DELTA,
-                            NO_WINDOW, policy_backend)
+from planner_policy import FORCE_DELTA, NO_DELTA, policy_backend
 from whatif_reference import reenacted_writes, reference_run
 from whatif_reference import signature as whatif_signature
 
@@ -137,18 +131,17 @@ def check_inplace_differential(db, reenactor, seed, isolation,
     return checked
 
 
-def check_windowscan_differential(db, seed, isolation,
+def check_timeline_storage_oracle(db, seed, isolation,
                                   engine="sqlite"):
     """The ``windowscan`` mode body: every commit timestamp of the
-    history becomes a timeline tick, and each table of the catalog is
-    scanned — in both ``full`` and ``sparkline`` mode — three ways:
-    the window pass admitted at any tick count (``FORCE_WINDOW``),
-    never admitted on the same engine (``NO_WINDOW``), and the
-    in-memory interpreter.  All three must agree tick for tick, and
-    the stats prove the forced run took the window path for every
-    sparkline scan (its only per-probe plans are the full-state
-    scans, which no policy window-compiles) while the probe run never
-    did."""
+    history becomes a timeline tick, and for each table of the catalog
+    the ``full`` state ``timeline_states`` returns at a tick must be
+    ``table_snapshot`` at that tick — the attributes of an AS-OF scan,
+    the rows in rowid order, type-strict — and the ``sparkline`` cell
+    its row count.  The full scans submitted to a service on
+    ``engine`` answer identically, and its worker's session runs no
+    plan and builds no snapshot for them."""
+    from repro import ReenactmentService
     from repro.db.auditlog import AuditEventKind
     from repro.debugger.timeline import timeline_states
 
@@ -158,45 +151,40 @@ def check_windowscan_differential(db, seed, isolation,
         return 0
     tables = sorted(db.catalog.table_names())
     checked = 0
-    win_backend = policy_backend(FORCE_WINDOW, engine)
-    probe_backend = policy_backend(NO_WINDOW, engine)
-    with win_backend.open_session() as win_session, \
-            probe_backend.open_session() as probe_session, \
-            resolve_backend("memory").open_session() as mem_session:
-        for table in tables:
-            for scan_mode in ("full", "sparkline"):
-                win = timeline_states(db, table, ticks,
-                                      session=win_session,
-                                      mode=scan_mode)
-                probe = timeline_states(db, table, ticks,
-                                        session=probe_session,
-                                        mode=scan_mode)
-                mem = timeline_states(db, table, ticks,
-                                      session=mem_session,
-                                      mode=scan_mode)
-                for ts in ticks:
-                    context = (f"seed={seed} isolation={isolation} "
-                               f"engine={engine} mode=windowscan "
-                               f"scan={scan_mode} table={table} "
-                               f"ts={ts}")
-                    assert_relations_match(win[ts], probe[ts],
-                                           context=context)
-                    assert_relations_match(win[ts], mem[ts],
-                                           context=context)
-                    checked += 1
-        win_stats = win_session.stats
-        probe_stats = probe_session.stats
-    assert win_stats.window_scans == len(tables), \
-        f"forced window sweep fell back: seed={seed} " \
-        f"isolation={isolation} engine={engine} " \
-        f"stats={win_stats.as_dict()}"
-    assert win_stats.plans_executed == len(tables) * len(ticks), \
-        f"forced sparkline sweep executed per-probe plans: " \
-        f"seed={seed} isolation={isolation} engine={engine} " \
-        f"stats={win_stats.as_dict()}"
-    assert probe_stats.window_scans == 0, \
-        f"NO_WINDOW still window-scanned: seed={seed} " \
-        f"isolation={isolation} engine={engine}"
+    full = {}
+    for table in tables:
+        attrs = [f"{table}.{c}"
+                 for c in db.catalog.get(table).column_names]
+        full[table] = timeline_states(db, table, ticks)
+        cells = timeline_states(db, table, ticks, mode="sparkline")
+        for ts in ticks:
+            context = (f"seed={seed} isolation={isolation} "
+                       f"mode=windowscan table={table} ts={ts}")
+            rows = [values for _rowid, values, _xid
+                    in db.table_snapshot(table, ts)]
+            state = full[table][ts]
+            assert state.attrs == attrs, context
+            assert _typed_sequence(state.rows) == _typed_sequence(rows), \
+                context
+            assert (cells[ts].attrs, cells[ts].rows) \
+                == (["n_rows"], [(len(rows),)]), context
+            checked += 1
+    with ReenactmentService(db, backend=engine, workers=1,
+                            store=None) as service:
+        handles = {table: service.timeline_scan(table, ticks)
+                   for table in tables}
+        for table, handle in handles.items():
+            served = handle.result(timeout=60)
+            for ts in ticks:
+                context = (f"seed={seed} isolation={isolation} "
+                           f"engine={engine} service table={table} "
+                           f"ts={ts}")
+                assert served[ts].attrs == full[table][ts].attrs, context
+                assert _typed_sequence(served[ts].rows) \
+                    == _typed_sequence(full[table][ts].rows), context
+        sessions = service.stats().sessions
+    assert sessions["plans_executed"] \
+        == sessions["snapshots_materialized"] == 0, sessions
     return checked
 
 
@@ -215,8 +203,8 @@ def check_history_differential(seed, isolation, mode="oneshot",
     nothing may change; ``mode="inplace"`` forces the snapshot
     pipeline's destructive moves on a capacity-1 cache (see
     :func:`check_inplace_differential`); ``mode="windowscan"`` sweeps
-    the timeline oracle with the window pass forced on (see
-    :func:`check_windowscan_differential`)."""
+    the timeline's storage oracle (see
+    :func:`check_timeline_storage_oracle`)."""
     db = build_history(seed, isolation)
     reenactor = Reenactor(db)
     sql_reenactor = Reenactor(db, backend=engine)
@@ -224,7 +212,7 @@ def check_history_differential(seed, isolation, mode="oneshot",
         return db, check_inplace_differential(db, reenactor, seed,
                                               isolation, engine)
     if mode == "windowscan":
-        return db, check_windowscan_differential(db, seed, isolation,
+        return db, check_timeline_storage_oracle(db, seed, isolation,
                                                  engine)
     with contextlib.ExitStack() as stack:
         sessions = {"memory": None, "sql": None}
@@ -842,8 +830,8 @@ def test_sweep_covers_fifty_histories():
     """Acceptance guard: the parametrized sweep must span ≥ 50
     distinct seeded histories, each in every execution mode —
     including the forced-delta materialization mode, the forced
-    patch-in-place pipeline mode, the forced window-compiled timeline
-    mode and the concurrent service-scheduler mode."""
+    patch-in-place pipeline mode, the timeline storage oracle and the
+    concurrent service-scheduler mode."""
     assert len(FULL_SEEDS) * len(ISOLATION_LEVELS) >= 50
     assert set(MODES) == {"oneshot", "session", "delta", "inplace",
                           "windowscan"}
@@ -853,7 +841,7 @@ def test_sweep_covers_fifty_histories():
     assert set(SQL_ENGINES) <= set(available_backends())
     assert check_history_service_differential.__doc__ is not None
     assert check_inplace_differential.__doc__ is not None
-    assert check_windowscan_differential.__doc__ is not None
+    assert check_timeline_storage_oracle.__doc__ is not None
     # the crash sweep spans >= 10 histories, each cut at every boundary
     assert len(CRASH_FULL_SEEDS) * len(ISOLATION_LEVELS) >= 10
     assert check_crash_recover_differential.__doc__ is not None

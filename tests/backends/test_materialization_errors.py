@@ -11,8 +11,9 @@ import pytest
 
 from repro import Database, SQLiteBackend
 from repro.core.reenactor import Reenactor
-from repro.debugger.timeline import timeline_states
 from repro.errors import ExecutionError
+
+from planner_policy import pipeline_states
 
 TOO_BIG = 2 ** 63  # one past SQLite's INTEGER range
 
@@ -106,13 +107,12 @@ def test_overflow_during_patch_in_place_forgets_the_source(
     with backend.open_session() as session:
         with pytest.raises(ExecutionError,
                            match="patch-in-place of snapshot"):
-            timeline_states(db, "t", [first_ts, third_ts - 1],
-                            session=session)
+            pipeline_states(session, db, "t", [first_ts, third_ts - 1])
         assert session.stats.full_materializations == 1
         assert len(session.cache) == 0
         assert temp_tables(session) == set()
         # the session still serves the healthy state, rebuilt
-        states = timeline_states(db, "t", [first_ts], session=session)
+        states = pipeline_states(session, db, "t", [first_ts])
         assert len(states[first_ts].rows) == 10
     # only the write-through copy of the healthy full build is stored
     assert store.inventory(db.history_id) == [("t", first_ts)]

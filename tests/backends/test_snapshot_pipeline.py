@@ -2,8 +2,9 @@
 
 Pins the PR-5 materialization pipeline's observable contract:
 
-* a pipelined timeline walk is **one** full build plus N-1
-  patch-in-place moves — no clones, no evictions, one live temp table;
+* a pipelined walk of one table's states is **one** full build plus
+  N-1 patch-in-place moves — no clones, no evictions, one live temp
+  table;
 * a move is only planned when the pipeline can prove nothing reads the
   source version again (a later set re-reading it downgrades the step
   to a clone);
@@ -26,7 +27,7 @@ from repro.debugger.timeline import timeline_states
 from repro.errors import ExecutionError
 
 from conftest import assert_relations_match
-from planner_policy import NO_DELTA, NO_WINDOW, policy_backend
+from planner_policy import NO_DELTA, pipeline_states, policy_backend
 
 
 def history(n_rows=30, n_commits=6):
@@ -50,35 +51,36 @@ def history(n_rows=30, n_commits=6):
 
 
 def test_timeline_walk_is_one_build_plus_moves():
-    """A pipelined timeline scan materializes the first state once and
-    *moves* it forward tick by tick: delta-sized work, no clones, and —
-    because a move re-keys instead of re-creating — not a single
-    eviction even on a capacity-1 cache.  (``NO_WINDOW``: this test
-    pins the *per-probe* pipeline's move accounting, which the window
-    pass deliberately bypasses.)"""
+    """A pipelined walk over a table's states materializes the first
+    state once and *moves* it forward tick by tick: delta-sized work,
+    no clones, and — because a move re-keys instead of re-creating —
+    not a single eviction even on a capacity-1 cache."""
     db, timestamps = history()
-    backend = policy_backend(NO_WINDOW, cache_capacity=1)
-    with backend.open_session() as session:
-        states = timeline_states(db, "acct", timestamps,
-                                 session=session, mode="sparkline")
+    with SQLiteBackend(cache_capacity=1).open_session() as session:
+        states = pipeline_states(session, db, "acct", timestamps)
         stats = session.stats
         assert stats.full_materializations == 1
         assert stats.patched_in_place == len(timestamps) - 1
         assert stats.delta_materializations == 0
         assert stats.snapshots_evicted == 0
-    assert [states[ts].rows[0][0] for ts in timestamps] \
+    assert [len(states[ts].rows) for ts in timestamps] \
         == [30] * len(timestamps)
 
 
 def test_timeline_full_mode_matches_memory_backend():
+    """The moved SQLite states equal the interpreter's AS-OF scans and
+    the storage timeline, state for state."""
     db, timestamps = history()
-    sqlite_states = timeline_states(db, "acct", timestamps,
-                                    backend="sqlite")
-    memory_states = timeline_states(db, "acct", timestamps,
-                                    backend="memory")
+    with SQLiteBackend().open_session() as session:
+        sqlite_states = pipeline_states(session, db, "acct", timestamps)
+    with resolve_backend("memory").open_session() as session:
+        memory_states = pipeline_states(session, db, "acct", timestamps)
+    stored = timeline_states(db, "acct", timestamps)
     for ts in timestamps:
         assert_relations_match(memory_states[ts], sqlite_states[ts],
                                context=f"ts={ts}")
+        assert_relations_match(stored[ts], sqlite_states[ts],
+                               context=f"storage ts={ts}")
 
 
 def test_timeline_rejects_unknown_mode():
@@ -236,10 +238,8 @@ def test_moved_snapshot_is_rematerializable_afterwards():
     costs."""
     db, timestamps = history(n_commits=3)
     with SQLiteBackend().open_session() as session:
-        walked = timeline_states(db, "acct", timestamps,
-                                 session=session, mode="full")
+        walked = pipeline_states(session, db, "acct", timestamps)
         assert session.stats.patched_in_place == len(timestamps) - 1
-        again = timeline_states(db, "acct", [timestamps[0]],
-                                session=session, mode="full")
+        again = pipeline_states(session, db, "acct", [timestamps[0]])
     assert_relations_match(walked[timestamps[0]],
                            again[timestamps[0]], context="re-request")

@@ -167,6 +167,32 @@ def test_multi_hop_deltas_compose(db):
         assert state == snapshot_map(db, "t", ts_to)
 
 
+def test_hops_across_a_history_off_stretch(db):
+    """A commit published with history off leaves no commit-log entry:
+    every hop reaching below it still reconstructs its end state, in
+    both directions, and its estimate is the whole table — never an
+    affordable 0."""
+    timestamps = [db.clock.now()]
+    run_txn(db, ["UPDATE t SET v = 11 WHERE k = 1"])
+    timestamps.append(db.clock.now())
+    db.config.timetravel_enabled = False
+    run_txn(db, ["INSERT INTO t VALUES (4, 40)",
+                 "DELETE FROM t WHERE k = 3"])
+    db.config.timetravel_enabled = True
+    run_txn(db, ["UPDATE t SET v = 41 WHERE k = 4"])
+    timestamps += [db.clock.now() - 1, db.clock.now()]
+    for ts_from in timestamps:
+        for ts_to in timestamps:
+            assert_delta_reconstructs(db, "t", ts_from, ts_to)
+    assert db.table_delta_estimate("t", timestamps[1], timestamps[2]) \
+        == db.table_cardinality("t")
+    state = snapshot_map(db, "t", timestamps[0])
+    for ts_to, hop in zip(timestamps[1:],
+                          db.table_delta_chain("t", timestamps)):
+        state = apply_delta(state, hop)
+        assert state == snapshot_map(db, "t", ts_to)
+
+
 def test_timetravel_disabled_raises(db):
     db.config.timetravel_enabled = False
     with pytest.raises(TimeTravelError):

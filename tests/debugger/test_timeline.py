@@ -132,12 +132,10 @@ class TestTableMentions:
 
 class TestTimelineStates:
     def test_fallback_sorts_and_dedupes_before_the_pipeline(self):
-        """Unsorted, duplicated caller ticks must not defeat the
-        per-probe pipeline's patch-in-place planning: the snapshot
-        sets are declared in sorted deduplicated order (N-1 moves for
-        N distinct ticks), while the result is keyed by the caller's
-        original timestamps."""
-        from planner_policy import NO_WINDOW, policy_backend
+        """Unsorted, duplicated caller ticks reach storage as one
+        sorted, deduplicated series — one AS-OF read at the earliest
+        tick and one delta chain over the rest — while the result is
+        keyed by the caller's original timestamps."""
         from repro.debugger.timeline import timeline_states
         db = Database()
         db.execute("CREATE TABLE t (x INT)")
@@ -150,13 +148,16 @@ class TestTimelineStates:
             ticks.append(db.clock.now())
         request = [ticks[3], ticks[0], ticks[3], ticks[1], ticks[4],
                    ticks[0]]
-        with policy_backend(NO_WINDOW).open_session() as session:
-            states = timeline_states(db, "t", request, session=session,
-                                     mode="sparkline")
-            stats = session.stats
-        n_unique = len(set(request))
-        assert stats.patched_in_place == n_unique - 1
-        assert stats.full_materializations == 1
+        reads = []
+        for name in ("table_snapshot", "table_delta_chain"):
+            def record(table, at, _read=getattr(db, name), _name=name):
+                reads.append((_name, at))
+                return _read(table, at)
+            setattr(db, name, record)
+        states = timeline_states(db, "t", request, mode="sparkline")
+        assert reads == [("table_snapshot", ticks[0]),
+                         ("table_delta_chain",
+                          [ticks[0], ticks[1], ticks[3], ticks[4]])]
         assert set(states) == set(request)
         assert {ts: states[ts].rows[0][0] for ts in request} \
             == {ticks[0]: 1, ticks[1]: 2, ticks[3]: 4, ticks[4]: 5}

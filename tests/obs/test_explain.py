@@ -1,5 +1,5 @@
 """Plan-explain: collector scoping, recording from the snapshot
-binder and window_scan, the JobHandle surface, and rendering."""
+binder, the JobHandle surface, and rendering."""
 
 import threading
 
@@ -76,33 +76,15 @@ def test_collector_is_thread_local():
 
 # -- recording from the engine ---------------------------------------------
 
-def test_sparkline_scan_explains_its_window_pass(history_db):
+def test_timeline_scan_plans_no_snapshots(history_db):
+    """A timeline scan is a storage read: its job records no planner
+    decision in either mode."""
     db, _, ticks = history_db
     with ReenactmentService(db, backend="sqlite", workers=1) as svc:
-        handle = svc.timeline_scan("account", ticks, mode="sparkline")
-        handle.result(timeout=30)
-        events = handle.explain(timeout=5)
-    scan = next(e for e in events if e["kind"] == "window-scan")
-    assert scan["decision"] == "window-pass"
-    assert scan["table"] == "account"
-    assert scan["ticks"] == len(ticks)
-    assert "SQL pass" in scan["reason"]
-
-
-def test_full_scan_explains_per_probe_fallback_and_snapshot_plans(
-        history_db):
-    db, _, ticks = history_db
-    with ReenactmentService(db, backend="sqlite", workers=1) as svc:
-        handle = svc.timeline_scan("account", ticks)
-        handle.result(timeout=30)
-        events = handle.explain(timeout=5)
-    scan = next(e for e in events if e["kind"] == "window-scan")
-    assert scan["decision"] == "per-probe"
-    assert scan["reason"]
-    plan = next(e for e in events if e["kind"] == "snapshot-plan")
-    assert plan["steps"], "plan must carry its steps"
-    for step in plan["steps"]:
-        assert step["reason"], "every plan step carries a why"
+        for mode in ("full", "sparkline"):
+            handle = svc.timeline_scan("account", ticks, mode=mode)
+            handle.result(timeout=30)
+            assert handle.explain(timeout=5) == []
 
 
 def test_reenact_job_explains_its_snapshot_plan(history_db):
@@ -143,8 +125,6 @@ def test_render_explain_formats_each_kind():
                     "source_ts": None, "reason": "no cached neighbor"},
                    {"op": "clone-delta", "table": "account", "ts": 9,
                     "source_ts": 7, "reason": "cheap delta"}]},
-        {"kind": "window-scan", "table": "account", "mode": "full",
-         "ticks": 6, "decision": "window-pass", "reason": "one pass"},
         {"kind": "custom-event", "note": "hello"},
     ]
     text = render_explain(events)
@@ -152,8 +132,6 @@ def test_render_explain_formats_each_kind():
     assert "full-build" in text and "account@7" in text
     assert "because no cached neighbor" in text
     assert "account@9 from @7" in text
-    assert "window scan: window-pass (account@full ticks=6)" in text
-    assert "because one pass" in text
     assert "custom-event: note=hello" in text
     assert render_explain([]) == "(no explain events)"
 

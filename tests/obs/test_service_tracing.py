@@ -51,61 +51,55 @@ def _child_names(children, record):
 
 
 def test_traced_timeline_scans_yield_the_full_span_tree(history_db):
-    """Acceptance: submit -> schedule -> job -> window-scan (sparkline)
-    or snapshot-plan with explain reasons (full state) -> result, each
-    in one trace."""
-    db, _, ticks = history_db
+    """Acceptance: submit -> schedule -> job -> result, each in one
+    trace.  A timeline scan reads storage, so its job span has no
+    backend child in either mode; a reenact job's tree holds the
+    engine work — execute and snapshot planning, whose decisions
+    arrive with their reasons."""
+    db, xids, ticks = history_db
     sink = enable_tracing()
     try:
         with ReenactmentService(db, backend="sqlite",
                                 workers=2) as svc:
-            handle = svc.timeline_scan("account", ticks,
-                                       mode="sparkline")
-            handle.result(timeout=30)
-            explain = handle.explain(timeout=5)
-            full = svc.timeline_scan("account", ticks, mode="full")
-            full.result(timeout=30)
-            full_explain = full.explain(timeout=5)
+            scans = [svc.timeline_scan("account", ticks, mode=mode)
+                     for mode in ("sparkline", "full")]
+            for scan in scans:
+                scan.result(timeout=30)
+            reenact = svc.reenact(xids[-1])
+            reenact.result(timeout=30)
+            reenact_explain = reenact.explain(timeout=5)
     finally:
         disable_tracing()
 
-    assert handle.trace_id
     records = sink.spans()
-    by_id, children = _tree(records, handle.trace_id)
-    names = {r["name"] for r in by_id.values()}
-    assert {"service.submit", "service.schedule", "job.timeline_scan",
-            "backend.window_scan", "windowscan.compile",
-            "service.result"} <= names
+    for handle in scans:
+        assert handle.trace_id
+        by_id, children = _tree(records, handle.trace_id)
+        (submit,) = children[None]
+        assert submit["name"] == "service.submit"
+        assert _child_names(children, submit) == {"service.schedule"}
+        (schedule,) = children[submit["span_id"]]
+        assert {"job.timeline_scan",
+                "service.result"} <= _child_names(children, schedule)
+        job = next(c for c in children[schedule["span_id"]]
+                   if c["name"] == "job.timeline_scan")
+        assert job["attrs"]["ticks"] == len(ticks)
+        assert not any(name.startswith("backend.")
+                       for name in _child_names(children, job))
 
-    (submit,) = children[None]
-    assert submit["name"] == "service.submit"
-    assert _child_names(children, submit) == {"service.schedule"}
-    (schedule,) = children[submit["span_id"]]
-    assert {"job.timeline_scan",
-            "service.result"} <= _child_names(children, schedule)
-    job = next(c for c in children[schedule["span_id"]]
-               if c["name"] == "job.timeline_scan")
-    assert _child_names(children, job) == {"backend.window_scan"}
-    (scan,) = children[job["span_id"]]
-    assert "windowscan.compile" in _child_names(children, scan)
-    assert scan["attrs"]["ticks"] == len(ticks)
-    scan_event = next(e for e in explain if e["kind"] == "window-scan")
-    assert scan_event["decision"] == "window-pass"
-
-    # the full-state scan walks the per-probe pipeline: its plan
-    # decisions arrive with their reasons, under the same job span
-    full_names = {r["name"]
-                  for r in _tree(records, full.trace_id)[0].values()}
-    assert {"job.timeline_scan", "backend.execute_plan",
-            "snapshot.plan"} <= full_names
-    assert "backend.window_scan" not in full_names
-    plan = next(e for e in full_explain if e["kind"] == "snapshot-plan")
+    reenact_names = {r["name"]
+                     for r in _tree(records, reenact.trace_id)[0].values()}
+    assert {"service.submit", "service.schedule", "job.reenact",
+            "backend.execute_plan", "snapshot.plan",
+            "service.result"} <= reenact_names
+    plan = next(e for e in reenact_explain
+                if e["kind"] == "snapshot-plan")
     assert all(step["reason"] for step in plan["steps"])
 
     # and the whole tree renders from the handle's trace id
-    text = render_trace(records, trace_id=handle.trace_id)
+    text = render_trace(records, trace_id=reenact.trace_id)
     assert text.splitlines()[0].startswith("service.submit")
-    assert "backend.window_scan" in text
+    assert "backend.execute_plan" in text
 
 
 def test_traced_reenact_job_covers_compile_and_execute(history_db):

@@ -21,7 +21,7 @@ from repro.debugger.timeline import timeline_states
 from repro.errors import ServiceError
 
 from service_helpers import assert_relations_match, run_txn
-from planner_policy import NO_DELTA, policy_backend
+from planner_policy import NO_DELTA, pipeline_states, policy_backend
 
 
 def test_queued_spill_readable_before_flush():
@@ -147,12 +147,8 @@ def test_inflight_spill_rehydrates_across_sessions_before_flush():
             try:
                 cold = policy_backend(NO_DELTA, spill_store=store)
                 with cold.open_session() as session_b:
-                    states = {}
-                    for ts in timestamps[:-1]:
-                        rel = timeline_states(db, "acct", [ts],
-                                              session=session_b)
-                        states[ts] = rel[ts]
-                    results["states"] = states
+                    results["states"] = pipeline_states(
+                        session_b, db, "acct", timestamps[:-1])
                     results["stats"] = session_b.stats
                     # before session close (which flushes): every read
                     # so far was served without a single disk write
@@ -168,9 +164,7 @@ def test_inflight_spill_rehydrates_across_sessions_before_flush():
         assert store.stats.pending_hits > 0
         assert results["flushes"] == 0  # reads never waited on a flush
 
-    expected = {ts: timeline_states(db, "acct", [ts],
-                                    backend="memory")[ts]
-                for ts in timestamps[:-1]}
+    expected = timeline_states(db, "acct", timestamps[:-1])
     for ts in timestamps[:-1]:
         assert_relations_match(expected[ts], results["states"][ts],
                                context=f"in-flight rehydrate ts={ts}")

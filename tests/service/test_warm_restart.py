@@ -32,11 +32,15 @@ def build_durable_history(tmp_path, n_updates=8):
 def test_restarted_service_comes_back_warm(tmp_path):
     store_path = str(tmp_path / "spill.sqlite")
     db, ticks = build_durable_history(tmp_path)
+    xids = [record.xid for record in db.audit_log.transactions(
+        committed_only=True) if record.user == "mutator"]
+    assert len(xids) == 8
 
     # first incarnation: publish every state to the store
     with ReenactmentService(db, store=store_path, workers=2) as svc:
         svc.warm("acc", ticks).result(timeout=60)
-        reference = svc.timeline_scan("acc", ticks).result(timeout=60)
+        reference = {xid: svc.reenact(xid).result(timeout=60)
+                     for xid in xids}
         assert len(svc.store.inventory(db.history_id)) >= len(ticks)
     db.wal.close()
 
@@ -54,10 +58,11 @@ def test_restarted_service_comes_back_warm(tmp_path):
         assert sessions["snapshots_rehydrated"] > 0
         assert sessions["full_materializations"] == 0
         # and real traffic answers identically to the first incarnation
-        result = svc2.timeline_scan("acc", ticks).result(timeout=60)
-        for ts in ticks:
-            assert_relations_match(result[ts], reference[ts],
-                                   context=f"warm restart ts={ts}")
+        for xid in xids:
+            result = svc2.reenact(xid).result(timeout=60)
+            assert_relations_match(result.table("acc"),
+                                   reference[xid].table("acc"),
+                                   context=f"warm restart xid={xid}")
     rec.wal.close()
 
 

@@ -12,9 +12,7 @@ Evaluation contexts decide what a :class:`~repro.algebra.operators.
 TableScan` sees:
 
 * the executing transaction's MVCC view (normal query execution),
-* a committed snapshot at ``AS OF`` time (time travel / reenactment),
-* a what-if override relation (the paper's "replace accesses to R with
-  R'" — §2).
+* a committed snapshot at ``AS OF`` time (time travel / reenactment).
 """
 
 from __future__ import annotations
@@ -124,20 +122,8 @@ def _render(value: Any) -> str:
 class EvalContext:
     """Scan resolution + bind parameters for one evaluation."""
 
-    def __init__(self, params: Optional[Dict[str, Any]] = None,
-                 overrides: Optional[Dict[str, Relation]] = None):
+    def __init__(self, params: Optional[Dict[str, Any]] = None):
         self.params = params or {}
-        self.overrides = overrides or {}
-
-    def with_overrides(self, overrides: Dict[str, Relation]
-                       ) -> "EvalContext":
-        merged = dict(self.overrides)
-        merged.update(overrides)
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        clone.overrides = merged
-        clone.params = self.params
-        return clone
 
     # Subclasses implement the actual storage access.
     def scan_table(self, table: str, as_of_ts: Optional[int]
@@ -153,8 +139,7 @@ class EvalContext:
 
 
 class StaticContext(EvalContext):
-    """Context over plain in-memory relations — used in unit tests and
-    for evaluating subplans against what-if tables only."""
+    """Context over plain in-memory relations — used in unit tests."""
 
     def __init__(self, tables: Dict[str, Relation],
                  params: Optional[Dict[str, Any]] = None):
@@ -169,11 +154,7 @@ class StaticContext(EvalContext):
         return [a.rsplit(".", 1)[-1] for a in self._relation(table).attrs]
 
     def _relation(self, table: str) -> Relation:
-        # an empty override is still an override (Relation is falsy
-        # when it has no rows)
-        relation = self.overrides.get(table)
-        if relation is None:
-            relation = self.tables.get(table)
+        relation = self.tables.get(table)
         if relation is None:
             raise ExecutionError(f"unknown table {table!r}")
         return relation

@@ -362,13 +362,16 @@ class _Generator:
         if not const.rows:
             null_items = ", ".join(f"NULL AS {f}" for f in flats)
             return (f"SELECT {null_items} WHERE FALSE", colmap)
-        selects = []
-        for row in const.rows:
-            items = ", ".join(
-                f"{format_expr(_remap(value, {}, self))} AS {flat}"
-                for value, flat in zip(row, flats))
-            selects.append(f"SELECT {items}")
-        return " UNION ALL ".join(selects), colmap
+        # one VALUES list, not a compound SELECT per row: engines cap
+        # the terms of a compound (SQLite at 500) but not a VALUES list
+        values = ", ".join(
+            "(" + ", ".join(format_expr(_remap(value, {}, self))
+                            for value in row) + ")"
+            for row in const.rows)
+        items = ", ".join(f"{self.dialect.quote(f'column{i + 1}')} AS {flat}"
+                          for i, flat in enumerate(flats))
+        return (f"SELECT {items} FROM (VALUES {values}) AS "
+                f"{self.fresh('t')}", colmap)
 
     # -- unary ---------------------------------------------------------------
 

@@ -95,6 +95,15 @@ class Translator:
             return self._translate_select(query, outer)
         if isinstance(query, ast.SetOpQuery):
             return self._translate_setop(query, outer)
+        if isinstance(query, ast.ValuesClause):
+            # FROM (VALUES ...): columns named as SQL engines name them
+            width = len(query.rows[0])
+            if any(len(row) != width for row in query.rows):
+                raise AnalysisError("VALUES rows have different arity")
+            return op.ConstRel(
+                [[self._resolve(value, Scope([])) for value in row]
+                 for row in query.rows],
+                [f"column{i + 1}" for i in range(width)])
         raise AnalysisError(f"cannot translate query node {query!r}")
 
     def resolve_expression(self, expr: Expr, scope: Scope) -> Expr:

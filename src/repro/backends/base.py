@@ -4,7 +4,7 @@ The paper's central systems claim is that reenactment is *ordinary SQL*
 — a reenactment query runs on a stock DBMS over time-traveled snapshots
 with no engine modification.  An :class:`ExecutionBackend` is where that
 claim becomes testable: it takes a finished algebra plan plus the
-evaluation context (time travel, what-if overrides, bind parameters)
+evaluation context (time travel, bind parameters)
 and produces a :class:`~repro.algebra.evaluator.Relation`, by whatever
 means the backend chooses — interpreting the plan directly
 (:class:`~repro.backends.memory.InMemoryBackend`) or printing it as SQL
@@ -336,7 +336,7 @@ class ExecutionBackend(abc.ABC):
     def execute_plan(self, plan: op.Operator,
                      ctx: EvalContext) -> Relation:
         """One-shot convenience: evaluate ``plan`` against the
-        snapshots/overrides/params that ``ctx`` resolves on a throwaway
+        snapshots and params that ``ctx`` resolves on a throwaway
         session and return the materialized result."""
         with self.open_session() as session:
             return session.execute_plan(plan, ctx)

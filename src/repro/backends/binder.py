@@ -49,9 +49,9 @@ class SnapshotBinder:
     the generator renders passes through :meth:`bind`, including scans
     inside subquery plans); :meth:`materialize` then creates and fills
     the temp tables on the target connection before the query runs.
-    Snapshot resolution defers to the evaluation context, so what-if
-    overrides, trigger-history snapshot providers and plain time travel
-    all compose exactly as they do for the in-memory evaluator.
+    Snapshot resolution defers to the evaluation context, so
+    trigger-history snapshot providers and plain time travel compose
+    exactly as they do for the in-memory evaluator.
 
     Binds are first served from the session :class:`SnapshotCache`;
     only cache misses become fresh temp tables, produced by the
@@ -121,10 +121,6 @@ class SnapshotBinder:
                      ) -> Tuple[SnapshotKey, Optional[object]]:
         """The cache key for a scan of ``table`` at ``ts``, plus the
         object (if any) whose identity the key depends on."""
-        override = self.ctx.overrides.get(table)
-        if override is not None:
-            # an override replaces the table regardless of ts
-            return (table, ("override", id(override))), override
         provider = getattr(self.ctx, "snapshot_provider", None)
         if provider is not None and ts is not None:
             return (table, ts, ("provider", id(provider))), provider

@@ -21,8 +21,8 @@ def quote_ident(ident: str) -> str:
 
 
 #: What a materialized snapshot is keyed on: ``(table, ts)`` for plain
-#: committed AS-OF state; what-if overrides and trigger-history snapshot
-#: providers change what a scan returns, so their identity is folded in.
+#: committed AS-OF state; a trigger-history snapshot provider changes
+#: what a scan returns, so its identity is folded in.
 SnapshotKey = Tuple
 
 
@@ -30,9 +30,9 @@ def spillable_key(key: SnapshotKey) -> bool:
     """Whether a snapshot key names a plain committed ``(table, ts)``
     state.  Only those are spillable/rehydratable: their contents are a
     pure function of the version history, so a stored copy stays valid
-    for as long as the database object lives.  Override and
-    trigger-history-provider snapshots embed object identities and are
-    never written to a shared store."""
+    for as long as the database object lives.  Trigger-history-provider
+    snapshots embed object identities and are never written to a shared
+    store."""
     return len(key) == 2 and isinstance(key[0], str) \
         and isinstance(key[1], int)
 
@@ -69,13 +69,12 @@ class SnapshotCache:
     table names and logical timestamps (every clock starts at the same
     epoch), so without the realm a session reused across databases
     would serve one database's snapshot to the other.  Pinned objects
-    (the realm's database, override relations, snapshot providers)
-    keep every ``id()`` a key embeds unambiguous while any entry
-    embedding it is live; pins are refcounted per entry and released
-    on eviction, so the capacity bound frees override relations along
-    with their temp tables.  ``stats.materializations`` stays keyed by
-    the plain snapshot key — the human-readable ``(table, ts)``
-    contract the reuse tests assert on.
+    (the realm's database, snapshot providers) keep every ``id()`` a
+    key embeds unambiguous while any entry embedding it is live; pins
+    are refcounted per entry and released on eviction, so the capacity
+    bound frees a provider with its temp tables.  The plain snapshot
+    key — the ``(table, ts)`` contract the reuse tests assert on —
+    still keys ``stats.materializations``.
     """
 
     def __init__(self, stats: Optional[SessionStats] = None,
@@ -200,7 +199,7 @@ class SnapshotCache:
     def plain_entries(self, realm) -> List[Tuple[str, int, str]]:
         """Every cached committed AS-OF state in ``realm``, as
         ``(table, ts, temp_table_name)`` triples — the inventory the
-        planner plans against.  Override/provider entries are never
+        planner plans against.  Provider entries are never
         listed (their contents are not a function of the version
         history, so they are no delta source)."""
         return [(key[0], key[1], name)

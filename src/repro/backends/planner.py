@@ -27,8 +27,8 @@ from repro.backends.base import SnapshotPlanStep
 class SnapshotRequest(NamedTuple):
     """One snapshot a plan scans that the session cache does not
     hold.  ``plain`` marks a committed ``(table, ts)`` state — a pure
-    function of the version history; what-if overrides and
-    trigger-history provider snapshots are not."""
+    function of the version history; trigger-history provider
+    snapshots are not."""
 
     key: Hashable
     table: str
@@ -58,7 +58,7 @@ def plan_snapshots(requests: Sequence[SnapshotRequest],
     step is one hop from its predecessor: every step's source is
     either cached or produced by an earlier step of the same plan
     (never movable — the plan's own SQL still reads it).
-    Override/provider requests are always full builds and run last.
+    Provider requests are always full builds and run last.
     """
     plain: Dict[str, List[SnapshotRequest]] = {}
     rest: List[Tuple[Hashable, SnapshotPlanStep]] = []
@@ -69,8 +69,8 @@ def plan_snapshots(requests: Sequence[SnapshotRequest],
             rest.append((request.key, SnapshotPlanStep(
                 op="full-build", table=request.table,
                 ts=request.ts if request.ts is not None else -1,
-                reason="what-if override / snapshot provider state: "
-                       "only a fresh full build is correct")))
+                reason="snapshot provider state: only a fresh full "
+                       "build is correct")))
     out: List[Tuple[Hashable, SnapshotPlanStep]] = []
     for table in sorted(plain):
         #: delta sources as [ts, movable?], consumed by moves and

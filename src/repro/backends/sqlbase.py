@@ -4,7 +4,7 @@ Every SQL backend realizes the paper's deployment story the same way:
 
 1. every time-traveled table access in the plan is materialized into a
    temp table on the engine — the committed ``AS OF`` snapshot (or
-   what-if override / trigger-history snapshot) with the table's
+   trigger-history snapshot) with the table's
    columns plus the ``__rowid__`` / ``__xid__`` annotation columns the
    reenactor threads through every step;
 2. the plan is printed as one SQL query through the engine's
@@ -276,8 +276,13 @@ class SQLSession(BackendSession):
                     self.conn.execute(
                         f"DROP TABLE IF EXISTS {quote_ident(name)}")
             self.stats.plans_executed += 1
+        # an edited table is a ``table.column``-named constant leaf
+        tables = binder.tables_used | {
+            name.split(".", 1)[0] for node in op.walk_plan(plan)
+            if isinstance(node, op.ConstRel)
+            for name in node.names if "." in name}
         bool_positions = type(self.backend)._bool_positions(
-            plan.attrs, ctx, binder.tables_used)
+            plan.attrs, ctx, tables)
         return _coerce_result(plan.attrs, rows, bool_positions)
 
     def _teardown(self) -> None:

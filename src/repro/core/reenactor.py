@@ -181,8 +181,9 @@ class CompiledReenactment:
     #: optimizer rule applications of the run that optimized the plans
     #: (one run per :meth:`Reenactor.compile_all` batch).
     optimizer_stats: Dict[str, int] = field(default_factory=dict)
-    #: what-if table replacements to evaluate under (R -> R', §2).
-    overrides: Optional[Dict[str, Relation]] = None
+    #: what-if table edits (R -> R', §2): per edited table, the rows
+    #: the plans read in its place — a constant leaf, not a scan.
+    edits: Dict[str, Relation] = field(default_factory=dict)
     #: per table, the AS-OF time at which the rows the transaction
     #: never wrote are read (:meth:`Reenactor.state_timestamps`) — where
     #: :meth:`Reenactor.execute` completes a whole-table request from,
@@ -210,6 +211,11 @@ def physical_writes(relations: Dict[str, Relation]) -> Dict[str, Set[int]]:
         if ids:
             out[table] = ids
     return out
+
+
+def _edited_rows(relation: Relation) -> List[Tuple[int, tuple, int]]:
+    """R' as a scan lists storage: row ids from 1, by no transaction."""
+    return [(i + 1, tuple(row), 0) for i, row in enumerate(relation.rows)]
 
 
 def _check(options: ReenactmentOptions) -> None:
@@ -287,22 +293,25 @@ class _Chains(dict):
     one prefix.  Every copy shares the pass's base plans: :meth:`base`
     builds one node per ``(table, ts)``, so each prefix, each READ
     COMMITTED re-base and each redirected read of one snapshot state
-    scans it through the same node."""
+    scans it through the same node; an edited table, at every ``ts``,
+    its one leaf in :attr:`leaves` (§2: "replace all accesses to R")."""
 
-    def __init__(self, base_plan, bases=None):
+    def __init__(self, base_plan, leaves, bases=None):
         super().__init__()
         self._base_plan = base_plan
+        self.leaves = leaves
         self._bases: Dict[Tuple[str, int], op.Operator] = \
             {} if bases is None else bases
 
     def base(self, table: str, ts: int) -> op.Operator:
         node = self._bases.get((table, ts))
         if node is None:
-            node = self._bases[table, ts] = self._base_plan(table, ts)
+            node = self._bases[table, ts] = self.leaves.get(table) \
+                or self._base_plan(table, ts)
         return node
 
     def copy(self) -> "_Chains":
-        out = _Chains(self._base_plan, self._bases)
+        out = _Chains(self._base_plan, self.leaves, self._bases)
         out.update(self)
         return out
 
@@ -360,18 +369,18 @@ class Reenactor:
     def reenact_record(self, record: TransactionRecord,
                        options: Optional[ReenactmentOptions] = None,
                        statements: Optional[List[ParsedStatement]] = None,
-                       overrides: Optional[Dict[str, Relation]] = None,
+                       edits: Optional[Dict[str, Relation]] = None,
                        session=None) -> ReenactmentResult:
         """Reenact from an explicit record/statement list — the hook the
         what-if engine uses to replay *modified* transactions (§2)."""
         compiled = self.compile(record, options, statements=statements,
-                                overrides=overrides)
+                                edits=edits)
         return self.execute(compiled, session=session)
 
     def compile(self, record: TransactionRecord,
                 options: Optional[ReenactmentOptions] = None,
                 statements: Optional[List[ParsedStatement]] = None,
-                overrides: Optional[Dict[str, Relation]] = None
+                edits: Optional[Dict[str, Relation]] = None
                 ) -> CompiledReenactment:
         """The compile phase: build and optimize the reenactment plans
         for ``record`` without executing anything — the one-element case
@@ -380,13 +389,13 @@ class Reenactor:
         The result is inert — it can be executed any number of times,
         on any backend or session, via :meth:`execute`."""
         (compiled,) = self.compile_all(record, [options],
-                                       statements=statements)
-        compiled.overrides = overrides
+                                       statements=statements, edits=edits)
         return compiled
 
     def compile_all(self, record: TransactionRecord,
                     requests: List[Optional[ReenactmentOptions]],
-                    statements: Optional[List[ParsedStatement]] = None
+                    statements: Optional[List[ParsedStatement]] = None,
+                    edits: Optional[Dict[str, Relation]] = None
                     ) -> List[CompiledReenactment]:
         """Compile several requests over one transaction — prefixes,
         tables, option sets — as one DAG: one :meth:`build_chains` pass
@@ -401,7 +410,8 @@ class Reenactor:
         (``split``) — unless its chains share a node with another
         request's: its affected-rows filter cannot move below the shared
         node, so splitting would only add a second snapshot scan, and it
-        compiles whole, as the paper's Example-3 query."""
+        compiles whole, as the paper's Example-3 query.  For ``edits``
+        (table → R') see :meth:`build_chains`."""
         requests = [options or ReenactmentOptions() for options in requests]
         for options in requests:
             _check(options)
@@ -412,7 +422,8 @@ class Reenactor:
                 statements = self.parsed_statements(record)
             lengths = [_prefix_length(statements, options.upto)
                        for options in requests]
-            taps = self.build_chains(record, statements, upto=max(lengths))
+            taps = self.build_chains(record, statements, upto=max(lengths),
+                                     edits=edits)
             chains = [self._request_chains(record, taps[k], options)
                       for k, options in zip(lengths, requests)]
             shared = _reach_shared(chains) if len(requests) > 1 \
@@ -427,7 +438,8 @@ class Reenactor:
                                   annotations=True, include_deleted=True) \
                     if split else options
                 batch.append((options, {
-                    table: self._finalize(table, chain, record, planned)
+                    table: self._finalize(table, chain, record, planned,
+                                          taps[0].leaves)
                     for table, chain in tables.items()}))
             optimizer_stats = self._optimize(batch)
             out = []
@@ -438,6 +450,7 @@ class Reenactor:
                     xid=record.xid, record=record, options=options,
                     plans=plans, snapshots=plan_snapshots(plans),
                     optimizer_stats=dict(optimizer_stats),
+                    edits=edits or {},
                     state_ts={table: stamps.get(table, record.begin_ts)
                               for table in plans},
                     split=split))
@@ -473,27 +486,21 @@ class Reenactor:
         predecessor, and may move versions no later compile reads
         forward in place.  Pipeline and throwaway session are released
         when the generator is exhausted or closed.  All compiles of a
-        batch evaluate under one context, so they must share one
-        ``overrides`` object — and on the in-memory backend on one
-        evaluator, which computes a node the plans of a
-        :meth:`compile_all` batch share once for all of them.
+        batch evaluate under one context — an edit is in its plans —
+        and on the in-memory backend on one evaluator, which computes a
+        node the plans of a :meth:`compile_all` batch share once.
 
         A split compile computes the rows the transaction wrote; the
         rows it never wrote are added here, straight from the AS-OF
-        snapshot (:meth:`_complete`) — on every backend alike, the
-        engine only sees the affected rows.  The result keeps them
-        (``affected``), so its write set
+        snapshot or the compile's edit (:meth:`_complete`) — on every
+        backend alike, the engine only sees the affected rows.  The
+        result keeps them (``affected``), so its write set
         (:attr:`ReenactmentResult.written_rowids`) needs no second
         reenactment."""
         compiles = list(compiles)
         if not compiles:
             return
-        overrides = compiles[0].overrides
-        if any(c.overrides is not overrides for c in compiles):
-            raise ReenactmentError(
-                "compiles of one batch must share one overrides object; "
-                "execute what-if variants one by one")
-        ctx = self.db.context(params={}, overrides=overrides,
+        ctx = self.db.context(params={},
                               snapshot_provider=self.snapshot_provider)
         with (nullcontext(session) if session is not None
               else resolve_backend(self.backend).open_session()) as active, \
@@ -515,7 +522,8 @@ class Reenactor:
                             relation, untouched = self._complete(
                                 table, relation,
                                 compiled.state_ts[table], ctx,
-                                compiled.options)
+                                compiled.options,
+                                compiled.edits.get(table))
                             passthrough += untouched
                         result.tables[table] = relation
                     if sp is not NOOP_SPAN:
@@ -524,11 +532,12 @@ class Reenactor:
                 yield result
 
     def _complete(self, table: str, affected: Relation, ts: int, ctx,
-                  options: ReenactmentOptions) -> Tuple[Relation, int]:
+                  options: ReenactmentOptions,
+                  edited: Optional[Relation]) -> Tuple[Relation, int]:
         """The whole table state a request asked for, from the rows the
         transaction wrote (``affected``: annotated, tombstones kept) and
-        the snapshot of ``table`` at ``ts``; also the number of rows
-        taken from the snapshot.
+        the snapshot of ``table`` at ``ts`` (R' if ``edited``); also the
+        number of rows taken from the snapshot.
 
         Rests on one invariant of the statement translation: a row whose
         ``__upd__`` is still false at the end of the chain left every
@@ -547,7 +556,9 @@ class Reenactor:
         pending = {row[rowid_at]: row for row in affected.rows}
         rows: List[tuple] = []
         untouched = 0
-        for rowid, values, xid in ctx.scan_table(table, ts):
+        stored = ctx.scan_table(table, ts) if edited is None \
+            else _edited_rows(edited)
+        for rowid, values, xid in stored:
             row = pending.pop(rowid, None)
             if row is None:
                 untouched += 1
@@ -607,7 +618,8 @@ class Reenactor:
         if statements is None:
             statements = self.parsed_statements(record)
         taps = self.build_chains(record, statements, upto=options.upto)
-        plans = {table: self._finalize(table, chain, record, options)
+        plans = {table: self._finalize(table, chain, record, options,
+                                       taps[-1].leaves)
                  for table, chain in self._request_chains(
                      record, taps[-1], options).items()}
         self._optimize([(options, plans)])
@@ -615,7 +627,8 @@ class Reenactor:
 
     def build_chains(self, record: TransactionRecord,
                      statements: List[ParsedStatement],
-                     upto: Optional[int] = None
+                     upto: Optional[int] = None,
+                     edits: Optional[Dict[str, Relation]] = None
                      ) -> List[Dict[str, op.Operator]]:
         """The raw reenactment chains (annotated, tombstones included)
         of every prefix of the first ``upto`` statements, from one pass:
@@ -623,9 +636,12 @@ class Reenactor:
         the chain node the last of them left — a *tap* on the one chain,
         which every longer prefix reads through.  The pass builds one
         base-plan node per ``(table, ts)``; every tap answers
-        ``base(table, ts)`` with it."""
+        ``base(table, ts)`` with it — of a table in ``edits``, at every
+        ``ts``, with one ``ConstRel`` leaf holding its R'."""
         statements = statements[:_prefix_length(statements, upto)]
-        chains = _Chains(self._base_plan)
+        chains = _Chains(self._base_plan, {
+            table: self._edit_leaf(table, relation)
+            for table, relation in (edits or {}).items()})
         taps = [chains.copy()]
         for parsed in statements:
             target = parsed.target
@@ -763,6 +779,16 @@ class Reenactor:
         exprs.append(Literal(False))
         names.append(f"{table}.{DEL}")
         return op.Projection(scan, exprs, names)
+
+    def _edit_leaf(self, table: str, relation: Relation) -> op.ConstRel:
+        """R' as a plan leaf under a base plan's attributes, each row
+        annotated as :func:`_edited_rows` lists it, never written."""
+        false = Literal(False)
+        return op.ConstRel(
+            [[Literal(value) for value in values]
+             + [Literal(rowid), Literal(xid), false, false]
+             for rowid, values, xid in _edited_rows(relation)],
+            self._base_plan(table, None).attrs)
 
     def _rc_input(self, chains: _Chains, table: str,
                   stmt_ts: int) -> op.Operator:
@@ -963,9 +989,10 @@ class Reenactor:
                 return node.map_expressions(
                     lambda expr: self._redirect_subqueries(
                         expr, chains, parsed, record))
-            if node.as_of is not None:
-                return node  # explicit time travel stays as written
-            view = self._read_view(chains, node.table, parsed, record)
+            view = chains.leaves.get(node.table) if node.as_of is not None \
+                else self._read_view(chains, node.table, parsed, record)
+            if view is None:  # time travel stays as written; R' has no past
+                return node
             exprs: List[Expr] = []
             for attr in node.attrs:
                 short = attr.rsplit(".", 1)[-1]
@@ -990,10 +1017,10 @@ class Reenactor:
     # .. finalization ..........................................................................
 
     def _finalize(self, table: str, chain: op.Operator,
-                  record: TransactionRecord,
-                  options: ReenactmentOptions) -> op.Operator:
+                  record: TransactionRecord, options: ReenactmentOptions,
+                  leaves: Dict[str, op.ConstRel]) -> op.Operator:
         """The request's (unoptimized) plan of ``table`` over its
-        chain."""
+        chain; ``leaves`` are the edited tables' (see :class:`_Chains`)."""
         plan = chain
         if not options.include_deleted:
             plan = op.Selection(
@@ -1017,20 +1044,21 @@ class Reenactor:
         plan = op.Projection(plan, exprs, names)
 
         if options.with_provenance:
-            plan = self._attach_provenance(table, plan, record, options)
+            plan = self._attach_provenance(
+                table, plan, options, leaves.get(table)
+                or self._base_plan(table, record.begin_ts))
         return plan
 
     def _attach_provenance(self, table: str, plan: op.Operator,
-                           record: TransactionRecord,
-                           options: ReenactmentOptions) -> op.Operator:
-        """Left-join each output row with its pre-transaction version
-        (``prov_<table>_<attr>`` columns, GProM naming)."""
+                           options: ReenactmentOptions,
+                           base: op.Operator) -> op.Operator:
+        """Left-join each output row with its pre-transaction version in
+        ``base`` (``prov_<table>_<attr>`` columns, GProM naming)."""
         if not options.annotations:
             raise ReenactmentError(
                 "with_provenance requires annotations=True (rows are "
                 "matched on __rowid__)")
         schema = self.db.catalog.get(table)
-        base = self._base_plan(table, record.begin_ts)
         prov_names = [f"prov_{table}_{c}" for c in schema.column_names]
         prov_exprs: List[Expr] = [
             Column(name=c, key=f"{table}.{c}")

@@ -5,7 +5,9 @@ describes:
 
 1. **edit the data in a table** — "we create a temporary table storing
    the updated version of table R (say R').  We, then, replace all
-   accesses to R with R' in the reenactment query and reevaluate it";
+   accesses to R with R' in the reenactment query and reevaluate it":
+   R' becomes a constant leaf of the plans (see
+   :meth:`Reenactor.build_chains`);
 2. **modify, delete, or add an update statement** — "we reconstruct the
    reenactment query using the modified statements instead of the
    original statements and reevaluate this query".
@@ -23,11 +25,12 @@ attempted writes never reached storage — is reenacted.
 
 The intended workload is exploratory: a user probing *many* variants of
 one suspect transaction.  :class:`WhatIfFleet` batches that — the record
-is parsed once, the unmodified original is compiled and reenacted
-exactly once, and every scenario variant executes against one shared
-backend session, so AS-OF snapshots are materialized once for the whole
-fleet instead of once per probe.  A fleet of N variants runs N + 1
-reenactments, plus one per aborted concurrent transaction.
+is parsed once, the unmodified original and every variant are compiled
+and then executed in **one** :meth:`Reenactor.execute_all` batch on one
+backend session, so AS-OF snapshots are planned and materialized once
+for the whole fleet instead of once per probe.  A fleet of N variants
+is N + 1 reenactments in one batch, plus one per aborted concurrent
+transaction; a standalone :meth:`WhatIfScenario.run` is a fleet of one.
 """
 
 from __future__ import annotations
@@ -165,7 +168,8 @@ class WhatIfScenario:
         self.record = record
         self._statements = statements
         self._modified = list(statements)
-        self._overrides: Dict[str, Relation] = {}
+        #: table -> R', the rows the modified transaction reads instead
+        self._edits: Dict[str, Relation] = {}
         #: xid -> error text for concurrent transactions whose writes
         #: the most recent conflict analysis could not reconstruct.
         self.last_degraded: Dict[int, str] = {}
@@ -212,52 +216,24 @@ class WhatIfScenario:
     def edit_table(self, table: str,
                    rows: Sequence[Sequence[Any]]) -> "WhatIfScenario":
         """Replace the contents of ``table`` (the temporary table R' of
-        §2); rows must match the table's schema."""
+        §2); rows must match the table's schema.  R' rows are not
+        stored rows, so conflict analysis never matches them against a
+        concurrent transaction's writes."""
         schema = self.db.catalog.get(table)
         validated = [schema.validate_row(tuple(row)) for row in rows]
-        self._overrides[table] = Relation(
-            list(schema.column_names), validated)
+        self._edits[table] = Relation(list(schema.column_names), validated)
         return self
 
     # -- execution ------------------------------------------------------------
 
     def run(self, options: Optional[ReenactmentOptions] = None,
-            session=None,
-            original: Optional[ReenactmentResult] = None,
-            other_writes_cache: Optional[Dict[int, Tuple]] = None
-            ) -> WhatIfResult:
-        """Reenact original and modified transaction and diff them.
-
-        ``session`` shares backend resources (one connection, memoized
-        snapshots) across both reenactments — and, via
-        :class:`WhatIfFleet`, across a whole batch of scenarios.
-        ``original`` short-circuits the unmodified reenactment with one
-        computed earlier *under the same options*;
-        ``other_writes_cache`` memoizes concurrent transactions' write
-        sets for conflict analysis.  Both are the fleet's levers and
-        default to the standalone behavior.
-
-        Conflict analysis takes the modified transaction's write set
-        from ``modified`` when it covers the whole transaction (a split
-        compile of every table and statement); other option sets
-        reenact it once more for it."""
-        options = options or ReenactmentOptions()
-        if original is None:
-            original = self.reenactor.reenact_record(
-                self.record, options, statements=self._statements,
-                session=session)
-        modified = self.reenactor.reenact_record(
-            self.record, options, statements=self._modified,
-            overrides=self._overrides or None, session=session)
-        written = modified.written_rowids \
-            if options.upto is None and options.table is None else None
-        if written is None:
-            written = self._written_rowids(session)
-        conflicts = self._conflicts(written, session, other_writes_cache)
-        return WhatIfResult(original=original, modified=modified,
-                            diffs=self.diff_results(original, modified),
-                            conflicts=conflicts,
-                            degraded_xids=dict(self.last_degraded))
+            session=None) -> WhatIfResult:
+        """Reenact original and modified transaction and diff them: a
+        fleet of one (see :meth:`WhatIfFleet.run`)."""
+        (result,) = _run_batch(self.reenactor, self.record,
+                               self._statements, [self],
+                               options or ReenactmentOptions(), session)
+        return result
 
     @staticmethod
     def diff_results(original: ReenactmentResult,
@@ -282,11 +258,7 @@ class WhatIfScenario:
 
     # -- conflict analysis --------------------------------------------------------
 
-    def conflict_analysis(self, session=None,
-                          other_writes_cache: Optional[
-                              Dict[int, Tuple[Dict[str, set],
-                                              Optional[str]]]] = None
-                          ) -> List[ConflictFinding]:
+    def conflict_analysis(self, session=None) -> List[ConflictFinding]:
         """Would the modified transaction's writes collide with a
         concurrent transaction?  Under first-updater-wins, two
         transactions with overlapping execution windows writing the same
@@ -298,16 +270,16 @@ class WhatIfScenario:
         anyway.  Concurrent transactions whose writes cannot be
         reconstructed (expected failures only) contribute none; their
         xids and errors are recorded in :attr:`last_degraded` and
-        surfaced as :attr:`WhatIfResult.degraded_xids` by :meth:`run`.
-        ``other_writes_cache`` memoizes the ``(writes, error)`` pair of
-        each concurrent transaction."""
-        return self._conflicts(self._written_rowids(session), session,
-                               other_writes_cache)
+        surfaced as :attr:`WhatIfResult.degraded_xids` by :meth:`run`."""
+        return self._conflicts(self._written_rowids(session), session, {})
 
     def _conflicts(self, written: Dict[str, set], session,
-                   cache: Optional[Dict[int, Tuple]]
-                   ) -> List[ConflictFinding]:
+                   cache: Dict[int, Tuple]) -> List[ConflictFinding]:
         self.last_degraded = {}
+        # every row of an edited table is a row of R' or an inserted
+        # one: none is a stored row another transaction could write
+        written = {table: rowids for table, rowids in written.items()
+                   if table not in self._edits}
         if not written:
             return []
         my_begin = self.record.begin_ts
@@ -341,11 +313,11 @@ class WhatIfScenario:
     def _written_rowids(self, session=None) -> Dict[str, set]:
         result = self.reenactor.reenact_record(
             self.record, _WRITES, statements=self._modified,
-            overrides=self._overrides or None, session=session)
+            edits=self._edits, session=session)
         return physical_writes(result.tables)
 
-    def _rowids_written_by(self, other: TransactionRecord, session=None,
-                           cache: Optional[Dict[int, Tuple]] = None
+    def _rowids_written_by(self, other: TransactionRecord, session,
+                           cache: Dict[int, Tuple]
                            ) -> Tuple[Dict[str, set], Optional[str]]:
         """Rows a concurrent transaction wrote, as ``(writes, error)``.
 
@@ -360,7 +332,7 @@ class WhatIfScenario:
         writes are ``{}`` and ``error`` names it, never a silent
         "wrote nothing".  Scenario edits never change what *other*
         transactions wrote, so a fleet shares one ``cache``."""
-        if cache is not None and other.xid in cache:
+        if other.xid in cache:
             return cache[other.xid]
         try:
             if other.committed:
@@ -373,8 +345,7 @@ class WhatIfScenario:
             out = writes, None
         except EXPECTED_REENACTMENT_ERRORS as exc:
             out = {}, f"{type(exc).__name__}: {exc}"
-        if cache is not None:
-            cache[other.xid] = out
+        cache[other.xid] = out
         return out
 
     # -- helpers ----------------------------------------------------------------------
@@ -414,13 +385,13 @@ class WhatIfFleet:
     connection and re-materializes every AS-OF snapshot.  The fleet
     parses the record once for all its scenarios, compiles and reenacts
     the original exactly once, memoizes concurrent transactions' write
-    sets for conflict analysis, and runs every variant against one
-    session — so each ``(table, ts)`` snapshot is materialized exactly
-    once no matter how many scenarios scan it.
-    Every reenactment primes the session with its compiled snapshot
-    set in ``(table, ts)`` order, so on a delta-capable backend the
-    snapshots a variant adds (e.g. statement-time states of a
-    timestamp the original never scanned) are built as incremental
+    sets for conflict analysis, and runs the original and every variant
+    as one :meth:`Reenactor.execute_all` batch on one session — so each
+    ``(table, ts)`` snapshot is materialized exactly once no matter how
+    many scenarios scan it.  The batch's snapshot pipeline primes each
+    compile's set in ``(table, ts)`` order, so on a delta-capable
+    backend the snapshots a variant adds (e.g. statement-time states of
+    a timestamp the original never scanned) are built as incremental
     patches of the fleet's already-cached neighbors, not full rebuilds.
 
     Usage::
@@ -487,41 +458,57 @@ class WhatIfFleet:
         """Run every scenario; returns name -> :class:`WhatIfResult`
         (insertion-ordered, so iteration follows fleet construction).
 
-        Compile/execute split in action: the original transaction is
-        compiled once and executed once on the shared session; each
-        scenario then compiles only its *modified* statement list and
-        executes on the same session, where every snapshot the original
-        already materialized is a cache hit.  Conflict analysis reads
-        each variant's write set off its reenactment and committed
-        concurrent transactions' off storage, so a fleet of N variants
-        is N + 1 reenactments (plus one per aborted concurrent
-        transaction, shared by all variants).
+        Compile/execute split in action: the original transaction and
+        each scenario's *modified* one are compiled, then executed in
+        one batch on the shared session (see :func:`_run_batch`).
+        Conflict analysis reads each variant's write set off its
+        reenactment and committed concurrent transactions' off storage,
+        so a fleet of N variants is N + 1 reenactments (plus one per
+        aborted concurrent transaction, shared by all variants).
 
         ``session`` runs the whole fleet on a caller-held
         :class:`~repro.backends.base.BackendSession` (left open)."""
         if not self._scenarios:
             raise WhatIfError("fleet has no scenarios; add some first")
-        options = options or ReenactmentOptions()
-        if session is not None:
-            return self._run_on(session, options)
-        with self.backend.open_session() as scoped:
-            return self._run_on(scoped, options)
-
-    def _run_on(self, session,
-                options: ReenactmentOptions) -> Dict[str, WhatIfResult]:
-        results: Dict[str, WhatIfResult] = {}
-        other_writes: Dict[int, Tuple] = {}
-        compiled = self.reenactor.compile(self.record, options,
-                                          statements=self.statements)
-        original = self.reenactor.execute(compiled, session=session)
-        self.last_degraded = {}
-        for name, scenario in self._scenarios:
-            results[name] = scenario.run(
-                options, session=session, original=original,
-                other_writes_cache=other_writes)
-            self.last_degraded.update(results[name].degraded_xids)
+        if session is None:
+            with self.backend.open_session() as scoped:
+                return self.run(options, scoped)
+        results = _run_batch(self.reenactor, self.record, self.statements,
+                             self.scenarios, options or ReenactmentOptions(),
+                             session)
         self.last_stats = session.stats
-        return results
+        self.last_degraded = {xid: error for result in results
+                              for xid, error in result.degraded_xids.items()}
+        return {name: result
+                for (name, _), result in zip(self._scenarios, results)}
+
+
+def _run_batch(reenactor: Reenactor, record: TransactionRecord,
+               statements: List[ParsedStatement],
+               scenarios: Sequence[WhatIfScenario],
+               options: ReenactmentOptions, session) -> List[WhatIfResult]:
+    """The original transaction (``statements``) and every scenario's
+    modified one, compiled, then run as one :meth:`Reenactor.execute_all`
+    batch; then, per scenario, its diff against the original and its
+    conflicts — each concurrent transaction's writes looked up once."""
+    compiles = [reenactor.compile(record, options, statements=statements)]
+    compiles += [reenactor.compile(record, options, edits=scenario._edits,
+                                   statements=scenario._modified)
+                 for scenario in scenarios]
+    original, *modified = reenactor.execute_all(compiles, session=session)
+    whole = options.upto is None and options.table is None
+    other_writes: Dict[int, Tuple] = {}
+    results = []
+    for scenario, result in zip(scenarios, modified):
+        written = result.written_rowids if whole else None
+        if written is None:
+            written = scenario._written_rowids(session)
+        results.append(WhatIfResult(
+            original=original, modified=result,
+            diffs=WhatIfScenario.diff_results(original, result),
+            conflicts=scenario._conflicts(written, session, other_writes),
+            degraded_xids=dict(scenario.last_degraded)))
+    return results
 
 
 def _counter(counts):

@@ -19,7 +19,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.algebra.evaluator import EvalContext, Relation
+from repro.algebra.evaluator import EvalContext
 from repro.db.auditlog import AuditLog
 from repro.db.clock import LogicalClock
 from repro.db.mvcc import MVCCManager
@@ -262,10 +262,9 @@ class Database:
     def context(self, txn: Optional[Transaction] = None,
                 stmt_ts: Optional[int] = None,
                 params: Optional[Dict[str, Any]] = None,
-                overrides: Optional[Dict[str, Relation]] = None,
                 snapshot_provider=None) -> "DatabaseContext":
         return DatabaseContext(self, txn=txn, stmt_ts=stmt_ts,
-                               params=params, overrides=overrides,
+                               params=params,
                                snapshot_provider=snapshot_provider)
 
     # -- transaction plumbing (used by Session / simulator) -------------------------
@@ -382,19 +381,16 @@ class DatabaseContext(EvalContext):
 
     Resolution order for a scan of table ``R``:
 
-    1. a what-if override relation for ``R`` (the paper's §2 "replace all
-       accesses to R with R'");
-    2. ``AS OF ts`` — committed snapshot via time travel;
-    3. the executing transaction's MVCC view at the statement timestamp;
-    4. latest committed state (no transaction).
+    1. ``AS OF ts`` — committed snapshot via time travel;
+    2. the executing transaction's MVCC view at the statement timestamp;
+    3. latest committed state (no transaction).
     """
 
     def __init__(self, db: Database, txn: Optional[Transaction] = None,
                  stmt_ts: Optional[int] = None,
                  params: Optional[Dict[str, Any]] = None,
-                 overrides: Optional[Dict[str, Relation]] = None,
                  snapshot_provider=None):
-        super().__init__(params=params, overrides=overrides)
+        super().__init__(params=params)
         self.db = db
         self.txn = txn
         self.stmt_ts = stmt_ts
@@ -414,10 +410,6 @@ class DatabaseContext(EvalContext):
         return list(self.db.catalog.get(table).column_names)
 
     def scan_table(self, table: str, as_of_ts: Optional[int]):
-        override = self.overrides.get(table)
-        if override is not None:
-            return [(i + 1, tuple(row), 0)
-                    for i, row in enumerate(override.rows)]
         if as_of_ts is not None:
             held = self._as_of_rows.get(table)
             if held is not None and held[0] == as_of_ts:

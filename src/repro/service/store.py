@@ -16,8 +16,8 @@ Only plain committed ``(table, ts)`` snapshots are stored (see
 :func:`repro.backends.cache.spillable_key`): their contents are a pure
 function of the version history, which MVCC storage never rewrites, so
 a stored copy can never go stale while the database object lives.
-What-if overrides and trigger-history provider snapshots embed Python
-object identities and never enter the store.
+Trigger-history provider snapshots embed Python object identities and
+never enter the store.
 
 The store is **thread-safe** (one connection guarded by a lock — spill
 and rehydrate payloads are single executemany-scale operations, so the

@@ -268,15 +268,9 @@ class Parser:
             while self.accept_op(","):
                 columns.append(self.expect_ident("column name"))
             self.expect_op(")")
-        if self.accept_keyword("VALUES"):
-            rows = [self._parse_value_row()]
-            while self.accept_op(","):
-                rows.append(self._parse_value_row())
-            source = ast.ValuesClause(rows=rows)
-        elif self.at_keyword("SELECT") or self.at_op("("):
-            source = self.parse_query()
-        else:
+        if not (self.at_keyword("VALUES", "SELECT") or self.at_op("(")):
             raise self.error("expected VALUES or a query in INSERT")
+        source = self.parse_query()
         return ast.Insert(table=table, columns=columns, source=source)
 
     def _parse_value_row(self) -> List[Expr]:
@@ -337,6 +331,11 @@ class Parser:
             query = self.parse_query()
             self.expect_op(")")
             return query
+        if self.accept_keyword("VALUES"):
+            rows = [self._parse_value_row()]
+            while self.accept_op(","):
+                rows.append(self._parse_value_row())
+            return ast.ValuesClause(rows=rows)
         return self.parse_select_core()
 
     def parse_select_core(self) -> ast.Select:

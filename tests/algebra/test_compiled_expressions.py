@@ -289,14 +289,6 @@ class TestEdges:
         with pytest.raises(ExecutionError, match=r"bad operands for '\*'"):
             eval_expr(overflow, None, EvalState())
 
-    def test_empty_override_replaces_the_table(self):
-        ctx = StaticContext({"t": Relation(["x"], [(1,), (2,)])})
-        emptied = ctx.with_overrides({"t": Relation(["x"], [])})
-        plan = scan("t", ["x"])
-        assert Evaluator(ctx).evaluate(plan).rows == [(1,), (2,)]
-        assert Evaluator(emptied).evaluate(plan).rows == []
-        assert emptied.table_columns("t") == ["x"]
-
     def test_order_by_mixed_types_is_typed(self):
         tables = {"m": Relation(["v"], [(1,), ("one",), (None,)])}
         plan = op.OrderBy(scan("m", ["v"]), [(col("m.v"), True)])

@@ -189,16 +189,19 @@ def test_capacity_bound_evicts_and_rematerializes(history_db):
                            reference.table("bench_account"))
 
 
-def test_eviction_releases_override_pins():
-    """The capacity bound must free memory, not just temp tables: an
-    override relation pinned only by evicted cache entries is released
-    from the pin registry (its id() may only be reused once no live
-    key embeds it — and conversely must not be held forever)."""
-    from repro.algebra.evaluator import Relation
+def test_eviction_releases_provider_pins():
+    """The capacity bound must free memory, not just temp tables: a
+    trigger-history snapshot provider pinned only by evicted cache
+    entries is released from the pin registry (its id() may only be
+    reused once no live key embeds it — and conversely must not be
+    held forever)."""
+    from repro.core.trigger_history import TriggerHistory
 
     db = Database()
     db.execute("CREATE TABLE t (k INT, v INT)")
     db.execute("INSERT INTO t VALUES (1, 10)")
+    history = TriggerHistory(db)
+    history.install(["t"])
     session = db.connect()
     session.begin()
     session.execute("UPDATE t SET v = 11")
@@ -206,19 +209,19 @@ def test_eviction_releases_override_pins():
     session.commit()
 
     backend = SQLiteBackend(cache_capacity=1)
-    reenactor = Reenactor(db, backend=backend)
-    record = reenactor.transaction_record(xid)
-    override = Relation(["k", "v"], [(7, 70)])
+    provider = history.snapshot
+    tracked = Reenactor(db, audit_log=history.audit_log(),
+                        snapshot_provider=provider, backend=backend)
     with backend.open_session() as backend_session:
-        reenactor.reenact_record(record, overrides={"t": override},
-                                 session=backend_session)
+        tracked.reenact(xid, session=backend_session)
         cache = backend_session.cache
-        assert id(override) in cache._pin_refs
-        # displace the override entry from the capacity-1 cache
-        reenactor.reenact(xid, session=backend_session)
+        assert id(provider) in cache._pin_refs
+        # displace the provider entry from the capacity-1 cache
+        Reenactor(db, backend=backend).reenact(xid,
+                                               session=backend_session)
         assert backend_session.stats.snapshots_evicted >= 1
-        assert id(override) not in cache._pin_refs, \
-            "evicted override is still pinned"
+        assert id(provider) not in cache._pin_refs, \
+            "evicted provider is still pinned"
         # the surviving entry keeps its own pins live
         assert len(cache._pin_refs) >= 1
 

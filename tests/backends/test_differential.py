@@ -59,7 +59,7 @@ from repro.backends import available_backends, resolve_backend
 from repro.core.optimizer import ProvenanceOptimizer
 from repro.core.reenactor import (ReenactmentOptions, Reenactor,
                                   plan_snapshots)
-from repro.core.whatif import WhatIfScenario
+from repro.core.whatif import WhatIfFleet, WhatIfScenario
 from repro.errors import ReenactmentError
 
 from conftest import (SQL_ENGINES, assert_relations_match,
@@ -398,45 +398,76 @@ def check_crash_recover_differential(seed, isolation, tmp_path):
     return checked
 
 
+def _edited_state(db, scenario):
+    """R' for an ``edit_table`` variant: the begin-time state of the
+    table the scenario's first statement writes, reversed, with one
+    row dropped and one value changed."""
+    table = scenario.statements[0].target
+    rows = [values for _, values, _ in
+            db.table_snapshot(table, scenario.record.begin_ts)][::-1][1:]
+    if rows:
+        rows[0] = rows[0][:-1] + ((rows[0][-1] or 0) + 1,)
+    return table, rows
+
+
 def check_whatif_differential(db, seed, isolation, engine="sqlite"):
-    """The same modification applied on both backends must yield
+    """The same modifications applied on both backends must yield
     identical diffs, and on each backend the diffs, conflicts and
     degraded transactions of ``run()`` — write sets read off the
     modified result and the commit log — must equal the reference that
     reenacts every write set (``tests/whatif_reference.py``).  Picks
-    the first committed multi-statement transaction and drops its
-    first statement; falls back to appending an update when every
-    transaction is single-statement.  A second scenario appends a
-    write of every row — to the target on ``engine``, to every
-    committed transaction on the interpreter — so that conflicts with
-    concurrent transactions, aborted ones included, are found and
-    compared too."""
+    the first committed multi-statement transaction and builds three
+    variants: drop its first statement (append an update when every
+    transaction is single-statement), append a write of every row —
+    so that conflicts with concurrent transactions, aborted ones
+    included, are found and compared too — and edit a table it writes.
+    They run as one fleet on one session, and each fleet result must
+    also equal the variant's standalone ``run()``.  On the interpreter
+    the appended write is swept over every other committed transaction
+    too."""
     xids = committed_xids(db)
     target = next((xid for xid in xids
                    if len(db.audit_log.transaction_record(xid).statements)
                    >= 2), xids[0])
     signatures = {}
     for backend in ("memory", engine):
-        scenario = WhatIfScenario(db, target, backend=backend)
-        if len(scenario.statements) >= 2:
-            scenario.delete_statement(0)
+        fleet = WhatIfFleet(db, target, backend=backend)
+        drop, append, edit = variants = [
+            fleet.scenario(name) for name in ("drop", "append", "edit")]
+        if len(drop.statements) >= 2:
+            drop.delete_statement(0)
         else:
-            scenario.insert_statement(
-                len(scenario.statements),
+            drop.insert_statement(
+                len(drop.statements),
                 "UPDATE bench_account SET bal = bal + 17 WHERE id <= 3")
-        signatures[backend] = whatif_signature(scenario.run())
+        append.insert_statement(len(append.statements),
+                                "UPDATE bench_account SET bal = bal")
+        edit.edit_table(*_edited_state(db, edit))
         context = f"seed={seed} isolation={isolation} backend={backend}"
-        assert signatures[backend] == reference_run(scenario), context
-        sweep = xids if backend == "memory" else [target]
         with resolve_backend(backend).open_session() as session:
-            for xid in sweep:
-                scenario = WhatIfScenario(db, xid, backend=backend)
-                scenario.insert_statement(
-                    len(scenario.statements),
-                    "UPDATE bench_account SET bal = bal")
-                assert whatif_signature(scenario.run(session=session)) \
-                    == reference_run(scenario, session=session), \
-                    f"{context} xid={xid}"
+            results = fleet.run(session=session)
+        signatures[backend] = [whatif_signature(result)
+                               for result in results.values()]
+        # standalone runs and references share a session of their own
+        memo = {}
+        with resolve_backend(backend).open_session() as session:
+            for scenario, signature in zip(variants, signatures[backend]):
+                assert signature \
+                    == whatif_signature(scenario.run(session=session)) \
+                    == reference_run(scenario, session=session,
+                                     memo=memo), \
+                    f"{context} variant={scenario.statements}"
+            if backend == "memory":
+                for xid in sorted(set(xids) - {target}):
+                    scenario = WhatIfScenario(db, xid, backend=backend)
+                    scenario.insert_statement(
+                        len(scenario.statements),
+                        "UPDATE bench_account SET bal = bal")
+                    assert whatif_signature(
+                        scenario.run(session=session)) \
+                        == reference_run(scenario, session=session,
+                                         memo=memo), \
+                        f"{context} xid={xid}"
     assert signatures["memory"] == signatures[engine], \
         f"what-if diff mismatch seed={seed} isolation={isolation} " \
         f"engine={engine}"

@@ -6,7 +6,8 @@
   snapshot set, prime set *i* immediately before compile *i*);
 * the generator owns what it opened: closing it early closes the
   pipeline and a throwaway session, never a caller's;
-* compiles that would need different evaluation contexts are refused.
+* a table edit rides in its compile's plans, so edited and unedited
+  compiles share one batch.
 """
 
 import sqlite3
@@ -16,7 +17,7 @@ import pytest
 from repro.algebra.evaluator import Relation
 from repro.backends import SQLiteBackend, resolve_backend
 from repro.core.reenactor import ReenactmentOptions, Reenactor
-from repro.errors import ExecutionError, ReenactmentError
+from repro.errors import ExecutionError
 
 from conftest import (SQL_ENGINES, assert_relations_match,
                       build_history, committed_xids)
@@ -140,21 +141,35 @@ def test_a_result_is_the_callers_to_change(isolation):
             relation.rows.append(("junk",))
 
 
-def test_a_batch_shares_one_overrides_object():
-    db = build_history(0)
-    reenactor = Reenactor(db)
-    record = reenactor.transaction_record(committed_xids(db)[0])
-    table = next(iter(reenactor.compile(record).plans))
-    columns = list(db.catalog.get(table).column_names)
-
-    def variant():
-        return reenactor.compile(
-            record, overrides={table: Relation(columns, [])})
-
-    plain, edited = reenactor.compile(record), variant()
-    with pytest.raises(ReenactmentError, match="overrides"):
-        list(reenactor.execute_all([plain, edited]))
-    with pytest.raises(ReenactmentError, match="overrides"):
-        list(reenactor.execute_all([edited, variant()]))
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+def test_a_batch_mixes_edited_and_unedited_compiles(isolation):
+    """A table edit is a leaf of the compile's plans, not a property of
+    the context they run under: a plain compile, an edited one and a
+    second edit of the same table run as one batch, and each result is
+    its own one-element ``execute`` — on every backend."""
+    db = build_history(0, isolation)
+    for name in ["memory"] + SQL_ENGINES:
+        reenactor = Reenactor(db, backend=name)
+        record = reenactor.transaction_record(committed_xids(db)[-1])
+        table = next(iter(reenactor.compile(record).plans))
+        schema = db.catalog.get(table)
+        state = db.table_snapshot(table, record.begin_ts)
+        columns = list(schema.column_names)
+        compiles = [
+            reenactor.compile(record, STRICT),
+            reenactor.compile(record, STRICT, edits={table: Relation(
+                columns, [values for _, values, _ in state[::-1]])}),
+            reenactor.compile(record, STRICT, edits={table: Relation(
+                columns, [values for _, values, _ in state[:2]])})]
+        with resolve_backend(name).open_session() as session:
+            batch = list(reenactor.execute_all(compiles, session=session))
+        alone = [reenactor.execute(compiled) for compiled in compiles]
+        assert alone[1].tables[table].rows != alone[0].tables[table].rows
+        for index, (got, expected) in enumerate(zip(batch, alone)):
+            assert list(got.tables) == list(expected.tables)
+            for key in expected.tables:
+                assert_relations_match(
+                    expected.tables[key], got.tables[key],
+                    context=f"isolation={isolation} backend={name} "
+                            f"compile={index} table={key}")
     assert list(reenactor.execute_all([])) == []
-    assert len(list(reenactor.execute_all([edited, edited]))) == 2

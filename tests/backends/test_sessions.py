@@ -164,31 +164,30 @@ def test_distinct_timestamps_get_distinct_snapshots(account_db):
                            one_shot.table("account"))
 
 
-def test_override_does_not_poison_snapshot_cache(account_db):
-    """A what-if table override is keyed by its identity, not by
-    ``(table, ts)`` — running an override scenario through a session
-    must not corrupt the committed snapshot other plans read."""
+def test_an_edit_is_a_plan_leaf_not_a_snapshot(account_db):
+    """A what-if table edit is a constant leaf of the compiled plans:
+    the edited compile scans no snapshot, running it through a session
+    materializes nothing for the edited table, and the committed
+    snapshot other plans read is untouched."""
     from repro.algebra.evaluator import Relation
     xid = run_txn(account_db,
                   ["UPDATE account SET bal = bal * 2 WHERE bal >= 50"])
     reenactor = Reenactor(account_db, backend="sqlite")
     record = reenactor.transaction_record(xid)
-    override = Relation(["cust", "typ", "bal"],
-                        [("Zed", "checking", 1000)])
+    edit = Relation(["cust", "typ", "bal"], [("Zed", "checking", 1000)])
+    edited = reenactor.compile(record, edits={"account": edit})
+    assert edited.snapshots == []
     backend = resolve_backend("sqlite")
     with backend.open_session() as session:
         plain_before = reenactor.reenact(xid, session=session)
-        overridden = reenactor.reenact_record(
-            record, overrides={"account": override}, session=session)
+        result = reenactor.execute(edited, session=session)
         plain_after = reenactor.reenact(xid, session=session)
     assert_relations_match(plain_before.table("account"),
                            plain_after.table("account"))
-    assert overridden.table("account").rows == [("Zed", "checking",
-                                                 2000)]
-    # committed state and override are two distinct cache entries
-    assert session.stats.snapshots_materialized == 2
-    assert all(count == 1
-               for count in session.stats.materializations.values())
+    assert result.table("account").rows == [("Zed", "checking", 2000)]
+    # the committed state is the one snapshot the session ever built
+    assert dict(session.stats.materializations) \
+        == {("account", record.begin_ts): 1}
 
 
 def test_cold_reenactment_reads_each_state_from_storage_once(
@@ -196,8 +195,8 @@ def test_cold_reenactment_reads_each_state_from_storage_once(
     """The backend materializes the begin-time state and the reenactor
     completes its result from the same state: the execution context
     answers the second AS-OF read from the first — one storage read per
-    ``execute``, and nothing kept between executes or handed to a
-    what-if override."""
+    ``execute``, and nothing kept between executes.  An edited table is
+    read from its edit, never from storage."""
     from repro.algebra.evaluator import Relation
     xid = run_txn(account_db,
                   ["UPDATE account SET bal = bal * 2 WHERE bal >= 50"])
@@ -223,9 +222,12 @@ def test_cold_reenactment_reads_each_state_from_storage_once(
     later = ctx.scan_table("account", account_db.clock.now())
     assert later is not first and later != first
     assert ctx.scan_table("account", None) is not later  # live read
-    override = Relation(["cust", "typ", "bal"], [("Zed", "checking", 1)])
-    assert ctx.with_overrides({"account": override}).scan_table(
-        "account", record.begin_ts) == [(1, ("Zed", "checking", 1), 0)]
+
+    reads.clear()
+    edit = Relation(["cust", "typ", "bal"], [("Zed", "checking", 1)])
+    result = reenactor.reenact_record(record, edits={"account": edit})
+    assert reads == []
+    assert result.table("account").rows == [("Zed", "checking", 1)]
 
 
 def test_compiled_snapshot_set_matches_materializations(account_db):

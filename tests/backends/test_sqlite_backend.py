@@ -1,5 +1,5 @@
 """SQLiteBackend specifics: snapshot materialization, dialect output,
-annotation columns, type coercion, what-if overrides."""
+annotation columns, type coercion, what-if table edits."""
 
 import dataclasses
 
@@ -52,6 +52,37 @@ def test_update_delete_insert_chain(account_db):
     ])
     mem, sq = both(account_db, xid)
     assert_relations_match(mem, sq)
+
+
+def test_an_insert_of_600_rows_reenacts_on_sqlite(db):
+    """A reenacted ``INSERT ... VALUES`` prints its rows as one VALUES
+    list: SQLite caps a compound SELECT at 500 terms, a VALUES list it
+    does not."""
+    db.execute("CREATE TABLE t (k INT, v INT)")
+    db.execute("INSERT INTO t VALUES (0, 0)")
+    rows = ", ".join(f"({k}, {2 * k})" for k in range(1, 601))
+    xid = run_txn(db, [f"INSERT INTO t VALUES {rows}"])
+    for options in (ReenactmentOptions(),
+                     ReenactmentOptions(annotations=True)):
+        mem = Reenactor(db).reenact(xid, options).table("t")
+        sq = Reenactor(db, backend="sqlite").reenact(xid, options)
+        assert len(mem.rows) == 601
+        assert_relations_match(mem, sq.table("t"))
+
+
+def test_an_edited_bool_column_comes_back_as_bool(db):
+    """R' is a constant leaf, not a scan: its BOOL columns are still
+    coerced back from SQLite's 0/1, type-strict."""
+    db.execute("CREATE TABLE f (k INT, live BOOL)")
+    db.execute("INSERT INTO f VALUES (1, TRUE)")
+    xid = run_txn(db, ["UPDATE f SET k = k + 1 WHERE live"])
+    results = []
+    for backend in ("memory", "sqlite"):
+        scenario = WhatIfScenario(db, xid, backend=backend)
+        scenario.edit_table("f", [(5, True), (6, False)])
+        results.append(scenario.run().modified.table("f"))
+    assert sorted(results[0].rows) == [(6, False), (6, True)]
+    assert_relations_match(*results)
 
 
 def test_annotation_columns_and_tombstones(account_db):

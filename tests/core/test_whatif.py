@@ -3,9 +3,13 @@
 import pytest
 
 from repro import Database
+from repro.algebra.evaluator import Relation
+from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.core.whatif import WhatIfScenario
 from repro.errors import ReenactmentError, WhatIfError
 from repro.workloads import setup_bank, run_write_skew_history
+
+BACKENDS = ["memory", "sqlite"]
 
 
 @pytest.fixture
@@ -108,6 +112,78 @@ class TestTableEdits:
         from repro.errors import CatalogError
         with pytest.raises(CatalogError):
             WhatIfScenario(db, xid).edit_table("t", [(1,)])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_empty_edit_empties_the_table(self, simple_db, backend):
+        """An empty R' is still R': the table reads as empty, so only
+        the transaction's own insert is left."""
+        db, xid = simple_db
+        reenactor = Reenactor(db, backend=backend)
+        record = reenactor.transaction_record(xid)
+        empty = {"t": Relation(["k", "v"], [])}
+        plain = reenactor.reenact_record(record, edits=empty)
+        assert plain.table("t").rows == [(3, 30)]
+        annotated = reenactor.reenact_record(
+            record, ReenactmentOptions(annotations=True), edits=empty)
+        assert annotated.table("t").rows == [(3, 30, -1000001, xid,
+                                              True, False)]
+
+    def test_every_read_of_an_edited_table_reads_the_edit(self):
+        """READ COMMITTED re-bases, a redirected subquery read, an
+        explicit ``AS OF`` scan inside a statement and the provenance
+        join all read R' — alike on every backend."""
+        db = Database()
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("CREATE TABLE u (k INT, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        past = db.clock.now()
+        db.execute("UPDATE t SET v = 0")
+        session = db.connect()
+        session.begin("READ COMMITTED")
+        session.execute("UPDATE t SET v = v * 2 WHERE k IN "
+                        "(SELECT k FROM t WHERE v > 50)")
+        session.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+        session.execute(f"INSERT INTO u (SELECT k, v FROM t AS OF {past})")
+        xid = session.txn.xid
+        session.commit()
+        edit = [(1, 100), (7, 70)]
+        provenance = ReenactmentOptions(annotations=True,
+                                        with_provenance=True, table="t")
+        for backend in BACKENDS:
+            scenario = WhatIfScenario(db, xid, backend=backend)
+            modified = scenario.edit_table("t", edit).run().modified
+            assert sorted(modified.table("t").rows) \
+                == [(1, 201), (7, 140)], backend
+            assert sorted(modified.table("u").rows) \
+                == [(1, 100), (7, 70)], backend
+            joined = scenario.reenactor.reenact_record(
+                scenario.record, provenance, statements=scenario.statements,
+                edits=scenario._edits).table("t")
+            prov = joined.column_index("prov_t_v")
+            assert sorted(row[prov] for row in joined.rows) == [70, 100]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_edited_rows_never_conflict_with_stored_rows(self, backend):
+        """An R' row is not a stored row: editing ``t`` must not make
+        the scenario collide with a concurrent writer of stored row 3,
+        which the unedited transaction never touched."""
+        db = Database()
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 0), (2, 0), (3, 0)")
+        a, b = db.connect(), db.connect()
+        a.begin()
+        b.begin()
+        a.execute("UPDATE t SET v = 1 WHERE k = 1")
+        b.execute("UPDATE t SET v = 3 WHERE k = 3")
+        xid = a.txn.xid
+        b.commit()
+        a.commit()
+        assert WhatIfScenario(db, xid, backend=backend).run().conflicts \
+            == []
+        edited = WhatIfScenario(db, xid, backend=backend).edit_table(
+            "t", [(5, 0), (6, 0), (1, 0)])
+        assert edited.run().conflicts == []
+        assert edited.conflict_analysis() == []
 
 
 class TestPromotion:

@@ -99,11 +99,9 @@ def test_fleet_of_eight_materializes_each_snapshot_once(probe_db):
     stats = fleet.last_stats
     assert all(count == 1 for count in stats.materializations.values())
     assert stats.snapshots_reused > 0
-    # base (table, ts) states appear exactly once each; override
-    # relations are separate identity-keyed entries
-    base_keys = [key for key in stats.materializations
-                 if isinstance(key[1], int)]
-    assert len(base_keys) == len(set(base_keys))
+    # only committed (table, ts) states are materialized: an edited
+    # table is a constant leaf of its variant's plans
+    assert all(isinstance(key[1], int) for key in stats.materializations)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -149,13 +147,14 @@ def test_fleet_surfaces_conflict_finding(probe_db):
 def test_a_fleet_is_one_compile_per_variant_plus_the_original(
         probe_db, monkeypatch):
     """A 3-variant fleet with a committed concurrent writer and no
-    aborted one parses the record once and compiles four times: the
-    original and each variant.  No write set is reenacted — the
-    variants' come with their reenactments, the writer's from the
-    commit log — and the collision is still found."""
+    aborted one parses the record once, compiles four times — the
+    original and each variant, an edited one included — and executes
+    them as one batch.  No write set is reenacted — the variants' come
+    with their reenactments, the writer's from the commit log — and
+    the collision is still found."""
     from repro.core.reenactor import Reenactor
     db, xid, other_xid = probe_db
-    calls = {"compile_all": 0, "parsed_statements": 0}
+    calls = {"compile_all": 0, "parsed_statements": 0, "execute_all": 0}
     for name in calls:
         real = getattr(Reenactor, name)
 
@@ -170,7 +169,8 @@ def test_a_fleet_is_one_compile_per_variant_plus_the_original(
     fleet.scenario("drop").delete_statement(1)
     fleet.scenario("edit").edit_table("t", [(1, 11), (5, 55)])
     results = fleet.run()
-    assert calls == {"compile_all": 4, "parsed_statements": 1}
+    assert calls == {"compile_all": 4, "parsed_statements": 1,
+                     "execute_all": 1}
     assert [(c.rowid, c.other_xid)
             for c in results["collide"].conflicts] == [(5, other_xid)]
     assert fleet.last_degraded == {}
@@ -256,25 +256,36 @@ def test_conflict_analysis_on_sqlite(skewed):
     assert any(other == t2 for _, _, other in findings["sqlite"])
 
 
-def test_conflict_analysis_on_shared_session(skewed):
+def test_conflict_analysis_on_shared_session(skewed, monkeypatch):
     """conflict_analysis routed through an explicit session matches
-    the one-shot path."""
+    the one-shot path, and so does a fleet on the same session — which
+    reads each concurrent writer's write set once for all of its
+    scenarios."""
     db, t1, t2 = skewed
+    promotion = "UPDATE account SET bal = bal WHERE cust = 'Alice'"
     scenario = WhatIfScenario(db, t1, backend="sqlite")
-    scenario.insert_statement(
-        0, "UPDATE account SET bal = bal WHERE cust = 'Alice'")
+    scenario.insert_statement(0, promotion)
     one_shot = scenario.conflict_analysis()
+    reads = []
+    real = Database.rows_written_by
+    monkeypatch.setattr(
+        Database, "rows_written_by",
+        lambda self, xid, ts: reads.append(xid) or real(self, xid, ts))
     backend = resolve_backend("sqlite")
     with backend.open_session() as session:
-        cache = {}
-        sessioned = scenario.conflict_analysis(
-            session=session, other_writes_cache=cache)
-        again = scenario.conflict_analysis(
-            session=session, other_writes_cache=cache)
+        sessioned = scenario.conflict_analysis(session=session)
+        standalone_reads = list(reads)
+        fleet = WhatIfFleet(db, t1, backend=backend)
+        for name in ("first", "second"):
+            fleet.scenario(name).insert_statement(0, promotion)
+        results = fleet.run(session=session)
     as_tuples = lambda cs: sorted((c.table, c.rowid, c.other_xid)
                                   for c in cs)
     assert as_tuples(one_shot) == as_tuples(sessioned) \
-        == as_tuples(again)
-    assert cache  # concurrent writers' write sets were memoized
+        == as_tuples(results["first"].conflicts) \
+        == as_tuples(results["second"].conflicts)
+    assert t2 in standalone_reads
+    # the fleet's two scenarios share one read per concurrent writer
+    assert reads == standalone_reads * 2
     assert all(count == 1
                for count in session.stats.materializations.values())

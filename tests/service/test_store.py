@@ -185,8 +185,8 @@ def test_rehydrated_snapshots_keep_type_fidelity():
 
 
 def test_override_snapshots_never_enter_the_store():
-    """What-if override relations embed object identities — they must
-    be dropped on eviction, not spilled."""
+    """A what-if table edit is a leaf of its plan, never a snapshot:
+    only plain committed ``(table, ts)`` states reach the store."""
     from repro.core.whatif import WhatIfScenario
     db = Database()
     make_history(db)
@@ -200,13 +200,14 @@ def test_override_snapshots_never_enter_the_store():
                                     ("Bob", "savings", 2)])
     scenario.run()
     # every spilled key is a plain (table, ts): probe the store file
-    # directly for override markers
+    # directly for anything else
     import sqlite3
     conn = sqlite3.connect(store.path)
     keys = [row[0] for row in
             conn.execute("SELECT skey FROM snapshots")]
     conn.close()
-    assert all("override" not in key for key in keys)
+    assert keys
+    assert all(key.rsplit(":", 1)[1].isdigit() for key in keys)
     store.close()
 
 

@@ -7,6 +7,11 @@ and no operator can have its children swapped in place.
 The service sits on top (``docs/service.md``): it imports the core, the
 debugger and the backends; none of them imports it back, so where a
 reenactment runs is never decided below the caller.
+
+A what-if table edit is a leaf of the reenactment plan
+(``docs/backends.md``, "What-if edits are plan leaves"): no evaluation
+context carries replacement relations beside the plan, so none takes a
+parameter named :data:`CHANNEL` and no attribute of that name is read.
 """
 
 import ast
@@ -75,6 +80,67 @@ def test_the_import_scan_catches_what_it_is_for():
               "def f():\n    from repro.service.jobs import Job\n"
               "from repro.core import reenactor\n")
     assert len(list(service_imports_in(source, "repro.core"))) == 4
+
+
+#: the name of the deleted channel that carried R' beside the plan
+CHANNEL = "overrides"
+
+#: the evaluation-context entry points, by module: none may take a
+#: :data:`CHANNEL` parameter
+CONTEXT_SIGNATURES = {
+    "algebra/evaluator.py": {("EvalContext", "__init__")},
+    "db/engine.py": {("DatabaseContext", "__init__"),
+                     ("Database", "context")},
+}
+
+
+def override_channel_in(source: str, signatures):
+    """Uses of a :data:`CHANNEL` attribute, and methods of
+    ``signatures`` (``(class, method)`` pairs) taking a :data:`CHANNEL`
+    parameter; also yields ``("found", pair)`` for each such method
+    seen, so a rename cannot pass the check vacuously."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == CHANNEL:
+            yield f"line {node.lineno}: uses attribute {CHANNEL}"
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef) \
+                    or (node.name, item.name) not in signatures:
+                continue
+            yield "found", (node.name, item.name)
+            args = item.args
+            if CHANNEL in [arg.arg for arg in args.posonlyargs
+                           + args.args + args.kwonlyargs]:
+                yield (f"line {item.lineno}: {node.name}.{item.name} "
+                       f"takes {CHANNEL}")
+
+
+def test_the_override_scan_catches_what_it_is_for():
+    source = (f"class EvalContext:\n"
+              f"    def __init__(self, params=None, *, {CHANNEL}=None):\n"
+              f"        self.{CHANNEL} = {CHANNEL}\n"
+              f"def f(ctx):\n    return ctx.{CHANNEL}.get('t')\n")
+    found = list(override_channel_in(source,
+                                     {("EvalContext", "__init__")}))
+    assert ("found", ("EvalContext", "__init__")) in found
+    assert len([item for item in found if isinstance(item, str)]) == 3
+
+
+def test_no_override_channel_beside_the_plan():
+    offences, found = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for item in override_channel_in(
+                path.read_text(), CONTEXT_SIGNATURES.get(relative, ())):
+            if isinstance(item, str):
+                offences.append(f"{relative}: {item}")
+            else:
+                found.add((relative, item[1]))
+    assert not offences, offences
+    assert found == {(module, pair)
+                     for module, pairs in CONTEXT_SIGNATURES.items()
+                     for pair in pairs}
 
 
 def test_nothing_below_the_service_imports_it():

@@ -40,21 +40,29 @@ def signature(result):
     return _plain(result.diffs), conflicts, dict(result.degraded_xids)
 
 
-def reference_run(scenario, options=None, session=None):
+def reference_run(scenario, options=None, session=None, memo=None):
     """:func:`signature` of what ``scenario.run(options)`` reported
-    when conflict analysis reenacted every write set."""
+    when conflict analysis reenacted every write set.  ``memo`` keeps
+    each concurrent transaction's reenacted write set (or error) by
+    xid across calls on one database and backend: a scenario never
+    changes what *other* transactions wrote."""
+    memo = {} if memo is None else memo
     db, reenactor, record = scenario.db, scenario.reenactor, scenario.record
     options = options or ReenactmentOptions()
-    overrides = scenario._overrides or None
+    edits = scenario._edits
     original = reenactor.reenact_record(
         record, options, statements=scenario._statements, session=session)
     modified = reenactor.reenact_record(
-        record, options, statements=scenario.statements,
-        overrides=overrides, session=session)
+        record, options, statements=scenario.statements, edits=edits,
+        session=session)
     diffs = _plain(WhatIfScenario.diff_results(original, modified))
-    written = physical_writes(reenactor.reenact_record(
-        record, WRITES, statements=scenario.statements,
-        overrides=overrides, session=session).tables)
+    # a row of an edited table is a row of R' or an inserted one, never
+    # a stored row another transaction could have written
+    written = {table: rowids for table, rowids in physical_writes(
+        reenactor.reenact_record(record, WRITES,
+                                 statements=scenario.statements,
+                                 edits=edits, session=session).tables
+    ).items() if table not in edits}
     conflicts, degraded = [], {}
     if not written:
         return diffs, conflicts, degraded
@@ -64,13 +72,17 @@ def reference_run(scenario, options=None, session=None):
         if other.xid == record.xid or other.begin_ts > my_end \
                 or other_end < record.begin_ts:
             continue
-        other_written = {}
-        if other.statements:
-            try:
-                other_written = reenacted_writes(reenactor, other.xid,
-                                                 session)
-            except EXPECTED_REENACTMENT_ERRORS as exc:
-                degraded[other.xid] = f"{type(exc).__name__}: {exc}"
+        if other.xid not in memo:
+            memo[other.xid] = {}, None
+            if other.statements:
+                try:
+                    memo[other.xid] = reenacted_writes(
+                        reenactor, other.xid, session), None
+                except EXPECTED_REENACTMENT_ERRORS as exc:
+                    memo[other.xid] = {}, f"{type(exc).__name__}: {exc}"
+        other_written, error = memo[other.xid]
+        if error is not None:
+            degraded[other.xid] = error
         for table, rowids in written.items():
             for rowid in sorted(rowids & other_written.get(table, set())):
                 conflicts.append((table, rowid, other.xid))

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra import operators as op
-from repro.algebra.expressions import Column, Expr, transform
+from repro.algebra.expressions import (Column, Expr, SubqueryExpr,
+                                       transform, walk)
 from repro.errors import ReenactmentError, ReproError
 from repro.sql.formatter import format_expr
 
@@ -234,8 +235,7 @@ class _Generator:
         #: node is one CTE every referrer reads under one name.
         self._shared: Set[int] = set()
         if self.dialect.use_ctes:
-            refs = Counter(id(child) for node in op.walk_plan(plan)
-                           for child in node.children())
+            refs = _referrers(plan)
             self._shared = {key for key, count in refs.items()
                             if count > 1}
         self._printed: Dict[int, Tuple[str, Dict[str, str]]] = {}
@@ -246,10 +246,12 @@ class _Generator:
         #: reference bodies of those CTEs → their names (see
         #: :meth:`derived`).
         self._cte_refs: Dict[str, str] = {}
-        #: >0 while rendering an expression-level subquery.  Such
-        #: bodies may carry correlated references to outer flat names
-        #: (remapped by :func:`_remap_plan`) and therefore must stay
-        #: inline — a CTE cannot see the enclosing query's columns.
+        #: >0 while rendering a correlated expression-level subquery.
+        #: Such bodies carry references to outer flat names (remapped
+        #: by :func:`_remap_plan`) and therefore must stay inline — a
+        #: CTE cannot see the enclosing query's columns.  An
+        #: uncorrelated subquery plan is counted in the referrer census
+        #: (:func:`_referrers`) and printed once when shared.
         self._subquery_depth = 0
 
     def fresh(self, prefix: str = "c") -> str:
@@ -513,29 +515,33 @@ def _remap(expr: Expr, colmap: Dict[str, str],
             if key in colmap:
                 return Column(name=colmap[key], key=colmap[key])
         if isinstance(node, SubqueryExpr) and node.plan is not None:
-            plan = _remap_plan(node.plan, colmap)
-            if gen is None:
-                return SubqueryExpr(node.kind, node.query, node.operand,
-                                    node.negated, plan, node.correlated)
-            return _render_subquery(node, plan, colmap, gen)
+            if gen is not None:
+                return _render_subquery(node, colmap, gen)
+            return SubqueryExpr(node.kind, node.query, node.operand,
+                                node.negated,
+                                _remap_plan(node.plan, colmap),
+                                node.correlated)
         return node
 
     return transform(expr, visit)
 
 
-def _render_subquery(node, plan: op.Operator, colmap: Dict[str, str],
+def _render_subquery(node, colmap: Dict[str, str],
                      gen: "_Generator") -> Expr:
     from repro.algebra.expressions import RawSQL
-    # the body may contain correlated references to outer flat names;
-    # suppress CTE hoisting for everything rendered inside it.
-    gen._subquery_depth += 1
+    # a correlated body refers to outer flat names: remap them, and
+    # suppress CTE hoisting for everything rendered inside it.  An
+    # uncorrelated plan outside such a body is a node like any other.
+    inline = node.correlated or gen._subquery_depth > 0
+    plan = _remap_plan(node.plan, colmap) if inline else node.plan
+    gen._subquery_depth += inline
     try:
         body, submap = gen.gen(plan)
         alias = gen.fresh("t")
         columns = ", ".join(submap[a] for a in plan.attrs)
         sub_sql = f"SELECT {columns} FROM ({body}) AS {alias}"
     finally:
-        gen._subquery_depth -= 1
+        gen._subquery_depth -= inline
     if node.kind == "EXISTS":
         word = "NOT EXISTS" if node.negated else "EXISTS"
         return RawSQL(f"{word} ({sub_sql})")
@@ -546,6 +552,27 @@ def _render_subquery(node, plan: op.Operator, colmap: Dict[str, str],
         word = "NOT IN" if node.negated else "IN"
         return RawSQL(f"{operand} {word} ({sub_sql})")
     raise ReproError(f"unknown subquery kind {node.kind!r}")
+
+
+def _referrers(plan: op.Operator) -> Counter:
+    """Per node ``id``, how many references print it: child edges plus
+    the uncorrelated subqueries whose plan it is, over the DAG under
+    ``plan`` and those subquery plans."""
+    refs: Counter = Counter()
+    seen: Set[int] = set()
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        inputs = node.children() + [
+            sub.plan for expr in node.expressions() for sub in walk(expr)
+            if isinstance(sub, SubqueryExpr) and sub.plan is not None
+            and not sub.correlated]
+        refs.update(id(child) for child in inputs)
+        stack.extend(inputs)
+    return refs
 
 
 def _remap_plan(plan: op.Operator, colmap: Dict[str, str]) -> op.Operator:

@@ -125,9 +125,12 @@ class SessionStats(StatsView):
 #: ``clone-delta``     — clone a cached neighbor and patch the delta;
 #: ``rehydrate-batch`` — refill from the spill store; all such steps of
 #:                       one plan are fetched in a single store read;
+#: ``partial-build``   — a storage scan, copying only the rows the
+#:                       batch's row keys match; the entry is completed
+#:                       before any other use;
 #: ``full-build``      — rebuild from a storage scan.
 PLAN_OPS = ("reuse-cached", "patch-in-place", "clone-delta",
-            "rehydrate-batch", "full-build")
+            "rehydrate-batch", "partial-build", "full-build")
 
 
 @dataclass(frozen=True)
@@ -225,7 +228,12 @@ class BackendSession(abc.ABC):
         compiles, chain deltas across compile boundaries, and — once
         an index is primed — know exactly which cached versions no
         later compile reads, so it may *move* them forward in place
-        instead of cloning.  The default pipeline is for stateless
+        instead of cloning.  A set may map each pair to the row keys
+        its compile reads it through
+        (:attr:`~repro.core.reenactor.CompiledReenactment.row_keys`,
+        ``None`` for a whole read): a planning backend may then build
+        a state from the rows the series' keys match, for the series'
+        plans alone.  The default pipeline is for stateless
         backends: it checks the protocol and builds nothing."""
         return SnapshotPipeline(self, snapshot_sets, ctx)
 

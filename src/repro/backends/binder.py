@@ -20,10 +20,12 @@ from repro.algebra.expressions import EvalState, eval_expr
 from repro.algebra.operators import ROWID_SUFFIX, XID_SUFFIX
 from repro.algebra.sqlgen import NATIVE, DialectConfig
 from repro.backends.base import SnapshotPlan, SnapshotPlanStep
-from repro.backends.cache import (SnapshotCache, SnapshotKey,
-                                  quote_ident, spillable_key)
-from repro.backends.planner import SnapshotRequest, plan_snapshots
+from repro.backends.cache import (PartialMark, SnapshotCache,
+                                  SnapshotKey, quote_ident, spillable_key)
+from repro.backends.planner import (RowKeys, SnapshotRequest,
+                                    plan_snapshots)
 from repro.errors import ExecutionError, TimeTravelError
+from repro.faults.inject import InjectedFault, fault_point
 from repro.obs.explain import explain_active, record_explain
 from repro.obs.trace import NOOP_SPAN, span
 
@@ -40,6 +42,43 @@ def context_realm(ctx: EvalContext):
     if db is None:
         return id(ctx)
     return getattr(db, "history_id", None) or id(db)
+
+
+def complete_partial(conn, cache: SnapshotCache, name: str, scan,
+                     driver_errors: Tuple[type, ...]) -> None:
+    """Make the cached partial entry ``name`` whole, in place: insert
+    the stored rows its build left out — read by ``scan(table, ts)``,
+    or through the entry's database when ``scan`` is ``None`` — then
+    clear its mark.  A complete entry is left alone.  No counter and
+    no LRU recency moves: completing is the rest of the one build.
+
+    A failure (a driver error, or the ``snapshot.complete`` fault
+    site) forgets the entry and drops its table, so no half-complete
+    table is ever served, and raises
+    :class:`~repro.errors.ExecutionError`."""
+    mark = cache.partial(name)
+    if mark is None:
+        return
+    realm, key = mark.entry
+    table, ts = key
+    try:
+        fault_point("snapshot.complete", table=table)
+        stored = (scan or mark.db.table_snapshot)(table, ts)
+        built = mark.rowids(stored)
+        rest = [tuple(values) + (rowid, xid)
+                for rowid, values, xid in stored if rowid not in built]
+        if rest:
+            SnapshotBinder._insert(conn, name, len(rest[0]), rest)
+    except driver_errors + (OverflowError, InjectedFault) as exc:
+        cache.forget(realm, key)
+        try:
+            conn.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
+        except driver_errors:
+            pass  # the completion's own error is the one to report
+        raise ExecutionError(
+            f"completing partial snapshot ({table!r}, {ts}) failed: "
+            f"{type(exc).__name__}: {exc}") from exc
+    cache.completed(name)
 
 
 class SnapshotBinder:
@@ -95,6 +134,13 @@ class SnapshotBinder:
         self._store = store
         #: the priming pipeline's grant, set before :meth:`materialize`.
         self.movable: Dict[str, Set[int]] = {}
+        #: the priming pipeline's row keys per plain ``(table, ts)``
+        #: (:func:`~repro.backends.planner.batch_row_keys`), set before
+        #: :meth:`materialize`: the states it may build partially.
+        self.row_keys: Dict[Tuple[str, int], RowKeys] = {}
+        #: cached partial entries this binder's plan reads from outside
+        #: the batch that built them — completed before it runs.
+        self._incomplete: Dict[str, None] = {}
         #: the most recent :class:`SnapshotPlan` built by
         #: :meth:`materialize` (observability / test pinning).
         self.plan: Optional[SnapshotPlan] = None
@@ -144,6 +190,8 @@ class SnapshotBinder:
         self.tables_used.add(table)
         name = self.cache.lookup(self.realm, key)
         if name is not None:
+            if self.cache.partial(name, self.ctx) is not None:
+                self._incomplete[name] = None
             if pin is None and ts is not None:
                 self._reused_pairs.setdefault((table, ts))
             # ``snapshots_reused`` means "served from a snapshot an
@@ -228,6 +276,8 @@ class SnapshotBinder:
     # .. plan, then execute ...............................................
 
     def materialize(self, conn) -> None:
+        for name in self._incomplete:
+            self._complete(conn, name)
         steps = self._plan()
         self.plan = SnapshotPlan(
             steps=[SnapshotPlanStep(op="reuse-cached", table=table,
@@ -261,7 +311,8 @@ class SnapshotBinder:
             for table, ts, _name in self.cache.plain_entries(self.realm):
                 cached.setdefault(table, []).append(ts)
         requests = [SnapshotRequest(key, table, ts,
-                                    pin is None and ts is not None)
+                                    pin is None and ts is not None,
+                                    self.row_keys.get((table, ts)))
                     for key, (table, ts, pin) in self._meta.items()]
         return plan_snapshots(requests, cached, self.movable, history,
                               self._config.delta_max_ratio,
@@ -313,9 +364,10 @@ class SnapshotBinder:
         for key, step in steps:
             table, ts, pin = self._meta[key]
             name = self._entries[key]
-            source, scanned = None, False
+            source, scanned, mark = None, False, None
             if step.source_ts is not None:
                 source = live[(table, step.source_ts)]
+                self._complete(conn, source)
                 payload = deltas.get((table, step.source_ts, ts))
                 if payload is None:
                     payload = self._source.table_delta(
@@ -324,9 +376,13 @@ class SnapshotBinder:
                 payload = self._usable(table, stored.get((table, ts)))
                 scanned = payload is None
                 if scanned:
+                    rows = self.ctx.scan_table(table, ts)
+                    if step.op == "partial-build":
+                        mark = self._partial_mark(key, table, ts)
+                        kept = mark.rowids(rows)
+                        rows = [row for row in rows if row[0] in kept]
                     payload = [tuple(values) + (rowid, xid)
-                               for rowid, values, xid
-                               in self.ctx.scan_table(table, ts)]
+                               for rowid, values, xid in rows]
             try:
                 if step.op == "patch-in-place":
                     self._move(conn, source, table, payload)
@@ -352,6 +408,8 @@ class SnapshotBinder:
                 if source is not None:
                     self._stats.delta_materializations += 1
                 elif scanned:
+                    # a partial build is the one storage-scan build
+                    # too (and never has a store to publish to)
                     self._stats.full_materializations += 1
                     self._publish(key, payload)
                 else:
@@ -359,10 +417,27 @@ class SnapshotBinder:
                     self._stats.batch_rehydrated += 1
                 self.cache.commit(self.realm, key, name,
                                   pins=(self._source, pin))
+                if mark is not None:
+                    self.cache.mark_partial(name, mark)
             if source is not None:
                 self._stats.delta_rows_applied += len(payload)
             if pin is None and ts is not None:
                 live[(table, ts)] = name
+
+    def _partial_mark(self, key: SnapshotKey, table: str,
+                      ts: int) -> PartialMark:
+        """What a partial build of ``(table, ts)`` keeps: the rows the
+        batch's keys match, by column position."""
+        columns = list(self.ctx.table_columns(table))
+        return PartialMark(
+            self.ctx, (self.realm, key),
+            tuple((columns.index(column), values)
+                  for column, values in self.row_keys[(table, ts)]),
+            self._source)
+
+    def _complete(self, conn, name: str) -> None:
+        complete_partial(conn, self.cache, name, self.ctx.scan_table,
+                         self._driver_errors)
 
     def _abandon(self, conn, step: SnapshotPlanStep, name: str,
                  source: Optional[str]) -> None:

@@ -9,7 +9,8 @@ Split out of :mod:`repro.backends.sqlbase`; the planner
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple)
 
 from repro.backends.base import SessionStats
 from repro.errors import ExecutionError
@@ -35,6 +36,33 @@ def spillable_key(key: SnapshotKey) -> bool:
     store."""
     return len(key) == 2 and isinstance(key[0], str) \
         and isinstance(key[1], int)
+
+
+class PartialMark:
+    """What a partial entry's table lacks, and who may read it as it
+    is.  The table holds the stored rows of ``entry``'s ``(table,
+    ts)`` whose value at some position of ``keys`` is one of that
+    position's values (:meth:`rowids`); completing it inserts the
+    rest, read through ``db``.  ``owner`` is the batch that built it
+    (its evaluation context), ``None`` once the batch has ended."""
+
+    __slots__ = ("owner", "entry", "keys", "db")
+
+    def __init__(self, owner, entry: Tuple[int, SnapshotKey],
+                 keys: Tuple[Tuple[int, FrozenSet], ...], db):
+        self.owner = owner
+        self.entry = entry
+        self.keys = keys
+        self.db = db
+
+    def rowids(self, stored) -> Set[int]:
+        """The ids of the stored ``(rowid, values, xid)`` rows the
+        keys match — one set-membership pass per key column."""
+        out: Set[int] = set()
+        for position, wanted in self.keys:
+            out.update([rowid for rowid, values, _xid in stored
+                        if values[position] in wanted])
+        return out
 
 
 #: Default snapshot-cache capacity: generous enough that the workloads
@@ -98,6 +126,8 @@ class SnapshotCache:
         self._pin_refs: Dict[int, List] = {}
         #: temp tables primed but not yet scanned by any plan.
         self._primed: Set[str] = set()
+        #: temp-table name -> :class:`PartialMark` of a partial entry.
+        self._partial: Dict[str, PartialMark] = {}
         self._counter = 0
 
     def lookup(self, realm, key: SnapshotKey) -> Optional[str]:
@@ -148,8 +178,40 @@ class SnapshotCache:
 
     def _drop(self, name: str, entry: Tuple[int, SnapshotKey]) -> None:
         self._primed.discard(name)
-        if self.on_evict is not None:
-            self.on_evict(name, entry)
+        try:
+            if self.on_evict is not None:
+                self.on_evict(name, entry)
+        finally:
+            self._partial.pop(name, None)
+
+    # .. partial entries ..................................................
+
+    def mark_partial(self, name: str, mark: "PartialMark") -> None:
+        """Mark a just-committed entry *partial*: its table holds only
+        the stored rows :meth:`PartialMark.rowids` names."""
+        self._partial[name] = mark
+
+    def partial(self, name: str, reader=None) -> Optional["PartialMark"]:
+        """The mark of a partial entry that ``reader`` (a batch's
+        evaluation context; ``None`` for any other use) must complete
+        before using it — ``None`` when the entry is complete or the
+        reader is the batch that built it."""
+        mark = self._partial.get(name)
+        if mark is None or (reader is not None and mark.owner is reader):
+            return None
+        return mark
+
+    def completed(self, name: str) -> None:
+        """The partial entry ``name`` now holds its whole state."""
+        self._partial.pop(name, None)
+
+    def release(self, owner) -> None:
+        """The batch ``owner`` has ended: from now on every use of a
+        partial entry it built is another use, and no mark holds its
+        context (nor the storage reads the context memoizes)."""
+        for mark in self._partial.values():
+            if mark.owner is owner:
+                mark.owner = None
 
     def _release_pins(self, entry: Tuple[int, SnapshotKey]) -> None:
         for pin in self._entry_pins.pop(entry, ()):
@@ -190,10 +252,15 @@ class SnapshotCache:
 
     def forget(self, realm, key: SnapshotKey) -> None:
         """Remove a live entry *without* the eviction callback: its
-        temp table is known bad (a patch failed half-way), so it must
-        be neither spilled nor served again.  The caller drops it."""
+        temp table is known bad (a patch or a completion failed
+        half-way), so it must be neither spilled nor served again.
+        The caller drops it."""
         entry = (realm, key)
-        self._primed.discard(self._names.pop(entry))
+        name = self._names.pop(entry, None)
+        if name is None:
+            return  # already evicted
+        self._primed.discard(name)
+        self._partial.pop(name, None)
         self._release_pins(entry)
 
     def plain_entries(self, realm) -> List[Tuple[str, int, str]]:

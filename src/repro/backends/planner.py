@@ -9,7 +9,10 @@ connection.  :func:`plan_snapshots` picks, for every snapshot a plan
 needs and the session cache does not hold, which of the
 :data:`~repro.backends.base.PLAN_OPS` produces it: patch a cached
 neighbor forward in place, clone a neighbor and apply the delta, read
-it back from the spill store, or scan storage.
+it back from the spill store, or scan storage — all of it, or, when
+the batch reads the state only through key selections, just the rows
+those keys match (a *partial* build, completed on its first other
+use; see :mod:`repro.backends.binder`).
 
 The cutover is a number on the engine's frozen
 :class:`~repro.algebra.sqlgen.DialectConfig` (``delta_max_ratio``);
@@ -18,22 +21,60 @@ there is no mode to set.
 
 from __future__ import annotations
 
-from typing import (Dict, Hashable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Hashable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.backends.base import SnapshotPlanStep
+
+
+#: A partial build's row filter, as the reenactor reads it off a
+#: batch's plans (:func:`repro.core.reenactor.snapshot_analysis`): the
+#: rows in which some listed column holds one of its listed values — a
+#: disjunction of ``column IN values`` atoms; empty keeps no row.
+RowKeys = Tuple[Tuple[str, FrozenSet], ...]
 
 
 class SnapshotRequest(NamedTuple):
     """One snapshot a plan scans that the session cache does not
     hold.  ``plain`` marks a committed ``(table, ts)`` state — a pure
     function of the version history; trigger-history provider
-    snapshots are not."""
+    snapshots are not.  ``keys`` are the batch's row keys for the
+    state (:func:`batch_row_keys`), if it has any."""
 
     key: Hashable
     table: str
     ts: Optional[int]
     plain: bool
+    keys: Optional[RowKeys] = None
+
+
+def batch_row_keys(snapshot_sets: Sequence
+                   ) -> Dict[Tuple[str, int], RowKeys]:
+    """The row keys a series of snapshot sets lets a partial build
+    use, per plain ``(table, ts)``: the union of every set's keys for
+    it.  A set may map each pair to its keys; a pair a set reads
+    without keys, and every state of a table the series reads at more
+    than one ``ts`` — one the series will hop from — gets none."""
+    merged: Dict[Tuple[str, int], Dict[str, FrozenSet]] = {}
+    whole: Set[Tuple[str, int]] = set()
+    stamps: Dict[str, Set[int]] = {}
+    for snapshots in snapshot_sets:
+        keyed = snapshots if isinstance(snapshots, Mapping) else {}
+        for table, ts in snapshots:
+            if ts is None:
+                continue
+            pair = (table, int(ts))
+            stamps.setdefault(table, set()).add(pair[1])
+            keys = keyed.get((table, ts))
+            if keys is None:
+                whole.add(pair)
+                continue
+            columns = merged.setdefault(pair, {})
+            for column, values in keys:
+                columns[column] = columns.get(column, frozenset()) | values
+    return {pair: tuple(sorted(columns.items()))
+            for pair, columns in merged.items()
+            if pair not in whole and len(stamps[pair[0]]) == 1}
 
 
 def plan_snapshots(requests: Sequence[SnapshotRequest],
@@ -57,7 +98,11 @@ def plan_snapshots(requests: Sequence[SnapshotRequest],
     Plain requests are planned per table in timestamp order, so each
     step is one hop from its predecessor: every step's source is
     either cached or produced by an earlier step of the same plan
-    (never movable — the plan's own SQL still reads it).
+    (never movable — the plan's own SQL still reads it).  A plain
+    request that would be a full build and carries ``keys`` is a
+    ``partial-build``: a neighbor to hop from, a store to read from
+    and another version of the table in the batch all rule it out
+    (:func:`batch_row_keys` gives no keys in the last case).
     Provider requests are always full builds and run last.
     """
     plain: Dict[str, List[SnapshotRequest]] = {}
@@ -90,6 +135,13 @@ def plan_snapshots(requests: Sequence[SnapshotRequest],
                     reason="no affordable cached neighbor; spill store "
                            "attached — batched store read (full build "
                            "on a store miss)")
+            elif step is None and request.keys is not None:
+                step = SnapshotPlanStep(
+                    op="partial-build", table=table, ts=request.ts,
+                    reason="no affordable cached neighbor and no "
+                           "spill store; the batch reads only rows "
+                           "its keys match: storage scan, those rows "
+                           "copied, the rest on first other use")
             elif step is None:
                 step = SnapshotPlanStep(
                     op="full-build", table=table, ts=request.ts,

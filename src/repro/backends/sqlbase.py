@@ -38,9 +38,11 @@ from repro.algebra.sqlgen import (Dialect, DialectConfig, NATIVE,
                                   generate_sql)
 from repro.backends.base import (BackendSession, ExecutionBackend,
                                  SnapshotPipeline)
-from repro.backends.binder import SnapshotBinder, context_realm
+from repro.backends.binder import (SnapshotBinder, complete_partial,
+                                   context_realm)
 from repro.backends.cache import (DEFAULT_CACHE_CAPACITY, SnapshotCache,
                                   quote_ident, spillable_key)
+from repro.backends.planner import batch_row_keys
 from repro.db.types import DataType
 from repro.errors import ExecutionError
 from repro.faults.inject import fault_point
@@ -83,18 +85,26 @@ class SQLPipeline(SnapshotPipeline):
 
     Construction indexes the whole series: for every plain committed
     ``(table, ts)`` pair it records the first and last set that reads
-    it.  Priming set ``i`` then (a) counts pairs an earlier set already
-    materialized as *shared primes* instead of re-requesting them, and
-    (b) grants the binder a **movable** set — cached versions whose
-    last reader is behind the cursor, which nothing in the remaining
-    series will scan again, so the planner may consume them with
-    patch-in-place moves.  Versions the pipeline never requested are
-    left alone: other workloads on the session may still want them,
-    and plain LRU eviction already bounds them."""
+    it, and the row keys the series lets a partial build of it use
+    (a set may map each pair to its keys; see
+    :func:`~repro.backends.planner.batch_row_keys`).  Priming set
+    ``i`` then (a) counts pairs an earlier set already materialized as
+    *shared primes* instead of re-requesting them, and (b) grants the
+    binder a **movable** set — cached versions whose last reader is
+    behind the cursor, which nothing in the remaining series will scan
+    again, so the planner may consume them with patch-in-place moves.
+    Versions the pipeline never requested are left alone: other
+    workloads on the session may still want them, and plain LRU
+    eviction already bounds them.  The batch is this pipeline's
+    context: a partial entry it built is read as it is by binders of
+    that context alone, and by none once the pipeline closes."""
 
     def __init__(self, session: "SQLSession", snapshot_sets,
                  ctx: EvalContext):
+        snapshot_sets = list(snapshot_sets)
         super().__init__(session, snapshot_sets, ctx)
+        #: the states this series may build partially
+        self._row_keys = batch_row_keys(snapshot_sets)
         self._first_reader: Dict[Tuple[str, int], int] = {}
         self._last_reader: Dict[Tuple[str, int], int] = {}
         for index, snapshots in enumerate(self.snapshot_sets):
@@ -127,9 +137,14 @@ class SQLPipeline(SnapshotPipeline):
             last = self._last_reader.get((table, ts))
             if last is not None and last < index:
                 binder.movable.setdefault(table, set()).add(ts)
+        binder.row_keys = self._row_keys
         for table, ts in requested:
             binder.bind_key(table, ts)
         binder.materialize(session.conn)
+
+    def close(self) -> None:
+        super().close()
+        self.session.cache.release(self.ctx)
 
 
 class SQLSession(BackendSession):
@@ -202,10 +217,13 @@ class SQLSession(BackendSession):
         """Save a resident plain committed snapshot to the spill store
         — unless the store already holds this immutable state
         (write-through published it, or another session spilled it
-        first)."""
+        first).  A partial entry is completed first: the store only
+        ever holds whole states."""
         if self.spill_store is None or not spillable_key(key) \
                 or (realm, key[0], key[1]) in self.spill_store:
             return
+        complete_partial(self.conn, self.cache, name, None,
+                         self._error_types)
         rows = self.conn.execute(
             f"SELECT * FROM {quote_ident(name)}").fetchall()
         self.spill_store.put(realm, key[0], key[1], rows)

@@ -59,14 +59,16 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algebra import operators as op
 from repro.algebra.evaluator import Evaluator, Relation
 from repro.backends import BackendSpec, resolve_backend
+from repro.backends.planner import RowKeys
 from repro.algebra.expressions import (BinaryOp, Case, Column, Expr,
-                                       Literal, SubqueryExpr, UnaryOp,
-                                       contains_subquery, transform, walk)
+                                       InList, Literal, SubqueryExpr,
+                                       UnaryOp, contains_subquery,
+                                       transform, walk)
 from repro.algebra.translator import Scope, Translator
 from repro.db.auditlog import TransactionRecord
 from repro.db.engine import Database
@@ -178,6 +180,12 @@ class CompiledReenactment:
     #: ``(table, ts)`` so a delta-materializing session builds each
     #: snapshot as a small hop from its same-table predecessor.
     snapshots: List[Tuple[str, Optional[int]]]
+    #: per plain ``(table, ts)`` of ``snapshots``, the rows its scans
+    #: can pass (:func:`snapshot_analysis`): a backend session with
+    #: nothing to reuse may build the state from those rows alone.
+    #: Absent pairs are read whole.
+    row_keys: Dict[Tuple[str, int], RowKeys] = field(
+        default_factory=dict)
     #: optimizer rule applications of the run that optimized the plans
     #: (one run per :meth:`Reenactor.compile_all` batch).
     optimizer_stats: Dict[str, int] = field(default_factory=dict)
@@ -246,33 +254,161 @@ def _prefix_length(statements: List[ParsedStatement],
     return upto
 
 
-def plan_snapshots(plans: Dict[str, op.Operator]
-                   ) -> List[Tuple[str, Optional[int]]]:
-    """Distinct ``(table, as_of_ts)`` states scanned by a plan set,
-    sorted by ``(table, ts)`` — adjacent entries are the smallest
-    version-history hops, which is the order a delta-materializing
-    backend wants to build them in.  Descends into expression subquery
-    plans (the printer renders those scans too, so they hit the
-    snapshot cache); visits each node of the plan DAGs once."""
-    seen = set()
-    visited = set()
-    stack = list(plans.values())
+Pair = Tuple[str, Optional[int]]
+
+
+def snapshot_analysis(plan_sets: List[Dict[str, op.Operator]]
+                      ) -> Tuple[List[List[Pair]],
+                                 Dict[Tuple[str, int], RowKeys]]:
+    """One walk over the DAG of a batch's plan sets: per set, the
+    distinct ``(table, as_of_ts)`` states its plans scan, including
+    scans inside expression subquery plans (the printer renders those
+    too, so they hit the snapshot cache), sorted by ``(table, ts)`` —
+    adjacent entries are the smallest version-history hops, the order
+    a delta-materializing backend builds them in; and per plain
+    ``(table, ts)``, the :data:`RowKeys` every row its scans feed must
+    match.
+
+    A pair has keys when each reader of each scan of it is a
+    :class:`~repro.algebra.operators.Selection` — the pushed-down
+    statement conditions of a split plan — whose predicate reduces to
+    key atoms (:func:`_predicate_keys`) and holds no subquery: then a
+    row matching none of them is read by nothing.  A scan read any
+    other way, a plan root and a scan inside a subquery plan leave
+    their pair without keys.  Each node is visited once, so a chain
+    the sets share costs one walk, not one per set."""
+    under: Dict[int, FrozenSet[Pair]] = {}
+    #: pair -> merged ``{column: values}``, or None once refused
+    keys: Dict[Pair, Optional[Dict[str, Set]]] = {}
+    roots = [plan for plans in plan_sets for plan in plans.values()]
+    for root in roots:
+        if isinstance(root, op.TableScan):
+            keys[_scan_pair(root)] = None
+    stack: List[Tuple[op.Operator, Optional[list]]] = \
+        [(root, None) for root in roots]
     while stack:
-        node = stack.pop()
-        if id(node) in visited:
+        node, subplans = stack.pop()
+        if id(node) in under:
             continue
-        visited.add(id(node))
+        if subplans is None:  # first visit: inputs before the node
+            subplans = [sub.plan for expr in node.expressions()
+                        for sub in walk(expr)
+                        if isinstance(sub, SubqueryExpr)
+                        and sub.plan is not None]
+            stack.append((node, subplans))
+            stack.extend((child, None)
+                         for child in node.children() + subplans
+                         if id(child) not in under)
+            continue
+        inputs = node.children() + subplans
         if isinstance(node, op.TableScan):
-            ts = node.as_of.value if isinstance(node.as_of, Literal) \
-                else None
-            seen.add((node.table, ts))
-        for expr in node.expressions():
-            for sub in walk(expr):
-                if isinstance(sub, SubqueryExpr) and sub.plan is not None:
-                    stack.append(sub.plan)
-        stack.extend(node.children())
-    return sorted(seen, key=lambda key: (key[0], key[1] is not None,
-                                         key[1] or 0))
+            under[id(node)] = frozenset([_scan_pair(node)])
+        elif len(inputs) == 1:
+            under[id(node)] = under[id(inputs[0])]
+        else:
+            under[id(node)] = frozenset().union(
+                *(under[id(child)] for child in inputs))
+        for sub in subplans:
+            keys.update(dict.fromkeys(under[id(sub)]))
+        for child in node.children():
+            if isinstance(child, op.TableScan):
+                _read_keys(keys, node, child)
+    sets = [sorted(frozenset().union(*(under[id(plan)]
+                                       for plan in plans.values())),
+                   key=lambda key: (key[0], key[1] is not None,
+                                    key[1] or 0))
+            for plans in plan_sets]
+    return sets, {pair: tuple(sorted((column, frozenset(values))
+                                     for column, values in found.items()))
+                  for pair, found in keys.items()
+                  if found is not None and pair[1] is not None}
+
+
+def _scan_pair(scan: op.TableScan) -> Pair:
+    ts = scan.as_of.value if isinstance(scan.as_of, Literal) else None
+    return scan.table, ts
+
+
+def _read_keys(keys: Dict[Pair, Optional[Dict[str, Set]]],
+               reader: op.Operator, scan: op.TableScan) -> None:
+    """Fold one reader of ``scan`` into its pair's keys."""
+    pair = _scan_pair(scan)
+    if pair in keys and keys[pair] is None:
+        return
+    found = None
+    if isinstance(reader, op.Selection) \
+            and not contains_subquery(reader.condition):
+        columns = {f"{scan.binding}.{column}": column
+                   for column in scan.columns}
+        found = _predicate_keys(reader.condition, columns)
+    keys[pair] = None if found is None \
+        else _union_keys(keys.get(pair, {}), found)
+
+
+def _union_keys(left: Dict[str, Set], right: Dict[str, Set]
+                ) -> Dict[str, Set]:
+    out = {column: set(values) for column, values in left.items()}
+    for column, values in right.items():
+        out.setdefault(column, set()).update(values)
+    return out
+
+
+def _keyable(expr: Expr) -> bool:
+    """An ``int`` or ``str`` literal: one whose SQL equality with any
+    stored value is Python's (``bool`` is excluded)."""
+    return isinstance(expr, Literal) \
+        and type(expr.value) in (int, str)
+
+
+def _predicate_keys(expr: Expr, columns: Dict[str, str]
+                    ) -> Optional[Dict[str, Set]]:
+    """Key atoms ``{column: values}`` some one of which every row
+    ``expr`` is true on matches, or ``None`` when ``expr`` does not
+    reduce: ``col = lit`` and ``col IN (lits)`` are atoms; ``AND``
+    takes the smaller side that reduces, ``OR`` needs both;
+    ``CASE WHEN c THEN r … ELSE d END`` is ``(c AND r) OR … OR d``;
+    a ``false``/``NULL`` literal passes no row, so such a branch
+    contributes nothing."""
+    if isinstance(expr, BinaryOp) and expr.op == "=":
+        for column, literal in ((expr.left, expr.right),
+                                (expr.right, expr.left)):
+            if isinstance(column, Column) and _keyable(literal):
+                name = columns.get(column.key or column.display)
+                return None if name is None else {name: {literal.value}}
+        return None
+    if isinstance(expr, InList) and not expr.negated:
+        name = columns.get(expr.operand.key or expr.operand.display) \
+            if isinstance(expr.operand, Column) else None
+        if name is None or not all(map(_keyable, expr.items)):
+            return None
+        return {name: {item.value for item in expr.items}}
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        sides = [found for found in (_predicate_keys(expr.left, columns),
+                                     _predicate_keys(expr.right, columns))
+                 if found is not None]
+        return min(sides, key=lambda found: sum(map(len, found.values())),
+                   default=None)
+    if isinstance(expr, BinaryOp) and expr.op == "OR":
+        left = _predicate_keys(expr.left, columns)
+        right = _predicate_keys(expr.right, columns)
+        return None if left is None or right is None \
+            else _union_keys(left, right)
+    if isinstance(expr, Case):
+        out: Dict[str, Set] = {}
+        branches = [BinaryOp("AND", condition, result)
+                    for condition, result in expr.whens]
+        if expr.default is not None:
+            branches.append(expr.default)
+        for branch in branches:
+            found = _predicate_keys(branch, columns)
+            if found is None:
+                return None
+            out = _union_keys(out, found)
+        return out
+    if isinstance(expr, Literal) and (expr.value is None
+                                      or expr.value is False):
+        return {}  # no row passes
+    return None
 
 
 def _reach_shared(chains: List[Dict[str, op.Operator]]) -> List[bool]:
@@ -442,13 +578,18 @@ class Reenactor:
                                           taps[0].leaves)
                     for table, chain in tables.items()}))
             optimizer_stats = self._optimize(batch)
+            snapshot_sets, row_keys = snapshot_analysis(
+                [plans for _options, plans in batch])
             out = []
-            for (options, plans), split in zip(batch, splits):
+            for (options, plans), split, snapshots in zip(
+                    batch, splits, snapshot_sets):
                 stamps = self.state_timestamps(record, statements,
                                                upto=options.upto)
                 out.append(CompiledReenactment(
                     xid=record.xid, record=record, options=options,
-                    plans=plans, snapshots=plan_snapshots(plans),
+                    plans=plans, snapshots=snapshots,
+                    row_keys={pair: row_keys[pair] for pair in snapshots
+                              if pair in row_keys},
                     optimizer_stats=dict(optimizer_stats),
                     edits=edits or {},
                     state_ts={table: stamps.get(table, record.begin_ts)
@@ -480,11 +621,13 @@ class Reenactor:
         The whole series of compiled ``(table, ts)`` snapshot sets is
         handed to the session's
         :meth:`~repro.backends.base.BackendSession.snapshot_pipeline`
-        up front and set *i* is primed immediately before compile *i*
-        runs: a planning backend materializes pairs the compiles share
-        once, builds each snapshot as a small hop from its same-table
-        predecessor, and may move versions no later compile reads
-        forward in place.  Pipeline and throwaway session are released
+        up front, each pair with its ``row_keys``, and set *i* is primed
+        immediately before compile *i* runs: a planning backend
+        materializes pairs the compiles share once, builds each
+        snapshot as a small hop from its same-table predecessor, may
+        move versions no later compile reads forward in place, and may
+        build a state it has nothing to derive from out of the rows the
+        batch's keys match.  Pipeline and throwaway session are released
         when the generator is exhausted or closed.  All compiles of a
         batch evaluate under one context — an edit is in its plans —
         and on the in-memory backend on one evaluator, which computes a
@@ -505,7 +648,8 @@ class Reenactor:
         with (nullcontext(session) if session is not None
               else resolve_backend(self.backend).open_session()) as active, \
                 active.snapshot_pipeline(
-                    [c.snapshots for c in compiles], ctx) as pipe:
+                    [{pair: c.row_keys.get(pair) for pair in c.snapshots}
+                     for c in compiles], ctx) as pipe:
             for index, compiled in enumerate(compiles):
                 result = ReenactmentResult(
                     xid=compiled.xid, plans=compiled.plans,

@@ -4,7 +4,7 @@ Every hardened layer of the system threads named **fault sites**
 through its hot path — ``wal.append``, ``wal.fsync``,
 ``wal.checkpoint``, ``store.spill``, ``store.rehydrate``,
 ``store.publisher``, ``session.open``, ``session.execute``,
-``worker.dispatch`` — by calling :func:`fault_point` at the spot where
+``snapshot.complete``, ``worker.dispatch`` — by calling :func:`fault_point` at the spot where
 the real I/O (or dispatch) happens.  When no plan is armed the call is
 the same compiled-in near-no-op as a disabled
 :func:`repro.obs.trace.span`: one module-global read and a branch, no

@@ -16,7 +16,9 @@ Comparison is type-strict (see ``conftest.typed_rows``): ``True == 1``
 in Python, so a sloppy comparison would hide boolean-coercion bugs.
 
 Three execution granularities are swept: ``oneshot`` reenacts each
-transaction in isolation (throwaway session per call), ``session``
+transaction in isolation (throwaway session per call, so a state the
+plans read only through key selections is built partially — and each
+history's sweep must take that path at least once), ``session``
 reenacts the whole history through one long-lived session per backend
 — so the SQLite snapshot cache is validated against exactly the
 histories that stress it (many transactions sharing AS-OF states) —
@@ -58,9 +60,10 @@ from repro.algebra.sqlgen import Dialect, generate_sql, get_dialect
 from repro.backends import available_backends, resolve_backend
 from repro.core.optimizer import ProvenanceOptimizer
 from repro.core.reenactor import (ReenactmentOptions, Reenactor,
-                                  plan_snapshots)
+                                  snapshot_analysis)
 from repro.core.whatif import WhatIfFleet, WhatIfScenario
 from repro.errors import ReenactmentError
+from repro.obs.explain import ExplainCollector
 
 from conftest import (SQL_ENGINES, assert_relations_match,
                       build_history, committed_xids)
@@ -215,6 +218,7 @@ def check_history_differential(seed, isolation, mode="oneshot",
         return db, check_timeline_storage_oracle(db, seed, isolation,
                                                  engine)
     with contextlib.ExitStack() as stack:
+        explained = stack.enter_context(ExplainCollector())
         sessions = {"memory": None, "sql": None}
         if mode in ("session", "delta"):
             # unbounded cache: these sweeps assert materialization
@@ -244,6 +248,15 @@ def check_history_differential(seed, isolation, mode="oneshot",
                             f"engine={engine} mode={mode} xid={xid} "
                             f"table={table}")
             checked += 1
+        if mode == "oneshot" and checked:
+            # every oneshot reenactment is a cold session: the batch's
+            # keyed states must be built partially somewhere, or the
+            # sweep above never ran that path
+            built = [step["op"] for event in explained.events
+                     for step in event.get("steps", ())]
+            assert "partial-build" in built, \
+                f"no partial build in a cold sweep: seed={seed} " \
+                f"isolation={isolation} engine={engine} ops={built}"
         if mode in ("session", "delta") and checked:
             stats = sessions["sql"].stats
             assert all(count == 1
@@ -636,7 +649,7 @@ def check_no_consumer_mutates_a_plan(seed, isolation):
                         generate_sql(plan, dialect=dialect)
             for backend_session in sessions:
                 reenactor.execute(compiled, session=backend_session)
-            plan_snapshots(compiled.plans)
+            snapshot_analysis([compiled.plans])
             context = (f"seed={seed} isolation={isolation} xid={xid} "
                        f"optimize={optimize} {request}")
             # repr is structural everywhere; == is too, except that a

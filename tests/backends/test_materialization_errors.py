@@ -10,9 +10,10 @@ neither a cache entry nor a temp table for the failed snapshot.
 import pytest
 
 from repro import Database, SQLiteBackend
-from repro.core.reenactor import Reenactor
+from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.errors import ExecutionError
 
+from conftest import assert_relations_match
 from planner_policy import pipeline_states
 
 TOO_BIG = 2 ** 63  # one past SQLite's INTEGER range
@@ -67,14 +68,62 @@ def test_annotation_column_clash_is_rejected_up_front():
 def test_overflow_during_full_build_is_typed(overflowing_history):
     db, _, (third_xid, _) = overflowing_history
     backend = SQLiteBackend()
+    # the provenance join reads every row of the state through the
+    # engine: no row keys, so the build is a full one
+    whole = ReenactmentOptions(annotations=True, with_provenance=True)
     with backend.open_session() as session:
         with pytest.raises(ExecutionError,
                            match=r"full-build of snapshot \('t', \d+\)"
                                  r".*OverflowError"):
-            Reenactor(db, backend=backend).reenact(third_xid,
+            Reenactor(db, backend=backend).reenact(third_xid, whole,
                                                    session=session)
         assert len(session.cache) == 0
         assert temp_tables(session) == set()
+
+
+def test_overflow_during_partial_build_is_typed(overflowing_history):
+    """The twin: a statement whose key matches the row SQLite cannot
+    store builds that row too."""
+    db, _, _ = overflowing_history
+    xid, _ = run_txn(db, "UPDATE t SET v = 0 WHERE k = 2")
+    backend = SQLiteBackend()
+    with backend.open_session() as session:
+        with pytest.raises(ExecutionError,
+                           match=r"partial-build of snapshot "
+                                 r"\('t', \d+\).*OverflowError"):
+            Reenactor(db, backend=backend).reenact(xid, session=session)
+        assert len(session.cache) == 0
+        assert temp_tables(session) == set()
+
+
+def test_overflow_during_completion_is_typed(overflowing_history):
+    """A partial build left the unstorable row out; completing the
+    entry for a request that reads every row fails, typed, and leaves
+    neither entry nor table."""
+    db, _, (third_xid, _) = overflowing_history
+    backend = SQLiteBackend()
+    reenactor = Reenactor(db, backend=backend)
+    whole = ReenactmentOptions(annotations=True, with_provenance=True)
+    with backend.open_session() as session:
+        reenactor.reenact(third_xid, session=session)
+        with pytest.raises(ExecutionError,
+                           match=r"completing partial snapshot "
+                                 r"\('t', \d+\).*OverflowError"):
+            reenactor.reenact(third_xid, whole, session=session)
+        assert len(session.cache) == 0
+        assert temp_tables(session) == set()
+
+
+def test_a_partial_build_skips_the_row_it_cannot_match(
+        overflowing_history):
+    db, _, (third_xid, _) = overflowing_history
+    backend = SQLiteBackend()
+    with backend.open_session() as session:
+        result = Reenactor(db, backend=backend).reenact(third_xid,
+                                                        session=session)
+        assert session.stats.full_materializations == 1
+    assert_relations_match(Reenactor(db).reenact(third_xid).table("t"),
+                           result.table("t"))
 
 
 def test_overflow_during_clone_delta_is_typed(overflowing_history):

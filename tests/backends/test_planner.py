@@ -6,7 +6,8 @@ Two layers:
   (:func:`repro.backends.planner.plan_snapshots`) — no connection, a
   fake history for the cost inputs: every step's source is live when
   the step runs, a move only ever consumes a granted source, one step
-  per requested key, override/provider keys are always full builds;
+  per requested key, override/provider keys are always full builds, a
+  build is partial exactly when its request carries row keys;
 * a hypothesis sweep over random histories x random cache inventories
   x pipeline grants x cache capacities, under both the shipped policy
   and the admit-everything policy, asserting that every temp table
@@ -140,8 +141,9 @@ def planner_inputs(draw):
         for table in TABLES}
     wanted = draw(st.lists(st.tuples(st.sampled_from(TABLES), versions),
                            min_size=1, max_size=8, unique=True))
-    requests = [plain(table, ts) for table, ts in wanted
-                if ts not in cached[table]]
+    requests = [plain(table, ts)._replace(keys=draw(st.sampled_from(
+                    [None, (("k", frozenset({1})),)])))
+                for table, ts in wanted if ts not in cached[table]]
     for index in range(draw(st.integers(0, 2))):
         table = draw(st.sampled_from(TABLES))
         requests.append(SnapshotRequest(
@@ -183,7 +185,8 @@ def test_plans_are_executable_and_respect_grants(inputs):
         else:
             assert step.source_ts is None
             assert step.op == ("rehydrate-batch" if store_attached
-                               else "full-build")
+                               else "partial-build" if request.keys
+                               is not None else "full-build")
         if step.op == "patch-in-place":
             # a move only ever consumes a granted, cached source
             assert step.source_ts in movable[step.table]

@@ -223,6 +223,29 @@ def test_read_committed_rebasing(account_db):
     assert_relations_match(mem, sq)
 
 
+def test_read_committed_subquery_over_an_earlier_statements_table(db):
+    """A later READ COMMITTED statement's subquery reads the chain an
+    earlier statement left.  Printed inline once per CASE, with the
+    chain inlined inside each copy, the query overflowed SQLite's
+    parser stack; the uncorrelated subquery plan is now one shared
+    node, printed once."""
+    db.execute("CREATE TABLE t (k INT, v INT)")
+    db.execute("CREATE TABLE u (k INT, w INT)")
+    for table in ("t", "u"):
+        db.execute(f"INSERT INTO {table} VALUES "
+                   + ", ".join(f"({k}, {k})" for k in range(1, 20)))
+    xid = run_txn(db, [
+        "UPDATE t SET v = v + 1 WHERE k = 1",
+        "UPDATE t SET v = v + 1 WHERE k IN (SELECT k FROM t WHERE v > 5)",
+    ], isolation="READ COMMITTED")
+    options = ReenactmentOptions(annotations=True, include_deleted=True)
+    mem = Reenactor(db).reenact(xid, options).table("t")
+    sq = Reenactor(db, backend="sqlite").reenact(xid, options).table("t")
+    assert_relations_match(mem, sq)
+    values = {row[0]: row[1] for row in sq.rows}
+    assert values[1] == 2 and values[5] == 5 and values[6] == 7
+
+
 def test_whatif_override_and_diff(account_db):
     xid = run_txn(account_db, [
         "UPDATE account SET bal = bal + 100 WHERE typ = 'checking'",

@@ -38,7 +38,7 @@ def test_provenance_graph_click(benchmark, skew_db):
 
     graph = benchmark(
         lambda: inspector.provenance_graph("account", savings.rowid))
-    assert graph.number_of_nodes() >= 2
+    assert len(graph.nodes) >= 2
 
 
 @pytest.fixture(scope="module")

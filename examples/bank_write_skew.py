@@ -16,11 +16,10 @@ Run:  python examples/bank_write_skew.py
 """
 
 from repro import Database
-from repro.core.provenance.graph import render_graph
 from repro.core.whatif import WhatIfScenario
 from repro.debugger import (TransactionInspector, TransactionTimeline,
                             render_debug_panel, render_detail_panel,
-                            render_timeline)
+                            render_graph, render_timeline)
 from repro.workloads import (fig2_states, run_write_skew_history,
                              setup_bank)
 

@@ -6,10 +6,6 @@ from repro.core.equivalence import (EquivalenceReport, TableCheck,
                                     check_transaction_equivalence)
 from repro.core.middleware import GProM, PipelineTrace
 from repro.core.optimizer import OptimizerConfig, ProvenanceOptimizer
-from repro.core.provenance.graph import (ProvenanceGraphBuilder,
-                                         TupleVersion,
-                                         build_transaction_graph,
-                                         render_graph)
 from repro.core.provenance.rewriter import (ProvenanceAttribute,
                                             ProvenanceRewriter,
                                             RewriteResult)
@@ -22,8 +18,7 @@ from repro.core.whatif import (ConflictFinding, TableDiff, WhatIfResult,
 __all__ = [
     "EquivalenceReport", "TableCheck", "check_history_equivalence",
     "check_transaction_equivalence", "GProM", "PipelineTrace",
-    "OptimizerConfig", "ProvenanceOptimizer", "ProvenanceGraphBuilder",
-    "TupleVersion", "build_transaction_graph", "render_graph",
+    "OptimizerConfig", "ProvenanceOptimizer",
     "ProvenanceAttribute", "ProvenanceRewriter", "RewriteResult",
     "ParsedStatement", "ReenactmentOptions", "ReenactmentResult",
     "Reenactor", "TriggerHistory", "ConflictFinding", "TableDiff", "WhatIfResult",

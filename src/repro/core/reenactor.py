@@ -839,8 +839,8 @@ class Reenactor:
         each inserted row to the base rows its values came from.
 
         Returns ``[(synthetic_rowid, [(table, source_rowid), ...]), ...]``
-        in insertion order.  Used by the provenance-graph builder to draw
-        derivation edges from insert sources (Fig. 4's graphs).
+        in insertion order.  The debug panel's provenance graph draws
+        its derivation edges from insert sources with it (Fig. 4).
         """
         from repro.core.provenance.rewriter import ProvenanceRewriter
         parsed = statements[k]

@@ -15,12 +15,15 @@ default filters to rows affected by at least one statement
 selectable (marker 8); clicking a tuple version yields its provenance
 graph (marker 6).
 
-The panel is one compile: every prefix is a tap on one reenactment
-chain (:meth:`~repro.core.reenactor.Reenactor.compile_all`), optimized
-in one run, and the columns are computed in one batch on one backend
+The panel is one compile: every prefix of every table the transaction
+touched is a tap on one reenactment chain
+(:meth:`~repro.core.reenactor.Reenactor.compile_all`), optimized in
+one run, and the states are computed in one batch on one backend
 session — on the in-memory backend each statement of the chain is
 evaluated once for the whole panel, on SQLite each ``(table, ts)``
-state is materialized once instead of once per column.
+state is materialized once instead of once per column.  The table
+selection only filters those states, and the provenance graph
+(:mod:`repro.debugger.graph`) is read off them.
 """
 
 from __future__ import annotations
@@ -28,16 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.backends import BackendSpec, resolve_backend
-from repro.core.provenance.graph import ProvenanceGraphBuilder
 from repro.core.reenactor import (DEL, ROWID, UPD, XID,
                                   ReenactmentOptions, Reenactor)
 from repro.core.whatif import WhatIfScenario
 from repro.db.engine import Database
+from repro.db.transaction import IsolationLevel
+from repro.debugger.graph import NodeKey, ProvenanceGraph
 from repro.errors import ReenactmentError
 from repro.obs.explain import ExplainCollector
+from repro.sql import ast
 
 
 @dataclass
@@ -100,31 +103,45 @@ class TransactionInspector:
         #: the transaction first touched them
         self.selected_tables: List[str] = \
             self._touched(tables) if tables is not None else list(touched)
-        self._graph_builder: Optional[ProvenanceGraphBuilder] = None
+        self._states: Optional[Dict[Tuple[int, str], TableState]] = None
         self._columns: Optional[List[DebugColumn]] = None
-        #: the session counters of the last :meth:`columns` pass —
-        #: `primes_shared` records how many prefix probes were served
-        #: by a snapshot an earlier probe in the pipeline paid for.
+        self._graph: Optional[ProvenanceGraph] = None
+        #: the session counters of the batch that computed the prefix
+        #: states — `primes_shared` records how many prefix probes were
+        #: served by a snapshot an earlier probe in the pipeline paid
+        #: for.
         self.last_stats = None
         #: plan-explain events (see :mod:`repro.obs.explain`) recorded
-        #: while the last :meth:`columns` pass materialized its
-        #: snapshots — why each snapshot-plan action was chosen.
+        #: while that batch materialized its snapshots — why each
+        #: snapshot-plan action was chosen.
         self.last_explain: List[dict] = []
 
     # -- panel content --------------------------------------------------------
 
     def columns(self) -> List[DebugColumn]:
-        """All panel columns, computed lazily and cached — every prefix
+        """All panel columns, each showing the selected tables' states
+        (:meth:`_prefix_states`)."""
+        if self._columns is None:
+            states = self._prefix_states()
+            self._columns = [
+                self._column(k, {table: states[(k, table)]
+                                 for table in self.selected_tables})
+                for k in range(-1, len(self.statements))]
+        return self._columns
+
+    def _prefix_states(self) -> Dict[Tuple[int, str], TableState]:
+        """``(k, table)`` → the state of every touched table after the
+        first ``k + 1`` statements, computed once — every prefix
         reenactment compiled in one :meth:`Reenactor.compile_all` and
         the whole series run by one :meth:`Reenactor.execute_all` on one
         backend session: the chain the prefixes share is optimized and
         evaluated once, and the begin-time snapshots are materialized
         once for the panel (``primes_shared`` counts the N-1
         hand-offs), not once per column."""
-        if self._columns is None:
+        if self._states is None:
             keys = [(k, table)
                     for k in range(-1, len(self.statements))
-                    for table in self.selected_tables]
+                    for table in self.touched_tables]
             compiles = self.reenactor.compile_all(
                 self.record,
                 [ReenactmentOptions(upto=k + 1, table=table,
@@ -142,13 +159,8 @@ class TransactionInspector:
                         table, result.table(table))
                 self.last_stats = session.stats
             self.last_explain = collector.events
-            self._columns = []
-            for k in range(-1, len(self.statements)):
-                self._columns.append(
-                    self._column(k, {table: states[(k, table)]
-                                     for table in
-                                     self.selected_tables}))
-        return self._columns
+            self._states = states
+        return self._states
 
     def column(self, index: int) -> DebugColumn:
         """Column ``index`` (-1 = initial states)."""
@@ -191,7 +203,7 @@ class TransactionInspector:
 
     def select_tables(self, tables: Sequence[str]) -> None:
         self.selected_tables = self._touched(tables)
-        self._columns = None  # recompute with the new selection
+        self._columns = None  # re-filtered from the held states
 
     def _touched(self, tables: Sequence[str]) -> List[str]:
         """``tables`` in the order the transaction first touched them;
@@ -205,14 +217,44 @@ class TransactionInspector:
 
     # -- provenance (click action, marker 6) ---------------------------------------
 
+    def transaction_graph(self) -> ProvenanceGraph:
+        """The derivation graph of the whole transaction, built once
+        from :meth:`_prefix_states` plus the insert-source edges of
+        every ``INSERT ... SELECT``; a click reads it and computes
+        nothing.
+
+        A version the debugged transaction wrote at statement ``k`` has
+        an ``update``/``delete`` edge from the row's previous version.
+        A changed version it did not write — under READ COMMITTED, one a
+        concurrent commit brought into the statement's snapshot — is a
+        node at column ``k`` with no incoming edge."""
+        if self._graph is None:
+            states = self._prefix_states()
+            nodes: Dict[NodeKey, TupleVersionView] = {}
+            edges: Dict[Tuple[NodeKey, NodeKey], Tuple[str, int]] = {}
+            for table in self.touched_tables:
+                previous: Dict[int, TupleVersionView] = {}
+                for k in range(-1, len(self.statements)):
+                    current = {view.rowid: view
+                               for view in states[(k, table)].rows}
+                    if k < 0 or self.statements[k].target == table:
+                        self._add_versions(nodes, edges, table, k,
+                                           previous, current)
+                    previous = current
+            for k, parsed in enumerate(self.statements):
+                if isinstance(parsed.stmt, ast.Insert) \
+                        and not isinstance(parsed.stmt.source,
+                                           ast.ValuesClause):
+                    self._add_insert_sources(nodes, edges, k)
+            self._graph = ProvenanceGraph(nodes, edges)
+        return self._graph
+
     def provenance_graph(self, table: str, rowid: int,
-                         column: Optional[int] = None) -> nx.DiGraph:
-        if self._graph_builder is None:
-            self._graph_builder = ProvenanceGraphBuilder(self.db,
-                                                         self.xid)
-        full = self._graph_builder.build(tables=self.touched_tables)
-        return self._graph_builder.provenance_of(full, table, rowid,
-                                                 column)
+                         column: Optional[int] = None) -> ProvenanceGraph:
+        """The click action: everything tuple version ``table[rowid]``
+        at ``column`` (default: its latest) was derived from."""
+        return self.transaction_graph().provenance_of(table, rowid,
+                                                      column)
 
     # -- what-if entry points (Fig. 4: editing SQL or table contents) ----------------
 
@@ -258,3 +300,74 @@ class TransactionInspector:
                 creator_xid=row[xid_idx], affected=bool(row[upd_idx]),
                 deleted=bool(row[del_idx])))
         return state
+
+    def _add_versions(self, nodes, edges, table: str, k: int,
+                      previous: Dict[int, TupleVersionView],
+                      current: Dict[int, TupleVersionView]) -> None:
+        """The versions column ``k`` of ``table`` adds: every row of the
+        initial column, and every new or changed row of a column whose
+        statement targets ``table``."""
+        for rowid, view in current.items():
+            prior = previous.get(rowid)
+            if prior is not None and prior.values == view.values \
+                    and prior.deleted == view.deleted:
+                continue
+            key = (table, rowid, k)
+            nodes[key] = view
+            if prior is not None and view.affected:
+                source = _last_node(nodes, table, rowid, k)
+                if source is not None:
+                    edges[(source, key)] = (
+                        "delete" if view.deleted else "update", k)
+
+    def _add_insert_sources(self, nodes, edges, k: int) -> None:
+        try:
+            mapping = self.reenactor.insert_sources(
+                self.record, self.statements, k)
+        except ReenactmentError:
+            return
+        target = self.statements[k].target
+        for synthetic, sources in mapping:
+            key = (target, synthetic, k)
+            if key not in nodes:
+                continue
+            for table, rowid in sources:
+                source = self._source_node(nodes, table, rowid, k)
+                if source is not None:
+                    edges[(source, key)] = ("insert-source", k)
+
+    def _source_node(self, nodes, table: str, rowid: int,
+                     k: int) -> Optional[NodeKey]:
+        """The version of ``table[rowid]`` statement ``k`` read.  Of a
+        touched table, the row's last version before column ``k``.
+        Otherwise the stored version at the time the statement read
+        (the begin time under SI, its own time under READ COMMITTED,
+        as :meth:`Reenactor.state_timestamps` has it), added as a node
+        of the column before the statement: the initial column under
+        SI, column ``k - 1`` under READ COMMITTED."""
+        if table in self.touched_tables:
+            key = _last_node(nodes, table, rowid, k)
+            if key is not None:
+                return key
+        rebased = self.record.isolation is IsolationLevel.READ_COMMITTED
+        key = (table, rowid, k - 1 if rebased else -1)
+        if key not in nodes:
+            chain = self.db.table(table).rows.get(rowid)
+            version = chain and chain.committed_at(
+                self.statements[k].ts if rebased else self.record.begin_ts)
+            if version is None or version.values is None:
+                return None
+            nodes[key] = TupleVersionView(
+                rowid=rowid, values=version.values,
+                creator_xid=version.xid, affected=False)
+        return key
+
+
+def _last_node(nodes, table: str, rowid: int,
+               before: int) -> Optional[NodeKey]:
+    """Most recent node of ``table[rowid]`` strictly before column
+    ``before``."""
+    for column in range(before - 1, -2, -1):
+        if (table, rowid, column) in nodes:
+            return (table, rowid, column)
+    return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.debugger.graph import NodeKey, ProvenanceGraph
 from repro.debugger.inspector import TransactionInspector
 from repro.debugger.timeline import TimelineRow, TransactionTimeline
 from repro.obs.explain import render_explain
@@ -120,6 +121,29 @@ def render_debug_panel(inspector: TransactionInspector,
         lines.append(render_explain(inspector.last_explain))
     lines.append("")
     lines.append("(* = row version created by this transaction; click a "
-                 "tuple for its provenance graph via "
+                 "tuple for its provenance graph: render_graph("
                  "inspector.provenance_graph(table, rowid))")
+    return "\n".join(lines)
+
+
+def _version_label(graph: ProvenanceGraph, key: NodeKey) -> str:
+    table, rowid, column = key
+    view = graph.nodes[key]
+    body = "DELETED" if view.deleted else \
+        "(" + ", ".join(map(str, view.values)) + ")"
+    when = "initial" if column < 0 else f"stmt {column}"
+    return f"{table}[{rowid}] @{when}: {body}"
+
+
+def render_graph(graph: ProvenanceGraph, indent: str = "") -> str:
+    """Fig. 4, marker 6: one line per tuple version, the edges into it
+    as arrows beneath."""
+    lines: List[str] = []
+    for key in sorted(graph.nodes):
+        lines.append(f"{indent}{_version_label(graph, key)}  "
+                     f"[created by T{graph.nodes[key].creator_xid}]")
+        for pred in sorted(graph.predecessors(key)):
+            kind, _statement = graph.edges[pred, key]
+            lines.append(f"{indent}    <-[{kind}]- "
+                         f"{_version_label(graph, pred)}")
     return "\n".join(lines)

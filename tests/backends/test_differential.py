@@ -68,6 +68,7 @@ from repro.obs.explain import ExplainCollector
 from conftest import (SQL_ENGINES, assert_relations_match,
                       build_history, committed_xids)
 from planner_policy import FORCE_DELTA, NO_DELTA, policy_backend
+from provenance_reference import plain, reference_graph
 from whatif_reference import reenacted_writes, reference_run
 from whatif_reference import signature as whatif_signature
 
@@ -700,14 +701,22 @@ def check_panel_against_prefix_reenactments(seed, isolation):
     annotations=True, include_deleted=True)`` on the same backend —
     which pins the panel's row order to the per-column path's: stored
     rows by rowid, then inserted rows in insertion order, also where a
-    READ COMMITTED re-base puts the transaction's own rows first."""
+    READ COMMITTED re-base puts the transaction's own rows first.  The
+    provenance graph read off the panel must equal the one built from
+    per-prefix reenactments (``tests/provenance_reference.py``)."""
     from repro.debugger import TransactionInspector
     db = build_history(seed, isolation)
+    references = {xid: reference_graph(db, xid)
+                  for xid in committed_xids(db)}
     checked = 0
     for backend in ["memory"] + SQL_ENGINES:
         reenactor = Reenactor(db, backend=backend)
         for xid in committed_xids(db):
             inspector = TransactionInspector(db, xid, backend=backend)
+            assert plain(inspector.transaction_graph()) \
+                == references[xid], \
+                f"seed={seed} isolation={isolation} backend={backend} " \
+                f"xid={xid} provenance graph"
             for column in inspector.columns():
                 for table, state in column.states.items():
                     relation = reenactor.reenact(xid, ReenactmentOptions(

@@ -82,11 +82,15 @@ class TestFiltering:
         assert len(state.visible_rows(inspector.show_unaffected)) == 2
 
     def test_select_tables(self, skewed):
+        """A selection filters the states the panel already holds; it
+        computes none again."""
         db, _, t2 = skewed
         inspector = TransactionInspector(db, t2)
+        before = inspector.column(0).states["overdraft"]
         inspector.select_tables(["overdraft"])
         column = inspector.column(0)
         assert list(column.states) == ["overdraft"]
+        assert column.states["overdraft"] is before
 
     def test_select_unknown_table_rejected(self, skewed):
         db, _, t2 = skewed
@@ -119,22 +123,46 @@ def test_unknown_table_rejected_at_construction(skewed):
 def test_a_panel_is_one_compile(skewed, monkeypatch):
     """``columns()`` compiles every prefix in one batch: the optimizer
     runs once for the whole panel, not once per column, and every
-    column still executes its own plan."""
+    column still executes its own plan.  The provenance graph is read
+    off the same batch: clicks optimize and execute no more, and a
+    click after the first evaluates nothing at all."""
+    from repro.algebra.evaluator import Evaluator
     from repro.core.optimizer import ProvenanceOptimizer
-    calls = []
+    from repro.core.reenactor import Reenactor
+    calls, batches, evaluations = [], [], []
     optimize = ProvenanceOptimizer.optimize
+    execute_all = Reenactor.execute_all
+    evaluate = Evaluator.evaluate
 
     def counting(self, plan):
         calls.append(plan)
         return optimize(self, plan)
 
+    def counting_batches(self, compiles, session=None):
+        batches.append(compiles)
+        return execute_all(self, compiles, session=session)
+
+    def counting_evaluations(self, plan, *args, **kwargs):
+        evaluations.append(plan)
+        return evaluate(self, plan, *args, **kwargs)
+
     monkeypatch.setattr(ProvenanceOptimizer, "optimize", counting)
+    monkeypatch.setattr(Reenactor, "execute_all", counting_batches)
+    monkeypatch.setattr(Evaluator, "evaluate", counting_evaluations)
     db, _, t2 = skewed
     inspector = TransactionInspector(db, t2)
     columns = inspector.columns()
     assert len(calls) == 1
     assert len(calls[0]) == len(columns) * len(inspector.selected_tables)
     assert inspector.last_stats.plans_executed == len(calls[0])
+    savings = [r for r in inspector.column(0).states["account"].rows
+               if r.values[1] == "Savings"][0]
+    inspector.provenance_graph("account", savings.rowid)
+    evaluated = len(evaluations)
+    graph = inspector.provenance_graph("account", savings.rowid, 0)
+    assert ("account", savings.rowid, -1) in graph
+    assert len(calls) == 1 and len(batches) == 1
+    assert len(evaluations) == evaluated
 
 
 class TestTimelineStrip:

@@ -6,7 +6,11 @@ and no operator can have its children swapped in place.
 
 The service sits on top (``docs/service.md``): it imports the core, the
 debugger and the backends; none of them imports it back, so where a
-reenactment runs is never decided below the caller.
+reenactment runs is never decided below the caller.  Likewise the core
+never imports the debugger built on it.
+
+The library is stdlib-only: no module imports ``networkx`` (the
+provenance graph is a plain value, ``repro.debugger.graph``).
 
 A what-if table edit is a leaf of the reenactment plan
 (``docs/backends.md``, "What-if edits are plan leaves"): no evaluation
@@ -49,9 +53,10 @@ def test_no_deepcopy_and_no_replace_children_under_src():
     assert not offences, offences
 
 
-def service_imports_in(source: str, package: str):
-    """Imports of ``repro.service`` in a module of ``package``, at any
-    depth (a function-level import is still a dependency)."""
+def imports_in(source: str, package: str, target: str):
+    """Imports of module ``target`` (or a submodule of it) in a module
+    of ``package``, at any depth (a function-level import is still a
+    dependency)."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -67,8 +72,7 @@ def service_imports_in(source: str, package: str):
         else:
             continue
         for name in names:
-            if name == "repro.service" \
-                    or name.startswith("repro.service."):
+            if name == target or name.startswith(target + "."):
                 yield f"line {node.lineno}: imports {name}"
                 break
 
@@ -79,7 +83,27 @@ def test_the_import_scan_catches_what_it_is_for():
               "from ..service import jobs\n"
               "def f():\n    from repro.service.jobs import Job\n"
               "from repro.core import reenactor\n")
-    assert len(list(service_imports_in(source, "repro.core"))) == 4
+    assert len(list(imports_in(source, "repro.core",
+                               "repro.service"))) == 4
+    source = ("import networkx as nx\n"
+              "from networkx.algorithms import ancestors\n"
+              "def f():\n    import networkx\n"
+              "import networkxish\n")
+    assert len(list(imports_in(source, "repro.core", "networkx"))) == 3
+
+
+def offences_under_src(target, skip=()):
+    """Every import of ``target`` by a module under ``src/repro``
+    whose first path component is not named in ``skip``."""
+    offences = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts[0] in skip:
+            continue
+        package = ".".join(("repro",) + relative.parts[:-1])
+        offences += [f"{relative}: {offence}" for offence
+                     in imports_in(path.read_text(), package, target)]
+    return offences
 
 
 #: the name of the deleted channel that carried R' beside the plan
@@ -144,13 +168,17 @@ def test_no_override_channel_beside_the_plan():
 
 
 def test_nothing_below_the_service_imports_it():
-    offences = []
-    for path in sorted(SRC.rglob("*.py")):
-        relative = path.relative_to(SRC)
-        if relative.parts[0] == "service" \
-                or relative == pathlib.Path("__init__.py"):
-            continue
-        package = ".".join(("repro",) + relative.parts[:-1])
-        offences += [f"{relative}: {offence}" for offence
-                     in service_imports_in(path.read_text(), package)]
+    offences = offences_under_src("repro.service",
+                                  skip=("service", "__init__.py"))
+    assert not offences, offences
+
+
+def test_the_core_does_not_import_the_debugger():
+    offences = [offence for offence in offences_under_src("repro.debugger")
+                if offence.startswith("core/")]
+    assert not offences, offences
+
+
+def test_no_module_imports_networkx():
+    offences = offences_under_src("networkx")
     assert not offences, offences

@@ -24,7 +24,7 @@ from conftest import bench_rounds, record_result, report
 from bench_service_throughput import (N_JOBS, N_WORKERS, job_mix,
                                       make_history, measure_service)
 
-from repro.faults import (FaultPlan, armed, fault_point,
+from repro.faults import (FAULT_SITES, FaultPlan, armed, fault_point,
                           faults_enabled)
 
 N_ROWS = 40000
@@ -32,13 +32,6 @@ MAX_DISARMED_OVERHEAD_PCT = 5.0
 MIN_DEGRADED_THROUGHPUT_PCT = 70.0
 SPILL_FAILURE_PROBABILITY = 0.05
 NOOP_CALIBRATION_CALLS = 200_000
-
-#: every shipped fault site — the zero-probability counting plan arms
-#: them all so the hit count covers the whole instrumented surface.
-ALL_SITES = ["wal.append", "wal.fsync", "wal.checkpoint",
-             "store.spill", "store.rehydrate", "store.publisher",
-             "store.contains", "session.open", "session.execute",
-             "worker.dispatch"]
 
 
 def measure_noop_fault_point_cost(calls=NOOP_CALIBRATION_CALLS):
@@ -55,7 +48,7 @@ def counting_plan(seed=0):
     """Arms every site at probability 0: never fires, but counts every
     fault-point hit the workload performs."""
     plan = FaultPlan(seed=seed)
-    for site in ALL_SITES:
+    for site in FAULT_SITES:
         plan.on(site, probability=0.0)
     return plan
 

@@ -82,16 +82,9 @@ class SessionStats(StatsView):
     #: only legal when the pipeline proves nothing reads the source
     #: version again.  Counted inside ``snapshots_materialized``.
     patched_in_place: int = 0
-    #: rehydrations served through a planned multi-snapshot store read
-    #: (``SnapshotStore.fetch_many``) instead of one lookup per key.
-    #: Counted inside ``snapshots_rehydrated``.
-    batch_rehydrated: int = 0
     #: union-primed snapshot requests answered by a snapshot an
     #: earlier compile in the same pipeline already materialized.
     primes_shared: int = 0
-    #: write-behind spill-queue flushes this session forced (on close,
-    #: so its in-flight spills land in the store before it goes away).
-    spill_queue_flushes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """All scalar counters plus the number of distinct snapshot

@@ -344,18 +344,10 @@ class SnapshotBinder:
     def _execute(self, conn, steps) -> None:
         if not steps:
             return
-        stored: Dict[Tuple[str, int], list] = {}
         wanted = [(step.table, step.ts) for _key, step in steps
                   if step.op == "rehydrate-batch"]
-        if wanted:
-            fetch_many = getattr(self._store, "fetch_many", None)
-            if fetch_many is not None:
-                stored = fetch_many(self.realm, wanted)
-            else:  # a put/get-only store lookalike
-                for pair in wanted:
-                    rows = self._store.get(self.realm, *pair)
-                    if rows is not None:
-                        stored[pair] = rows
+        stored = self._store.fetch_many(self.realm, wanted) \
+            if wanted else {}
         deltas = self._delta_chains(steps)
         #: live temp-table name per committed version, updated as
         #: steps run (a move re-homes its source's name).
@@ -414,7 +406,6 @@ class SnapshotBinder:
                     self._publish(key, payload)
                 else:
                     self._stats.snapshots_rehydrated += 1
-                    self._stats.batch_rehydrated += 1
                 self.cache.commit(self.realm, key, name,
                                   pins=(self._source, pin))
                 if mark is not None:

@@ -304,17 +304,7 @@ class SQLSession(BackendSession):
         return _coerce_result(plan.attrs, rows, bool_positions)
 
     def _teardown(self) -> None:
-        store = self.spill_store
-        try:
-            if store is not None \
-                    and getattr(store, "async_publish", False) \
-                    and not getattr(store, "closed", False):
-                # write-behind contract: a session's in-flight spills
-                # land in the store no later than the session's close
-                store.flush()
-                self.stats.spill_queue_flushes += 1
-        finally:
-            self.conn.close()
+        self.conn.close()
 
 
 def _probes(plan: op.Operator) -> bool:

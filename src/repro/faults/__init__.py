@@ -10,14 +10,15 @@ exponential-backoff :class:`RetryPolicy` and a :class:`CircuitBreaker`
 """
 
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.inject import (FaultPlan, FaultSpec, InjectedFault,
-                                 TransientInjectedFault, WorkerCrash,
-                                 arm, armed, disarm, fault_point,
-                                 faults_enabled)
+from repro.faults.inject import (FAULT_SITES, FaultPlan, FaultSpec,
+                                 InjectedFault, TransientInjectedFault,
+                                 WorkerCrash, arm, armed, disarm,
+                                 fault_point, faults_enabled)
 from repro.faults.retry import RetryPolicy
 
 __all__ = [
     "CircuitBreaker",
+    "FAULT_SITES",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",

@@ -1,14 +1,12 @@
 """Seeded, deterministic fault injection.
 
 Every hardened layer of the system threads named **fault sites**
-through its hot path — ``wal.append``, ``wal.fsync``,
-``wal.checkpoint``, ``store.spill``, ``store.rehydrate``,
-``store.publisher``, ``session.open``, ``session.execute``,
-``snapshot.complete``, ``worker.dispatch`` — by calling :func:`fault_point` at the spot where
-the real I/O (or dispatch) happens.  When no plan is armed the call is
-the same compiled-in near-no-op as a disabled
-:func:`repro.obs.trace.span`: one module-global read and a branch, no
-allocation, no locking, no clock read.
+(:data:`FAULT_SITES`) through its hot path by calling
+:func:`fault_point` at the spot where the real I/O (or dispatch)
+happens.  When no plan is armed the call is the same compiled-in
+near-no-op as a disabled :func:`repro.obs.trace.span`: one
+module-global read and a branch, no allocation, no locking, no clock
+read.
 
 When a :class:`FaultPlan` *is* armed (:func:`arm` / the :func:`armed`
 context manager), each hit consults the plan: per-site schedules
@@ -40,6 +38,7 @@ from typing import Any, Callable, Dict, Iterator, Optional
 from repro.errors import ReproError
 
 __all__ = [
+    "FAULT_SITES",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
@@ -51,6 +50,16 @@ __all__ = [
     "fault_point",
     "faults_enabled",
 ]
+
+
+#: every site a :func:`fault_point` call under ``src/repro`` names —
+#: the one list plans, benchmarks and docs draw from.
+FAULT_SITES = (
+    "wal.append", "wal.fsync", "wal.checkpoint",
+    "store.spill", "store.write", "store.rehydrate",
+    "session.open", "session.execute", "snapshot.complete",
+    "worker.dispatch",
+)
 
 
 class InjectedFault(ReproError):

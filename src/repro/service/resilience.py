@@ -13,8 +13,6 @@ modes into degradation:
   demoted, the next request rebuilds it;
 * a get/fetch that still fails reports a *miss* — the session rebuilds
   from storage;
-* a close-time ``flush`` that fails is counted and dropped like a put
-  — a session's teardown never fails over the optimization tier;
 * repeated failures trip the :class:`~repro.faults.breaker.CircuitBreaker`
   open, after which calls short-circuit (cache-only operation) until a
   half-open probe succeeds.
@@ -48,7 +46,7 @@ class ResilientStore:
 
     Duck-type compatible with :class:`SnapshotStore` everywhere
     sessions touch it (``put``/``get``/``fetch_many``/``in``) and
-    everywhere the service does (``inventory``, ``flush``, ``close``,
+    everywhere the service does (``inventory``, ``close``,
     ``stats``, ...); unknown attributes delegate to the inner store.
     """
 
@@ -139,16 +137,6 @@ class ResilientStore:
             return False
         self.breaker.record_success()
         return held
-
-    def flush(self) -> int:
-        """The write-behind hand-off sessions invoke on close: spills
-        a failed flush leaves queued stay readable, and the store's
-        own close drains them again."""
-        try:
-            return self.inner.flush()
-        except Exception as exc:
-            self._note_failure(exc)
-            return 0
 
     def _note_failure(self, exc: BaseException) -> None:
         with self._lock:

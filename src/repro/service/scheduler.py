@@ -219,13 +219,12 @@ class ReenactmentService:
     can spill, ``True`` requires spill support (:class:`ServiceError`
     otherwise), a path string creates the store at that path, an
     existing :class:`SnapshotStore` is shared (and not closed with the
-    service), and ``None``/``False`` disables spilling.  A store the
-    service constructs publishes spills write-behind — eviction on a
-    worker enqueues the payload instead of paying pickle + disk I/O
-    inline, and queued spills stay readable by every worker until the
-    background flush lands — and is unbounded; a caller who wants an
-    LRU bound or synchronous writes passes their own
-    ``SnapshotStore(capacity=...)``.
+    service), and ``None``/``False`` disables spilling.  A spill is
+    written and committed by the evicting worker before eviction
+    returns, so it is readable by every worker — and by any other
+    connection to the store file — from then on.  A store the service
+    constructs is unbounded; a caller who wants an LRU bound passes
+    their own ``SnapshotStore(capacity=...)``.
 
     Whatever store is attached is wrapped in a
     :class:`~repro.service.resilience.ResilientStore`: transient
@@ -317,22 +316,21 @@ class ReenactmentService:
 
     def _admit_store(self, store, caps: Dict[str, bool]):
         """Resolve the ``store`` spec against the backend's spill
-        capability.  Returns ``(store_or_None, service_owns_it)``; a
-        store built here is write-behind."""
+        capability.  Returns ``(store_or_None, service_owns_it)``."""
         if store in (None, False):
             return None, False
         if store == "auto":
             if not caps.get("spill"):
                 return None, False
-            return SnapshotStore(async_publish=True), True
+            return SnapshotStore(), True
         if not caps.get("spill"):
             raise ServiceError(
                 f"backend {self.backend.name!r} cannot spill snapshots "
                 f"(capabilities: {caps}); run with store=None")
         if store is True:
-            return SnapshotStore(async_publish=True), True
+            return SnapshotStore(), True
         if isinstance(store, str):
-            return SnapshotStore(path=store, async_publish=True), True
+            return SnapshotStore(path=store), True
         return store, False  # caller-owned SnapshotStore (or lookalike)
 
     # -- submission --------------------------------------------------------

@@ -27,14 +27,11 @@ first.  Rows are serialized with :mod:`pickle` (the values are the
 engine's own ints/floats/strings/bools/None — fidelity matters more
 than interchange here; the file is private scratch space).
 
-Two access shapes beyond plain ``put``/``get`` (PR 5):
+Spilling is synchronous: :meth:`SnapshotStore.put` writes and
+commits before it returns, so a spill is durable in the file — and
+readable by any other connection to it — as soon as ``put`` is done.
 :meth:`SnapshotStore.fetch_many` serves a whole planned snapshot set
-in one lock acquisition and one SELECT, and ``async_publish=True``
-turns spilling into **write-behind**: payloads are accepted onto a
-bounded queue and written by a background publisher thread, while
-every lookup checks the queue first — a spill is readable from the
-instant ``put`` returns and durable in the file no later than
-``flush()``/``close()``.
+in one lock acquisition and one SELECT.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import pickle
 import sqlite3
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -75,18 +71,6 @@ class StoreStats(StatsView):
     #: each is one lock acquisition + one SELECT however many
     #: snapshots it returns.
     batch_fetches: int = 0
-    #: spills accepted onto the write-behind queue instead of written
-    #: inline (async publishing only).
-    async_queued: int = 0
-    #: write-behind queue drains (publisher batches + forced flushes).
-    queue_flushes: int = 0
-    #: lookups served from the write-behind queue — a spill that was
-    #: readable before its store write landed.
-    pending_hits: int = 0
-    #: write-behind drains that failed: a publisher pass (the batch
-    #: stays queued and is retried on the next one) or the final
-    #: drain of :meth:`SnapshotStore.close` (the batch is dropped).
-    publisher_errors: int = 0
 
 
 class SnapshotStore:
@@ -95,9 +79,6 @@ class SnapshotStore:
     ``path`` is the SQLite file to use; ``None`` creates a private
     temporary file that is deleted on :meth:`close`.  ``capacity``
     bounds the number of stored snapshots (``None`` = unbounded).
-    ``async_publish`` enables the write-behind queue (see the module
-    docstring); ``queue_capacity`` bounds it — an overfull queue is
-    drained inline by the overflowing caller.
 
     The ``realm`` half of every key is the **durable history id** of
     the `Database` a snapshot was taken from
@@ -108,16 +89,10 @@ class SnapshotStore:
     """
 
     def __init__(self, path: Optional[str] = None,
-                 capacity: Optional[int] = None,
-                 async_publish: bool = False,
-                 queue_capacity: int = 64):
+                 capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ServiceError(
                 f"snapshot store capacity must be >= 1, got {capacity}")
-        if queue_capacity < 1:
-            raise ServiceError(
-                f"spill queue capacity must be >= 1, "
-                f"got {queue_capacity}")
         self._owns_file = path is None
         if path is None:
             fd, path = tempfile.mkstemp(prefix="repro_spill_",
@@ -128,10 +103,6 @@ class SnapshotStore:
         self.stats = StoreStats()
         self._lock = threading.RLock()
         self._closed = False
-        self._torn_down = False
-        #: how long close() waits for the publisher thread to exit
-        #: before refusing to tear down the connection under it.
-        self._join_timeout = 5.0
         #: monotone recency counter — LRU without wall-clock time.
         self._tick = 0
         self._conn = sqlite3.connect(path, check_same_thread=False)
@@ -142,23 +113,6 @@ class SnapshotStore:
             "  payload BLOB NOT NULL,"
             "  last_used INTEGER NOT NULL)")
         self._conn.commit()
-        #: write-behind publishing (see :meth:`put`): spills are
-        #: accepted onto a bounded in-memory queue and written to
-        #: SQLite by a background publisher thread, so eviction on a
-        #: worker costs a dict insert instead of pickle + disk I/O.
-        #: Queued payloads stay readable the whole time — every lookup
-        #: checks the queue before the SQLite tier.
-        self.async_publish = async_publish
-        self.queue_capacity = queue_capacity
-        self._pending: Dict[str, List[Tuple]] = {}
-        self._drain = threading.Condition(self._lock)
-        self._paused = False
-        self._publisher: Optional[threading.Thread] = None
-        if async_publish:
-            self._publisher = threading.Thread(
-                target=self._publish_loop,
-                name="snapshot-store-publisher", daemon=True)
-            self._publisher.start()
 
     # -- keying ------------------------------------------------------------
 
@@ -174,66 +128,37 @@ class SnapshotStore:
         replaces its payload — both copies describe the same immutable
         committed state, so either is correct).  Serialization happens
         outside the lock; concurrent writers of the same key are both
-        correct, last one wins.
-
-        With ``async_publish`` the rows are accepted onto the
-        write-behind queue instead — immediately readable via any
-        lookup, durably written by the publisher thread (at the latest
-        when :meth:`flush` or :meth:`close` runs).  A caller that
-        lands on a full queue drains it inline, so the queue stays
-        bounded under bursts."""
-        with span("store.spill", table=table, ts=ts,
-                  mode="async" if self.async_publish else "sync") as sp:
+        correct, last one wins.  The write is committed before this
+        returns."""
+        with span("store.spill", table=table, ts=ts) as sp:
             sp.set("rows", len(rows))
             self._put(realm, table, ts, rows)
 
     def _put(self, realm, table: str, ts: int,
              rows: List[Tuple]) -> None:
         fault_point("store.spill", table=table)
-        if self.async_publish:
-            overflow = False
-            with self._drain:
-                self._check_open()
-                self._pending[self._skey(realm, table, ts)] = \
-                    [tuple(row) for row in rows]
-                self.stats.spills += 1
-                self.stats.rows_spilled += len(rows)
-                self.stats.async_queued += 1
-                overflow = len(self._pending) > self.queue_capacity
-                self._drain.notify_all()
-            if overflow:
-                self.flush()
-            return
         payload = pickle.dumps([tuple(row) for row in rows],
                                protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
             self._check_open()
-            self._write_payloads(
-                [(self._skey(realm, table, ts), len(rows), payload)])
-            self.stats.spills += 1
-            self.stats.rows_spilled += len(rows)
-
-    def _write_payloads(self, payloads) -> None:
-        """Write serialized snapshots ``(skey, n_rows, payload)`` in
-        one transaction; the caller holds the lock."""
-        fault_point("store.write")
-        for skey, n_rows, payload in payloads:
+            fault_point("store.write")
             self._tick += 1
             self._conn.execute(
                 "INSERT OR REPLACE INTO snapshots VALUES (?, ?, ?, ?)",
-                (skey, n_rows, payload, self._tick))
-        self._enforce_capacity()
-        self._conn.commit()
+                (self._skey(realm, table, ts), len(rows), payload,
+                 self._tick))
+            self._enforce_capacity()
+            self._conn.commit()
+            self.stats.spills += 1
+            self.stats.rows_spilled += len(rows)
 
     def get(self, realm, table: str,
             ts: int) -> Optional[List[Tuple]]:
         """The stored rows for a snapshot, refreshing its LRU recency —
         or ``None`` when the snapshot was never spilled (or has been
-        evicted from the store).  An in-flight write-behind spill is
-        served straight from the queue.  Deserialization happens
-        outside the lock, like :meth:`put`'s serialization, so
-        concurrent rehydrations of large snapshots don't convoy behind
-        it."""
+        evicted from the store).  Deserialization happens outside the
+        lock, like :meth:`put`'s serialization, so concurrent
+        rehydrations of large snapshots don't convoy behind it."""
         with span("store.rehydrate", table=table, ts=ts) as sp:
             rows = self._get(realm, table, ts)
             sp.set("outcome", "miss" if rows is None else "hit")
@@ -247,12 +172,6 @@ class SnapshotStore:
         skey = self._skey(realm, table, ts)
         with self._lock:
             self._check_open()
-            pending = self._pending.get(skey)
-            if pending is not None:
-                self.stats.pending_hits += 1
-                self.stats.rehydrations += 1
-                self.stats.rows_rehydrated += len(pending)
-                return list(pending)
             row = self._conn.execute(
                 "SELECT payload FROM snapshots WHERE skey = ?",
                 (skey,)).fetchone()
@@ -278,7 +197,7 @@ class SnapshotStore:
         LRU recency is refreshed in the same transaction — the
         store-aware half of pipelined priming, vs one :meth:`get`
         round-trip per snapshot.  Absent pairs are simply missing from
-        the result.  In-flight write-behind spills are included."""
+        the result."""
         with span("store.rehydrate_batch") as sp:
             out = self._fetch_many(realm, pairs)
             sp.set("found", len(out))
@@ -289,37 +208,25 @@ class SnapshotStore:
         fault_point("store.rehydrate")
         wanted = {self._skey(realm, table, ts): (table, int(ts))
                   for table, ts in pairs}
-        out: Dict[Tuple[str, int], List[Tuple]] = {}
-        payloads: List[Tuple[Tuple[str, int], bytes]] = []
         with self._lock:
             self._check_open()
             self.stats.batch_fetches += 1
-            remaining = []
-            for skey, pair in wanted.items():
-                pending = self._pending.get(skey)
-                if pending is not None:
-                    out[pair] = list(pending)
-                    self.stats.pending_hits += 1
-                else:
-                    remaining.append(skey)
-            if remaining:
-                marks = ", ".join("?" * len(remaining))
+            found = []
+            if wanted:
+                marks = ", ".join("?" * len(wanted))
                 found = self._conn.execute(
                     f"SELECT skey, payload FROM snapshots "
-                    f"WHERE skey IN ({marks})", remaining).fetchall()
-                found_keys = [skey for skey, _ in found]
-                if found_keys:
-                    self._tick += 1
-                    self._conn.execute(
-                        f"UPDATE snapshots SET last_used = ? WHERE "
-                        f"skey IN ({', '.join('?' * len(found_keys))})",
-                        [self._tick] + found_keys,)
-                    self._conn.commit()
-                payloads = [(wanted[skey], payload)
-                            for skey, payload in found]
-                self.stats.misses += len(remaining) - len(found)
-        for pair, payload in payloads:
-            out[pair] = pickle.loads(payload)
+                    f"WHERE skey IN ({marks})", list(wanted)).fetchall()
+            if found:
+                self._tick += 1
+                self._conn.execute(
+                    f"UPDATE snapshots SET last_used = ? WHERE "
+                    f"skey IN ({', '.join('?' * len(found))})",
+                    [self._tick] + [skey for skey, _ in found])
+                self._conn.commit()
+            self.stats.misses += len(wanted) - len(found)
+        out = {wanted[skey]: pickle.loads(payload)
+               for skey, payload in found}
         with self._lock:
             self.stats.rehydrations += len(out)
             self.stats.rows_rehydrated += sum(len(rows)
@@ -330,8 +237,6 @@ class SnapshotStore:
         realm, table, ts = key
         with self._lock:
             self._check_open()
-            if self._skey(realm, table, ts) in self._pending:
-                return True
             row = self._conn.execute(
                 "SELECT 1 FROM snapshots WHERE skey = ?",
                 (self._skey(realm, table, ts),)).fetchone()
@@ -340,30 +245,18 @@ class SnapshotStore:
     def __len__(self) -> int:
         with self._lock:
             self._check_open()
-            stored = self._conn.execute(
+            return self._conn.execute(
                 "SELECT COUNT(*) FROM snapshots").fetchone()[0]
-            unwritten = sum(
-                1 for skey in self._pending
-                if self._conn.execute(
-                    "SELECT 1 FROM snapshots WHERE skey = ?",
-                    (skey,)).fetchone() is None)
-        return stored + unwritten
-
-    def pending_count(self) -> int:
-        """Write-behind spills not yet flushed to the SQLite tier."""
-        with self._lock:
-            return len(self._pending)
 
     # -- warm-restart inventory --------------------------------------------
 
     def realms(self) -> List[str]:
-        """Distinct realms (history ids) with at least one stored or
-        in-flight snapshot."""
+        """Distinct realms (history ids) with at least one stored
+        snapshot."""
         with self._lock:
             self._check_open()
             keys = [row[0] for row in self._conn.execute(
                 "SELECT skey FROM snapshots")]
-            keys.extend(self._pending)
         seen: Dict[str, None] = {}
         for skey in keys:
             seen.setdefault(skey.rsplit(":", 2)[0], None)
@@ -373,14 +266,12 @@ class SnapshotStore:
         """Every ``(table, ts)`` snapshot held for ``realm``, sorted —
         what a restarted service can rehydrate without touching version
         storage (the substrate of
-        :meth:`repro.service.ReenactmentService.rewarm`).  In-flight
-        write-behind spills are included."""
+        :meth:`repro.service.ReenactmentService.rewarm`)."""
         prefix = f"{realm}:"
         with self._lock:
             self._check_open()
-            keys = {row[0] for row in self._conn.execute(
-                "SELECT skey FROM snapshots")}
-            keys.update(self._pending)
+            keys = [row[0] for row in self._conn.execute(
+                "SELECT skey FROM snapshots")]
         out: List[Tuple[str, int]] = []
         for skey in keys:
             if not skey.startswith(prefix):
@@ -390,115 +281,6 @@ class SnapshotStore:
                 continue
             out.append((table, int(ts)))
         return sorted(out)
-
-    # -- write-behind publishing -------------------------------------------
-
-    def _publish_loop(self) -> None:
-        """Background publisher: drain the pending queue in batches.
-        Serialization happens outside the lock (the expensive part of
-        a spill), the SQLite write inside it.
-
-        Self-healing: a failed drain (injected fault, transient I/O
-        error) leaves the batch queued — still readable by every
-        lookup — and is retried on the next pass, so one bad write
-        never silently kills write-behind publishing."""
-        while True:
-            with self._drain:
-                while not self._closed \
-                        and (not self._pending or self._paused):
-                    self._drain.wait()
-                if self._closed:
-                    return  # close() drains what remains itself
-                batch = dict(self._pending)
-            try:
-                fault_point("store.publisher")
-                payloads = [(skey, len(rows),
-                             pickle.dumps(
-                                 rows,
-                                 protocol=pickle.HIGHEST_PROTOCOL))
-                            for skey, rows in batch.items()]
-            except Exception:
-                with self._drain:
-                    self.stats.publisher_errors += 1
-                    self._drain.notify_all()
-                time.sleep(0.01)  # don't spin on a persistent fault
-                continue
-            failed = False
-            with self._drain:
-                if self._closed:
-                    return
-                try:
-                    self._write_payloads(payloads)
-                except Exception:
-                    self.stats.publisher_errors += 1
-                    failed = True
-                else:
-                    for skey, rows in batch.items():
-                        if self._pending.get(skey) is rows:
-                            del self._pending[skey]
-                    self.stats.queue_flushes += 1
-                self._drain.notify_all()
-            if failed:
-                time.sleep(0.01)  # don't spin on a persistent fault
-
-    def _drain_locked(self) -> int:
-        """Write every pending spill inline (caller holds the lock)."""
-        batch = dict(self._pending)
-        if not batch:
-            return 0
-        payloads = [(skey, len(rows),
-                     pickle.dumps(rows,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-                    for skey, rows in batch.items()]
-        self._write_payloads(payloads)
-        for skey, rows in batch.items():
-            if self._pending.get(skey) is rows:
-                del self._pending[skey]
-        self.stats.queue_flushes += 1
-        self._drain.notify_all()
-        return len(batch)
-
-    def flush(self) -> int:
-        """Force every queued write-behind spill into the SQLite tier
-        before returning — the durability hand-off sessions invoke on
-        close.  Returns the number of entries this call wrote inline
-        (0 when the publisher thread did the writing, or there was
-        nothing to flush).  No-op on a synchronous store.
-
-        Never an unbounded wait: the publisher is waited on only until
-        one of its drains fails, then the caller drains inline itself —
-        and an inline drain that fails raises :class:`ServiceError`
-        (the batch stays queued and readable)."""
-        if not self.async_publish:
-            return 0
-        with self._drain:
-            self._check_open()
-            errors_before = self.stats.publisher_errors
-            while self._pending:
-                if self._paused or self._publisher is None \
-                        or not self._publisher.is_alive() \
-                        or self.stats.publisher_errors > errors_before:
-                    try:
-                        return self._drain_locked()
-                    except Exception as exc:
-                        raise ServiceError(
-                            f"snapshot store flush gave up with "
-                            f"{len(self._pending)} spill(s) still "
-                            f"queued: {exc!r}") from exc
-                self._drain.notify_all()
-                self._drain.wait(timeout=0.5)
-            return 0
-
-    def pause_publisher(self) -> None:
-        """Failpoint (tests/operations): hold background writes so
-        queued spills stay in flight — lookups must still see them."""
-        with self._drain:
-            self._paused = True
-
-    def resume_publisher(self) -> None:
-        with self._drain:
-            self._paused = False
-            self._drain.notify_all()
 
     def _enforce_capacity(self) -> None:
         if self.capacity is None:
@@ -524,45 +306,12 @@ class SnapshotStore:
             raise ServiceError("snapshot store is closed")
 
     def close(self) -> None:
-        with self._drain:
-            if self._torn_down:
-                return
-            if not self._closed:
-                try:
-                    # write-behind durability: whatever is still queued
-                    # lands in the store before the connection closes
-                    self._drain_locked()
-                except Exception:
-                    # nobody is left to retry, and refusing to tear
-                    # down would leak the connection: every queued
-                    # state is rebuildable, so count the loss and go on
-                    self.stats.publisher_errors += 1
-                self._closed = True
-            publisher = self._publisher
-            self._drain.notify_all()
-        if publisher is not None and publisher.is_alive():
-            # deterministic shutdown: the publisher must have exited
-            # via the close signal before the connection is torn down —
-            # closing under a live writer turns a slow thread into a
-            # use-after-close on the SQLite handle
-            publisher.join(timeout=self._join_timeout)
-            if publisher.is_alive():
-                # the publisher is wedged (e.g. an injected-latency
-                # fault mid-pickle).  Drain whatever it left queued
-                # inline — no unpublished snapshot may leak — then
-                # refuse to tear down the connection under it.
-                with self._lock:
-                    drained = self._drain_locked()
-                raise ServiceError(
-                    f"snapshot store publisher did not exit within "
-                    f"{self._join_timeout}s; {drained} queued "
-                    f"spill(s) were drained inline and the connection "
-                    f"was left open (close() may be retried)")
+        """Close the connection (and delete a private file).
+        Idempotent."""
         with self._lock:
-            if self._torn_down:
+            if self._closed:
                 return
-            self._torn_down = True
-            self._publisher = None
+            self._closed = True
             self._conn.close()
             if self._owns_file:
                 try:

@@ -143,7 +143,6 @@ def test_planned_set_rehydrates_in_one_store_read():
     with cold.open_session() as session:
         before = store.stats.batch_fetches
         session.prime_snapshots([("acct", ts) for ts in probe], ctx)
-        assert session.stats.batch_rehydrated == len(probe)
         assert session.stats.snapshots_rehydrated == len(probe)
         assert session.stats.full_materializations == 0
         assert store.stats.batch_fetches == before + 1
@@ -216,20 +215,20 @@ def test_snapshot_plan_counts():
 
 
 def test_session_stats_carry_pipeline_counters():
-    stats = SessionStats(patched_in_place=2, batch_rehydrated=3,
-                         primes_shared=4, spill_queue_flushes=5)
+    stats = SessionStats(patched_in_place=2, snapshots_rehydrated=3,
+                         primes_shared=4, delta_rows_applied=5)
     payload = stats.as_dict()
     assert payload["patched_in_place"] == 2
-    assert payload["batch_rehydrated"] == 3
+    assert payload["snapshots_rehydrated"] == 3
     assert payload["primes_shared"] == 4
-    assert payload["spill_queue_flushes"] == 5
-    other = SessionStats(patched_in_place=1, batch_rehydrated=1,
-                         primes_shared=1, spill_queue_flushes=1)
+    assert payload["delta_rows_applied"] == 5
+    other = SessionStats(patched_in_place=1, snapshots_rehydrated=1,
+                         primes_shared=1, delta_rows_applied=1)
     other.merge(stats)
     assert other.patched_in_place == 3
-    assert other.batch_rehydrated == 4
+    assert other.snapshots_rehydrated == 4
     assert other.primes_shared == 5
-    assert other.spill_queue_flushes == 6
+    assert other.delta_rows_applied == 6
 
 
 def test_moved_snapshot_is_rematerializable_afterwards():

@@ -1,8 +1,8 @@
 """Chaos mode for the differential harness (the capstone oracle).
 
 Seeded concurrent histories run through the reenactment service under
-*randomized* fault plans over the spill, publisher, session and worker
-dispatch sites.  The contract under any fault plan is
+*randomized* fault plans over the spill, session and worker dispatch
+sites.  The contract under any fault plan is
 **correct-or-explicit-error**:
 
 * a handle that resolves must match the fault-free reenactment
@@ -85,9 +85,6 @@ def random_fault_plan(seed):
         plan.on("store.spill", probability=rng.uniform(0.05, 0.6))
     if rng.random() < 0.7:
         plan.on("store.rehydrate", probability=rng.uniform(0.05, 0.6))
-    if rng.random() < 0.5:
-        plan.on("store.publisher", probability=rng.uniform(0.2, 1.0),
-                count=rng.randint(1, 5))
     if rng.random() < 0.5:
         plan.on("session.execute", probability=rng.uniform(0.01, 0.1),
                 count=rng.randint(1, 4))

@@ -1,5 +1,5 @@
 """Service hardening: deadlines, handle timeouts, worker supervision,
-spill-tier degradation and publisher/close edge cases.
+spill-tier degradation and close edge cases.
 
 The chaos differential sweep (randomized fault plans over seeded
 histories, correct-or-explicit-error oracle) lives in
@@ -405,55 +405,6 @@ def test_persistent_session_open_fails_jobs_fast(history_db):
                 handle.result(timeout=10)
 
 
-# -- publisher self-healing and close-drain (satellite) --------------------
-
-def test_publisher_fault_leaves_batch_queued_and_readable():
-    store = SnapshotStore(async_publish=True)
-    try:
-        with armed(FaultPlan(seed=1).on("store.publisher")):
-            store.put(1, "account", 5, [("Alice", 1)])
-            deadline = time.monotonic() + 5
-            while store.stats.publisher_errors == 0:
-                assert time.monotonic() < deadline, \
-                    "publisher never hit the injected fault"
-                time.sleep(0.01)
-            # still readable straight from the queue
-            assert store.get(1, "account", 5) == [("Alice", 1)]
-        # fault disarmed: the self-healing loop publishes the batch
-        deadline = time.monotonic() + 5
-        while store._pending:
-            assert time.monotonic() < deadline, \
-                "publisher never recovered after disarm"
-            time.sleep(0.01)
-        assert store.get(1, "account", 5) == [("Alice", 1)]
-        assert store.stats.publisher_errors >= 1
-    finally:
-        store.close()
-
-
-def test_close_drains_inline_when_publisher_wedged():
-    store = SnapshotStore(async_publish=True)
-    store._join_timeout = 0.05
-    plan = FaultPlan(seed=1).on("store.publisher", count=1,
-                                latency=0.8, error=None)
-    with armed(plan):
-        store.put(1, "account", 5, [("Alice", 1)])
-        deadline = time.monotonic() + 5
-        while plan.stats()["store.publisher"]["fired"] == 0:
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        # the publisher is now asleep inside the injected latency;
-        # close() must drain the queue inline and refuse teardown
-        with pytest.raises(ServiceError, match="drained inline"):
-            store.close()
-        assert store._pending == {}
-    # once the publisher exits, close() completes and tears down
-    store._publisher.join(timeout=5)
-    assert not store._publisher.is_alive()
-    store.close()
-    assert store.closed
-
-
 # -- close() never hangs over a broken spill tier --------------------------
 
 def _close_within(svc, seconds=10):
@@ -482,12 +433,12 @@ class ProbeBackend(SQLiteBackend):
     _session_class = ProbeSession
 
 
-@pytest.mark.parametrize("site", ["store.publisher", "store.write"])
+@pytest.mark.parametrize("site", ["store.spill", "store.write"])
 def test_close_returns_while_spill_tier_stays_broken(history_db, site):
-    """A spill tier that fails for good — the publisher thread alone
-    (``store.publisher``) or every write including the inline drains
-    of ``flush()`` and ``close()`` (``store.write``) — costs the
-    queued spills, never an answer, an open connection or a hang."""
+    """A spill tier that fails for good — every ``put`` refused before
+    it serializes (``store.spill``) or every SQLite write
+    (``store.write``) — costs the spills, never an answer, an open
+    connection or a hang."""
     db, xids = history_db
     assert len(xids) >= 5
     with ReenactmentService(db, workers=1, store=None) as svc:
@@ -509,28 +460,12 @@ def test_close_returns_while_spill_tier_stays_broken(history_db, site):
     stats = svc.stats()
     assert stats.jobs_failed == 0
     assert stats.workers_restarted == 0
-    assert stats.store["async_queued"] >= 1
-    assert stats.store["publisher_errors"] >= 1
-    if site == "store.write":
-        # every close-time flush failed: degraded like a put
-        assert stats.resilience["store_errors"] >= len(sessions)
+    assert stats.store["spills"] == 0
+    assert stats.resilience["spills_dropped"] >= 1
+    assert stats.resilience["store_errors"] >= 1
     for session in sessions:
         _assert_connection_closed(session.conn)
     _assert_connection_closed(svc.store.inner._conn)
-
-
-def test_flush_gives_up_with_typed_error_when_writes_keep_failing():
-    store = SnapshotStore(async_publish=True)
-    with armed(FaultPlan(seed=1).on("store.write")):
-        store.put(1, "account", 5, [("Alice", 1)])
-        with pytest.raises(ServiceError, match="still queued"):
-            store.flush()
-        # given up on, not lost: still served from the queue
-        assert store.get(1, "account", 5) == [("Alice", 1)]
-    store.flush()
-    assert store.pending_count() == 0
-    assert store.get(1, "account", 5) == [("Alice", 1)]
-    store.close()
 
 
 def test_stopped_worker_exits_whatever_its_teardown_raises(account_db):

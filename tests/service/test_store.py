@@ -14,10 +14,11 @@ import pytest
 
 from repro import Database, SnapshotStore
 from repro.core.reenactor import ReenactmentOptions, Reenactor
+from repro.debugger.timeline import timeline_states
 from repro.errors import ExecutionError, ServiceError
 
 from service_helpers import assert_relations_match, run_txn
-from planner_policy import NO_DELTA, policy_backend
+from planner_policy import NO_DELTA, pipeline_states, policy_backend
 
 
 # -- unit: the store itself ----------------------------------------------
@@ -162,6 +163,54 @@ def test_eviction_spills_and_miss_rehydrates():
     store.close()
 
 
+def test_spill_rehydrates_across_sessions_once_put_returns():
+    """Worker A evicts under cache pressure and is still open; worker
+    B, on another thread, rehydrates those spills with the same rows a
+    storage scan gives — nothing waits for a flush or a close."""
+    db = Database()
+    db.execute("CREATE TABLE acct (id INT, bal INT)")
+    run_txn(db, [f"INSERT INTO acct VALUES ({i}, {i * 10})"
+                 for i in range(20)])
+    timestamps = [db.clock.now()]
+    for k in range(3):
+        run_txn(db, [f"UPDATE acct SET bal = bal + 1 WHERE id = {k}"])
+        timestamps.append(db.clock.now())
+
+    store = SnapshotStore()
+    # worker A: capacity-1 cache, no delta hop affordable — every
+    # state is a full build, written through to the store
+    churn = policy_backend(NO_DELTA, cache_capacity=1,
+                           spill_store=store)
+    ctx = db.context(params={})
+    results, errors = {}, []
+
+    def rehydrate():
+        try:
+            cold = policy_backend(NO_DELTA, spill_store=store)
+            with cold.open_session() as session_b:
+                results["states"] = pipeline_states(
+                    session_b, db, "acct", timestamps[:-1])
+                results["stats"] = session_b.stats
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    with churn.open_session() as session_a:
+        for ts in timestamps:
+            session_a.prime_snapshots([("acct", ts)], ctx)
+        assert session_a.stats.snapshots_spilled > 0
+        thread = threading.Thread(target=rehydrate)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and not errors, errors
+    assert results["stats"].snapshots_rehydrated > 0
+    assert results["stats"].full_materializations == 0
+    expected = timeline_states(db, "acct", timestamps[:-1])
+    for ts in timestamps[:-1]:
+        assert_relations_match(expected[ts], results["states"][ts],
+                               context=f"cross-session rehydrate ts={ts}")
+    store.close()
+
+
 def test_rehydrated_snapshots_keep_type_fidelity():
     """The spill round-trip must preserve the type-strict contract:
     annotation flags come back as the same values a fresh
@@ -219,53 +268,40 @@ def test_memory_backend_refuses_spill_store():
             session.attach_spill_store(SnapshotStore())
 
 
-# -- unit: deterministic shutdown ----------------------------------------
+# -- unit: lifecycle and durability ------------------------------------
 
-def test_close_retires_publisher_before_teardown():
-    """Orderly close: the publisher exits via the close signal *before*
-    the SQLite connection is torn down, never under it."""
-    store = SnapshotStore(async_publish=True)
+def test_close_tears_down_once():
+    store = SnapshotStore()
     store.put(1, "t", 5, [(1,)])
-    publisher = store._publisher
     store.close()
-    assert not publisher.is_alive()
+    assert store.closed and not os.path.exists(store.path)
     with pytest.raises(Exception):
         store._conn.execute("SELECT 1")  # really closed
+    with pytest.raises(ServiceError, match="closed"):
+        store.get(1, "t", 5)
     store.close()  # idempotent
 
 
-def test_close_raises_when_publisher_wont_exit():
-    """A wedged publisher must not be abandoned with the connection
-    yanked out from under it: close() raises, leaves the connection
-    open, and can be retried once the thread is gone."""
-    store = SnapshotStore(async_publish=True)
-    release = threading.Event()
-    wedged = threading.Thread(target=release.wait, daemon=True)
-    wedged.start()
-    store._publisher = wedged  # simulate a publisher stuck mid-write
-    store._join_timeout = 0.1  # don't stall the suite for 5s
-    with pytest.raises(ServiceError, match="publisher did not exit"):
-        store.close()
-    # the connection survived — a retry is possible, not a crash
-    store._conn.execute("SELECT 1")
-    release.set()
-    wedged.join(timeout=5)
-    store.close()  # retry succeeds and tears down
-    with pytest.raises(Exception):
-        store._conn.execute("SELECT 1")
+def test_put_is_durable_when_it_returns(tmp_path):
+    """No flush, no close: a second connection to the file reads the
+    spill the moment ``put`` is done."""
+    path = str(tmp_path / "spill.sqlite")
+    with SnapshotStore(path=path) as store:
+        store.put("h1", "t", 3, [(3,)])
+        with SnapshotStore(path=path) as reader:
+            assert reader.get("h1", "t", 3) == [(3,)]
+            assert reader.inventory("h1") == [("t", 3)]
 
 
 def test_inventory_lists_realm_holdings(tmp_path):
     """The warm-restart inventory: (table, ts) pairs of one realm,
-    including still-queued write-behind spills, nobody else's."""
-    store = SnapshotStore(path=str(tmp_path / "spill.sqlite"),
-                          async_publish=True)
+    nobody else's."""
+    store = SnapshotStore(path=str(tmp_path / "spill.sqlite"))
     store.put("h1", "acc", 3, [(1,)])
     store.put("h1", "acc", 7, [(2,)])
     store.put("h1", "other", 3, [(3,)])
     store.put("h2", "acc", 9, [(4,)])
-    store.flush()
-    store.put("h1", "acc", 11, [(5,)])  # still on the queue
+    store.put("h1", "acc", 11, [(5,)])
     assert store.inventory("h1") == [("acc", 3), ("acc", 7),
                                      ("acc", 11), ("other", 3)]
     assert store.inventory("h2") == [("acc", 9)]

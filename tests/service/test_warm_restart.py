@@ -7,9 +7,11 @@ a persistent store file is still addressed to the recovered history —
 a restarted service comes back warm instead of rebuilding.
 """
 
+import threading
+
 import pytest
 
-from repro import Database, ReenactmentService
+from repro import Database, ReenactmentService, SnapshotStore
 from repro.db.auditlog import AuditEventKind
 from repro.errors import ServiceError
 
@@ -27,6 +29,32 @@ def build_durable_history(tmp_path, n_updates=8):
     ticks = sorted({e.ts for e in db.audit_log.entries
                     if e.kind is AuditEventKind.COMMIT})
     return db, ticks
+
+
+def test_service_starts_only_its_workers(tmp_path):
+    db, _ticks = build_durable_history(tmp_path)
+    before = set(threading.enumerate())
+    with ReenactmentService(db, workers=2,
+                            store=str(tmp_path / "spill.sqlite")):
+        started = set(threading.enumerate()) - before
+        assert sorted(thread.name for thread in started) == \
+            ["reenact-worker-0", "reenact-worker-1"]
+
+
+def test_spill_is_in_the_file_while_the_service_runs(tmp_path):
+    """Warm restart needs no clean shutdown: a second store on the
+    same file reads what the live service spilled."""
+    store_path = str(tmp_path / "spill.sqlite")
+    db, ticks = build_durable_history(tmp_path)
+    with ReenactmentService(db, workers=2, store=store_path) as svc:
+        svc.warm("acc", ticks).result(timeout=60)
+        assert svc.stats().store["spills"] >= len(ticks)
+        with SnapshotStore(path=store_path) as reader:
+            assert reader.inventory(db.history_id) == \
+                svc.store.inventory(db.history_id)
+            table, ts = reader.inventory(db.history_id)[-1]
+            assert sorted(reader.get(db.history_id, table, ts)) == \
+                sorted(svc.store.get(db.history_id, table, ts))
 
 
 def test_restarted_service_comes_back_warm(tmp_path):

@@ -16,10 +16,16 @@ A what-if table edit is a leaf of the reenactment plan
 (``docs/backends.md``, "What-if edits are plan leaves"): no evaluation
 context carries replacement relations beside the plan, so none takes a
 parameter named :data:`CHANNEL` and no attribute of that name is read.
+
+Fault sites are one list (``docs/robustness.md``): every site a
+``fault_point`` call names is in :data:`repro.faults.FAULT_SITES`, and
+every entry of it is named by a call.
 """
 
 import ast
 import pathlib
+
+from repro.faults import FAULT_SITES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -182,3 +188,42 @@ def test_the_core_does_not_import_the_debugger():
 def test_no_module_imports_networkx():
     offences = offences_under_src("networkx")
     assert not offences, offences
+
+
+def fault_sites_in(source: str):
+    """The site each ``fault_point`` call names, called directly or
+    through a retry policy (``retry.call(fault_point, "site", ...)``);
+    a site that is not a string literal yields ``None``."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = func.id if isinstance(func, ast.Name) \
+            else func.attr if isinstance(func, ast.Attribute) else None
+        if name == "call" and args and isinstance(args[0], ast.Name) \
+                and args[0].id == "fault_point":
+            args = args[1:]
+        elif name != "fault_point":
+            continue
+        site = args[0] if args else None
+        yield site.value if isinstance(site, ast.Constant) \
+            and isinstance(site.value, str) else None
+
+
+def test_the_fault_site_scan_catches_what_it_is_for():
+    source = ("fault_point('a.b', table=t)\n"
+              "faults.fault_point('c.d')\n"
+              "self.retry.call(fault_point, 'e.f', site='e.f')\n"
+              "self.retry.call(self.write, site='g.h')\n"
+              "fault_point(name)\n")
+    assert list(fault_sites_in(source)) == ["a.b", "c.d", "e.f", None]
+
+
+def test_every_fault_point_names_a_listed_site():
+    named = set()
+    for path in sorted(SRC.rglob("*.py")):
+        named.update(fault_sites_in(path.read_text()))
+    assert len(FAULT_SITES) == len(set(FAULT_SITES))
+    assert named == set(FAULT_SITES), (
+        f"unlisted: {sorted(map(str, named - set(FAULT_SITES)))}; "
+        f"never called: {sorted(set(FAULT_SITES) - named)}")

@@ -46,10 +46,10 @@ class DialectConfig:
 
     Everything here is declarative — the :class:`Dialect` renderer
     reads these knobs, and a backend declares its dialect by pointing
-    at a config instead of overriding string-producing methods.  Each
-    engine module registers its own config (:func:`register_dialect`),
-    so policy tests sweep every dialect through
-    :func:`available_dialects`.
+    at a config instead of overriding string-producing methods.  Two
+    configs ship: :data:`NATIVE` here and
+    :data:`repro.backends.sqlite.SQLITE_DIALECT` beside the engine it
+    describes.
     """
 
     name: str
@@ -96,35 +96,9 @@ class DialectConfig:
         return ident
 
 
-#: registered dialect configs, by lowercase name.
-_DIALECTS: Dict[str, DialectConfig] = {}
-
-
-def register_dialect(config: DialectConfig) -> DialectConfig:
-    """Register a dialect config under its name (later registrations
-    replace earlier ones)."""
-    _DIALECTS[config.name.lower()] = config
-    return config
-
-
-def available_dialects() -> List[str]:
-    """Sorted names of every registered dialect config."""
-    return sorted(_DIALECTS)
-
-
-def get_dialect(name: str) -> DialectConfig:
-    """Look up a registered dialect config by name."""
-    config = _DIALECTS.get(name.lower())
-    if config is None:
-        raise ReproError(
-            f"unknown SQL dialect {name!r}; available: "
-            f"{available_dialects()}")
-    return config
-
-
 #: the repo's own dialect: bare identifiers, inline nesting, AS OF
 #: time travel, no window machinery — a re-parseable fixpoint.
-NATIVE = register_dialect(DialectConfig(name="native"))
+NATIVE = DialectConfig(name="native")
 
 
 class Dialect:
@@ -143,12 +117,6 @@ class Dialect:
     rendering lives here.
     """
 
-    name = "native"
-
-    #: mirror of ``config.use_ctes``, kept as a class attribute so
-    #: lightweight test dialects can flip it without a config.
-    use_ctes = False
-
     #: the policy knobs; instance construction with an explicit config
     #: overrides this class-level default.
     config: DialectConfig = NATIVE
@@ -156,8 +124,6 @@ class Dialect:
     def __init__(self, config: Optional[DialectConfig] = None):
         if config is not None:
             self.config = config
-            self.name = config.name
-            self.use_ctes = config.use_ctes
 
     def quote(self, ident: str) -> str:
         """Quote an identifier per the config's quoting policy."""
@@ -180,7 +146,7 @@ class Dialect:
     def cte_item(self, name: str, body: str,
                  shared: bool = False) -> Optional[str]:
         """One ``name AS (body)`` item of a WITH clause (only reached
-        when :attr:`use_ctes` is set), with the config's
+        when the config's ``use_ctes`` is set), with the config's
         materialization barrier if it declares one.  ``shared`` marks
         the CTE of a node several parents read; a dialect that computes
         such a node ahead of the query, under ``name``, returns None."""
@@ -234,7 +200,7 @@ class _Generator:
         #: the native dialect prints every reference inline): a shared
         #: node is one CTE every referrer reads under one name.
         self._shared: Set[int] = set()
-        if self.dialect.use_ctes:
+        if self.dialect.config.use_ctes:
             refs = _referrers(plan)
             self._shared = {key for key, count in refs.items()
                             if count > 1}
@@ -272,7 +238,7 @@ class _Generator:
         name = self._cte_refs.get(body)
         if name is not None:
             return self.dialect.quote(name)
-        if self.dialect.use_ctes and self._subquery_depth == 0 \
+        if self.dialect.config.use_ctes and self._subquery_depth == 0 \
                 and body not in self._scan_bodies:
             name = self.fresh("q")
             self.ctes.append((name, body))

@@ -1,4 +1,4 @@
-"""Pluggable reenactment execution backends.
+"""Reenactment execution backends: the in-memory interpreter and SQLite.
 
 ``resolve_backend(None | "memory" | "sqlite" | instance)`` is the one
 entry point the rest of the system uses; the reenactor, the what-if
@@ -6,33 +6,61 @@ engine and the equivalence checker all accept a ``backend=`` in that
 form.  See :mod:`repro.backends.base` for the contract and
 ``tests/backends/`` for the differential harness that enforces it.
 
-A SQL engine is one module — a registered
-:class:`~repro.algebra.sqlgen.DialectConfig`, an :class:`SQLSession`
-subclass with the driver glue, an :class:`SQLBackend` subclass naming
-both (:mod:`repro.backends.sqlite` is the template) — plus a
-``register_backend`` line below; ``docs/backends.md`` has the recipe.
+:mod:`repro.backends.sqlite` is the whole SQL engine.  A custom
+backend — anything implementing
+:meth:`~repro.backends.base.ExecutionBackend.execute_plan` — is passed
+as an instance.
 """
 
-from repro.backends.base import (BackendSession, BackendSpec,
-                                 ExecutionBackend, SessionStats,
-                                 SnapshotPipeline, SnapshotPlan,
-                                 SnapshotPlanStep, available_backends,
-                                 register_backend, resolve_backend)
+from typing import List, Union
+
+from repro.backends.base import (BackendSession, ExecutionBackend,
+                                 SessionStats, SnapshotPipeline,
+                                 SnapshotPlan, SnapshotPlanStep)
 from repro.backends.memory import InMemoryBackend
 from repro.backends.binder import SnapshotBinder
 from repro.backends.cache import SnapshotCache
-from repro.backends.sqlbase import (BoundDialect, SQLBackend,
-                                    SQLPipeline, SQLSession)
-from repro.backends.sqlite import SQLiteBackend, SQLiteSession
+from repro.backends.sqlite import (BoundDialect, SQLiteBackend,
+                                   SQLiteSession, SQLPipeline)
+from repro.errors import ReproError
 
-register_backend("memory", InMemoryBackend)
-register_backend("in-memory", InMemoryBackend)
-register_backend("sqlite", SQLiteBackend)
+#: Anything :func:`resolve_backend` accepts.
+BackendSpec = Union[None, str, ExecutionBackend]
+
+_BACKENDS = {"memory": InMemoryBackend, "sqlite": SQLiteBackend}
+
+
+def available_backends() -> List[str]:
+    """The names :func:`resolve_backend` accepts, sorted."""
+    return sorted(_BACKENDS)
+
+
+def resolve_backend(spec: BackendSpec = None) -> ExecutionBackend:
+    """Turn a backend spec into an instance.
+
+    ``None`` resolves to the in-memory interpreter (the default
+    everywhere), a name (case-insensitive) to a fresh backend of that
+    kind, and an existing backend instance passes through unchanged.
+    """
+    if spec is None:
+        return InMemoryBackend()
+    if isinstance(spec, ExecutionBackend):
+        return spec
+    if isinstance(spec, str):
+        backend = _BACKENDS.get(spec.lower())
+        if backend is None:
+            raise ReproError(
+                f"unknown execution backend {spec!r}; available: "
+                f"{', '.join(available_backends())}")
+        return backend()
+    raise ReproError(
+        f"backend must be a name, an ExecutionBackend instance or "
+        f"None, got {spec!r}")
+
 
 __all__ = [
     "BackendSession", "BackendSpec", "BoundDialect", "ExecutionBackend",
-    "InMemoryBackend", "SQLBackend", "SQLPipeline", "SQLSession",
-    "SQLiteBackend", "SQLiteSession", "SessionStats", "SnapshotBinder",
-    "SnapshotCache", "available_backends", "register_backend",
-    "resolve_backend",
+    "InMemoryBackend", "SQLPipeline", "SQLiteBackend", "SQLiteSession",
+    "SessionStats", "SnapshotBinder", "SnapshotCache",
+    "available_backends", "resolve_backend",
 ]

@@ -35,11 +35,11 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.algebra import operators as op
 from repro.algebra.evaluator import EvalContext, Relation
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError
 from repro.obs.metrics import StatsView
 
 
@@ -269,7 +269,7 @@ class SnapshotPipeline:
     """Default cross-compile priming pipeline, for a stateless backend:
     nothing to materialize, only the protocol.
 
-    Subclasses (see :class:`repro.backends.sqlbase.SQLPipeline`)
+    Subclasses (see :class:`repro.backends.sqlite.SQLPipeline`)
     override :meth:`prime` to plan the union.  ``prime(i)`` may be
     called with each index at most once and indices must not decrease —
     priming set ``i`` tells the pipeline every set before ``i`` has
@@ -319,7 +319,7 @@ class ExecutionBackend(abc.ABC):
     several backends and the results compared.
     """
 
-    #: registry key / display name.
+    #: display name (``resolve_backend`` knows the shipped ones by it).
     name: str = "abstract"
 
     #: capability flags for admission checks (the reenactment service
@@ -331,7 +331,8 @@ class ExecutionBackend(abc.ABC):
     def open_session(self) -> BackendSession:
         """A session over this backend.  The default delegates each plan
         to :meth:`execute_plan`; stateful backends override this to
-        share resources (see :class:`repro.backends.sqlbase.SQLSession`)."""
+        share resources (see
+        :class:`repro.backends.sqlite.SQLiteSession`)."""
         return _DelegatingSession(self)
 
     def execute_plan(self, plan: op.Operator,
@@ -358,53 +359,3 @@ class _DelegatingSession(BackendSession):
                 f"execute_plan nor open_session")
         self.stats.plans_executed += 1
         return self.backend.execute_plan(plan, ctx)
-
-
-#: Anything :func:`resolve_backend` accepts.
-BackendSpec = Union[None, str, ExecutionBackend]
-
-_REGISTRY: Dict[str, Callable[[], ExecutionBackend]] = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[[], ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (case-insensitive).
-    Re-registering a name replaces the previous factory."""
-    _REGISTRY[name.lower()] = factory
-
-
-def available_backends(capabilities: bool = False
-                       ) -> Union[List[str], Dict[str, Dict[str, bool]]]:
-    """Registered backend names, sorted.
-
-    With ``capabilities=True``, returns ``{name: capability_flags}``
-    instead — the admission-check view the reenactment service uses to
-    decide up front whether a backend supports stateful sessions and
-    snapshot spill, rather than probing with try/except."""
-    if not capabilities:
-        return sorted(_REGISTRY)
-    return {name: dict(factory().capabilities)
-            for name, factory in sorted(_REGISTRY.items())}
-
-
-def resolve_backend(spec: BackendSpec = None) -> ExecutionBackend:
-    """Turn a backend spec into an instance.
-
-    ``None`` resolves to the in-memory interpreter (the default
-    everywhere), a string is looked up in the registry, and an existing
-    backend instance passes through unchanged.
-    """
-    if spec is None:
-        spec = "memory"
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    if isinstance(spec, str):
-        factory = _REGISTRY.get(spec.lower())
-        if factory is None:
-            raise ReproError(
-                f"unknown execution backend {spec!r}; available: "
-                f"{', '.join(available_backends())}")
-        return factory()
-    raise ReproError(
-        f"backend must be a name, an ExecutionBackend instance or "
-        f"None, got {spec!r}")

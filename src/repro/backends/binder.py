@@ -10,6 +10,7 @@ itself.
 
 from __future__ import annotations
 
+import sqlite3
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -44,15 +45,15 @@ def context_realm(ctx: EvalContext):
     return getattr(db, "history_id", None) or id(db)
 
 
-def complete_partial(conn, cache: SnapshotCache, name: str, scan,
-                     driver_errors: Tuple[type, ...]) -> None:
+def complete_partial(conn, cache: SnapshotCache, name: str,
+                     scan) -> None:
     """Make the cached partial entry ``name`` whole, in place: insert
     the stored rows its build left out — read by ``scan(table, ts)``,
     or through the entry's database when ``scan`` is ``None`` — then
     clear its mark.  A complete entry is left alone.  No counter and
     no LRU recency moves: completing is the rest of the one build.
 
-    A failure (a driver error, or the ``snapshot.complete`` fault
+    A failure (a SQLite error, or the ``snapshot.complete`` fault
     site) forgets the entry and drops its table, so no half-complete
     table is ever served, and raises
     :class:`~repro.errors.ExecutionError`."""
@@ -69,11 +70,11 @@ def complete_partial(conn, cache: SnapshotCache, name: str, scan,
                 for rowid, values, xid in stored if rowid not in built]
         if rest:
             SnapshotBinder._insert(conn, name, len(rest[0]), rest)
-    except driver_errors + (OverflowError, InjectedFault) as exc:
+    except (sqlite3.Error, OverflowError, InjectedFault) as exc:
         cache.forget(realm, key)
         try:
             conn.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
-        except driver_errors:
+        except sqlite3.Error:
             pass  # the completion's own error is the one to report
         raise ExecutionError(
             f"completing partial snapshot ({table!r}, {ts}) failed: "
@@ -109,16 +110,14 @@ class SnapshotBinder:
 
     ``config`` is the target engine's
     :class:`~repro.algebra.sqlgen.DialectConfig` (the planner's
-    ``delta_max_ratio``); ``driver_errors`` the
-    exception types its driver raises, rethrown from materialization
-    as :class:`~repro.errors.ExecutionError`.
+    ``delta_max_ratio``).  A SQLite error during materialization is
+    rethrown as :class:`~repro.errors.ExecutionError`.
     """
 
     def __init__(self, ctx: EvalContext,
                  cache: Optional[SnapshotCache] = None,
                  priming: bool = False, store=None,
-                 config: DialectConfig = NATIVE,
-                 driver_errors: Tuple[type, ...] = ()):
+                 config: DialectConfig = NATIVE):
         self.ctx = ctx
         self._state = EvalState(params=ctx.params)
         #: a binder without a session (SQL rendering only) gets a
@@ -127,7 +126,6 @@ class SnapshotBinder:
         self._stats = self.cache.stats
         self._priming = priming
         self._config = config
-        self._driver_errors = driver_errors + (OverflowError,)
         #: shared spill tier: cache misses on plain committed snapshots
         #: are rehydrated from here before falling back to a rebuild,
         #: and full builds are written through to it.
@@ -382,7 +380,7 @@ class SnapshotBinder:
                     self._clone(conn, name, source, table, payload)
                 else:
                     self._create_filled(conn, name, table, payload)
-            except self._driver_errors as exc:
+            except (sqlite3.Error, OverflowError) as exc:
                 self._abandon(conn, step, name, source)
                 raise ExecutionError(
                     f"{step.op} of snapshot ({table!r}, {ts}) failed: "
@@ -427,8 +425,7 @@ class SnapshotBinder:
             self._source)
 
     def _complete(self, conn, name: str) -> None:
-        complete_partial(conn, self.cache, name, self.ctx.scan_table,
-                         self._driver_errors)
+        complete_partial(conn, self.cache, name, self.ctx.scan_table)
 
     def _abandon(self, conn, step: SnapshotPlanStep, name: str,
                  source: Optional[str]) -> None:
@@ -442,7 +439,7 @@ class SnapshotBinder:
         self._used.discard(name)
         try:
             conn.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
-        except self._driver_errors:
+        except sqlite3.Error:
             pass  # the step's own error is the one to report
 
     def _usable(self, table: str, rows):

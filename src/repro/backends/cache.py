@@ -1,9 +1,9 @@
 """The session snapshot cache: which materialized ``(table, ts)``
 states are live on an engine connection, under which temp-table names.
 
-Split out of :mod:`repro.backends.sqlbase`; the planner
-(:mod:`repro.backends.planner`) reads this inventory, the binder
-(:mod:`repro.backends.binder`) fills it.
+The SQLite session (:mod:`repro.backends.sqlite`) owns one; the
+planner (:mod:`repro.backends.planner`) reads this inventory, the
+binder (:mod:`repro.backends.binder`) fills it.
 """
 
 from __future__ import annotations
@@ -72,6 +72,15 @@ class PartialMark:
 DEFAULT_CACHE_CAPACITY = 64
 
 
+def check_capacity(capacity: Optional[int]) -> Optional[int]:
+    """A snapshot-cache capacity, validated: ``None`` (unbounded) or
+    at least 1."""
+    if capacity is not None and capacity < 1:
+        raise ExecutionError(
+            f"snapshot cache capacity must be >= 1, got {capacity}")
+    return capacity
+
+
 class SnapshotCache:
     """Session-lifetime, size-bounded LRU of materialized snapshot
     temp tables.
@@ -110,11 +119,8 @@ class SnapshotCache:
                  on_evict: Optional[
                      Callable[[str, Tuple[int, SnapshotKey]],
                               None]] = None):
-        if capacity is not None and capacity < 1:
-            raise ExecutionError(
-                f"snapshot cache capacity must be >= 1, got {capacity}")
+        self.capacity = check_capacity(capacity)
         self.stats = stats if stats is not None else SessionStats()
-        self.capacity = capacity
         self.on_evict = on_evict
         self._names: "OrderedDict[Tuple[int, SnapshotKey], str]" = \
             OrderedDict()

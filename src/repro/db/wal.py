@@ -639,16 +639,31 @@ class WriteAheadLog:
 
     def maybe_checkpoint(self, db) -> bool:
         """Automatic checkpoint when ``checkpoint_every`` commits have
-        accumulated since the last one.  With ``checkpoint_async`` the
-        expensive half runs on a background thread (at most one in
-        flight — a due checkpoint is skipped while one is running)."""
+        accumulated since the last one.  It never fails the commit that
+        triggered it, which is already logged and applied: a failure
+        of the checkpoint's own work is absorbed (see
+        :meth:`_checkpoint_failed`) and the next attempt comes
+        ``checkpoint_every`` commits later.  A failure to flush the log
+        itself quarantines it, as :meth:`flush` does.  With
+        ``checkpoint_async`` the expensive half runs on a background
+        thread (at most one in flight — a due checkpoint is skipped
+        while one is running)."""
         if self.checkpoint_every is None:
             return False
         if self._commits_since_checkpoint < self.checkpoint_every:
             return False
         if self.checkpoint_async:
             return self.checkpoint_background(db) is not None
-        self.checkpoint(db)
+        try:
+            self.flush()
+        except WALError:
+            return False  # quarantined: the database is read-only now
+        try:
+            self.checkpoint(db)
+        except Exception as exc:
+            self._commits_since_checkpoint = 0
+            self._checkpoint_failed(exc)
+            return False
         return True
 
     def checkpoint(self, db) -> int:
@@ -705,10 +720,14 @@ class WriteAheadLog:
             self.stats.checkpoints += 1
             self.stats.checkpoints_background += 1
         except Exception as exc:
-            # nothing is lost: the segments this checkpoint would have
-            # superseded are still on disk, recovery replays them
-            self.last_checkpoint_error = exc
-            self.stats.checkpoint_failures += 1
+            self._checkpoint_failed(exc)
+
+    def _checkpoint_failed(self, exc: BaseException) -> None:
+        """Record a failed automatic or background checkpoint instead
+        of raising it.  Nothing is lost: the segments it would have
+        superseded are still on disk, and recovery replays them."""
+        self.last_checkpoint_error = exc
+        self.stats.checkpoint_failures += 1
 
     def _join_background_checkpoint(self,
                                     timeout: float = 30.0) -> None:

@@ -47,10 +47,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import BackendSpec, resolve_backend
+from repro.backends.cache import check_capacity
 from repro.backends.base import SessionStats
 from repro.core.reenactor import ReenactmentOptions, Reenactor
-from repro.errors import (HandleTimeout, JobTimeout, ServiceError,
-                          WorkerCrashed)
+from repro.errors import (ExecutionError, HandleTimeout, JobTimeout,
+                          ServiceError, WorkerCrashed)
 from repro.faults.inject import fault_point
 from repro.faults.retry import RetryPolicy
 from repro.obs.explain import ExplainCollector
@@ -262,7 +263,11 @@ class ReenactmentService:
                 raise ServiceError(
                     f"backend {self.backend.name!r} has no session "
                     f"snapshot cache to tune (capabilities: {caps})")
-            self.backend.cache_capacity = cache_capacity
+            try:
+                self.backend.cache_capacity = check_capacity(
+                    cache_capacity)
+            except ExecutionError as exc:
+                raise ServiceError(str(exc)) from exc
         self._store, self._owns_store = self._admit_store(store, caps)
         self.workers = workers
         self._queue: "queue.PriorityQueue[Tuple[int, int, Optional[Job], Optional[JobHandle]]]" = \

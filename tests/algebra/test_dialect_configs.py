@@ -1,11 +1,11 @@
 """Policy tests for the first-class ``DialectConfig`` layer.
 
-Every registered dialect is swept with the same identifier/quoting
-cases (reserved words, mixed-case names, embedded quotes), pinning the
-policy the refactor extracted out of the SQLite backend: the base
-:class:`~repro.algebra.sqlgen.Dialect` carries **no** backend-specific
-rendering — everything an engine needs is declared on its config, and
-a new backend is a config plus driver glue.
+Both shipped dialects — :data:`~repro.algebra.sqlgen.NATIVE` and
+:data:`~repro.backends.sqlite.SQLITE_DIALECT` — are swept with the same
+identifier/quoting cases (reserved words, mixed-case names, embedded
+quotes), pinning that the base :class:`~repro.algebra.sqlgen.Dialect`
+carries **no** backend-specific rendering: everything an engine needs
+is declared on its config.
 """
 
 import dataclasses
@@ -14,16 +14,16 @@ import pytest
 
 from repro.algebra import operators as op
 from repro.algebra.expressions import BinaryOp, Column, Literal, Param
-from repro.algebra.sqlgen import (Dialect, DialectConfig,
-                                  available_dialects, generate_sql,
-                                  get_dialect, register_dialect)
+from repro.algebra.sqlgen import (NATIVE, Dialect, DialectConfig,
+                                  generate_sql)
+from repro.backends.sqlite import SQLITE_DIALECT
 from repro.errors import ReenactmentError, ReproError
 
-ALL_DIALECTS = available_dialects()
+ALL_DIALECTS = {config.name: config for config in (NATIVE, SQLITE_DIALECT)}
 
 
 def dialect(name):
-    return Dialect(get_dialect(name))
+    return Dialect(ALL_DIALECTS[name])
 
 
 def scan(table="t", columns=("a", "b")):
@@ -32,34 +32,20 @@ def scan(table="t", columns=("a", "b")):
 
 
 class TestRegistry:
-    def test_known_dialects_are_registered(self):
-        assert {"native", "sqlite"} <= set(ALL_DIALECTS)
-
-    def test_unknown_dialect_raises_with_inventory(self):
-        with pytest.raises(ReproError, match="available"):
-            get_dialect("oracle-23c")
-
-    def test_lookup_is_case_insensitive(self):
-        assert get_dialect("SQLite") is get_dialect("sqlite")
+    """The configs themselves: immutable and validated on creation."""
 
     def test_configs_are_frozen(self):
-        config = get_dialect("sqlite")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.quote_style = "none"
+            SQLITE_DIALECT.quote_style = "none"
 
     def test_invalid_quote_style_rejected(self):
         with pytest.raises(ReproError, match="quote_style"):
             DialectConfig(name="bad", quote_style="backtick")
 
-    def test_register_returns_config(self):
-        config = DialectConfig(name="test-scratch")
-        assert register_dialect(config) is config
-        assert get_dialect("test-scratch") is config
-
 
 @pytest.mark.parametrize("name", ALL_DIALECTS)
 class TestIdentifierPolicy:
-    """The same identifier cases against every registered dialect."""
+    """The same identifier cases against both shipped dialects."""
 
     def test_reserved_words(self, name):
         d = dialect(name)
@@ -148,7 +134,7 @@ class TestBaseDialectIsPolicyFree:
     same class render ANSI SQL."""
 
     def test_stripped_config_refuses_windows(self):
-        stripped = dataclasses.replace(get_dialect("sqlite"),
+        stripped = dataclasses.replace(SQLITE_DIALECT,
                                        name="sqlite-nowindow",
                                        window_functions=False)
         annotate = op.AnnotateRowId(
@@ -159,5 +145,5 @@ class TestBaseDialectIsPolicyFree:
 
     def test_default_dialect_is_native(self):
         d = Dialect()
-        assert d.name == "native"
+        assert d.config is NATIVE
         assert d.quote("order") == "order"

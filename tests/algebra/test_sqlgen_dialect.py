@@ -24,7 +24,7 @@ import pytest
 from repro.algebra import operators as op
 from repro.algebra.expressions import (BinaryOp, Column, Literal,
                                        SubqueryExpr)
-from repro.algebra.sqlgen import Dialect, generate_sql
+from repro.algebra.sqlgen import Dialect, DialectConfig, generate_sql
 from repro.errors import ReenactmentError
 
 
@@ -32,21 +32,15 @@ class MappingDialect(Dialect):
     """Minimal non-native dialect: quotes identifiers, maps scans to
     plain physical names, flattens with CTEs."""
 
-    name = "mapping"
-    use_ctes = True
-
     def __init__(self):
+        super().__init__(DialectConfig(
+            name="mapping", quote_style="double", use_ctes=True,
+            parenthesized_compounds=False))
         self.bound = []
-
-    def quote(self, ident):
-        return '"' + ident.replace('"', '""') + '"'
 
     def scan_source(self, scan):
         self.bound.append(scan.table)
         return self.quote(f"phys_{scan.table}")
-
-    def compound(self, left_body, right_body, word):
-        return f"{left_body} {word} {right_body}"
 
 
 def scan(table="t", columns=("a", "b")):

@@ -3,8 +3,8 @@
 This is the permanent cross-validation oracle for the execution
 backends (and, transitively, for every future optimization of either
 path): seeded random concurrent histories from the workload generator
-are reenacted on the in-memory interpreter *and* on every registered
-SQL engine (``conftest.SQL_ENGINES``), and the results must be
+are reenacted on the in-memory interpreter *and* on every SQL engine
+(``conftest.SQL_ENGINES``), and the results must be
 multiset-identical — including annotation columns and tombstones — and
 what-if scenarios must produce identical ``TableDiff``s, with diffs,
 conflicts and degraded transactions equal to the reenact-every-write-set
@@ -56,8 +56,9 @@ import pytest
 
 from repro import Database
 from repro.algebra.evaluator import Evaluator
-from repro.algebra.sqlgen import Dialect, generate_sql, get_dialect
+from repro.algebra.sqlgen import Dialect, generate_sql
 from repro.backends import available_backends, resolve_backend
+from repro.backends.sqlite import SQLITE_DIALECT
 from repro.core.optimizer import ProvenanceOptimizer
 from repro.core.reenactor import (ReenactmentOptions, Reenactor,
                                   snapshot_analysis)
@@ -629,7 +630,7 @@ def check_no_consumer_mutates_a_plan(seed, isolation):
         session.execute(statement)
         session.commit()
     reenactor = Reenactor(db)
-    sqlite_dialect = Dialect(get_dialect("sqlite"))
+    sqlite_dialect = Dialect(SQLITE_DIALECT)
     checked = 0
     with contextlib.ExitStack() as stack:
         sessions = [stack.enter_context(
@@ -889,7 +890,7 @@ def test_sweep_covers_fifty_histories():
     assert set(MODES) == {"oneshot", "session", "delta", "inplace",
                           "windowscan"}
     # every listed SQL engine rides the whole sweep: a plain
-    # registered name, never a skip-marked parameter
+    # backend name, never a skip-marked parameter
     assert "sqlite" in SQL_ENGINES
     assert set(SQL_ENGINES) <= set(available_backends())
     assert check_history_service_differential.__doc__ is not None

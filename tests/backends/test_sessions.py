@@ -37,7 +37,7 @@ def account_db(db):
     return db
 
 
-# -- registry / exports (satellite: discoverable backends) ----------------
+# -- resolution / exports -------------------------------------------------
 
 def test_available_backends_exported_at_top_level():
     names = available_backends()
@@ -53,6 +53,18 @@ def test_unknown_backend_error_lists_registered_names():
     assert "postgresql" in message
     for name in available_backends():
         assert name in message
+
+
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_invalid_cache_capacity_refused_at_construction(capacity):
+    with pytest.raises(ExecutionError,
+                       match=f"capacity must be >= 1, got {capacity}"):
+        SQLiteBackend(cache_capacity=capacity)
+
+
+def test_unbounded_cache_capacity_stays_valid():
+    with SQLiteBackend(cache_capacity=None).open_session() as session:
+        assert session.cache.capacity is None
 
 
 # -- session lifecycle ----------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro import Database
 from repro.backends import BoundDialect, SnapshotBinder, SQLiteBackend
 from repro.backends.cache import quote_ident
+from repro.backends.sqlite import _bool_positions
 from repro.core.reenactor import (ANNOTATION_NAMES, ReenactmentOptions,
                                   Reenactor)
 from repro.core.whatif import WhatIfScenario
@@ -157,14 +158,14 @@ def test_bool_coercion_name_collision_vetoed(db):
     same-named non-BOOL column of another touched table."""
     db.execute("CREATE TABLE users (id INT, active BOOL)")
     db.execute("CREATE TABLE meters (id INT, active INT)")
-    positions = SQLiteBackend._bool_positions(
+    positions = _bool_positions(
         ["users.active", "meters.active", "__upd__"],
         db.context(params={}), {"users", "meters"})
     # 'active' is ambiguous across the touched tables -> only the
     # flag column may be coerced
     assert positions == [2]
     # unambiguous case still coerces
-    assert SQLiteBackend._bool_positions(
+    assert _bool_positions(
         ["users.active"], db.context(params={}), {"users"}) == [0]
 
 
@@ -288,14 +289,14 @@ def test_quote_ident_escapes_quotes():
 def test_sqlite_error_carries_sql(account_db, monkeypatch):
     xid = run_txn(account_db, ["UPDATE account SET bal = 1"])
     backend = SQLiteBackend()
-    import repro.backends.sqlbase as sqlbase_mod
-    real = sqlbase_mod.generate_sql
+    import repro.backends.sqlite as sqlite_mod
+    real = sqlite_mod.generate_sql
 
     def broken(plan, dialect=None):
         real(plan, dialect=dialect)  # still registers snapshots
         return "SELECT FROM nonsense"
 
-    monkeypatch.setattr(sqlbase_mod, "generate_sql", broken)
+    monkeypatch.setattr(sqlite_mod, "generate_sql", broken)
     reenactor = Reenactor(account_db, backend=backend)
     with pytest.raises(ExecutionError) as excinfo:
         reenactor.reenact(xid)
@@ -303,9 +304,9 @@ def test_sqlite_error_carries_sql(account_db, monkeypatch):
 
 
 def test_subclass_dialect_config_drives_rendering(account_db):
-    """A backend subclass that replaces ``dialect_config`` — how a new
-    engine declares its policy — must *render* under that config, not
-    only plan under it: with the barrier keyword stripped, no query
+    """A backend subclass that replaces ``dialect_config`` — how the
+    planner-policy tests declare theirs — must *render* under that
+    config, not only plan under it: with the barrier keyword stripped, no query
     SQLite is sent carries it."""
     xid = run_txn(account_db, [
         "UPDATE account SET bal = bal + 1 WHERE bal > 20",

@@ -167,8 +167,9 @@ def test_rc_chain_compiles_linearly():
     per statement; expanded once per reference it grew ×4 per two
     statements, and 32 statements never finished."""
     from repro.algebra import operators as op
-    from repro.algebra.sqlgen import Dialect, generate_sql, get_dialect
-    sqlite = Dialect(get_dialect("sqlite"))
+    from repro.algebra.sqlgen import Dialect, generate_sql
+    from repro.backends.sqlite import SQLITE_DIALECT
+    sqlite = Dialect(SQLITE_DIALECT)
     sizes = {}
     for n in (8, 32):
         db, xid = rc_chain(n)

@@ -237,6 +237,32 @@ class TestBackgroundCheckpoint:
         assert row_values(rec) == row_values(db)
         rec.wal.close()
 
+    def test_failed_auto_checkpoint_never_fails_its_commit(
+            self, tmp_path):
+        """The commit that triggers an automatic checkpoint is already
+        logged and applied: a failed checkpoint must not raise out of
+        it (a client retrying the error would apply it twice), and the
+        next attempt waits another ``checkpoint_every`` commits."""
+        path = str(tmp_path / "wal")
+        db = Database.open(path, fsync="commit", checkpoint_every=2)
+        db.execute("CREATE TABLE acct (id INT, bal INT)")
+        session = db.connect()
+        stamps = []
+        for key in (1, 2, 3):
+            session.begin()
+            session.execute(f"INSERT INTO acct VALUES ({key}, 0)")
+            with armed(FaultPlan(seed=1).on("wal.checkpoint")):
+                stamps.append(session.commit())
+        assert all(isinstance(ts, int) for ts in stamps)
+        assert db.wal.stats.checkpoint_failures == 1
+        assert db.wal.stats.checkpoints == 0
+        assert db.wal.last_checkpoint_error is not None
+        assert not db.wal.quarantined
+        db.wal.close()
+        rec = Database.open(path)
+        assert row_values(rec) == [(1, 0), (2, 0), (3, 0)]
+        rec.wal.close()
+
     def test_only_one_background_checkpoint_in_flight(self, tmp_path):
         db = wal_db(tmp_path / "wal", checkpoint_async=True)
         seed(db)

@@ -4,9 +4,8 @@ The planner's cutover is a number on the engine's frozen
 ``DialectConfig``, not a constructor argument; nothing outside the test
 suite sets it.  The differential harness and the materialization tests
 still need to *force* each path (every hop a delta, never a delta), and
-do it the way a new engine would declare its own policy: a backend
-subclass whose ``dialect_config`` is a ``dataclasses.replace`` of the
-stock one.
+do it with a backend subclass whose ``dialect_config`` is a
+``dataclasses.replace`` of the stock one.
 
 :func:`pipeline_states` is the snapshot traffic the move, spill and
 rehydrate tests drive: one table's states, tick by tick, through a
@@ -31,7 +30,7 @@ NO_DELTA = {"delta_max_ratio": -1.0}
 
 
 def policy_backend(policy, engine="sqlite", **kwargs):
-    """A backend of ``engine`` (any registered SQL engine — the names
+    """A backend of ``engine`` (a SQL engine — the names
     in ``tests/backends/conftest.py``'s ``SQL_ENGINES``) planning under
     ``policy`` (a dict of ``DialectConfig`` fields — combine the
     constants above with ``{**A, **B}``); ``kwargs`` go to the backend

@@ -11,8 +11,7 @@ import threading
 
 import pytest
 
-from repro import (ReenactmentService, SnapshotStore,
-                   available_backends)
+from repro import ReenactmentService, SnapshotStore
 from repro.backends import SQLiteBackend
 from repro.backends.base import SessionStats
 from repro.core.equivalence import check_history_equivalence
@@ -55,16 +54,6 @@ class MarkerJob(Job):
         return self.tag
 
 
-# -- capability flags (satellite) -----------------------------------------
-
-def test_available_backends_reports_capability_flags():
-    flags = available_backends(capabilities=True)
-    assert flags["sqlite"] == {"sessions": True, "spill": True}
-    assert flags["memory"] == {"sessions": False, "spill": False}
-    # the plain call keeps its historical shape
-    assert available_backends() == sorted(flags)
-
-
 def test_session_stats_as_dict_has_all_counters():
     stats = SessionStats()
     payload = stats.as_dict()
@@ -97,6 +86,17 @@ def test_memory_backend_refused_explicit_store(db):
 def test_memory_backend_refused_cache_capacity(db):
     with pytest.raises(ServiceError, match="session"):
         ReenactmentService(db, backend="memory", cache_capacity=4)
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_invalid_cache_capacity_refused_before_workers_start(db,
+                                                             capacity):
+    before = threading.active_count()
+    with pytest.raises(ServiceError,
+                       match=f"capacity must be >= 1, got {capacity}"):
+        ReenactmentService(db, workers=1, cache_capacity=capacity,
+                           store=None)
+    assert threading.active_count() == before
 
 
 def test_sqlite_service_attaches_store_and_cache_bound(db):

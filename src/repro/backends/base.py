@@ -77,11 +77,6 @@ class SessionStats(StatsView):
     #: store (counted *inside* ``snapshots_materialized``, like the
     #: full/delta strategies).
     snapshots_rehydrated: int = 0
-    #: snapshots produced by *moving* a cached snapshot to another
-    #: version (patching its temp table forward in place, no clone) —
-    #: only legal when the pipeline proves nothing reads the source
-    #: version again.  Counted inside ``snapshots_materialized``.
-    patched_in_place: int = 0
     #: union-primed snapshot requests answered by a snapshot an
     #: earlier compile in the same pipeline already materialized.
     primes_shared: int = 0
@@ -111,10 +106,6 @@ class SessionStats(StatsView):
 #: operation kinds a :class:`SnapshotPlan` step may carry, in the order
 #: the planner prefers them (cheapest first for the common case):
 #: ``reuse-cached``    — the snapshot is already resident, nothing to do;
-#: ``patch-in-place``  — mutate a cached snapshot forward to this
-#:                       version (a *move*: delta-sized DML, no clone) —
-#:                       only when nothing reads the source version
-#:                       again;
 #: ``clone-delta``     — clone a cached neighbor and patch the delta;
 #: ``rehydrate-batch`` — refill from the spill store; all such steps of
 #:                       one plan are fetched in a single store read;
@@ -122,17 +113,17 @@ class SessionStats(StatsView):
 #:                       batch's row keys match; the entry is completed
 #:                       before any other use;
 #: ``full-build``      — rebuild from a storage scan.
-PLAN_OPS = ("reuse-cached", "patch-in-place", "clone-delta",
-            "rehydrate-batch", "partial-build", "full-build")
+PLAN_OPS = ("reuse-cached", "clone-delta", "rehydrate-batch",
+            "partial-build", "full-build")
 
 
 @dataclass(frozen=True)
 class SnapshotPlanStep:
     """One planned materialization: produce ``(table, ts)`` via ``op``
-    (``source_ts`` names the cached version a move/clone starts
-    from).  ``reason`` is the planner's own account of why this op won
-    — the explain surface; it is excluded from equality so plans
-    compare on what they *do*, not how they were justified."""
+    (``source_ts`` names the cached version a clone starts from).
+    ``reason`` is the planner's own account of why this op won — the
+    explain surface; it is excluded from equality so plans compare on
+    what they *do*, not how they were justified."""
 
     op: str
     table: str
@@ -150,8 +141,8 @@ class SnapshotPlan:
     """A planned snapshot-set materialization: per table, the chain of
     operations a session will run — decided against the cache and
     store inventory *before* touching the engine, so batched work
-    (one store read for every rehydrate step) and destructive moves
-    (patch-in-place) can be proven safe up front."""
+    (one store read for every rehydrate step) is known up front.  No
+    step consumes its source."""
 
     steps: List[SnapshotPlanStep] = field(default_factory=list)
 
@@ -218,16 +209,13 @@ class BackendSession(abc.ABC):
 
         Handing the whole series over up front lets a planning backend
         materialize shared ``(table, ts)`` pairs once for all N
-        compiles, chain deltas across compile boundaries, and — once
-        an index is primed — know exactly which cached versions no
-        later compile reads, so it may *move* them forward in place
-        instead of cloning.  A set may map each pair to the row keys
-        its compile reads it through
+        compiles and chain deltas across compile boundaries.  A set
+        may map each pair to the row keys its compile reads it through
         (:attr:`~repro.core.reenactor.CompiledReenactment.row_keys`,
         ``None`` for a whole read): a planning backend may then build
         a state from the rows the series' keys match, for the series'
-        plans alone.  The default pipeline is for stateless
-        backends: it checks the protocol and builds nothing."""
+        plans alone.  The default pipeline is for stateless backends:
+        it checks the protocol and builds nothing."""
         return SnapshotPipeline(self, snapshot_sets, ctx)
 
     def publish_snapshots(self, snapshots, ctx: EvalContext) -> None:
@@ -273,8 +261,8 @@ class SnapshotPipeline:
     override :meth:`prime` to plan the union.  ``prime(i)`` may be
     called with each index at most once and indices must not decrease —
     priming set ``i`` tells the pipeline every set before ``i`` has
-    finished reading its snapshots, which is the fact destructive
-    moves rely on.  Pipelines are context managers; :meth:`close` is
+    finished reading its snapshots, so a pair an earlier set built is
+    a shared prime.  Pipelines are context managers; :meth:`close` is
     idempotent and releases any pipeline-only bookkeeping."""
 
     def __init__(self, session: "BackendSession", snapshot_sets,

@@ -103,10 +103,7 @@ class SnapshotBinder:
     ``priming`` marks a binder that materializes *ahead* of the plans
     that will scan its snapshots: its binds are bookkeeping, not
     reuses, and its fresh tables carry the cache's primed mark until a
-    plan first scans them.  :attr:`movable` is the priming pipeline's
-    grant: per table, cached versions no remaining compile reads,
-    which the planner may consume with patch-in-place moves — empty
-    for a plan binder, whose SQL already references cached tables.
+    plan first scans them.
 
     ``config`` is the target engine's
     :class:`~repro.algebra.sqlgen.DialectConfig` (the planner's
@@ -130,8 +127,6 @@ class SnapshotBinder:
         #: are rehydrated from here before falling back to a rebuild,
         #: and full builds are written through to it.
         self._store = store
-        #: the priming pipeline's grant, set before :meth:`materialize`.
-        self.movable: Dict[str, Set[int]] = {}
         #: the priming pipeline's row keys per plain ``(table, ts)``
         #: (:func:`~repro.backends.planner.batch_row_keys`), set before
         #: :meth:`materialize`: the states it may build partially.
@@ -264,13 +259,6 @@ class SnapshotBinder:
         finally:
             conn.execute(f"DROP TABLE {quote_ident(scratch)}")
 
-    def _insert_new_states(self, conn, name: str, table: str,
-                           delta) -> None:
-        self._insert(conn, name, len(self.ctx.table_columns(table)) + 2,
-                     [tuple(values) + (rowid, xid)
-                      for rowid, values, xid in delta
-                      if values is not None])
-
     # .. plan, then execute ...............................................
 
     def materialize(self, conn) -> None:
@@ -312,7 +300,7 @@ class SnapshotBinder:
                                     pin is None and ts is not None,
                                     self.row_keys.get((table, ts)))
                     for key, (table, ts, pin) in self._meta.items()]
-        return plan_snapshots(requests, cached, self.movable, history,
+        return plan_snapshots(requests, cached, history,
                               self._config.delta_max_ratio,
                               self._store is not None)
 
@@ -347,8 +335,8 @@ class SnapshotBinder:
         stored = self._store.fetch_many(self.realm, wanted) \
             if wanted else {}
         deltas = self._delta_chains(steps)
-        #: live temp-table name per committed version, updated as
-        #: steps run (a move re-homes its source's name).
+        #: live temp-table name per committed version, extended as
+        #: steps run.
         live = {(table, ts): name for table, ts, name
                 in self.cache.plain_entries(self.realm)}
         for key, step in steps:
@@ -374,42 +362,29 @@ class SnapshotBinder:
                     payload = [tuple(values) + (rowid, xid)
                                for rowid, values, xid in rows]
             try:
-                if step.op == "patch-in-place":
-                    self._move(conn, source, table, payload)
-                elif step.op == "clone-delta":
+                if source is not None:
                     self._clone(conn, name, source, table, payload)
                 else:
                     self._create_filled(conn, name, table, payload)
             except (sqlite3.Error, OverflowError) as exc:
-                self._abandon(conn, step, name, source)
+                self._abandon(conn, name)
                 raise ExecutionError(
                     f"{step.op} of snapshot ({table!r}, {ts}) failed: "
                     f"{type(exc).__name__}: {exc}") from exc
-            if step.op == "patch-in-place":
-                # the table keeps its name, the source version ceases
-                # to exist, the allocated name is abandoned
-                del live[(table, step.source_ts)]
-                self._used.discard(name)
-                name = self._entries[key] = source
-                self._used.add(name)
-                self.cache.move(self.realm, (table, step.source_ts),
-                                key)
-            else:
-                if source is not None:
-                    self._stats.delta_materializations += 1
-                elif scanned:
-                    # a partial build is the one storage-scan build
-                    # too (and never has a store to publish to)
-                    self._stats.full_materializations += 1
-                    self._publish(key, payload)
-                else:
-                    self._stats.snapshots_rehydrated += 1
-                self.cache.commit(self.realm, key, name,
-                                  pins=(self._source, pin))
-                if mark is not None:
-                    self.cache.mark_partial(name, mark)
             if source is not None:
+                self._stats.delta_materializations += 1
                 self._stats.delta_rows_applied += len(payload)
+            elif scanned:
+                # a partial build is the one storage-scan build too
+                # (and never has a store to publish to)
+                self._stats.full_materializations += 1
+                self._publish(key, payload)
+            else:
+                self._stats.snapshots_rehydrated += 1
+            self.cache.commit(self.realm, key, name,
+                              pins=(self._source, pin))
+            if mark is not None:
+                self.cache.mark_partial(name, mark)
             if pin is None and ts is not None:
                 live[(table, ts)] = name
 
@@ -427,15 +402,10 @@ class SnapshotBinder:
     def _complete(self, conn, name: str) -> None:
         complete_partial(conn, self.cache, name, self.ctx.scan_table)
 
-    def _abandon(self, conn, step: SnapshotPlanStep, name: str,
-                 source: Optional[str]) -> None:
+    def _abandon(self, conn, name: str) -> None:
         """A step failed on the engine: no cache entry may point at a
         half-built table.  A failed clone or build leaves only its own
-        never-committed table; a failed move has corrupted its cached
-        source, which is forgotten (not spilled) with it."""
-        if step.op == "patch-in-place":
-            self.cache.forget(self.realm, (step.table, step.source_ts))
-            name = source
+        never-committed table, dropped here; its source is untouched."""
         self._used.discard(name)
         try:
             conn.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
@@ -462,15 +432,6 @@ class SnapshotBinder:
             self._store.put(self.realm, *key, rows)
             self._stats.snapshots_spilled += 1
 
-    def _move(self, conn, name: str, table: str, delta) -> None:
-        """Patch a cached snapshot's temp table forward in place."""
-        if delta:
-            with self._delta_rowids(conn, name, delta) as rowids:
-                conn.execute(
-                    f"DELETE FROM {quote_ident(name)} WHERE "
-                    f"{quote_ident(ROWID_SUFFIX)} IN {rowids}")
-            self._insert_new_states(conn, name, table, delta)
-
     def _clone(self, conn, name: str, source: str, table: str,
                delta) -> None:
         """One-pass clone of ``source`` without the rows the delta
@@ -484,4 +445,7 @@ class SnapshotBinder:
                 conn.execute(
                     f"{create} WHERE {quote_ident(ROWID_SUFFIX)} "
                     f"NOT IN {rowids}")
-            self._insert_new_states(conn, name, table, delta)
+            self._insert(conn, name, len(self._snapshot_columns(table)),
+                         [tuple(values) + (rowid, xid)
+                          for rowid, values, xid in delta
+                          if values is not None])

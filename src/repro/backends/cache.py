@@ -228,39 +228,11 @@ class SnapshotCache:
             if ref[1] <= 0:
                 del self._pin_refs[id(pin)]
 
-    def move(self, realm, old_key: SnapshotKey,
-             new_key: SnapshotKey) -> str:
-        """Re-key a live entry: its temp table was patched **in place**
-        from the committed state at ``old_key`` to the one at
-        ``new_key`` — the table survives under the same name, the old
-        version ceases to exist.  Returns the (unchanged) temp-table
-        name.  Counts as a materialization of the new key (the reuse
-        tests' per-key contract holds: a later re-request of the old
-        key is a fresh materialization, exactly as after an
-        eviction)."""
-        old_entry = (realm, old_key)
-        name = self._names.pop(old_entry)
-        pins = self._entry_pins.pop(old_entry, ())
-        new_entry = (realm, new_key)
-        if new_entry in self._names:
-            # defensive: a live entry for the destination would be
-            # displaced — drop its table like a re-commit does
-            self._release_pins(new_entry)
-            old_name = self._names.pop(new_entry)
-            if old_name != name:
-                self._drop(old_name, new_entry)
-        self._names[new_entry] = name
-        self._entry_pins[new_entry] = pins
-        self.stats.snapshots_materialized += 1
-        self.stats.materializations[new_key] += 1
-        self.stats.patched_in_place += 1
-        return name
-
     def forget(self, realm, key: SnapshotKey) -> None:
         """Remove a live entry *without* the eviction callback: its
-        temp table is known bad (a patch or a completion failed
-        half-way), so it must be neither spilled nor served again.
-        The caller drops it."""
+        temp table is known bad (a completion failed half-way), so it
+        must be neither spilled nor served again.  The caller drops
+        it."""
         entry = (realm, key)
         name = self._names.pop(entry, None)
         if name is None:

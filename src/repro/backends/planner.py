@@ -7,12 +7,14 @@ operation goes through, and it is made here, by pure functions of
 what the caller observed — nothing in this module touches a
 connection.  :func:`plan_snapshots` picks, for every snapshot a plan
 needs and the session cache does not hold, which of the
-:data:`~repro.backends.base.PLAN_OPS` produces it: patch a cached
-neighbor forward in place, clone a neighbor and apply the delta, read
-it back from the spill store, or scan storage — all of it, or, when
-the batch reads the state only through key selections, just the rows
-those keys match (a *partial* build, completed on its first other
-use; see :mod:`repro.backends.binder`).
+:data:`~repro.backends.base.PLAN_OPS` produces it: clone a cached
+neighbor and apply the delta, read it back from the spill store, or
+scan storage — all of it, or, when the batch reads the state only
+through key selections, just the rows those keys match (a *partial*
+build, completed on its first other use; see
+:mod:`repro.backends.binder`).  No step consumes its source: the
+planner reads the cache, the history and the store, and changes
+none of them.
 
 The cutover is a number on the engine's frozen
 :class:`~repro.algebra.sqlgen.DialectConfig` (``delta_max_ratio``);
@@ -79,16 +81,13 @@ def batch_row_keys(snapshot_sets: Sequence
 
 def plan_snapshots(requests: Sequence[SnapshotRequest],
                    cached: Mapping[str, Sequence[int]],
-                   movable: Mapping[str, Sequence[int]],
                    history, max_ratio: float,
                    store_attached: bool
                    ) -> List[Tuple[Hashable, SnapshotPlanStep]]:
     """One :class:`SnapshotPlanStep` per request, in execution order.
 
     ``cached`` lists, per table, the committed versions resident in
-    the session cache; ``movable`` the subset a priming pipeline has
-    proven no remaining compile reads (only those may be consumed by
-    a ``patch-in-place``).  ``history`` answers
+    the session cache.  ``history`` answers
     ``table_delta_estimate(table, ts_from, ts_to)`` and
     ``table_cardinality(table)`` — the database — or is ``None`` when
     the context has no time-traveling history, and then no delta hop
@@ -97,11 +96,10 @@ def plan_snapshots(requests: Sequence[SnapshotRequest],
 
     Plain requests are planned per table in timestamp order, so each
     step is one hop from its predecessor: every step's source is
-    either cached or produced by an earlier step of the same plan
-    (never movable — the plan's own SQL still reads it).  A plain
-    request that would be a full build and carries ``keys`` is a
-    ``partial-build``: a neighbor to hop from, a store to read from
-    and another version of the table in the batch all rule it out
+    either cached or produced by an earlier step of the same plan.  A
+    plain request that would be a full build and carries ``keys`` is a
+    ``partial-build``: a neighbor to hop from, a store to read from and
+    another version of the table in the batch all rule it out
     (:func:`batch_row_keys` gives no keys in the last case).
     Provider requests are always full builds and run last.
     """
@@ -118,15 +116,12 @@ def plan_snapshots(requests: Sequence[SnapshotRequest],
                        "build is correct")))
     out: List[Tuple[Hashable, SnapshotPlanStep]] = []
     for table in sorted(plain):
-        #: delta sources as [ts, movable?], consumed by moves and
-        #: extended by this plan's own steps
-        sources: List[Tuple[int, bool]] = []
+        #: delta sources, extended by this plan's own steps
+        sources: List[int] = []
         budget = 0.0
         if history is not None:
             budget = history.table_cardinality(table) * max_ratio
-            granted = movable.get(table, ())
-            sources = [(ts0, ts0 in granted)
-                       for ts0 in cached.get(table, ())]
+            sources = list(cached.get(table, ()))
         for request in sorted(plain[table], key=lambda r: r.ts):
             step = _hop(table, request.ts, sources, budget, history)
             if step is None and store_attached:
@@ -149,38 +144,24 @@ def plan_snapshots(requests: Sequence[SnapshotRequest],
                            "spill store: storage scan")
             out.append((request.key, step))
             if history is not None:
-                sources.append((request.ts, False))
+                sources.append(request.ts)
     return out + rest
 
 
-def _hop(table: str, ts: int, sources: List[Tuple[int, bool]],
-         budget: float, history) -> Optional[SnapshotPlanStep]:
+def _hop(table: str, ts: int, sources: List[int], budget: float,
+         history) -> Optional[SnapshotPlanStep]:
     """The cheapest affordable delta hop to ``(table, ts)``, or
-    ``None``.  A move is delta-sized work with no clone, so the best
-    movable source wins whenever it is affordable; a move consumes
-    its source."""
+    ``None``: the source with the smallest estimated delta, the
+    nearest on a tie, then the first listed."""
     if not sources:
         return None
-    scored = [(history.table_delta_estimate(table, ts0, ts),
-               abs(ts0 - ts), index)
-              for index, (ts0, _) in enumerate(sources)]
-    granted = [score for score in scored if sources[score[2]][1]]
-    if granted:
-        estimate, _, index = min(granted)
-        if estimate <= budget:
-            source_ts = sources.pop(index)[0]
-            return SnapshotPlanStep(
-                op="patch-in-place", table=table, ts=ts,
-                source_ts=source_ts,
-                reason=f"cached @{source_ts} has no later reader; "
-                       f"~{estimate} delta row(s) within budget "
-                       f"{budget:g}")
-    estimate, _, index = min(scored)
-    if estimate <= budget:
-        source_ts = sources[index][0]
-        return SnapshotPlanStep(
-            op="clone-delta", table=table, ts=ts, source_ts=source_ts,
-            reason=f"nearest cached neighbor @{source_ts} still has "
-                   f"readers; ~{estimate} delta row(s) within budget "
-                   f"{budget:g}")
-    return None
+    estimate, _, index = min(
+        (history.table_delta_estimate(table, ts0, ts), abs(ts0 - ts),
+         index) for index, ts0 in enumerate(sources))
+    if estimate > budget:
+        return None
+    source_ts = sources[index]
+    return SnapshotPlanStep(
+        op="clone-delta", table=table, ts=ts, source_ts=source_ts,
+        reason=f"cheapest cached neighbor @{source_ts}: ~{estimate} "
+               f"delta row(s) within budget {budget:g}")

@@ -110,20 +110,16 @@ class SQLPipeline(SnapshotPipeline):
     :class:`SQLiteSession`.
 
     Construction indexes the whole series: for every plain committed
-    ``(table, ts)`` pair it records the first and last set that reads
-    it, and the row keys the series lets a partial build of it use
-    (a set may map each pair to its keys; see
+    ``(table, ts)`` pair it records the first set that reads it, and
+    the row keys the series lets a partial build of it use (a set may
+    map each pair to its keys; see
     :func:`~repro.backends.planner.batch_row_keys`).  Priming set
-    ``i`` then (a) counts pairs an earlier set already materialized as
-    *shared primes* instead of re-requesting them, and (b) grants the
-    binder a **movable** set — cached versions whose last reader is
-    behind the cursor, which nothing in the remaining series will scan
-    again, so the planner may consume them with patch-in-place moves.
-    Versions the pipeline never requested are left alone: other
-    workloads on the session may still want them, and plain LRU
-    eviction already bounds them.  The batch is this pipeline's
-    context: a partial entry it built is read as it is by binders of
-    that context alone, and by none once the pipeline closes."""
+    ``i`` then counts pairs an earlier set already materialized as
+    *shared primes* instead of re-requesting them, and hands the rest
+    to the planner, which hops each from a cached neighbor without
+    consuming it.  The batch is this pipeline's context: a partial
+    entry it built is read as it is by binders of that context alone,
+    and by none once the pipeline closes."""
 
     def __init__(self, session: "SQLiteSession", snapshot_sets,
                  ctx: EvalContext):
@@ -132,14 +128,11 @@ class SQLPipeline(SnapshotPipeline):
         #: the states this series may build partially
         self._row_keys = batch_row_keys(snapshot_sets)
         self._first_reader: Dict[Tuple[str, int], int] = {}
-        self._last_reader: Dict[Tuple[str, int], int] = {}
         for index, snapshots in enumerate(self.snapshot_sets):
             for table, ts in snapshots:
-                if ts is None:
-                    continue
-                pair = (table, int(ts))
-                self._first_reader.setdefault(pair, index)
-                self._last_reader[pair] = index
+                if ts is not None:
+                    self._first_reader.setdefault((table, int(ts)),
+                                                  index)
 
     def prime(self, index: int) -> None:
         super().prime(index)
@@ -149,20 +142,15 @@ class SQLPipeline(SnapshotPipeline):
         requested = sorted({(table, int(ts))
                             for table, ts in self.snapshot_sets[index]
                             if ts is not None})
-        # at the first set no reader is behind the cursor: nothing is
-        # shared with an earlier set yet, nothing can be granted
-        cached = {(table, ts) for table, ts, _name
-                  in session.cache.plain_entries(binder.realm)} \
-            if index else ()
         # requests an earlier compile in this pipeline already paid
         # for — the cross-compile sharing the union hand-off exists for
-        session.stats.primes_shared += sum(
-            1 for pair in requested
-            if pair in cached and self._first_reader[pair] < index)
-        for table, ts in cached:
-            last = self._last_reader.get((table, ts))
-            if last is not None and last < index:
-                binder.movable.setdefault(table, set()).add(ts)
+        # (at the first set nothing is shared with an earlier one yet)
+        if index:
+            cached = {(table, ts) for table, ts, _name
+                      in session.cache.plain_entries(binder.realm)}
+            session.stats.primes_shared += sum(
+                1 for pair in requested
+                if pair in cached and self._first_reader[pair] < index)
         binder.row_keys = self._row_keys
         for table, ts in requested:
             binder.bind_key(table, ts)

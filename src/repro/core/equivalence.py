@@ -173,9 +173,8 @@ def check_history_equivalence(db: Database,
     ``(table, ts)`` state is materialized once for the sweep rather
     than once per transaction.  Every transaction is *compiled first*
     and the series runs through :meth:`Reenactor.execute_all` — shared
-    pairs materialize once for the whole sweep, deltas chain across
-    transaction boundaries, and versions no later transaction reads may
-    be patched forward in place instead of cloned.  That is purely a
+    pairs materialize once for the whole sweep and deltas chain across
+    transaction boundaries.  That is purely a
     materialization strategy: a loop of
     :func:`check_transaction_equivalence` on one session reports the
     same."""

@@ -624,10 +624,9 @@ class Reenactor:
         up front, each pair with its ``row_keys``, and set *i* is primed
         immediately before compile *i* runs: a planning backend
         materializes pairs the compiles share once, builds each
-        snapshot as a small hop from its same-table predecessor, may
-        move versions no later compile reads forward in place, and may
-        build a state it has nothing to derive from out of the rows the
-        batch's keys match.  Pipeline and throwaway session are released
+        snapshot as a small hop from its same-table predecessor, and
+        may build a state it has nothing to derive from out of the rows
+        the batch's keys match.  Pipeline and throwaway session are released
         when the generator is exhausted or closed.  All compiles of a
         batch evaluate under one context — an edit is in its plans —
         and on the in-memory backend on one evaluator, which computes a

@@ -86,8 +86,7 @@ class Database:
 
     def attach_wal(self, wal, fsync: str = "batch",
                    batch_bytes: int = 64 * 1024,
-                   checkpoint_every: Optional[int] = None,
-                   checkpoint_async: bool = False):
+                   checkpoint_every: Optional[int] = None):
         """Make this history durable via a write-ahead log.
 
         ``wal`` is a directory path or a prepared
@@ -110,8 +109,7 @@ class Database:
         if not isinstance(wal, WriteAheadLog):
             wal = WriteAheadLog(wal, fsync=fsync,
                                 batch_bytes=batch_bytes,
-                                checkpoint_every=checkpoint_every,
-                                checkpoint_async=checkpoint_async)
+                                checkpoint_every=checkpoint_every)
         self.last_recovery = wal.attach(self)
         # only set after replay: replayed operations must not re-log
         self.wal = wal

@@ -51,7 +51,6 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from zlib import crc32
@@ -249,9 +248,7 @@ class WALStats(StatsView):
     #: append/flush failures that exhausted the retry budget and
     #: quarantined the log (flipping the database read-only).
     quarantines: int = 0
-    #: checkpoints whose expensive half ran on the background thread.
-    checkpoints_background: int = 0
-    #: background checkpoints that failed (the covered segments stay
+    #: automatic checkpoints that failed (the covered segments stay
     #: on disk, so recovery is unaffected — just un-compacted).
     checkpoint_failures: int = 0
 
@@ -269,7 +266,6 @@ class WriteAheadLog:
     def __init__(self, path: str, fsync: str = "batch",
                  batch_bytes: int = 64 * 1024,
                  checkpoint_every: Optional[int] = None,
-                 checkpoint_async: bool = False,
                  retry: Optional[RetryPolicy] = None):
         if fsync not in FSYNC_POLICIES:
             raise WALError(
@@ -287,11 +283,6 @@ class WriteAheadLog:
         self.fsync = fsync
         self.batch_bytes = batch_bytes
         self.checkpoint_every = checkpoint_every
-        #: automatic checkpoints run their expensive half (pickle,
-        #: tmp-file write + fsync + rename, compaction) on a background
-        #: thread so the append path isn't stalled; the state capture
-        #: and segment rotation stay synchronous for consistency.
-        self.checkpoint_async = checkpoint_async
         #: absorbs transient append/fsync failures; exhaustion
         #: quarantines the log (see :meth:`_quarantine`).
         self.retry = retry if retry is not None \
@@ -312,7 +303,6 @@ class WriteAheadLog:
         self._closed = False
         self._quarantined = False
         self._db = None  # the attached Database (for quarantine)
-        self._ckpt_thread: Optional[threading.Thread] = None
 
     # -- file layout -----------------------------------------------------
 
@@ -644,16 +634,11 @@ class WriteAheadLog:
         of the checkpoint's own work is absorbed (see
         :meth:`_checkpoint_failed`) and the next attempt comes
         ``checkpoint_every`` commits later.  A failure to flush the log
-        itself quarantines it, as :meth:`flush` does.  With
-        ``checkpoint_async`` the expensive half runs on a background
-        thread (at most one in flight — a due checkpoint is skipped
-        while one is running)."""
+        itself quarantines it, as :meth:`flush` does."""
         if self.checkpoint_every is None:
             return False
         if self._commits_since_checkpoint < self.checkpoint_every:
             return False
-        if self.checkpoint_async:
-            return self.checkpoint_background(db) is not None
         try:
             self.flush()
         except WALError:
@@ -672,69 +657,17 @@ class WriteAheadLog:
         checkpoint's index."""
         if self._closed or self._fh is None:
             raise WALError("write-ahead log is not attached")
-        self._join_background_checkpoint()
         with span("wal.checkpoint") as sp:
             index = self._do_checkpoint(db)
             sp.set("index", index)
         return index
 
-    def checkpoint_background(self, db) -> Optional[int]:
-        """Checkpoint without stalling the append path.
-
-        The parts that must see a consistent engine + log (durable
-        flush, :func:`capture_state`, segment rotation) run on the
-        caller's thread; the expensive parts (pickling the state,
-        tmp-file write + fsync + atomic rename, compaction) run on a
-        background thread.  Recovery stays safe in every interleaving:
-        until the rename lands, the superseded segments are still on
-        disk and replayable; compaction only ever deletes what the
-        durable checkpoint covers.  At most one checkpoint is in
-        flight — returns ``None`` (and leaves the commit counter
-        running) when one already is, else the new index."""
-        if self._closed or self._fh is None:
-            raise WALError("write-ahead log is not attached")
-        thread = self._ckpt_thread
-        if thread is not None and thread.is_alive():
-            return None
-        self._flush(sync=True)
-        next_index = self._segment_index + 1
-        state = capture_state(db)
-        self._rotate_segment(next_index)
-        self._commits_since_checkpoint = 0
-        thread = threading.Thread(
-            target=self._background_checkpoint,
-            args=(next_index, state),
-            name="wal-checkpoint", daemon=True)
-        self._ckpt_thread = thread
-        thread.start()
-        return next_index
-
-    def _background_checkpoint(self, index: int, state: Dict) -> None:
-        try:
-            with span("wal.checkpoint") as sp:
-                fault_point("wal.checkpoint")
-                self._write_checkpoint(index, state)
-                self._compact_below(index)
-                sp.set("index", index)
-                sp.set("mode", "background")
-            self.stats.checkpoints += 1
-            self.stats.checkpoints_background += 1
-        except Exception as exc:
-            self._checkpoint_failed(exc)
-
     def _checkpoint_failed(self, exc: BaseException) -> None:
-        """Record a failed automatic or background checkpoint instead
-        of raising it.  Nothing is lost: the segments it would have
+        """Record a failed automatic checkpoint instead of raising
+        it.  Nothing is lost: the segments it would have
         superseded are still on disk, and recovery replays them."""
         self.last_checkpoint_error = exc
         self.stats.checkpoint_failures += 1
-
-    def _join_background_checkpoint(self,
-                                    timeout: float = 30.0) -> None:
-        thread = self._ckpt_thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=timeout)
-        self._ckpt_thread = None
 
     def _write_checkpoint(self, index: int, state: Dict) -> None:
         """Durably publish a checkpoint file: tmp write, fsync, atomic
@@ -792,25 +725,20 @@ class WriteAheadLog:
         return self._closed
 
     def close(self) -> None:
-        """Flush, fsync and close the current segment.  Idempotent."""
+        """Flush, fsync and close the current segment.  Idempotent.
+        The flush is :meth:`flush`'s: a failure that survives the retry
+        budget quarantines the log and raises
+        :class:`~repro.errors.WALError`.  The segment is closed
+        either way."""
         if self._closed:
             return
-        self._join_background_checkpoint()
-        self._closed = True
-        if self._fh is not None:
-            if self._buffer:
-                self._fh.write(b"".join(self._buffer))
-                self._fh.flush()
-                self._buffer = []
-                self._buffered_bytes = 0
-                self._dirty = True
-                self.stats.flushes += 1
-            if self._dirty:
-                os.fsync(self._fh.fileno())
-                self._dirty = False
-                self.stats.fsyncs += 1
-            self._fh.close()
-            self._fh = None
+        try:
+            self.flush()
+        finally:
+            self._closed = True
+            fh, self._fh = self._fh, None
+            if fh is not None:
+                fh.close()
 
     def __enter__(self) -> "WriteAheadLog":
         return self

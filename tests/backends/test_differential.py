@@ -27,16 +27,17 @@ materialization (the planner's ``delta_max_ratio`` raised until every
 hop is affordable — ``planner_policy.FORCE_DELTA``): every snapshot
 after a table's first is built by patching a cached neighbor with the
 version-history delta, and the results must still be identical to the
-interpreter's.  A fourth mode, ``inplace``, is the snapshot
-*pipeline's* adversarial sweep: every transaction is compiled first,
-the whole ordered series of snapshot sets is primed through
+interpreter's.  A fourth mode is the snapshot *pipeline's*
+adversarial sweep: every transaction is compiled first, the whole
+ordered series of snapshot sets is primed through
 ``session.snapshot_pipeline`` on a **capacity-1** cache under the
-same admit-everything policy — so whenever a cached version's last
-reader is behind the cursor it is destructively patched forward in
-place (a move, no clone), and the answers still must not change.  A
-fifth mode, ``windowscan``, is the *timeline's* storage oracle: every
-commit timestamp of the history is scanned through ``timeline_states``
-and each state must equal ``table_snapshot`` at that tick.
+same admit-everything policy — so every hop clones a neighbor that is
+evicted right after, and the answers still must not change.  Its test
+id is ``inplace`` (the name of the in-place moves it once forced),
+kept so the sweep's test ids stay stable.  A fifth mode,
+``windowscan``, is the *timeline's* storage oracle: every commit
+timestamp of the history is scanned through ``timeline_states`` and
+each state must equal ``table_snapshot`` at that tick.
 
 The forced paths are test-only policy overrides on a backend
 subclass (``tests/planner_policy.py``); the shipped backends have no
@@ -76,6 +77,7 @@ from whatif_reference import signature as whatif_signature
 SMOKE_SEEDS = list(range(3))
 FULL_SEEDS = list(range(25))
 ISOLATION_LEVELS = ["SERIALIZABLE", "READ COMMITTED"]
+#: ``inplace`` is the pipelined sweep (:func:`check_pipelined_differential`)
 MODES = ["oneshot", "session", "delta", "inplace", "windowscan"]
 CRASH_SMOKE_SEEDS = list(range(2))
 CRASH_FULL_SEEDS = list(range(5))
@@ -84,13 +86,12 @@ STRICT_OPTIONS = ReenactmentOptions(annotations=True,
                                     include_deleted=True)
 
 
-def _inplace_moves_expected(snapshot_sets):
-    """Whether the forced patch-in-place sweep over these compiled
-    snapshot sets must perform at least one move: every cached version
-    whose (unique) reader is behind the cursor is movable, so any two
-    consecutive compiles touching the same table force one.  Shared
-    pairs make movability depend on interleaving — then the check is
-    vacuous rather than flaky."""
+def _hops_expected(snapshot_sets):
+    """Whether the pipelined sweep over these compiled snapshot sets
+    must clone at least one neighbor (and so evict on a capacity-1
+    cache): two consecutive compiles read the same table, and no pair
+    is read twice.  A shared pair makes what is still cached depend
+    on interleaving — then the check is vacuous rather than flaky."""
     readers = {}
     for index, snapshots in enumerate(snapshot_sets):
         for pair in {(t, ts) for t, ts in snapshots if ts is not None}:
@@ -103,11 +104,11 @@ def _inplace_moves_expected(snapshot_sets):
                for i in range(len(tables_by_set) - 1))
 
 
-def check_inplace_differential(db, reenactor, seed, isolation,
-                               engine="sqlite"):
-    """The ``inplace`` mode body: compile every committed transaction
-    first, run the whole series through ``execute_all`` on a capacity-1
-    cache with every granted move affordable (``FORCE_DELTA``), and
+def check_pipelined_differential(db, reenactor, seed, isolation,
+                                 engine="sqlite"):
+    """The pipelined (``inplace``) mode body: compile every committed
+    transaction first, run the whole series through ``execute_all`` on
+    a capacity-1 cache with every hop affordable (``FORCE_DELTA``), and
     require every result to match the in-memory interpreter's."""
     compiles = [reenactor.compile(reenactor.transaction_record(xid),
                                   STRICT_OPTIONS)
@@ -125,13 +126,14 @@ def check_inplace_differential(db, reenactor, seed, isolation,
                 assert_relations_match(
                     mem.tables[table], sq.tables[table],
                     context=f"seed={seed} isolation={isolation} "
-                            f"engine={engine} mode=inplace "
+                            f"engine={engine} mode=pipelined "
                             f"xid={sq.xid} table={table}")
             checked += 1
         stats = sq_session.stats
-    if checked and _inplace_moves_expected(sets):
-        assert stats.patched_in_place > 0, \
-            f"forced patch-in-place sweep never moved: seed={seed} " \
+    if checked and _hops_expected(sets):
+        assert stats.delta_materializations > 0 \
+            and stats.snapshots_evicted > 0, \
+            f"pipelined sweep never hopped: seed={seed} " \
             f"isolation={isolation} stats={stats.as_dict()}"
     return checked
 
@@ -205,17 +207,16 @@ def check_history_differential(seed, isolation, mode="oneshot",
     reused (and must not leak into) later ones; ``mode="delta"`` is the
     same sweep with incremental materialization forced on the SQL
     side — every snapshot that *can* be a delta patch must be one, and
-    nothing may change; ``mode="inplace"`` forces the snapshot
-    pipeline's destructive moves on a capacity-1 cache (see
-    :func:`check_inplace_differential`); ``mode="windowscan"`` sweeps
-    the timeline's storage oracle (see
+    nothing may change; ``mode="inplace"`` runs the snapshot pipeline
+    on a capacity-1 cache (see :func:`check_pipelined_differential`);
+    ``mode="windowscan"`` sweeps the timeline's storage oracle (see
     :func:`check_timeline_storage_oracle`)."""
     db = build_history(seed, isolation)
     reenactor = Reenactor(db)
     sql_reenactor = Reenactor(db, backend=engine)
     if mode == "inplace":
-        return db, check_inplace_differential(db, reenactor, seed,
-                                              isolation, engine)
+        return db, check_pipelined_differential(db, reenactor, seed,
+                                                isolation, engine)
     if mode == "windowscan":
         return db, check_timeline_storage_oracle(db, seed, isolation,
                                                  engine)
@@ -883,9 +884,9 @@ def test_equivalence_union_priming_identical(seed, isolation):
 def test_sweep_covers_fifty_histories():
     """Acceptance guard: the parametrized sweep must span ≥ 50
     distinct seeded histories, each in every execution mode —
-    including the forced-delta materialization mode, the forced
-    patch-in-place pipeline mode, the timeline storage oracle and the
-    concurrent service-scheduler mode."""
+    including the forced-delta materialization mode, the capacity-1
+    pipelined mode, the timeline storage oracle and the concurrent
+    service-scheduler mode."""
     assert len(FULL_SEEDS) * len(ISOLATION_LEVELS) >= 50
     assert set(MODES) == {"oneshot", "session", "delta", "inplace",
                           "windowscan"}
@@ -894,7 +895,7 @@ def test_sweep_covers_fifty_histories():
     assert "sqlite" in SQL_ENGINES
     assert set(SQL_ENGINES) <= set(available_backends())
     assert check_history_service_differential.__doc__ is not None
-    assert check_inplace_differential.__doc__ is not None
+    assert check_pipelined_differential.__doc__ is not None
     assert check_timeline_storage_oracle.__doc__ is not None
     # the crash sweep spans >= 10 histories, each cut at every boundary
     assert len(CRASH_FULL_SEEDS) * len(ISOLATION_LEVELS) >= 10

@@ -14,7 +14,6 @@ from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.errors import ExecutionError
 
 from conftest import assert_relations_match
-from planner_policy import pipeline_states
 
 TOO_BIG = 2 ** 63  # one past SQLite's INTEGER range
 
@@ -143,26 +142,3 @@ def test_overflow_during_clone_delta_is_typed(overflowing_history):
         assert reenactor.reenact(first_xid, session=session) \
             .table("t").rows
 
-
-def test_overflow_during_patch_in_place_forgets_the_source(
-        overflowing_history):
-    """A move that fails half-way has already deleted rows from its
-    cached source: the source must leave the cache (and never reach a
-    spill store) along with the failed destination."""
-    from repro import SnapshotStore
-    db, (_, first_ts), (_, third_ts) = overflowing_history
-    store = SnapshotStore()
-    backend = SQLiteBackend(spill_store=store)
-    with backend.open_session() as session:
-        with pytest.raises(ExecutionError,
-                           match="patch-in-place of snapshot"):
-            pipeline_states(session, db, "t", [first_ts, third_ts - 1])
-        assert session.stats.full_materializations == 1
-        assert len(session.cache) == 0
-        assert temp_tables(session) == set()
-        # the session still serves the healthy state, rebuilt
-        states = pipeline_states(session, db, "t", [first_ts])
-        assert len(states[first_ts].rows) == 10
-    # only the write-through copy of the healthy full build is stored
-    assert store.inventory(db.history_id) == [("t", first_ts)]
-    store.close()

@@ -175,7 +175,7 @@ class FlatHistory:
 
 def ops(requests, cached=None, store_attached=False):
     return [(step.op, step.source_ts) for _key, step in plan_snapshots(
-        requests, cached or {}, {}, FlatHistory(), 0.5, store_attached)]
+        requests, cached or {}, FlatHistory(), 0.5, store_attached)]
 
 
 def test_a_keyed_miss_with_nothing_to_hop_from_is_a_partial_build():

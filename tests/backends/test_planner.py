@@ -4,12 +4,13 @@ Two layers:
 
 * unit and property tests of the *pure* planner
   (:func:`repro.backends.planner.plan_snapshots`) — no connection, a
-  fake history for the cost inputs: every step's source is live when
-  the step runs, a move only ever consumes a granted source, one step
-  per requested key, override/provider keys are always full builds, a
-  build is partial exactly when its request carries row keys;
+  fake history for the cost inputs: every step's source is cached or
+  produced by an earlier step of the same plan (no step consumes one),
+  one step per requested key, override/provider keys are always full
+  builds, a build is partial exactly when its request carries row
+  keys;
 * a hypothesis sweep over random histories x random cache inventories
-  x pipeline grants x cache capacities, under both the shipped policy
+  x pipelines x cache capacities, under both the shipped policy
   and the admit-everything policy, asserting that every temp table
   the planner's steps produce equals ``db.table_snapshot(table, ts)``
   row for row — the recorded history itself, not another backend
@@ -49,10 +50,10 @@ def plain(table, ts):
     return SnapshotRequest((table, ts), table, ts, True)
 
 
-def plan(requests, cached=None, movable=None, history=FakeHistory(),
-         max_ratio=0.5, store_attached=False):
-    return plan_snapshots(requests, cached or {}, movable or {},
-                          history, max_ratio, store_attached)
+def plan(requests, cached=None, history=FakeHistory(), max_ratio=0.5,
+         store_attached=False):
+    return plan_snapshots(requests, cached or {}, history, max_ratio,
+                          store_attached)
 
 
 def ops(steps):
@@ -78,28 +79,14 @@ def test_cheapest_cached_neighbor_is_the_clone_source():
     assert ops(steps) == [("clone-delta", 50, 44)]
 
 
-def test_granted_source_is_moved_even_when_a_clone_is_nearer():
-    steps = plan([plain("t", 50)], cached={"t": [10, 49]},
-                 movable={"t": {10}})
-    assert ops(steps) == [("patch-in-place", 50, 10)]
-
-
-def test_a_move_consumes_its_source():
-    steps = plan([plain("t", 20), plain("t", 30)], cached={"t": [10]},
-                 movable={"t": {10}})
-    # @10 is gone after the first hop; the second starts from @20
-    assert ops(steps) == [("patch-in-place", 20, 10),
-                          ("clone-delta", 30, 20)]
-
-
 def test_over_budget_hops_fall_back_to_a_build():
     history = FakeHistory(cardinality=10)      # budget: 5 rows
     steps = plan([plain("t", 16)], cached={"t": [10]},
-                 movable={"t": {10}}, history=history)
+                 history=history)
     assert ops(steps) == [("full-build", 16, None)]
     steps = plan([plain("t", 15)], cached={"t": [10]},
-                 movable={"t": {10}}, history=history)
-    assert ops(steps) == [("patch-in-place", 15, 10)]
+                 history=history)
+    assert ops(steps) == [("clone-delta", 15, 10)]
 
 
 def test_no_time_traveling_history_means_no_hops():
@@ -121,7 +108,7 @@ def test_override_and_provider_keys_are_full_builds_and_run_last():
 
 def test_every_step_explains_itself():
     steps = plan([plain("t", 10), plain("t", 11)],
-                 cached={"t": [9]}, movable={"t": {9}})
+                 cached={"t": [9]})
     assert all(isinstance(step, SnapshotPlanStep) and step.reason
                for _key, step in steps)
 
@@ -136,9 +123,6 @@ versions = st.integers(min_value=1, max_value=40)
 def planner_inputs(draw):
     cached = {table: sorted(draw(st.sets(versions, max_size=5)))
               for table in TABLES}
-    movable = {table: set(draw(st.lists(st.sampled_from(
-        cached[table]), max_size=3))) if cached[table] else set()
-        for table in TABLES}
     wanted = draw(st.lists(st.tuples(st.sampled_from(TABLES), versions),
                            min_size=1, max_size=8, unique=True))
     requests = [plain(table, ts)._replace(keys=draw(st.sampled_from(
@@ -153,14 +137,16 @@ def planner_inputs(draw):
         per_tick=st.integers(0, 3))))
     ratio = draw(st.sampled_from([0.0, 0.5, FORCE_DELTA[
         "delta_max_ratio"]]))
-    return requests, cached, movable, history, ratio, draw(st.booleans())
+    return requests, cached, history, ratio, draw(st.booleans())
 
 
 @given(planner_inputs())
 @settings(max_examples=300, deadline=None)
 def test_plans_are_executable_and_respect_grants(inputs):
-    requests, cached, movable, history, ratio, store_attached = inputs
-    steps = plan_snapshots(requests, cached, movable, history, ratio,
+    """Every hop's source is cached or an earlier step's product, and
+    stays so for the rest of the plan: no step consumes a source."""
+    requests, cached, history, ratio, store_attached = inputs
+    steps = plan_snapshots(requests, cached, history, ratio,
                            store_attached)
     # one step per requested key, each producing its own key's state
     assert Counter(key for key, _step in steps) \
@@ -174,9 +160,9 @@ def test_plans_are_executable_and_respect_grants(inputs):
             assert step.op == "full-build" and step.source_ts is None
             continue
         assert step.ts == request.ts
-        if step.op in ("patch-in-place", "clone-delta"):
+        if step.op == "clone-delta":
             assert history is not None
-            # the source is live when the step runs
+            # the source is cached or produced by an earlier step
             assert (step.table, step.source_ts) in live
             estimate = history.table_delta_estimate(
                 step.table, step.source_ts, step.ts)
@@ -187,11 +173,6 @@ def test_plans_are_executable_and_respect_grants(inputs):
             assert step.op == ("rehydrate-batch" if store_attached
                                else "partial-build" if request.keys
                                is not None else "full-build")
-        if step.op == "patch-in-place":
-            # a move only ever consumes a granted, cached source
-            assert step.source_ts in movable[step.table]
-            assert step.source_ts in cached[step.table]
-            live.discard((step.table, step.source_ts))
         live.add((step.table, step.ts))
 
 
@@ -276,8 +257,7 @@ def test_materialized_snapshots_equal_the_recorded_history(
                 session.prime_snapshots(wanted, ctx)
                 primed = [wanted]
             else:
-                # a pipeline: later sets re-reading (or not) earlier
-                # pairs decide which cached versions are granted
+                # a pipeline: later sets may re-read earlier pairs
                 primed = data.draw(st.lists(snapshot_set, min_size=1,
                                             max_size=4))
                 with session.snapshot_pipeline(primed, ctx) as pipe:
@@ -297,4 +277,4 @@ def test_materialized_snapshots_equal_the_recorded_history(
         assert stats.snapshots_materialized \
             == (stats.full_materializations
                 + stats.delta_materializations
-                + stats.patched_in_place + stats.snapshots_rehydrated)
+                + stats.snapshots_rehydrated)

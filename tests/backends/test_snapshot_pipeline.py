@@ -1,13 +1,9 @@
-"""The planned snapshot pipeline: moves, batching, union priming.
+"""The planned snapshot pipeline: hops, batching, union priming.
 
-Pins the PR-5 materialization pipeline's observable contract:
+Pins the materialization pipeline's observable contract:
 
 * a pipelined walk of one table's states is **one** full build plus
-  N-1 patch-in-place moves — no clones, no evictions, one live temp
-  table;
-* a move is only planned when the pipeline can prove nothing reads the
-  source version again (a later set re-reading it downgrades the step
-  to a clone);
+  N-1 clone-deltas, each from its predecessor, which stays intact;
 * rehydration of a planned snapshot set is **one** store read
   (``SnapshotStore.fetch_many``) for every store-resident key;
 * cache/store realms are durable history ids, so two databases can
@@ -50,25 +46,25 @@ def history(n_rows=30, n_commits=6):
     return db, timestamps
 
 
-def test_timeline_walk_is_one_build_plus_moves():
+def test_timeline_walk_is_one_build_plus_clone_deltas():
     """A pipelined walk over a table's states materializes the first
-    state once and *moves* it forward tick by tick: delta-sized work,
-    no clones, and — because a move re-keys instead of re-creating —
-    not a single eviction even on a capacity-1 cache."""
+    state once and clones each later one from its predecessor with the
+    delta applied; on a capacity-1 cache every predecessor is evicted
+    once its successor exists, and one temp table is left."""
     db, timestamps = history()
     with SQLiteBackend(cache_capacity=1).open_session() as session:
         states = pipeline_states(session, db, "acct", timestamps)
         stats = session.stats
         assert stats.full_materializations == 1
-        assert stats.patched_in_place == len(timestamps) - 1
-        assert stats.delta_materializations == 0
-        assert stats.snapshots_evicted == 0
+        assert stats.delta_materializations == len(timestamps) - 1
+        assert stats.snapshots_evicted == len(timestamps) - 1
+        assert len(session.cache) == 1
     assert [len(states[ts].rows) for ts in timestamps] \
         == [30] * len(timestamps)
 
 
 def test_timeline_full_mode_matches_memory_backend():
-    """The moved SQLite states equal the interpreter's AS-OF scans and
+    """The pipelined SQLite states equal the interpreter's AS-OF scans and
     the storage timeline, state for state."""
     db, timestamps = history()
     with SQLiteBackend().open_session() as session:
@@ -87,26 +83,6 @@ def test_timeline_rejects_unknown_mode():
     db, timestamps = history(n_commits=2)
     with pytest.raises(Exception, match="mode"):
         timeline_states(db, "acct", timestamps, mode="everything")
-
-
-def test_move_denied_while_a_later_set_reads_the_source():
-    """A version some *later* set re-reads must not be consumed: the
-    hop to the next version is a clone, the source stays cached, and
-    the re-read is a shared prime."""
-    db, timestamps = history(n_commits=3)
-    t1, t2 = timestamps[0], timestamps[1]
-    backend = SQLiteBackend()
-    ctx = db.context(params={})
-    with backend.open_session() as session:
-        sets = [[("acct", t1)], [("acct", t2)], [("acct", t1)]]
-        with session.snapshot_pipeline(sets, ctx) as pipe:
-            for index in range(3):
-                pipe.prime(index)
-        stats = session.stats
-        assert stats.patched_in_place == 0
-        assert stats.delta_materializations == 1
-        assert stats.primes_shared == 1
-        assert stats.snapshots_materialized == 2  # t1 once, t2 once
 
 
 def test_pipeline_prime_order_is_enforced():
@@ -205,40 +181,26 @@ def test_plan_emits_reuse_cached_for_resident_pairs():
 def test_snapshot_plan_counts():
     plan = SnapshotPlan(steps=[
         SnapshotPlanStep(op="full-build", table="t", ts=1),
-        SnapshotPlanStep(op="patch-in-place", table="t", ts=2,
+        SnapshotPlanStep(op="clone-delta", table="t", ts=2,
                          source_ts=1),
-        SnapshotPlanStep(op="patch-in-place", table="t", ts=3,
+        SnapshotPlanStep(op="clone-delta", table="t", ts=3,
                          source_ts=2),
     ])
-    assert plan.counts() == {"patch-in-place": 2, "full-build": 1}
+    assert plan.counts() == {"clone-delta": 2, "full-build": 1}
     assert len(plan) == 3
 
 
 def test_session_stats_carry_pipeline_counters():
-    stats = SessionStats(patched_in_place=2, snapshots_rehydrated=3,
-                         primes_shared=4, delta_rows_applied=5)
+    stats = SessionStats(snapshots_rehydrated=3, primes_shared=4,
+                         delta_rows_applied=5)
     payload = stats.as_dict()
-    assert payload["patched_in_place"] == 2
     assert payload["snapshots_rehydrated"] == 3
     assert payload["primes_shared"] == 4
     assert payload["delta_rows_applied"] == 5
-    other = SessionStats(patched_in_place=1, snapshots_rehydrated=1,
-                         primes_shared=1, delta_rows_applied=1)
+    other = SessionStats(snapshots_rehydrated=1, primes_shared=1,
+                         delta_rows_applied=1)
     other.merge(stats)
-    assert other.patched_in_place == 3
     assert other.snapshots_rehydrated == 4
     assert other.primes_shared == 5
     assert other.delta_rows_applied == 6
 
-
-def test_moved_snapshot_is_rematerializable_afterwards():
-    """Requesting a version after it was consumed by a move simply
-    rebuilds it — destructive moves never change answers, only
-    costs."""
-    db, timestamps = history(n_commits=3)
-    with SQLiteBackend().open_session() as session:
-        walked = pipeline_states(session, db, "acct", timestamps)
-        assert session.stats.patched_in_place == len(timestamps) - 1
-        again = pipeline_states(session, db, "acct", [timestamps[0]])
-    assert_relations_match(walked[timestamps[0]],
-                           again[timestamps[0]], context="re-request")

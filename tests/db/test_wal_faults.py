@@ -1,15 +1,16 @@
 """WAL under injected faults: retry absorption, quarantine-to-read-only
-degradation and background checkpointing.
+degradation and failed checkpoints.
 
 The mechanism (format, recovery, torn tails) is covered by
 ``test_wal.py``; this file exercises the hardened append path —
 transient failures absorbed by the retry budget, persistent failures
 quarantining the log and flipping the database to explicit read-only
-while the recorded prefix stays recoverable — plus the asynchronous
-checkpoint mode.
+while the recorded prefix stays recoverable — plus checkpoints that
+fail without losing anything.
 """
 
-import time
+import errno
+import os
 
 import pytest
 
@@ -156,68 +157,42 @@ class TestQuarantine:
             db.wal.log_create_table(
                 db.catalog.get("acct"))
 
+    def test_failed_close_quarantines_and_closes_the_segment(
+            self, tmp_path, monkeypatch):
+        """Closing flushes the way the append path does: a persistent
+        fsync failure is retried, then quarantines the log and raises
+        typed — the last commits may not be durable, so the database
+        must not stay writable — and the segment file is closed
+        anyway."""
+        db = Database.open(str(tmp_path / "wal"), fsync="batch")
+        seed(db)  # buffered: nothing written since the bootstrap
+        wal = db.wal
+        handle = wal._fh
+        calls = []
 
-# -- background checkpointing ----------------------------------------------
+        def failing_fsync(fd):
+            calls.append(fd)
+            raise OSError(errno.EIO, "injected EIO")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(WALError, match="quarantined"):
+            wal.close()
+        monkeypatch.undo()
+        assert len(calls) == wal.retry.attempts
+        assert wal.stats.fsyncs_retried == wal.retry.attempts - 1
+        assert handle.closed and wal.closed
+        assert wal.quarantined
+        assert db.read_only
+        with pytest.raises(ReadOnlyHistoryError):
+            db.execute("INSERT INTO acct VALUES (3, 300)")
+        wal.close()  # idempotent once closed
+
+
+# -- checkpoint failures ---------------------------------------------------
 
 class TestBackgroundCheckpoint:
-    def _wait_for(self, predicate, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while not predicate():
-            assert time.monotonic() < deadline, \
-                "background checkpoint never finished"
-            time.sleep(0.01)
-
-    def test_background_checkpoint_compacts_and_recovers(
-            self, tmp_path):
-        db = wal_db(tmp_path / "wal", checkpoint_async=True)
-        seed(db)
-        db.execute("UPDATE acct SET bal = 150 WHERE id = 1")
-        index = db.wal.checkpoint_background(db)
-        assert index is not None
-        self._wait_for(
-            lambda: db.wal.stats.checkpoints_background == 1)
-        assert db.wal.stats.checkpoints == 1
-        assert db.wal.checkpoint_indexes() == [index]
-        assert db.wal.segment_indexes() == [index]
-        # appends continue in the rotated segment while/after the
-        # checkpoint publishes
-        db.execute("UPDATE acct SET bal = 175 WHERE id = 1")
-        db.wal.close()
-        rec = Database.open(str(tmp_path / "wal"))
-        assert row_values(rec) == row_values(db)
-        rec.wal.close()
-
-    def test_auto_checkpoint_async_mode(self, tmp_path):
-        db = wal_db(tmp_path / "wal", checkpoint_every=2,
-                    checkpoint_async=True)
-        seed(db)
-        for k in range(4):
-            db.execute(f"UPDATE acct SET bal = bal + {k} "
-                       f"WHERE id = 1")
-        self._wait_for(
-            lambda: db.wal.stats.checkpoints_background >= 1)
-        db.wal.close()
-        rec = Database.open(str(tmp_path / "wal"))
-        assert row_values(rec) == row_values(db)
-        rec.wal.close()
-
-    def test_failed_background_checkpoint_loses_nothing(
-            self, tmp_path):
-        db = wal_db(tmp_path / "wal", checkpoint_async=True)
-        seed(db)
-        with armed(FaultPlan(seed=1).on("wal.checkpoint")):
-            index = db.wal.checkpoint_background(db)
-            assert index is not None
-            self._wait_for(
-                lambda: db.wal.stats.checkpoint_failures == 1)
-        assert db.wal.last_checkpoint_error is not None
-        assert db.wal.stats.checkpoints_background == 0
-        # nothing was compacted: the full history is still replayable
-        db.execute("UPDATE acct SET bal = 1 WHERE id = 2")
-        db.wal.close()
-        rec = Database.open(str(tmp_path / "wal"))
-        assert row_values(rec) == row_values(db)
-        rec.wal.close()
+    """Checkpoints run on the committing thread; these pin what a
+    failed one leaves behind."""
 
     def test_failed_sync_checkpoint_raises_and_recovers(
             self, tmp_path):
@@ -262,17 +237,3 @@ class TestBackgroundCheckpoint:
         rec = Database.open(path)
         assert row_values(rec) == [(1, 0), (2, 0), (3, 0)]
         rec.wal.close()
-
-    def test_only_one_background_checkpoint_in_flight(self, tmp_path):
-        db = wal_db(tmp_path / "wal", checkpoint_async=True)
-        seed(db)
-        with armed(FaultPlan(seed=1).on("wal.checkpoint", count=1,
-                                        latency=0.3, error=None)):
-            first = db.wal.checkpoint_background(db)
-            assert first is not None
-            # while the first is sleeping in the fault, a second is
-            # refused
-            assert db.wal.checkpoint_background(db) is None
-        self._wait_for(
-            lambda: db.wal.stats.checkpoints_background == 1)
-        db.wal.close()

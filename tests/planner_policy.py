@@ -7,8 +7,8 @@ still need to *force* each path (every hop a delta, never a delta), and
 do it with a backend subclass whose ``dialect_config`` is a
 ``dataclasses.replace`` of the stock one.
 
-:func:`pipeline_states` is the snapshot traffic the move, spill and
-rehydrate tests drive: one table's states, tick by tick, through a
+:func:`pipeline_states` is the snapshot traffic the pipeline, spill
+and rehydrate tests drive: one table's states, tick by tick, through a
 session's snapshot pipeline.
 
 (A unique module name, importable from every test directory — see
@@ -48,8 +48,8 @@ def pipeline_states(session, db, table, ticks):
     """``{tick: Relation}``: the committed state of ``table`` at each of
     ``ticks``, run on ``session`` as one snapshot pipeline — a
     single-state set per distinct tick in timestamp order, each primed
-    just before its AS-OF scan executes.  No set reads a state again,
-    so every state after the first may be a move of its predecessor."""
+    just before its AS-OF scan executes.  Every state after the first
+    may be a clone-delta of its predecessor."""
     ordered = sorted(set(ticks))
     ctx = db.context(params={})
     columns = list(db.catalog.get(table).column_names)

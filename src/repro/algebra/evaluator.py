@@ -23,11 +23,12 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra import operators as op
-from repro.algebra.expressions import (BinaryOp, Compiled, EvalState, Expr,
-                                       Layout, RowEnv, SubqueryExpr,
-                                       column_position, columns_used,
-                                       compile_expr, conjunction, conjuncts,
-                                       row_layout, walk)
+from repro.algebra.expressions import (BinaryOp, Case, Compiled, EvalState,
+                                       Expr, Layout, Literal, RowEnv,
+                                       SubqueryExpr, column_position,
+                                       columns_used, compile_expr,
+                                       conjunction, conjuncts, row_layout,
+                                       walk)
 from repro.errors import ExecutionError, TimeTravelError
 
 
@@ -323,17 +324,24 @@ class Evaluator:
     def _build_projection(self, node: op.Projection) -> Runner:
         child = self._runner(node.child)
         layout = row_layout(node.child.attrs)
+        width = len(node.child.attrs)
         positions = [column_position(e, layout) for e in node.exprs]
+        if positions == list(range(width)):
+            return child  # a rename: the input rows are the output rows
         if None not in positions:
             pick = _picker(positions)
             return lambda outer: list(map(pick, child(outer)))
+        guarded = self._guarded_projection(node.exprs, positions, layout,
+                                           width)
+        if guarded is not None:
+            return lambda outer: guarded(child(outer), outer)
         fns = [compile_expr(e, layout, self.state) for e in node.exprs]
         if all(p is None for p in positions):
             return lambda outer: [tuple([f(row, outer) for f in fns])
                                   for row in child(outer)]
-        # the reenactment shape: most columns pass through, a few are
-        # CASE stacks.  Pick the whole row in one go (computed slots
-        # read position 0 as a placeholder), then overwrite those.
+        # most columns pass through, a few are computed.  Pick the whole
+        # row in one go (computed slots read position 0 as a
+        # placeholder), then overwrite those.
         pick = _picker([p or 0 for p in positions])
         computed = [(slot, f) for slot, (f, p)
                     in enumerate(zip(fns, positions)) if p is None]
@@ -345,6 +353,78 @@ class Evaluator:
                 for slot, value_of in computed:
                     values[slot] = value_of(row, outer)
                 out.append(tuple(values))
+            return out
+        return run
+
+    def _guarded_projection(self, exprs: Sequence[Expr],
+                            positions: Sequence[Optional[int]],
+                            layout: Layout, width: int):
+        """The projection every reenacted ``UPDATE`` and ``DELETE``
+        compiles to, as ``run(rows, outer) -> rows``, or None for any
+        other shape.
+
+        Its computed slots are ``CASE WHEN c THEN x ELSE y END`` on one
+        condition ``c`` without a subquery, each ``y`` an input column
+        or a literal (and plain literals, a folded annotation).  ``c``
+        is tested once per row, not once per slot: a row it selects
+        takes every ``x`` in slot order, as the slot-by-slot runner
+        would, and raises where that one raises; any other row is its
+        ELSE row — the input tuple itself when the ELSE branches map
+        every column to its own position."""
+        condition = None
+        thens: List[Tuple[int, Expr]] = []
+        else_positions: List[int] = []
+        constants: List[Any] = []
+        for slot, (expr, position) in enumerate(zip(exprs, positions)):
+            if position is not None:
+                else_positions.append(position)
+                continue
+            if type(expr) is Literal:
+                thens.append((slot, expr))
+                default: Expr = expr
+            elif type(expr) is Case and len(expr.whens) == 1 \
+                    and expr.default is not None:
+                (when, then), = expr.whens
+                if condition is None:
+                    condition = when
+                elif when != condition:
+                    return None
+                thens.append((slot, then))
+                default = expr.default
+            else:
+                return None
+            if type(default) is Literal:
+                else_positions.append(width + len(constants))
+                constants.append(default.value)
+            else:
+                position = column_position(default, layout)
+                if position is None:
+                    return None
+                else_positions.append(position)
+        if condition is None or any(isinstance(node, SubqueryExpr)
+                                    for node in walk(condition)):
+            return None
+        test = compile_expr(condition, layout, self.state)
+        pick = _picker([p or 0 for p in positions])
+        computed = [(slot, compile_expr(then, layout, self.state))
+                    for slot, then in thens]
+        identity = else_positions == list(range(width))
+        pick_else = _picker(else_positions)
+        extra = tuple(constants)
+
+        def run(rows, outer):
+            out = []
+            append = out.append
+            for row in rows:
+                if test(row, outer) is True:
+                    values = list(pick(row))
+                    for slot, value_of in computed:
+                        values[slot] = value_of(row, outer)
+                    append(tuple(values))
+                elif identity:
+                    append(row)
+                else:
+                    append(pick_else(row + extra))
             return out
         return run
 

@@ -24,6 +24,15 @@ evaluated once for the whole panel, on SQLite each ``(table, ts)``
 state is materialized once instead of once per column.  The table
 selection only filters those states, and the provenance graph
 (:mod:`repro.debugger.graph`) is read off them.
+
+Column *k* of a table is column *k - 1* plus what statement *k*
+changed: a row equal to its predecessor keeps the predecessor's
+:class:`TupleVersionView` object, and only changed, inserted and
+deleted rows get a new one, so the views of one row are shared between
+adjacent columns — they are read-only by contract.  The column's order
+is its predecessor's, extended by newly inserted rows, unless the rows
+changed otherwise (a READ COMMITTED re-base can bring in or drop stored
+rows), which re-sorts it.
 """
 
 from __future__ import annotations
@@ -45,7 +54,12 @@ from repro.sql import ast
 
 @dataclass
 class TupleVersionView:
-    """One row of one table state in one column of the panel."""
+    """One row of one table state in one column of the panel.
+
+    A row no statement changed between two columns is the same view
+    object in both, so a view is read-only by contract: change one and
+    every column that shows it changes.  (It is not frozen: a frozen
+    dataclass costs about twice as much to build.)"""
 
     rowid: int
     values: tuple
@@ -149,21 +163,33 @@ class TransactionInspector:
                  for k, table in keys],
                 statements=self.statements)
             states: Dict[Tuple[int, str], TableState] = {}
+            # table → its previous column's rows, rowid → (row, view),
+            # in display order
+            previous: Dict[str, Dict[int, Tuple[tuple, TupleVersionView]]] \
+                = {}
             collector = ExplainCollector()
             with collector, self.backend.open_session() as session:
                 for result, (k, table) in zip(
                         self.reenactor.execute_all(compiles,
                                                    session=session),
                         keys):
-                    states[(k, table)] = self._state_from_relation(
-                        table, result.table(table))
+                    states[(k, table)], previous[table] = \
+                        self._state_from_relation(
+                            table, result.table(table),
+                            previous.get(table, {}))
                 self.last_stats = session.stats
             self.last_explain = collector.events
             self._states = states
         return self._states
 
     def column(self, index: int) -> DebugColumn:
-        """Column ``index`` (-1 = initial states)."""
+        """Column ``index``: -1 is the initial states, ``k`` the state
+        after statement ``k``."""
+        last = len(self.statements) - 1
+        if not -1 <= index <= last:
+            raise ReenactmentError(
+                f"transaction {self.xid} has no panel column {index}; "
+                f"columns run from -1 (initial states) to {last}")
         return self.columns()[index + 1]
 
     def timeline_strip(self, table: Optional[str] = None
@@ -278,12 +304,23 @@ class TransactionInspector:
         column.states.update(states)
         return column
 
-    def _state_from_relation(self, table: str, relation) -> TableState:
+    def _state_from_relation(
+            self, table: str, relation,
+            previous: Dict[int, Tuple[tuple, TupleVersionView]]
+    ) -> Tuple[TableState, Dict[int, Tuple[tuple, TupleVersionView]]]:
         """One table state, in the order the rows were stored — rowid
         order, then the rows the transaction inserted, in insertion
-        (descending synthetic rowid) order.  A whole chain does not keep
-        it: a READ COMMITTED re-base puts the transaction's own rows
-        first, and a SQL engine owes no order at all."""
+        (descending synthetic rowid) order — and its rows keyed by rowid
+        in that order, the ``previous`` of the next column.  A whole
+        chain does not keep the order: a READ COMMITTED re-base puts
+        the transaction's own rows first, and a SQL engine owes no
+        order at all.
+
+        Rowids are unique within a state.  A row equal, type for type,
+        to its entry in ``previous`` keeps that entry's view.  The order
+        is ``previous``'s, extended by the new rows, unless a row of
+        ``previous`` is gone or a new row would sort before its last;
+        then the rows are sorted."""
         ncols = len(self.db.catalog.get(table).columns)
         rowid_idx = relation.column_index(ROWID)
         xid_idx = relation.column_index(XID)
@@ -292,14 +329,29 @@ class TransactionInspector:
         state = TableState(
             table=table,
             columns=list(self.db.catalog.get(table).column_names))
-        for row in sorted(relation.rows,
-                          key=lambda row: (row[rowid_idx] < 0,
-                                           abs(row[rowid_idx]))):
-            state.rows.append(TupleVersionView(
-                rowid=row[rowid_idx], values=row[:ncols],
-                creator_xid=row[xid_idx], affected=bool(row[upd_idx]),
-                deleted=bool(row[del_idx])))
-        return state
+        entries: Dict[int, Tuple[tuple, TupleVersionView]] = {}
+        fresh: List[int] = []
+        for row in relation.rows:
+            rowid = row[rowid_idx]
+            entry = previous.get(rowid)
+            if entry is None:
+                fresh.append(rowid)
+            elif entry[0] is row or _same_row(entry[0], row):
+                entries[rowid] = entry
+                continue
+            entries[rowid] = (row, TupleVersionView(
+                rowid=rowid, values=row[:ncols], creator_xid=row[xid_idx],
+                affected=bool(row[upd_idx]), deleted=bool(row[del_idx])))
+        fresh.sort(key=_display_order)
+        if len(entries) - len(fresh) == len(previous) and not (
+                fresh and previous and _display_order(fresh[0])
+                < _display_order(next(reversed(previous)))):
+            order = [*previous, *fresh]
+        else:
+            order = sorted(entries, key=_display_order)
+        carried = {rowid: entries[rowid] for rowid in order}
+        state.rows = [view for _, view in carried.values()]
+        return state, carried
 
     def _add_versions(self, nodes, edges, table: str, k: int,
                       previous: Dict[int, TupleVersionView],
@@ -361,6 +413,18 @@ class TransactionInspector:
                 rowid=rowid, values=version.values,
                 creator_xid=version.xid, affected=False)
         return key
+
+
+def _display_order(rowid: int) -> Tuple[bool, int]:
+    """Stored rows by rowid, then inserted rows (negative synthetic
+    rowids) in insertion order."""
+    return rowid < 0, abs(rowid)
+
+
+def _same_row(old: tuple, new: tuple) -> bool:
+    """``old`` and ``new`` hold the same values of the same types
+    (``1 == 1.0 == True``, but a view shows the type)."""
+    return old == new and all(type(a) is type(b) for a, b in zip(old, new))
 
 
 def _last_node(nodes, table: str, rowid: int,

@@ -65,6 +65,29 @@ class TestColumns:
         assert by_type["Checking"].creator_xid != t2
 
 
+class TestColumnIndex:
+    """Columns run from -1 (initial states) to n-1; anything else is
+    an error, not Python's negative indexing."""
+
+    @pytest.mark.parametrize("index", ["below", "far_below", "past"])
+    def test_out_of_range_column_rejected(self, skewed, index):
+        db, _, t2 = skewed
+        inspector = TransactionInspector(db, t2)
+        n = len(inspector.statements)
+        wanted = {"below": -2, "far_below": -n - 1, "past": n}[index]
+        with pytest.raises(ReenactmentError,
+                           match=rf"no panel column {wanted}; columns run "
+                                 rf"from -1 \(initial states\) to {n - 1}"):
+            inspector.column(wanted)
+
+    def test_every_valid_column(self, skewed):
+        db, _, t2 = skewed
+        inspector = TransactionInspector(db, t2)
+        n = len(inspector.statements)
+        assert [inspector.column(k).index for k in range(-1, n)] \
+            == list(range(-1, n))
+
+
 class TestFiltering:
     def test_affected_filter_default(self, skewed):
         db, _, t2 = skewed
@@ -268,3 +291,108 @@ def test_whatif_runs_on_the_inspectors_backend(skewed):
         0, "UPDATE account SET bal = bal WHERE cust = 'Alice'")
     assert scenario.run().conflicts
     assert backend.plans, "the scenario ran on another backend"
+
+
+class TestColumnsShareViews:
+    """Column k is column k-1 plus what statement k changed: a row the
+    statement left alone is the same view object in both columns, and
+    only changed, inserted and deleted rows are new views."""
+
+    @staticmethod
+    def history():
+        db = Database()
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("CREATE TABLE u (k INT)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        s = db.connect()
+        s.begin()
+        s.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+        s.execute("INSERT INTO t VALUES (4, 40)")
+        s.execute("INSERT INTO u VALUES (7)")
+        s.execute("DELETE FROM t WHERE k = 2")
+        xid = s.txn.xid
+        s.commit()
+        return db, xid
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_unchanged_rows_keep_their_view(self, backend):
+        db, xid = self.history()
+        columns = TransactionInspector(db, xid, show_unaffected=True,
+                                       backend=backend).columns()
+        for before, after in zip(columns, columns[1:]):
+            old = {v.rowid: v for v in before.states["t"].rows}
+            new = {v.rowid: v for v in after.states["t"].rows}
+            written = [{1}, set(new) - set(old), set(), {2}][after.index]
+            assert len(written) == (after.index != 2)
+            for rowid, view in new.items():
+                assert (view is old.get(rowid)) == (rowid not in written), \
+                    (after.index, rowid)
+        final = {v.rowid: v for v in columns[-1].states["t"].rows}
+        assert final[2].deleted and final[1].values == (1, 11)
+        assert [v.values for v in columns[-1].states["t"].rows] \
+            == [(1, 11), (2, 20), (3, 30), (4, 40)]
+
+    def test_an_equal_row_of_another_type_is_a_new_view(self):
+        """``1 == 1.0``, but a view shows its values' types."""
+        from repro.algebra.evaluator import Relation
+        db, xid = self.history()
+        inspector = TransactionInspector(db, xid)
+        attrs = ["k", "v", "__rowid__", "__xid__", "__upd__", "__del__"]
+        first, carried = inspector._state_from_relation(
+            "t", Relation(attrs, [(1, 10, 1, 1, False, False)]), {})
+        same, carried = inspector._state_from_relation(
+            "t", Relation(attrs, [(1, 10, 1, 1, False, False)]), carried)
+        assert same.rows[0] is first.rows[0]
+        other, _ = inspector._state_from_relation(
+            "t", Relation(attrs, [(1, 10.0, 1, 1, False, False)]), carried)
+        assert other.rows[0] is not first.rows[0]
+        assert type(other.rows[0].values[1]) is float
+
+    @pytest.mark.parametrize("concurrent", [
+        ["INSERT INTO t VALUES (4, 40)", "DELETE FROM t WHERE k = 2"],
+        ["INSERT INTO t VALUES (4, 40)"]])
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_read_committed_rebase_keeps_the_reference_order(
+            self, backend, concurrent):
+        """A commit between two statements of a READ COMMITTED
+        transaction brings a stored row into the later columns (and
+        drops one): every column is still stored rows by rowid, then
+        inserted rows in insertion order, equal to its prefix
+        reenactment."""
+        from repro.core.reenactor import ReenactmentOptions, Reenactor
+        db = Database()
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        debugged = db.connect()
+        debugged.begin("read committed")
+        debugged.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+        debugged.execute("INSERT INTO t VALUES (9, 90)")
+        other = db.connect()
+        other.begin()
+        for sql in concurrent:
+            other.execute(sql)
+        other.commit()
+        debugged.execute("UPDATE t SET v = v + 100 WHERE k = 3")
+        debugged.execute("INSERT INTO t VALUES (10, 100)")
+        xid = debugged.txn.xid
+        debugged.commit()
+
+        inspector = TransactionInspector(db, xid, show_unaffected=True,
+                                         backend=backend)
+        reenactor = Reenactor(db, backend=backend)
+        orders = []
+        for column in inspector.columns():
+            rows = column.states["t"].rows
+            rowids = [v.rowid for v in rows]
+            assert rowids == sorted(rowids, key=lambda r: (r < 0, abs(r)))
+            reference = reenactor.reenact(xid, ReenactmentOptions(
+                upto=column.index + 1, table="t", annotations=True,
+                include_deleted=True)).table("t")
+            assert [(v.rowid,) + v.values for v in rows] == [
+                (row[reference.column_index("__rowid__")],) + row[:2]
+                for row in reference.rows]
+            orders.append([v.values[0] for v in rows])
+        dropped = 2 if len(concurrent) == 2 else None
+        assert orders[2] == [1, 2, 3, 9]
+        assert orders[3] == [k for k in (1, 2, 3, 4, 9) if k != dropped]
+        assert orders[4] == orders[3] + [10]

@@ -1,5 +1,7 @@
 """ASCII renderer tests."""
 
+import os
+
 import pytest
 
 from repro import Database
@@ -88,3 +90,19 @@ class TestDebugPanel:
         s.commit()
         text = render_debug_panel(TransactionInspector(db, xid))
         assert "DELETED" in text
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("show_unaffected, name", [
+    (False, "skewed_panel_filter_on.txt"),
+    (True, "skewed_panel_filter_off.txt")])
+def test_debug_panel_renders_as_recorded(skewed, show_unaffected, name):
+    """The whole panel of the write-skew example, byte for byte, with
+    the affected-rows filter on and off."""
+    db, _, t2 = skewed
+    inspector = TransactionInspector(db, t2,
+                                     show_unaffected=show_unaffected)
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as recorded:
+        assert render_debug_panel(inspector) + "\n" == recorded.read()

@@ -328,8 +328,21 @@ class Evaluator:
         positions = [column_position(e, layout) for e in node.exprs]
         if positions == list(range(width)):
             return child  # a rename: the input rows are the output rows
-        if None not in positions:
-            pick = _picker(positions)
+        # every slot a column or a literal (the base projection of a
+        # chain adds ``false AS __upd__, false AS __del__``): one pick
+        # from the row followed by the literals' values
+        constants: List[Any] = []
+        static = []
+        for expr, position in zip(node.exprs, positions):
+            if position is None and type(expr) is Literal:
+                position = width + len(constants)
+                constants.append(expr.value)
+            static.append(position)
+        if None not in static:
+            pick, extra = _picker(static), tuple(constants)
+            if extra:
+                return lambda outer: [pick(row + extra)
+                                      for row in child(outer)]
             return lambda outer: list(map(pick, child(outer)))
         guarded = self._guarded_projection(node.exprs, positions, layout,
                                            width)

@@ -6,12 +6,14 @@ same provenance as the original transaction.  This module is the test
 oracle for that claim (experiment E3): it compares
 
 1. the rows the reenacted transaction *wrote* against the committed
-   versions the real execution created (from the storage version
-   chains),
-2. the rows it *deleted* against the real tombstones, and
-3. the full reenacted final table against an independently reconstructed
-   expectation (the transaction's committed writes overlaid on the
-   snapshot it read).
+   versions the real execution created, and
+2. the rows it *deleted* against the real tombstones,
+
+both read off the storage commit log at the transaction's commit time,
+so a check costs the transaction's write set, not the table.  Rows the
+transaction never wrote are not the transaction's doing: how the
+reenactor completes a whole table from the snapshot is held to the full
+Example-3 plan by the differential harness instead.
 
 The oracle inspects storage version chains directly — that is ground
 truth the reenactor itself never touches (it only sees the audit log and
@@ -21,12 +23,12 @@ time travel), so the comparison is meaningful.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.reenactor import (DEL, UPD, ReenactmentOptions,
-                                  Reenactor)
+from repro.core.reenactor import DEL, UPD, WRITES, Reenactor
 from repro.db.engine import Database
+from repro.errors import ReenactmentError
 
 
 @dataclass
@@ -39,8 +41,6 @@ class TableCheck:
     written_actual: Counter = field(default_factory=Counter)
     deleted_expected: int = 0
     deleted_actual: int = 0
-    final_expected: Counter = field(default_factory=Counter)
-    final_actual: Counter = field(default_factory=Counter)
     detail: str = ""
 
 
@@ -67,97 +67,9 @@ def check_transaction_equivalence(db: Database, xid: int,
     backend — the same history must be judged equivalent regardless of
     which engine executed the reenactment query.  ``session`` shares
     backend resources with other checks in a sweep (see
-    :func:`check_history_equivalence`)."""
-    reenactor = Reenactor(db, backend=backend)
-    record = reenactor.transaction_record(xid)
-    if not record.committed:
-        raise ValueError(f"transaction {xid} did not commit; only "
-                         f"committed transactions have effects to check")
-    options = ReenactmentOptions(annotations=True, include_deleted=True,
-                                 optimize=optimize)
-    compiled = reenactor.compile(record, options)
-    result = reenactor.execute(compiled, session=session)
-    return _report_for_result(db, compiled, result)
-
-
-def _report_for_result(db: Database, compiled, result
-                       ) -> EquivalenceReport:
-    """Judge one reenactment result against storage ground truth —
-    shared by the per-transaction entry point and the pipelined
-    history sweep.  Each table is judged at the time the compile says
-    its unwritten rows were read (``compiled.state_ts``): under READ
-    COMMITTED that is the table's own last statement, not the
-    transaction's."""
-    report = EquivalenceReport(xid=compiled.xid)
-    for table_name, relation in result.tables.items():
-        check = _check_table(db, compiled.xid, table_name, relation,
-                             compiled.state_ts[table_name])
-        report.checks.append(check)
-    return report
-
-
-def _check_table(db: Database, xid: int, table_name: str, relation,
-                 snapshot_ts: int) -> TableCheck:
-    table = db.table(table_name)
-    ncols = len(table.schema.columns)
-    upd_idx = relation.column_index(UPD)
-    del_idx = relation.column_index(DEL)
-
-    written_actual: Counter = Counter()
-    deleted_actual = 0
-    final_actual: Counter = Counter()
-    for row in relation.rows:
-        data = row[:ncols]
-        if row[del_idx]:
-            deleted_actual += 1
-            continue
-        final_actual[data] += 1
-        if row[upd_idx]:
-            written_actual[data] += 1
-
-    written_expected: Counter = Counter()
-    deleted_expected = 0
-    final_expected: Counter = Counter()
-    for rowid, chain in table.rows.items():
-        own = [v for v in chain.versions
-               if v.committed and v.xid == xid]
-        if own:
-            last = own[-1]
-            if last.is_tombstone:
-                deleted_expected += 1
-            else:
-                written_expected[last.values] += 1
-                final_expected[last.values] += 1
-            continue
-        visible = chain.committed_at(snapshot_ts)
-        if visible is not None:
-            final_expected[visible.values] += 1
-
-    ok = (written_actual == written_expected
-          and deleted_actual == deleted_expected
-          and final_actual == final_expected)
-    detail = ""
-    if not ok:
-        pieces = []
-        if written_actual != written_expected:
-            pieces.append(
-                f"written mismatch: +{written_actual - written_expected} "
-                f"-{written_expected - written_actual}")
-        if deleted_actual != deleted_expected:
-            pieces.append(f"deleted {deleted_actual} != "
-                          f"{deleted_expected}")
-        if final_actual != final_expected:
-            pieces.append(
-                f"final mismatch: +{final_actual - final_expected} "
-                f"-{final_expected - final_actual}")
-        detail = "; ".join(pieces)
-    return TableCheck(table=table_name, ok=ok,
-                      written_expected=written_expected,
-                      written_actual=written_actual,
-                      deleted_expected=deleted_expected,
-                      deleted_actual=deleted_actual,
-                      final_expected=final_expected,
-                      final_actual=final_actual, detail=detail)
+    :func:`check_history_equivalence`).  Raises
+    :class:`ReenactmentError` when ``xid`` did not commit."""
+    return _sweep(db, [xid], optimize, backend, session)[xid]
 
 
 def check_history_equivalence(db: Database,
@@ -180,17 +92,70 @@ def check_history_equivalence(db: Database,
     same."""
     if xids is None:
         xids = db.audit_log.committed_xids()
+    return _sweep(db, xids, optimize, backend, None)
+
+
+def _sweep(db: Database, xids: List[int], optimize: bool, backend,
+           session) -> Dict[int, EquivalenceReport]:
+    """Compile every transaction's write-set request, run the series on
+    one session and judge each result against storage."""
     reenactor = Reenactor(db, backend=backend)
-    options = ReenactmentOptions(annotations=True, include_deleted=True,
-                                 optimize=optimize)
+    options = replace(WRITES, optimize=optimize)
     compiles = []
     for xid in xids:
         record = reenactor.transaction_record(xid)
         if not record.committed:
-            raise ValueError(
+            raise ReenactmentError(
                 f"transaction {xid} did not commit; only committed "
                 f"transactions have effects to check")
         compiles.append(reenactor.compile(record, options))
-    return {compiled.xid: _report_for_result(db, compiled, result)
-            for result, compiled in zip(reenactor.execute_all(compiles),
-                                        compiles)}
+    reports = {}
+    for result, compiled in zip(reenactor.execute_all(compiles, session),
+                                compiles):
+        record = compiled.record
+        reports[compiled.xid] = EquivalenceReport(xid=compiled.xid, checks=[
+            _check_table(db, record.xid, record.commit_ts, name, relation)
+            for name, relation in result.tables.items()])
+    return reports
+
+
+def _check_table(db: Database, xid: int, commit_ts: int, table_name: str,
+                 relation) -> TableCheck:
+    """The rows ``relation`` (the transaction's reenacted write set)
+    wrote and deleted, against the versions transaction ``xid``
+    published in ``table_name`` at ``commit_ts``: a tombstone is a
+    deleted row, any other version a written one."""
+    table = db.table(table_name)
+    ncols = len(table.schema.columns)
+    upd_idx = relation.column_index(UPD)
+    del_idx = relation.column_index(DEL)
+
+    written_actual: Counter = Counter()
+    deleted_actual = 0
+    for row in relation.rows:
+        if row[del_idx]:
+            deleted_actual += 1
+        elif row[upd_idx]:
+            written_actual[row[:ncols]] += 1
+
+    written_expected: Counter = Counter()
+    deleted_expected = 0
+    for version in table.versions_published_by(xid, commit_ts).values():
+        if version.is_tombstone:
+            deleted_expected += 1
+        else:
+            written_expected[version.values] += 1
+
+    pieces = []
+    if written_actual != written_expected:
+        pieces.append(
+            f"written mismatch: +{written_actual - written_expected} "
+            f"-{written_expected - written_actual}")
+    if deleted_actual != deleted_expected:
+        pieces.append(f"deleted {deleted_actual} != {deleted_expected}")
+    return TableCheck(table=table_name, ok=not pieces,
+                      written_expected=written_expected,
+                      written_actual=written_actual,
+                      deleted_expected=deleted_expected,
+                      deleted_actual=deleted_actual,
+                      detail="; ".join(pieces))

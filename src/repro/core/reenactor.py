@@ -109,6 +109,12 @@ class ReenactmentOptions:
     optimize: bool = True
 
 
+#: the request whose result is a transaction's write set: the rows it
+#: wrote, annotated, tombstones kept — the plans a split compile runs.
+WRITES = ReenactmentOptions(annotations=True, include_deleted=True,
+                            only_affected=True)
+
+
 @dataclass
 class ParsedStatement:
     """One audit-log DML statement, parsed and timestamped."""
@@ -194,8 +200,7 @@ class CompiledReenactment:
     edits: Dict[str, Relation] = field(default_factory=dict)
     #: per table, the AS-OF time at which the rows the transaction
     #: never wrote are read (:meth:`Reenactor.state_timestamps`) — where
-    #: :meth:`Reenactor.execute` completes a whole-table request from,
-    #: and the state the equivalence oracle judges the table at.
+    #: :meth:`Reenactor.execute` completes a whole-table request from.
     state_ts: Dict[str, int] = field(default_factory=dict)
     #: whether ``plans`` compute only the rows the transaction wrote,
     #: for :meth:`Reenactor.execute_all` to complete from the snapshot

@@ -40,9 +40,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.evaluator import Relation
 from repro.backends import BackendSpec, resolve_backend
-from repro.core.reenactor import (ParsedStatement, ReenactmentOptions,
-                                  ReenactmentResult, Reenactor,
-                                  physical_writes)
+from repro.core.reenactor import (WRITES, ParsedStatement,
+                                  ReenactmentOptions, ReenactmentResult,
+                                  Reenactor, physical_writes)
 from repro.db.auditlog import TransactionRecord
 from repro.db.engine import Database
 from repro.errors import (AnalysisError, AuditLogError, ExecutionError,
@@ -60,11 +60,6 @@ from repro.sql.parser import parse_statement
 EXPECTED_REENACTMENT_ERRORS = (AnalysisError, AuditLogError,
                                ExecutionError, ReenactmentError,
                                SQLSyntaxError, TimeTravelError)
-
-#: the request whose result is a transaction's write set, where no
-#: whole-transaction reenactment already holds it
-_WRITES = ReenactmentOptions(annotations=True, include_deleted=True,
-                             only_affected=True)
 
 
 @dataclass
@@ -312,7 +307,7 @@ class WhatIfScenario:
 
     def _written_rowids(self, session=None) -> Dict[str, set]:
         result = self.reenactor.reenact_record(
-            self.record, _WRITES, statements=self._modified,
+            self.record, WRITES, statements=self._modified,
             edits=self._edits, session=session)
         return physical_writes(result.tables)
 
@@ -339,7 +334,7 @@ class WhatIfScenario:
                 writes = self.db.rows_written_by(other.xid, other.commit_ts)
             elif other.statements:
                 writes = physical_writes(self.reenactor.reenact(
-                    other.xid, _WRITES, session=session).tables)
+                    other.xid, WRITES, session=session).tables)
             else:
                 writes = {}
             out = writes, None

@@ -233,18 +233,19 @@ class VersionedTable:
         """The one-hop :meth:`scan_delta_chain`."""
         return self.scan_delta_chain([ts_from, ts_to])[0]
 
-    def rows_published_by(self, xid: int, commit_ts: int) -> Set[int]:
-        """Rows committed transaction ``xid`` wrote in this table: those
-        it published a version of at ``commit_ts`` (an update or a
-        tombstone) that existed before it.  Rows it inserted are left
-        out, as reenactment's synthetic ids are.  Two bisections of the
+    def versions_published_by(self, xid: int, commit_ts: int
+                              ) -> Dict[int, Version]:
+        """Per row committed transaction ``xid`` published a version of
+        at ``commit_ts`` in this table — an insert, an update or a
+        tombstone — that version.  Two bisections of the
         commit log plus one chain per row committed at ``commit_ts``.
 
         Raises :class:`TimeTravelError` when a publish at or after
         ``commit_ts`` left no log entry (history off), or when a row
         logged at ``commit_ts`` no longer holds the versions it had
         then (its history was pruned after logging): the log cannot
-        answer then, and an empty set would read as "wrote nothing"."""
+        answer then, and an empty result would read as "wrote
+        nothing"."""
         if commit_ts <= self._unlogged_ts:
             raise TimeTravelError(
                 f"commit {commit_ts} of transaction {xid} predates the "
@@ -253,21 +254,27 @@ class VersionedTable:
         log = self._commit_ts_log
         lo = bisect_left(log, commit_ts)
         hi = bisect_right(log, commit_ts, lo)
-        out: Set[int] = set()
+        out: Dict[int, Version] = {}
         for rowid in self._commit_rowid_log[lo:hi]:
             chain = self.rows.get(rowid)
-            oldest = chain.versions[0].begin_ts if chain else None
-            if oldest is None or oldest > commit_ts:
+            if chain is None or chain.versions[0].begin_ts > commit_ts:
                 raise TimeTravelError(
                     f"row {rowid} of table {self.schema.name!r} lost the "
                     f"versions logged at commit {commit_ts} of "
                     f"transaction {xid} (history pruned after logging)")
-            versions = chain.versions
-            if oldest < commit_ts and any(
-                    v.begin_ts == commit_ts and v.xid == xid
-                    for v in reversed(versions)):
-                out.add(rowid)
+            for version in reversed(chain.versions):
+                if version.begin_ts == commit_ts and version.xid == xid:
+                    out[rowid] = version
+                    break
         return out
+
+    def rows_published_by(self, xid: int, commit_ts: int) -> Set[int]:
+        """Rows committed transaction ``xid`` wrote in this table: those
+        of :meth:`versions_published_by` that existed before it (an
+        update or a tombstone).  Rows it inserted are left out, as
+        reenactment's synthetic ids are."""
+        return {rowid for rowid in self.versions_published_by(xid, commit_ts)
+                if self.rows[rowid].versions[0].begin_ts < commit_ts}
 
     # -- writes (mechanism only; callers do conflict checks) -------------
 

@@ -6,6 +6,7 @@ the same typed error where that does, and leave every other shape to
 the slot-by-slot runner."""
 
 from typing import List
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +156,33 @@ def test_every_other_shape_keeps_the_slot_by_slot_runner(exprs, which,
     got, expected, guarded = run(exprs, rows)
     assert not guarded
     assert typed(got) == typed(expected)
+
+
+@st.composite
+def column_and_literal_projections(draw):
+    """Slots that are input columns or literals, at least one literal:
+    the base projection of every chain (stored columns, then ``false AS
+    __upd__, false AS __del__``) and any reordering of it."""
+    exprs = draw(st.lists(st.one_of(
+        st.sampled_from([col(c) for c in COLUMNS]),
+        st.sampled_from([Literal(False), Literal(0), Literal(None),
+                         Literal("x")])), max_size=7))
+    slot = draw(st.integers(0, len(exprs)))
+    return exprs[:slot] + [draw(st.sampled_from(
+        [Literal(False), Literal(1.5)]))] + exprs[slot:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(column_and_literal_projections(), rows_strategy)
+def test_columns_and_literals_are_one_pick(exprs, rows):
+    """Built without compiling a single slot: no slot-by-slot runner."""
+    evaluator = Evaluator(StaticContext(
+        {"r": Relation(list(COLUMNS), list(rows))}))
+    plan = op.Projection(SCAN, exprs, [f"o{i}" for i in range(len(exprs))])
+    with mock.patch("repro.algebra.evaluator.compile_expr",
+                    side_effect=AssertionError("compiled a slot")):
+        got = evaluator.evaluate(plan).rows
+    assert typed(got) == typed(reference(exprs, list(rows), evaluator))
 
 
 def _rows_of(exprs: List[Expr], rows: List[tuple]):

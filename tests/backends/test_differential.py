@@ -849,8 +849,7 @@ def _equivalence_fingerprint(report):
     — the byte-identical comparison for the union-priming ablation."""
     return [(c.table, c.ok, sorted(c.written_expected.items()),
              sorted(c.written_actual.items()), c.deleted_expected,
-             c.deleted_actual, sorted(c.final_expected.items()),
-             sorted(c.final_actual.items()), c.detail)
+             c.deleted_actual, c.detail)
             for c in report.checks]
 
 

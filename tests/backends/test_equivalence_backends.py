@@ -57,6 +57,5 @@ def test_reports_identical_across_backends():
         assert left.ok == right.ok
         for lcheck, rcheck in zip(left.checks, right.checks):
             assert lcheck.table == rcheck.table
-            assert lcheck.final_actual == rcheck.final_actual
             assert lcheck.written_actual == rcheck.written_actual
             assert lcheck.deleted_actual == rcheck.deleted_actual

@@ -6,6 +6,8 @@ import pytest
 from repro import Database
 from repro.core.equivalence import (check_history_equivalence,
                                     check_transaction_equivalence)
+from repro.core.reenactor import Reenactor
+from repro.errors import ReenactmentError
 
 
 @pytest.fixture
@@ -69,9 +71,9 @@ class TestAccepts:
         t1.commit()
         report = check_transaction_equivalence(db, xid, backend=backend)
         assert report.ok, [c.detail for c in report.failures()]
-        by_table = {c.table: c for c in report.checks}
-        assert by_table["a"].final_actual == {(1, 11): 1, (2, 20): 1}
-        assert by_table["b"].final_actual == {(1, 101): 1}
+        tables = Reenactor(db, backend=backend).reenact(xid).tables
+        assert sorted(tables["a"].rows) == [(1, 11), (2, 20)]
+        assert sorted(tables["b"].rows) == [(1, 101)]
         sweep = check_history_equivalence(db, backend=backend)
         assert sweep[xid].ok, [c.detail for c in sweep[xid].failures()]
 
@@ -87,6 +89,36 @@ class TestAccepts:
         assert check_transaction_equivalence(db, xid,
                                              optimize=False).ok
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_row_inserted_then_deleted(self, db, backend):
+        """A row the transaction inserted and then deleted is absent
+        before and after it, yet the transaction deleted it: both sides
+        count it as deleted."""
+        xid = run_txn(db, "INSERT INTO t VALUES (4, 40)",
+                      "DELETE FROM t WHERE k = 4")
+        report = check_transaction_equivalence(db, xid, backend=backend)
+        assert report.ok, [c.detail for c in report.failures()]
+        (check,) = report.checks
+        assert check.deleted_expected == check.deleted_actual == 1
+        assert not check.written_expected and not check.written_actual
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_judged_without_completing_tables(self, db, backend,
+                                              monkeypatch):
+        """The oracle reads the write set only: it never completes a
+        table from the snapshot."""
+        run_txn(db, "UPDATE t SET v = v * 2 WHERE k <= 2",
+                "INSERT INTO t VALUES (4, 40)",
+                "DELETE FROM t WHERE k = 3")
+        xid = run_txn(db, "DELETE FROM t WHERE k = 4")
+
+        def no_completion(*args, **kwargs):
+            raise AssertionError("completed a table")
+        monkeypatch.setattr(Reenactor, "_complete", no_completion)
+        assert check_transaction_equivalence(db, xid, backend=backend).ok
+        reports = check_history_equivalence(db, backend=backend)
+        assert len(reports) >= 3 and all(r.ok for r in reports.values())
+
 
 class TestRejects:
     def test_uncommitted_transaction_rejected(self, db):
@@ -95,7 +127,7 @@ class TestRejects:
         s.execute("UPDATE t SET v = 0 WHERE k = 1")
         xid = s.txn.xid
         s.rollback()
-        with pytest.raises(ValueError, match="did not commit"):
+        with pytest.raises(ReenactmentError, match="did not commit"):
             check_transaction_equivalence(db, xid)
 
     def test_detects_tampered_audit_log(self, db):

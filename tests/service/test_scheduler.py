@@ -17,7 +17,7 @@ from repro.backends.base import SessionStats
 from repro.core.equivalence import check_history_equivalence
 from repro.core.reenactor import ReenactmentOptions, Reenactor
 from repro.core.whatif import WhatIfFleet
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.service import (PRIORITY_HIGH, PRIORITY_LOW, Job, ReenactJob,
                            ResilientStore, options_fingerprint)
 
@@ -168,6 +168,18 @@ def test_equivalence_sweep_and_core_routing(history_db):
     direct = check_history_equivalence(db, backend="sqlite")
     assert set(via_service) == set(direct) == set(committed_xids(db))
     assert all(report.ok for report in via_service.values())
+
+
+def test_equivalence_of_an_aborted_transaction_is_a_typed_error(account_db):
+    s = account_db.connect()
+    s.begin()
+    s.execute("UPDATE account SET bal = 0 WHERE cust = 'Bob'")
+    xid = s.txn.xid
+    s.rollback()
+    with ReenactmentService(account_db, workers=1) as svc:
+        error = svc.equivalence(xid).exception(30)
+    assert isinstance(error, ReproError), error
+    assert "did not commit" in str(error)
 
 
 def test_whatif_fleet_via_service(history_db):

@@ -56,10 +56,11 @@ reference.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.algebra import operators as op
 from repro.algebra.evaluator import Evaluator, Relation
@@ -141,6 +142,14 @@ class ReenactmentResult:
     #: them (annotated, tombstones kept) — held for a split compile
     #: only, the one whose plans compute exactly those.
     affected: Optional[Dict[str, Relation]] = field(
+        default=None, repr=False, compare=False)
+    #: the compile this result ran: its options, edits and ``state_ts``.
+    compiled: Optional["CompiledReenactment"] = field(
+        default=None, repr=False, compare=False)
+    #: the AS-OF states a split result was completed from — where a
+    #: stored row is read by rowid (:meth:`StoredStates.state`); ``None``
+    #: unless the compile was split.
+    states: Optional["StoredStates"] = field(
         default=None, repr=False, compare=False)
 
     @cached_property
@@ -229,6 +238,62 @@ def physical_writes(relations: Dict[str, Relation]) -> Dict[str, Set[int]]:
 def _edited_rows(relation: Relation) -> List[Tuple[int, tuple, int]]:
     """R' as a scan lists storage: row ids from 1, by no transaction."""
     return [(i + 1, tuple(row), 0) for i, row in enumerate(relation.rows)]
+
+
+class StoredState(NamedTuple):
+    """The rows of one AS-OF state (or R') as a split result holds the
+    rows its transaction never wrote — annotated ``(values, rowid, xid,
+    False, False)`` or bare values — in rowid order, with their rowids
+    alongside."""
+
+    rowids: List[int]
+    rows: List[tuple]
+
+    def position(self, rowid: int) -> Optional[int]:
+        """Where stored row ``rowid`` is in :attr:`rows`; ``None`` when
+        the state has no such row (an inserted row's synthetic id)."""
+        at = bisect_left(self.rowids, rowid)
+        if at < len(self.rowids) and self.rowids[at] == rowid:
+            return at
+        return None
+
+
+class StoredStates:
+    """The states one :meth:`Reenactor.execute_all` batch completes its
+    split results from: each ``(table, ts)`` — or each edit's R' — read
+    through the batch's context and formatted once per annotation
+    setting, however many results of the batch complete from it (a
+    what-if fleet's original and variants usually share one).  Results
+    keep it, so a state stays readable by rowid after the batch; once
+    the batch is over, a state it never read is read from storage."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self._states: Dict[tuple, StoredState] = {}
+
+    def __enter__(self) -> "StoredStates":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # results outlive the batch: keep no reference to its scan cache
+        self._ctx = self._ctx.db.context(
+            snapshot_provider=self._ctx.snapshot_provider)
+
+    def state(self, table: str, ts: int, annotated: bool,
+              edited: Optional[Relation] = None) -> StoredState:
+        """``table`` at ``ts`` as :class:`StoredState`, or R' when
+        ``edited``."""
+        key = (table, annotated, ts if edited is None else edited)
+        found = self._states.get(key)
+        if found is None:
+            stored = self._ctx.scan_table(table, ts) if edited is None \
+                else _edited_rows(edited)
+            rows = [values + (rowid, xid, False, False)
+                    for rowid, values, xid in stored] if annotated \
+                else [values for _rowid, values, _xid in stored]
+            found = self._states[key] = StoredState(
+                [rowid for rowid, _values, _xid in stored], rows)
+        return found
 
 
 def _check(options: ReenactmentOptions) -> None:
@@ -640,10 +705,14 @@ class Reenactor:
         A split compile computes the rows the transaction wrote; the
         rows it never wrote are added here, straight from the AS-OF
         snapshot or the compile's edit (:meth:`_complete`) — on every
-        backend alike, the engine only sees the affected rows.  The
-        result keeps them (``affected``), so its write set
+        backend alike, the engine only sees the affected rows.  Each
+        such state is formatted once per batch (:class:`StoredStates`),
+        so a result completing from a state another result of the batch
+        already read costs a list copy plus its write set.  The
+        result keeps the rows it wrote (``affected``), so its write set
         (:attr:`ReenactmentResult.written_rowids`) needs no second
-        reenactment."""
+        reenactment, and the states (``states``), so a what-if diff
+        reads a stored row by rowid instead of scanning the table."""
         compiles = list(compiles)
         if not compiles:
             return
@@ -653,11 +722,14 @@ class Reenactor:
               else resolve_backend(self.backend).open_session()) as active, \
                 active.snapshot_pipeline(
                     [{pair: c.row_keys.get(pair) for pair in c.snapshots}
-                     for c in compiles], ctx) as pipe:
+                     for c in compiles], ctx) as pipe, \
+                StoredStates(ctx) as states:
             for index, compiled in enumerate(compiles):
+                split = compiled.split
                 result = ReenactmentResult(
                     xid=compiled.xid, plans=compiled.plans,
-                    affected={} if compiled.split else None)
+                    affected={} if split else None, compiled=compiled,
+                    states=states if split else None)
                 with span("reenactor.execute", xid=compiled.xid,
                           tables=len(compiled.plans)) as sp:
                     pipe.prime(index)
@@ -665,13 +737,14 @@ class Reenactor:
                     for table, plan in compiled.plans.items():
                         relation = active.execute_plan(plan, ctx)
                         affected += len(relation.rows)
-                        if compiled.split:
+                        if split:
                             result.affected[table] = relation
                             relation, untouched = self._complete(
-                                table, relation,
-                                compiled.state_ts[table], ctx,
-                                compiled.options,
-                                compiled.edits.get(table))
+                                table, relation, states.state(
+                                    table, compiled.state_ts[table],
+                                    compiled.options.annotations,
+                                    compiled.edits.get(table)),
+                                compiled.options)
                             passthrough += untouched
                         result.tables[table] = relation
                     if sp is not NOOP_SPAN:
@@ -679,45 +752,51 @@ class Reenactor:
                         sp.set("passthrough_rows", passthrough)
                 yield result
 
-    def _complete(self, table: str, affected: Relation, ts: int, ctx,
-                  options: ReenactmentOptions,
-                  edited: Optional[Relation]) -> Tuple[Relation, int]:
+    def _complete(self, table: str, affected: Relation,
+                  state: StoredState, options: ReenactmentOptions
+                  ) -> Tuple[Relation, int]:
         """The whole table state a request asked for, from the rows the
         transaction wrote (``affected``: annotated, tombstones kept) and
-        the snapshot of ``table`` at ``ts`` (R' if ``edited``); also the
-        number of rows taken from the snapshot.
+        the stored ``state`` it never wrote (the snapshot of ``table``
+        at the compile's ``state_ts``, or R'), formatted as the request
+        asks; also the number of rows taken from ``state``.
 
         Rests on one invariant of the statement translation: a row whose
         ``__upd__`` is still false at the end of the chain left every
         CASE through its ELSE branch — it *is* its input row, with
-        ``__del__`` false.  So a snapshot row the affected relation does
+        ``__del__`` false.  So a stored row the affected relation does
         not carry is emitted as storage holds it; an affected row takes
-        its snapshot row's place, rows the transaction inserted follow
-        in the engine's order.  Tombstones are dropped and annotation
-        columns stripped last, as the request says."""
-        ncols = len(self.db.catalog.get(table).columns)
+        its stored row's place (found by bisecting the rowid-ordered
+        state), rows the transaction inserted follow in the engine's
+        order.  Tombstones are dropped and annotation columns stripped
+        last, as the request says.  The state's rows are copied, never
+        changed: other results of the batch complete from them too."""
+        width = None if options.annotations \
+            else len(self.db.catalog.get(table).columns)
         rowid_at = affected.column_index(ROWID)
         del_at = affected.column_index(DEL)
-        annotated = options.annotations
-        width = None if annotated else ncols
         keep_deleted = options.include_deleted
-        pending = {row[rowid_at]: row for row in affected.rows}
-        rows: List[tuple] = []
-        untouched = 0
-        stored = ctx.scan_table(table, ts) if edited is None \
-            else _edited_rows(edited)
-        for rowid, values, xid in stored:
-            row = pending.pop(rowid, None)
-            if row is None:
-                untouched += 1
-                row = tuple(values)
-                rows.append(row + (rowid, xid, False, False)
-                            if annotated else row)
-            elif keep_deleted or not row[del_at]:
-                rows.append(row[:width])
-        rows.extend(row[:width] for row in pending.values()
-                    if keep_deleted or not row[del_at])
-        return Relation(affected.attrs[:width], rows), untouched
+        rows: List[Optional[tuple]] = list(state.rows)
+        inserted: List[tuple] = []
+        replaced = dropped = 0
+        for row in affected.rows:
+            kept = keep_deleted or not row[del_at]
+            at = state.position(row[rowid_at])
+            if at is None:
+                if kept:
+                    inserted.append(row[:width])
+                continue
+            replaced += 1
+            if kept:
+                rows[at] = row[:width]
+            else:
+                rows[at] = None
+                dropped += 1
+        if dropped:
+            rows = [row for row in rows if row is not None]
+        rows.extend(inserted)
+        return Relation(affected.attrs[:width], rows), \
+            len(state.rows) - replaced
 
     def state_timestamps(self, record: TransactionRecord,
                          statements: List[ParsedStatement],

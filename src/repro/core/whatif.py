@@ -31,18 +31,26 @@ backend session, so AS-OF snapshots are planned and materialized once
 for the whole fleet instead of once per probe.  A fleet of N variants
 is N + 1 reenactments in one batch, plus one per aborted concurrent
 transaction; a standalone :meth:`WhatIfScenario.run` is a fleet of one.
+
+A fleet costs what its variants wrote, not what the tables hold: the
+batch formats each AS-OF state once for all the results that complete
+from it (:class:`~repro.core.reenactor.StoredStates`), the concurrent
+transactions are listed once, and :meth:`WhatIfScenario.diff_results`
+compares the rows either side wrote wherever that is exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.evaluator import Relation
 from repro.backends import BackendSpec, resolve_backend
-from repro.core.reenactor import (WRITES, ParsedStatement,
+from repro.core.reenactor import (DEL, ROWID, WRITES, ParsedStatement,
                                   ReenactmentOptions, ReenactmentResult,
-                                  Reenactor, physical_writes)
+                                  Reenactor, StoredState, physical_writes)
 from repro.db.auditlog import TransactionRecord
 from repro.db.engine import Database
 from repro.errors import (AnalysisError, AuditLogError, ExecutionError,
@@ -64,7 +72,17 @@ EXPECTED_REENACTMENT_ERRORS = (AnalysisError, AuditLogError,
 
 @dataclass
 class TableDiff:
-    """Multiset difference between original and what-if table states."""
+    """Multiset difference between original and what-if table states:
+    ``added`` are the rows of the what-if state the original lacks,
+    ``removed`` the reverse, each in its own state's row order (a row
+    the other state holds fewer times is listed once per extra copy).
+
+    A table only one side wrote is, on the other side, the state that
+    side's reenactment would have completed — the stored rows at the
+    writing side's ``state_ts``, or R' where it edited the table — so
+    the diff lists what the writes changed, not the whole table.  A
+    side that asked for the affected rows only, or for provenance, has
+    no such state and contributes nothing."""
 
     table: str
     added: List[tuple] = field(default_factory=list)
@@ -234,21 +252,25 @@ class WhatIfScenario:
     def diff_results(original: ReenactmentResult,
                      modified: ReenactmentResult
                      ) -> Dict[str, TableDiff]:
-        """Per-table multiset diff between two reenactment results."""
+        """Per-table multiset diff between two reenactment results (see
+        :class:`TableDiff` for what a side that did not write a table
+        contributes).
+
+        Where both results are split and annotated, neither edited the
+        table and both read its untouched rows at the same
+        ``state_ts``, every row neither side wrote is the same stored
+        row on both sides: the diff is computed over the rowids either
+        side wrote, each looked up in the other side's state by rowid
+        (:func:`_write_set_diff`).  Otherwise — an edit, a READ
+        COMMITTED variant that moves a table's last statement, rows
+        without annotations (which can repeat), a request that is not
+        split — whole-table multisets are compared.  Both give the
+        same lists in the same order."""
         diffs: Dict[str, TableDiff] = {}
         for table in sorted(set(original.tables) | set(modified.tables)):
-            before = original.tables.get(table)
-            after = modified.tables.get(table)
-            before_counts = before.as_multiset() if before else {}
-            after_counts = after.as_multiset() if after else {}
-            diff = TableDiff(table=table)
-            for row, count in (+(_counter(after_counts)
-                                 - _counter(before_counts))).items():
-                diff.added.extend([row] * count)
-            for row, count in (+(_counter(before_counts)
-                                 - _counter(after_counts))).items():
-                diff.removed.extend([row] * count)
-            diffs[table] = diff
+            diff = _write_set_diff(table, original, modified)
+            diffs[table] = diff if diff is not None \
+                else _multiset_diff(table, original, modified)
         return diffs
 
     # -- conflict analysis --------------------------------------------------------
@@ -266,10 +288,16 @@ class WhatIfScenario:
         reconstructed (expected failures only) contribute none; their
         xids and errors are recorded in :attr:`last_degraded` and
         surfaced as :attr:`WhatIfResult.degraded_xids` by :meth:`run`."""
-        return self._conflicts(self._written_rowids(session), session, {})
+        return self._conflicts(self._written_rowids(session), session, {},
+                               _concurrent(self.db, self.record))
 
     def _conflicts(self, written: Dict[str, set], session,
-                   cache: Dict[int, Tuple]) -> List[ConflictFinding]:
+                   cache: Dict[int, Tuple],
+                   concurrent: List[TransactionRecord]
+                   ) -> List[ConflictFinding]:
+        """Collisions of ``written`` with the writes of each of
+        ``concurrent`` (:func:`_concurrent` of this record — a fleet
+        lists them once for all its scenarios)."""
         self.last_degraded = {}
         # every row of an edited table is a row of R' or an inserted
         # one: none is a stored row another transaction could write
@@ -277,16 +305,8 @@ class WhatIfScenario:
                    if table not in self._edits}
         if not written:
             return []
-        my_begin = self.record.begin_ts
-        my_end = self.record.end_ts or self.db.clock.now()
-
         findings: List[ConflictFinding] = []
-        for other in self.db.audit_log.transactions(committed_only=False):
-            if other.xid == self.record.xid:
-                continue
-            other_end = other.end_ts or self.db.clock.now()
-            if other.begin_ts > my_end or other_end < my_begin:
-                continue  # not concurrent
+        for other in concurrent:
             other_written, error = self._rowids_written_by(
                 other, session=session, cache=cache)
             if error is not None:
@@ -493,6 +513,7 @@ def _run_batch(reenactor: Reenactor, record: TransactionRecord,
     original, *modified = reenactor.execute_all(compiles, session=session)
     whole = options.upto is None and options.table is None
     other_writes: Dict[int, Tuple] = {}
+    concurrent = _concurrent(reenactor.db, record)
     results = []
     for scenario, result in zip(scenarios, modified):
         written = result.written_rowids if whole else None
@@ -501,11 +522,112 @@ def _run_batch(reenactor: Reenactor, record: TransactionRecord,
         results.append(WhatIfResult(
             original=original, modified=result,
             diffs=WhatIfScenario.diff_results(original, result),
-            conflicts=scenario._conflicts(written, session, other_writes),
+            conflicts=scenario._conflicts(written, session, other_writes,
+                                          concurrent),
             degraded_xids=dict(scenario.last_degraded)))
     return results
 
 
-def _counter(counts):
-    from collections import Counter
-    return counts if isinstance(counts, Counter) else Counter(counts)
+def _concurrent(db: Database, record: TransactionRecord
+                ) -> List[TransactionRecord]:
+    """The logged transactions, committed or not, whose execution
+    windows overlap ``record``'s (``record`` itself excluded)."""
+    now = db.clock.now()
+    end = record.end_ts or now
+    return [other for other in db.audit_log.transactions(
+                committed_only=False)
+            if other.xid != record.xid and other.begin_ts <= end
+            and (other.end_ts or now) >= record.begin_ts]
+
+
+def _write_set_diff(table: str, original: ReenactmentResult,
+                    modified: ReenactmentResult) -> Optional[TableDiff]:
+    """:meth:`WhatIfScenario.diff_results` of ``table`` over the rowids
+    either side wrote, or ``None`` where that is not exact: unless both
+    results are split and annotated, neither edited ``table`` and the
+    sides that wrote it read its untouched rows at one ``state_ts``.
+
+    Then a row neither side wrote is the same tuple on both sides and
+    cancels out; an annotated row carries its rowid, so no row repeats
+    within a side and a side's rows of the other rowids are all the
+    diff can list.  Each side's are put in the order its completed
+    table holds them: stored rows by their place in the state, the
+    rest after them in the order the engine returned them."""
+    sides = (original, modified)
+    if any(side.states is None or not side.compiled.options.annotations
+           or table in side.compiled.edits for side in sides):
+        return None
+    writers = [side for side in sides if table in side.tables]
+    stamps = {side.compiled.state_ts[table] for side in writers}
+    if len(stamps) != 1:
+        return None
+    state = writers[-1].states.state(table, stamps.pop(), annotated=True)
+    rowids: Set[int] = set()
+    for side in writers:
+        affected = side.affected[table]
+        rowid_at = affected.column_index(ROWID)
+        rowids.update(row[rowid_at] for row in affected.rows)
+    before = _rows_of(original, table, rowids, state)
+    after = _rows_of(modified, table, rowids, state)
+    before_set, after_set = set(before), set(after)
+    return TableDiff(table=table,
+                     added=[row for row in after if row not in before_set],
+                     removed=[row for row in before
+                              if row not in after_set])
+
+
+def _rows_of(result: ReenactmentResult, table: str, rowids: Set[int],
+             state: StoredState) -> List[tuple]:
+    """The rows of ``rowids`` in ``result``'s completed ``table``, in
+    its order, read off its affected rows and the stored ``state``
+    instead of the table — placed as :meth:`Reenactor._complete`
+    places them."""
+    placed: List[Tuple[Tuple[int, int], tuple]] = []
+    own: Set[int] = set()
+    affected = result.affected.get(table)
+    if affected is not None:
+        rowid_at = affected.column_index(ROWID)
+        del_at = affected.column_index(DEL)
+        keep_deleted = result.compiled.options.include_deleted
+        for index, row in enumerate(affected.rows):
+            own.add(row[rowid_at])
+            if keep_deleted or not row[del_at]:
+                at = state.position(row[rowid_at])
+                placed.append(((1, index) if at is None else (0, at), row))
+    for rowid in rowids - own:
+        at = state.position(rowid)
+        if at is not None:
+            placed.append(((0, at), state.rows[at]))
+    placed.sort(key=itemgetter(0))
+    return [row for _place, row in placed]
+
+
+def _multiset_diff(table: str, original: ReenactmentResult,
+                   modified: ReenactmentResult) -> TableDiff:
+    """:meth:`WhatIfScenario.diff_results` of ``table`` by comparing
+    both sides' whole states as multisets."""
+    before = _state_counts(original, modified, table)
+    after = _state_counts(modified, original, table)
+    diff = TableDiff(table=table)
+    for row, count in (after - before).items():
+        diff.added.extend([row] * count)
+    for row, count in (before - after).items():
+        diff.removed.extend([row] * count)
+    return diff
+
+
+def _state_counts(result: ReenactmentResult, other: ReenactmentResult,
+                  table: str) -> Counter:
+    """``result``'s state of ``table`` as a row multiset: its own, or —
+    for a table only ``other`` wrote — the one it would have completed
+    at ``other``'s ``state_ts`` (R' where it edited the table), or
+    nothing for a result that completes no states."""
+    relation = result.tables.get(table)
+    if relation is not None:
+        return relation.as_multiset()
+    if result.states is None:
+        return Counter()
+    return Counter(result.states.state(
+        table, other.compiled.state_ts[table],
+        result.compiled.options.annotations,
+        result.compiled.edits.get(table)).rows)

@@ -10,7 +10,9 @@ what-if scenarios must produce identical ``TableDiff``s, with diffs,
 conflicts and degraded transactions equal to the reenact-every-write-set
 reference (``tests/whatif_reference.py``).  Every committed
 transaction's write set read off the commit log must equal its
-reenacted one.
+reenacted one, and every split result's completion from its batch's
+shared stored states the one-pass loop of
+``tests/completion_reference.py``.
 
 Comparison is type-strict (see ``conftest.typed_rows``): ``True == 1``
 in Python, so a sloppy comparison would hide boolean-coercion bugs.
@@ -56,17 +58,19 @@ import itertools
 import pytest
 
 from repro import Database
-from repro.algebra.evaluator import Evaluator
+from repro.algebra.evaluator import Evaluator, Relation
 from repro.algebra.sqlgen import Dialect, generate_sql
 from repro.backends import available_backends, resolve_backend
 from repro.backends.sqlite import SQLITE_DIALECT
 from repro.core.optimizer import ProvenanceOptimizer
-from repro.core.reenactor import (ReenactmentOptions, Reenactor,
-                                  snapshot_analysis)
+from repro.core.reenactor import (ParsedStatement, ReenactmentOptions,
+                                  Reenactor, snapshot_analysis)
 from repro.core.whatif import WhatIfFleet, WhatIfScenario
 from repro.errors import ReenactmentError
 from repro.obs.explain import ExplainCollector
+from repro.sql.parser import parse_statement
 
+from completion_reference import reference_complete
 from conftest import (SQL_ENGINES, assert_relations_match,
                       build_history, committed_xids)
 from planner_policy import FORCE_DELTA, NO_DELTA, policy_backend
@@ -574,6 +578,69 @@ def check_split_against_full_plan(seed, isolation):
     return checked
 
 
+def check_completion_against_reference(seed, isolation):
+    """Completion from a batch's shared stored states against the
+    one-pass loop it replaced (``tests/completion_reference.py``),
+    type-strict and in order.  Per backend, one ``execute_all`` batch
+    runs every committed transaction under every legal
+    ``annotations`` × ``include_deleted`` setting, each compile twice,
+    then with a delete appended (the harness's own deletes rarely match
+    a row, and a tombstone must be dropped or kept as asked), and once
+    more with its table edited — so several results complete from one
+    state, R' is completed too, and states of one table at several
+    timestamps meet in one batch."""
+    db = Database()
+    db.execute("CREATE TABLE side (id INT, note TEXT)")
+    db.execute("INSERT INTO side VALUES (1, 'a'), (2, 'b')")
+    build_history(seed, isolation, db=db)
+    reenactor = Reenactor(db)
+    columns = list(db.catalog.get("bench_account").column_names)
+    compiles = []
+    for xid in committed_xids(db):
+        record = reenactor.transaction_record(xid)
+        statements = reenactor.parsed_statements(record)
+        deleting = statements + [ParsedStatement(
+            index=len(statements), ts=statements[-1].ts,
+            stmt=parse_statement(
+                "DELETE FROM bench_account WHERE id <= 3 OR bal > 900"))]
+        for annotations, include_deleted in (
+                (True, True), (True, False), (False, False)):
+            options = ReenactmentOptions(annotations=annotations,
+                                         include_deleted=include_deleted)
+            compiled = reenactor.compile(record, options)
+            compiles += [compiled, compiled, reenactor.compile(
+                record, options, statements=deleting)]
+        edited = [values for _, values, _ in
+                  db.table_snapshot("bench_account", record.begin_ts)]
+        compiles.append(reenactor.compile(
+            record, STRICT_OPTIONS,
+            edits={"bench_account": Relation(columns, edited[::-1][1:])}))
+    checked = 0
+    for name in ["memory"] + SQL_ENGINES:
+        with resolve_backend(name).open_session() as session:
+            for index, (compiled, result) in enumerate(zip(
+                    compiles, reenactor.execute_all(compiles,
+                                                    session=session))):
+                assert compiled.split
+                for table, got in result.tables.items():
+                    want = reference_complete(
+                        db, table, result.affected[table],
+                        compiled.state_ts[table], compiled.options,
+                        compiled.edits.get(table))
+                    context = (f"seed={seed} isolation={isolation} "
+                               f"backend={name} compile={index} "
+                               f"table={table} {compiled.options}")
+                    assert got.attrs == want.attrs, context
+                    assert _typed_list(got) == _typed_list(want), context
+                    checked += 1
+    return checked
+
+
+def _typed_list(relation):
+    return [tuple((type(value).__name__, value) for value in row)
+            for row in relation.rows]
+
+
 def check_optimizer_metamorphic(seed, isolation):
     """The optimizer is a rewrite, never a semantics change:
     ``optimize=False`` and ``optimize=True`` must agree on every
@@ -759,6 +826,12 @@ def test_panel_columns_equal_prefix_reenactments(seed, isolation):
 @pytest.mark.parametrize("seed", FULL_SEEDS)
 def test_split_execution_equals_full_plan(seed, isolation):
     assert check_split_against_full_plan(seed, isolation) > 0
+
+
+@pytest.mark.parametrize("isolation", ISOLATION_LEVELS)
+@pytest.mark.parametrize("seed", FULL_SEEDS)
+def test_shared_state_completion_equals_reference(seed, isolation):
+    assert check_completion_against_reference(seed, isolation) > 0
 
 
 @pytest.mark.parametrize("isolation", ISOLATION_LEVELS)

@@ -1,4 +1,11 @@
-"""Reference conflict analysis: every write set reenacted.
+"""Reference what-if: whole-table diffs, every write set reenacted.
+
+:meth:`WhatIfScenario.diff_results` diffs over the rows either side
+wrote wherever that is exact.  :func:`reference_diffs` is the diff it
+replaced, kept as the oracle: every table of both sides counted as a
+multiset and subtracted, with one fix — a table only one side wrote is,
+on the other side of a split request, that side's stored state read
+off storage (R' where it edited the table), not nothing.
 
 :meth:`WhatIfScenario.run` reads write sets where they are already
 held — the modified transaction's off its own reenactment, a committed
@@ -13,8 +20,10 @@ diffs, conflicts and degraded transactions.
 ``tests/service/service_helpers.py`` for why not ``conftest``.)
 """
 
+from collections import Counter
+
 from repro.core.reenactor import ReenactmentOptions, physical_writes
-from repro.core.whatif import EXPECTED_REENACTMENT_ERRORS, WhatIfScenario
+from repro.core.whatif import EXPECTED_REENACTMENT_ERRORS, TableDiff
 
 #: the only-affected request whose result is a write set
 WRITES = ReenactmentOptions(annotations=True, include_deleted=True,
@@ -26,6 +35,52 @@ def reenacted_writes(reenactor, xid, session=None):
     reenacting it."""
     return physical_writes(
         reenactor.reenact(xid, WRITES, session=session).tables)
+
+
+def _stored_state(db, table, ts, annotated, edited):
+    """What a split reenactment that did not write ``table`` holds of
+    it: the stored rows at ``ts`` (R' when ``edited``), formatted as
+    the request asks."""
+    stored = db.table_snapshot(table, ts) if edited is None else \
+        [(i + 1, tuple(row), 0) for i, row in enumerate(edited.rows)]
+    return [values + (rowid, xid, False, False) if annotated else values
+            for rowid, values, xid in stored]
+
+
+def reference_diffs(scenario, original, modified, options):
+    """Per table, the :class:`TableDiff` of ``original`` (the
+    scenario's recorded transaction) against ``modified`` (its
+    variant), both reenacted under ``options``: whole-table multisets
+    subtracted, each side's rows listed in its own order."""
+    db, record, reenactor = scenario.db, scenario.record, scenario.reenactor
+    split = not (options.only_affected or options.with_provenance)
+    stamps = [reenactor.state_timestamps(record, statements,
+                                         upto=options.upto)
+              for statements in (scenario._statements, scenario.statements)]
+    edits = [{}, scenario._edits]
+    results = [original, modified]
+    diffs = {}
+    for table in sorted(set(original.tables) | set(modified.tables)):
+        counts = []
+        for side in (0, 1):
+            relation = results[side].tables.get(table)
+            if relation is not None:
+                rows = relation.rows
+            elif split:
+                rows = _stored_state(
+                    db, table, stamps[1 - side].get(table, record.begin_ts),
+                    options.annotations, edits[side].get(table))
+            else:
+                rows = []
+            counts.append(Counter(rows))
+        before, after = counts
+        diff = TableDiff(table=table)
+        for row, count in (+(after - before)).items():
+            diff.added.extend([row] * count)
+        for row, count in (+(before - after)).items():
+            diff.removed.extend([row] * count)
+        diffs[table] = diff
+    return diffs
 
 
 def _plain(diffs):
@@ -55,7 +110,7 @@ def reference_run(scenario, options=None, session=None, memo=None):
     modified = reenactor.reenact_record(
         record, options, statements=scenario.statements, edits=edits,
         session=session)
-    diffs = _plain(WhatIfScenario.diff_results(original, modified))
+    diffs = _plain(reference_diffs(scenario, original, modified, options))
     # a row of an edited table is a row of R' or an inserted one, never
     # a stored row another transaction could have written
     written = {table: rowids for table, rowids in physical_writes(
